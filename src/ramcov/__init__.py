@@ -27,16 +27,12 @@ from .invariants import (
     FibrationInputs,
     InvariantReport,
     arakelov_degree_bound,
-    branch_divisor,
     deg_det,
     degree_linear_certificate,
-    euler_chain,
     height_log_decimal,
     invariant_report,
-    k2_chain,
     linear_coefficient,
     plane_model_height_log,
-    r_self_intersection,
 )
 from .loader import dumps_document, load_cover_path, parse_cover_json
 from .local_cover import (
@@ -92,10 +88,6 @@ __all__ = [
     "BoundTerm",
     "BoundCertificate",
     "FibrationInputs",
-    "branch_divisor",
-    "r_self_intersection",
-    "k2_chain",
-    "euler_chain",
     "deg_det",
     "invariant_report",
     "degree_linear_certificate",

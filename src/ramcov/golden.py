@@ -20,6 +20,7 @@ the command line.
 
 from __future__ import annotations
 
+from .errors import InvalidInputError
 from .local_cover import LatticeSubgroup
 from .model import (
     BaseGeometry,
@@ -97,7 +98,7 @@ def power_map_cover(a: int, b: int) -> tuple[BaseGeometry, CoverDescription]:
     vertical line), a smooth point with local degree ``a*b``.
     """
     if a < 1 or b < 1:
-        raise ValueError(f"exponents must be positive (got a={a}, b={b})")
+        raise InvalidInputError(f"exponents must be positive (got a={a}, b={b})")
     base = square_base()
     vertical_sheet = (RamSheet(e=a, f=b),)
     horizontal_sheet = (RamSheet(e=b, f=a),)

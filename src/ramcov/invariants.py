@@ -1,6 +1,19 @@
 """Numerical invariants of a resolved branched cover and its degree bounds.
 
-Given a validated base-plus-cover description this module walks the chain
+Everything here comes from one walk over a validated base-plus-cover
+description.  The walk passes once over the branch components, in id
+order, and then once over the crossings, in index order:
+
+* per component it records the branch multiplicity
+  ``B_mult(i) = sum_j (e_ij - 1) f_ij``, the diagonal (R,R) factor
+  ``sum_j (e_ij - 1)^2 f_ij / e_ij`` and ``d_i = sum_j f_ij``;
+* per crossing it classifies each point above it once and records a row:
+  the unordered cross term ``sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of
+  (R,R), the resolution correction and the exceptional curve count ``s``
+  of its quotient points, and its number of points.  Each distinct
+  quotient type is resolved once per walk.
+
+Summing the rows gives the chain
 
     branch divisor B  ->  (R,R)  ->  K_Y^2  ->  K_{Y'}^2
     Euler data        ->  e_c(Y) ->  e_c(Y')
@@ -14,11 +27,12 @@ the degree, on the base curve, of the determinant of cohomology of the
 structure sheaf pushed down the fibration: a height-like measure of the
 cover.
 
-On top of the chain sit two bound evaluators: a certificate that the
-computed degree is linearly bounded in the cover degree, with one receipt
-per estimate so a failure localizes, and an Arakelov-type bound for
-semistable fibrations.  A third, logarithmic height bound for plane models
-is the single place the package leaves exact arithmetic (flagged as such).
+:func:`invariant_report` sums the rows of one walk.  The certificate that
+the computed degree is linearly bounded in the cover degree takes one
+receipt per component and per crossing from the rows of its own walk, so a
+failure localizes.  Beside it sit an Arakelov-type bound for semistable
+fibrations and a logarithmic height bound for plane models, the single
+place the package leaves exact arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -26,23 +40,17 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidInputError
 from .hj import ResolutionData, SingularityType, resolve
-from .model import BaseGeometry, CoverDescription, derived_euler_data
+from .model import BaseGeometry, BranchComponent, CoverDescription, derived_euler_data
 
 __all__ = [
     "InvariantReport",
     "BoundTerm",
     "BoundCertificate",
     "FibrationInputs",
-    "branch_divisor",
-    "rr_breakdown",
-    "r_self_intersection",
-    "k2_chain",
-    "euler_chain",
     "deg_det",
     "invariant_report",
     "degree_linear_certificate",
@@ -53,161 +61,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _resolution(n: int, q: int) -> ResolutionData:
-    return resolve(SingularityType(n, q))
-
-
-def branch_divisor(base: BaseGeometry, cover: CoverDescription) -> dict[str, int]:
-    """Multiplicity of each component in the branch divisor downstairs.
-
-    The pushforward of the ramification divisor hits ``D_i`` with
-    multiplicity ``sum_j (e_ij - 1) f_ij``, which for a valid cover lies in
-    ``[0, d-1]``.
-    """
-    return {
-        comp.id: sum((s.e - 1) * s.f for s in cover.sheets_for(comp.id))
-        for comp in base.components
-    }
-
-
-def rr_breakdown(
-    base: BaseGeometry, cover: CoverDescription
-) -> tuple[dict[str, Fraction], dict[int, Fraction]]:
-    """Per-part breakdown of the ramification self-intersection (R,R).
-
-    Returns ``(diagonal_factor, cross)`` where ``diagonal_factor[i]`` is
-    ``sum_j (e_ij - 1)^2 f_ij / e_ij`` (to be weighted by ``(D_i, D_i)``)
-    and ``cross[x]`` is the *unordered* per-crossing sum
-    ``sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y``; the total counts every
-    crossing with both orders, i.e. twice.
-    """
-    diagonal = {
-        comp.id: sum(
-            (Fraction((s.e - 1) ** 2 * s.f, s.e) for s in cover.sheets_for(comp.id)),
-            Fraction(0),
-        )
-        for comp in base.components
-    }
-    cross = {}
-    for crossing in base.crossings:
-        first = cover.sheets_for(crossing.pair[0])
-        second = cover.sheets_for(crossing.pair[1])
-        total = Fraction(0)
-        for pt in cover.points_for(crossing.index):
-            lt = pt.local_cover_type()
-            if lt.n < 1:
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: local type has n={lt.n}, cannot weight by 1/n"
-                )
-            total += Fraction((first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
-        cross[crossing.index] = total
-    return diagonal, cross
-
-
-def r_self_intersection(base: BaseGeometry, cover: CoverDescription) -> Fraction:
-    """Self-intersection (R,R) of the ramification divisor on the cover."""
-    diagonal, cross = rr_breakdown(base, cover)
-    total = sum(
-        (diagonal[comp.id] * comp.self_int for comp in base.components), Fraction(0)
-    )
-    total += 2 * sum(cross.values(), Fraction(0))
-    return total
-
-
-def _point_resolutions(
-    base: BaseGeometry, cover: CoverDescription
-) -> dict[int, list[Optional[ResolutionData]]]:
-    """Resolution data of each point above each crossing (None if smooth)."""
-    out: dict[int, list[Optional[ResolutionData]]] = {}
-    for crossing in base.crossings:
-        row = []
-        for pt in cover.points_for(crossing.index):
-            lt = pt.local_cover_type()
-            problems = lt.invariant_problems()
-            if problems:
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: invalid local type: {problems[0]}"
-                )
-            row.append(_resolution(lt.n, lt.q) if lt.singular else None)
-        out[crossing.index] = row
-    return out
-
-
-def k2_chain(
-    base: BaseGeometry, cover: CoverDescription
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Canonical self-intersection on the cover and on its resolution.
-
-    ``K_Y^2 = d*K_X^2 + 2*sum_i B_mult(i)*(K_X . D_i) + (R,R)``; resolving
-    the quotient singularities adds, per singular point, the correction
-    ``sum_i a_i (b_i - 2)`` of its exceptional chain.  Returns the triple
-    ``(K_Y^2, correction_total, K_{Y'}^2)``.
-    """
-    bmult = branch_divisor(base, cover)
-    ky_sq = Fraction(cover.degree * base.KX_sq)
-    ky_sq += 2 * sum(bmult[c.id] * c.KX_dot for c in base.components)
-    ky_sq += r_self_intersection(base, cover)
-    correction = sum(
-        (
-            rd.correction
-            for row in _point_resolutions(base, cover).values()
-            for rd in row
-            if rd is not None
-        ),
-        Fraction(0),
-    )
-    return ky_sq, correction, ky_sq + correction
-
-
-def euler_chain(base: BaseGeometry, cover: CoverDescription) -> tuple[int, int, int]:
-    """Euler characteristics of the cover before and after resolution.
-
-    Stratifies the base into the divisor complement, the punctured branch
-    components, and the crossing points; the cover contributes with local
-    degree ``d``, ``d_i = sum_j f_ij``, and one point per listed point.
-    Resolution glues in ``s`` rational curves in total, one per exceptional
-    chain entry.  Returns ``(e_c(Y), s, e_c(Y'))``.
-    """
-    euler = derived_euler_data(base)
-    total = cover.degree * euler.e_c_U
-    for comp in base.components:
-        d_i = sum(s.f for s in cover.sheets_for(comp.id))
-        total += d_i * euler.open_component(comp.id)
-    n_points = sum(len(points) for _, points in cover.points_above)
-    total += n_points
-    s = sum(
-        rd.chain.length
-        for row in _point_resolutions(base, cover).values()
-        for rd in row
-        if rd is not None
-    )
-    return total, s, total + s
-
-
-def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
-    """Degree of the determinant of cohomology on the base curve.
-
-    Riemann-Roch on the resolved cover, pushed to the curve, collapses to
-
-        (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F))
-
-    once every divisor class is paired with the fibre class.  All terms are
-    exact rationals; for geometrically consistent input the result is an
-    integer.
-    """
-    _, _, kyprime_sq = k2_chain(base, cover)
-    _, _, euler_yprime = euler_chain(base, cover)
-    bmult = branch_divisor(base, cover)
-    b_dot_f = sum(bmult[c.id] * c.fiber_deg for c in base.components)
-    chi_part = Fraction(kyprime_sq + euler_yprime, 12)
-    fib_part = Fraction(1 - base.genus_C, 2) * (cover.degree * base.KX_dot_F + b_dot_f)
-    return chi_part + fib_part
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """All invariants of one cover, with the per-term breakdown.
+
+    ``KY_sq = d*K_X^2 + 2*(K_X . B) + (R,R)``, and resolving the quotient
+    points adds ``correction_total``, the sum over singular points of
+    ``sum_i a_i (b_i - 2)`` of their exceptional chains.  ``euler_Y``
+    stratifies the base into the divisor complement (counted ``d`` times),
+    the punctured components (``d_i`` times) and one point per listed
+    point; resolution glues in ``exceptional_s`` rational curves.
+    Riemann-Roch on the resolved cover, pushed to the base curve, gives
+
+        deg_det = (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F)).
 
     ``KYprime_sq = KY_sq + correction_total`` and ``euler_Yprime = euler_Y
     + exceptional_s`` are enforced; integrality of ``chi`` and ``deg_det``
@@ -243,32 +109,109 @@ class InvariantReport:
         return self.deg_det.denominator == 1
 
 
-def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
-    """Run the whole invariant chain once and package the results."""
-    bmult = branch_divisor(base, cover)
-    kx_dot_b = sum(bmult[c.id] * c.KX_dot for c in base.components)
-    b_dot_f = sum(bmult[c.id] * c.fiber_deg for c in base.components)
-    rr = r_self_intersection(base, cover)
-    ky_sq, correction, kyprime_sq = k2_chain(base, cover)
-    euler_y, s, euler_yprime = euler_chain(base, cover)
-    chi = Fraction(kyprime_sq + euler_yprime, 12)
-    dd = chi + Fraction(1 - base.genus_C, 2) * (
-        cover.degree * base.KX_dot_F + b_dot_f
-    )
-    return InvariantReport(
-        B_mult=tuple((c.id, bmult[c.id]) for c in sorted(base.components, key=lambda c: c.id)),
+class _ComponentRow(NamedTuple):
+    comp: BranchComponent
+    b_mult: int
+    diagonal: Fraction
+    d_i: int
+
+
+class _CrossingRow(NamedTuple):
+    index: int
+    cross: Fraction
+    correction: Fraction
+    s: int
+    points: int
+
+
+def _walk(
+    base: BaseGeometry, cover: CoverDescription
+) -> tuple[InvariantReport, list[_ComponentRow], list[_CrossingRow]]:
+    """Walk the configuration once; return the report and the rows it sums.
+
+    Raises :class:`InvalidInputError` at the first point, in crossing index
+    order, whose local type breaks a range or gcd constraint.
+    """
+    components = []
+    for comp in sorted(base.components, key=lambda c: c.id):
+        sheets = cover.sheets_for(comp.id)
+        components.append(
+            _ComponentRow(
+                comp=comp,
+                b_mult=sum((s.e - 1) * s.f for s in sheets),
+                diagonal=sum(
+                    (Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets), Fraction(0)
+                ),
+                d_i=sum(s.f for s in sheets),
+            )
+        )
+
+    resolutions: dict[tuple[int, int], ResolutionData] = {}
+    crossings = []
+    for crossing in sorted(base.crossings, key=lambda x: x.index):
+        first = cover.sheets_for(crossing.pair[0])
+        second = cover.sheets_for(crossing.pair[1])
+        points = cover.points_for(crossing.index)
+        cross = correction = Fraction(0)
+        s = 0
+        for pt in points:
+            lt = pt.local_cover_type()
+            problems = lt.invariant_problems()
+            if problems:
+                raise InvalidInputError(
+                    f"crossing {crossing.index}: invalid local type: {problems[0]}"
+                )
+            cross += Fraction((first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
+            if lt.singular:
+                rd = resolutions.get((lt.n, lt.q))
+                if rd is None:
+                    rd = resolutions[lt.n, lt.q] = resolve(SingularityType(lt.n, lt.q))
+                correction += rd.correction
+                s += rd.chain.length
+        crossings.append(_CrossingRow(crossing.index, cross, correction, s, len(points)))
+
+    d = cover.degree
+    euler = derived_euler_data(base)
+    kx_dot_b = sum(r.b_mult * r.comp.KX_dot for r in components)
+    b_dot_f = sum(r.b_mult * r.comp.fiber_deg for r in components)
+    rr = sum((r.diagonal * r.comp.self_int for r in components), Fraction(0))
+    rr += 2 * sum((x.cross for x in crossings), Fraction(0))
+    ky_sq = d * base.KX_sq + 2 * kx_dot_b + rr
+    correction = sum((x.correction for x in crossings), Fraction(0))
+    euler_y = d * euler.e_c_U
+    euler_y += sum(r.d_i * euler.open_component(r.comp.id) for r in components)
+    euler_y += sum(x.points for x in crossings)
+    s = sum(x.s for x in crossings)
+    chi = Fraction(ky_sq + correction + euler_y + s, 12)
+    report = InvariantReport(
+        B_mult=tuple((r.comp.id, r.b_mult) for r in components),
         KX_dot_B=kx_dot_b,
         B_dot_F=b_dot_f,
         RR=rr,
         KY_sq=ky_sq,
         correction_total=correction,
-        KYprime_sq=kyprime_sq,
+        KYprime_sq=ky_sq + correction,
         euler_Y=euler_y,
         exceptional_s=s,
-        euler_Yprime=euler_yprime,
+        euler_Yprime=euler_y + s,
         chi=chi,
-        deg_det=dd,
+        deg_det=chi + Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
     )
+    return report, components, crossings
+
+
+def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
+    """Run the whole invariant chain once and package the results."""
+    return _walk(base, cover)[0]
+
+
+def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
+    """Degree of the determinant of cohomology on the base curve.
+
+    The ``deg_det`` field of :func:`invariant_report`; for geometrically
+    consistent input it is an integer.
+    """
+    return invariant_report(base, cover).deg_det
 
 
 @dataclass(frozen=True)
@@ -445,55 +388,48 @@ def degree_linear_certificate(
     comparison against the semistable bound is appended as a term as well.
     """
     d = cover.degree
-    report = invariant_report(base, cover)
-    diagonal, cross = rr_breakdown(base, cover)
-    resolutions = _point_resolutions(base, cover)
+    report, components, crossings = _walk(base, cover)
 
     terms: list[BoundTerm] = []
-    for cid, mult in report.B_mult:
+    for row in components:
         terms.append(
             BoundTerm(
-                name=f"branch_mult[{cid}]",
-                value=Fraction(mult),
+                name=f"branch_mult[{row.comp.id}]",
+                value=Fraction(row.b_mult),
                 bound=Fraction(d),
                 per_degree=Fraction(1),
             )
         )
-    for comp in sorted(base.components, key=lambda c: c.id):
+    for row in components:
         terms.append(
             BoundTerm(
-                name=f"rr_diagonal_factor[{comp.id}]",
-                value=diagonal[comp.id],
+                name=f"rr_diagonal_factor[{row.comp.id}]",
+                value=row.diagonal,
                 bound=Fraction(d),
                 per_degree=Fraction(1),
             )
         )
-    for crossing in sorted(base.crossings, key=lambda x: x.index):
-        idx = crossing.index
-        n_points = len(cover.points_for(idx))
-        row = resolutions[idx]
-        correction = sum((rd.correction for rd in row if rd is not None), Fraction(0))
-        s_here = sum(rd.chain.length for rd in row if rd is not None)
+    for row in crossings:
         terms.append(
             BoundTerm(
-                name=f"rr_cross[crossing {idx}]",
-                value=2 * cross[idx],
+                name=f"rr_cross[crossing {row.index}]",
+                value=2 * row.cross,
                 bound=Fraction(2 * d),
                 per_degree=Fraction(2),
             )
         )
         terms.append(
             BoundTerm(
-                name=f"correction[crossing {idx}]",
-                value=correction,
-                bound=Fraction(max(d, 2 * n_points)),
+                name=f"correction[crossing {row.index}]",
+                value=row.correction,
+                bound=Fraction(max(d, 2 * row.points)),
                 per_degree=Fraction(2),
             )
         )
         terms.append(
             BoundTerm(
-                name=f"exceptional_s[crossing {idx}]",
-                value=Fraction(s_here),
+                name=f"exceptional_s[crossing {row.index}]",
+                value=Fraction(row.s),
                 bound=Fraction(d),
                 per_degree=Fraction(1),
             )

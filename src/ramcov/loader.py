@@ -6,7 +6,9 @@ only exact integers are accepted (any floating point literal is an error),
 object keys must be known, duplicate keys are rejected, and every
 cross-reference must resolve.  Lists are canonicalized on the way in
 (components by id, crossings by index, points by sheet indices) so that
-semantically equal documents produce identical downstream output.
+documents equal up to list order produce byte-identical reports.  Lattice
+generators are echoed as given, not reduced: ``[[2,0],[1,1]]`` and
+``[[2,0],[3,1]]`` generate the same subgroup but echo differently.
 
 Local data at a point is given either as a lattice subgroup
 ``[[g1x, g1y], [g2x, g2y]]`` (first coordinate = winding around the first
@@ -246,8 +248,15 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
             parse_constant=_reject_constant,
             object_pairs_hook=_no_duplicate_keys,
         )
+    except InputFormatError:
+        raise
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None
+    except ValueError:
+        # int() refuses digit strings past the interpreter's length limit
+        raise InputFormatError("integer literal has too many digits") from None
+    except RecursionError:
+        raise InputFormatError("not valid JSON: nesting too deep") from None
     doc = _as_obj(doc, "document", {"base", "cover"})
     base = _parse_base(doc["base"])
     cover = _parse_cover(doc["cover"])
@@ -257,7 +266,13 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
 
 def load_cover_path(path: str) -> tuple[BaseGeometry, CoverDescription]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cover_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return parse_cover_json(text)
 
 
 def _local_to_json(local) -> Any:

@@ -23,7 +23,9 @@ with one of the codes V1 to V5:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from .errors import InvalidInputError
@@ -149,14 +151,22 @@ class BaseGeometry:
                     f"but the crossing list has {got}"
                 )
 
+    @cached_property
+    def _component_index(self) -> dict[str, BranchComponent]:
+        return {c.id: c for c in self.components}
+
+    @cached_property
+    def _crossing_counts(self) -> Counter:
+        return Counter(cid for x in self.crossings for cid in x.pair)
+
     def component(self, cid: str) -> BranchComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise InvalidInputError(f"unknown component {cid!r}")
+        try:
+            return self._component_index[cid]
+        except KeyError:
+            raise InvalidInputError(f"unknown component {cid!r}") from None
 
     def crossings_on(self, cid: str) -> int:
-        return sum(1 for x in self.crossings if cid in x.pair)
+        return self._crossing_counts[cid]
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,8 @@ class CoverDescription:
 
     ``ramification`` maps component ids to their sheet lists and
     ``points_above`` maps crossing indices to the points over that
-    crossing; both are stored as tuples of pairs to stay hashable.  Absent
+    crossing; both are stored as tuples of pairs to stay hashable, and
+    looked up through dicts built from them on first use.  Absent
     entries mean "unspecified" and are flagged by the validator rather
     than silently defaulted.
     """
@@ -227,17 +238,19 @@ class CoverDescription:
         if len(set(pt_keys)) != len(pt_keys):
             raise InvalidInputError("duplicate crossing index in points_above table")
 
+    @cached_property
+    def _sheet_index(self) -> dict[str, tuple[RamSheet, ...]]:
+        return dict(self.ramification)
+
+    @cached_property
+    def _point_index(self) -> dict[int, tuple[PointAbove, ...]]:
+        return dict(self.points_above)
+
     def sheets_for(self, cid: str) -> tuple[RamSheet, ...]:
-        for key, sheets in self.ramification:
-            if key == cid:
-                return sheets
-        return ()
+        return self._sheet_index.get(cid, ())
 
     def points_for(self, index: int) -> tuple[PointAbove, ...]:
-        for key, points in self.points_above:
-            if key == index:
-                return points
-        return ()
+        return self._point_index.get(index, ())
 
 
 @dataclass(frozen=True)
@@ -266,11 +279,15 @@ class EulerData:
     open_components: tuple[tuple[str, int], ...]
     n_crossings: int
 
+    @cached_property
+    def _open_index(self) -> dict[str, int]:
+        return dict(self.open_components)
+
     def open_component(self, cid: str) -> int:
-        for key, val in self.open_components:
-            if key == cid:
-                return val
-        raise InvalidInputError(f"unknown component {cid!r}")
+        try:
+            return self._open_index[cid]
+        except KeyError:
+            raise InvalidInputError(f"unknown component {cid!r}") from None
 
 
 def check_references(base: BaseGeometry, cover: CoverDescription) -> None:

@@ -9,10 +9,14 @@ Frozen oracles used here, all independent of the code under test:
   one-variable power map splits off a trivial summand plus a - 1 line
   bundles of degree -1, so the determinant degree is 1 - a, independent
   of b, and the cover is again a quadric (K^2 = 8, e_c = 4);
+* the Z/5 cover of the quadric branched on the square with weights
+  (1, 4, 2, 3): its local lattices are kernels of the weight maps, checked
+  here, and chi is the Esnault-Viehweg sum over its eigensheaves;
 * the semistable fibration bound and the plane-model height bound have
   closed forms evaluated here with mpmath at high precision.
 """
 
+import pathlib
 from fractions import Fraction
 
 import mpmath
@@ -27,18 +31,16 @@ from ramcov.invariants import (
     FibrationInputs,
     InvariantReport,
     arakelov_degree_bound,
-    branch_divisor,
     deg_det,
     degree_linear_certificate,
-    euler_chain,
     height_log_decimal,
     invariant_report,
-    k2_chain,
     linear_coefficient,
     plane_model_height_log,
-    r_self_intersection,
-    rr_breakdown,
 )
+from ramcov.loader import load_cover_path
+
+CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
 
 def quadric_dot(u, v):
@@ -46,31 +48,35 @@ def quadric_dot(u, v):
     return u[0] * v[1] + u[1] * v[0]
 
 
+def terms_by_name(base, cover):
+    return {t.name: t for t in degree_linear_certificate(base, cover).terms}
+
+
 # ------------------------------------------------------------ branch divisor
 
 
 def test_branch_divisor_examples():
-    base, cover = identity_cover()
-    assert branch_divisor(base, cover) == {"D1": 0, "D2": 0, "D3": 0, "D4": 0}
-    base, cover = double_cover()
-    assert branch_divisor(base, cover) == {"D1": 1, "D2": 1, "D3": 1, "D4": 1}
-    base, cover = power_map_cover(3, 2)
-    assert branch_divisor(base, cover) == {"D1": 4, "D2": 4, "D3": 3, "D4": 3}
+    report = invariant_report(*identity_cover())
+    assert dict(report.B_mult) == {"D1": 0, "D2": 0, "D3": 0, "D4": 0}
+    report = invariant_report(*double_cover())
+    assert dict(report.B_mult) == {"D1": 1, "D2": 1, "D3": 1, "D4": 1}
+    report = invariant_report(*power_map_cover(3, 2))
+    assert dict(report.B_mult) == {"D1": 4, "D2": 4, "D3": 3, "D4": 3}
 
 
 # -------------------------------------------------------------------- (R,R)
 
 
 def test_rr_examples():
-    base, cover = identity_cover()
-    assert r_self_intersection(base, cover) == 0
-    base, cover = double_cover()
-    diagonal, cross = rr_breakdown(base, cover)
-    assert all(diagonal[cid] == Fraction(1, 2) for cid in diagonal)
-    assert all(cross[idx] == Fraction(1, 2) for idx in cross)
-    assert r_self_intersection(base, cover) == 4
-    base, cover = power_map_cover(2, 1)
-    assert r_self_intersection(base, cover) == 0
+    assert invariant_report(*identity_cover()).RR == 0
+    by_name = terms_by_name(*double_cover())
+    for cid in ("D1", "D2", "D3", "D4"):
+        assert by_name[f"rr_diagonal_factor[{cid}]"].value == Fraction(1, 2)
+    for idx in range(4):
+        # the receipt counts both orientations of the unordered 1/2
+        assert by_name[f"rr_cross[crossing {idx}]"].value == 2 * Fraction(1, 2)
+    assert invariant_report(*double_cover()).RR == 4
+    assert invariant_report(*power_map_cover(2, 1)).RR == 0
 
 
 @pytest.mark.parametrize(
@@ -78,7 +84,11 @@ def test_rr_examples():
 )
 def test_rr_cross_counts_both_orientations(builder):
     base, cover = builder()
-    _, cross = rr_breakdown(base, cover)
+    cross_terms = [
+        t.value for t in degree_linear_certificate(base, cover).terms
+        if t.name.startswith("rr_cross[")
+    ]
+    assert len(cross_terms) == len(base.crossings)
     ordered_total = Fraction(0)
     for crossing in base.crossings:
         first = cover.sheets_for(crossing.pair[0])
@@ -87,20 +97,20 @@ def test_rr_cross_counts_both_orientations(builder):
             lt = pt.local_cover_type()
             term = Fraction((first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
             ordered_total += term + term  # once per orientation of the pair
-    assert ordered_total == 2 * sum(cross.values(), Fraction(0))
+    assert ordered_total == sum(cross_terms, Fraction(0))
 
 
 # ----------------------------------------------------------------- K^2 chain
 
 
 def test_k2_chain_identity():
-    base, cover = identity_cover()
-    assert k2_chain(base, cover) == (Fraction(8), Fraction(0), Fraction(8))
+    report = invariant_report(*identity_cover())
+    assert (report.KY_sq, report.correction_total, report.KYprime_sq) == (8, 0, 8)
 
 
 def test_k2_chain_double_cover_against_classical_formula():
-    base, cover = double_cover()
-    ky_sq, correction, kyprime_sq = k2_chain(base, cover)
+    report = invariant_report(*double_cover())
+    ky_sq, correction, kyprime_sq = report.KY_sq, report.correction_total, report.KYprime_sq
     # Branch curve class: two lines from each ruling, so B/2 = (1, 1) and
     # K_X = (-2, -2); the four nodes are du Val, so resolving them keeps
     # K^2 at the double-cover value 2 (K_X + B/2)^2.
@@ -113,8 +123,8 @@ def test_k2_chain_double_cover_against_classical_formula():
 @pytest.mark.parametrize("a", [1, 2, 3, 5])
 @pytest.mark.parametrize("b", [1, 2, 4])
 def test_k2_chain_power_maps_stay_quadric(a, b):
-    base, cover = power_map_cover(a, b)
-    ky_sq, correction, kyprime_sq = k2_chain(base, cover)
+    report = invariant_report(*power_map_cover(a, b))
+    ky_sq, correction, kyprime_sq = report.KY_sq, report.correction_total, report.KYprime_sq
     assert correction == 0
     assert ky_sq == kyprime_sq == 8
 
@@ -123,13 +133,14 @@ def test_k2_chain_power_maps_stay_quadric(a, b):
 
 
 def test_euler_chain_identity():
-    base, cover = identity_cover()
-    assert euler_chain(base, cover) == (4, 0, 4)
+    report = invariant_report(*identity_cover())
+    assert (report.euler_Y, report.exceptional_s, report.euler_Yprime) == (4, 0, 4)
 
 
 def test_euler_chain_double_cover_against_branch_curve():
     base, cover = double_cover()
-    euler_y, s, euler_yprime = euler_chain(base, cover)
+    report = invariant_report(base, cover)
+    euler_y, s, euler_yprime = report.euler_Y, report.exceptional_s, report.euler_Yprime
     # e(Y) = 2 e(X) - e(B): the (singular) double cover doubles everything
     # off the branch curve, which it copies once.
     e_branch = sum(2 - 2 * c.genus for c in base.components) - len(base.crossings)
@@ -140,8 +151,8 @@ def test_euler_chain_double_cover_against_branch_curve():
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 4), (6, 1)])
 def test_euler_chain_power_maps(a, b):
-    base, cover = power_map_cover(a, b)
-    assert euler_chain(base, cover) == (4, 0, 4)
+    report = invariant_report(*power_map_cover(a, b))
+    assert (report.euler_Y, report.exceptional_s, report.euler_Yprime) == (4, 0, 4)
 
 
 # ------------------------------------------------------------------- deg det
@@ -229,7 +240,38 @@ def test_invariants_raise_on_bad_local_type():
     pts = tuple((idx, bad_pt if idx == 0 else points) for idx, points in cover.points_above)
     bad = CoverDescription(degree=2, ramification=cover.ramification, points_above=pts)
     with pytest.raises(InvalidInputError, match="invalid local type"):
-        k2_chain(base, bad)
+        invariant_report(base, bad)
+    with pytest.raises(InvalidInputError, match="invalid local type"):
+        degree_linear_certificate(base, bad)
+
+
+def test_cyclic_5_golden_against_esnault_viehweg():
+    n, weights = 5, {"D1": 1, "D2": 4, "D3": 2, "D4": 3}
+    base, cover = load_cover_path(str(CYCLIC_5))
+    for crossing in base.crossings:
+        wi, wj = (weights[cid] for cid in crossing.pair)
+        (pt,) = cover.points_for(crossing.index)
+        assert pt.local.index == n
+        for g in (pt.local.g1, pt.local.g2):
+            assert (wi * g[0] + wj * g[1]) % n == 0
+    # chi(O_Y) = sum_{i<n} chi(O(-L^(i))) with L^(i) of bidegree (p_i, q_i)
+    # on P1 x P1, where chi(O(-p, -q)) = (1 - p)(1 - q).
+    ev_chi = 0
+    for i in range(n):
+        p = i - sum(i * weights[cid] // n for cid in ("D1", "D2"))
+        q = i - sum(i * weights[cid] // n for cid in ("D3", "D4"))
+        ev_chi += (1 - p) * (1 - q)
+
+    report = invariant_report(base, cover)
+    assert report.chi == ev_chi == 1
+    assert report.correction_total == Fraction(-8, 5)
+    assert report.exceptional_s == 8
+    assert report.KYprime_sq == 0
+    by_name = terms_by_name(base, cover)
+    for idx in range(4):
+        # A_{5,2} and A_{5,3}: chains [3, 2] and [2, 3]
+        assert by_name[f"correction[crossing {idx}]"].value == Fraction(-2, 5)
+        assert by_name[f"exceptional_s[crossing {idx}]"].value == 2
 
 
 # -------------------------------------------------------------- certificates

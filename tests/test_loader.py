@@ -5,6 +5,8 @@ import pathlib
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
@@ -170,3 +172,50 @@ def test_malformed_fixtures():
     load_cover_path(str(COVERS / "malformed" / "bad_v3.json"))
     with pytest.raises(InputFormatError):
         load_cover_path(str(COVERS / "malformed" / "bad_parse.json"))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _graft(doc, path, value):
+    """Replace the subtree of ``doc`` reached by ``path`` with ``value``.
+
+    Each step picks a child of the current list or object, taken modulo its
+    size; the walk stops early at a leaf or an empty container.
+    """
+    parent, key, node = None, None, doc
+    for step in path:
+        if isinstance(node, dict) and node:
+            key = sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            key = step % len(node)
+        else:
+            break
+        parent, node = node, node[key]
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        JSON_VALUES,
+        st.builds(
+            lambda path, value: _graft(canonical_document(*double_cover()), path, value),
+            st.lists(st.integers(min_value=0, max_value=50), max_size=8),
+            JSON_VALUES,
+        ),
+    )
+)
+def test_parse_arbitrary_json_returns_or_raises_input_errors(value):
+    try:
+        parse_cover_json(json.dumps(value))
+    except (InputFormatError, InvalidInputError):
+        pass

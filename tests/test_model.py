@@ -92,6 +92,12 @@ def test_goldens_strictly_valid(builder):
     assert validate(base, cover, strict=True) == []
 
 
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3)])
+def test_power_map_cover_rejects_non_positive_exponents(a, b):
+    with pytest.raises(InvalidInputError, match="exponents must be positive"):
+        power_map_cover(a, b)
+
+
 # --------------------------------------------------- one code at a time
 
 
@@ -330,5 +336,11 @@ def test_component_lookup():
     base = square_base()
     assert base.component("D3").fiber_deg == 1
     assert base.crossings_on("D1") == 2
+    assert base.crossings_on("nope") == 0
     with pytest.raises(InvalidInputError):
         base.component("nope")
+    _, cover = double_cover()
+    assert cover.sheets_for("D2") == (RamSheet(e=2, f=1),)
+    assert cover.sheets_for("nope") == ()
+    assert len(cover.points_for(3)) == 1
+    assert cover.points_for(99) == ()

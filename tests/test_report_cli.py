@@ -180,6 +180,41 @@ def test_cli_invariants_parse_and_io_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ('{"base": ' + "7" * 5000 + "}", "too many digits"),
+        ("[" * 200000 + "]" * 200000, "nesting too deep"),
+        (b"\xff\xfe{}", "not UTF-8"),
+    ],
+    ids=["huge-integer", "deep-nesting", "utf16-bom"],
+)
+def test_cli_invariants_hostile_input_exits_2(capsys, tmp_path, content, message):
+    target = tmp_path / "hostile.json"
+    if isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(content)
+    code, out, err = run(capsys, "invariants", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_cli_invariants_reports_n_below_one_as_invalid_local_type(capsys, tmp_path):
+    doc = json.loads((COVERS / "bidouble.json").read_text())
+    doc["cover"]["points_above"]["0"][0]["local"] = {"n": 0, "q": 0, "m1": 1, "m2": 1}
+    target = tmp_path / "n0.json"
+    target.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "invariants", str(target))
+    assert code == 1
+    assert "V5 at crossing 0, point 0: crossing 0, point 0: n must be >= 1 (got 0)" in out
+    assert (
+        "invariants: not computed (crossing 0: invalid local type: n must be >= 1 (got 0))"
+        in out.splitlines()
+    )
+
+
 def test_cli_invariants_ev_arity_error(capsys):
     code, _, err = run(capsys, "invariants", str(COVERS / "identity.json"), "--ev", "0", "2")
     assert code == 2
