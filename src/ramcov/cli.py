@@ -22,6 +22,8 @@ from typing import Optional
 from . import __version__
 from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
 from .hj import SingularityType, resolve
+# invariant_report is not called here; it stays imported because
+# perfbench/tracer.py wraps it under this module's name.
 from .invariants import (
     FibrationInputs,
     degree_linear_certificate,
@@ -112,8 +114,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     invariants = certificate = None
     error: Optional[str] = None
     try:
-        invariants = invariant_report(base, cover)
         certificate = degree_linear_certificate(base, cover, fibration)
+        invariants = certificate.report
     except InvalidInputError as exc:
         error = str(exc)
 
@@ -127,7 +129,16 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         certificate=certificate,
         error=error,
     )
-    sys.stdout.write(doc.to_json() if args.json else doc.to_text())
+    try:
+        text = doc.to_json() if args.json else doc.to_text()
+    except ValueError:
+        # The one ValueError rendering raises: str() of an int past the
+        # interpreter's digit limit.  Nothing has been written yet.
+        raise InvalidInputError(
+            "report not rendered: it holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
+    sys.stdout.write(text)
     return 0 if not violations else 1
 
 

@@ -30,9 +30,11 @@ cover.
 :func:`invariant_report` sums the rows of one walk.  The certificate that
 the computed degree is linearly bounded in the cover degree takes one
 receipt per component and per crossing from the rows of its own walk, so a
-failure localizes.  Beside it sit an Arakelov-type bound for semistable
-fibrations and a logarithmic height bound for plane models, the single
-place the package leaves exact arithmetic (flagged as such).
+failure localizes, and carries the report summed from that walk, so one
+walk serves a caller that needs both.  Beside it sit an Arakelov-type
+bound for semistable fibrations and a logarithmic height bound for plane
+models, the single place the package leaves exact arithmetic (flagged as
+such).
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def _walk(
     """Walk the configuration once; return the report and the rows it sums.
 
     Raises :class:`InvalidInputError` at the first point, in crossing index
-    order, whose local type breaks a range or gcd constraint.
+    order, whose sheet index is out of range or whose local type breaks a
+    range or gcd constraint.
     """
     components = []
     for comp in sorted(base.components, key=lambda c: c.id):
@@ -155,6 +158,12 @@ def _walk(
         cross = correction = Fraction(0)
         s = 0
         for pt in points:
+            if pt.j >= len(first) or pt.jp >= len(second):
+                raise InvalidInputError(
+                    f"crossing {crossing.index}: point sheet index out of range: "
+                    f"(j, jp) = ({pt.j}, {pt.jp}), but {crossing.pair[0]} has "
+                    f"{len(first)} sheet(s) and {crossing.pair[1]} has {len(second)}"
+                )
             lt = pt.local_cover_type()
             problems = lt.invariant_problems()
             if problems:
@@ -307,7 +316,11 @@ class BoundTerm:
 
     @property
     def ok(self) -> bool:
-        return abs(self.value) <= self.bound
+        # |value| <= bound, cross-multiplied over the positive denominators:
+        # a report asks this twice per term, and Fraction's own abs and
+        # comparison cost four times as much.
+        v, b = self.value, self.bound
+        return abs(v.numerator) * b.denominator <= b.numerator * v.denominator
 
 
 @dataclass(frozen=True)
@@ -319,7 +332,9 @@ class BoundCertificate:
     instantiate the individual estimates that make the aggregate work, and
     ``satisfied`` holds exactly when every term's |value| is within its
     bound.  The optional fibration bound is carried along for comparison
-    when its inputs are supplied.
+    when its inputs are supplied.  ``report`` is the invariant report of
+    the walk the receipts were taken from, when there was one; its
+    ``deg_det`` is the certificate's.
     """
 
     terms: tuple[BoundTerm, ...]
@@ -328,6 +343,11 @@ class BoundCertificate:
     deg_det: Fraction
     fibration_inputs: Optional[FibrationInputs]
     fibration_bound: Optional[Fraction]
+    report: Optional[InvariantReport] = None
+
+    def __post_init__(self) -> None:
+        if self.report is not None and self.report.deg_det != self.deg_det:
+            raise InvalidInputError("deg_det must equal the deg_det of report")
 
     @property
     def satisfied(self) -> bool:
@@ -389,6 +409,8 @@ def degree_linear_certificate(
     """
     d = cover.degree
     report, components, crossings = _walk(base, cover)
+    one, two, fd = Fraction(1), Fraction(2), Fraction(d)
+    f2d = 2 * fd
 
     terms: list[BoundTerm] = []
     for row in components:
@@ -396,8 +418,8 @@ def degree_linear_certificate(
             BoundTerm(
                 name=f"branch_mult[{row.comp.id}]",
                 value=Fraction(row.b_mult),
-                bound=Fraction(d),
-                per_degree=Fraction(1),
+                bound=fd,
+                per_degree=one,
             )
         )
     for row in components:
@@ -405,8 +427,8 @@ def degree_linear_certificate(
             BoundTerm(
                 name=f"rr_diagonal_factor[{row.comp.id}]",
                 value=row.diagonal,
-                bound=Fraction(d),
-                per_degree=Fraction(1),
+                bound=fd,
+                per_degree=one,
             )
         )
     for row in crossings:
@@ -414,8 +436,8 @@ def degree_linear_certificate(
             BoundTerm(
                 name=f"rr_cross[crossing {row.index}]",
                 value=2 * row.cross,
-                bound=Fraction(2 * d),
-                per_degree=Fraction(2),
+                bound=f2d,
+                per_degree=two,
             )
         )
         terms.append(
@@ -423,15 +445,15 @@ def degree_linear_certificate(
                 name=f"correction[crossing {row.index}]",
                 value=row.correction,
                 bound=Fraction(max(d, 2 * row.points)),
-                per_degree=Fraction(2),
+                per_degree=two,
             )
         )
         terms.append(
             BoundTerm(
                 name=f"exceptional_s[crossing {row.index}]",
                 value=Fraction(row.s),
-                bound=Fraction(d),
-                per_degree=Fraction(1),
+                bound=fd,
+                per_degree=one,
             )
         )
 
@@ -471,4 +493,5 @@ def degree_linear_certificate(
         deg_det=report.deg_det,
         fibration_inputs=fibration,
         fibration_bound=fib_bound,
+        report=report,
     )

@@ -5,13 +5,25 @@ validating against the shipped schema.  Both are deterministic: rationals
 are rendered as ``p/q`` strings (plain ``n`` when the denominator is 1),
 lists are canonically ordered, and JSON keys are sorted, so identical
 inputs produce byte-identical output.  Floating point appears nowhere.
+
+The JSON form is built as a dict by :meth:`ReportDocument.to_json_dict`,
+the one source of its schema, and written by :func:`render_json`, whose
+bytes equal ``json.dumps(doc, indent=2, sort_keys=True)``.  That call goes
+through the standard library's pure-Python encoder whenever an indent is
+asked for, and a report carries a few terms per crossing, so rendering
+would cost more than computing.  :func:`render_json` hands every container
+whose members are all scalars (a certificate term, a lattice generator) to
+the C encoder in one call, with the item separator of its depth, and
+recurses in Python only through containers that hold containers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Union
 
 from .errors import InvalidInputError
@@ -35,10 +47,9 @@ FIBRATION_HYPOTHESES = (
 
 def fmt_rational(x: Union[Fraction, int]) -> str:
     """Render an exact rational as ``p/q``, or ``p`` when integral."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if type(x) is int or type(x) is Fraction:
+        return str(x)  # a Fraction's str is already p/q, or p when integral
+    return str(Fraction(x))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -52,6 +63,68 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"not a rational number: {text!r} ({exc})") from None
     raise InvalidInputError(f"not a rational number: {text!r}")
+
+
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+#: Exact member types that let a container go to the C encoder whole.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """The C encoder whose item separator starts a line at ``depth``, and that line start."""
+    newline = "\n" + _INDENT * depth
+    encoder = c_make_encoder(
+        None,  # no circular-reference markers
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,  # the C encoder ignores indent; the separator carries it
+        ": ",
+        "," + newline,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return encoder, newline
+
+
+def _render(obj, depth: int, out: list) -> None:
+    """Append the ``indent=2`` JSON of the container ``obj``, opened at ``depth``."""
+    is_dict = isinstance(obj, dict)
+    encoder, inner = _level(depth + 1)
+    outer = _level(depth)[1]
+    if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = "".join(encoder(obj, 0))
+        if obj:  # "[a,<inner>b]" -> "[<inner>a,<inner>b<outer>]"
+            text = f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+        out.append(text)
+        return
+    scalar = _level(0)[0]
+    sep = inner
+    out.append("{" if is_dict else "[")
+    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        out.append(f"{sep}{encode_basestring_ascii(key)}: " if is_dict else sep)
+        if isinstance(value, _CONTAINERS):
+            _render(value, depth + 1, out)
+        else:
+            out += scalar(value, 0)
+        sep = "," + inner
+    out.append(outer + ("}" if is_dict else "]"))
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    ``obj`` is a tree of dicts with string keys, lists, tuples and scalars.
+    """
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return json.dumps(obj, indent=2, sort_keys=True)
+    if not isinstance(obj, _CONTAINERS):
+        return "".join(_level(0)[0](obj, 0))
+    out: list = []
+    _render(obj, 0, out)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -156,7 +229,7 @@ class ReportDocument:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return render_json(self.to_json_dict()) + "\n"
 
     def to_text(self) -> str:
         lines = [f"ramcov invariants report (version {self.tool_version})"]

@@ -245,6 +245,31 @@ def test_invariants_raise_on_bad_local_type():
         degree_linear_certificate(base, bad)
 
 
+@pytest.mark.parametrize("j,jp", [(3, 0), (0, 1)], ids=["j", "jp"])
+def test_invariants_raise_on_out_of_range_sheet_index(j, jp):
+    from ramcov.model import CoverDescription, PointAbove
+
+    base, cover = double_cover()
+    # Every line of the double cover has one sheet, so only index 0 exists.
+    (_, (node,)), *rest = cover.points_above
+    bad_pt = (PointAbove(j=j, jp=jp, local=node.local),)
+    bad = CoverDescription(
+        degree=2, ramification=cover.ramification, points_above=((0, bad_pt), *rest)
+    )
+    message = rf"crossing 0: point sheet index out of range: \(j, jp\) = \({j}, {jp}\)"
+    with pytest.raises(InvalidInputError, match=message):
+        invariant_report(base, bad)
+    with pytest.raises(InvalidInputError, match=message):
+        degree_linear_certificate(base, bad)
+
+
+def test_certificate_carries_the_report_of_its_walk():
+    for base, cover in (double_cover(), power_map_cover(3, 2), load_cover_path(CYCLIC_5)):
+        cert = degree_linear_certificate(base, cover)
+        assert cert.report == invariant_report(base, cover)
+        assert cert.deg_det == cert.report.deg_det
+
+
 def test_cyclic_5_golden_against_esnault_viehweg():
     n, weights = 5, {"D1": 1, "D2": 4, "D3": 2, "D4": 3}
     base, cover = load_cover_path(str(CYCLIC_5))
@@ -334,6 +359,19 @@ def test_bound_term_and_certificate_failure_logic():
     )
     assert not cert.satisfied
     assert not cert.deg_det_within_linear
+    assert cert.report is None
+
+    report = invariant_report(*double_cover())
+    with pytest.raises(InvalidInputError, match="deg_det of report"):
+        BoundCertificate(
+            terms=(good,),
+            linear_coefficient=Fraction(1),
+            degree=1,
+            deg_det=report.deg_det + 1,
+            fibration_inputs=None,
+            fibration_bound=None,
+            report=report,
+        )
 
 
 # ------------------------------------------------------------ fibration bound

@@ -201,6 +201,20 @@ def test_cli_invariants_hostile_input_exits_2(capsys, tmp_path, content, message
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_cli_invariants_report_past_digit_limit_exits_2(capsys, tmp_path, flags):
+    # Each input has 4001 digits, under the interpreter's limit of 4300 for
+    # int <-> str conversion, but K_Y^2 = d * K_X^2 + ... has 8001.
+    doc = json.loads((COVERS / "identity.json").read_text())
+    doc["base"]["KX_sq"] = doc["cover"]["degree"] = 10**4000
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(target), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: report not rendered: ") and "decimal digits" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_invariants_reports_n_below_one_as_invalid_local_type(capsys, tmp_path):
     doc = json.loads((COVERS / "bidouble.json").read_text())
     doc["cover"]["points_above"]["0"][0]["local"] = {"n": 0, "q": 0, "m1": 1, "m2": 1}
