@@ -154,7 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ) from None
 
     results = [
-        hj_sweep(args.max_n),
+        hj_sweep(args.max_n, cap=cap),
         lattice_sweep(args.max_index, cap=cap),
     ]
     status = 0

@@ -7,8 +7,9 @@ order, and then once over the crossings, in index order:
 * per component it records the branch multiplicity
   ``B_mult(i) = sum_j (e_ij - 1) f_ij``, the diagonal (R,R) factor
   ``sum_j (e_ij - 1)^2 f_ij / e_ij`` and ``d_i = sum_j f_ij``;
-* per crossing it classifies each point above it once and records a row:
-  the unordered cross term ``sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of
+* per crossing it takes the local type of each point above it (classified
+  once per point, see :meth:`PointAbove.local_cover_type`) and records a
+  row: the ordered cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of
   (R,R), the resolution correction and the exceptional curve count ``s``
   of its quotient points, and its number of points.  Each distinct
   quotient type is resolved once per walk.
@@ -131,6 +132,11 @@ def _walk(
 ) -> tuple[InvariantReport, list[_ComponentRow], list[_CrossingRow]]:
     """Walk the configuration once; return the report and the rows it sums.
 
+    A crossing row holds the ordered cross term ``2 * sum_y (e_1(y) - 1)
+    (e_2(y) - 1) / n_y``, the receipt's value; a crossing with one point
+    takes its point's terms as they are.  The totals are summed as integer
+    numerators per denominator and turned into Fractions once at the end.
+
     Raises :class:`InvalidInputError` at the first point, in crossing index
     order, whose sheet index is out of range or whose local type breaks a
     range or gcd constraint.
@@ -149,13 +155,18 @@ def _walk(
             )
         )
 
+    zero = Fraction(0)
     resolutions: dict[tuple[int, int], ResolutionData] = {}
+    # denominator -> sum of the numerators over it, of the ordered cross
+    # terms and of the corrections of all points
+    cross_sums: dict[int, int] = {}
+    correction_sums: dict[int, int] = {}
     crossings = []
     for crossing in sorted(base.crossings, key=lambda x: x.index):
         first = cover.sheets_for(crossing.pair[0])
         second = cover.sheets_for(crossing.pair[1])
         points = cover.points_for(crossing.index)
-        cross = correction = Fraction(0)
+        cross = correction = zero
         s = 0
         for pt in points:
             if pt.j >= len(first) or pt.jp >= len(second):
@@ -170,12 +181,19 @@ def _walk(
                 raise InvalidInputError(
                     f"crossing {crossing.index}: invalid local type: {problems[0]}"
                 )
-            cross += Fraction((first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
-            if lt.singular:
-                rd = resolutions.get((lt.n, lt.q))
+            n = lt.n
+            num = 2 * (first[pt.j].e - 1) * (second[pt.jp].e - 1)
+            cross_sums[n] = cross_sums.get(n, 0) + num
+            term = Fraction(num, n)
+            cross = term if cross is zero else cross + term  # a first term as it is
+            if n > 1:
+                rd = resolutions.get((n, lt.q))
                 if rd is None:
-                    rd = resolutions[lt.n, lt.q] = resolve(SingularityType(lt.n, lt.q))
-                correction += rd.correction
+                    rd = resolutions[n, lt.q] = resolve(SingularityType(n, lt.q))
+                term = rd.correction
+                den = term.denominator
+                correction_sums[den] = correction_sums.get(den, 0) + term.numerator
+                correction = term if correction is zero else correction + term
                 s += rd.chain.length
         crossings.append(_CrossingRow(crossing.index, cross, correction, s, len(points)))
 
@@ -184,9 +202,9 @@ def _walk(
     kx_dot_b = sum(r.b_mult * r.comp.KX_dot for r in components)
     b_dot_f = sum(r.b_mult * r.comp.fiber_deg for r in components)
     rr = sum((r.diagonal * r.comp.self_int for r in components), Fraction(0))
-    rr += 2 * sum((x.cross for x in crossings), Fraction(0))
+    rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
     ky_sq = d * base.KX_sq + 2 * kx_dot_b + rr
-    correction = sum((x.correction for x in crossings), Fraction(0))
+    correction = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
     euler_y = d * euler.e_c_U
     euler_y += sum(r.d_i * euler.open_component(r.comp.id) for r in components)
     euler_y += sum(x.points for x in crossings)
@@ -409,8 +427,18 @@ def degree_linear_certificate(
     """
     d = cover.degree
     report, components, crossings = _walk(base, cover)
-    one, two, fd = Fraction(1), Fraction(2), Fraction(d)
-    f2d = 2 * fd
+    # Receipts repeat a few small integers (s, max(d, 2 * points)): one
+    # Fraction each per certificate.
+    small: dict[int, Fraction] = {}
+
+    def exact(i: int) -> Fraction:
+        f = small.get(i)
+        if f is None:
+            f = small[i] = Fraction(i)
+        return f
+
+    one, two, fd = exact(1), exact(2), exact(d)
+    f2d = exact(2 * d)
 
     terms: list[BoundTerm] = []
     for row in components:
@@ -435,7 +463,7 @@ def degree_linear_certificate(
         terms.append(
             BoundTerm(
                 name=f"rr_cross[crossing {row.index}]",
-                value=2 * row.cross,
+                value=row.cross,
                 bound=f2d,
                 per_degree=two,
             )
@@ -444,14 +472,14 @@ def degree_linear_certificate(
             BoundTerm(
                 name=f"correction[crossing {row.index}]",
                 value=row.correction,
-                bound=Fraction(max(d, 2 * row.points)),
+                bound=exact(max(d, 2 * row.points)),
                 per_degree=two,
             )
         )
         terms.append(
             BoundTerm(
                 name=f"exceptional_s[crossing {row.index}]",
-                value=Fraction(row.s),
+                value=exact(row.s),
                 bound=fd,
                 per_degree=one,
             )

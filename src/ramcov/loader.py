@@ -14,6 +14,13 @@ Local data at a point is given either as a lattice subgroup
 ``[[g1x, g1y], [g2x, g2y]]`` (first coordinate = winding around the first
 component of the crossing's pair) or directly as an object
 ``{"n":., "q":., "m1":., "m2":.}`` when the lattice is not known.
+
+Every error names the path of the offending value, such as
+``cover.points_above['3'][0].local[1][0]``.  A document has a few fields per
+crossing, so that text is formatted only when an error is raised: a check
+takes the path of the item and the suffix naming the field, and the common
+cases (an exact ``int``, an object with exactly the allowed keys, no
+duplicate key) are decided before any message is built.
 """
 
 from __future__ import annotations
@@ -62,65 +69,93 @@ def _reject_constant(text: str) -> Any:
 
 
 def _no_duplicate_keys(pairs: list) -> dict:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise InputFormatError(f"duplicate object key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputFormatError(f"duplicate object key {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _as_int(value: Any, path: str) -> int:
+def _as_int(value: Any, path: str, suffix: str = "") -> int:
+    if type(value) is int:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InputFormatError(f"{path}: expected an integer (got {value!r})")
+        raise InputFormatError(f"{path}{suffix}: expected an integer (got {value!r})")
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _as_str(value: Any, path: str, suffix: str = "") -> str:
     if not isinstance(value, str):
-        raise InputFormatError(f"{path}: expected a string (got {value!r})")
+        raise InputFormatError(f"{path}{suffix}: expected a string (got {value!r})")
     return value
 
 
-def _as_obj(value: Any, path: str, allowed: set, required: "set | None" = None) -> dict:
+def _as_obj(
+    value: Any, path: str, allowed: set, required: "set | None" = None, suffix: str = ""
+) -> dict:
+    if type(value) is dict and value.keys() == allowed:
+        return value
     if not isinstance(value, dict):
-        raise InputFormatError(f"{path}: expected an object (got {type(value).__name__})")
+        raise InputFormatError(f"{path}{suffix}: expected an object (got {type(value).__name__})")
     unknown = set(value) - allowed
     if unknown:
-        raise InputFormatError(f"{path}: unknown keys {sorted(unknown)}")
+        raise InputFormatError(f"{path}{suffix}: unknown keys {sorted(unknown)}")
     missing = (required if required is not None else allowed) - set(value)
     if missing:
-        raise InputFormatError(f"{path}: missing keys {sorted(missing)}")
+        raise InputFormatError(f"{path}{suffix}: missing keys {sorted(missing)}")
     return value
 
 
-def _as_list(value: Any, path: str) -> list:
+def _as_list(value: Any, path: str, suffix: str = "") -> list:
     if not isinstance(value, list):
-        raise InputFormatError(f"{path}: expected a list (got {type(value).__name__})")
+        raise InputFormatError(f"{path}{suffix}: expected a list (got {type(value).__name__})")
     return value
+
+
+def _as_pair(value: Any, path: str) -> list:
+    """The two-member list in the ``pair`` field of the item at ``path``."""
+    pair = _as_list(value, path, ".pair")
+    if len(pair) != 2:
+        raise InputFormatError(f"{path}.pair: expected exactly two component ids")
+    return pair
+
+
+# Field suffixes of the two generator rows of a lattice and of their coordinates.
+_ROWS = (".local[0]", ".local[1]")
+_COORDS = ((".local[0][0]", ".local[0][1]"), (".local[1][0]", ".local[1][1]"))
 
 
 def _parse_local(value: Any, path: str):
+    """The local data of the point at ``path``, from its ``local`` field."""
     if isinstance(value, list):
-        rows = _as_list(value, path)
-        if len(rows) != 2:
-            raise InputFormatError(f"{path}: lattice form needs exactly two generator rows")
+        if len(value) != 2:
+            raise InputFormatError(f"{path}.local: lattice form needs exactly two generator rows")
         gens = []
-        for r, row in enumerate(rows):
-            row = _as_list(row, f"{path}[{r}]")
+        for r, row in enumerate(value):
+            row = _as_list(row, path, _ROWS[r])
             if len(row) != 2:
-                raise InputFormatError(f"{path}[{r}]: generator must have two coordinates")
-            gens.append((_as_int(row[0], f"{path}[{r}][0]"), _as_int(row[1], f"{path}[{r}][1]")))
+                raise InputFormatError(f"{path}{_ROWS[r]}: generator must have two coordinates")
+            x, y = _COORDS[r]
+            gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
         return LatticeSubgroup(gens[0], gens[1])
     if isinstance(value, dict):
-        obj = _as_obj(value, path, _LOCAL_TYPE_KEYS)
+        obj = _as_obj(value, path, _LOCAL_TYPE_KEYS, suffix=".local")
         return LocalCoverType(
-            n=_as_int(obj["n"], f"{path}.n"),
-            q=_as_int(obj["q"], f"{path}.q"),
-            m1=_as_int(obj["m1"], f"{path}.m1"),
-            m2=_as_int(obj["m2"], f"{path}.m2"),
+            n=_as_int(obj["n"], path, ".local.n"),
+            q=_as_int(obj["q"], path, ".local.q"),
+            m1=_as_int(obj["m1"], path, ".local.m1"),
+            m2=_as_int(obj["m2"], path, ".local.m2"),
         )
-    raise InputFormatError(f"{path}: local data must be a 2x2 generator list or an n/q/m1/m2 object")
+    raise InputFormatError(
+        f"{path}.local: local data must be a 2x2 generator list or an n/q/m1/m2 object"
+    )
+
+
+def _point_key(p: PointAbove) -> tuple:
+    return (p.j, p.jp, repr(p.local))
 
 
 def _parse_base(obj: Any) -> BaseGeometry:
@@ -131,11 +166,11 @@ def _parse_base(obj: Any) -> BaseGeometry:
         comp = _as_obj(raw, path, _COMPONENT_KEYS)
         components.append(
             BranchComponent(
-                id=_as_str(comp["id"], f"{path}.id"),
-                genus=_as_int(comp["genus"], f"{path}.genus"),
-                self_int=_as_int(comp["self_int"], f"{path}.self_int"),
-                KX_dot=_as_int(comp["KX_dot"], f"{path}.KX_dot"),
-                fiber_deg=_as_int(comp["fiber_deg"], f"{path}.fiber_deg"),
+                id=_as_str(comp["id"], path, ".id"),
+                genus=_as_int(comp["genus"], path, ".genus"),
+                self_int=_as_int(comp["self_int"], path, ".self_int"),
+                KX_dot=_as_int(comp["KX_dot"], path, ".KX_dot"),
+                fiber_deg=_as_int(comp["fiber_deg"], path, ".fiber_deg"),
             )
         )
     components.sort(key=lambda c: c.id)
@@ -144,13 +179,11 @@ def _parse_base(obj: Any) -> BaseGeometry:
     for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
         path = f"base.crossings[{k}]"
         cr = _as_obj(raw, path, _CROSSING_KEYS)
-        pair = _as_list(cr["pair"], f"{path}.pair")
-        if len(pair) != 2:
-            raise InputFormatError(f"{path}.pair: expected exactly two component ids")
+        pair = _as_pair(cr["pair"], path)
         crossings.append(
             Crossing(
-                index=_as_int(cr["index"], f"{path}.index"),
-                pair=(_as_str(pair[0], f"{path}.pair[0]"), _as_str(pair[1], f"{path}.pair[1]")),
+                index=_as_int(cr["index"], path, ".index"),
+                pair=(_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]")),
             )
         )
     crossings.sort(key=lambda x: x.index)
@@ -159,13 +192,11 @@ def _parse_base(obj: Any) -> BaseGeometry:
     for k, raw in enumerate(_as_list(obj.get("pair_intersections", []), "base.pair_intersections")):
         path = f"base.pair_intersections[{k}]"
         pc = _as_obj(raw, path, _PAIR_KEYS)
-        pair = _as_list(pc["pair"], f"{path}.pair")
-        if len(pair) != 2:
-            raise InputFormatError(f"{path}.pair: expected exactly two component ids")
+        pair = _as_pair(pc["pair"], path)
         pair_counts.append(
             (
-                (_as_str(pair[0], f"{path}.pair[0]"), _as_str(pair[1], f"{path}.pair[1]")),
-                _as_int(pc["count"], f"{path}.count"),
+                (_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]")),
+                _as_int(pc["count"], path, ".count"),
             )
         )
     pair_counts.sort(key=lambda item: tuple(sorted(item[0])))
@@ -193,7 +224,7 @@ def _parse_cover(obj: Any) -> CoverDescription:
             path = f"cover.ramification[{cid!r}][{k}]"
             sheet = _as_obj(raw, path, _SHEET_KEYS)
             sheets.append(
-                RamSheet(e=_as_int(sheet["e"], f"{path}.e"), f=_as_int(sheet["f"], f"{path}.f"))
+                RamSheet(e=_as_int(sheet["e"], path, ".e"), f=_as_int(sheet["f"], path, ".f"))
             )
         ram.append((cid, tuple(sheets)))
 
@@ -218,12 +249,13 @@ def _parse_cover(obj: Any) -> CoverDescription:
             pt = _as_obj(raw, path, _POINT_KEYS)
             raw_points.append(
                 PointAbove(
-                    j=_as_int(pt["j"], f"{path}.j"),
-                    jp=_as_int(pt["jp"], f"{path}.jp"),
-                    local=_parse_local(pt["local"], f"{path}.local"),
+                    j=_as_int(pt["j"], path, ".j"),
+                    jp=_as_int(pt["jp"], path, ".jp"),
+                    local=_parse_local(pt["local"], path),
                 )
             )
-        raw_points.sort(key=lambda p: (p.j, p.jp, repr(p.local)))
+        if len(raw_points) > 1:
+            raw_points.sort(key=_point_key)
         pts.append((idx, tuple(raw_points)))
     pts.sort(key=lambda item: item[0])
 
@@ -313,7 +345,7 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
             "points_above": {
                 str(idx): [
                     {"j": p.j, "jp": p.jp, "local": _local_to_json(p.local)}
-                    for p in sorted(points, key=lambda p: (p.j, p.jp, repr(p.local)))
+                    for p in (sorted(points, key=_point_key) if len(points) > 1 else points)
                 ]
                 for idx, points in sorted(cover.points_above)
             },

@@ -34,8 +34,9 @@ __all__ = [
     "enumerate_subgroups",
 ]
 
-#: Largest ``max_index`` accepted by :func:`enumerate_subgroups` unless the
-#: caller supplies an explicit cap (the CLI reads ``RAMCOV_MAX_ENUM``).
+#: Largest ``max_index`` accepted by :func:`enumerate_subgroups`, and largest
+#: ``max_n`` accepted by :func:`ramcov.verify.hj_sweep`, unless the caller
+#: supplies an explicit cap (the CLI reads ``RAMCOV_MAX_ENUM``).
 DEFAULT_ENUMERATION_CAP = 1000
 
 
@@ -48,6 +49,8 @@ class LatticeSubgroup:
 
     def __post_init__(self) -> None:
         for g in (self.g1, self.g2):
+            if type(g) is tuple and len(g) == 2 and type(g[0]) is int and type(g[1]) is int:
+                continue  # the common case, decided without the isinstance checks
             if (
                 not isinstance(g, tuple)
                 or len(g) != 2

@@ -207,10 +207,19 @@ class PointAbove:
                 f"point local data must be a lattice subgroup or a local type (got {self.local!r})"
             )
 
-    def local_cover_type(self) -> LocalCoverType:
+    @cached_property
+    def _classified(self) -> LocalCoverType:
         if isinstance(self.local, LatticeSubgroup):
             return local_type(self.local)
         return self.local
+
+    def local_cover_type(self) -> LocalCoverType:
+        """The local type, classified on the first call and kept by this point.
+
+        Validation and the invariant walk both ask; the point is classified
+        once.  A point lives as long as the document it was read from.
+        """
+        return self._classified
 
 
 @dataclass(frozen=True)

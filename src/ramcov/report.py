@@ -15,6 +15,16 @@ would cost more than computing.  :func:`render_json` hands every container
 whose members are all scalars (a certificate term, a lattice generator) to
 the C encoder in one call, with the item separator of its depth, and
 recurses in Python only through containers that hold containers.
+
+A list whose members are all non-empty objects of scalars (the certificate
+terms) goes to the C encoder whole, with the item separator of its members'
+members; the boundaries between members, ``},<newline+pad>{``, are then
+rewritten to the indented form with one ``str.replace``.  That is safe
+because the sequence occurs nowhere else: an encoded string never holds a
+literal newline (the encoder escapes it), so a newline is always part of a
+separator, a scalar never ends in ``}``, and an object's member after a
+separator starts with a key's ``"``.  A list holding an empty object, whose
+``{}`` has no separator to rewrite, takes the recursive path.
 """
 
 from __future__ import annotations
@@ -89,6 +99,15 @@ def _level(depth: int) -> tuple:
     return encoder, newline
 
 
+def _flat(member) -> bool:
+    """Whether ``member`` is a non-empty dict of scalars."""
+    return (
+        type(member) is dict
+        and bool(member)
+        and _SCALAR_TYPES.issuperset(map(type, member.values()))
+    )
+
+
 def _render(obj, depth: int, out: list) -> None:
     """Append the ``indent=2`` JSON of the container ``obj``, opened at ``depth``."""
     is_dict = isinstance(obj, dict)
@@ -99,6 +118,13 @@ def _render(obj, depth: int, out: list) -> None:
         if obj:  # "[a,<inner>b]" -> "[<inner>a,<inner>b<outer>]"
             text = f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
         out.append(text)
+        return
+    if not is_dict and all(map(_flat, obj)):
+        # '[{a,<mid>b},<mid>{c}]' -> '[<inner>{<mid>a,<mid>b<inner>},<inner>{<mid>c<inner>}<outer>]'
+        members, mid = _level(depth + 2)
+        text = "".join(members(obj, 0))[2:-2]
+        text = text.replace("}," + mid + "{", f"{inner}}},{inner}{{{mid}")
+        out.append(f"[{inner}{{{mid}{text}{inner}}}{outer}]")
         return
     scalar = _level(0)[0]
     sep = inner

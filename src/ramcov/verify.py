@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import EnumerationLimitError, InvalidInputError
 from .hj import SingularityType, discrepancies, hj_evaluate, hj_expand
-from .local_cover import enumerate_subgroups, local_type
+from .local_cover import DEFAULT_ENUMERATION_CAP, enumerate_subgroups, local_type
 
 __all__ = ["PropertyFailure", "SweepResult", "hj_sweep", "lattice_sweep"]
 
@@ -49,7 +49,9 @@ def _fail(result: SweepResult, prop: str, witness: dict, message: str) -> None:
     )
 
 
-def hj_sweep(max_n: int, *, stop_on_failure: bool = True) -> SweepResult:
+def hj_sweep(
+    max_n: int, *, cap: Optional[int] = None, stop_on_failure: bool = True
+) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
     Per coprime pair (n, q): the expansion evaluates back to n/q exactly;
@@ -58,9 +60,16 @@ def hj_sweep(max_n: int, *, stop_on_failure: bool = True) -> SweepResult:
     satisfies the defining recursion with zero residual; the correction
     lies in (-n, 2]; and the du Val characterizations (q = n - 1, all
     entries 2, all discrepancies 0, correction 0) coincide.
+
+    Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
+    exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
+    same cap that bounds :func:`lattice_sweep`.
     """
     if max_n < 2:
         raise InvalidInputError(f"max_n must be >= 2 (got {max_n})")
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if max_n > limit:
+        raise EnumerationLimitError(f"max_n {max_n} exceeds the enumeration cap {limit}")
     result = SweepResult(suite="hj")
     for n in range(2, max_n + 1):
         for q in range(1, n):

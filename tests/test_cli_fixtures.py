@@ -53,9 +53,10 @@ def test_invariants_output_matches_frozen_bytes(capsys, name, argv, code):
 
 
 def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatch):
-    # One classification for validation and one for the walk that the report
-    # and the certificate share; a second walk, or re-walking the
-    # configuration per invariant, shows up here.
+    # Each point keeps its classification, so validation and the walk that
+    # the report and the certificate share classify it once between them; a
+    # second classification of any point, a second walk, or re-walking the
+    # configuration per invariant shows up here.
     calls = []
     original = ramcov.model.local_type
 
@@ -67,4 +68,22 @@ def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatc
     assert main(["invariants", str(COVERS / "bidouble.json"), "--strict"]) == 0
     capsys.readouterr()
     n_points = 4
-    assert 0 < len(calls) <= 2 * n_points
+    assert 0 < len(calls) <= n_points
+
+
+def test_a_second_run_classifies_every_point_again(capsys, monkeypatch):
+    # The classification is kept by the points of one loaded document, not
+    # by the process: a second request pays for its own.
+    counts = []
+    original = ramcov.model.local_type
+
+    def counting(gamma):
+        counts[-1] += 1
+        return original(gamma)
+
+    monkeypatch.setattr(ramcov.model, "local_type", counting)
+    for _ in range(2):
+        counts.append(0)
+        assert main(["invariants", str(COVERS / "bidouble.json"), "--strict", "--json"]) == 0
+    capsys.readouterr()
+    assert counts == [4, 4]

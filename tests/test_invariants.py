@@ -16,6 +16,7 @@ Frozen oracles used here, all independent of the code under test:
   closed forms evaluated here with mpmath at high precision.
 """
 
+import json
 import pathlib
 from fractions import Fraction
 
@@ -38,7 +39,9 @@ from ramcov.invariants import (
     linear_coefficient,
     plane_model_height_log,
 )
-from ramcov.loader import load_cover_path
+from ramcov.hj import SingularityType, resolve
+from ramcov.loader import load_cover_path, parse_cover_json
+from ramcov.local_cover import LatticeSubgroup, local_type
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
@@ -297,6 +300,83 @@ def test_cyclic_5_golden_against_esnault_viehweg():
         # A_{5,2} and A_{5,3}: chains [3, 2] and [2, 3]
         assert by_name[f"correction[crossing {idx}]"].value == Fraction(-2, 5)
         assert by_name[f"exceptional_s[crossing {idx}]"].value == 2
+
+
+# ---------------------------------------------- totals recomputed per point
+
+COVERS = CYCLIC_5.parent
+
+
+def _mixed_points_document():
+    """The double cover with several points of different orders over two crossings.
+
+    Not a geometric cover (validation flags it), but well formed, so the
+    invariant walk runs: its crossings mix smooth points and A_{2,1},
+    A_{3,1}, A_{5,2}, A_{5,3}, so the totals add over several denominators.
+    """
+    doc = json.loads((COVERS / "bidouble.json").read_text())
+    points = doc["cover"]["points_above"]
+    points["0"] = [
+        {"j": 0, "jp": 0, "local": [[2, 0], [1, 1]]},
+        {"j": 0, "jp": 0, "local": [[1, 0], [0, 1]]},
+        {"j": 0, "jp": 0, "local": {"n": 5, "q": 2, "m1": 1, "m2": 1}},
+    ]
+    points["1"] = [
+        {"j": 0, "jp": 0, "local": [[3, 0], [1, 1]]},
+        {"j": 0, "jp": 0, "local": {"n": 5, "q": 3, "m1": 1, "m2": 1}},
+    ]
+    return parse_cover_json(json.dumps(doc))
+
+
+_TOTALS_CASES = [
+    *(
+        (path.name, lambda path=path: load_cover_path(str(path)))
+        for path in sorted(COVERS.glob("*.json"))
+    ),
+    ("mixed points", _mixed_points_document),
+]
+
+
+@pytest.mark.parametrize("load", [c[1] for c in _TOTALS_CASES], ids=[c[0] for c in _TOTALS_CASES])
+def test_totals_and_receipts_recomputed_point_by_point(load):
+    # Plain Fraction sums over the model, one point at a time: each point is
+    # classified with local_type and resolved with resolve, as the paper's
+    # formulas read, and nothing is shared with the walk.
+    base, cover = load()
+    d = cover.degree
+    rr = Fraction(0)
+    for comp in base.components:
+        for sheet in cover.sheets_for(comp.id):
+            rr += comp.self_int * Fraction((sheet.e - 1) ** 2 * sheet.f, sheet.e)
+    correction_total, s_total = Fraction(0), 0
+    receipts = {}
+    for crossing in base.crossings:
+        first = cover.sheets_for(crossing.pair[0])
+        second = cover.sheets_for(crossing.pair[1])
+        points = cover.points_for(crossing.index)
+        cross, correction, s = Fraction(0), Fraction(0), 0
+        for pt in points:
+            lt = local_type(pt.local) if isinstance(pt.local, LatticeSubgroup) else pt.local
+            cross += 2 * Fraction((first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
+            if lt.n > 1:
+                rd = resolve(SingularityType(lt.n, lt.q))
+                correction += rd.correction
+                s += len(rd.chain.b)
+        rr += cross
+        correction_total += correction
+        s_total += s
+        receipts[f"rr_cross[crossing {crossing.index}]"] = (cross, 2 * d)
+        receipts[f"correction[crossing {crossing.index}]"] = (correction, max(d, 2 * len(points)))
+        receipts[f"exceptional_s[crossing {crossing.index}]"] = (s, d)
+
+    cert = degree_linear_certificate(base, cover)
+    assert (cert.report.RR, cert.report.correction_total, cert.report.exceptional_s) == (
+        rr, correction_total, s_total
+    )
+    got = {t.name: (t.value, t.bound) for t in cert.terms if t.name in receipts}
+    assert got == receipts
+    for t in cert.terms:
+        assert type(t.value) is Fraction and type(t.bound) is Fraction, t.name
 
 
 # -------------------------------------------------------------- certificates

@@ -219,3 +219,195 @@ def test_parse_arbitrary_json_returns_or_raises_input_errors(value):
         parse_cover_json(json.dumps(value))
     except (InputFormatError, InvalidInputError):
         pass
+
+
+def _identity_with(path, value):
+    """The identity document as JSON text with the node at ``path`` replaced.
+
+    ``path`` is a tuple of object keys and list indices from the top; the
+    empty path replaces the whole document.
+    """
+    doc = canonical_document(*identity_cover())
+    if not path:
+        return json.dumps(value)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+_PT = ("cover", "points_above", "1", 0)
+_PT_MSG = "cover.points_above['1'][0]"
+
+# (node path, replacement value, the whole message of the InputFormatError)
+_DIAGNOSTICS = [
+    ((), [], "document: expected an object (got list)"),
+    ((), {"base": {}, "cover": {}, "zeta": 1, "alpha": 2},
+     "document: unknown keys ['alpha', 'zeta']"),
+    ((), {}, "document: missing keys ['base', 'cover']"),
+    (("base",), "flat", "base: expected an object (got str)"),
+    (("base", "euler_Y"), 4, "base: unknown keys ['euler_Y']"),
+    (("base", "genus_C"), "zero", "base.genus_C: expected an integer (got 'zero')"),
+    (("base", "KX_sq"), True, "base.KX_sq: expected an integer (got True)"),
+    (("base", "euler_X"), None, "base.euler_X: expected an integer (got None)"),
+    (("base", "KX_dot_F"), [1], "base.KX_dot_F: expected an integer (got [1])"),
+    (("base", "components"), {}, "base.components: expected a list (got dict)"),
+    (("base", "components", 0), 3, "base.components[0]: expected an object (got int)"),
+    (("base", "components", 2), {"id": "D3"},
+     "base.components[2]: missing keys ['KX_dot', 'fiber_deg', 'genus', 'self_int']"),
+    (("base", "components", 1, "id"), 5, "base.components[1].id: expected a string (got 5)"),
+    (("base", "components", 0, "genus"), None,
+     "base.components[0].genus: expected an integer (got None)"),
+    (("base", "components", 3, "self_int"), False,
+     "base.components[3].self_int: expected an integer (got False)"),
+    (("base", "components", 1, "KX_dot"), "-2",
+     "base.components[1].KX_dot: expected an integer (got '-2')"),
+    (("base", "components", 2, "fiber_deg"), {},
+     "base.components[2].fiber_deg: expected an integer (got {})"),
+    (("base", "crossings"), "x", "base.crossings: expected a list (got str)"),
+    (("base", "crossings", 1), [], "base.crossings[1]: expected an object (got list)"),
+    (("base", "crossings", 2, "index"), "2",
+     "base.crossings[2].index: expected an integer (got '2')"),
+    (("base", "crossings", 0, "pair"), "D1", "base.crossings[0].pair: expected a list (got str)"),
+    (("base", "crossings", 0, "pair"), ["D1"],
+     "base.crossings[0].pair: expected exactly two component ids"),
+    (("base", "crossings", 3, "pair", 0), None,
+     "base.crossings[3].pair[0]: expected a string (got None)"),
+    (("base", "crossings", 0, "pair", 1), 3,
+     "base.crossings[0].pair[1]: expected a string (got 3)"),
+    (("base", "pair_intersections"), {},
+     "base.pair_intersections: expected a list (got dict)"),
+    (("base", "pair_intersections", 1), None,
+     "base.pair_intersections[1]: expected an object (got NoneType)"),
+    (("base", "pair_intersections", 1, "count"), "1",
+     "base.pair_intersections[1].count: expected an integer (got '1')"),
+    (("base", "pair_intersections", 2, "pair"), ["D2", "D3", "D4"],
+     "base.pair_intersections[2].pair: expected exactly two component ids"),
+    (("base", "pair_intersections", 0, "pair"), 7,
+     "base.pair_intersections[0].pair: expected a list (got int)"),
+    (("base", "pair_intersections", 0, "pair", 0), 1,
+     "base.pair_intersections[0].pair[0]: expected a string (got 1)"),
+    (("base", "pair_intersections", 3, "pair", 1), True,
+     "base.pair_intersections[3].pair[1]: expected a string (got True)"),
+    (("cover",), 1, "cover: expected an object (got int)"),
+    (("cover", "color"), "red", "cover: unknown keys ['color']"),
+    (("cover", "degree"), "1", "cover.degree: expected an integer (got '1')"),
+    (("cover", "degree"), True, "cover.degree: expected an integer (got True)"),
+    (("cover", "ramification"), [], "cover.ramification: expected an object keyed by component id"),
+    (("cover", "ramification", "D2"), {},
+     "cover.ramification['D2']: expected a list (got dict)"),
+    (("cover", "ramification", "D2", 0), "e=1",
+     "cover.ramification['D2'][0]: expected an object (got str)"),
+    (("cover", "ramification", "D2", 0), {"e": 1},
+     "cover.ramification['D2'][0]: missing keys ['f']"),
+    (("cover", "ramification", "D3", 0), {"e": 1, "f": 1, "g": 1, "h": 1},
+     "cover.ramification['D3'][0]: unknown keys ['g', 'h']"),
+    (("cover", "ramification", "D2", 0, "e"), "x",
+     "cover.ramification['D2'][0].e: expected an integer (got 'x')"),
+    (("cover", "ramification", "D4", 0, "f"), True,
+     "cover.ramification['D4'][0].f: expected an integer (got True)"),
+    (("cover", "points_above"), [],
+     "cover.points_above: expected an object keyed by crossing index"),
+    (("cover", "points_above", "x"), [],
+     "cover.points_above: key 'x' is not a decimal crossing index"),
+    (("cover", "points_above", "01"), [],
+     "cover.points_above: key '01' is not in canonical decimal form"),
+    (("cover", "points_above", "1"), {}, "cover.points_above['1']: expected a list (got dict)"),
+    (_PT, 0, f"{_PT_MSG}: expected an object (got int)"),
+    (_PT, {"j": 0, "jp": 0}, f"{_PT_MSG}: missing keys ['local']"),
+    (_PT + ("j",), "0", f"{_PT_MSG}.j: expected an integer (got '0')"),
+    (_PT + ("jp",), False, f"{_PT_MSG}.jp: expected an integer (got False)"),
+    (_PT + ("local",), "x",
+     f"{_PT_MSG}.local: local data must be a 2x2 generator list or an n/q/m1/m2 object"),
+    (_PT + ("local",), [[1, 0]], f"{_PT_MSG}.local: lattice form needs exactly two generator rows"),
+    (_PT + ("local",), [5, [0, 1]], f"{_PT_MSG}.local[0]: expected a list (got int)"),
+    (_PT + ("local",), [[1, 0], [0, 1, 2]],
+     f"{_PT_MSG}.local[1]: generator must have two coordinates"),
+    (_PT + ("local",), [[1, "0"], [0, 1]], f"{_PT_MSG}.local[0][1]: expected an integer (got '0')"),
+    (_PT + ("local",), [[1, 0], [True, 1]],
+     f"{_PT_MSG}.local[1][0]: expected an integer (got True)"),
+    (_PT + ("local",), [[None, 0], [0, 1]],
+     f"{_PT_MSG}.local[0][0]: expected an integer (got None)"),
+    (_PT + ("local",), [[1, 0], [0, []]], f"{_PT_MSG}.local[1][1]: expected an integer (got [])"),
+    (_PT + ("local",), {"n": 1, "q": 0, "m1": 1}, f"{_PT_MSG}.local: missing keys ['m2']"),
+    (_PT + ("local",), {"n": 1, "q": 0, "m1": 1, "m2": 1, "d": 1},
+     f"{_PT_MSG}.local: unknown keys ['d']"),
+    (_PT + ("local",), {"n": "1", "q": 0, "m1": 1, "m2": 1},
+     f"{_PT_MSG}.local.n: expected an integer (got '1')"),
+    (_PT + ("local",), {"n": 1, "q": None, "m1": 1, "m2": 1},
+     f"{_PT_MSG}.local.q: expected an integer (got None)"),
+    (_PT + ("local",), {"n": 1, "q": 0, "m1": True, "m2": 1},
+     f"{_PT_MSG}.local.m1: expected an integer (got True)"),
+    (_PT + ("local",), {"n": 1, "q": 0, "m1": 1, "m2": [2]},
+     f"{_PT_MSG}.local.m2: expected an integer (got [2])"),
+    # Several faults in one item: the first field checked names the message.
+    (("base", "components", 0), {"id": 1, "genus": "g", "self_int": 0, "KX_dot": 0, "fiber_deg": 0},
+     "base.components[0].id: expected a string (got 1)"),
+    (("base", "crossings", 0), {"index": "0", "pair": ["D1"]},
+     "base.crossings[0].pair: expected exactly two component ids"),
+    (("base", "crossings", 0), {"index": "0", "pair": [1, 2]},
+     "base.crossings[0].index: expected an integer (got '0')"),
+    (("base", "pair_intersections", 0), {"count": "1", "pair": ["D1", 2]},
+     "base.pair_intersections[0].pair[1]: expected a string (got 2)"),
+    (("cover", "ramification", "D1", 0), {"e": "x", "f": "y"},
+     "cover.ramification['D1'][0].e: expected an integer (got 'x')"),
+    (_PT, {"j": "0", "jp": "0", "local": "x"}, f"{_PT_MSG}.j: expected an integer (got '0')"),
+    (_PT + ("local",), [["a", "b"], 7], f"{_PT_MSG}.local[0][0]: expected an integer (got 'a')"),
+    (_PT + ("local",), {"n": "1", "q": "x", "m1": 1, "m2": 1},
+     f"{_PT_MSG}.local.n: expected an integer (got '1')"),
+    (("base",), {"components": 1, "crossings": 2, "genus_C": "x", "KX_sq": 0, "euler_X": 0,
+                 "KX_dot_F": 0},
+     "base.components: expected a list (got int)"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    _DIAGNOSTICS,
+    ids=[
+        f"{i:02d}-{'/'.join(map(str, path)) or 'document'}"
+        for i, (path, _, _) in enumerate(_DIAGNOSTICS)
+    ],
+)
+def test_loader_diagnostic_is_exact(path, value, message):
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(_identity_with(path, value))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"cover": {"x": 1, "y": 2, "y": 3, "x": 4}}', "duplicate object key 'y'"),
+        ('{"base": {}, "base": {}}', "duplicate object key 'base'"),
+        ('{"a": {"k": 1, "k": 1}, "a": 2}', "duplicate object key 'k'"),
+        ('{"base": 2.0}',
+         "floating point literal '2.0' is not allowed; all numeric fields are exact integers"),
+        ('{"base": -Infinity}', "non-finite literal '-Infinity' is not allowed"),
+        ("{",
+         "not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        ("1" * 5000, "integer literal has too many digits"),
+    ],
+    ids=["first-duplicate", "duplicate-top", "duplicate-inner", "float", "non-finite", "syntax",
+         "digit-limit"],
+)
+def test_loader_text_diagnostic_is_exact(text, message):
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "local,message",
+    [
+        ([[1, 0], [2, 0]], "generators must be linearly independent (got (1, 0), (2, 0))"),
+        ([[0, 0], [0, 1]], "generators must be linearly independent (got (0, 0), (0, 1))"),
+    ],
+    ids=["parallel", "zero-row"],
+)
+def test_loader_degenerate_lattice_is_exact(local, message):
+    with pytest.raises(InvalidInputError) as info:
+        parse_cover_json(_identity_with(_PT + ("local",), local))
+    assert str(info.value) == message

@@ -43,6 +43,39 @@ def test_subgroup_validation():
         LatticeSubgroup((2, 0), (1,))  # type: ignore[arg-type]
 
 
+class _Int(int):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "g1,g2,message",
+    [
+        ([2, 0], (1, 1), "generators must be integer pairs (got [2, 0])"),
+        ((2, 0), (True, 1), "generators must be integer pairs (got (True, 1))"),
+        ((2, 0), (1, 1.0), "generators must be integer pairs (got (1, 1.0))"),
+        ((2, 0, 0), (1, 1), "generators must be integer pairs (got (2, 0, 0))"),
+        ((2, 0), "11", "generators must be integer pairs (got '11')"),
+        ((2, 0), (4, 0), "generators must be linearly independent (got (2, 0), (4, 0))"),
+        ((_Int(2), 0), (0, 0), "generators must be linearly independent (got (2, 0), (0, 0))"),
+    ],
+)
+def test_subgroup_rejection_messages(g1, g2, message):
+    with pytest.raises(InvalidInputError) as info:
+        LatticeSubgroup(g1, g2)
+    assert str(info.value) == message
+
+
+def test_subgroup_accepts_int_and_tuple_subclasses():
+    # Not exact tuples of exact ints, but integer pairs all the same.
+    gamma = LatticeSubgroup(_Pair((_Int(2), 0)), (1, _Int(1)))
+    assert gamma.index == 2
+    assert local_type(gamma) == LocalCoverType(n=2, q=1, m1=1, m2=1)
+
+
 def test_canonical_basis_examples():
     assert canonical_basis(LatticeSubgroup((1, 0), (0, 1))) == (1, 0, 1)
     assert canonical_basis(LatticeSubgroup((2, 0), (1, 1))) == (2, 1, 1)

@@ -303,6 +303,21 @@ def test_cli_verify_env_cap(capsys, monkeypatch):
     assert code == 2 and "RAMCOV_MAX_ENUM" in err
 
 
+def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
+    def no_sweep_work(sing):
+        raise AssertionError("the hj sweep started")
+
+    monkeypatch.setattr(ramcov.verify, "hj_expand", no_sweep_work)
+    code, out, err = run(capsys, "verify", "--max-n", "100000", "--max-index", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: max_n 100000 exceeds the enumeration cap 1000\n"
+
+    monkeypatch.setenv("RAMCOV_MAX_ENUM", "10")
+    code, out, err = run(capsys, "verify", "--max-n", "11", "--max-index", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: max_n 11 exceeds the enumeration cap 10\n"
+
+
 def test_cli_verify_reports_planted_counterexample(capsys, monkeypatch):
     def corrupted(gamma):
         lt = local_type(gamma)

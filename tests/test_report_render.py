@@ -1,8 +1,9 @@
 """The JSON renderer writes the bytes of ``json.dumps(indent=2, sort_keys=True)``.
 
-``render_json`` sends containers of scalars to the C encoder and recurses
-in Python only through containers of containers; the oracle here is the
-standard library's pure-Python indenting encoder.
+``render_json`` sends containers of scalars, and lists of non-empty objects
+of scalars, to the C encoder and recurses in Python only through the other
+containers of containers; the oracle here is the standard library's
+pure-Python indenting encoder.
 """
 
 import json
@@ -36,6 +37,34 @@ _TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 def test_render_json_matches_stdlib_indent_2(obj):
+    assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+# Text that looks like the member boundary the renderer rewrites.
+_TRICKY = st.text(
+    alphabet=st.characters() | st.sampled_from(["}", "{", ",", '"', "\n", "\\", "é", "☃"]),
+    max_size=8,
+) | st.sampled_from(["},\n  {", "},\n    {", '"},\n{"'])
+_FLAT_SCALARS = _SCALARS | _TRICKY
+_FLAT_OBJECTS = st.dictionaries(_TRICKY, _FLAT_SCALARS, min_size=1, max_size=5)
+# Lists of flat objects only, and lists where an empty or nested member
+# sends the renderer down its recursive path.
+_FLAT_LISTS = st.lists(_FLAT_OBJECTS, min_size=1, max_size=6) | st.lists(
+    _FLAT_OBJECTS | st.sampled_from([{}, [], {"k": {}}, {"k": [1]}]), min_size=1, max_size=6
+)
+
+
+def _nest(obj, wrappers):
+    """``obj`` wrapped once per entry of ``wrappers``: under that key, or in a list for None."""
+    for key in wrappers:
+        obj = dict([("z", 0), (key, obj)]) if key is not None else [0, obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLAT_LISTS, st.lists(st.none() | _TRICKY, max_size=4))
+def test_render_json_lists_of_flat_objects_at_any_depth(members, wrappers):
+    obj = _nest(members, wrappers)
     assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 

@@ -11,7 +11,7 @@ import sympy
 import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError
 from ramcov.hj import HJChain, hj_expand
-from ramcov.local_cover import LocalCoverType, local_type
+from ramcov.local_cover import DEFAULT_ENUMERATION_CAP, LocalCoverType, local_type
 
 
 def test_hj_sweep_clean():
@@ -33,6 +33,14 @@ def test_lattice_sweep_clean():
 def test_lattice_sweep_cap_propagates():
     with pytest.raises(EnumerationLimitError):
         verify.lattice_sweep(40, cap=20)
+
+
+def test_hj_sweep_cap():
+    with pytest.raises(EnumerationLimitError, match="max_n 21 exceeds the enumeration cap 20"):
+        verify.hj_sweep(21, cap=20)
+    assert verify.hj_sweep(20, cap=20).ok
+    with pytest.raises(EnumerationLimitError, match="cap 1000"):
+        verify.hj_sweep(DEFAULT_ENUMERATION_CAP + 1)
 
 
 def test_hj_sweep_detects_corrupted_expansion(monkeypatch):
