@@ -9,7 +9,7 @@ below is exact integer/rational arithmetic.
 
 from fractions import Fraction
 
-from ramcov import SingularityType, hj_evaluate, hj_expand, resolve
+from ramcov.hj import SingularityType, hj_evaluate, hj_expand, resolve
 
 # A worked example: n/q = 7/5 expands with entries [2, 2, 3].
 sing = SingularityType(7, 5)

@@ -12,7 +12,7 @@ singularity type A_{n,q} of the point upstairs (smooth iff n = 1).
 
 from collections import Counter
 
-from ramcov import LatticeSubgroup, enumerate_subgroups, local_type
+from ramcov.local_cover import LatticeSubgroup, enumerate_subgroups, local_type
 
 # Three generators-to-type examples, from trivial to genuinely singular.
 for g1, g2 in (((1, 0), (0, 1)), ((2, 0), (0, 2)), ((4, 0), (2, 1))):

@@ -8,13 +8,9 @@ then walk branch divisor -> (R,R) -> K^2 -> Euler numbers -> chi ->
 degree of the determinant of cohomology on the base line.
 """
 
-from ramcov import (
-    deg_det,
-    double_cover,
-    invariant_report,
-    power_map_cover,
-    validate,
-)
+from ramcov.golden import double_cover, power_map_cover
+from ramcov.invariants import deg_det, invariant_report
+from ramcov.model import validate
 
 base, cover = double_cover()
 

@@ -10,15 +10,15 @@ Three bounds on the determinant degree
    package leaves exact arithmetic, and it says so.
 """
 
-from ramcov import (
+from ramcov.golden import double_cover, square_base
+from ramcov.invariants import (
     FibrationInputs,
     arakelov_degree_bound,
     degree_linear_certificate,
-    double_cover,
     height_log_decimal,
     linear_coefficient,
     plane_model_height_log,
-    square_base,
+    plane_model_terms,
 )
 
 # --- 1. the linear certificate -------------------------------------------
@@ -56,9 +56,9 @@ print()
 # decimal evaluation is pinned at 50 significant digits and flagged as
 # the only approximate number in the package.
 for d, nB in ((2, 1), (2, 3), (3, 1)):
-    coeff = 5 * d * d * nB + 12 * d
+    coeff, base = plane_model_terms(d, nB)
     value = height_log_decimal(d, nB, 0)
-    print(f"d={d}, {nB} branch point(s): log-height bound = {coeff} * log({d ** 3 * nB}) ~= {value}")
+    print(f"d={d}, {nB} branch point(s): log-height bound = {coeff} * log({base}) ~= {value}")
 
 # The exact-rational snapshot is what downstream rational pipelines get.
 snapshot = plane_model_height_log(2, 3, 0)

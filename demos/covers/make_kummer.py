@@ -11,7 +11,8 @@ kummer_2_1.json was produced by ``python make_kummer.py 2 1 kummer_2_1.json``.
 
 import sys
 
-from ramcov import dumps_document, power_map_cover
+from ramcov.golden import power_map_cover
+from ramcov.loader import dumps_document
 
 
 def main(argv):

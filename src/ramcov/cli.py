@@ -30,9 +30,10 @@ from .invariants import (
     height_log_decimal,
     HEIGHT_LOG_PRECISION,
     invariant_report,
+    plane_model_terms,
 )
 from .loader import canonical_document, load_cover_path
-from .local_cover import LatticeSubgroup, canonical_basis, local_type
+from .local_cover import LatticeSubgroup, canonical_basis, check_enumeration_bound, local_type
 from .model import derived_euler_data, validate
 from .report import ReportDocument, fmt_rational, parse_rational
 from .verify import hj_sweep, lattice_sweep
@@ -152,6 +153,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InvalidInputError(
                 f"RAMCOV_MAX_ENUM must be an integer (got {env_cap!r})"
             ) from None
+    # Both bounds are checked before either sweep starts, in the order the
+    # sweeps would check them.
+    check_enumeration_bound("max_n", args.max_n, 2, cap)
+    check_enumeration_bound("max_index", args.max_index, 1, cap)
 
     results = [
         hj_sweep(args.max_n, cap=cap),
@@ -176,8 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bs_bound(args: argparse.Namespace) -> int:
     h = parse_rational(args.h)
     value = height_log_decimal(args.d, args.nB, h)
-    coeff = 5 * args.d * args.d * args.nB + 12 * args.d
-    base = args.d ** 3 * args.nB
+    coeff, base = plane_model_terms(args.d, args.nB)
     print("plane-model height bound (natural log scale)")
     print(f"  d = {args.d}  branch points = {args.nB}  height h = {fmt_rational(h)}")
     print(f"  exact form: log(h + 1) + {coeff} * log({base})")

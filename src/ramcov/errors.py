@@ -9,6 +9,8 @@ validation findings on well-formed input are reported, not raised, and map
 to exit status 1.
 """
 
+__all__ = ["InvalidInputError", "InputFormatError", "EnumerationLimitError"]
+
 
 class InvalidInputError(ValueError):
     """A value violates a documented precondition."""

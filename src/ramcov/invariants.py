@@ -43,6 +43,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidInputError
@@ -57,7 +58,9 @@ __all__ = [
     "deg_det",
     "invariant_report",
     "degree_linear_certificate",
+    "linear_coefficient",
     "arakelov_degree_bound",
+    "plane_model_terms",
     "plane_model_height_log",
     "height_log_decimal",
     "HEIGHT_LOG_PRECISION",
@@ -142,7 +145,7 @@ def _walk(
     range or gcd constraint.
     """
     components = []
-    for comp in sorted(base.components, key=lambda c: c.id):
+    for comp in base.components:
         sheets = cover.sheets_for(comp.id)
         components.append(
             _ComponentRow(
@@ -162,7 +165,7 @@ def _walk(
     cross_sums: dict[int, int] = {}
     correction_sums: dict[int, int] = {}
     crossings = []
-    for crossing in sorted(base.crossings, key=lambda x: x.index):
+    for crossing in base.crossings:
         first = cover.sheets_for(crossing.pair[0])
         second = cover.sheets_for(crossing.pair[1])
         points = cover.points_for(crossing.index)
@@ -287,24 +290,34 @@ def arakelov_degree_bound(
 HEIGHT_LOG_PRECISION = 50
 
 
-def height_log_decimal(d: int, nB: int, h: Union[Fraction, int] = 0) -> decimal.Decimal:
-    """Decimal evaluation of the plane-model height bound, natural log scale.
+def plane_model_terms(d: int, nB: int) -> tuple[int, int]:
+    """The integers ``(5 d^2 nB + 12 d, d^3 nB)`` of the plane-model height bound.
 
-    Computes ``log(h + 1) + (5 d^2 nB + 12 d) log(d^3 nB)`` where ``d`` is
-    the cover degree, ``nB`` the number of branch points on the line, and
-    ``h`` the affine logarithmic height of the defining polynomial.  The
-    logarithms of exact integers are taken at ``HEIGHT_LOG_PRECISION``
-    significant digits; this is the package's only non-exact operation.
+    The bound is ``log(h + 1) + coefficient * log(base)`` for a cover of
+    degree ``d >= 2`` branched over ``nB >= 1`` points of the line; this
+    returns ``(coefficient, base)``, exactly.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise InvalidInputError(f"degree must be an integer >= 2 (got {d!r})")
     if not isinstance(nB, int) or isinstance(nB, bool) or nB < 1:
         raise InvalidInputError(f"branch point count must be a positive integer (got {nB!r})")
+    return 5 * d * d * nB + 12 * d, d ** 3 * nB
+
+
+def height_log_decimal(d: int, nB: int, h: Union[Fraction, int] = 0) -> decimal.Decimal:
+    """Decimal evaluation of the plane-model height bound, natural log scale.
+
+    Computes ``log(h + 1) + (5 d^2 nB + 12 d) log(d^3 nB)`` (see
+    :func:`plane_model_terms`) where ``d`` is the cover degree, ``nB`` the
+    number of branch points on the line, and ``h`` the affine logarithmic
+    height of the defining polynomial.  The logarithms of exact integers are
+    taken at ``HEIGHT_LOG_PRECISION`` significant digits; this is the
+    package's only non-exact operation.
+    """
+    coeff, base = plane_model_terms(d, nB)
     h = Fraction(h)
     if h < 0:
         raise InvalidInputError(f"height must be non-negative (got {h})")
-    coeff = 5 * d * d * nB + 12 * d
-    base = d ** 3 * nB
     h1 = h + 1
     with decimal.localcontext() as ctx:
         ctx.prec = HEIGHT_LOG_PRECISION
@@ -332,11 +345,12 @@ class BoundTerm:
     bound: Fraction
     per_degree: Fraction
 
-    @property
+    @cached_property
     def ok(self) -> bool:
-        # |value| <= bound, cross-multiplied over the positive denominators:
-        # a report asks this twice per term, and Fraction's own abs and
-        # comparison cost four times as much.
+        # |value| <= bound, cross-multiplied over the positive denominators
+        # (Fraction's own abs and comparison cost four times as much).  A
+        # report asks for each term's verdict and for ``satisfied``; the
+        # term keeps its verdict, so the comparison runs once.
         v, b = self.value, self.bound
         return abs(v.numerator) * b.denominator <= b.numerator * v.denominator
 

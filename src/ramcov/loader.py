@@ -4,9 +4,11 @@ A document is one JSON object with top-level keys ``base`` and ``cover``
 mirroring the model types field for field.  Parsing is deliberately fussy:
 only exact integers are accepted (any floating point literal is an error),
 object keys must be known, duplicate keys are rejected, and every
-cross-reference must resolve.  Lists are canonicalized on the way in
-(components by id, crossings by index, points by sheet indices) so that
-documents equal up to list order produce byte-identical reports.  Lattice
+cross-reference must resolve.  List order is decided by the model, whose
+constructors sort their lists (see :mod:`ramcov.model`), so documents equal
+up to list order load to equal models and produce byte-identical reports.
+The loader reads the ramification table in component id order only so that
+the first bad sheet list in that order is the one an error names.  Lattice
 generators are echoed as given, not reduced: ``[[2,0],[1,1]]`` and
 ``[[2,0],[3,1]]`` generate the same subgroup but echo differently.
 
@@ -154,10 +156,6 @@ def _parse_local(value: Any, path: str):
     )
 
 
-def _point_key(p: PointAbove) -> tuple:
-    return (p.j, p.jp, repr(p.local))
-
-
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
     components = []
@@ -173,7 +171,6 @@ def _parse_base(obj: Any) -> BaseGeometry:
                 fiber_deg=_as_int(comp["fiber_deg"], path, ".fiber_deg"),
             )
         )
-    components.sort(key=lambda c: c.id)
 
     crossings = []
     for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
@@ -186,7 +183,6 @@ def _parse_base(obj: Any) -> BaseGeometry:
                 pair=(_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]")),
             )
         )
-    crossings.sort(key=lambda x: x.index)
 
     pair_counts = []
     for k, raw in enumerate(_as_list(obj.get("pair_intersections", []), "base.pair_intersections")):
@@ -199,7 +195,6 @@ def _parse_base(obj: Any) -> BaseGeometry:
                 _as_int(pc["count"], path, ".count"),
             )
         )
-    pair_counts.sort(key=lambda item: tuple(sorted(item[0])))
 
     return BaseGeometry(
         genus_C=_as_int(obj["genus_C"], "base.genus_C"),
@@ -243,21 +238,18 @@ def _parse_cover(obj: Any) -> CoverDescription:
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        raw_points = []
+        points = []
         for k, raw in enumerate(_as_list(pts_obj[key], f"cover.points_above[{key!r}]")):
             path = f"cover.points_above[{key!r}][{k}]"
             pt = _as_obj(raw, path, _POINT_KEYS)
-            raw_points.append(
+            points.append(
                 PointAbove(
                     j=_as_int(pt["j"], path, ".j"),
                     jp=_as_int(pt["jp"], path, ".jp"),
                     local=_parse_local(pt["local"], path),
                 )
             )
-        if len(raw_points) > 1:
-            raw_points.sort(key=_point_key)
-        pts.append((idx, tuple(raw_points)))
-    pts.sort(key=lambda item: item[0])
+        pts.append((idx, tuple(points)))
 
     return CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),
@@ -314,7 +306,7 @@ def _local_to_json(local) -> Any:
 
 
 def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
-    """Rebuild the JSON form of a document with canonical list orders."""
+    """Rebuild the JSON form of a document, lists in the model's canonical order."""
     doc: dict[str, Any] = {
         "base": {
             "genus_C": base.genus_C,
@@ -329,32 +321,30 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
                     "KX_dot": c.KX_dot,
                     "fiber_deg": c.fiber_deg,
                 }
-                for c in sorted(base.components, key=lambda c: c.id)
+                for c in base.components
             ],
             "crossings": [
-                {"index": x.index, "pair": list(x.pair)}
-                for x in sorted(base.crossings, key=lambda x: x.index)
+                {"index": x.index, "pair": list(x.pair)} for x in base.crossings
             ],
         },
         "cover": {
             "degree": cover.degree,
             "ramification": {
                 cid: [{"e": s.e, "f": s.f} for s in sheets]
-                for cid, sheets in sorted(cover.ramification)
+                for cid, sheets in cover.ramification
             },
             "points_above": {
                 str(idx): [
                     {"j": p.j, "jp": p.jp, "local": _local_to_json(p.local)}
-                    for p in (sorted(points, key=_point_key) if len(points) > 1 else points)
+                    for p in points
                 ]
-                for idx, points in sorted(cover.points_above)
+                for idx, points in cover.points_above
             },
         },
     }
     if base.pair_counts:
         doc["base"]["pair_intersections"] = [
-            {"pair": list(pair), "count": count}
-            for pair, count in sorted(base.pair_counts, key=lambda item: tuple(sorted(item[0])))
+            {"pair": list(pair), "count": count} for pair, count in base.pair_counts
         ]
     return doc
 

@@ -40,6 +40,22 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 1000
 
 
+def check_enumeration_bound(
+    name: str, value: int, minimum: int, cap: Optional[int] = None
+) -> None:
+    """Raise unless ``minimum <= value <= cap`` for the sweep bound ``name``.
+
+    The cap is ``DEFAULT_ENUMERATION_CAP`` unless given.  A value below the
+    minimum raises :class:`InvalidInputError`, one above the cap
+    :class:`EnumerationLimitError`; the range is checked first.
+    """
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum} (got {value})")
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if value > limit:
+        raise EnumerationLimitError(f"{name} {value} exceeds the enumeration cap {limit}")
+
+
 @dataclass(frozen=True)
 class LatticeSubgroup:
     """A finite-index subgroup of Z^2 given by two generators."""
@@ -204,13 +220,7 @@ def enumerate_subgroups(
     Raises :class:`EnumerationLimitError` when ``max_index`` exceeds the cap
     (``DEFAULT_ENUMERATION_CAP`` unless overridden).
     """
-    if max_index < 1:
-        raise InvalidInputError(f"max_index must be >= 1 (got {max_index})")
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if max_index > limit:
-        raise EnumerationLimitError(
-            f"max_index {max_index} exceeds the enumeration cap {limit}"
-        )
+    check_enumeration_bound("max_index", max_index, 1, cap)
     out = []
     for k in range(1, max_index + 1):
         for a in range(1, k + 1):

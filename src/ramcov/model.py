@@ -8,6 +8,15 @@ sheets over each ``D_i``, and the classified local picture over each
 crossing.  Nothing here touches equations; the model is bookkeeping, and
 :func:`validate` checks that the bookkeeping is arithmetically coherent.
 
+The order of the model's lists carries no meaning, so each constructor
+puts its lists in canonical order: components by id, crossings by index,
+declared pair counts by their sorted pair, ramification by component id,
+points_above by crossing index, and the points over one crossing by
+``(j, jp, repr(local))``.  Models built from permuted lists are equal
+(a pair declared twice keeps the given order of its two entries), and
+every error that names the first offending item names the first in that
+order.
+
 Structural problems (dangling references, malformed values) raise
 :class:`~ramcov.errors.InvalidInputError`; semantic incoherence on
 well-formed data is *reported* as a sorted list of violations, each tagged
@@ -26,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Union
 
 from .errors import InvalidInputError
@@ -51,6 +61,19 @@ def _check_int(value, what: str, minimum: "int | None" = None) -> int:
     if minimum is not None and value < minimum:
         raise InvalidInputError(f"{what} must be >= {minimum} (got {value})")
     return value
+
+
+def _canonical(obj, name: str, key) -> None:
+    """Store the list field ``name`` of a frozen instance sorted by ``key``."""
+    object.__setattr__(obj, name, tuple(sorted(getattr(obj, name), key=key)))
+
+
+def _pair_key(item) -> tuple:
+    return tuple(sorted(item[0]))
+
+
+def _point_key(p: "PointAbove") -> tuple:
+    return (p.j, p.jp, repr(p.local))
 
 
 @dataclass(frozen=True)
@@ -118,6 +141,14 @@ class BaseGeometry:
         _check_int(self.KX_sq, "KX_sq")
         _check_int(self.euler_X, "euler_X")
         _check_int(self.KX_dot_F, "KX_dot_F")
+        for pair, _ in self.pair_counts:
+            if not (
+                isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(c, str) for c in pair)
+            ):
+                raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
+        _canonical(self, "components", lambda c: c.id)
+        _canonical(self, "crossings", lambda x: x.index)
+        _canonical(self, "pair_counts", _pair_key)
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -136,15 +167,12 @@ class BaseGeometry:
         # Declared pairwise intersection numbers, when present, must agree
         # with the actual crossing count on that pair (SNC transversality
         # makes the two notions coincide).
-        actual: dict[tuple[str, str], int] = {}
-        for x in self.crossings:
-            key = tuple(sorted(x.pair))
-            actual[key] = actual.get(key, 0) + 1
+        actual = Counter(tuple(sorted(x.pair)) for x in self.crossings)
         for pair, count in self.pair_counts:
             key = tuple(sorted(pair))
             if key[0] not in known or key[1] not in known:
                 raise InvalidInputError(f"declared pair {pair} references unknown components")
-            got = actual.get(key, 0)
+            got = actual[key]
             if got != count:
                 raise InvalidInputError(
                     f"declared intersection count for pair {key} is {count} "
@@ -228,10 +256,10 @@ class CoverDescription:
 
     ``ramification`` maps component ids to their sheet lists and
     ``points_above`` maps crossing indices to the points over that
-    crossing; both are stored as tuples of pairs to stay hashable, and
-    looked up through dicts built from them on first use.  Absent
-    entries mean "unspecified" and are flagged by the validator rather
-    than silently defaulted.
+    crossing; both are stored as tuples of pairs to stay hashable, in
+    canonical order, and looked up through dicts built from them on first
+    use.  Absent entries mean "unspecified" and are flagged by the
+    validator rather than silently defaulted.
     """
 
     degree: int
@@ -241,11 +269,25 @@ class CoverDescription:
     def __post_init__(self) -> None:
         _check_int(self.degree, "cover degree", minimum=1)
         ram_ids = [cid for cid, _ in self.ramification]
+        for cid in ram_ids:
+            if not isinstance(cid, str):
+                raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
         if len(set(ram_ids)) != len(ram_ids):
             raise InvalidInputError("duplicate component id in ramification table")
         pt_keys = [idx for idx, _ in self.points_above]
+        for idx in pt_keys:
+            _check_int(idx, "points_above key")
         if len(set(pt_keys)) != len(pt_keys):
             raise InvalidInputError("duplicate crossing index in points_above table")
+        _canonical(self, "ramification", itemgetter(0))
+        object.__setattr__(
+            self,
+            "points_above",
+            tuple(
+                (idx, tuple(sorted(points, key=_point_key)) if len(points) > 1 else points)
+                for idx, points in sorted(self.points_above, key=itemgetter(0))
+            ),
+        )
 
     @cached_property
     def _sheet_index(self) -> dict[str, tuple[RamSheet, ...]]:
@@ -346,103 +388,59 @@ def validate(
     out: list[Violation] = []
 
     for comp in base.components:
-        sheets = cover.sheets_for(comp.id)
-        total = sum(s.e * s.f for s in sheets)
+        total = sum(s.e * s.f for s in cover.sheets_for(comp.id))
         if total != d:
-            out.append(
-                Violation(
-                    code="V1",
-                    where=(comp.id,),
-                    message=(
-                        f"component {comp.id!r}: sum of e*f over sheets is {total}, "
-                        f"expected degree {d}"
-                    ),
-                )
-            )
+            out.append(Violation("V1", (comp.id,), (
+                f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
+            )))
 
     for crossing in base.crossings:
+        at = f"crossing {crossing.index}"
         points = cover.points_for(crossing.index)
-        locals_ = [pt.local_cover_type() for pt in points]
-
-        total = sum(lt.d_y for lt in locals_)
-        if total != d:
-            out.append(
-                Violation(
-                    code="V2",
-                    where=(f"crossing {crossing.index}",),
-                    message=(
-                        f"crossing {crossing.index}: sum of local degrees d_y is {total}, "
-                        f"expected degree {d}"
-                    ),
-                )
-            )
-
-        first_sheets = cover.sheets_for(crossing.pair[0])
-        second_sheets = cover.sheets_for(crossing.pair[1])
-        for k, (pt, lt) in enumerate(zip(points, locals_)):
-            wh = (f"crossing {crossing.index}", f"point {k}")
+        first, second = crossing.pair
+        first_sheets, second_sheets = cover.sheets_for(first), cover.sheets_for(second)
+        # One pass over the points: the local degree total (V2), each
+        # point's ramification and range checks (V3, V5), and per sheet the
+        # local degrees of the upstairs curve, m2 on the first component
+        # and m1 on the second (V4).
+        total = 0
+        m2_on = [0] * len(first_sheets)
+        m1_on = [0] * len(second_sheets)
+        for k, pt in enumerate(points):
+            lt = pt.local_cover_type()
+            total += lt.d_y
+            m2_on[pt.j] += lt.m2
+            m1_on[pt.jp] += lt.m1
+            wh = (at, f"point {k}")
             if lt.e1 != first_sheets[pt.j].e:
-                out.append(
-                    Violation(
-                        code="V3",
-                        where=wh,
-                        message=(
-                            f"crossing {crossing.index}, point {k}: local e1={lt.e1} but "
-                            f"sheet {pt.j} of {crossing.pair[0]!r} has e={first_sheets[pt.j].e}"
-                        ),
-                    )
-                )
+                out.append(Violation("V3", wh, (
+                    f"{at}, point {k}: local e1={lt.e1} but "
+                    f"sheet {pt.j} of {first!r} has e={first_sheets[pt.j].e}"
+                )))
             if lt.e2 != second_sheets[pt.jp].e:
-                out.append(
-                    Violation(
-                        code="V3",
-                        where=wh,
-                        message=(
-                            f"crossing {crossing.index}, point {k}: local e2={lt.e2} but "
-                            f"sheet {pt.jp} of {crossing.pair[1]!r} has e={second_sheets[pt.jp].e}"
-                        ),
-                    )
-                )
+                out.append(Violation("V3", wh, (
+                    f"{at}, point {k}: local e2={lt.e2} but "
+                    f"sheet {pt.jp} of {second!r} has e={second_sheets[pt.jp].e}"
+                )))
             for problem in lt.invariant_problems():
-                out.append(
-                    Violation(
-                        code="V5",
-                        where=wh,
-                        message=f"crossing {crossing.index}, point {k}: {problem}",
-                    )
-                )
-
+                out.append(Violation("V5", wh, f"{at}, point {k}: {problem}"))
+        if total != d:
+            out.append(Violation("V2", (at,), (
+                f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
+            )))
         if strict:
-            # Per-sheet incidence: on the first component the local degree
-            # of the upstairs curve at each point is m2, on the second m1,
-            # and over a crossing the points on one sheet must exhaust its
-            # degree over the downstairs component.
-            for jj, sheet in enumerate(first_sheets):
-                got = sum(lt.m2 for pt, lt in zip(points, locals_) if pt.j == jj)
-                if got != sheet.f:
-                    out.append(
-                        Violation(
-                            code="V4",
-                            where=(f"crossing {crossing.index}", f"sheet j={jj}"),
-                            message=(
-                                f"crossing {crossing.index}: m2 over sheet {jj} of "
-                                f"{crossing.pair[0]!r} sums to {got}, expected f={sheet.f}"
-                            ),
-                        )
-                    )
-            for jj, sheet in enumerate(second_sheets):
-                got = sum(lt.m1 for pt, lt in zip(points, locals_) if pt.jp == jj)
-                if got != sheet.f:
-                    out.append(
-                        Violation(
-                            code="V4",
-                            where=(f"crossing {crossing.index}", f"sheet jp={jj}"),
-                            message=(
-                                f"crossing {crossing.index}: m1 over sheet {jj} of "
-                                f"{crossing.pair[1]!r} sums to {got}, expected f={sheet.f}"
-                            ),
-                        )
-                    )
+            # Per-sheet incidence: over a crossing the points on one sheet
+            # must exhaust its degree over the downstairs component.
+            for cid, sheets, sums, j, m in (
+                (first, first_sheets, m2_on, "j", "m2"),
+                (second, second_sheets, m1_on, "jp", "m1"),
+            ):
+                for jj, sheet in enumerate(sheets):
+                    if sums[jj] != sheet.f:
+                        out.append(Violation("V4", (at, f"sheet {j}={jj}"), (
+                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums[jj]}, "
+                            f"expected f={sheet.f}"
+                        )))
 
     out.sort(key=Violation.sort_key)
     return out
@@ -456,9 +454,9 @@ def derived_euler_data(base: BaseGeometry) -> EulerData:
     adds the crossing points back once, and the complement gets whatever
     remains of ``e_c(X)``.
     """
-    opens = []
-    for comp in base.components:
-        opens.append((comp.id, 2 - 2 * comp.genus - base.crossings_on(comp.id)))
+    opens = [
+        (comp.id, 2 - 2 * comp.genus - base.crossings_on(comp.id)) for comp in base.components
+    ]
     n_cross = len(base.crossings)
     e_c_D = sum(v for _, v in opens) + n_cross
     return EulerData(

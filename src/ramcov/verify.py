@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EnumerationLimitError, InvalidInputError
 from .hj import SingularityType, discrepancies, hj_evaluate, hj_expand
-from .local_cover import DEFAULT_ENUMERATION_CAP, enumerate_subgroups, local_type
+from .local_cover import check_enumeration_bound, enumerate_subgroups, local_type
 
 __all__ = ["PropertyFailure", "SweepResult", "hj_sweep", "lattice_sweep"]
 
@@ -65,11 +64,7 @@ def hj_sweep(
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
     same cap that bounds :func:`lattice_sweep`.
     """
-    if max_n < 2:
-        raise InvalidInputError(f"max_n must be >= 2 (got {max_n})")
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if max_n > limit:
-        raise EnumerationLimitError(f"max_n {max_n} exceeds the enumeration cap {limit}")
+    check_enumeration_bound("max_n", max_n, 2, cap)
     result = SweepResult(suite="hj")
     for n in range(2, max_n + 1):
         for q in range(1, n):

@@ -58,6 +58,13 @@ def test_singularity_type_validation():
         SingularityType(5, -1)
 
 
+@pytest.mark.parametrize("n,q", [(2.0, 1), (5, "2"), (None, 1)])
+def test_singularity_type_rejects_non_integers(n, q):
+    with pytest.raises(InvalidInputError) as info:
+        SingularityType(n, q)
+    assert str(info.value) == "n and q must be integers"
+
+
 def test_chain_validation():
     assert HJChain((2, 3)).length == 2
     assert len(HJChain((4,))) == 1

@@ -38,6 +38,7 @@ from ramcov.invariants import (
     invariant_report,
     linear_coefficient,
     plane_model_height_log,
+    plane_model_terms,
 )
 from ramcov.hj import SingularityType, resolve
 from ramcov.loader import load_cover_path, parse_cover_json
@@ -501,7 +502,7 @@ def test_arakelov_degree_bound_rejections():
     ],
 )
 def test_height_log_closed_form(d, nB, h, coeff, argument):
-    assert 5 * d * d * nB + 12 * d == coeff
+    assert plane_model_terms(d, nB) == (coeff, argument)
     got = plane_model_height_log(d, nB, h)
     mpmath.mp.dps = 60
     want = mpmath.log(h + 1) + coeff * mpmath.log(argument)
@@ -532,3 +533,6 @@ def test_height_log_rejections():
         plane_model_height_log(2, 1, -1)
     with pytest.raises(InvalidInputError):
         plane_model_height_log(True, 1)
+    for d, nB in ((1, 1), (2, 0), (2.0, 1), (2, False)):
+        with pytest.raises(InvalidInputError):
+            plane_model_terms(d, nB)

@@ -114,6 +114,13 @@ def test_local_type_invariant_problems():
     assert LocalCoverType(n=2, q=5, m1=1, m2=1).invariant_problems()  # range
     assert LocalCoverType(n=0, q=0, m1=1, m2=1).invariant_problems()  # n < 1
     assert LocalCoverType(n=2, q=1, m1=0, m2=1).invariant_problems()  # m1 < 1
+    assert LocalCoverType(n=3, q=2, m1=1, m2=0).invariant_problems() == [
+        "m2 must be >= 1 (got 0)"
+    ]
+    assert LocalCoverType(n=3, q=2, m1=-1, m2=-4).invariant_problems() == [
+        "m1 must be >= 1 (got -1)",
+        "m2 must be >= 1 (got -4)",
+    ]
 
 
 def test_enumeration_counts_match_divisor_sums():

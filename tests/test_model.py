@@ -6,11 +6,17 @@ meta-tests at the bottom verify the arithmetic that makes the per-crossing
 degree identity a consequence of the per-sheet ones on coherent input.
 """
 
+import dataclasses
+import pathlib
+import random
+
 import pytest
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
-from ramcov.local_cover import LatticeSubgroup, LocalCoverType
+from ramcov.invariants import invariant_report
+from ramcov.loader import canonical_document, load_cover_path
+from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import (
     BaseGeometry,
     BranchComponent,
@@ -18,6 +24,7 @@ from ramcov.model import (
     Crossing,
     PointAbove,
     RamSheet,
+    Violation,
     check_references,
     derived_euler_data,
     validate,
@@ -166,6 +173,33 @@ def test_isolated_v4_strict_only():
     assert "sums to 3" in violations[0].message
 
 
+def test_isolated_v4_on_the_second_component():
+    base = one_crossing_base()
+    cover = CoverDescription(
+        degree=4,
+        ramification=(
+            ("A", (RamSheet(e=1, f=4),)),
+            ("B", (RamSheet(e=1, f=2), RamSheet(e=1, f=2))),
+        ),
+        points_above=(
+            (0, (smooth_point(jp=0), smooth_point(jp=1), smooth_point(jp=0), smooth_point(jp=0))),
+        ),
+    )
+    assert validate(base, cover) == []
+    assert validate(base, cover, strict=True) == [
+        Violation(
+            code="V4",
+            where=("crossing 0", "sheet jp=0"),
+            message="crossing 0: m1 over sheet 0 of 'B' sums to 3, expected f=2",
+        ),
+        Violation(
+            code="V4",
+            where=("crossing 0", "sheet jp=1"),
+            message="crossing 0: m1 over sheet 1 of 'B' sums to 1, expected f=2",
+        ),
+    ]
+
+
 def test_strict_is_superset_on_shared_codes():
     base, cover = double_cover()
     ram = tuple(
@@ -204,6 +238,196 @@ def test_verdict_independent_of_declaration_order():
         degree=2, ramification=ram[::-1], points_above=bad.points_above[::-1]
     )
     assert validate(shuffled_base, shuffled_cover, strict=True) == reference
+
+
+SHUFFLED = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents" / "shuffled.json"
+
+
+def _permuted(rng, base, cover):
+    """The same model built from lists in a random order."""
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return tuple(items)
+
+    new_base = dataclasses.replace(
+        base,
+        components=shuffled(base.components),
+        crossings=shuffled(base.crossings),
+        pair_counts=shuffled(base.pair_counts),
+    )
+    new_cover = dataclasses.replace(
+        cover,
+        ramification=shuffled(cover.ramification),
+        points_above=shuffled((idx, shuffled(points)) for idx, points in cover.points_above),
+    )
+    return new_base, new_cover
+
+
+@pytest.mark.parametrize(
+    "load",
+    [lambda: load_cover_path(str(SHUFFLED)), double_cover, lambda: power_map_cover(3, 2)],
+    ids=["shuffled", "double", "power_3_2"],
+)
+def test_models_built_from_permuted_tuples_are_equal(load):
+    base, cover = load()
+    rng = random.Random(5)
+    for _ in range(20):
+        base2, cover2 = _permuted(rng, base, cover)
+        assert (base2, cover2) == (base, cover)
+        for strict in (False, True):
+            assert validate(base2, cover2, strict=strict) == validate(base, cover, strict=strict)
+        assert invariant_report(base2, cover2) == invariant_report(base, cover)
+        assert canonical_document(base2, cover2) == canonical_document(base, cover)
+
+
+def test_wrongly_typed_keys_raise_invalid_input():
+    base, cover = double_cover()
+    sheets = cover.sheets_for("D1")
+    points = cover.points_for(0)
+    bad_covers = [
+        lambda: CoverDescription(
+            degree=2, ramification=cover.ramification + ((5, sheets),),
+            points_above=cover.points_above,
+        ),
+        lambda: CoverDescription(
+            degree=2, ramification=cover.ramification,
+            points_above=cover.points_above + (("7", points),),
+        ),
+        lambda: CoverDescription(
+            degree=2, ramification=cover.ramification,
+            points_above=cover.points_above + ((None, points),),
+        ),
+    ]
+    for build in bad_covers:
+        with pytest.raises(InvalidInputError):
+            validate(base, build())
+    for pair in (("D1", 3), (None, "D2")):
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(base, pair_counts=base.pair_counts + ((pair, 1),))
+
+
+# ------------------------------------------------------ brute-force recount
+
+
+def _random_configuration(rng):
+    """A small base and cover; references resolve, the identities may not."""
+    ids = [f"C{i}" for i in range(rng.randint(2, 4))]
+    components = tuple(
+        BranchComponent(id=cid, genus=0, self_int=0, KX_dot=-2, fiber_deg=0) for cid in ids
+    )
+    crossings = tuple(
+        Crossing(index=index, pair=tuple(rng.sample(ids, 2)))
+        for index in rng.sample(range(10), rng.randint(0, 5))
+    )
+    base = BaseGeometry(
+        genus_C=0, KX_sq=8, euler_X=4, KX_dot_F=-2, components=components, crossings=crossings
+    )
+    ramification = {
+        cid: tuple(
+            RamSheet(e=rng.randint(1, 3), f=rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+        )
+        for cid in ids
+        if rng.random() < 0.9
+    }
+
+    def local():
+        if rng.random() < 0.7:
+            while True:
+                g1 = (rng.randint(-3, 3), rng.randint(-3, 3))
+                g2 = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if g1[0] * g2[1] != g1[1] * g2[0]:
+                    return LatticeSubgroup(g1, g2)
+        return LocalCoverType(
+            n=rng.randint(0, 4), q=rng.randint(0, 4), m1=rng.randint(0, 2), m2=rng.randint(1, 2)
+        )
+
+    points_above = []
+    for x in crossings:
+        first, second = (len(ramification.get(cid, ())) for cid in x.pair)
+        if first and second and rng.random() < 0.9:
+            points = tuple(
+                PointAbove(j=rng.randrange(first), jp=rng.randrange(second), local=local())
+                for _ in range(rng.randint(0, 4))
+            )
+            points_above.append((x.index, points))
+    cover = CoverDescription(
+        degree=rng.randint(1, 5),
+        ramification=tuple(ramification.items()),
+        points_above=tuple(points_above),
+    )
+    return base, cover
+
+
+def _recount(base, cover, strict):
+    """Every finding of ``validate``, recounted identity by identity."""
+    d = cover.degree
+    sheets = dict(cover.ramification)
+    found = []
+    for comp in base.components:
+        total = sum(s.e * s.f for s in sheets.get(comp.id, ()))
+        if total != d:
+            found.append(Violation("V1", (comp.id,), (
+                f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
+            )))
+    points_above = dict(cover.points_above)
+    for x in base.crossings:
+        at = f"crossing {x.index}"
+        points = points_above.get(x.index, ())
+        types = [
+            local_type(p.local) if isinstance(p.local, LatticeSubgroup) else p.local
+            for p in points
+        ]
+        first, second = sheets.get(x.pair[0], ()), sheets.get(x.pair[1], ())
+        total = sum(t.n * t.m1 * t.m2 for t in types)
+        if total != d:
+            found.append(Violation("V2", (at,), (
+                f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
+            )))
+        for k, (p, t) in enumerate(zip(points, types)):
+            where = (at, f"point {k}")
+            if t.n * t.m1 != first[p.j].e:
+                found.append(Violation("V3", where, (
+                    f"{at}, point {k}: local e1={t.n * t.m1} but sheet {p.j} of "
+                    f"{x.pair[0]!r} has e={first[p.j].e}"
+                )))
+            if t.n * t.m2 != second[p.jp].e:
+                found.append(Violation("V3", where, (
+                    f"{at}, point {k}: local e2={t.n * t.m2} but sheet {p.jp} of "
+                    f"{x.pair[1]!r} has e={second[p.jp].e}"
+                )))
+            found.extend(
+                Violation("V5", where, f"{at}, point {k}: {problem}")
+                for problem in t.invariant_problems()
+            )
+        if not strict:
+            continue
+        for jj, sheet in enumerate(first):
+            got = sum(t.m2 for p, t in zip(points, types) if p.j == jj)
+            if got != sheet.f:
+                found.append(Violation("V4", (at, f"sheet j={jj}"), (
+                    f"{at}: m2 over sheet {jj} of {x.pair[0]!r} sums to {got}, expected f={sheet.f}"
+                )))
+        for jj, sheet in enumerate(second):
+            got = sum(t.m1 for p, t in zip(points, types) if p.jp == jj)
+            if got != sheet.f:
+                found.append(Violation("V4", (at, f"sheet jp={jj}"), (
+                    f"{at}: m1 over sheet {jj} of {x.pair[1]!r} sums to {got}, expected f={sheet.f}"
+                )))
+    return sorted(found, key=lambda v: (v.code, v.where, v.message))
+
+
+def test_validate_matches_brute_force_recount():
+    rng = random.Random(20)
+    codes = set()
+    for _ in range(400):
+        base, cover = _random_configuration(rng)
+        for strict in (False, True):
+            expected = _recount(base, cover, strict)
+            assert validate(base, cover, strict=strict) == expected
+            codes.update(v.code for v in expected)
+    assert codes == {"V1", "V2", "V3", "V4", "V5"}
 
 
 # ---------------------------------------------------------------- meta-tests
@@ -275,6 +499,35 @@ def test_base_constructor_rejections():
         BaseGeometry(genus_C=-1, KX_sq=0, euler_X=0, KX_dot_F=0, components=(), crossings=())
     with pytest.raises(InvalidInputError, match="integer"):
         BaseGeometry(genus_C=True, KX_sq=0, euler_X=0, KX_dot_F=0, components=(), crossings=())
+
+
+def _two_components(**fields):
+    comps = (
+        BranchComponent(id="A", genus=0, self_int=0, KX_dot=-2, fiber_deg=0),
+        BranchComponent(id="B", genus=0, self_int=0, KX_dot=-2, fiber_deg=0),
+    )
+    return BaseGeometry(genus_C=0, KX_sq=0, euler_X=0, KX_dot_F=0, components=comps, **fields)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Crossing(index=3, pair=("A", 7)), "crossing 3: pair must be two component ids"),
+        (
+            lambda: _two_components(crossings=(), pair_counts=((("A", "Z"), 0),)),
+            "declared pair ('A', 'Z') references unknown components",
+        ),
+        (
+            lambda: CoverDescription(degree=1, ramification=(), points_above=((4, ()), (4, ()))),
+            "duplicate crossing index in points_above table",
+        ),
+    ],
+    ids=["crossing_pair_member", "declared_pair_unknown", "points_above_duplicate"],
+)
+def test_constructor_rejection_messages(build, message):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_component_and_sheet_rejections():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+import ramcov.cli
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.errors import InvalidInputError
@@ -316,6 +317,27 @@ def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--max-n", "11", "--max-index", "3")
     assert (code, out) == (2, "")
     assert err == "error: max_n 11 exceeds the enumeration cap 10\n"
+
+
+@pytest.mark.parametrize(
+    "env,argv,message",
+    [
+        ("300", ("--max-n", "300", "--max-index", "301"), "max_index 301 exceeds the enumeration cap 300"),
+        (None, ("--max-n", "1000", "--max-index", "1001"), "max_index 1001 exceeds the enumeration cap 1000"),
+        (None, ("--max-n", "50", "--max-index", "0"), "max_index must be >= 1 (got 0)"),
+        ("0", ("--max-n", "1", "--max-index", "5"), "max_n must be >= 2 (got 1)"),
+    ],
+)
+def test_cli_verify_max_index_is_checked_before_any_sweep(capsys, monkeypatch, env, argv, message):
+    def no_hj_sweep(*args, **kwargs):
+        raise AssertionError("the hj sweep started")
+
+    monkeypatch.setattr(ramcov.cli, "hj_sweep", no_hj_sweep)
+    if env is not None:
+        monkeypatch.setenv("RAMCOV_MAX_ENUM", env)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_cli_verify_reports_planted_counterexample(capsys, monkeypatch):
