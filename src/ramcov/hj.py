@@ -13,6 +13,11 @@ serve as mutual checks), and solves for the discrepancies ``a_i`` of the
 exceptional curves together with the correction term they contribute to the
 self-intersection of a canonical divisor under resolution.
 
+Resolution data is kept as integers over ``n``: by Cramer's rule on the
+chain every ``v_i = n a_i`` is an integer, and so is the correction
+numerator ``n sum_i a_i (b_i - 2)``.  The solver works in integers only;
+a Fraction is built where a number is printed or summed into a report.
+
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
 ``n/q'`` where ``q q' = 1 (mod n)``; both orientations describe the same
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -106,46 +112,51 @@ class HJChain:
 class ResolutionData:
     """Minimal-resolution data of a cyclic quotient singularity.
 
-    Carries the chain, the discrepancy of each exceptional curve, and the
-    correction ``sum_i a_i (b_i - 2)`` that the chain contributes to the
-    self-intersection of a canonical divisor when the singularity is
-    resolved.  Discrepancies of these singularities always lie in the
-    half-open interval ``(-1, 0]``; that range is enforced here, while the
-    defining tridiagonal relation is exposed via :meth:`recursion_residuals`
-    and checked by the property suite.
+    Carries the chain, the numerators ``v_i = n a_i`` of the discrepancies
+    and the numerator ``n sum_i a_i (b_i - 2)`` of the correction the chain
+    contributes to ``K^2`` on resolving.  The range ``(-1, 0]`` of every
+    discrepancy is enforced here, while the defining tridiagonal relation is
+    exposed via :meth:`recursion_residuals` and checked by the property suite.
     """
 
     sing: SingularityType
     chain: HJChain
-    a: tuple[Fraction, ...]
-    correction: Fraction
+    v: tuple[int, ...]
+    correction_num: int
 
     def __post_init__(self) -> None:
-        if len(self.a) != self.chain.length:
+        if len(self.v) != self.chain.length:
             raise InvalidInputError(
                 "discrepancy vector length must match the chain length "
-                f"(got {len(self.a)} vs {self.chain.length})"
+                f"(got {len(self.v)} vs {self.chain.length})"
             )
-        for i, ai in enumerate(self.a):
-            if not (-1 < ai <= 0):
+        n = self.sing.n
+        for i, vi in enumerate(self.v):
+            if not (-n < vi <= 0):
                 raise InvalidInputError(
-                    f"discrepancies must lie in (-1, 0] (got a_{i + 1} = {ai})"
+                    f"discrepancies must lie in (-1, 0] (got a_{i + 1} = {Fraction(vi, n)})"
                 )
 
-    def recursion_residuals(self) -> tuple[Fraction, ...]:
-        """Residuals ``b_i a_i - a_{i-1} - a_{i+1} - (2 - b_i)`` at each index.
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        """The discrepancies ``a_i = v_i / n``."""
+        return tuple(Fraction(vi, self.sing.n) for vi in self.v)
 
-        With the boundary convention ``a_0 = a_{lambda+1} = 0`` every residual
-        is exactly zero; anything else indicates corrupted data.
+    @cached_property
+    def correction(self) -> Fraction:
+        return Fraction(self.correction_num, self.sing.n)
+
+    def recursion_residuals(self) -> tuple[int, ...]:
+        """Residuals ``b_i v_i - v_{i-1} - v_{i+1} - (2 - b_i) n`` at each index.
+
+        These are ``n`` times the residuals of the defining relation.  With
+        ``v_0 = v_{lambda+1} = 0`` every residual is exactly zero; anything
+        else indicates corrupted data.
         """
-        b = self.chain.b
-        lam = len(b)
-        out = []
-        for i in range(lam):
-            left = self.a[i - 1] if i > 0 else Fraction(0)
-            right = self.a[i + 1] if i + 1 < lam else Fraction(0)
-            out.append(b[i] * self.a[i] - left - right - (2 - b[i]))
-        return tuple(out)
+        n, w = self.sing.n, (0, *self.v, 0)
+        return tuple(
+            bi * w[i + 1] - w[i] - w[i + 2] - (2 - bi) * n for i, bi in enumerate(self.chain.b)
+        )
 
 
 def _chain_entries(chain: "HJChain | Sequence[int] | Iterable[int]") -> tuple[int, ...]:
@@ -188,7 +199,7 @@ def hj_evaluate(chain: "HJChain | Sequence[int]") -> Fraction:
     return Fraction(num, den)
 
 
-def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[Fraction, ...], Fraction]:
+def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[int, ...], int]:
     """Solve for the discrepancies of a chain and their correction term.
 
     The discrepancies are the unique solution of the tridiagonal system
@@ -203,7 +214,8 @@ def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[Fraction, ...
     Cramer's rule every ``n a_i`` is an integer, which lets the back
     substitution run over plain integers.
 
-    Returns ``(a, correction)`` with ``correction = sum_i a_i (b_i - 2)``.
+    Returns ``(v, c)`` with ``v_i = n a_i`` and ``c = n sum_i a_i (b_i - 2)``,
+    where ``n`` is the determinant of the chain.
     """
     b = _chain_entries(chain)
     lam = len(b)
@@ -231,9 +243,8 @@ def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[Fraction, ...
             raise ArithmeticError("non-integral discrepancy numerator")
         v[i] = quot
 
-    a = tuple(Fraction(v[i], n) for i in range(1, lam + 1))
-    corr_num = sum(v[i] * (b[i - 1] - 2) for i in range(1, lam + 1))
-    return a, Fraction(corr_num, n)
+    v = tuple(v[1 : lam + 1])
+    return v, sum(vi * (bi - 2) for vi, bi in zip(v, b))
 
 
 def resolve(sing: SingularityType) -> ResolutionData:
@@ -244,5 +255,4 @@ def resolve(sing: SingularityType) -> ResolutionData:
     discrepancy is zero.
     """
     chain = hj_expand(sing)
-    a, correction = discrepancies(chain)
-    return ResolutionData(sing=sing, chain=chain, a=a, correction=correction)
+    return ResolutionData(sing, chain, *discrepancies(chain))

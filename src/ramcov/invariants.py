@@ -79,11 +79,11 @@ class InvariantReport:
     point; resolution glues in ``exceptional_s`` rational curves.
     Riemann-Roch on the resolved cover, pushed to the base curve, gives
 
-        deg_det = (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F)).
+        deg_det = (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F)),
 
-    ``KYprime_sq = KY_sq + correction_total`` and ``euler_Yprime = euler_Y
-    + exceptional_s`` are enforced; integrality of ``chi`` and ``deg_det``
-    is surfaced as flags because non-integrality signals geometrically
+    whose last summand is ``fibration_term``; ``KYprime_sq``, ``euler_Yprime``,
+    ``chi`` and ``deg_det`` are derived.  Integrality of the last two is
+    surfaced as flags because non-integrality signals geometrically
     inconsistent input, not an arithmetic error.
     """
 
@@ -93,18 +93,25 @@ class InvariantReport:
     RR: Fraction
     KY_sq: Fraction
     correction_total: Fraction
-    KYprime_sq: Fraction
     euler_Y: int
     exceptional_s: int
-    euler_Yprime: int
-    chi: Fraction
-    deg_det: Fraction
+    fibration_term: Fraction
 
-    def __post_init__(self) -> None:
-        if self.KYprime_sq != self.KY_sq + self.correction_total:
-            raise InvalidInputError("KYprime_sq must equal KY_sq + correction_total")
-        if self.euler_Yprime != self.euler_Y + self.exceptional_s:
-            raise InvalidInputError("euler_Yprime must equal euler_Y + exceptional_s")
+    @cached_property
+    def KYprime_sq(self) -> Fraction:
+        return self.KY_sq + self.correction_total
+
+    @cached_property
+    def euler_Yprime(self) -> int:
+        return self.euler_Y + self.exceptional_s
+
+    @cached_property
+    def chi(self) -> Fraction:
+        return Fraction(self.KYprime_sq + self.euler_Yprime, 12)
+
+    @cached_property
+    def deg_det(self) -> Fraction:
+        return self.chi + self.fibration_term
 
     @property
     def chi_is_integral(self) -> bool:
@@ -138,7 +145,8 @@ def _walk(
     A crossing row holds the ordered cross term ``2 * sum_y (e_1(y) - 1)
     (e_2(y) - 1) / n_y``, the receipt's value; a crossing with one point
     takes its point's terms as they are.  The totals are summed as integer
-    numerators per denominator and turned into Fractions once at the end.
+    numerators over each quotient order n and turned into Fractions once at
+    the end; a point's correction is the Fraction kept by its resolution.
 
     Raises :class:`InvalidInputError` at the first point, in crossing index
     order, whose sheet index is out of range or whose local type breaks a
@@ -160,8 +168,8 @@ def _walk(
 
     zero = Fraction(0)
     resolutions: dict[tuple[int, int], ResolutionData] = {}
-    # denominator -> sum of the numerators over it, of the ordered cross
-    # terms and of the corrections of all points
+    # n -> sum of the numerators over n, of the ordered cross terms and of
+    # the corrections of all points
     cross_sums: dict[int, int] = {}
     correction_sums: dict[int, int] = {}
     crossings = []
@@ -193,10 +201,8 @@ def _walk(
                 rd = resolutions.get((n, lt.q))
                 if rd is None:
                     rd = resolutions[n, lt.q] = resolve(SingularityType(n, lt.q))
-                term = rd.correction
-                den = term.denominator
-                correction_sums[den] = correction_sums.get(den, 0) + term.numerator
-                correction = term if correction is zero else correction + term
+                correction_sums[n] = correction_sums.get(n, 0) + rd.correction_num
+                correction = rd.correction if correction is zero else correction + rd.correction
                 s += rd.chain.length
         crossings.append(_CrossingRow(crossing.index, cross, correction, s, len(points)))
 
@@ -212,7 +218,6 @@ def _walk(
     euler_y += sum(r.d_i * euler.open_component(r.comp.id) for r in components)
     euler_y += sum(x.points for x in crossings)
     s = sum(x.s for x in crossings)
-    chi = Fraction(ky_sq + correction + euler_y + s, 12)
     report = InvariantReport(
         B_mult=tuple((r.comp.id, r.b_mult) for r in components),
         KX_dot_B=kx_dot_b,
@@ -220,12 +225,9 @@ def _walk(
         RR=rr,
         KY_sq=ky_sq,
         correction_total=correction,
-        KYprime_sq=ky_sq + correction,
         euler_Y=euler_y,
         exceptional_s=s,
-        euler_Yprime=euler_y + s,
-        chi=chi,
-        deg_det=chi + Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
+        fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
     )
     return report, components, crossings
 
@@ -238,7 +240,7 @@ def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantRe
 def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
     """Degree of the determinant of cohomology on the base curve.
 
-    The ``deg_det`` field of :func:`invariant_report`; for geometrically
+    The ``deg_det`` of :func:`invariant_report`; for geometrically
     consistent input it is an integer.
     """
     return invariant_report(base, cover).deg_det
@@ -365,21 +367,20 @@ class BoundCertificate:
     ``satisfied`` holds exactly when every term's |value| is within its
     bound.  The optional fibration bound is carried along for comparison
     when its inputs are supplied.  ``report`` is the invariant report of
-    the walk the receipts were taken from, when there was one; its
-    ``deg_det`` is the certificate's.
+    the walk the receipts were taken from; its ``deg_det`` is the
+    certificate's.
     """
 
     terms: tuple[BoundTerm, ...]
     linear_coefficient: Fraction
     degree: int
-    deg_det: Fraction
+    report: InvariantReport
     fibration_inputs: Optional[FibrationInputs]
     fibration_bound: Optional[Fraction]
-    report: Optional[InvariantReport] = None
 
-    def __post_init__(self) -> None:
-        if self.report is not None and self.report.deg_det != self.deg_det:
-            raise InvalidInputError("deg_det must equal the deg_det of report")
+    @property
+    def deg_det(self) -> Fraction:
+        return self.report.deg_det
 
     @property
     def satisfied(self) -> bool:
@@ -532,8 +533,7 @@ def degree_linear_certificate(
         terms=tuple(terms),
         linear_coefficient=coeff,
         degree=d,
-        deg_det=report.deg_det,
+        report=report,
         fibration_inputs=fibration,
         fibration_bound=fib_bound,
-        report=report,
     )

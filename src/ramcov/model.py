@@ -10,12 +10,11 @@ crossing.  Nothing here touches equations; the model is bookkeeping, and
 
 The order of the model's lists carries no meaning, so each constructor
 puts its lists in canonical order: components by id, crossings by index,
-declared pair counts by their sorted pair, ramification by component id,
-points_above by crossing index, and the points over one crossing by
-``(j, jp, repr(local))``.  Models built from permuted lists are equal
-(a pair declared twice keeps the given order of its two entries), and
-every error that names the first offending item names the first in that
-order.
+declared pair counts by their sorted pair and then as given, ramification
+by component id, points_above by crossing index, and the points over one
+crossing by ``(j, jp, repr(local))``.  Models built from permuted lists are
+equal, and every error that names the first offending item names the first
+in that order.
 
 Structural problems (dangling references, malformed values) raise
 :class:`~ramcov.errors.InvalidInputError`; semantic incoherence on
@@ -69,7 +68,7 @@ def _canonical(obj, name: str, key) -> None:
 
 
 def _pair_key(item) -> tuple:
-    return tuple(sorted(item[0]))
+    return (tuple(sorted(item[0])), item)
 
 
 def _point_key(p: "PointAbove") -> tuple:
@@ -141,11 +140,12 @@ class BaseGeometry:
         _check_int(self.KX_sq, "KX_sq")
         _check_int(self.euler_X, "euler_X")
         _check_int(self.KX_dot_F, "KX_dot_F")
-        for pair, _ in self.pair_counts:
+        for pair, count in self.pair_counts:
             if not (
                 isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(c, str) for c in pair)
             ):
                 raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
+            _check_int(count, f"declared count for pair {pair}")
         _canonical(self, "components", lambda c: c.id)
         _canonical(self, "crossings", lambda x: x.index)
         _canonical(self, "pair_counts", _pair_key)

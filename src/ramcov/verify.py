@@ -56,9 +56,10 @@ def hj_sweep(
     Per coprime pair (n, q): the expansion evaluates back to n/q exactly;
     the chain length is at most n and every entry lies in [2, n]; the entry
     excess sum is at most n - q - 1; every discrepancy lies in (-1, 0] and
-    satisfies the defining recursion with zero residual; the correction
-    lies in (-n, 2]; and the du Val characterizations (q = n - 1, all
-    entries 2, all discrepancies 0, correction 0) coincide.
+    satisfies the defining recursion with zero residual; the correction is
+    the sum of a_i (b_i - 2) and lies in (-n, 2]; and the du Val
+    characterizations (q = n - 1, all entries 2, all discrepancies 0,
+    correction 0) coincide; all as integer numerators over n.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
@@ -90,38 +91,27 @@ def hj_sweep(
                     f"sum of (b_i - 2) = {sum(bi - 2 for bi in b)} exceeds n - q - 1 = {n - q - 1}",
                 )
 
-            a, correction = discrepancies(chain)
-            # All denominators divide n; work with the integer numerators
-            # v_i = n * a_i so the recursion check stays in integers.
-            v = []
-            scaling_ok = True
-            for ai in a:
-                if n % ai.denominator:
-                    _fail(result, "denominator", witness, f"discrepancy {ai} has denominator not dividing n")
-                    scaling_ok = False
+            v, c = discrepancies(chain)  # n * a_i and n * correction
+            if any(not (-n < vi <= 0) for vi in v):
+                _fail(result, "discrepancy-range", witness, f"some n * a_i outside (-n, 0]: {list(v)}")
+            w = (0, *v, 0)
+            for i, bi in enumerate(b):
+                if bi * w[i + 1] - w[i] - w[i + 2] != (2 - bi) * n:
+                    _fail(result, "recursion-residual", witness, f"nonzero residual at index {i + 1}")
                     break
-                v.append(ai.numerator * (n // ai.denominator))
-            if scaling_ok:
-                if any(not (-n < vi <= 0) for vi in v):
-                    _fail(result, "discrepancy-range", witness, f"some a_i outside (-1, 0]: {a}")
-                lam = len(b)
-                for i in range(lam):
-                    left = v[i - 1] if i > 0 else 0
-                    right = v[i + 1] if i + 1 < lam else 0
-                    if b[i] * v[i] - left - right - (2 - b[i]) * n != 0:
-                        _fail(result, "recursion-residual", witness, f"nonzero residual at index {i + 1}")
-                        break
-                if not (-n < correction <= 2):
-                    _fail(result, "correction-range", witness, f"correction {correction} outside (-n, 2]")
-                du_val = q == n - 1
-                if du_val != all(bi == 2 for bi in b):
-                    _fail(result, "du-val-entries", witness, "q = n - 1 iff all entries are 2 failed")
-                if du_val != all(vi == 0 for vi in v):
-                    _fail(result, "du-val-discrepancies", witness, "q = n - 1 iff all a_i = 0 failed")
-                if du_val != (correction == 0):
-                    _fail(result, "du-val-correction", witness, "q = n - 1 iff correction = 0 failed")
-                if du_val and len(b) != n - 1:
-                    _fail(result, "du-val-length", witness, f"du Val chain length {len(b)} != n - 1")
+            if c != sum(vi * (bi - 2) for vi, bi in zip(v, b)):
+                _fail(result, "correction-sum", witness, f"n * correction = {c} != sum of n * a_i (b_i - 2)")
+            if not (-n * n < c <= 2 * n):
+                _fail(result, "correction-range", witness, f"correction {c}/{n} outside (-n, 2]")
+            du_val = q == n - 1
+            if du_val != all(bi == 2 for bi in b):
+                _fail(result, "du-val-entries", witness, "q = n - 1 iff all entries are 2 failed")
+            if du_val != all(vi == 0 for vi in v):
+                _fail(result, "du-val-discrepancies", witness, "q = n - 1 iff all a_i = 0 failed")
+            if du_val != (c == 0):
+                _fail(result, "du-val-correction", witness, "q = n - 1 iff correction = 0 failed")
+            if du_val and len(b) != n - 1:
+                _fail(result, "du-val-length", witness, f"du Val chain length {len(b)} != n - 1")
 
             if result.failures and stop_on_failure:
                 return result

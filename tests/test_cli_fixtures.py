@@ -1,8 +1,12 @@
-"""Frozen bytes of ``ramcov invariants`` on every shipped document.
+"""Frozen bytes of ``ramcov invariants`` on every shipped document, of
+``ramcov hj`` and of ``ramcov verify``.
 
 Each fixture under ``tests/fixtures/invariants/`` is the stdout of one
 command line; the test demands the same bytes and exit status, so any
-change to a number, a receipt or the rendering shows here.  To freeze a new
+change to a number, a receipt or the rendering shows here.  The fixtures
+under ``tests/fixtures/hj/`` and ``tests/fixtures/verify/`` hold the whole
+stdout (``.txt``) of a run that exits 0, or the whole stderr (``.err``) of
+one that exits 2, with the other stream empty.  To freeze a new
 case, add it to ``CASES`` and save the stdout of the same argv run through
 ``ramcov.cli.main``.  A document that cannot be loaded is frozen as its one
 ``error:`` line on stderr (``ERROR_CASES``, fixtures ending in ``.err``).
@@ -19,7 +23,9 @@ reversed), ramification and points_above keys, and the three points over
 crossings 2 and 3, given in both local forms with two points on the same
 sheets.  Its report must not depend on that order.  Each ``two_*.json``
 holds two errors of one kind, and its frozen line names the one that comes
-first in canonical order.
+first in canonical order.  ``both_orientations.json`` is the bidouble cover
+with declared pairs given in both orientations, ``["D3", "D1"]`` before
+``["D1", "D3"]``: its echo lists them by sorted pair and then as given.
 """
 
 import functools
@@ -37,6 +43,8 @@ COVERS = ROOT / "demos" / "covers"
 TESTS = pathlib.Path(__file__).resolve().parent
 DOCUMENTS = TESTS / "fixtures" / "documents"
 FIXTURES = TESTS / "fixtures" / "invariants"
+HJ_FIXTURES = TESTS / "fixtures" / "hj"
+VERIFY_FIXTURES = TESTS / "fixtures" / "verify"
 
 # (fixture stem, document, extra flags, exit status)
 _RUNS = [
@@ -44,7 +52,7 @@ _RUNS = [
      ("--strict",) if strict else (), 0)
     for folder, stems in (
         (COVERS, ("identity", "bidouble", "kummer_2_1", "cyclic_5_1_4_2_3")),
-        (DOCUMENTS, ("shuffled",)),
+        (DOCUMENTS, ("shuffled", "both_orientations")),
     )
     for stem in stems
     for strict in (False, True)
@@ -75,6 +83,34 @@ ERROR_CASES = [
     )
     for flags in ((), ("--json",), ("--strict",))
 ]
+
+
+#: (fixture path, argv, exit status) of ``hj`` and ``verify``.
+STREAM_CASES = [
+    (HJ_FIXTURES / f"{n}_{q}.{'txt' if code == 0 else 'err'}", ["hj", str(n), str(q)], code)
+    for n, q, code in (
+        (2, 1, 0), (5, 2, 0), (7, 5, 0), (12, 5, 0), (30, 29, 0), (997, 3, 0), (4, 2, 2), (1, 1, 2)
+    )
+] + [
+    (VERIFY_FIXTURES / name, ["verify", *flags], code)
+    for name, flags, code in (
+        ("default.txt", (), 0),
+        ("max_n_150_max_index_40.txt", ("--max-n", "150", "--max-index", "40"), 0),
+        ("max_n_1.err", ("--max-n", "1"), 2),
+        ("max_n_over_cap.err", ("--max-n", "1001"), 2),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "path,argv,code", STREAM_CASES, ids=[f"{c[0].parent.name}/{c[0].name}" for c in STREAM_CASES]
+)
+def test_hj_and_verify_match_frozen_streams(capsys, monkeypatch, path, argv, code):
+    monkeypatch.delenv("RAMCOV_MAX_ENUM", raising=False)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    frozen = path.read_text(encoding="utf-8")
+    assert (captured.out, captured.err) == ((frozen, "") if code == 0 else ("", frozen))
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])

@@ -117,7 +117,9 @@ def test_roundtrip_small_exhaustive():
             assert hj_evaluate(chain) == Fraction(n, q), (n, q)
 
 
-@settings(max_examples=200)
+# The chain of A_{n, n-1} has n - 1 entries, so one example near n = 10^6
+# costs a few hundred ms: the deadline is sized to that linear cost.
+@settings(max_examples=200, deadline=2000)
 @given(st.integers(min_value=2, max_value=10**6), st.data())
 def test_roundtrip_random(n, data):
     q = data.draw(st.integers(min_value=1, max_value=n - 1))
@@ -144,21 +146,11 @@ def test_reversal_swaps_q_for_its_inverse():
 
 
 def test_discrepancy_examples():
-    a, corr = discrepancies([3])
-    assert a == (Fraction(-1, 3),)
-    assert corr == Fraction(-1, 3)
-
-    a, corr = discrepancies([3, 2])
-    assert a == (Fraction(-2, 5), Fraction(-1, 5))
-    assert corr == Fraction(-2, 5)
-
-    a, corr = discrepancies([2, 2, 2])
-    assert a == (0, 0, 0)
-    assert corr == 0
-
-    a, corr = discrepancies([4])
-    assert a == (Fraction(-1, 2),)
-    assert corr == -1
+    # (v, c) with v_i = n a_i and c = n * correction
+    assert discrepancies([3]) == ((-1,), -1)  # n = 3
+    assert discrepancies([3, 2]) == ((-2, -1), -2)  # n = 5
+    assert discrepancies([2, 2, 2]) == ((0, 0, 0), 0)  # n = 4
+    assert discrepancies([4]) == ((-2,), -4)  # n = 4
 
 
 def test_discrepancies_match_cas_solve_on_expansions():
@@ -167,22 +159,25 @@ def test_discrepancies_match_cas_solve_on_expansions():
             if math.gcd(n, q) != 1:
                 continue
             chain = hj_expand(SingularityType(n, q))
-            a, _ = discrepancies(chain)
-            assert a == oracle_discrepancies(chain.b), (n, q)
+            v, _ = discrepancies(chain)
+            assert tuple(Fraction(vi, n) for vi in v) == oracle_discrepancies(chain.b), (n, q)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=12))
 def test_discrepancies_match_cas_solve_on_arbitrary_chains(entries):
-    a, corr = discrepancies(entries)
-    expected = oracle_discrepancies(entries)
-    assert a == expected
-    assert corr == sum(ai * (bi - 2) for ai, bi in zip(a, entries))
+    v, c = discrepancies(entries)
+    n = hj_evaluate(entries).numerator
+    a = tuple(Fraction(vi, n) for vi in v)
+    assert a == oracle_discrepancies(entries)
+    assert Fraction(c, n) == sum(ai * (bi - 2) for ai, bi in zip(a, entries))
 
 
 def test_resolution_data_invariants():
     data = resolve(SingularityType(12, 5))
     assert data.chain.b == (3, 2, 3)
+    assert data.v == (-6, -6, -6) and data.correction_num == -12
+    assert data.a == (Fraction(-1, 2),) * 3 and data.correction == -1
     assert all(residual == 0 for residual in data.recursion_residuals())
     assert all(-1 < ai <= 0 for ai in data.a)
     assert -12 < data.correction <= 2
@@ -191,15 +186,15 @@ def test_resolution_data_invariants():
         ResolutionData(
             sing=SingularityType(5, 2),
             chain=HJChain((3, 2)),
-            a=(Fraction(-2, 5),),  # wrong length
-            correction=Fraction(-2, 5),
+            v=(-2,),  # wrong length
+            correction_num=-2,
         )
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"must lie in \(-1, 0\] \(got a_1 = -7/5\)"):
         ResolutionData(
             sing=SingularityType(5, 2),
             chain=HJChain((3, 2)),
-            a=(Fraction(-7, 5), Fraction(-1, 5)),  # out of range
-            correction=Fraction(-2, 5),
+            v=(-7, -1),  # out of range
+            correction_num=-2,
         )
 
 

@@ -16,6 +16,7 @@ Frozen oracles used here, all independent of the code under test:
   closed forms evaluated here with mpmath at high precision.
 """
 
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction
@@ -202,37 +203,20 @@ def test_invariant_report_double_cover_fields():
 
 
 def test_invariant_report_internal_identities_enforced():
-    report = invariant_report(*identity_cover())
-    with pytest.raises(InvalidInputError, match="KYprime_sq"):
-        InvariantReport(
-            B_mult=report.B_mult,
-            KX_dot_B=report.KX_dot_B,
-            B_dot_F=report.B_dot_F,
-            RR=report.RR,
-            KY_sq=report.KY_sq,
-            correction_total=report.correction_total,
-            KYprime_sq=report.KYprime_sq + 1,
-            euler_Y=report.euler_Y,
-            exceptional_s=report.exceptional_s,
-            euler_Yprime=report.euler_Yprime,
-            chi=report.chi,
-            deg_det=report.deg_det,
-        )
-    with pytest.raises(InvalidInputError, match="euler_Yprime"):
-        InvariantReport(
-            B_mult=report.B_mult,
-            KX_dot_B=report.KX_dot_B,
-            B_dot_F=report.B_dot_F,
-            RR=report.RR,
-            KY_sq=report.KY_sq,
-            correction_total=report.correction_total,
-            KYprime_sq=report.KYprime_sq,
-            euler_Y=report.euler_Y,
-            exceptional_s=report.exceptional_s + 2,
-            euler_Yprime=report.euler_Yprime,
-            chi=report.chi,
-            deg_det=report.deg_det,
-        )
+    # K_{Y'}^2, e_c(Y'), chi and deg_det are derived from the stored fields,
+    # so no report can disagree with its own identities: none of them can
+    # be passed in.
+    report = invariant_report(*load_cover_path(CYCLIC_5))
+    assert (report.correction_total, report.exceptional_s) == (Fraction(-8, 5), 8)
+    assert report.KYprime_sq == report.KY_sq + report.correction_total
+    assert report.euler_Yprime == report.euler_Y + report.exceptional_s
+    assert report.chi == (report.KYprime_sq + report.euler_Yprime) / 12
+    assert report.deg_det == report.chi + report.fibration_term
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert InvariantReport(**fields) == report
+    for name in ("KYprime_sq", "euler_Yprime", "chi", "deg_det"):
+        with pytest.raises(TypeError, match=name):
+            InvariantReport(**fields, **{name: getattr(report, name) + 1})
 
 
 def test_invariants_raise_on_bad_local_type():
@@ -430,20 +414,21 @@ def test_bound_term_and_certificate_failure_logic():
     bad = BoundTerm(name="x", value=Fraction(3), bound=Fraction(2), per_degree=Fraction(1))
     good = BoundTerm(name="y", value=Fraction(-2), bound=Fraction(2), per_degree=Fraction(1))
     assert not bad.ok and good.ok
+    report = invariant_report(*double_cover())
+    report = dataclasses.replace(report, fibration_term=Fraction(3) - report.chi)
     cert = BoundCertificate(
         terms=(good, bad),
         linear_coefficient=Fraction(1),
         degree=1,
-        deg_det=Fraction(3),
+        report=report,
         fibration_inputs=None,
         fibration_bound=None,
     )
     assert not cert.satisfied
     assert not cert.deg_det_within_linear
-    assert cert.report is None
-
-    report = invariant_report(*double_cover())
-    with pytest.raises(InvalidInputError, match="deg_det of report"):
+    # the certificate's deg_det is its report's, so the two cannot disagree
+    assert cert.deg_det == 3
+    with pytest.raises(TypeError, match="deg_det"):
         BoundCertificate(
             terms=(good,),
             linear_coefficient=Fraction(1),

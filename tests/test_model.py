@@ -240,7 +240,9 @@ def test_verdict_independent_of_declaration_order():
     assert validate(shuffled_base, shuffled_cover, strict=True) == reference
 
 
-SHUFFLED = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents" / "shuffled.json"
+DOCUMENTS = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents"
+SHUFFLED = DOCUMENTS / "shuffled.json"
+BOTH_ORIENTATIONS = DOCUMENTS / "both_orientations.json"
 
 
 def _permuted(rng, base, cover):
@@ -267,8 +269,13 @@ def _permuted(rng, base, cover):
 
 @pytest.mark.parametrize(
     "load",
-    [lambda: load_cover_path(str(SHUFFLED)), double_cover, lambda: power_map_cover(3, 2)],
-    ids=["shuffled", "double", "power_3_2"],
+    [
+        lambda: load_cover_path(str(SHUFFLED)),
+        lambda: load_cover_path(str(BOTH_ORIENTATIONS)),
+        double_cover,
+        lambda: power_map_cover(3, 2),
+    ],
+    ids=["shuffled", "both_orientations", "double", "power_3_2"],
 )
 def test_models_built_from_permuted_tuples_are_equal(load):
     base, cover = load()

@@ -10,7 +10,7 @@ import sympy
 
 import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError
-from ramcov.hj import HJChain, hj_expand
+from ramcov.hj import HJChain, discrepancies, hj_expand
 from ramcov.local_cover import DEFAULT_ENUMERATION_CAP, LocalCoverType, local_type
 
 
@@ -69,6 +69,34 @@ def test_hj_sweep_stop_on_failure(monkeypatch):
     assert len({(f.witness["n"], f.witness["q"]) for f in res.failures}) == 1
     assert res.checked < sum(int(sympy.totient(n)) for n in range(2, 31))
     assert all(f.message for f in res.failures)
+
+
+def test_hj_sweep_detects_a_discrepancy_off_by_one(monkeypatch):
+    def bad_discrepancies(chain):
+        v, c = discrepancies(chain)
+        if len(v) == 3:
+            v = (v[0], v[1] - 1, v[2])
+        return v, c
+
+    monkeypatch.setattr(verify, "discrepancies", bad_discrepancies)
+    res = verify.hj_sweep(30, stop_on_failure=False)
+    props = {f.prop for f in res.failures}
+    assert "recursion-residual" in props
+    assert all(len(f.witness["chain"]) == 3 for f in res.failures)
+
+
+def test_hj_sweep_detects_a_correction_off_by_one(monkeypatch):
+    # A wrong correction inside the range (-n, 2] is caught only by
+    # comparing it with the sum it is defined as.
+    def bad_discrepancies(chain):
+        v, c = discrepancies(chain)
+        return v, (c - 1 if chain.b == (3, 2) else c)
+
+    monkeypatch.setattr(verify, "discrepancies", bad_discrepancies)
+    res = verify.hj_sweep(30, stop_on_failure=False)
+    assert [(f.prop, f.witness["n"], f.witness["q"]) for f in res.failures] == [
+        ("correction-sum", 5, 2)
+    ]
 
 
 def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
