@@ -9,14 +9,17 @@ Hirzebruch-Jung continued fraction expansion
     n/q = b_1 - 1/(b_2 - 1/(... - 1/b_lambda)),        all b_i >= 2.
 
 This module computes the expansion, evaluates it back (the two directions
-serve as mutual checks), and solves for the discrepancies ``a_i`` of the
+serve as mutual checks), and derives the discrepancies ``a_i`` of the
 exceptional curves together with the correction term they contribute to the
 self-intersection of a canonical divisor under resolution.
 
-Resolution data is kept as integers over ``n``: by Cramer's rule on the
-chain every ``v_i = n a_i`` is an integer, and so is the correction
-numerator ``n sum_i a_i (b_i - 2)``.  The solver works in integers only;
-a Fraction is built where a number is printed or summed into a report.
+Resolution data is kept as integers over ``n``: with ``alpha_i`` and
+``beta_i`` the continuants of the chain read from its two ends,
+``v_i = n a_i = alpha_i + beta_i - n`` (Hirzebruch, Math. Ann. 126, 1953;
+Reid, "Surface cyclic quotient singularities and Hirzebruch-Jung
+resolutions"), and the correction numerator is ``n sum_i a_i (b_i - 2)``.
+Both come from integer recursions alone; a Fraction is built where a number
+is printed or summed into a report.
 
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
@@ -53,7 +56,7 @@ class SingularityType:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
+        if type(self.n) is not int or type(self.q) is not int:  # exact type: bool is an int subclass
             raise InvalidInputError("n and q must be integers")
         if self.n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={self.n})")
@@ -114,9 +117,10 @@ class ResolutionData:
 
     Carries the chain, the numerators ``v_i = n a_i`` of the discrepancies
     and the numerator ``n sum_i a_i (b_i - 2)`` of the correction the chain
-    contributes to ``K^2`` on resolving.  The range ``(-1, 0]`` of every
-    discrepancy is enforced here, while the defining tridiagonal relation is
-    exposed via :meth:`recursion_residuals` and checked by the property suite.
+    contributes to ``K^2`` on resolving, both computed by
+    :func:`discrepancies` from the chain's continuants.  The range
+    ``(-1, 0]`` of every discrepancy is enforced here; the defining
+    tridiagonal relation is checked by ``verify.hj_sweep``.
     """
 
     sing: SingularityType
@@ -145,18 +149,6 @@ class ResolutionData:
     @cached_property
     def correction(self) -> Fraction:
         return Fraction(self.correction_num, self.sing.n)
-
-    def recursion_residuals(self) -> tuple[int, ...]:
-        """Residuals ``b_i v_i - v_{i-1} - v_{i+1} - (2 - b_i) n`` at each index.
-
-        These are ``n`` times the residuals of the defining relation.  With
-        ``v_0 = v_{lambda+1} = 0`` every residual is exactly zero; anything
-        else indicates corrupted data.
-        """
-        n, w = self.sing.n, (0, *self.v, 0)
-        return tuple(
-            bi * w[i + 1] - w[i] - w[i + 2] - (2 - bi) * n for i, bi in enumerate(self.chain.b)
-        )
 
 
 def _chain_entries(chain: "HJChain | Sequence[int] | Iterable[int]") -> tuple[int, ...]:
@@ -200,50 +192,39 @@ def hj_evaluate(chain: "HJChain | Sequence[int]") -> Fraction:
 
 
 def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[int, ...], int]:
-    """Solve for the discrepancies of a chain and their correction term.
+    """The discrepancies of a chain and their correction term, as integers over n.
 
     The discrepancies are the unique solution of the tridiagonal system
 
-        b_i a_i - a_{i-1} - a_{i+1} = 2 - b_i,    a_0 = a_{lambda+1} = 0,
+        b_i a_i - a_{i-1} - a_{i+1} = 2 - b_i,    a_0 = a_{lambda+1} = 0.
 
-    solved here by forward elimination and back substitution in exact
-    arithmetic.  The eliminated pivots are ratios of the continuants
-    ``p_i = b_i p_{i-1} - p_{i-2}`` (``p_0 = 1``), all positive since every
-    entry is >= 2, so the sweep never divides by zero; the determinant
-    ``p_lambda`` equals the numerator ``n`` of the evaluated chain, and by
-    Cramer's rule every ``n a_i`` is an integer, which lets the back
-    substitution run over plain integers.
+    Its solution is read off the chain's two continuant recursions, one run
+    from each end:
 
-    Returns ``(v, c)`` with ``v_i = n a_i`` and ``c = n sum_i a_i (b_i - 2)``,
-    where ``n`` is the determinant of the chain.
+        beta_0 = 0,          beta_1 = 1,      beta_{i+1} = b_i beta_i - beta_{i-1},
+        alpha_{lambda+1} = 0, alpha_lambda = 1, alpha_{i-1} = b_i alpha_i - alpha_{i+1},
+
+    which meet in the determinant ``n = alpha_0 = beta_{lambda+1}``; then
+    ``n a_i = alpha_i + beta_i - n`` (Hirzebruch, Math. Ann. 126, 1953;
+    Reid, "Surface cyclic quotient singularities and Hirzebruch-Jung
+    resolutions").  Each continuant solves the homogeneous relation and the
+    constant ``n`` leaves ``(b_i - 2) n``, so ``alpha + beta - n`` solves the
+    relation scaled by ``n``, with zero at both ends: nothing is divided.
+
+    Returns ``(v, c)`` with ``v_i = n a_i`` and ``c = n sum_i a_i (b_i - 2)``.
     """
     b = _chain_entries(chain)
-    lam = len(b)
-
-    # Forward elimination.  Pivot at step i is p[i] / p[i-1]; the eliminated
-    # right-hand side at step i is u[i] / p[i-1].
-    p = [0] * (lam + 1)
-    u = [0] * (lam + 1)
-    p[0] = 1
-    p_prev = 0  # p[-1]
-    for i in range(1, lam + 1):
-        p[i] = b[i - 1] * p[i - 1] - p_prev
-        p_prev = p[i - 1]
-        u[i] = (2 - b[i - 1]) * p[i - 1] + u[i - 1]
-
-    n = p[lam]
-
-    # Back substitution: v[i] = n * a_i is an integer; the divisions below
-    # are exact and the remainders are checked to be zero.
-    v = [0] * (lam + 2)
-    v[lam] = u[lam]  # a_lam = u_lam / p_lam = u_lam / n
-    for i in range(lam - 1, 0, -1):
-        quot, rem = divmod(n * u[i] + v[i + 1] * p[i - 1], p[i])
-        if rem:  # pragma: no cover - would indicate an algebra bug
-            raise ArithmeticError("non-integral discrepancy numerator")
-        v[i] = quot
-
-    v = tuple(v[1 : lam + 1])
+    beta = [0, 1]
+    for bi in b:
+        beta.append(bi * beta[-1] - beta[-2])
+    alpha = [0, 1]
+    for bi in reversed(b):
+        alpha.append(bi * alpha[-1] - alpha[-2])
+    alpha.reverse()
+    n = alpha[0]
+    # From a list, not a generator: tuple() of a generator resizes its
+    # result, which leaves CPython's per-size tuple free lists growing.
+    v = tuple([alpha[i] + beta[i] - n for i in range(1, len(b) + 1)])
     return v, sum(vi * (bi - 2) for vi, bi in zip(v, b))
 
 

@@ -48,18 +48,18 @@ def _fail(result: SweepResult, prop: str, witness: dict, message: str) -> None:
     )
 
 
-def hj_sweep(
-    max_n: int, *, cap: Optional[int] = None, stop_on_failure: bool = True
-) -> SweepResult:
+def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
     Per coprime pair (n, q): the expansion evaluates back to n/q exactly;
     the chain length is at most n and every entry lies in [2, n]; the entry
-    excess sum is at most n - q - 1; every discrepancy lies in (-1, 0] and
-    satisfies the defining recursion with zero residual; the correction is
-    the sum of a_i (b_i - 2) and lies in (-n, 2]; and the du Val
-    characterizations (q = n - 1, all entries 2, all discrepancies 0,
-    correction 0) coincide; all as integer numerators over n.
+    excess sum is at most n - q - 1; there is one discrepancy per chain
+    entry, every discrepancy lies in (-1, 0] and satisfies the defining
+    recursion with zero residual; the correction is the sum of
+    a_i (b_i - 2) and lies in (-n, 2]; and the du Val characterizations
+    (q = n - 1, all entries 2, all discrepancies 0, correction 0) coincide;
+    all as integer numerators over n.  The sweep stops after the first pair
+    that fails a property, with every property that pair failed.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
@@ -92,13 +92,16 @@ def hj_sweep(
                 )
 
             v, c = discrepancies(chain)  # n * a_i and n * correction
+            if len(v) != len(b):
+                _fail(result, "discrepancy-length", witness, f"{len(v)} discrepancies for {len(b)} entries")
             if any(not (-n < vi <= 0) for vi in v):
                 _fail(result, "discrepancy-range", witness, f"some n * a_i outside (-n, 0]: {list(v)}")
-            w = (0, *v, 0)
-            for i, bi in enumerate(b):
-                if bi * w[i + 1] - w[i] - w[i + 2] != (2 - bi) * n:
-                    _fail(result, "recursion-residual", witness, f"nonzero residual at index {i + 1}")
-                    break
+            if len(v) == len(b):
+                w = (0, *v, 0)
+                for i, bi in enumerate(b):
+                    if bi * w[i + 1] - w[i] - w[i + 2] != (2 - bi) * n:
+                        _fail(result, "recursion-residual", witness, f"nonzero residual at index {i + 1}")
+                        break
             if c != sum(vi * (bi - 2) for vi, bi in zip(v, b)):
                 _fail(result, "correction-sum", witness, f"n * correction = {c} != sum of n * a_i (b_i - 2)")
             if not (-n * n < c <= 2 * n):
@@ -113,7 +116,7 @@ def hj_sweep(
             if du_val and len(b) != n - 1:
                 _fail(result, "du-val-length", witness, f"du Val chain length {len(b)} != n - 1")
 
-            if result.failures and stop_on_failure:
+            if result.failures:
                 return result
     return result
 
@@ -122,9 +125,7 @@ def _sigma(k: int) -> int:
     return sum(a for a in range(1, k + 1) if k % a == 0)
 
 
-def lattice_sweep(
-    max_index: int, *, cap: Optional[int] = None, stop_on_failure: bool = True
-) -> SweepResult:
+def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     """Check every subgroup of Z^2 of index <= max_index exhaustively.
 
     Per subgroup: the classified local type satisfies the index identity
@@ -133,7 +134,9 @@ def lattice_sweep(
     integer membership) with minimal first generator; axis swap preserves
     n, exchanges m1 and m2, and inverts q mod n; and smoothness (n = 1)
     happens exactly for product lattices.  Enumeration counts are compared
-    against the divisor-sum formula index by index.
+    against the divisor-sum formula index by index.  The sweep stops at the
+    first index whose count is wrong, or after the first subgroup that fails
+    a property, with every property that subgroup failed.
     """
     result = SweepResult(suite="lattice")
     subgroups = enumerate_subgroups(max_index, cap=cap)
@@ -150,8 +153,7 @@ def lattice_sweep(
                 {"index": k},
                 f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
             )
-            if stop_on_failure:
-                return result
+            return result
 
     for g in subgroups:
         result.checked += 1
@@ -218,6 +220,6 @@ def lattice_sweep(
                 "n = 1 must coincide with the subgroup being a product lattice",
             )
 
-        if result.failures and stop_on_failure:
+        if result.failures:
             return result
     return result

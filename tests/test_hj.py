@@ -58,7 +58,7 @@ def test_singularity_type_validation():
         SingularityType(5, -1)
 
 
-@pytest.mark.parametrize("n,q", [(2.0, 1), (5, "2"), (None, 1)])
+@pytest.mark.parametrize("n,q", [(2.0, 1), (5, "2"), (None, 1), (5, True), (True, 1)])
 def test_singularity_type_rejects_non_integers(n, q):
     with pytest.raises(InvalidInputError) as info:
         SingularityType(n, q)
@@ -173,12 +173,26 @@ def test_discrepancies_match_cas_solve_on_arbitrary_chains(entries):
     assert Fraction(c, n) == sum(ai * (bi - 2) for ai, bi in zip(a, entries))
 
 
+def test_reversed_chain_has_reversed_discrepancies():
+    # Reversing the chain swaps its two continuant recursions.
+    for n in range(2, 200):
+        for q in range(1, n):
+            if math.gcd(n, q) != 1:
+                continue
+            chain = hj_expand(SingularityType(n, q))
+            v, c = discrepancies(chain)
+            assert discrepancies(chain.reversed()) == (v[::-1], c), (n, q)
+
+
 def test_resolution_data_invariants():
     data = resolve(SingularityType(12, 5))
     assert data.chain.b == (3, 2, 3)
     assert data.v == (-6, -6, -6) and data.correction_num == -12
     assert data.a == (Fraction(-1, 2),) * 3 and data.correction == -1
-    assert all(residual == 0 for residual in data.recursion_residuals())
+    w = (0, *data.v, 0)
+    assert all(
+        bi * w[i + 1] - w[i] - w[i + 2] == (2 - bi) * 12 for i, bi in enumerate(data.chain.b)
+    )
     assert all(-1 < ai <= 0 for ai in data.a)
     assert -12 < data.correction <= 2
 

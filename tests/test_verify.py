@@ -51,7 +51,7 @@ def test_hj_sweep_detects_corrupted_expansion(monkeypatch):
         return chain
 
     monkeypatch.setattr(verify, "hj_expand", bad_expand)
-    res = verify.hj_sweep(30, stop_on_failure=False)
+    res = verify.hj_sweep(30)
     assert not res.ok
     assert any(f.witness["n"] == 17 for f in res.failures)
     assert all(f.suite == "hj" for f in res.failures)
@@ -63,7 +63,7 @@ def test_hj_sweep_stop_on_failure(monkeypatch):
         return HJChain(chain.b + (2,)) if sing.n >= 10 else chain
 
     monkeypatch.setattr(verify, "hj_expand", bad_expand)
-    res = verify.hj_sweep(30, stop_on_failure=True)
+    res = verify.hj_sweep(30)
     assert not res.ok
     # stops at the first bad witness, though several properties may fire on it
     assert len({(f.witness["n"], f.witness["q"]) for f in res.failures}) == 1
@@ -79,10 +79,21 @@ def test_hj_sweep_detects_a_discrepancy_off_by_one(monkeypatch):
         return v, c
 
     monkeypatch.setattr(verify, "discrepancies", bad_discrepancies)
-    res = verify.hj_sweep(30, stop_on_failure=False)
+    res = verify.hj_sweep(30)
     props = {f.prop for f in res.failures}
     assert "recursion-residual" in props
     assert all(len(f.witness["chain"]) == 3 for f in res.failures)
+
+
+def test_hj_sweep_reports_a_short_discrepancy_vector(monkeypatch):
+    def bad_discrepancies(chain):
+        v, c = discrepancies(chain)
+        return v[:-1], c
+
+    monkeypatch.setattr(verify, "discrepancies", bad_discrepancies)
+    res = verify.hj_sweep(10)
+    assert (res.failures[0].prop, res.failures[0].witness["n"]) == ("discrepancy-length", 2)
+    assert "recursion-residual" not in {f.prop for f in res.failures}
 
 
 def test_hj_sweep_detects_a_correction_off_by_one(monkeypatch):
@@ -93,7 +104,7 @@ def test_hj_sweep_detects_a_correction_off_by_one(monkeypatch):
         return v, (c - 1 if chain.b == (3, 2) else c)
 
     monkeypatch.setattr(verify, "discrepancies", bad_discrepancies)
-    res = verify.hj_sweep(30, stop_on_failure=False)
+    res = verify.hj_sweep(30)
     assert [(f.prop, f.witness["n"], f.witness["q"]) for f in res.failures] == [
         ("correction-sum", 5, 2)
     ]
@@ -107,7 +118,7 @@ def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
         return lt
 
     monkeypatch.setattr(verify, "local_type", bad_type)
-    res = verify.lattice_sweep(8, stop_on_failure=False)
+    res = verify.lattice_sweep(8)
     assert not res.ok
     assert all(f.suite == "lattice" for f in res.failures)
 
@@ -119,6 +130,6 @@ def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
         return real(max_index, cap=cap)[:-1]
 
     monkeypatch.setattr(verify, "enumerate_subgroups", bad_enum)
-    res = verify.lattice_sweep(6, stop_on_failure=False)
+    res = verify.lattice_sweep(6)
     assert not res.ok
     assert any(f.prop == "enumeration-count" for f in res.failures)
