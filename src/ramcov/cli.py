@@ -15,13 +15,14 @@ a property counterexample), 2 on usage, parse, or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
 
 from . import __version__
 from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
-from .hj import SingularityType, resolve
+from .hj import SingularityType, chain_length, resolve
 # invariant_report is not called here; it stays imported because
 # perfbench/tracer.py wraps it under this module's name.
 from .invariants import (
@@ -39,6 +40,11 @@ from .report import ReportDocument, fmt_rational, parse_rational
 from .verify import hj_sweep, lattice_sweep
 
 
+#: The longest chain ``ramcov hj`` resolves and prints; that work is linear in its length.
+HJ_MAX_CHAIN = 10**6
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramcov",
@@ -81,7 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_hj(args: argparse.Namespace) -> int:
-    data = resolve(SingularityType(args.n, args.q))
+    sing = SingularityType(args.n, args.q)
+    length = chain_length(sing)
+    if length > HJ_MAX_CHAIN:
+        raise EnumerationLimitError(
+            f"{sing.label} has a chain of {length} entries, past the cap of {HJ_MAX_CHAIN}"
+        )
+    data = resolve(sing)
     print(data.sing.label)
     print(f"chain: {list(data.chain.b)} (length {data.chain.length})")
     print("discrepancies: [" + ", ".join(fmt_rational(a) for a in data.a) + "]")
@@ -123,7 +135,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     doc = ReportDocument(
         tool_version=__version__,
         strict=args.strict,
-        input_echo=canonical_document(base, cover),
+        input_echo=canonical_document(base, cover) if args.json else None,
         violations=violations,
         derived_base=derived_euler_data(base),
         invariants=invariants,

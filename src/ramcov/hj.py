@@ -42,6 +42,7 @@ __all__ = [
     "HJChain",
     "ResolutionData",
     "hj_expand",
+    "chain_length",
     "hj_evaluate",
     "discrepancies",
     "resolve",
@@ -175,6 +176,22 @@ def hj_expand(sing: SingularityType) -> HJChain:
         entries.append(bi)
         prev, cur = cur, bi * cur - prev
     return HJChain(tuple(entries))
+
+
+def chain_length(sing: SingularityType) -> int:
+    """The length of the chain of ``A_{n,q}``, in O(log n) steps.
+
+    Pad the regular continued fraction ``n/q = [a_1; a_2, ..., a_m]`` to even
+    length (``[..., a_m] = [..., a_m - 1, 1]`` when m is odd).  The chain is
+    then ``a_1 + 1, 2^(a_2 - 1), a_3 + 2, 2^(a_4 - 1), ...``, so its length
+    is the sum of the even-indexed partial quotients.
+    """
+    quotients = []
+    n, q = sing.n, sing.q
+    while q:
+        quotients.append(n // q)
+        n, q = q, n % q
+    return sum(quotients[1::2]) + len(quotients) % 2
 
 
 def hj_evaluate(chain: "HJChain | Sequence[int]") -> Fraction:

@@ -1,20 +1,21 @@
 """Numerical invariants of a resolved branched cover and its degree bounds.
 
 Everything here comes from one walk over a validated base-plus-cover
-description.  The walk passes once over the branch components, in id
-order, and then once over the crossings, in index order:
+description, made by :func:`degree_linear_certificate`.  It passes once
+over the branch components, in id order, and then once over the
+crossings, in index order, and emits each receipt of the linear degree
+bound where its value is computed:
 
-* per component it records the branch multiplicity
-  ``B_mult(i) = sum_j (e_ij - 1) f_ij``, the diagonal (R,R) factor
-  ``sum_j (e_ij - 1)^2 f_ij / e_ij`` and ``d_i = sum_j f_ij``;
-* per crossing it takes the local type of each point above it (classified
-  once per point, see :meth:`PointAbove.local_cover_type`) and records a
-  row: the ordered cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of
-  (R,R), the resolution correction and the exceptional curve count ``s``
-  of its quotient points, and its number of points.  Each distinct
-  quotient type is resolved once per walk.
+* per component, the branch multiplicity ``B_mult(i) = sum_j (e_ij - 1) f_ij``
+  and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``;
+* per crossing, from the local type of each point above it (classified
+  once per point, see :meth:`PointAbove.local_cover_type`), the ordered
+  cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
+  resolution correction and the exceptional curve count ``s`` of its
+  quotient points.  Each distinct quotient type is resolved once per walk.
 
-Summing the rows gives the chain
+The same values, with ``d_i = sum_j f_ij`` and the point counts, are added
+into the totals of the chain
 
     branch divisor B  ->  (R,R)  ->  K_Y^2  ->  K_{Y'}^2
     Euler data        ->  e_c(Y) ->  e_c(Y')
@@ -28,14 +29,11 @@ the degree, on the base curve, of the determinant of cohomology of the
 structure sheaf pushed down the fibration: a height-like measure of the
 cover.
 
-:func:`invariant_report` sums the rows of one walk.  The certificate that
-the computed degree is linearly bounded in the cover degree takes one
-receipt per component and per crossing from the rows of its own walk, so a
-failure localizes, and carries the report summed from that walk, so one
-walk serves a caller that needs both.  Beside it sit an Arakelov-type
-bound for semistable fibrations and a logarithmic height bound for plane
-models, the single place the package leaves exact arithmetic (flagged as
-such).
+The certificate carries the receipts, so a failure localizes, and the
+report of its walk; :func:`invariant_report` is that report alone.  Beside
+it sit an Arakelov-type bound for semistable fibrations and a logarithmic
+height bound for plane models, the single place the package leaves exact
+arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvalidInputError
 from .hj import ResolutionData, SingularityType, resolve
-from .model import BaseGeometry, BranchComponent, CoverDescription, derived_euler_data
+from .model import BaseGeometry, CoverDescription, derived_euler_data
 
 __all__ = [
     "InvariantReport",
@@ -122,119 +120,9 @@ class InvariantReport:
         return self.deg_det.denominator == 1
 
 
-class _ComponentRow(NamedTuple):
-    comp: BranchComponent
-    b_mult: int
-    diagonal: Fraction
-    d_i: int
-
-
-class _CrossingRow(NamedTuple):
-    index: int
-    cross: Fraction
-    correction: Fraction
-    s: int
-    points: int
-
-
-def _walk(
-    base: BaseGeometry, cover: CoverDescription
-) -> tuple[InvariantReport, list[_ComponentRow], list[_CrossingRow]]:
-    """Walk the configuration once; return the report and the rows it sums.
-
-    A crossing row holds the ordered cross term ``2 * sum_y (e_1(y) - 1)
-    (e_2(y) - 1) / n_y``, the receipt's value; a crossing with one point
-    takes its point's terms as they are.  The totals are summed as integer
-    numerators over each quotient order n and turned into Fractions once at
-    the end; a point's correction is the Fraction kept by its resolution.
-
-    Raises :class:`InvalidInputError` at the first point, in crossing index
-    order, whose sheet index is out of range or whose local type breaks a
-    range or gcd constraint.
-    """
-    components = []
-    for comp in base.components:
-        sheets = cover.sheets_for(comp.id)
-        components.append(
-            _ComponentRow(
-                comp=comp,
-                b_mult=sum((s.e - 1) * s.f for s in sheets),
-                diagonal=sum(
-                    (Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets), Fraction(0)
-                ),
-                d_i=sum(s.f for s in sheets),
-            )
-        )
-
-    zero = Fraction(0)
-    resolutions: dict[tuple[int, int], ResolutionData] = {}
-    # n -> sum of the numerators over n, of the ordered cross terms and of
-    # the corrections of all points
-    cross_sums: dict[int, int] = {}
-    correction_sums: dict[int, int] = {}
-    crossings = []
-    for crossing in base.crossings:
-        first = cover.sheets_for(crossing.pair[0])
-        second = cover.sheets_for(crossing.pair[1])
-        points = cover.points_for(crossing.index)
-        cross = correction = zero
-        s = 0
-        for pt in points:
-            if pt.j >= len(first) or pt.jp >= len(second):
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: point sheet index out of range: "
-                    f"(j, jp) = ({pt.j}, {pt.jp}), but {crossing.pair[0]} has "
-                    f"{len(first)} sheet(s) and {crossing.pair[1]} has {len(second)}"
-                )
-            lt = pt.local_cover_type()
-            problems = lt.invariant_problems()
-            if problems:
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: invalid local type: {problems[0]}"
-                )
-            n = lt.n
-            num = 2 * (first[pt.j].e - 1) * (second[pt.jp].e - 1)
-            cross_sums[n] = cross_sums.get(n, 0) + num
-            term = Fraction(num, n)
-            cross = term if cross is zero else cross + term  # a first term as it is
-            if n > 1:
-                rd = resolutions.get((n, lt.q))
-                if rd is None:
-                    rd = resolutions[n, lt.q] = resolve(SingularityType(n, lt.q))
-                correction_sums[n] = correction_sums.get(n, 0) + rd.correction_num
-                correction = rd.correction if correction is zero else correction + rd.correction
-                s += rd.chain.length
-        crossings.append(_CrossingRow(crossing.index, cross, correction, s, len(points)))
-
-    d = cover.degree
-    euler = derived_euler_data(base)
-    kx_dot_b = sum(r.b_mult * r.comp.KX_dot for r in components)
-    b_dot_f = sum(r.b_mult * r.comp.fiber_deg for r in components)
-    rr = sum((r.diagonal * r.comp.self_int for r in components), Fraction(0))
-    rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
-    ky_sq = d * base.KX_sq + 2 * kx_dot_b + rr
-    correction = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
-    euler_y = d * euler.e_c_U
-    euler_y += sum(r.d_i * euler.open_component(r.comp.id) for r in components)
-    euler_y += sum(x.points for x in crossings)
-    s = sum(x.s for x in crossings)
-    report = InvariantReport(
-        B_mult=tuple((r.comp.id, r.b_mult) for r in components),
-        KX_dot_B=kx_dot_b,
-        B_dot_F=b_dot_f,
-        RR=rr,
-        KY_sq=ky_sq,
-        correction_total=correction,
-        euler_Y=euler_y,
-        exceptional_s=s,
-        fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
-    )
-    return report, components, crossings
-
-
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
-    """Run the whole invariant chain once and package the results."""
-    return _walk(base, cover)[0]
+    """The report of :func:`degree_linear_certificate`'s walk, without its receipts."""
+    return degree_linear_certificate(base, cover).report
 
 
 def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
@@ -366,9 +254,8 @@ class BoundCertificate:
     instantiate the individual estimates that make the aggregate work, and
     ``satisfied`` holds exactly when every term's |value| is within its
     bound.  The optional fibration bound is carried along for comparison
-    when its inputs are supplied.  ``report`` is the invariant report of
-    the walk the receipts were taken from; its ``deg_det`` is the
-    certificate's.
+    when its inputs are supplied.  ``report`` is summed in the walk that
+    emits the receipts; its ``deg_det`` is the certificate's.
     """
 
     terms: tuple[BoundTerm, ...]
@@ -432,16 +319,21 @@ def degree_linear_certificate(
 ) -> BoundCertificate:
     """Instantiate the linear degree bound with per-term receipts.
 
-    Emits one term per estimate: branch multiplicities are at most d, the
-    diagonal (R,R) factors lie in [0, d), each crossing's ordered cross
-    term is at most 2d in absolute value, per-crossing resolution
-    corrections lie in (-d, 2 * points], per-crossing exceptional counts
-    are at most d, and finally |deg_det| itself against
-    ``linear_coefficient * d``.  When fibration inputs are supplied the
-    comparison against the semistable bound is appended as a term as well.
+    Walks the configuration once and emits one term per estimate where its
+    value is computed: branch multiplicities are at most d, the diagonal
+    (R,R) factors lie in [0, d), each crossing's ordered cross term is at
+    most 2d in absolute value, per-crossing resolution corrections lie in
+    (-d, 2 * points], per-crossing exceptional counts are at most d, and
+    finally |deg_det| itself against ``linear_coefficient * d``.  When
+    fibration inputs are supplied the comparison against the semistable
+    bound is appended as a term as well.  The same values are summed into
+    the carried report, as integer numerators over each quotient order n.
+
+    Raises :class:`InvalidInputError` at the first point, in crossing index
+    order, whose sheet index is out of range or whose local type breaks a
+    range or gcd constraint.
     """
     d = cover.degree
-    report, components, crossings = _walk(base, cover)
     # Receipts repeat a few small integers (s, max(d, 2 * points)): one
     # Fraction each per certificate.
     small: dict[int, Fraction] = {}
@@ -454,51 +346,119 @@ def degree_linear_certificate(
 
     one, two, fd = exact(1), exact(2), exact(d)
     f2d = exact(2 * d)
+    zero = Fraction(0)
+    euler = derived_euler_data(base)
 
     terms: list[BoundTerm] = []
-    for row in components:
+    diagonal_terms: list[BoundTerm] = []
+    b_mults = []
+    kx_dot_b = b_dot_f = 0
+    rr = zero
+    euler_y = d * euler.e_c_U
+    for comp in base.components:
+        sheets = cover.sheets_for(comp.id)
+        b_mult = sum((s.e - 1) * s.f for s in sheets)
+        diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets), zero)
+        b_mults.append((comp.id, b_mult))
+        kx_dot_b += b_mult * comp.KX_dot
+        b_dot_f += b_mult * comp.fiber_deg
+        rr += diagonal * comp.self_int
+        euler_y += sum(s.f for s in sheets) * euler.open_component(comp.id)
         terms.append(
             BoundTerm(
-                name=f"branch_mult[{row.comp.id}]",
-                value=Fraction(row.b_mult),
+                name=f"branch_mult[{comp.id}]",
+                value=Fraction(b_mult),
                 bound=fd,
                 per_degree=one,
             )
         )
-    for row in components:
-        terms.append(
+        diagonal_terms.append(
             BoundTerm(
-                name=f"rr_diagonal_factor[{row.comp.id}]",
-                value=row.diagonal,
+                name=f"rr_diagonal_factor[{comp.id}]",
+                value=diagonal,
                 bound=fd,
                 per_degree=one,
             )
         )
-    for row in crossings:
+    terms += diagonal_terms
+
+    resolutions: dict[tuple[int, int], ResolutionData] = {}
+    # n -> sum of the numerators over n, of the ordered cross terms and of
+    # the corrections of all points
+    cross_sums: dict[int, int] = {}
+    correction_sums: dict[int, int] = {}
+    s_total = 0
+    for crossing in base.crossings:
+        first = cover.sheets_for(crossing.pair[0])
+        second = cover.sheets_for(crossing.pair[1])
+        points = cover.points_for(crossing.index)
+        euler_y += len(points)
+        cross = correction = zero
+        s = 0
+        for pt in points:
+            if pt.j >= len(first) or pt.jp >= len(second):
+                raise InvalidInputError(
+                    f"crossing {crossing.index}: point sheet index out of range: "
+                    f"(j, jp) = ({pt.j}, {pt.jp}), but {crossing.pair[0]} has "
+                    f"{len(first)} sheet(s) and {crossing.pair[1]} has {len(second)}"
+                )
+            lt = pt.local_cover_type()
+            problems = lt.invariant_problems()
+            if problems:
+                raise InvalidInputError(
+                    f"crossing {crossing.index}: invalid local type: {problems[0]}"
+                )
+            n = lt.n
+            num = 2 * (first[pt.j].e - 1) * (second[pt.jp].e - 1)
+            cross_sums[n] = cross_sums.get(n, 0) + num
+            term = Fraction(num, n)
+            cross = term if cross is zero else cross + term  # a first term as it is
+            if n > 1:
+                rd = resolutions.get((n, lt.q))
+                if rd is None:
+                    rd = resolutions[n, lt.q] = resolve(SingularityType(n, lt.q))
+                correction_sums[n] = correction_sums.get(n, 0) + rd.correction_num
+                correction = rd.correction if correction is zero else correction + rd.correction
+                s += rd.chain.length
+        s_total += s
         terms.append(
             BoundTerm(
-                name=f"rr_cross[crossing {row.index}]",
-                value=row.cross,
+                name=f"rr_cross[crossing {crossing.index}]",
+                value=cross,
                 bound=f2d,
                 per_degree=two,
             )
         )
         terms.append(
             BoundTerm(
-                name=f"correction[crossing {row.index}]",
-                value=row.correction,
-                bound=exact(max(d, 2 * row.points)),
+                name=f"correction[crossing {crossing.index}]",
+                value=correction,
+                bound=exact(max(d, 2 * len(points))),
                 per_degree=two,
             )
         )
         terms.append(
             BoundTerm(
-                name=f"exceptional_s[crossing {row.index}]",
-                value=exact(row.s),
+                name=f"exceptional_s[crossing {crossing.index}]",
+                value=exact(s),
                 bound=fd,
                 per_degree=one,
             )
         )
+
+    rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
+    correction_total = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
+    report = InvariantReport(
+        B_mult=tuple(b_mults),
+        KX_dot_B=kx_dot_b,
+        B_dot_F=b_dot_f,
+        RR=rr,
+        KY_sq=d * base.KX_sq + 2 * kx_dot_b + rr,
+        correction_total=correction_total,
+        euler_Y=euler_y,
+        exceptional_s=s_total,
+        fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
+    )
 
     coeff = linear_coefficient(base)
     terms.append(

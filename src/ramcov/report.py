@@ -159,12 +159,13 @@ class ReportDocument:
 
     ``invariants`` and ``certificate`` may be absent when the input is too
     broken to evaluate (the reason is then carried in ``error``); the
-    validation findings are always present.
+    validation findings are always present.  ``input_echo`` is read by the
+    JSON rendering only, so a text report may leave it out.
     """
 
     tool_version: str
     strict: bool
-    input_echo: dict
+    input_echo: Optional[dict]
     violations: tuple[Violation, ...]
     derived_base: EulerData
     invariants: Optional[InvariantReport]

@@ -18,6 +18,7 @@ from ramcov.hj import (
     HJChain,
     ResolutionData,
     SingularityType,
+    chain_length,
     discrepancies,
     hj_evaluate,
     hj_expand,
@@ -231,3 +232,13 @@ def test_bounds_small_exhaustive():
             assert all(2 <= bi <= n for bi in b)
             assert sum(bi - 2 for bi in b) <= n - q - 1
             assert -n < data.correction <= 2
+
+
+def test_chain_length_matches_the_expansion():
+    # The O(log n) count from the regular continued fraction against the
+    # length of the chain the remainder recursion builds.
+    for n in range(2, 300):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                sing = SingularityType(n, q)
+                assert chain_length(sing) == hj_expand(sing).length, (n, q)

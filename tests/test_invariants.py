@@ -290,6 +290,7 @@ def test_cyclic_5_golden_against_esnault_viehweg():
 # ---------------------------------------------- totals recomputed per point
 
 COVERS = CYCLIC_5.parent
+DOCUMENTS = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents"
 
 
 def _mixed_points_document():
@@ -317,6 +318,10 @@ _TOTALS_CASES = [
     *(
         (path.name, lambda path=path: load_cover_path(str(path)))
         for path in sorted(COVERS.glob("*.json"))
+    ),
+    *(
+        (name, lambda name=name: load_cover_path(str(DOCUMENTS / name)))
+        for name in ("shuffled.json", "both_orientations.json")
     ),
     ("mixed points", _mixed_points_document),
 ]

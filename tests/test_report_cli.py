@@ -103,6 +103,15 @@ def test_cli_hj(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_cli_hj_refuses_a_chain_past_the_cap(capsys):
+    # A_{n,n-1} has a chain of n - 1 entries: here 10^18 - 1 of them, which
+    # are counted, not built.
+    code, out, err = run(capsys, "hj", str(10**18), str(10**18 - 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "999999999999999999 entries" in err
+
+
 def test_cli_local(capsys):
     code, out, err = run(capsys, "local", "2", "0", "1", "1")
     assert code == 0 and err == ""
@@ -119,6 +128,19 @@ def test_cli_local(capsys):
 
 
 # ----------------------------------------------------------- cli: invariants
+
+
+def test_cli_invariants_text_report_builds_no_json_echo(capsys, monkeypatch):
+    # The text report never shows the input echo, so it is not built.
+    def refuse(base, cover):
+        raise AssertionError("the input echo was built for a text report")
+
+    monkeypatch.setattr(ramcov.cli, "canonical_document", refuse)
+    code, out, err = run(capsys, "invariants", str(COVERS / "bidouble.json"), "--strict")
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "tests" / "fixtures" / "invariants" / "bidouble.strict.txt").read_text(
+        encoding="utf-8"
+    )
 
 
 def test_cli_invariants_identity(capsys):
@@ -374,6 +396,10 @@ def test_cli_bs_bound(capsys):
 
 
 # ------------------------------------------------------------ cli: top level
+
+
+def test_cli_parser_is_built_once_per_process():
+    assert ramcov.cli._build_parser() is ramcov.cli._build_parser()
 
 
 def test_cli_usage_errors(capsys):
