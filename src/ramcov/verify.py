@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from .hj import SingularityType, discrepancies, hj_evaluate, hj_expand
-from .local_cover import check_enumeration_bound, enumerate_subgroups, local_type
+from .local_cover import (
+    LatticeSubgroup,
+    check_enumeration_bound,
+    enumerate_subgroups,
+    local_type,
+)
 
 __all__ = ["PropertyFailure", "SweepResult", "hj_sweep", "lattice_sweep"]
 
@@ -42,10 +48,12 @@ class SweepResult:
         return not self.failures
 
 
-def _fail(result: SweepResult, prop: str, witness: dict, message: str) -> None:
-    result.failures.append(
-        PropertyFailure(suite=result.suite, prop=prop, witness=witness, message=message)
-    )
+def _fail(result: SweepResult, witness: dict, failed: list[tuple[str, str]]) -> None:
+    """Record each ``(property, message)`` that one item failed, in order."""
+    for prop, message in failed:
+        result.failures.append(
+            PropertyFailure(suite=result.suite, prop=prop, witness=witness, message=message)
+        )
 
 
 def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
@@ -61,6 +69,11 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     all as integer numerators over n.  The sweep stops after the first pair
     that fails a property, with every property that pair failed.
 
+    Each chain statistic is one C-level reduction (``min``, ``max``,
+    ``sum``, ``count``, ``any``) and the recursion is one pass over the
+    chain, so a pair costs little more than its chain and discrepancies.  The
+    witness, with its copy of the chain, is built only for a pair that fails.
+
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
     same cap that bounds :func:`lattice_sweep`.
@@ -74,55 +87,84 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
             result.checked += 1
             chain = hj_expand(SingularityType(n, q))
             b = chain.b
-            witness = {"n": n, "q": q, "chain": list(b)}
+            length = len(b)
+            failed = []  # (property, message), in check order
 
             value = hj_evaluate(chain)
             if value.numerator != n or value.denominator != q:
-                _fail(result, "reconstruction", witness, f"evaluates to {value}, expected {n}/{q}")
-            if len(b) > n:
-                _fail(result, "length", witness, f"chain length {len(b)} exceeds n={n}")
-            if any(bi < 2 or bi > n for bi in b):
-                _fail(result, "entry-range", witness, f"entry outside [2, {n}]")
-            if sum(bi - 2 for bi in b) > n - q - 1:
-                _fail(
-                    result,
-                    "entry-excess",
-                    witness,
-                    f"sum of (b_i - 2) = {sum(bi - 2 for bi in b)} exceeds n - q - 1 = {n - q - 1}",
+                failed.append(("reconstruction", f"evaluates to {value}, expected {n}/{q}"))
+            if length > n:
+                failed.append(("length", f"chain length {length} exceeds n={n}"))
+            if b and (min(b) < 2 or max(b) > n):
+                failed.append(("entry-range", f"entry outside [2, {n}]"))
+            excess = sum(b) - 2 * length
+            if excess > n - q - 1:
+                failed.append(
+                    ("entry-excess", f"sum of (b_i - 2) = {excess} exceeds n - q - 1 = {n - q - 1}")
                 )
 
             v, c = discrepancies(chain)  # n * a_i and n * correction
-            if len(v) != len(b):
-                _fail(result, "discrepancy-length", witness, f"{len(v)} discrepancies for {len(b)} entries")
-            if any(not (-n < vi <= 0) for vi in v):
-                _fail(result, "discrepancy-range", witness, f"some n * a_i outside (-n, 0]: {list(v)}")
-            if len(v) == len(b):
+            if len(v) != length:
+                failed.append(("discrepancy-length", f"{len(v)} discrepancies for {length} entries"))
+            if v and (min(v) <= -n or max(v) > 0):
+                failed.append(("discrepancy-range", f"some n * a_i outside (-n, 0]: {list(v)}"))
+            if len(v) == length:
+                # b_i v_i - v_(i-1) - v_(i+1) = (2 - b_i) n, with v_0 = v_(λ+1) = 0
                 w = (0, *v, 0)
-                for i, bi in enumerate(b):
-                    if bi * w[i + 1] - w[i] - w[i + 2] != (2 - bi) * n:
-                        _fail(result, "recursion-residual", witness, f"nonzero residual at index {i + 1}")
+                for i, (bi, left, vi, right) in enumerate(zip(b, w, v, w[2:]), 1):
+                    if bi * (vi + n) != left + right + 2 * n:
+                        failed.append(("recursion-residual", f"nonzero residual at index {i}"))
                         break
-            if c != sum(vi * (bi - 2) for vi, bi in zip(v, b)):
-                _fail(result, "correction-sum", witness, f"n * correction = {c} != sum of n * a_i (b_i - 2)")
+            # the sum of v_i (b_i - 2) over the pairs that zip(v, b) makes
+            if c != sum(map(mul, v, b)) - 2 * sum(v[:length]):
+                failed.append(("correction-sum", f"n * correction = {c} != sum of n * a_i (b_i - 2)"))
             if not (-n * n < c <= 2 * n):
-                _fail(result, "correction-range", witness, f"correction {c}/{n} outside (-n, 2]")
+                failed.append(("correction-range", f"correction {c}/{n} outside (-n, 2]"))
             du_val = q == n - 1
-            if du_val != all(bi == 2 for bi in b):
-                _fail(result, "du-val-entries", witness, "q = n - 1 iff all entries are 2 failed")
-            if du_val != all(vi == 0 for vi in v):
-                _fail(result, "du-val-discrepancies", witness, "q = n - 1 iff all a_i = 0 failed")
+            if du_val != (b.count(2) == length):
+                failed.append(("du-val-entries", "q = n - 1 iff all entries are 2 failed"))
+            if du_val != (not any(v)):
+                failed.append(("du-val-discrepancies", "q = n - 1 iff all a_i = 0 failed"))
             if du_val != (c == 0):
-                _fail(result, "du-val-correction", witness, "q = n - 1 iff correction = 0 failed")
-            if du_val and len(b) != n - 1:
-                _fail(result, "du-val-length", witness, f"du Val chain length {len(b)} != n - 1")
+                failed.append(("du-val-correction", "q = n - 1 iff correction = 0 failed"))
+            if du_val and length != n - 1:
+                failed.append(("du-val-length", f"du Val chain length {length} != n - 1"))
 
-            if result.failures:
+            if failed:
+                _fail(result, {"n": n, "q": q, "chain": list(b)}, failed)
                 return result
     return result
 
 
 def _sigma(k: int) -> int:
     return sum(a for a in range(1, k + 1) if k % a == 0)
+
+
+def _prime_divisors(k: int) -> tuple[int, ...]:
+    """The distinct primes dividing ``k``, by trial division; none for ``k <= 1``."""
+    primes = []
+    rest, p = k, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    return tuple(primes)
+
+
+def _axis_multiple_below(g: LatticeSubgroup, n_prime: int, n_prime_in: bool) -> bool:
+    """Whether ``(t, 0)`` lies in ``g`` for some ``0 < t < n_prime``.
+
+    ``n_prime_in`` says whether ``(n_prime, 0)`` lies in ``g``; when it does,
+    only ``(n_prime / p, 0)`` for the primes ``p | n_prime`` are tested (see
+    :func:`lattice_sweep`), otherwise every ``t``.
+    """
+    if n_prime_in:
+        return any(g.contains((n_prime // p, 0)) for p in _prime_divisors(n_prime))
+    return any(g.contains((t, 0)) for t in range(1, n_prime))
 
 
 def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
@@ -136,7 +178,19 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     happens exactly for product lattices.  Enumeration counts are compared
     against the divisor-sum formula index by index.  The sweep stops at the
     first index whose count is wrong, or after the first subgroup that fails
-    a property, with every property that subgroup failed.
+    a property, with every property that subgroup failed; the witness is
+    built only for that subgroup.
+
+    Minimality of the first generator ``n'`` needs no scan of ``t < n'``.
+    The ``t`` with ``(t, 0)`` in the subgroup form a subgroup ``t0 Z`` of
+    ``Z``, cut out by the two congruences of Cramer's rule that
+    :meth:`LatticeSubgroup.contains` tests.  Once ``(n', 0)`` is in the
+    subgroup, ``t0`` divides ``n'``, and ``t0 < n'`` exactly when ``t0``
+    divides ``n'/p`` for a prime ``p | n'``; so ``(n'/p, 0)`` is tested for
+    the primes of ``n'`` (trial division, ``n' <= index``), and the property
+    is vacuous for ``n' <= 1``.  When ``(n', 0)`` is not in the subgroup,
+    ``canonical-membership`` has already failed and every ``t < n'`` is
+    tested, so the failures are the same as a full scan's on any input.
     """
     result = SweepResult(suite="lattice")
     subgroups = enumerate_subgroups(max_index, cap=cap)
@@ -149,77 +203,74 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
         if counts.get(k, 0) != expected:
             _fail(
                 result,
-                "enumeration-count",
                 {"index": k},
-                f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
+                [(
+                    "enumeration-count",
+                    f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
+                )],
             )
             return result
 
     for g in subgroups:
         result.checked += 1
         lt = local_type(g)
-        witness = {
-            "g1": list(g.g1),
-            "g2": list(g.g2),
-            "n": lt.n,
-            "q": lt.q,
-            "m1": lt.m1,
-            "m2": lt.m2,
-        }
-        if lt.d_y != g.index or lt.d_y != lt.n * lt.m1 * lt.m2:
-            _fail(result, "index-identity", witness, f"d_y {lt.d_y} != |det| {g.index}")
+        index = g.index
+        failed = []  # (property, message), in check order
+        if lt.d_y != index or lt.d_y != lt.n * lt.m1 * lt.m2:
+            failed.append(("index-identity", f"d_y {lt.d_y} != |det| {index}"))
         if lt.e1 != lt.n * lt.m1 or lt.e2 != lt.n * lt.m2:
-            _fail(result, "ramification-split", witness, "e1/e2 do not split as n*m1 / n*m2")
+            failed.append(("ramification-split", "e1/e2 do not split as n*m1 / n*m2"))
         if lt.m1 < 1 or lt.m2 < 1:
-            _fail(result, "positivity", witness, "m1 and m2 must be positive")
+            failed.append(("positivity", "m1 and m2 must be positive"))
         if lt.n > 1 and math.gcd(lt.n, lt.q) != 1:
-            _fail(result, "primitivity", witness, f"gcd(n, q) = {math.gcd(lt.n, lt.q)} != 1")
+            failed.append(("primitivity", f"gcd(n, q) = {math.gcd(lt.n, lt.q)} != 1"))
         if not 0 <= lt.q < max(lt.n, 1):
-            _fail(result, "q-range", witness, f"q = {lt.q} outside [0, n)")
+            failed.append(("q-range", f"q = {lt.q} outside [0, n)"))
 
         # The canonical basis must actually be a basis: both vectors lie in
         # the subgroup, their determinant has the right index, and no
         # shorter positive multiple of (1, 0) lies in the subgroup.
         n_prime, q_prime = lt.n * lt.m1, lt.q * lt.m1
-        if not (g.contains((n_prime, 0)) and g.contains((q_prime, lt.m2))):
-            _fail(result, "canonical-membership", witness, "canonical basis vectors not in subgroup")
-        if n_prime * lt.m2 != g.index:
-            _fail(result, "canonical-index", witness, "canonical basis does not have full index")
-        if any(g.contains((t, 0)) for t in range(1, n_prime)):
-            _fail(result, "first-generator-minimality", witness, f"(t, 0) in subgroup for t < {n_prime}")
+        first_in = g.contains((n_prime, 0))
+        if not (first_in and g.contains((q_prime, lt.m2))):
+            failed.append(("canonical-membership", "canonical basis vectors not in subgroup"))
+        if n_prime * lt.m2 != index:
+            failed.append(("canonical-index", "canonical basis does not have full index"))
+        if _axis_multiple_below(g, n_prime, first_in):
+            failed.append(("first-generator-minimality", f"(t, 0) in subgroup for t < {n_prime}"))
 
         swapped = local_type(g.swapped())
         if swapped.n != lt.n or swapped.m1 != lt.m2 or swapped.m2 != lt.m1:
-            _fail(
-                result,
-                "axis-swap-shape",
-                witness,
-                f"swap gave (n, m1, m2) = ({swapped.n}, {swapped.m1}, {swapped.m2})",
+            failed.append(
+                ("axis-swap-shape", f"swap gave (n, m1, m2) = ({swapped.n}, {swapped.m1}, {swapped.m2})")
             )
         if lt.n > 1:
             if (lt.q * swapped.q) % lt.n != 1:
-                _fail(
-                    result,
-                    "axis-swap-duality",
-                    witness,
-                    f"q * q_swapped = {lt.q} * {swapped.q} is not 1 mod {lt.n}",
+                failed.append(
+                    ("axis-swap-duality", f"q * q_swapped = {lt.q} * {swapped.q} is not 1 mod {lt.n}")
                 )
         elif swapped.q != 0:
-            _fail(result, "axis-swap-duality", witness, "smooth type must swap to q = 0")
+            failed.append(("axis-swap-duality", "smooth type must swap to q = 0"))
 
         is_product = (
-            g.contains((0, g.index // g.g1[0]))
+            g.contains((0, index // g.g1[0]))
             if g.g1[1] == 0 and g.g1[0] > 0
             else None
         )
         if is_product is not None and (lt.n == 1) != is_product:
-            _fail(
-                result,
-                "smoothness",
-                witness,
-                "n = 1 must coincide with the subgroup being a product lattice",
+            failed.append(
+                ("smoothness", "n = 1 must coincide with the subgroup being a product lattice")
             )
 
-        if result.failures:
+        if failed:
+            witness = {
+                "g1": list(g.g1),
+                "g2": list(g.g2),
+                "n": lt.n,
+                "q": lt.q,
+                "m1": lt.m1,
+                "m2": lt.m2,
+            }
+            _fail(result, witness, failed)
             return result
     return result

@@ -6,9 +6,11 @@ command line; the test demands the same bytes and exit status, so any
 change to a number, a receipt or the rendering shows here.  The fixtures
 under ``tests/fixtures/hj/`` and ``tests/fixtures/verify/`` hold the whole
 stdout (``.txt``) of a run that exits 0, or the whole stderr (``.err``) of
-one that exits 2, with the other stream empty.  To freeze a new
-case, add it to ``CASES`` and save the stdout of the same argv run through
-``ramcov.cli.main``.  A document that cannot be loaded is frozen as its one
+one that exits 2, with the other stream empty; the ``verify`` fixtures
+named in ``MUTATED_CASES`` hold the stdout of a run that exits 1 because
+one function of the arithmetic core was replaced by a corrupted one.  To
+freeze a new case, add it to ``CASES`` and save the stdout of the same argv
+run through ``ramcov.cli.main``.  A document that cannot be loaded is frozen as its one
 ``error:`` line on stderr (``ERROR_CASES``, fixtures ending in ``.err``).
 
 Besides the goldens this pins the Z/5 cover of the quadric branched on the
@@ -35,8 +37,11 @@ from collections import Counter
 import pytest
 
 import ramcov.model
+import ramcov.verify
 from ramcov.cli import main
+from ramcov.hj import HJChain, discrepancies, hj_expand
 from ramcov.invariants import BoundTerm
+from ramcov.local_cover import LocalCoverType, local_type
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -111,6 +116,79 @@ def test_hj_and_verify_match_frozen_streams(capsys, monkeypatch, path, argv, cod
     captured = capsys.readouterr()
     frozen = path.read_text(encoding="utf-8")
     assert (captured.out, captured.err) == ((frozen, "") if code == 0 else ("", frozen))
+
+
+def _discrepancy_off_by_one(chain):
+    v, c = discrepancies(chain)
+    return ((v[0], v[1] - 1, v[2]) if len(v) == 3 else v), c
+
+
+def _discrepancy_raised_at_the_end(chain):
+    # Out of range, and the residual first fails at the second last entry.
+    v, c = discrepancies(chain)
+    return ((*v[:-1], v[-1] + 7) if len(v) == 4 else v), c
+
+
+def _padded_expansion(sing):
+    # An entry past n: the chain no longer evaluates to n/q, and its own
+    # determinant, not n, governs the discrepancies.
+    chain = hj_expand(sing)
+    return HJChain((*chain.b, sing.n + 1)) if (sing.n, sing.q) == (7, 3) else chain
+
+
+def _q_flipped_type(gamma):
+    # (n', 0) stays in the subgroup; (q', m2) does not.
+    lt = local_type(gamma)
+    if lt.d_y == 6 and lt.n > 1:
+        return LocalCoverType(n=lt.n, q=lt.n - lt.q, m1=lt.m1, m2=lt.m2)
+    return lt
+
+
+def _m1_doubled_type(gamma):
+    # The first generator becomes a proper multiple of the true one.
+    lt = local_type(gamma)
+    if gamma.index == 10 and lt.n == 5:
+        return LocalCoverType(n=lt.n, q=lt.q, m1=2 * lt.m1, m2=lt.m2)
+    return lt
+
+
+def _n_bumped_type(gamma):
+    # (n', 0) leaves the subgroup, while (5, 0) with 5 < n' is still in it.
+    lt = local_type(gamma)
+    if gamma.index == 5 and lt.n == 5:
+        return LocalCoverType(n=7, q=lt.q, m1=lt.m1, m2=lt.m2)
+    return lt
+
+
+#: (fixture path, name in ``ramcov.verify``, its replacement, argv): the
+#: stdout of ``ramcov verify`` over a corrupted core, which exits 1.  The
+#: failures, their order and their witnesses are all pinned.
+MUTATED_CASES = [
+    (VERIFY_FIXTURES / "discrepancy_off_by_one.txt", "discrepancies", _discrepancy_off_by_one, ()),
+    (VERIFY_FIXTURES / "discrepancy_raised_at_the_end.txt", "discrepancies",
+     _discrepancy_raised_at_the_end, ("--max-n", "30", "--max-index", "4")),
+    (VERIFY_FIXTURES / "padded_expansion.txt", "hj_expand", _padded_expansion,
+     ("--max-n", "30", "--max-index", "4")),
+    (VERIFY_FIXTURES / "local_type_q_flipped.txt", "local_type", _q_flipped_type,
+     ("--max-n", "10", "--max-index", "12")),
+    (VERIFY_FIXTURES / "local_type_m1_doubled.txt", "local_type", _m1_doubled_type,
+     ("--max-n", "10", "--max-index", "12")),
+    (VERIFY_FIXTURES / "local_type_n_bumped.txt", "local_type", _n_bumped_type,
+     ("--max-n", "10", "--max-index", "12")),
+]
+
+
+@pytest.mark.parametrize(
+    "path,name,replacement,flags", MUTATED_CASES, ids=[c[0].name for c in MUTATED_CASES]
+)
+def test_verify_over_a_corrupted_core_matches_frozen_transcript(
+    capsys, monkeypatch, path, name, replacement, flags
+):
+    monkeypatch.delenv("RAMCOV_MAX_ENUM", raising=False)
+    monkeypatch.setattr(ramcov.verify, name, replacement)
+    assert main(["verify", *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (path.read_text(encoding="utf-8"), "")
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])

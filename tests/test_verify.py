@@ -11,7 +11,14 @@ import sympy
 import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError
 from ramcov.hj import HJChain, discrepancies, hj_expand
-from ramcov.local_cover import DEFAULT_ENUMERATION_CAP, LocalCoverType, local_type
+from ramcov.local_cover import (
+    DEFAULT_ENUMERATION_CAP,
+    LatticeSubgroup,
+    LocalCoverType,
+    canonical_basis,
+    enumerate_subgroups,
+    local_type,
+)
 
 
 def test_hj_sweep_clean():
@@ -133,3 +140,74 @@ def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
     res = verify.lattice_sweep(6)
     assert not res.ok
     assert any(f.prop == "enumeration-count" for f in res.failures)
+
+
+def _rebased(g, a, b, c, d):
+    """The same subgroup on the generators a*g1 + b*g2, c*g1 + d*g2."""
+    assert abs(a * d - b * c) == 1
+    (x1, y1), (x2, y2) = g.g1, g.g2
+    return LatticeSubgroup((a * x1 + b * x2, a * y1 + b * y2), (c * x1 + d * x2, c * y1 + d * y2))
+
+
+def test_prime_divisor_minimality_matches_the_scan():
+    # The scan over every t < n' is the oracle of the shortcut, on the
+    # Hermite generators, their axis swap, and non-Hermite generators of the
+    # same subgroups; at 2n' the first generator is never minimal.
+    bases = [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (0, 1, -1, 3), (-3, 2, 5, -3)]
+    for h in enumerate_subgroups(80):
+        for g in (h, h.swapped()):
+            n_prime = canonical_basis(g)[0]
+            for basis in bases:
+                r = _rebased(g, *basis)
+                for t in (n_prime, 2 * n_prime):
+                    assert r.contains((t, 0))
+                    expected = any(r.contains((s, 0)) for s in range(1, t))
+                    assert verify._axis_multiple_below(r, t, True) == expected, (r, t)
+
+
+def test_prime_divisors():
+    assert [verify._prime_divisors(k) for k in (-6, 0, 1, 2, 12, 97, 360, 961)] == [
+        (), (), (), (2,), (2, 3), (97,), (2, 3, 5), (31,)
+    ]
+    for k in range(1, 500):
+        assert verify._prime_divisors(k) == tuple(sympy.primefactors(k))
+
+
+def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
+    # m1 doubled on the product lattice (3, 0), (0, 4): the first generator
+    # (6, 0) and the second (0, 4) still lie in the subgroup, but (3, 0) is
+    # shorter.
+    def bad_type(gamma):
+        lt = local_type(gamma)
+        if (gamma.g1, gamma.g2) == ((3, 0), (0, 4)):
+            return LocalCoverType(n=lt.n, q=lt.q, m1=2 * lt.m1, m2=lt.m2)
+        return lt
+
+    monkeypatch.setattr(verify, "local_type", bad_type)
+    res = verify.lattice_sweep(12)
+    props = [f.prop for f in res.failures]
+    assert "first-generator-minimality" in props
+    assert "canonical-membership" not in props
+    assert {(tuple(f.witness["g1"]), tuple(f.witness["g2"])) for f in res.failures} == {
+        ((3, 0), (0, 4))
+    }
+    assert "for t < 6" in res.failures[props.index("first-generator-minimality")].message
+
+
+@pytest.mark.parametrize("max_index,bound", [(45, 8000), (120, 6 * 11973)], ids=["45", "120"])
+def test_lattice_sweep_membership_tests_per_subgroup(monkeypatch, max_index, bound):
+    # A few membership tests per subgroup, whatever the index: a scan over
+    # t < n' would make 41 108 at index 45 and 61 per subgroup at 120.
+    calls = 0
+    contains = LatticeSubgroup.contains
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return contains(self, v)
+
+    monkeypatch.setattr(LatticeSubgroup, "contains", counting)
+    res = verify.lattice_sweep(max_index)
+    assert res.ok
+    assert calls <= bound
+    assert calls <= 6 * res.checked
