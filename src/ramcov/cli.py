@@ -94,11 +94,13 @@ def cmd_hj(args: argparse.Namespace) -> int:
             f"{sing.label} has a chain of {length} entries, past the cap of {HJ_MAX_CHAIN}"
         )
     data = resolve(sing)
-    print(data.sing.label)
-    print(f"chain: {list(data.chain.b)} (length {data.chain.length})")
-    print("discrepancies: [" + ", ".join(fmt_rational(a) for a in data.a) + "]")
-    print(f"correction: {fmt_rational(data.correction)}")
-    print(f"du Val: {'yes' if data.sing.is_du_val else 'no'}")
+    print("\n".join([
+        data.sing.label,
+        f"chain: {list(data.chain.b)} (length {data.chain.length})",
+        "discrepancies: [" + ", ".join(fmt_rational(a) for a in data.a) + "]",
+        f"correction: {fmt_rational(data.correction)}",
+        f"du Val: {'yes' if data.sing.is_du_val else 'no'}",
+    ]))
     return 0
 
 
@@ -107,12 +109,14 @@ def cmd_local(args: argparse.Namespace) -> int:
     gamma = LatticeSubgroup((x1, y1), (x2, y2))
     n_prime, q_prime, m2 = canonical_basis(gamma)
     lt = local_type(gamma)
-    print(f"subgroup generated by ({x1}, {y1}) and ({x2}, {y2}): index {gamma.index}")
-    print(f"canonical basis: ({n_prime}, 0), ({q_prime}, {m2})")
-    print(f"n = {lt.n}  q = {lt.q}  m1 = {lt.m1}  m2 = {lt.m2}")
-    print(f"d_y = {lt.d_y}  e1 = {lt.e1}  e2 = {lt.e2}")
     sing = lt.singularity()
-    print(f"type: {'singular ' + sing.label if sing else 'smooth'}")
+    print("\n".join([
+        f"subgroup generated by ({x1}, {y1}) and ({x2}, {y2}): index {gamma.index}",
+        f"canonical basis: ({n_prime}, 0), ({q_prime}, {m2})",
+        f"n = {lt.n}  q = {lt.q}  m1 = {lt.m1}  m2 = {lt.m2}",
+        f"d_y = {lt.d_y}  e1 = {lt.e1}  e2 = {lt.e2}",
+        f"type: {'singular ' + sing.label if sing else 'smooth'}",
+    ]))
     return 0
 
 
@@ -142,16 +146,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         certificate=certificate,
         error=error,
     )
-    try:
-        text = doc.to_json() if args.json else doc.to_text()
-    except ValueError:
-        # The one ValueError rendering raises: str() of an int past the
-        # interpreter's digit limit.  Nothing has been written yet.
-        raise InvalidInputError(
-            "report not rendered: it holds an integer of more than "
-            f"{sys.get_int_max_str_digits()} decimal digits"
-        ) from None
-    sys.stdout.write(text)
+    sys.stdout.write(doc.to_json() if args.json else doc.to_text())
     return 0 if not violations else 1
 
 
@@ -194,13 +189,13 @@ def cmd_bs_bound(args: argparse.Namespace) -> int:
     h = parse_rational(args.h)
     value = height_log_decimal(args.d, args.nB, h)
     coeff, base = plane_model_terms(args.d, args.nB)
-    print("plane-model height bound (natural log scale)")
-    print(f"  d = {args.d}  branch points = {args.nB}  height h = {fmt_rational(h)}")
-    print(f"  exact form: log(h + 1) + {coeff} * log({base})")
-    print(
+    print("\n".join([
+        "plane-model height bound (natural log scale)",
+        f"  d = {args.d}  branch points = {args.nB}  height h = {fmt_rational(h)}",
+        f"  exact form: log(h + 1) + {coeff} * log({base})",
         f"  value ~= {value} "
-        f"[approximate: logarithms evaluated at {HEIGHT_LOG_PRECISION} significant digits]"
-    )
+        f"[approximate: logarithms evaluated at {HEIGHT_LOG_PRECISION} significant digits]",
+    ]))
     return 0
 
 
@@ -220,11 +215,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidInputError, InputFormatError, EnumerationLimitError) as exc:
+    except (InvalidInputError, InputFormatError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # str() refusing an int past the interpreter's digit limit.  Every
+        # command builds its whole output before writing, so none is written.
+        if "integer string conversion;" not in str(exc):
+            raise
+        print(
+            "error: report not rendered: it holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} decimal digits",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -17,6 +17,11 @@ Local data at a point is given either as a lattice subgroup
 component of the crossing's pair) or directly as an object
 ``{"n":., "q":., "m1":., "m2":.}`` when the lattice is not known.
 
+The field tables ``_COMPONENT`` ... ``_LOCAL_TYPE`` are the code's statement
+of the six nested record formats: each names a record's keys, in the order
+its fields are checked, with the converter of each.  Parsing, the echo and
+the test holding ``docs/input_schema.json`` to the code all read them.
+
 Every error names the path of the offending value, such as
 ``cover.points_above['3'][0].local[1][0]``.  A document has a few fields per
 crossing, so that text is formatted only when an error is raised: a check
@@ -28,7 +33,7 @@ duplicate key) are decided before any message is built.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import AbstractSet, Any, Callable
 
 from .errors import InputFormatError
 from .local_cover import LatticeSubgroup, LocalCoverType
@@ -51,13 +56,7 @@ __all__ = [
 
 _BASE_KEYS = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings", "pair_intersections"}
 _BASE_REQUIRED = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings"}
-_COMPONENT_KEYS = {"id", "genus", "self_int", "KX_dot", "fiber_deg"}
-_CROSSING_KEYS = {"index", "pair"}
-_PAIR_KEYS = {"pair", "count"}
 _COVER_KEYS = {"degree", "ramification", "points_above"}
-_SHEET_KEYS = {"e", "f"}
-_POINT_KEYS = {"j", "jp", "local"}
-_LOCAL_TYPE_KEYS = {"n", "q", "m1", "m2"}
 
 
 def _reject_float(text: str) -> Any:
@@ -82,11 +81,10 @@ def _no_duplicate_keys(pairs: list) -> dict:
 
 
 def _as_int(value: Any, path: str, suffix: str = "") -> int:
+    # json.loads makes no int subclass but bool, which this refuses.
     if type(value) is int:
         return value
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputFormatError(f"{path}{suffix}: expected an integer (got {value!r})")
-    return value
+    raise InputFormatError(f"{path}{suffix}: expected an integer (got {value!r})")
 
 
 def _as_str(value: Any, path: str, suffix: str = "") -> str:
@@ -96,7 +94,8 @@ def _as_str(value: Any, path: str, suffix: str = "") -> str:
 
 
 def _as_obj(
-    value: Any, path: str, allowed: set, required: "set | None" = None, suffix: str = ""
+    value: Any, path: str, allowed: AbstractSet, required: "AbstractSet | None" = None,
+    suffix: str = "",
 ) -> dict:
     if type(value) is dict and value.keys() == allowed:
         return value
@@ -125,16 +124,25 @@ def _as_pair(value: Any, path: str) -> list:
     return pair
 
 
+def _pair_ids(pair: list, path: str) -> tuple[str, str]:
+    return (_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]"))
+
+
+def _as_id_pair(value: Any, path: str, suffix: str) -> tuple[str, str]:
+    """A ``pair`` field: its shape, then its members."""
+    return _pair_ids(_as_pair(value, path), path)
+
+
 # Field suffixes of the two generator rows of a lattice and of their coordinates.
 _ROWS = (".local[0]", ".local[1]")
 _COORDS = ((".local[0][0]", ".local[0][1]"), (".local[1][0]", ".local[1][1]"))
 
 
-def _parse_local(value: Any, path: str):
+def _parse_local(value: Any, path: str, suffix: str):
     """The local data of the point at ``path``, from its ``local`` field."""
     if isinstance(value, list):
         if len(value) != 2:
-            raise InputFormatError(f"{path}.local: lattice form needs exactly two generator rows")
+            raise InputFormatError(f"{path}{suffix}: lattice form needs exactly two generator rows")
         gens = []
         for r, row in enumerate(value):
             row = _as_list(row, path, _ROWS[r])
@@ -144,84 +152,84 @@ def _parse_local(value: Any, path: str):
             gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
         return LatticeSubgroup(gens[0], gens[1])
     if isinstance(value, dict):
-        obj = _as_obj(value, path, _LOCAL_TYPE_KEYS, suffix=".local")
-        return LocalCoverType(
-            n=_as_int(obj["n"], path, ".local.n"),
-            q=_as_int(obj["q"], path, ".local.q"),
-            m1=_as_int(obj["m1"], path, ".local.m1"),
-            m2=_as_int(obj["m2"], path, ".local.m2"),
-        )
+        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix)
     raise InputFormatError(
-        f"{path}.local: local data must be a 2x2 generator list or an n/q/m1/m2 object"
+        f"{path}{suffix}: local data must be a 2x2 generator list or an n/q/m1/m2 object"
     )
+
+
+def _fields(prefix: str = "", **converters: Callable) -> dict[str, tuple[str, Callable]]:
+    """A record's field table: each key, in check order, to its path suffix and converter.
+
+    A converter takes the raw value, the record's path and the field's suffix.
+    """
+    return {key: (f"{prefix}.{key}", convert) for key, convert in converters.items()}
+
+
+# The record formats.  Table order is the order in which fields are checked
+# and, where the record is a model type, its constructor's positional order.
+_COMPONENT = _fields(id=_as_str, genus=_as_int, self_int=_as_int, KX_dot=_as_int, fiber_deg=_as_int)
+_CROSSING = _fields(index=_as_int, pair=_as_id_pair)
+_PAIR_DECLARATION = _fields(pair=_as_id_pair, count=_as_int)
+_SHEET = _fields(e=_as_int, f=_as_int)
+_POINT = _fields(j=_as_int, jp=_as_int, local=_parse_local)
+_LOCAL_TYPE = _fields(".local", n=_as_int, q=_as_int, m1=_as_int, m2=_as_int)
+
+
+def _record(make: Callable, value: Any, path: str, table: dict, suffix: str = ""):
+    """``make`` called on the fields of the object at ``path``, converted in table order."""
+    obj = _as_obj(value, path, table.keys(), suffix=suffix)
+    return make(*[convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()])
+
+
+def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:
+    """The records of the list at ``path``, each built by :func:`_record`."""
+    return tuple(
+        [_record(make, raw, f"{path}[{k}]", table) for k, raw in enumerate(_as_list(value, path))]
+    )
+
+
+def _crossing(value: Any, path: str) -> Crossing:
+    # Not table-driven: the pair's shape is checked before the index and its
+    # members after it, so a crossing's faults are reported in that order.
+    obj = _as_obj(value, path, _CROSSING.keys())
+    pair = _as_pair(obj["pair"], path)
+    return Crossing(_as_int(obj["index"], path, ".index"), _pair_ids(pair, path))
 
 
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
-    components = []
-    for k, raw in enumerate(_as_list(obj["components"], "base.components")):
-        path = f"base.components[{k}]"
-        comp = _as_obj(raw, path, _COMPONENT_KEYS)
-        components.append(
-            BranchComponent(
-                id=_as_str(comp["id"], path, ".id"),
-                genus=_as_int(comp["genus"], path, ".genus"),
-                self_int=_as_int(comp["self_int"], path, ".self_int"),
-                KX_dot=_as_int(comp["KX_dot"], path, ".KX_dot"),
-                fiber_deg=_as_int(comp["fiber_deg"], path, ".fiber_deg"),
-            )
-        )
-
-    crossings = []
-    for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
-        path = f"base.crossings[{k}]"
-        cr = _as_obj(raw, path, _CROSSING_KEYS)
-        pair = _as_pair(cr["pair"], path)
-        crossings.append(
-            Crossing(
-                index=_as_int(cr["index"], path, ".index"),
-                pair=(_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]")),
-            )
-        )
-
-    pair_counts = []
-    for k, raw in enumerate(_as_list(obj.get("pair_intersections", []), "base.pair_intersections")):
-        path = f"base.pair_intersections[{k}]"
-        pc = _as_obj(raw, path, _PAIR_KEYS)
-        pair = _as_pair(pc["pair"], path)
-        pair_counts.append(
-            (
-                (_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]")),
-                _as_int(pc["count"], path, ".count"),
-            )
-        )
-
+    components = _records(BranchComponent, obj["components"], "base.components", _COMPONENT)
+    crossings = [
+        _crossing(raw, f"base.crossings[{k}]")
+        for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings"))
+    ]
+    pair_counts = _records(
+        lambda pair, count: (pair, count),
+        obj.get("pair_intersections", []),
+        "base.pair_intersections",
+        _PAIR_DECLARATION,
+    )
     return BaseGeometry(
         genus_C=_as_int(obj["genus_C"], "base.genus_C"),
         KX_sq=_as_int(obj["KX_sq"], "base.KX_sq"),
         euler_X=_as_int(obj["euler_X"], "base.euler_X"),
         KX_dot_F=_as_int(obj["KX_dot_F"], "base.KX_dot_F"),
-        components=tuple(components),
-        crossings=tuple(crossings),
-        pair_counts=tuple(pair_counts),
+        components=components,
+        crossings=crossings,
+        pair_counts=pair_counts,
     )
 
 
 def _parse_cover(obj: Any) -> CoverDescription:
     obj = _as_obj(obj, "cover", _COVER_KEYS)
-    ram = []
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
         raise InputFormatError("cover.ramification: expected an object keyed by component id")
-    for cid in sorted(ram_obj):
-        sheets = []
-        for k, raw in enumerate(_as_list(ram_obj[cid], f"cover.ramification[{cid!r}]")):
-            path = f"cover.ramification[{cid!r}][{k}]"
-            sheet = _as_obj(raw, path, _SHEET_KEYS)
-            sheets.append(
-                RamSheet(e=_as_int(sheet["e"], path, ".e"), f=_as_int(sheet["f"], path, ".f"))
-            )
-        ram.append((cid, tuple(sheets)))
+    ram = [
+        (cid, _records(RamSheet, ram_obj[cid], f"cover.ramification[{cid!r}]", _SHEET))
+        for cid in sorted(ram_obj)
+    ]
 
     pts = []
     pts_obj = obj["points_above"]
@@ -238,23 +246,13 @@ def _parse_cover(obj: Any) -> CoverDescription:
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        points = []
-        for k, raw in enumerate(_as_list(pts_obj[key], f"cover.points_above[{key!r}]")):
-            path = f"cover.points_above[{key!r}][{k}]"
-            pt = _as_obj(raw, path, _POINT_KEYS)
-            points.append(
-                PointAbove(
-                    j=_as_int(pt["j"], path, ".j"),
-                    jp=_as_int(pt["jp"], path, ".jp"),
-                    local=_parse_local(pt["local"], path),
-                )
-            )
-        pts.append((idx, tuple(points)))
+        path = f"cover.points_above[{key!r}]"
+        pts.append((idx, _records(PointAbove, pts_obj[key], path, _POINT)))
 
     return CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),
-        ramification=tuple(ram),
-        points_above=tuple(pts),
+        ramification=ram,
+        points_above=pts,
     )
 
 
@@ -299,10 +297,15 @@ def load_cover_path(path: str) -> tuple[BaseGeometry, CoverDescription]:
     return parse_cover_json(text)
 
 
+def _echo(record, table: dict) -> dict:
+    """The JSON form of a record whose fields are plain values."""
+    return {key: getattr(record, key) for key in table}
+
+
 def _local_to_json(local) -> Any:
     if isinstance(local, LatticeSubgroup):
         return [list(local.g1), list(local.g2)]
-    return {"n": local.n, "q": local.q, "m1": local.m1, "m2": local.m2}
+    return _echo(local, _LOCAL_TYPE)
 
 
 def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
@@ -313,16 +316,7 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
             "KX_sq": base.KX_sq,
             "euler_X": base.euler_X,
             "KX_dot_F": base.KX_dot_F,
-            "components": [
-                {
-                    "id": c.id,
-                    "genus": c.genus,
-                    "self_int": c.self_int,
-                    "KX_dot": c.KX_dot,
-                    "fiber_deg": c.fiber_deg,
-                }
-                for c in base.components
-            ],
+            "components": [_echo(c, _COMPONENT) for c in base.components],
             "crossings": [
                 {"index": x.index, "pair": list(x.pair)} for x in base.crossings
             ],
@@ -330,8 +324,7 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
         "cover": {
             "degree": cover.degree,
             "ramification": {
-                cid: [{"e": s.e, "f": s.f} for s in sheets]
-                for cid, sheets in cover.ramification
+                cid: [_echo(s, _SHEET) for s in sheets] for cid, sheets in cover.ramification
             },
             "points_above": {
                 str(idx): [

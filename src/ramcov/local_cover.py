@@ -32,6 +32,7 @@ __all__ = [
     "canonical_basis",
     "local_type",
     "enumerate_subgroups",
+    "check_enumeration_bound",
 ]
 
 #: Largest ``max_index`` accepted by :func:`enumerate_subgroups`, and largest

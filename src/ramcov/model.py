@@ -51,6 +51,7 @@ __all__ = [
     "EulerData",
     "validate",
     "derived_euler_data",
+    "check_references",
 ]
 
 
@@ -151,11 +152,11 @@ class BaseGeometry:
         _canonical(self, "pair_counts", _pair_key)
         ids = [c.id for c in self.components]
         if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+            dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise InvalidInputError(f"duplicate component ids: {dup}")
         indices = [x.index for x in self.crossings]
         if len(set(indices)) != len(indices):
-            dup = sorted({i for i in indices if indices.count(i) > 1})
+            dup = sorted(i for i, count in Counter(indices).items() if count > 1)
             raise InvalidInputError(f"duplicate crossing indices: {dup}")
         known = set(ids)
         for x in self.crossings:

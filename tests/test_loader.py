@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcov import loader
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
 from ramcov.loader import (
@@ -165,6 +166,31 @@ def test_shipped_files_validate_against_schema():
         validator.validate(json.loads(path.read_text()))
     for name in ("bad_v1.json", "bad_v3.json"):
         validator.validate(json.loads((COVERS / "malformed" / name).read_text()))
+
+
+@pytest.mark.parametrize(
+    "name,table",
+    [
+        ("component", loader._COMPONENT),
+        ("crossing", loader._CROSSING),
+        ("pair_intersection", loader._PAIR_DECLARATION),
+        ("sheet", loader._SHEET),
+        ("point", loader._POINT),
+        ("local_type", loader._LOCAL_TYPE),
+    ],
+)
+def test_schema_records_match_the_loader_tables(name, table):
+    record = SCHEMA["$defs"][name]
+    assert list(record["properties"]) == list(table)
+    assert record["required"] == list(table)
+
+
+def test_schema_top_level_keys_match_the_loader():
+    base, cover = SCHEMA["$defs"]["base"], SCHEMA["$defs"]["cover"]
+    assert set(base["properties"]) == loader._BASE_KEYS
+    assert set(base["required"]) == loader._BASE_REQUIRED
+    assert loader._BASE_KEYS - loader._BASE_REQUIRED == {"pair_intersections"}
+    assert set(cover["properties"]) == set(cover["required"]) == loader._COVER_KEYS
 
 
 def test_malformed_fixtures():

@@ -9,6 +9,7 @@ degree identity a consequence of the per-sheet ones on coherent input.
 import dataclasses
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -556,6 +557,26 @@ def test_component_and_sheet_rejections():
             ramification=(("A", (RamSheet(e=1, f=1),)), ("A", (RamSheet(e=1, f=1),))),
             points_above=(),
         )
+
+
+def test_duplicate_ids_are_counted_once():
+    # 40 000 components (and crossings), each id twice.  Counting each id's
+    # repeats with list.count is quadratic, tens of seconds at this size.
+    ids = [f"D{k:05d}" for k in range(20_000)]
+    comps = [BranchComponent(id=i, genus=0, self_int=0, KX_dot=-2, fiber_deg=0) for i in ids]
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError) as info:
+        BaseGeometry(
+            genus_C=0, KX_sq=0, euler_X=0, KX_dot_F=0, components=comps * 2, crossings=()
+        )
+    assert str(info.value) == f"duplicate component ids: {ids}"
+    crossings = [Crossing(index=k, pair=("D00000", "D00001")) for k in range(20_000)]
+    with pytest.raises(InvalidInputError) as info:
+        BaseGeometry(
+            genus_C=0, KX_sq=0, euler_X=0, KX_dot_F=0, components=comps, crossings=crossings * 2
+        )
+    assert str(info.value) == f"duplicate crossing indices: {list(range(20_000))}"
+    assert time.perf_counter() - start < 5
 
 
 def test_check_references_errors():

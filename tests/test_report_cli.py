@@ -8,6 +8,7 @@ errors.  Reports must be byte-deterministic and free of floating point.
 import json
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -236,6 +237,45 @@ def test_cli_invariants_report_past_digit_limit_exits_2(capsys, tmp_path, flags)
     assert code == 2 and out == ""
     assert err.startswith("error: report not rendered: ") and "decimal digits" in err
     assert err.count("\n") == 1
+
+
+_N = str(10**3000 + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bs-bound", str(10**2200), "1"],
+        ["hj", str(10**4000 + 1), "2"],
+        ["local", _N, "0", "0", _N],
+        ["invariants", "HUGE_SHEET"],
+        ["invariants", "--json", "HUGE_SHEET"],
+    ],
+    ids=["bs-bound", "hj", "local", "invariants-text", "invariants-json"],
+)
+def test_cli_output_past_digit_limit_is_one_error_line(capsys, tmp_path, argv):
+    # Every argument is under the interpreter's limit of 4300 digits for
+    # int <-> str conversion, but some number the command prints is not.
+    # In the document, e and f have 2501 digits; V1's message prints e * f.
+    doc = json.loads((COVERS / "identity.json").read_text())
+    doc["cover"]["ramification"]["D1"] = [{"e": 10**2500, "f": 10**2500}]
+    target = tmp_path / "huge_sheet.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[str(target) if a == "HUGE_SHEET" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: report not rendered: it holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} decimal digits\n"
+    )
+
+
+def test_cli_other_value_errors_are_not_caught(monkeypatch):
+    def broken(n, q):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(ramcov.cli, "SingularityType", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["hj", "5", "2"])
 
 
 def test_cli_invariants_reports_n_below_one_as_invalid_local_type(capsys, tmp_path):
