@@ -46,6 +46,7 @@ from .model import (
     RamSheet,
     check_references,
 )
+from .report import render_document
 
 __all__ = [
     "parse_cover_json",
@@ -343,5 +344,8 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
 
 
 def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:
-    """Serialize a document deterministically (sorted keys, two-space indent)."""
-    return json.dumps(canonical_document(base, cover), indent=2, sort_keys=True) + "\n"
+    """Serialize a document deterministically (sorted keys, two-space indent).
+
+    The writer is the report's: these are the bytes of its ``input`` member.
+    """
+    return render_document(canonical_document(base, cover)) + "\n"

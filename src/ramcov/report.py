@@ -6,18 +6,34 @@ are rendered as ``p/q`` strings (plain ``n`` when the denominator is 1),
 lists are canonically ordered, and JSON keys are sorted, so identical
 inputs produce byte-identical output.  Floating point appears nowhere.
 
-The JSON form is built as a dict by :meth:`ReportDocument.to_json_dict`,
-the one source of its schema, and written by :func:`render_json`, whose
-bytes equal ``json.dumps(doc, indent=2, sort_keys=True)``.  That call goes
-through the standard library's pure-Python encoder whenever an indent is
-asked for, and a report carries a few terms per crossing, so rendering
-would cost more than computing.  :func:`render_json` hands every container
-whose members are all scalars (a certificate term, a lattice generator) to
-the C encoder in one call, with the item separator of its depth, and
-recurses in Python only through containers that hold containers.
+The JSON form's schema has one source, :meth:`ReportDocument.to_json_dict`,
+which builds the report as dicts and lists.  It is also the reference: the
+tests hold :meth:`ReportDocument.to_json` to ``json.dumps(to_json_dict(),
+indent=2, sort_keys=True)`` byte for byte.
 
-A list whose members are all non-empty objects of scalars (the certificate
-terms) goes to the C encoder whole, with the item separator of its members'
+:meth:`ReportDocument.to_json` writes those bytes without building that
+tree.  Three lists grow with the crossings: ``certificate.terms`` (three
+receipts per crossing) and, in the echoed document, ``base.crossings`` and
+``cover.points_above``.  Each record of these lists is written as one
+formatted string, for the fixed depth at which it sits, with strings
+passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
+as ``json.dumps`` does.  On a document with many crossings, a dict per
+record, walked container by container, took longer than loading the
+document and computing its certificate together.  :func:`render_json`
+copies such a written member as it is.  The same echo writer,
+:func:`render_document`, gives ``loader.dumps_document`` its bytes.
+
+Everything else goes through :func:`render_json`: the skeleton, components,
+ramification, violations and the fibration block.  The standard library's
+encoder is pure Python whenever an indent is asked for, so
+:func:`render_json` hands every container whose members are all scalars
+(a sheet, a violation's ``where``) to the C encoder in one call, with the
+item separator of its depth, and recurses in Python only through containers
+that hold containers.  Without the C accelerator it recurses through every
+container.
+
+A list whose members are all non-empty objects of scalars (the components)
+goes to the C encoder whole, with the item separator of its members'
 members; the boundaries between members, ``},<newline+pad>{``, are then
 rewritten to the indented form with one ``str.replace``.  That is safe
 because the sequence occurs nowhere else: an encoded string never holds a
@@ -45,6 +61,7 @@ __all__ = [
     "parse_rational",
     "ReportDocument",
     "FIBRATION_HYPOTHESES",
+    "render_document",
 ]
 
 #: Hypotheses behind the fibration bound that the data cannot certify;
@@ -81,22 +98,32 @@ _CONTAINERS = (dict, list, tuple)
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
+class _Written(str):
+    """JSON text already written for the depth at which it is placed."""
+
+    __slots__ = ()
+
+
 @functools.cache
-def _level(depth: int) -> tuple:
-    """The C encoder whose item separator starts a line at ``depth``, and that line start."""
-    newline = "\n" + _INDENT * depth
-    encoder = c_make_encoder(
+def _newline(depth: int) -> str:
+    """The start of a line at ``depth``."""
+    return "\n" + _INDENT * depth
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder whose item separator starts a line at ``depth``."""
+    return c_make_encoder(
         None,  # no circular-reference markers
         json.JSONEncoder().default,
         encode_basestring_ascii,
         None,  # the C encoder ignores indent; the separator carries it
         ": ",
-        "," + newline,
+        "," + _newline(depth),
         True,  # sort_keys
         False,  # skipkeys
         True,  # allow_nan
     )
-    return encoder, newline
 
 
 def _flat(member) -> bool:
@@ -111,30 +138,33 @@ def _flat(member) -> bool:
 def _render(obj, depth: int, out: list) -> None:
     """Append the ``indent=2`` JSON of the container ``obj``, opened at ``depth``."""
     is_dict = isinstance(obj, dict)
-    encoder, inner = _level(depth + 1)
-    outer = _level(depth)[1]
-    if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
-        text = "".join(encoder(obj, 0))
-        if obj:  # "[a,<inner>b]" -> "[<inner>a,<inner>b<outer>]"
-            text = f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
-        out.append(text)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
         return
-    if not is_dict and all(map(_flat, obj)):
-        # '[{a,<mid>b},<mid>{c}]' -> '[<inner>{<mid>a,<mid>b<inner>},<inner>{<mid>c<inner>}<outer>]'
-        members, mid = _level(depth + 2)
-        text = "".join(members(obj, 0))[2:-2]
-        text = text.replace("}," + mid + "{", f"{inner}}},{inner}{{{mid}")
-        out.append(f"[{inner}{{{mid}{text}{inner}}}{outer}]")
-        return
-    scalar = _level(0)[0]
+    inner, outer = _newline(depth + 1), _newline(depth)
+    if c_make_encoder is not None:
+        if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
+            # "[a,<inner>b]" -> "[<inner>a,<inner>b<outer>]"
+            text = "".join(_encoder(depth + 1)(obj, 0))
+            out.append(f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}")
+            return
+        if not is_dict and all(map(_flat, obj)):
+            # '[{a,<mid>b},<mid>{c}]' -> '[<inner>{<mid>a,<mid>b<inner>},<inner>{<mid>c<inner>}<outer>]'
+            mid = _newline(depth + 2)
+            text = "".join(_encoder(depth + 2)(obj, 0))[2:-2]
+            text = text.replace("}," + mid + "{", f"{inner}}},{inner}{{{mid}")
+            out.append(f"[{inner}{{{mid}{text}{inner}}}{outer}]")
+            return
     sep = inner
     out.append("{" if is_dict else "[")
     for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
         out.append(f"{sep}{encode_basestring_ascii(key)}: " if is_dict else sep)
-        if isinstance(value, _CONTAINERS):
+        if type(value) is _Written:
+            out.append(value)
+        elif isinstance(value, _CONTAINERS):
             _render(value, depth + 1, out)
         else:
-            out += scalar(value, 0)
+            out.append(json.dumps(value))
         sep = "," + inner
     out.append(outer + ("}" if is_dict else "]"))
 
@@ -144,13 +174,105 @@ def render_json(obj) -> str:
 
     ``obj`` is a tree of dicts with string keys, lists, tuples and scalars.
     """
-    if c_make_encoder is None:  # an interpreter without the C accelerator
-        return json.dumps(obj, indent=2, sort_keys=True)
     if not isinstance(obj, _CONTAINERS):
-        return "".join(_level(0)[0](obj, 0))
+        return json.dumps(obj)
     out: list = []
     _render(obj, 0, out)
     return "".join(out)
+
+
+def _written_list(records: list, depth: int) -> _Written:
+    """A list opened at ``depth`` whose members are the written ``records``."""
+    if not records:
+        return _Written("[]")
+    inner = _newline(depth + 1)
+    return _Written(f"[{inner}{(',' + inner).join(records)}{_newline(depth)}]")
+
+
+def _written_terms(terms) -> _Written:
+    """``certificate.terms``, which the report opens at depth 2: one string per term."""
+    enc = encode_basestring_ascii
+    end, key = _newline(3), _newline(4)
+    return _written_list(
+        [
+            f'{{{key}"bound": {enc(fmt_rational(t.bound))},{key}"name": {enc(t.name)},'
+            f'{key}"ok": {"true" if t.ok else "false"},'
+            f'{key}"per_degree": {enc(fmt_rational(t.per_degree))},'
+            f'{key}"value": {enc(fmt_rational(t.value))}{end}}}'
+            for t in terms
+        ],
+        2,
+    )
+
+
+def _written_crossings(crossings: list, depth: int) -> _Written:
+    """A canonical document's ``base.crossings``, opened at ``depth``: one string per crossing."""
+    enc = encode_basestring_ascii
+    end, key, member = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
+    records = []
+    for crossing in crossings:
+        a, b = crossing["pair"]
+        records.append(
+            f'{{{key}"index": {crossing["index"]!r},'
+            f'{key}"pair": [{member}{enc(a)},{member}{enc(b)}{key}]{end}}}'
+        )
+    return _written_list(records, depth)
+
+
+def _written_points_above(points_above: dict, depth: int) -> dict:
+    """The ``cover.points_above`` of a canonical document, opened at ``depth``.
+
+    Each crossing's points become one written list, one string per point;
+    :func:`render_json` writes the object around them and sorts its keys.
+    """
+    # Line starts of a point, of its keys, of its local data's members and,
+    # for a lattice, of its generators' coordinates.
+    end, key, member, coord = (_newline(depth + i) for i in range(2, 6))
+    written = {}
+    for index, points in points_above.items():
+        records = []
+        for point in points:
+            local = point["local"]
+            if type(local) is dict:
+                local = (
+                    f'{{{member}"m1": {local["m1"]!r},{member}"m2": {local["m2"]!r},'
+                    f'{member}"n": {local["n"]!r},{member}"q": {local["q"]!r}{key}}}'
+                )
+            else:
+                (x1, y1), (x2, y2) = local
+                local = (
+                    f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
+                    f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
+                )
+            records.append(
+                f'{{{key}"j": {point["j"]!r},{key}"jp": {point["jp"]!r},'
+                f'{key}"local": {local}{end}}}'
+            )
+        written[index] = _written_list(records, depth + 1)
+    return written
+
+
+def _written_document(doc: Optional[dict], depth: int) -> Optional[dict]:
+    """The canonical document ``doc``, opened at ``depth``, with its per-crossing lists written."""
+    if doc is None:
+        return None
+    base, cover = doc["base"], doc["cover"]
+    return {
+        "base": {**base, "crossings": _written_crossings(base["crossings"], depth + 2)},
+        "cover": {
+            **cover,
+            "points_above": _written_points_above(cover["points_above"], depth + 2),
+        },
+    }
+
+
+def render_document(doc: dict) -> str:
+    """The ``indent=2`` JSON of a document built by ``loader.canonical_document``.
+
+    These are the bytes of the report's ``input`` member, one level
+    shallower: both come from one writer.
+    """
+    return render_json(_written_document(doc, 0))
 
 
 @dataclass(frozen=True)
@@ -177,10 +299,18 @@ class ReportDocument:
         return not self.violations
 
     def to_json_dict(self) -> dict:
+        """The JSON report as dicts and lists: its schema's one source.
+
+        Tests hold :meth:`to_json` to ``json.dumps`` of this tree.
+        """
+        return self._tree(written=False)
+
+    def _tree(self, written: bool) -> dict:
+        """The report's tree; when ``written``, its per-crossing lists are written text."""
         doc: dict = {
             "tool": {"name": "ramcov", "version": self.tool_version},
             "strict": self.strict,
-            "input": self.input_echo,
+            "input": _written_document(self.input_echo, 1) if written else self.input_echo,
             "validation": {
                 "valid": self.valid,
                 "violations": [
@@ -221,7 +351,7 @@ class ReportDocument:
         cert = self.certificate
         if cert is not None:
             cert_doc: dict = {
-                "terms": [
+                "terms": _written_terms(cert.terms) if written else [
                     {
                         "name": t.name,
                         "value": fmt_rational(t.value),
@@ -256,7 +386,7 @@ class ReportDocument:
         return doc
 
     def to_json(self) -> str:
-        return render_json(self.to_json_dict()) + "\n"
+        return render_json(self._tree(written=True)) + "\n"
 
     def to_text(self) -> str:
         lines = [f"ramcov invariants report (version {self.tool_version})"]

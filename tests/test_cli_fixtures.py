@@ -28,6 +28,10 @@ holds two errors of one kind, and its frozen line names the one that comes
 first in canonical order.  ``both_orientations.json`` is the bidouble cover
 with declared pairs given in both orientations, ``["D3", "D1"]`` before
 ``["D1", "D3"]``: its echo lists them by sorted pair and then as given.
+``grid_4.json`` is the double cover of P1 x P1 branched on four fibres and
+four sections, 16 crossings: its ``--strict`` report is the one frozen
+``--json`` output with more than four crossings, and its ``points_above``
+keys sort as strings ("10" before "2") in the echo, not as numbers.
 """
 
 import functools
@@ -63,6 +67,7 @@ _RUNS = [
     for strict in (False, True)
 ] + [
     ("bidouble.strict.ev", COVERS / "bidouble.json", ("--strict", "--ev", "0", "2", "0", "2", "0"), 0),
+    ("grid_4.strict", DOCUMENTS / "grid_4.json", ("--strict",), 0),
     ("bad_v1", COVERS / "malformed" / "bad_v1.json", (), 1),
     ("bad_v3", COVERS / "malformed" / "bad_v3.json", (), 1),
 ]

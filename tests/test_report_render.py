@@ -1,19 +1,30 @@
 """The JSON renderer writes the bytes of ``json.dumps(indent=2, sort_keys=True)``.
 
 ``render_json`` sends containers of scalars, and lists of non-empty objects
-of scalars, to the C encoder and recurses in Python only through the other
-containers of containers; the oracle here is the standard library's
-pure-Python indenting encoder.
+of scalars, to the C encoder, copies members that are already written at
+their depth, and recurses in Python only through the other containers of
+containers; the oracle here is the standard library's pure-Python indenting
+encoder.  ``ReportDocument.to_json`` writes the certificate terms and the
+echoed crossings and points one string per record; the oracle for it is
+``json.dumps`` of ``to_json_dict()``.
 """
 
 import json
+import pathlib
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcov.report
 from ramcov.cli import main
-from ramcov.report import render_json
+from ramcov.loader import canonical_document, dumps_document, load_cover_path
+from ramcov.report import _Written, render_json
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COVERS = ROOT / "demos" / "covers"
+DOCUMENTS = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents"
 
 # Keys mix non-ASCII text with the characters JSON escapes or uses as syntax.
 _KEYS = st.text(alphabet=st.characters() | st.sampled_from('"\\[]{},: \n\t'), max_size=6)
@@ -73,10 +84,35 @@ def test_render_json_empty_and_nested_edges():
         assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-def test_render_json_without_the_c_accelerator(monkeypatch):
-    monkeypatch.setattr(ramcov.report, "c_make_encoder", None)
-    obj = {"b": [1, {"c": None}], "a": "x"}
-    assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+def _written(obj, rnd, depth=0):
+    """``obj`` with some members replaced by their JSON, written for the depth they open at."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    members = {}
+    for key, value in items:
+        if rnd.random() < 0.4:
+            text = json.dumps(value, indent=2, sort_keys=True)
+            members[key] = _Written(text.replace("\n", "\n" + "  " * (depth + 1)))
+        else:
+            members[key] = _written(value, rnd, depth + 1)
+    return members if isinstance(obj, dict) else [members[k] for k in range(len(obj))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, st.randoms(use_true_random=False), st.booleans())
+def test_render_json_copies_members_written_at_their_depth(obj, rnd, accelerated):
+    written = _written(obj, rnd)
+    encoder = ramcov.report.c_make_encoder if accelerated else None
+    with mock.patch.object(ramcov.report, "c_make_encoder", encoder):
+        assert render_json(written) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_render_json_without_the_c_accelerator(obj):
+    with mock.patch.object(ramcov.report, "c_make_encoder", None):
+        assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def grid_document(k: int) -> dict:
@@ -110,10 +146,8 @@ def grid_document(k: int) -> dict:
     }
 
 
-def test_grid_report_matches_stdlib_rendering(capsys, monkeypatch, tmp_path):
-    k = 8
-    target = tmp_path / "grid.json"
-    target.write_text(json.dumps(grid_document(k)))
+def _rendered(argv, capsys, monkeypatch):
+    """Exit code, stdout and the report document (or None) of one ``ramcov`` run."""
     rendered = []
     to_json = ramcov.report.ReportDocument.to_json
 
@@ -122,10 +156,87 @@ def test_grid_report_matches_stdlib_rendering(capsys, monkeypatch, tmp_path):
         return to_json(doc)
 
     monkeypatch.setattr(ramcov.report.ReportDocument, "to_json", recording)
-    assert main(["invariants", str(target), "--strict", "--json"]) == 0
+    code = main(argv)
     out = capsys.readouterr().out
-    (doc,) = rendered
+    assert len(rendered) <= 1
+    return code, out, rendered[0] if rendered else None
+
+
+def test_grid_report_matches_stdlib_rendering(capsys, monkeypatch, tmp_path):
+    k = 8
+    target = tmp_path / "grid.json"
+    target.write_text(json.dumps(grid_document(k)))
+    argv = ["invariants", str(target), "--strict", "--json"]
+    code, out, doc = _rendered(argv, capsys, monkeypatch)
+    assert code == 0
     assert out == json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n"
     payload = json.loads(out)
     assert payload["invariants"]["chi"] == str(1 + (1 - k // 2) ** 2)
     assert len(payload["certificate"]["terms"]) == 3 * k * k + 2 * (2 * k) + 1
+
+
+def _bidouble_with_escaped_ids() -> dict:
+    # Ids holding a quote, a backslash, a non-ASCII and a control character.
+    names = {"D1": 'D"1', "D2": "D\\2", "D3": "D\u00e93", "D4": "D\x014"}
+
+    def rename(obj):
+        if isinstance(obj, dict):
+            return {names.get(k, k): rename(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [rename(v) for v in obj]
+        return names.get(obj, obj) if isinstance(obj, str) else obj
+
+    return rename(json.loads((COVERS / "bidouble.json").read_text()))
+
+
+def _identity_with(edit) -> dict:
+    doc = json.loads((COVERS / "identity.json").read_text())
+    edit(doc["cover"]["points_above"])
+    return doc
+
+
+#: (name, document, what its report must show) of documents built here.
+_EDITED = [
+    ("escaped_ids", _bidouble_with_escaped_ids(),
+     lambda p: [c["id"] for c in p["input"]["base"]["components"]]
+     == ["D\x014", 'D"1', "D\\2", "D\u00e93"]),
+    ("empty_point_list", _identity_with(lambda pts: pts.update({"0": []})),
+     lambda p: p["input"]["cover"]["points_above"]["0"] == []),
+    ("no_points", _identity_with(dict.clear), lambda p: p["input"]["cover"]["points_above"] == {}),
+    ("local_type_not_coprime",
+     _identity_with(lambda pts: pts["0"][0].update(local={"n": 4, "q": 2, "m1": 1, "m2": 1})),
+     lambda p: p["certificate"] is None and "coprime" in p["error"]),
+    ("grid_12", grid_document(12),
+     lambda p: list(p["input"]["cover"]["points_above"])[:3] == ["0", "1", "10"]),
+]
+_FILES = [
+    *sorted(COVERS.glob("*.json")),
+    *sorted((COVERS / "malformed").glob("*.json")),
+    *sorted(DOCUMENTS.glob("*.json")),
+]
+_EV = ("--ev", "1", "2", "0", "2", "3")
+_FLAGS = [(), ("--strict",), _EV, ("--strict", *_EV)]
+
+
+@pytest.mark.parametrize("flags", _FLAGS, ids=" ".join)
+@pytest.mark.parametrize(
+    "source", [*_FILES, *_EDITED],
+    ids=[*(f"{p.parent.name}/{p.name}" for p in _FILES), *(e[0] for e in _EDITED)],
+)
+def test_report_writer_matches_stdlib_rendering(capsys, monkeypatch, tmp_path, source, flags):
+    if isinstance(source, pathlib.Path):
+        path, check = source, None
+    else:
+        name, document, check = source
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+    code, out, doc = _rendered(["invariants", str(path), "--json", *flags], capsys, monkeypatch)
+    if doc is None:  # the document did not load
+        assert (code, out) == (2, "")
+        return
+    assert out == json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert check is None or check(json.loads(out))
+    base, cover = load_cover_path(str(path))
+    echo = canonical_document(base, cover)
+    assert dumps_document(base, cover) == json.dumps(echo, indent=2, sort_keys=True) + "\n"
+
