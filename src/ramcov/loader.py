@@ -23,11 +23,12 @@ its fields are checked, with the converter of each.  Parsing, the echo and
 the test holding ``docs/input_schema.json`` to the code all read them.
 
 Every error names the path of the offending value, such as
-``cover.points_above['3'][0].local[1][0]``.  A document has a few fields per
-crossing, so that text is formatted only when an error is raised: a check
-takes the path of the item and the suffix naming the field, and the common
-cases (an exact ``int``, an object with exactly the allowed keys, no
-duplicate key) are decided before any message is built.
+``cover.points_above['3'][0].local[1][0]``; a range error that a model
+constructor raises gets the path of its record.  A document has a few
+fields per crossing, so that text is formatted only when an error is
+raised: a check takes the path of the item and the suffix naming the field,
+and the common cases (an exact ``int``, an object with exactly the allowed
+keys, no duplicate key) are decided before any message is built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import AbstractSet, Any, Callable
 
-from .errors import InputFormatError
+from .errors import InputFormatError, InvalidInputError
 from .local_cover import LatticeSubgroup, LocalCoverType
 from .model import (
     BaseGeometry,
@@ -151,7 +152,7 @@ def _parse_local(value: Any, path: str, suffix: str):
                 raise InputFormatError(f"{path}{_ROWS[r]}: generator must have two coordinates")
             x, y = _COORDS[r]
             gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
-        return LatticeSubgroup(gens[0], gens[1])
+        return _build(LatticeSubgroup, gens, path, suffix)
     if isinstance(value, dict):
         return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix)
     raise InputFormatError(
@@ -177,10 +178,19 @@ _POINT = _fields(j=_as_int, jp=_as_int, local=_parse_local)
 _LOCAL_TYPE = _fields(".local", n=_as_int, q=_as_int, m1=_as_int, m2=_as_int)
 
 
+def _build(make: Callable, args: list, path: str, suffix: str = ""):
+    """``make(*args)``, with the path of the record named in any error it raises."""
+    try:
+        return make(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}{suffix}: {exc}") from None
+
+
 def _record(make: Callable, value: Any, path: str, table: dict, suffix: str = ""):
     """``make`` called on the fields of the object at ``path``, converted in table order."""
     obj = _as_obj(value, path, table.keys(), suffix=suffix)
-    return make(*[convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()])
+    args = [convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()]
+    return _build(make, args, path, suffix)
 
 
 def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:
@@ -195,7 +205,7 @@ def _crossing(value: Any, path: str) -> Crossing:
     # members after it, so a crossing's faults are reported in that order.
     obj = _as_obj(value, path, _CROSSING.keys())
     pair = _as_pair(obj["pair"], path)
-    return Crossing(_as_int(obj["index"], path, ".index"), _pair_ids(pair, path))
+    return _build(Crossing, [_as_int(obj["index"], path, ".index"), _pair_ids(pair, path)], path)
 
 
 def _parse_base(obj: Any) -> BaseGeometry:

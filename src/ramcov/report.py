@@ -24,23 +24,10 @@ copies such a written member as it is.  The same echo writer,
 :func:`render_document`, gives ``loader.dumps_document`` its bytes.
 
 Everything else goes through :func:`render_json`: the skeleton, components,
-ramification, violations and the fibration block.  The standard library's
-encoder is pure Python whenever an indent is asked for, so
-:func:`render_json` hands every container whose members are all scalars
-(a sheet, a violation's ``where``) to the C encoder in one call, with the
-item separator of its depth, and recurses in Python only through containers
-that hold containers.  Without the C accelerator it recurses through every
-container.
-
-A list whose members are all non-empty objects of scalars (the components)
-goes to the C encoder whole, with the item separator of its members'
-members; the boundaries between members, ``},<newline+pad>{``, are then
-rewritten to the indented form with one ``str.replace``.  That is safe
-because the sequence occurs nowhere else: an encoded string never holds a
-literal newline (the encoder escapes it), so a newline is always part of a
-separator, a scalar never ends in ``}``, and an object's member after a
-separator starts with a key's ``"``.  A list holding an empty object, whose
-``{}`` has no separator to rewrite, takes the recursive path.
+ramification, violations and the fibration block.  It is one recursive
+writer that sorts keys and indents as ``json.dumps`` does, writing strings
+through ``encode_basestring_ascii``, exact ints through ``int.__repr__`` and
+any other scalar through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -49,7 +36,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .errors import InvalidInputError
@@ -94,8 +81,6 @@ def parse_rational(text: str) -> Fraction:
 
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
-#: Exact member types that let a container go to the C encoder whole.
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 class _Written(str):
@@ -110,29 +95,13 @@ def _newline(depth: int) -> str:
     return "\n" + _INDENT * depth
 
 
-@functools.cache
-def _encoder(depth: int):
-    """The C encoder whose item separator starts a line at ``depth``."""
-    return c_make_encoder(
-        None,  # no circular-reference markers
-        json.JSONEncoder().default,
-        encode_basestring_ascii,
-        None,  # the C encoder ignores indent; the separator carries it
-        ": ",
-        "," + _newline(depth),
-        True,  # sort_keys
-        False,  # skipkeys
-        True,  # allow_nan
-    )
-
-
-def _flat(member) -> bool:
-    """Whether ``member`` is a non-empty dict of scalars."""
-    return (
-        type(member) is dict
-        and bool(member)
-        and _SCALAR_TYPES.issuperset(map(type, member.values()))
-    )
+def _scalar(value) -> str:
+    """The JSON of a scalar, as ``json.dumps`` writes it."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _render(obj, depth: int, out: list) -> None:
@@ -141,20 +110,7 @@ def _render(obj, depth: int, out: list) -> None:
     if not obj:
         out.append("{}" if is_dict else "[]")
         return
-    inner, outer = _newline(depth + 1), _newline(depth)
-    if c_make_encoder is not None:
-        if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
-            # "[a,<inner>b]" -> "[<inner>a,<inner>b<outer>]"
-            text = "".join(_encoder(depth + 1)(obj, 0))
-            out.append(f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}")
-            return
-        if not is_dict and all(map(_flat, obj)):
-            # '[{a,<mid>b},<mid>{c}]' -> '[<inner>{<mid>a,<mid>b<inner>},<inner>{<mid>c<inner>}<outer>]'
-            mid = _newline(depth + 2)
-            text = "".join(_encoder(depth + 2)(obj, 0))[2:-2]
-            text = text.replace("}," + mid + "{", f"{inner}}},{inner}{{{mid}")
-            out.append(f"[{inner}{{{mid}{text}{inner}}}{outer}]")
-            return
+    inner = _newline(depth + 1)
     sep = inner
     out.append("{" if is_dict else "[")
     for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
@@ -164,9 +120,9 @@ def _render(obj, depth: int, out: list) -> None:
         elif isinstance(value, _CONTAINERS):
             _render(value, depth + 1, out)
         else:
-            out.append(json.dumps(value))
+            out.append(_scalar(value))
         sep = "," + inner
-    out.append(outer + ("}" if is_dict else "]"))
+    out.append(_newline(depth) + ("}" if is_dict else "]"))
 
 
 def render_json(obj) -> str:
@@ -175,7 +131,7 @@ def render_json(obj) -> str:
     ``obj`` is a tree of dicts with string keys, lists, tuples and scalars.
     """
     if not isinstance(obj, _CONTAINERS):
-        return json.dumps(obj)
+        return _scalar(obj)
     out: list = []
     _render(obj, 0, out)
     return "".join(out)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcov import loader
+from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
 from ramcov.loader import (
@@ -428,8 +429,10 @@ def test_loader_text_diagnostic_is_exact(text, message):
 @pytest.mark.parametrize(
     "local,message",
     [
-        ([[1, 0], [2, 0]], "generators must be linearly independent (got (1, 0), (2, 0))"),
-        ([[0, 0], [0, 1]], "generators must be linearly independent (got (0, 0), (0, 1))"),
+        ([[1, 0], [2, 0]], f"{_PT_MSG}.local: "
+         "generators must be linearly independent (got (1, 0), (2, 0))"),
+        ([[0, 0], [0, 1]], f"{_PT_MSG}.local: "
+         "generators must be linearly independent (got (0, 0), (0, 1))"),
     ],
     ids=["parallel", "zero-row"],
 )
@@ -437,3 +440,50 @@ def test_loader_degenerate_lattice_is_exact(local, message):
     with pytest.raises(InvalidInputError) as info:
         parse_cover_json(_identity_with(_PT + ("local",), local))
     assert str(info.value) == message
+
+
+_SHEET_MSG = "cover.ramification['D3'][0]"
+_POINT_MSG = "cover.points_above['0'][0]"
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("cover", "ramification", "D3", 0, "e"), 0,
+         f"{_SHEET_MSG}: sheet e must be >= 1 (got 0)"),
+        (("cover", "ramification", "D3", 0, "f"), 0,
+         f"{_SHEET_MSG}: sheet f must be >= 1 (got 0)"),
+        (("cover", "points_above", "0", 0, "j"), -1,
+         f"{_POINT_MSG}: point sheet index j must be >= 0 (got -1)"),
+        (("cover", "points_above", "0", 0, "jp"), -1,
+         f"{_POINT_MSG}: point sheet index jp must be >= 0 (got -1)"),
+        (("base", "components", 2, "genus"), -1,
+         "base.components[2]: component 'D3': genus must be >= 0 (got -1)"),
+        (("base", "components", 2, "fiber_deg"), -1,
+         "base.components[2]: component 'D3': fiber_deg must be >= 0 (got -1)"),
+        (("base", "components", 2, "id"), "",
+         "base.components[2]: component id must be a non-empty string (got '')"),
+        (("base", "crossings", 1, "index"), -1,
+         "base.crossings[1]: crossing index must be >= 0 (got -1)"),
+        (("base", "crossings", 1, "pair"), ["D1", "D1"],
+         "base.crossings[1]: crossing 1: components must be distinct "
+         "(transversal self-intersections are not modelled)"),
+        (("cover", "points_above", "0", 0, "local"), [[2, 0], [4, 0]],
+         f"{_POINT_MSG}.local: generators must be linearly independent (got (2, 0), (4, 0))"),
+    ],
+    ids=["sheet-e", "sheet-f", "point-j", "point-jp", "genus", "fiber_deg", "empty-id",
+         "crossing-index", "equal-pair", "degenerate-lattice"],
+)
+def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, message):
+    doc = json.loads((COVERS / "bidouble.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InvalidInputError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == message
+    document = tmp_path / "edited.json"
+    document.write_text(json.dumps(doc))
+    assert main(["invariants", str(document)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,17 +1,14 @@
 """The JSON renderer writes the bytes of ``json.dumps(indent=2, sort_keys=True)``.
 
-``render_json`` sends containers of scalars, and lists of non-empty objects
-of scalars, to the C encoder, copies members that are already written at
-their depth, and recurses in Python only through the other containers of
-containers; the oracle here is the standard library's pure-Python indenting
-encoder.  ``ReportDocument.to_json`` writes the certificate terms and the
-echoed crossings and points one string per record; the oracle for it is
-``json.dumps`` of ``to_json_dict()``.
+``render_json`` recurses through every container and copies members that
+are already written at their depth; the oracle here is the standard
+library's indenting encoder.  ``ReportDocument.to_json`` writes the
+certificate terms and the echoed crossings and points one string per
+record; the oracle for it is ``json.dumps`` of ``to_json_dict()``.
 """
 
 import json
 import pathlib
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,15 +48,15 @@ def test_render_json_matches_stdlib_indent_2(obj):
     assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-# Text that looks like the member boundary the renderer rewrites.
+# Text holding the characters that open, close and separate members.
 _TRICKY = st.text(
     alphabet=st.characters() | st.sampled_from(["}", "{", ",", '"', "\n", "\\", "é", "☃"]),
     max_size=8,
 ) | st.sampled_from(["},\n  {", "},\n    {", '"},\n{"'])
 _FLAT_SCALARS = _SCALARS | _TRICKY
 _FLAT_OBJECTS = st.dictionaries(_TRICKY, _FLAT_SCALARS, min_size=1, max_size=5)
-# Lists of flat objects only, and lists where an empty or nested member
-# sends the renderer down its recursive path.
+# Lists of flat objects (the shape of the components, sheets and violations),
+# alone and mixed with empty and nested members.
 _FLAT_LISTS = st.lists(_FLAT_OBJECTS, min_size=1, max_size=6) | st.lists(
     _FLAT_OBJECTS | st.sampled_from([{}, [], {"k": {}}, {"k": [1]}]), min_size=1, max_size=6
 )
@@ -100,19 +97,9 @@ def _written(obj, rnd, depth=0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_TREES, st.randoms(use_true_random=False), st.booleans())
-def test_render_json_copies_members_written_at_their_depth(obj, rnd, accelerated):
-    written = _written(obj, rnd)
-    encoder = ramcov.report.c_make_encoder if accelerated else None
-    with mock.patch.object(ramcov.report, "c_make_encoder", encoder):
-        assert render_json(written) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_TREES)
-def test_render_json_without_the_c_accelerator(obj):
-    with mock.patch.object(ramcov.report, "c_make_encoder", None):
-        assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+@given(_TREES, st.randoms(use_true_random=False))
+def test_render_json_copies_members_written_at_their_depth(obj, rnd):
+    assert render_json(_written(obj, rnd)) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def grid_document(k: int) -> dict:

@@ -1,4 +1,4 @@
-"""Compare the bytes of ``ramcov invariants`` between two source trees.
+"""Compare the bytes of every ``ramcov`` subcommand between two source trees.
 
 Usage::
 
@@ -15,15 +15,22 @@ lives in:
 * 30 ``grid`` and 30 ``cyclic`` documents generated by
   ``perfbench/workloads.py`` (seed 1).
 
-Each document runs as text and ``--json``, each with and without
-``--strict`` and with and without ``--ev 1 2 0 2 3``: eight runs.  The
-script prints the first run whose exit code, stdout or stderr differ
-between the trees, and exits 1; otherwise it prints the count of identical
-runs and exits 0.  It uses the standard library only.
+Each document runs through ``invariants`` as text and ``--json``, each with
+and without ``--strict`` and with and without ``--ev 1 2 0 2 3``: eight
+runs.  The other subcommands run on fixed arguments: ``verify`` at the five
+sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
+a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
+singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
+
+The script names every run whose exit code, stdout or stderr differ between
+the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
+Its last line counts the runs per subcommand.  It uses the standard library
+only.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
 import subprocess
@@ -44,6 +51,19 @@ FLAG_SETS = [
     for strict in ([], ["--strict"])
     for ev in ([], ["--ev", "1", "2", "0", "2", "3"])
 ]
+FIXED_RUNS = [
+    ["verify", "--max-n", "1"],
+    ["hj", "5", "4"],  # du Val
+    ["hj", "12", "5"],  # not du Val
+    ["hj", "4", "2"],  # n and q not coprime
+    ["hj", "1000002", "1000001"],  # a chain past the cap
+    ["local", "2", "0", "0", "3"],  # a product
+    ["local", "2", "0", "1", "1"],  # a node
+    ["local", "1", "0", "2", "0"],  # degenerate: index 0
+    ["bs-bound", "2", "3"],
+    ["bs-bound", "2", "3", "5/2"],
+]
+LABELS = ("exit code", "stdout", "stderr")
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
 # writes [exit code, stdout, stderr] per run; an exception that escapes main
@@ -65,17 +85,23 @@ json.dump(results, sys.stdout)
 """
 
 
-def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
-    """Write the ``grid`` and ``cyclic`` documents into ``folder``."""
+def _workloads():
+    """The ``perfbench/workloads.py`` module."""
     sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
+    import workloads
 
+    return workloads
+
+
+def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write the ``grid`` and ``cyclic`` documents into ``folder``."""
+    generators = _workloads().WORKLOADS
     paths = []
     for name in ("grid", "cyclic"):
         for i in range(WORKLOAD_DOCUMENTS):
             path = folder / f"{name}_{i}.json"
-            path.write_text(WORKLOADS[name].request(SEED, i).document, encoding="utf-8")
+            path.write_text(generators[name].request(SEED, i).document, encoding="utf-8")
             paths.append(path)
     return paths
 
@@ -103,16 +129,28 @@ def main(argv: list[str]) -> int:
         documents = [p for folder in FOLDERS for p in sorted(folder.glob("*.json"))]
         documents += workload_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
+        runs += [
+            ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
+            for max_n, max_index in _workloads().VERIFY_SIZES
+        ]
+        runs += FIXED_RUNS
         parent, change = run_tree(parent_src, runs), run_tree(change_src, runs)
+    differing = 0
     for argv_, before, after in zip(runs, parent, change):
-        for label, a, b in zip(("exit code", "stdout", "stderr"), before, after):
-            if a != b:
-                print(f"differs in {label}: ramcov {' '.join(argv_)}")
-                print(f"--- {parent_src}\n{a}\n+++ {change_src}\n{b}")
-                return 1
-    print(f"{len(runs)} runs over {len(documents)} documents: "
-          "identical exit code, stdout and stderr")
-    return 0
+        labels = [label for label, a, b in zip(LABELS, before, after) if a != b]
+        if not labels:
+            continue
+        print(f"differs in {', '.join(labels)}: ramcov {' '.join(argv_)}")
+        if not differing:
+            for label, a, b in zip(LABELS, before, after):
+                if a != b:
+                    print(f"--- {parent_src} {label}\n{a}\n+++ {change_src} {label}\n{b}")
+        differing += 1
+    counts = collections.Counter(argv_[0] for argv_ in runs)
+    per_command = ", ".join(f"{command} {count}" for command, count in counts.items())
+    verdict = f"{differing} differ" if differing else "identical exit code, stdout and stderr"
+    print(f"{len(runs)} runs ({per_command}; {len(documents)} documents): {verdict}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
