@@ -23,11 +23,13 @@ from typing import Optional
 from . import __version__
 from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
 from .hj import SingularityType, chain_length, resolve
-# invariant_report is not called here; it stays imported because
-# perfbench/tracer.py wraps it under this module's name.
+# degree_linear_certificate, invariant_report and validate are not called
+# here; they stay imported because perfbench/tracer.py wraps them under this
+# module's names.
 from .invariants import (
     FibrationInputs,
     degree_linear_certificate,
+    examine,
     height_log_decimal,
     HEIGHT_LOG_PRECISION,
     invariant_report,
@@ -122,27 +124,17 @@ def cmd_local(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     base, cover = load_cover_path(args.file)
-    violations = tuple(validate(base, cover, strict=args.strict))
     fibration = None
     if args.ev is not None:
         gf, dhor, gc, ndc, ns = args.ev
         fibration = FibrationInputs(gF=gf, Dhor_dot_F=dhor, gC=gc, nDC=ndc, nS=ns)
-
-    invariants = certificate = None
-    error: Optional[str] = None
-    try:
-        certificate = degree_linear_certificate(base, cover, fibration)
-        invariants = certificate.report
-    except InvalidInputError as exc:
-        error = str(exc)
-
+    violations, certificate, error = examine(base, cover, fibration, strict=args.strict)
     doc = ReportDocument(
         tool_version=__version__,
         strict=args.strict,
         input_echo=canonical_document(base, cover) if args.json else None,
-        violations=violations,
+        violations=tuple(violations),
         derived_base=derived_euler_data(base),
-        invariants=invariants,
         certificate=certificate,
         error=error,
     )

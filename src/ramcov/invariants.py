@@ -1,15 +1,16 @@
 """Numerical invariants of a resolved branched cover and its degree bounds.
 
-Everything here comes from one walk over a validated base-plus-cover
-description, made by :func:`degree_linear_certificate`.  It passes once
-over the branch components, in id order, and then once over the
-crossings, in index order, and emits each receipt of the linear degree
-bound where its value is computed:
+Everything here comes from one walk over a base-plus-cover description,
+made by :func:`examine`.  It passes once over the branch components, in id
+order, and then once over the crossings, in index order.  Where it reads a
+component's sheets or a point's local type it checks the coherence
+identities V1 to V5 (see :mod:`ramcov.model`), and it emits each receipt of
+the linear degree bound where its value is computed:
 
 * per component, the branch multiplicity ``B_mult(i) = sum_j (e_ij - 1) f_ij``
   and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``;
 * per crossing, from the local type of each point above it (classified
-  once per point, see :meth:`PointAbove.local_cover_type`), the ordered
+  once per walk, see :meth:`PointAbove.local_cover_type`), the ordered
   cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
   resolution correction and the exceptional curve count ``s`` of its
   quotient points.  Each distinct quotient type is resolved once per walk.
@@ -29,11 +30,12 @@ the degree, on the base curve, of the determinant of cohomology of the
 structure sheaf pushed down the fibration: a height-like measure of the
 cover.
 
-The certificate carries the receipts, so a failure localizes, and the
-report of its walk; :func:`invariant_report` is that report alone.  Beside
-it sit an Arakelov-type bound for semistable fibrations and a logarithmic
-height bound for plane models, the single place the package leaves exact
-arithmetic (flagged as such).
+The walk's findings are :func:`~ramcov.model.validate`'s, and its
+certificate, which carries the receipts so a failure localizes, is
+:func:`degree_linear_certificate`'s; :func:`invariant_report` is the
+certificate's report alone.  Beside them sit an Arakelov-type bound for
+semistable fibrations and a logarithmic height bound for plane models, the
+single place the package leaves exact arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Optional, Union
 
 from .errors import InvalidInputError
 from .hj import ResolutionData, SingularityType, resolve
-from .model import BaseGeometry, CoverDescription, derived_euler_data
+from .model import BaseGeometry, CoverDescription, Violation, derived_euler_data
 
 __all__ = [
     "InvariantReport",
@@ -56,6 +58,7 @@ __all__ = [
     "deg_det",
     "invariant_report",
     "degree_linear_certificate",
+    "examine",
     "linear_coefficient",
     "arakelov_degree_bound",
     "plane_model_terms",
@@ -312,26 +315,33 @@ def linear_coefficient(base: BaseGeometry) -> Fraction:
     return Fraction(twelfth, 12) + fib
 
 
-def degree_linear_certificate(
+def examine(
     base: BaseGeometry,
     cover: CoverDescription,
     fibration: Optional[FibrationInputs] = None,
-) -> BoundCertificate:
-    """Instantiate the linear degree bound with per-term receipts.
+    *,
+    strict: bool = False,
+) -> tuple[list[Violation], Optional[BoundCertificate], Optional[str]]:
+    """Check V1 to V5 and instantiate the linear degree bound, in one walk.
 
-    Walks the configuration once and emits one term per estimate where its
-    value is computed: branch multiplicities are at most d, the diagonal
-    (R,R) factors lie in [0, d), each crossing's ordered cross term is at
-    most 2d in absolute value, per-crossing resolution corrections lie in
-    (-d, 2 * points], per-crossing exceptional counts are at most d, and
+    Returns ``(violations, certificate, error)``.  The violations are
+    :func:`~ramcov.model.validate`'s sorted findings (V4 only when
+    ``strict``).  The certificate has one term per estimate, emitted
+    where its value is computed: branch multiplicities are at most d, the
+    diagonal (R,R) factors lie in [0, d), each crossing's ordered cross term
+    is at most 2d in absolute value, per-crossing resolution corrections lie
+    in (-d, 2 * points], per-crossing exceptional counts are at most d, and
     finally |deg_det| itself against ``linear_coefficient * d``.  When
     fibration inputs are supplied the comparison against the semistable
     bound is appended as a term as well.  The same values are summed into
     the carried report, as integer numerators over each quotient order n.
 
-    Raises :class:`InvalidInputError` at the first point, in crossing index
-    order, whose sheet index is out of range or whose local type breaks a
-    range or gcd constraint.
+    The first point, in crossing index order, whose sheet index is out of
+    range or whose local type breaks a range or gcd constraint becomes
+    ``error``: from there on the walk sums nothing and returns no
+    certificate, but it still checks every point.  References are checked
+    by :func:`~ramcov.model.check_references`, not here: a point whose sheet
+    index is out of range has no findings.
     """
     d = cover.degree
     # Receipts repeat a few small integers (s, max(d, 2 * points)): one
@@ -348,6 +358,8 @@ def degree_linear_certificate(
     f2d = exact(2 * d)
     zero = Fraction(0)
     euler = derived_euler_data(base)
+    found: list[Violation] = []
+    error: Optional[str] = None
 
     terms: list[BoundTerm] = []
     diagonal_terms: list[BoundTerm] = []
@@ -357,6 +369,11 @@ def degree_linear_certificate(
     euler_y = d * euler.e_c_U
     for comp in base.components:
         sheets = cover.sheets_for(comp.id)
+        total = sum(s.e * s.f for s in sheets)
+        if total != d:
+            found.append(Violation("V1", (comp.id,), (
+                f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
+            )))
         b_mult = sum((s.e - 1) * s.f for s in sheets)
         diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets), zero)
         b_mults.append((comp.id, b_mult))
@@ -389,27 +406,49 @@ def degree_linear_certificate(
     correction_sums: dict[int, int] = {}
     s_total = 0
     for crossing in base.crossings:
-        first = cover.sheets_for(crossing.pair[0])
-        second = cover.sheets_for(crossing.pair[1])
+        at = f"crossing {crossing.index}"
+        first_id, second_id = crossing.pair
+        first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
         euler_y += len(points)
+        # The local degree total (V2) and, per sheet, the local degrees of
+        # the upstairs curve: m2 on the first component, m1 on the second (V4).
+        total = 0
+        m2_on = [0] * len(first)
+        m1_on = [0] * len(second)
         cross = correction = zero
         s = 0
-        for pt in points:
+        for k, pt in enumerate(points):
             if pt.j >= len(first) or pt.jp >= len(second):
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: point sheet index out of range: "
-                    f"(j, jp) = ({pt.j}, {pt.jp}), but {crossing.pair[0]} has "
-                    f"{len(first)} sheet(s) and {crossing.pair[1]} has {len(second)}"
+                error = error or (
+                    f"{at}: point sheet index out of range: "
+                    f"(j, jp) = ({pt.j}, {pt.jp}), but {first_id} has "
+                    f"{len(first)} sheet(s) and {second_id} has {len(second)}"
                 )
+                continue
             lt = pt.local_cover_type()
+            total += lt.d_y
+            m2_on[pt.j] += lt.m2
+            m1_on[pt.jp] += lt.m1
+            e1, e2 = first[pt.j].e, second[pt.jp].e
+            if lt.e1 != e1:
+                found.append(Violation("V3", (at, f"point {k}"), (
+                    f"{at}, point {k}: local e1={lt.e1} but sheet {pt.j} of {first_id!r} has e={e1}"
+                )))
+            if lt.e2 != e2:
+                found.append(Violation("V3", (at, f"point {k}"), (
+                    f"{at}, point {k}: local e2={lt.e2} but "
+                    f"sheet {pt.jp} of {second_id!r} has e={e2}"
+                )))
             problems = lt.invariant_problems()
-            if problems:
-                raise InvalidInputError(
-                    f"crossing {crossing.index}: invalid local type: {problems[0]}"
-                )
+            for problem in problems:
+                found.append(Violation("V5", (at, f"point {k}"), f"{at}, point {k}: {problem}"))
+            if problems and error is None:
+                error = f"{at}: invalid local type: {problems[0]}"
+            if error is not None:
+                continue
             n = lt.n
-            num = 2 * (first[pt.j].e - 1) * (second[pt.jp].e - 1)
+            num = 2 * (e1 - 1) * (e2 - 1)
             cross_sums[n] = cross_sums.get(n, 0) + num
             term = Fraction(num, n)
             cross = term if cross is zero else cross + term  # a first term as it is
@@ -420,10 +459,29 @@ def degree_linear_certificate(
                 correction_sums[n] = correction_sums.get(n, 0) + rd.correction_num
                 correction = rd.correction if correction is zero else correction + rd.correction
                 s += rd.chain.length
+        if total != d:
+            found.append(Violation("V2", (at,), (
+                f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
+            )))
+        if strict:
+            # Per-sheet incidence: over a crossing the points on one sheet
+            # must exhaust its degree over the downstairs component.
+            for cid, sheets, sums, j, m in (
+                (first_id, first, m2_on, "j", "m2"),
+                (second_id, second, m1_on, "jp", "m1"),
+            ):
+                for jj, sheet in enumerate(sheets):
+                    if sums[jj] != sheet.f:
+                        found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
+                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums[jj]}, "
+                            f"expected f={sheet.f}"
+                        )))
+        if error is not None:
+            continue
         s_total += s
         terms.append(
             BoundTerm(
-                name=f"rr_cross[crossing {crossing.index}]",
+                name=f"rr_cross[{at}]",
                 value=cross,
                 bound=f2d,
                 per_degree=two,
@@ -431,7 +489,7 @@ def degree_linear_certificate(
         )
         terms.append(
             BoundTerm(
-                name=f"correction[crossing {crossing.index}]",
+                name=f"correction[{at}]",
                 value=correction,
                 bound=exact(max(d, 2 * len(points))),
                 per_degree=two,
@@ -439,12 +497,15 @@ def degree_linear_certificate(
         )
         terms.append(
             BoundTerm(
-                name=f"exceptional_s[crossing {crossing.index}]",
+                name=f"exceptional_s[{at}]",
                 value=exact(s),
                 bound=fd,
                 per_degree=one,
             )
         )
+    found.sort()
+    if error is not None:
+        return found, None, error
 
     rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
     correction_total = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
@@ -472,14 +533,8 @@ def degree_linear_certificate(
 
     fib_bound = None
     if fibration is not None:
-        fib_bound = arakelov_degree_bound(
-            fibration.gF,
-            fibration.Dhor_dot_F,
-            fibration.gC,
-            fibration.nDC,
-            fibration.nS,
-            d,
-        )
+        fi = fibration
+        fib_bound = arakelov_degree_bound(fi.gF, fi.Dhor_dot_F, fi.gC, fi.nDC, fi.nS, d)
         terms.append(
             BoundTerm(
                 name="deg_det_vs_fibration",
@@ -489,7 +544,7 @@ def degree_linear_certificate(
             )
         )
 
-    return BoundCertificate(
+    certificate = BoundCertificate(
         terms=tuple(terms),
         linear_coefficient=coeff,
         degree=d,
@@ -497,3 +552,21 @@ def degree_linear_certificate(
         fibration_inputs=fibration,
         fibration_bound=fib_bound,
     )
+    return found, certificate, None
+
+
+def degree_linear_certificate(
+    base: BaseGeometry,
+    cover: CoverDescription,
+    fibration: Optional[FibrationInputs] = None,
+) -> BoundCertificate:
+    """The linear degree bound with per-term receipts: :func:`examine`'s certificate.
+
+    Raises :class:`InvalidInputError` at the first point, in crossing index
+    order, whose sheet index is out of range or whose local type breaks a
+    range or gcd constraint.
+    """
+    _, certificate, error = examine(base, cover, fibration)
+    if error is not None:
+        raise InvalidInputError(error)
+    return certificate

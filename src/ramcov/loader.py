@@ -232,7 +232,8 @@ def _parse_base(obj: Any) -> BaseGeometry:
     )
 
 
-def _parse_cover(obj: Any) -> CoverDescription:
+def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove, ...]]]:
+    """The cover, and the points over each crossing in document order."""
     obj = _as_obj(obj, "cover", _COVER_KEYS)
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
@@ -260,11 +261,12 @@ def _parse_cover(obj: Any) -> CoverDescription:
         path = f"cover.points_above[{key!r}]"
         pts.append((idx, _records(PointAbove, pts_obj[key], path, _POINT)))
 
-    return CoverDescription(
+    cover = CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),
         ramification=ram,
         points_above=pts,
     )
+    return cover, dict(pts)
 
 
 def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
@@ -292,8 +294,10 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
         raise InputFormatError("not valid JSON: nesting too deep") from None
     doc = _as_obj(doc, "document", {"base", "cover"})
     base = _parse_base(doc["base"])
-    cover = _parse_cover(doc["cover"])
-    check_references(base, cover)
+    cover, points = _parse_cover(doc["cover"])
+    check_references(
+        base, cover, lambda idx, pt: f"cover.points_above[{str(idx)!r}][{points[idx].index(pt)}]"
+    )
     return base, cover
 
 

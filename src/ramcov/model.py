@@ -7,6 +7,9 @@ complement is described purely numerically: its degree, the ramification
 sheets over each ``D_i``, and the classified local picture over each
 crossing.  Nothing here touches equations; the model is bookkeeping, and
 :func:`validate` checks that the bookkeeping is arithmetically coherent.
+It checks the references with :func:`check_references` and takes its
+findings from the one walk of :func:`ramcov.invariants.examine`, which
+also sums the invariants: a run walks the points once.
 
 The order of the model's lists carries no meaning, so each constructor
 puts its lists in canonical order: components by id, crossings by index,
@@ -221,7 +224,8 @@ class PointAbove:
     ``j`` and ``jp`` index the sheets of the first and second component of
     the crossing's pair.  ``local`` is the local classification, either as
     a lattice subgroup (first coordinate = winding around the first
-    component's branch) or directly as a :class:`LocalCoverType`.
+    component's branch) or directly as a :class:`LocalCoverType`.  The point
+    keeps no classification: a run's one walk asks once per point.
     """
 
     j: int
@@ -236,19 +240,11 @@ class PointAbove:
                 f"point local data must be a lattice subgroup or a local type (got {self.local!r})"
             )
 
-    @cached_property
-    def _classified(self) -> LocalCoverType:
+    def local_cover_type(self) -> LocalCoverType:
+        """The local type: ``local`` itself, or its lattice classified anew."""
         if isinstance(self.local, LatticeSubgroup):
             return local_type(self.local)
         return self.local
-
-    def local_cover_type(self) -> LocalCoverType:
-        """The local type, classified on the first call and kept by this point.
-
-        Validation and the invariant walk both ask; the point is classified
-        once.  A point lives as long as the document it was read from.
-        """
-        return self._classified
 
 
 @dataclass(frozen=True)
@@ -305,16 +301,13 @@ class CoverDescription:
         return self._point_index.get(index, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Violation:
-    """One validation finding: the identity violated and where."""
+    """One validation finding: the identity violated and where (the sort order)."""
 
     code: str
     where: tuple[str, ...]
     message: str
-
-    def sort_key(self) -> tuple:
-        return (self.code, self.where, self.message)
 
 
 @dataclass(frozen=True)
@@ -342,13 +335,15 @@ class EulerData:
             raise InvalidInputError(f"unknown component {cid!r}") from None
 
 
-def check_references(base: BaseGeometry, cover: CoverDescription) -> None:
+def check_references(base: BaseGeometry, cover: CoverDescription, point_path=None) -> None:
     """Raise InvalidInputError unless every cross-reference resolves.
 
     Covers the structural preconditions of :func:`validate`: ramification
     keys are component ids, points_above keys are crossing indices, and
     each point's sheet indices are in range for the two components of its
-    crossing.
+    crossing.  An out-of-range index names its point ``crossing I, point K``
+    in canonical order, or by ``point_path(I, point)`` and the field when
+    that is given: the loader gives the point's path in its document.
     """
     known_ids = {c.id for c in base.components}
     for cid, _ in cover.ramification:
@@ -358,93 +353,36 @@ def check_references(base: BaseGeometry, cover: CoverDescription) -> None:
     for idx, points in cover.points_above:
         if idx not in known_idx:
             raise InvalidInputError(f"points_above references unknown crossing {idx}")
-        crossing = known_idx[idx]
-        n_first = len(cover.sheets_for(crossing.pair[0]))
-        n_second = len(cover.sheets_for(crossing.pair[1]))
+        first, second = known_idx[idx].pair
+        n_first, n_second = len(cover.sheets_for(first)), len(cover.sheets_for(second))
         for k, pt in enumerate(points):
-            if pt.j >= n_first:
-                raise InvalidInputError(
-                    f"crossing {idx}, point {k}: sheet index j={pt.j} out of range "
-                    f"for component {crossing.pair[0]!r} ({n_first} sheets)"
-                )
-            if pt.jp >= n_second:
-                raise InvalidInputError(
-                    f"crossing {idx}, point {k}: sheet index jp={pt.jp} out of range "
-                    f"for component {crossing.pair[1]!r} ({n_second} sheets)"
-                )
+            if pt.j < n_first and pt.jp < n_second:
+                continue
+            field, value, cid, count = (
+                ("j", pt.j, first, n_first) if pt.j >= n_first else ("jp", pt.jp, second, n_second)
+            )
+            at = (
+                f"{point_path(idx, pt)}.{field}: sheet index {value}" if point_path
+                else f"crossing {idx}, point {k}: sheet index {field}={value}"
+            )
+            raise InvalidInputError(f"{at} out of range for component {cid!r} ({count} sheets)")
 
 
 def validate(
     base: BaseGeometry, cover: CoverDescription, *, strict: bool = False
 ) -> list[Violation]:
-    """Check the degree and incidence identities; return sorted violations.
+    """Check the references, then the degree and incidence identities; return sorted violations.
 
+    The findings are those of :func:`ramcov.invariants.examine`'s walk.
     The verdict does not depend on input list order: findings are sorted by
     code, location, and message.  ``strict`` additionally enables the
     per-sheet incidence check V4, which requires the points above every
     crossing to account exactly for the local degrees of each sheet.
     """
+    from .invariants import examine  # ramcov.invariants imports this module
+
     check_references(base, cover)
-    d = cover.degree
-    out: list[Violation] = []
-
-    for comp in base.components:
-        total = sum(s.e * s.f for s in cover.sheets_for(comp.id))
-        if total != d:
-            out.append(Violation("V1", (comp.id,), (
-                f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
-            )))
-
-    for crossing in base.crossings:
-        at = f"crossing {crossing.index}"
-        points = cover.points_for(crossing.index)
-        first, second = crossing.pair
-        first_sheets, second_sheets = cover.sheets_for(first), cover.sheets_for(second)
-        # One pass over the points: the local degree total (V2), each
-        # point's ramification and range checks (V3, V5), and per sheet the
-        # local degrees of the upstairs curve, m2 on the first component
-        # and m1 on the second (V4).
-        total = 0
-        m2_on = [0] * len(first_sheets)
-        m1_on = [0] * len(second_sheets)
-        for k, pt in enumerate(points):
-            lt = pt.local_cover_type()
-            total += lt.d_y
-            m2_on[pt.j] += lt.m2
-            m1_on[pt.jp] += lt.m1
-            wh = (at, f"point {k}")
-            if lt.e1 != first_sheets[pt.j].e:
-                out.append(Violation("V3", wh, (
-                    f"{at}, point {k}: local e1={lt.e1} but "
-                    f"sheet {pt.j} of {first!r} has e={first_sheets[pt.j].e}"
-                )))
-            if lt.e2 != second_sheets[pt.jp].e:
-                out.append(Violation("V3", wh, (
-                    f"{at}, point {k}: local e2={lt.e2} but "
-                    f"sheet {pt.jp} of {second!r} has e={second_sheets[pt.jp].e}"
-                )))
-            for problem in lt.invariant_problems():
-                out.append(Violation("V5", wh, f"{at}, point {k}: {problem}"))
-        if total != d:
-            out.append(Violation("V2", (at,), (
-                f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
-            )))
-        if strict:
-            # Per-sheet incidence: over a crossing the points on one sheet
-            # must exhaust its degree over the downstairs component.
-            for cid, sheets, sums, j, m in (
-                (first, first_sheets, m2_on, "j", "m2"),
-                (second, second_sheets, m1_on, "jp", "m1"),
-            ):
-                for jj, sheet in enumerate(sheets):
-                    if sums[jj] != sheet.f:
-                        out.append(Violation("V4", (at, f"sheet {j}={jj}"), (
-                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums[jj]}, "
-                            f"expected f={sheet.f}"
-                        )))
-
-    out.sort(key=Violation.sort_key)
-    return out
+    return examine(base, cover, strict=strict)[0]
 
 
 def derived_euler_data(base: BaseGeometry) -> EulerData:

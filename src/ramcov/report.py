@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .errors import InvalidInputError
-from .invariants import BoundCertificate, InvariantReport
+from .invariants import BoundCertificate
 from .model import EulerData, Violation
 
 __all__ = [
@@ -235,10 +235,10 @@ def render_document(doc: dict) -> str:
 class ReportDocument:
     """Everything one invariants run produces, ready to render.
 
-    ``invariants`` and ``certificate`` may be absent when the input is too
-    broken to evaluate (the reason is then carried in ``error``); the
-    validation findings are always present.  ``input_echo`` is read by the
-    JSON rendering only, so a text report may leave it out.
+    ``certificate``, whose ``report`` holds the invariants, may be absent
+    when the input is too broken to evaluate (the reason is then carried in
+    ``error``); the validation findings are always present.  ``input_echo``
+    is read by the JSON rendering only, so a text report may leave it out.
     """
 
     tool_version: str
@@ -246,7 +246,6 @@ class ReportDocument:
     input_echo: Optional[dict]
     violations: tuple[Violation, ...]
     derived_base: EulerData
-    invariants: Optional[InvariantReport]
     certificate: Optional[BoundCertificate]
     error: Optional[str] = None
 
@@ -284,8 +283,9 @@ class ReportDocument:
             "consistency": None,
             "error": self.error,
         }
-        inv = self.invariants
-        if inv is not None:
+        cert = self.certificate
+        if cert is not None:
+            inv = cert.report
             doc["invariants"] = {
                 "B_mult": {k: v for k, v in inv.B_mult},
                 "KX_dot_B": inv.KX_dot_B,
@@ -304,8 +304,6 @@ class ReportDocument:
                 "chi_integral": inv.chi_is_integral,
                 "deg_det_integral": inv.deg_det_is_integral,
             }
-        cert = self.certificate
-        if cert is not None:
             cert_doc: dict = {
                 "terms": _written_terms(cert.terms) if written else [
                     {
@@ -360,8 +358,9 @@ class ReportDocument:
 
         if self.error is not None:
             lines.append(f"invariants: not computed ({self.error})")
-        inv = self.invariants
-        if inv is not None:
+        cert = self.certificate
+        if cert is not None:
+            inv = cert.report
             lines.append("invariants:")
             bm = ", ".join(f"{k}: {v}" for k, v in inv.B_mult)
             lines.append(f"  branch multiplicities: {bm}")
@@ -379,8 +378,6 @@ class ReportDocument:
             dd_tag = "integral" if inv.deg_det_is_integral else "NOT integral"
             lines.append(f"  chi = {fmt_rational(inv.chi)} [{chi_tag}]")
             lines.append(f"  deg_det = {fmt_rational(inv.deg_det)} [{dd_tag}]")
-        cert = self.certificate
-        if cert is not None:
             lines.append("linear bound certificate:")
             for t in cert.terms:
                 flag = "ok" if t.ok else "VIOLATED"

@@ -25,9 +25,13 @@ reversed), ramification and points_above keys, and the three points over
 crossings 2 and 3, given in both local forms with two points on the same
 sheets.  Its report must not depend on that order.  Each ``two_*.json``
 holds two errors of one kind, and its frozen line names the one that comes
-first in canonical order.  ``both_orientations.json`` is the bidouble cover
-with declared pairs given in both orientations, ``["D3", "D1"]`` before
-``["D1", "D3"]``: its echo lists them by sorted pair and then as given.
+first in canonical order.  ``two_bad_sheet_indices.json`` is
+``shuffled.json`` with an out-of-range sheet index over crossings 3 and 2,
+in that document order; crossing 2's is its second point, which is third
+in canonical order, and the line names it by its document path.
+``both_orientations.json`` is the bidouble cover with declared pairs given
+in both orientations, ``["D3", "D1"]`` before ``["D1", "D3"]``: its echo
+lists them by sorted pair and then as given.
 ``grid_4.json`` is the double cover of P1 x P1 branched on four fibres and
 four sections, 16 crossings: its ``--strict`` report is the one frozen
 ``--json`` output with more than four crossings, and its ``points_above``
@@ -40,12 +44,14 @@ from collections import Counter
 
 import pytest
 
+import ramcov.loader
 import ramcov.model
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.hj import HJChain, discrepancies, hj_expand
 from ramcov.invariants import BoundTerm
-from ramcov.local_cover import LocalCoverType, local_type
+from ramcov.loader import load_cover_path
+from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -90,6 +96,7 @@ ERROR_CASES = [
         "two_dangling_points",
         "two_unknown_components",
         "two_bad_pair_counts",
+        "two_bad_sheet_indices",
     )
     for flags in ((), ("--json",), ("--strict",))
 ]
@@ -215,22 +222,40 @@ def test_invariants_error_matches_frozen_line(capsys, name, argv):
 
 
 def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatch):
-    # Each point keeps its classification, so validation and the walk that
-    # the report and the certificate share classify it once between them; a
-    # second classification of any point, a second walk, or re-walking the
-    # configuration per invariant shows up here.
-    calls = []
-    original = ramcov.model.local_type
+    # One run walks the points once: the references are checked once (by the
+    # loader), each lattice is classified once and each local type's range
+    # and gcd constraints are checked once.  A second walk, a second check of
+    # the references, or re-walking the configuration per invariant shows up
+    # here.
+    calls = Counter()
 
-    def counting(gamma):
-        calls.append(gamma)
-        return original(gamma)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(ramcov.model, "local_type", counting)
-    assert main(["invariants", str(COVERS / "bidouble.json"), "--strict"]) == 0
+    documents = [COVERS / "bidouble.json", COVERS / "cyclic_5_1_4_2_3.json",
+                 DOCUMENTS / "shuffled.json", DOCUMENTS / "grid_4.json"]
+    expected = []
+    for path in documents:
+        points = [pt for _, pts in load_cover_path(str(path))[1].points_above for pt in pts]
+        lattices = sum(isinstance(pt.local, LatticeSubgroup) for pt in points)
+        expected.append(Counter(check_references=1, local_type=lattices,
+                                invariant_problems=len(points)))
+    monkeypatch.setattr(ramcov.model, "local_type", counting("local_type", local_type))
+    monkeypatch.setattr(LocalCoverType, "invariant_problems",
+                        counting("invariant_problems", LocalCoverType.invariant_problems))
+    for module in (ramcov.loader, ramcov.model):
+        monkeypatch.setattr(module, "check_references",
+                            counting("check_references", module.check_references))
+    counts = []
+    for path in documents:
+        calls.clear()
+        assert main(["invariants", str(path), "--strict", "--json"]) == 0
+        counts.append(Counter(calls))
     capsys.readouterr()
-    n_points = 4
-    assert 0 < len(calls) <= n_points
+    assert counts == expected
 
 
 def test_a_second_run_classifies_every_point_again(capsys, monkeypatch):

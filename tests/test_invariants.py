@@ -35,6 +35,7 @@ from ramcov.invariants import (
     arakelov_degree_bound,
     deg_det,
     degree_linear_certificate,
+    examine,
     height_log_decimal,
     invariant_report,
     linear_coefficient,
@@ -43,7 +44,8 @@ from ramcov.invariants import (
 )
 from ramcov.hj import SingularityType, resolve
 from ramcov.loader import load_cover_path, parse_cover_json
-from ramcov.local_cover import LatticeSubgroup, local_type
+from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
+from ramcov.model import CoverDescription, PointAbove, validate
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
@@ -220,9 +222,6 @@ def test_invariant_report_internal_identities_enforced():
 
 
 def test_invariants_raise_on_bad_local_type():
-    from ramcov.local_cover import LocalCoverType
-    from ramcov.model import CoverDescription, PointAbove
-
     base, cover = double_cover()
     bad_pt = (PointAbove(j=0, jp=0, local=LocalCoverType(n=4, q=2, m1=1, m2=1)),)
     pts = tuple((idx, bad_pt if idx == 0 else points) for idx, points in cover.points_above)
@@ -235,8 +234,6 @@ def test_invariants_raise_on_bad_local_type():
 
 @pytest.mark.parametrize("j,jp", [(3, 0), (0, 1)], ids=["j", "jp"])
 def test_invariants_raise_on_out_of_range_sheet_index(j, jp):
-    from ramcov.model import CoverDescription, PointAbove
-
     base, cover = double_cover()
     # Every line of the double cover has one sheet, so only index 0 exists.
     (_, (node,)), *rest = cover.points_above
@@ -249,6 +246,45 @@ def test_invariants_raise_on_out_of_range_sheet_index(j, jp):
         invariant_report(base, bad)
     with pytest.raises(InvalidInputError, match=message):
         degree_linear_certificate(base, bad)
+
+
+def _double_cover_with(points_over: dict):
+    """The double cover with the points over some crossings replaced."""
+    base, cover = double_cover()
+    pts = tuple((idx, points_over.get(idx, points)) for idx, points in cover.points_above)
+    return base, CoverDescription(degree=2, ramification=cover.ramification, points_above=pts)
+
+
+_NOT_COPRIME = (PointAbove(j=0, jp=0, local=LocalCoverType(n=4, q=2, m1=1, m2=1)),)
+_JP_OUT_OF_RANGE = (PointAbove(j=0, jp=1, local=LatticeSubgroup((2, 0), (1, 1))),)
+
+
+@pytest.mark.parametrize(
+    "at_0,at_3,message",
+    [
+        (_NOT_COPRIME, _JP_OUT_OF_RANGE, r"crossing 0: invalid local type: n and q must be coprime"),
+        (_JP_OUT_OF_RANGE, _NOT_COPRIME, r"crossing 0: point sheet index out of range: \(j, jp\) = \(0, 1\)"),
+    ],
+    ids=["invalid-type-first", "index-first"],
+)
+def test_certificate_names_the_first_failing_point(at_0, at_3, message):
+    base, cover = _double_cover_with({0: at_0, 3: at_3})
+    with pytest.raises(InvalidInputError, match=f"^{message}"):
+        degree_linear_certificate(base, cover)
+
+
+def test_examine_finds_every_invalid_type_and_names_the_first():
+    q_zero = (PointAbove(j=0, jp=0, local=LocalCoverType(n=3, q=0, m1=1, m2=2)),)
+    base, cover = _double_cover_with({1: _NOT_COPRIME, 2: q_zero})
+    violations, certificate, error = examine(base, cover, strict=True)
+    assert certificate is None
+    assert error == "crossing 1: invalid local type: n and q must be coprime (got gcd(4, 2) = 2)"
+    assert violations == validate(base, cover, strict=True)
+    assert [v.message for v in violations if v.code == "V5"] == [
+        "crossing 1, point 0: n and q must be coprime (got gcd(4, 2) = 2)",
+        "crossing 2, point 0: n and q must be coprime (got gcd(3, 0) = 3)",
+        "crossing 2, point 0: q = 0 forces n = 1 (got n=3)",
+    ]
 
 
 def test_certificate_carries_the_report_of_its_walk():

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -18,6 +19,8 @@ from ramcov.loader import (
     load_cover_path,
     parse_cover_json,
 )
+from ramcov.local_cover import LocalCoverType
+from ramcov.model import PointAbove, check_references
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -487,3 +490,32 @@ def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, messa
     document.write_text(json.dumps(doc))
     assert main(["invariants", str(document)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_sheet_index_errors_name_the_document_path_or_the_canonical_point():
+    # Over crossing 2 of the shuffled document, (j, jp) = (0, 7) is listed
+    # second but sorts first: the loader names it by its place in the
+    # document, and check_references, for a model built directly, by its
+    # place in canonical order.
+    shuffled = ROOT / "tests" / "fixtures" / "documents" / "shuffled.json"
+    doc = json.loads(shuffled.read_text())
+    node = {"n": 2, "q": 1, "m1": 1, "m2": 1}
+    doc["cover"]["points_above"]["2"] = [
+        {"j": 1, "jp": 1, "local": node}, {"j": 0, "jp": 7, "local": node},
+    ]
+    with pytest.raises(InvalidInputError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == (
+        "cover.points_above['2'][1].jp: sheet index 7 out of range for component 'D3' (2 sheets)"
+    )
+    base, cover = load_cover_path(str(shuffled))
+    local = LocalCoverType(**node)
+    points = (PointAbove(1, 1, local), PointAbove(0, 7, local))
+    bad = replace(cover, points_above=tuple(
+        (idx, points if idx == 2 else pts) for idx, pts in cover.points_above
+    ))
+    with pytest.raises(InvalidInputError) as info:
+        check_references(base, bad)
+    assert str(info.value) == (
+        "crossing 2, point 0: sheet index jp=7 out of range for component 'D3' (2 sheets)"
+    )

@@ -10,8 +10,15 @@
   points index its own sheets past the first's.  The union is strictly
   valid when both parts are, and every quantity that sums over sheets and
   points (the report's totals and the receipts' values) adds.
+* Renaming.  New component ids, in a sort order of their own; new crossing
+  indices, in an order of their own and with gaps; or a component's sheets
+  listed in another order, with every point on that component following
+  its sheet.  The strict finding codes, the receipts and the report's
+  totals must not change, up to the new ids and indices in the receipts'
+  names and in ``B_mult``.
 
-Hypothesis picks the covers, the crossings to reverse and the pairs to join.
+Hypothesis picks the covers, the crossings to reverse, the pairs to join
+and the renamings.
 """
 
 import math
@@ -150,3 +157,109 @@ def test_disjoint_union_is_valid_and_adds(first, second):
     assert [t.value for t in whole.terms] == [
         t1.value + t2.value for t1, t2 in zip(*(c.terms for c in parts))
     ]
+
+
+def _summary(base, cover, fibration, component=lambda cid: cid, crossing=lambda idx: idx):
+    """Strict finding codes, then the error or the receipts by name and the report's totals.
+
+    A component id or crossing index in a receipt's name or in ``B_mult`` is
+    passed through ``component`` or ``crossing``.
+    """
+    def name(term: str) -> str:
+        kind, _, inner = term.partition("[")
+        if not inner:
+            return term
+        if inner.startswith("crossing "):
+            return f"{kind}[crossing {crossing(int(inner[len('crossing '):-1]))}]"
+        return f"{kind}[{component(inner[:-1])}]"
+
+    outcome = _outcome(base, cover, fibration)
+    if isinstance(outcome, str):
+        return _codes(base, cover), outcome
+    return (
+        _codes(base, cover),
+        {name(t.name): (t.value, t.bound, t.per_degree, t.ok) for t in outcome.terms},
+        len(outcome.terms),
+        {component(cid): m for cid, m in outcome.report.B_mult},
+        [getattr(outcome.report, field) for field in _ADDITIVE],
+        outcome.linear_coefficient,
+    )
+
+
+def _rename_components(base, cover, new_id: dict):
+    comps = tuple(replace(c, id=new_id[c.id]) for c in base.components)
+    crossings = tuple(Crossing(x.index, tuple(new_id[c] for c in x.pair)) for x in base.crossings)
+    pair_counts = tuple((tuple(new_id[c] for c in pair), n) for pair, n in base.pair_counts)
+    ramification = tuple((new_id[cid], sheets) for cid, sheets in cover.ramification)
+    return (
+        replace(base, components=comps, crossings=crossings, pair_counts=pair_counts),
+        replace(cover, ramification=ramification),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_COVER, _FIBRATION, st.data())
+def test_renaming_components_changes_nothing(document, fibration, data):
+    base, cover = document
+    ids = [c.id for c in base.components]
+    # The new ids sort in the drawn order, not in the old ids' order.
+    order = data.draw(st.permutations(range(len(ids))))
+    new_id = {cid: f"C{k}" for cid, k in zip(ids, order)}
+    renamed = _rename_components(base, cover, new_id)
+    assert _summary(*renamed, fibration) == _summary(base, cover, fibration, component=new_id.get)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_COVER, _FIBRATION, st.data())
+def test_reindexing_crossings_changes_nothing(document, fibration, data):
+    base, cover = document
+    indices = [x.index for x in base.crossings]
+    new = data.draw(st.lists(st.integers(0, 4 * len(indices)), min_size=len(indices),
+                             max_size=len(indices), unique=True))
+    new_index = dict(zip(indices, new))
+    reindexed = (
+        replace(base, crossings=tuple(Crossing(new_index[x.index], x.pair) for x in base.crossings)),
+        replace(cover, points_above=tuple((new_index[i], pts) for i, pts in cover.points_above)),
+    )
+    assert _summary(*reindexed, fibration) == _summary(
+        base, cover, fibration, crossing=new_index.get
+    )
+
+
+def _permute_sheets(base, cover, cid: str, perm: list):
+    """``cid``'s sheet ``i`` becomes its sheet ``perm[i]``, and its points follow."""
+    sheets = [None] * len(perm)
+    for i, sheet in enumerate(cover.sheets_for(cid)):
+        sheets[perm[i]] = sheet
+    pairs = {x.index: x.pair for x in base.crossings}
+    points_above = tuple(
+        (idx, tuple(
+            PointAbove(perm[p.j] if pairs[idx][0] == cid else p.j,
+                       perm[p.jp] if pairs[idx][1] == cid else p.jp, p.local)
+            for p in points
+        ))
+        for idx, points in cover.points_above
+    )
+    ramification = tuple(
+        (c, tuple(sheets) if c == cid else ss) for c, ss in cover.ramification
+    )
+    return base, replace(cover, ramification=ramification, points_above=points_above)
+
+
+#: Covers with a component of two or more sheets: the shuffled document and unions.
+_MANY_SHEETS = st.sampled_from([_LOADED["shuffled.json"]]) | st.builds(
+    _union, _SQUARE_COVERS, _SQUARE_COVERS
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MANY_SHEETS, _FIBRATION, st.data())
+def test_permuting_a_components_sheets_changes_nothing(document, fibration, data):
+    base, cover = document
+    cid = data.draw(st.sampled_from(
+        [c.id for c in base.components if len(cover.sheets_for(c.id)) > 1]
+    ))
+    n = len(cover.sheets_for(cid))
+    perm = data.draw(st.permutations(range(n)).filter(lambda p: p != list(range(n))))
+    permuted = _permute_sheets(base, cover, cid, perm)
+    assert _summary(*permuted, fibration) == _summary(base, cover, fibration)

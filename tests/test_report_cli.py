@@ -72,7 +72,6 @@ def test_report_error_path_rendering():
         input_echo=canonical_document(base, cover),
         violations=(),
         derived_base=derived_euler_data(base),
-        invariants=None,
         certificate=None,
         error="boom",
     )

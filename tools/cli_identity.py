@@ -13,7 +13,16 @@ lives in:
 * every document in ``demos/covers/``, ``demos/covers/malformed/`` and
   ``tests/fixtures/documents/``;
 * 30 ``grid`` and 30 ``cyclic`` documents generated by
-  ``perfbench/workloads.py`` (seed 1).
+  ``perfbench/workloads.py`` (seed 1);
+* 100 faulty documents, drawn with a fixed seed: each is a shipped one
+  that loads (from the folders above, less ``bad_parse.json`` and the
+  ``two_*`` documents) with one to three faults.  Every other document
+  draws only from ``FINDING_FAULTS``: a raw local type that fails V5, a V1
+  break or a V3 break, which leave it loadable.  The rest draw also from
+  ``LOAD_FAULTS``: a dangling ``points_above`` or ``ramification`` key, an
+  unknown component, an out-of-range sheet index and a wrong declared
+  count.  They compare which error a run names and in which order its
+  findings come.
 
 Each document runs through ``invariants`` as text and ``--json``, each with
 and without ``--strict`` and with and without ``--ev 1 2 0 2 3``: eight
@@ -33,6 +42,7 @@ from __future__ import annotations
 import collections
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -64,6 +74,8 @@ FIXED_RUNS = [
     ["bs-bound", "2", "3", "5/2"],
 ]
 LABELS = ("exit code", "stdout", "stderr")
+FAULTY_DOCUMENTS = 100
+FAULT_SEED = 13
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
 # writes [exit code, stdout, stderr] per run; an exception that escapes main
@@ -106,6 +118,94 @@ def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
     return paths
 
 
+def _sheet_lists(doc: dict) -> list:
+    return [sheets for sheets in doc["cover"]["ramification"].values() if sheets]
+
+
+def _points(doc: dict) -> list:
+    return [pt for pts in doc["cover"]["points_above"].values() for pt in pts]
+
+
+def _dangling_point_key(doc: dict, rnd: random.Random) -> None:
+    top = max((x["index"] for x in doc["base"]["crossings"]), default=0)
+    doc["cover"]["points_above"][str(top + rnd.randint(1, 5))] = [
+        {"j": 0, "jp": 0, "local": [[1, 0], [0, 1]]}
+    ]
+
+
+def _dangling_ramification_key(doc: dict, rnd: random.Random) -> None:
+    doc["cover"]["ramification"][f"X{rnd.randint(1, 9)}"] = [{"e": 1, "f": doc["cover"]["degree"]}]
+
+
+def _unknown_component(doc: dict, rnd: random.Random) -> None:
+    rnd.choice(doc["base"]["crossings"])["pair"][rnd.randint(0, 1)] = f"X{rnd.randint(1, 9)}"
+
+
+def _sheet_index_out_of_range(doc: dict, rnd: random.Random) -> None:
+    pairs = {str(x["index"]): x["pair"] for x in doc["base"]["crossings"]}
+    points_above = doc["cover"]["points_above"]
+    key = rnd.choice(sorted(k for k, pts in points_above.items() if pts and k in pairs))
+    field = rnd.choice(["j", "jp"])
+    sheets = doc["cover"]["ramification"].get(pairs[key][field == "jp"], [])
+    rnd.choice(points_above[key])[field] = len(sheets) + rnd.randint(0, 3)
+
+
+def _invalid_local_type(doc: dict, rnd: random.Random) -> None:
+    rnd.choice(_points(doc))["local"] = rnd.choice([
+        {"n": 4, "q": 2, "m1": 1, "m2": 1},  # n and q not coprime
+        {"n": 3, "q": 0, "m1": 1, "m2": 2},  # q = 0 with n > 1, and not coprime
+        {"n": 2, "q": 1, "m1": 0, "m2": 1},  # m1 below 1
+        {"n": 5, "q": 7, "m1": 1, "m2": 1},  # q past n
+    ])
+
+
+def _v1_break(doc: dict, rnd: random.Random) -> None:
+    rnd.choice(rnd.choice(_sheet_lists(doc)))["f"] += 1
+
+
+def _v3_break(doc: dict, rnd: random.Random) -> None:
+    # The same e*f, so V1 still holds where it held, on another e.
+    sheet = rnd.choice(rnd.choice(_sheet_lists(doc)))
+    e, f = sheet["e"], sheet["f"]
+    sheet["e"], sheet["f"] = (1, e * f) if e > 1 else (f, 1) if f > 1 else (2, 1)
+
+
+def _bad_declared_count(doc: dict, rnd: random.Random) -> None:
+    crossings = doc["base"]["crossings"]
+    pair = rnd.choice(crossings)["pair"]
+    count = sum(sorted(x["pair"]) == sorted(pair) for x in crossings) + rnd.randint(1, 2)
+    doc["base"].setdefault("pair_intersections", []).append({"pair": list(pair), "count": count})
+
+
+FINDING_FAULTS = (_invalid_local_type, _v1_break, _v3_break)
+LOAD_FAULTS = (
+    _dangling_point_key,
+    _dangling_ramification_key,
+    _unknown_component,
+    _sheet_index_out_of_range,
+    _bad_declared_count,
+)
+
+
+def faulty_documents(shipped: list[pathlib.Path], folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write ``FAULTY_DOCUMENTS`` shipped documents with one to three faults each into ``folder``."""
+    originals = [
+        json.loads(path.read_text(encoding="utf-8")) for path in shipped
+        if path.name != "bad_parse.json" and not path.name.startswith("two_")
+    ]
+    rnd = random.Random(FAULT_SEED)
+    paths = []
+    for i in range(FAULTY_DOCUMENTS):
+        doc = json.loads(json.dumps(rnd.choice(originals)))
+        faults = FINDING_FAULTS if i % 2 == 0 else FINDING_FAULTS + LOAD_FAULTS
+        for _ in range(rnd.randint(1, 3)):
+            rnd.choice(faults)(doc, rnd)
+        path = folder / f"faulty_{i}.json"
+        path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 def run_tree(src: str, runs: list[list[str]]) -> list:
     """The [exit code, stdout, stderr] of every run, with ``ramcov`` imported from ``src``."""
     done = subprocess.run(
@@ -126,8 +226,9 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src = argv
     with tempfile.TemporaryDirectory() as tmp:
-        documents = [p for folder in FOLDERS for p in sorted(folder.glob("*.json"))]
-        documents += workload_documents(pathlib.Path(tmp))
+        shipped = [p for folder in FOLDERS for p in sorted(folder.glob("*.json"))]
+        documents = shipped + workload_documents(pathlib.Path(tmp))
+        documents += faulty_documents(shipped, pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
