@@ -23,9 +23,9 @@ from typing import Optional
 from . import __version__
 from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
 from .hj import SingularityType, chain_length, resolve
-# degree_linear_certificate, invariant_report and validate are not called
-# here; they stay imported because perfbench/tracer.py wraps them under this
-# module's names.
+# canonical_document, degree_linear_certificate, derived_euler_data,
+# invariant_report and validate are not called here; they stay imported
+# because perfbench/tracer.py wraps them under this module's names.
 from .invariants import (
     FibrationInputs,
     degree_linear_certificate,
@@ -35,10 +35,10 @@ from .invariants import (
     invariant_report,
     plane_model_terms,
 )
-from .loader import canonical_document, load_cover_path
+from .loader import load_cover_path
 from .local_cover import LatticeSubgroup, canonical_basis, check_enumeration_bound, local_type
 from .model import derived_euler_data, validate
-from .report import ReportDocument, fmt_rational, parse_rational
+from .report import ReportDocument, canonical_document, fmt_rational, parse_rational
 from .verify import hj_sweep, lattice_sweep
 
 
@@ -130,11 +130,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         fibration = FibrationInputs(gF=gf, Dhor_dot_F=dhor, gC=gc, nDC=ndc, nS=ns)
     violations, certificate, error = examine(base, cover, fibration, strict=args.strict)
     doc = ReportDocument(
-        tool_version=__version__,
         strict=args.strict,
-        input_echo=canonical_document(base, cover) if args.json else None,
+        base=base,
+        cover=cover,
         violations=tuple(violations),
-        derived_base=derived_euler_data(base),
         certificate=certificate,
         error=error,
     )

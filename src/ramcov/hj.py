@@ -19,7 +19,10 @@ Resolution data is kept as integers over ``n``: with ``alpha_i`` and
 Reid, "Surface cyclic quotient singularities and Hirzebruch-Jung
 resolutions"), and the correction numerator is ``n sum_i a_i (b_i - 2)``.
 Both come from integer recursions alone; a Fraction is built where a number
-is printed or summed into a report.
+is printed or summed into a report.  A report needs only the chain's length
+and the correction numerator, and :func:`resolution_numbers` gives those two
+in O(log n) steps, from the continued fraction of ``n/q`` and a Dedekind sum,
+without building the chain.
 
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
@@ -43,6 +46,7 @@ __all__ = [
     "ResolutionData",
     "hj_expand",
     "chain_length",
+    "resolution_numbers",
     "hj_evaluate",
     "discrepancies",
     "resolve",
@@ -192,6 +196,42 @@ def chain_length(sing: SingularityType) -> int:
         quotients.append(n // q)
         n, q = q, n % q
     return sum(quotients[1::2]) + len(quotients) % 2
+
+
+def _dedekind12(h: int, k: int) -> int:
+    """``T(h, k) = 12 k s(h, k)``, with ``s`` the Dedekind sum, for coprime ``h, k``.
+
+    ``T`` is an integer, depends only on ``h mod k`` and satisfies the
+    reciprocity ``h T(h, k) + k T(k, h) = h^2 + k^2 + 1 - 3 h k``
+    (Rademacher-Grosswald, *Dedekind Sums*).  Euclid's algorithm runs down to
+    ``T(0, 1) = 0``, and reciprocity climbs back up, each division exact.
+    """
+    steps = []
+    h %= k
+    while h:
+        steps.append((h, k))
+        h, k = k % h, h
+    t = 0
+    for h, k in reversed(steps):  # t is T(k mod h, h) = T(k, h)
+        t = (h * h + k * k + 1 - 3 * h * k - k * t) // h
+    return t
+
+
+def resolution_numbers(sing: SingularityType) -> tuple[int, int]:
+    """The chain length and the correction numerator of ``A_{n,q}``, in O(log n) steps.
+
+    Returns ``(lambda, c)``: the length of :func:`resolve`'s chain and its
+    ``correction_num = n sum_i a_i (b_i - 2)``, without building the chain.
+    The correction is ``2 - (q + q' + 2)/n - sum_i (b_i - 2)`` with
+    ``q q' = 1 (mod n)``, and the entries sum to
+    ``3 lambda + (T(q, n) - q - q')/n``, with ``T`` as in :func:`_dedekind12`
+    (Hirzebruch-Zagier, "The Atiyah-Singer theorem and elementary number
+    theory", 1974).  ``q + q'`` cancels: ``c = 2n - 2 - n lambda - T(q, n)``.
+    The tests hold both numbers to :func:`resolve`.
+    """
+    n = sing.n
+    length = chain_length(sing)
+    return length, 2 * n - 2 - n * length - _dedekind12(sing.q, n)
 
 
 def hj_evaluate(chain: "HJChain | Sequence[int]") -> Fraction:

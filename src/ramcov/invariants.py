@@ -13,7 +13,8 @@ the linear degree bound where its value is computed:
   once per walk, see :meth:`PointAbove.local_cover_type`), the ordered
   cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
   resolution correction and the exceptional curve count ``s`` of its
-  quotient points.  Each distinct quotient type is resolved once per walk.
+  quotient points.  Each distinct quotient type is resolved once per walk,
+  in O(log n) steps by :func:`~ramcov.hj.resolution_numbers`.
 
 The same values, with ``d_i = sum_j f_ij`` and the point counts, are added
 into the totals of the chain
@@ -47,7 +48,9 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .errors import InvalidInputError
-from .hj import ResolutionData, SingularityType, resolve
+# resolve is not called here; it stays bound because perfbench/tracer.py
+# wraps it under this module's name.
+from .hj import SingularityType, resolution_numbers, resolve
 from .model import BaseGeometry, CoverDescription, Violation, derived_euler_data
 
 __all__ = [
@@ -124,7 +127,12 @@ class InvariantReport:
 
 
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
-    """The report of :func:`degree_linear_certificate`'s walk, without its receipts."""
+    """The report of :func:`degree_linear_certificate`'s walk.
+
+    It builds the whole certificate, receipts included, and returns only
+    its report: a caller that needs the receipts too should ask for the
+    certificate.
+    """
     return degree_linear_certificate(base, cover).report
 
 
@@ -132,7 +140,8 @@ def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
     """Degree of the determinant of cohomology on the base curve.
 
     The ``deg_det`` of :func:`invariant_report`; for geometrically
-    consistent input it is an integer.
+    consistent input it is an integer.  Like :func:`invariant_report`, it
+    builds the whole certificate, receipts included.
     """
     return invariant_report(base, cover).deg_det
 
@@ -399,7 +408,8 @@ def examine(
         )
     terms += diagonal_terms
 
-    resolutions: dict[tuple[int, int], ResolutionData] = {}
+    # (n, q) -> chain length, correction numerator and the correction over n
+    resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
     # n -> sum of the numerators over n, of the ordered cross terms and of
     # the corrections of all points
     cross_sums: dict[int, int] = {}
@@ -455,10 +465,12 @@ def examine(
             if n > 1:
                 rd = resolutions.get((n, lt.q))
                 if rd is None:
-                    rd = resolutions[n, lt.q] = resolve(SingularityType(n, lt.q))
-                correction_sums[n] = correction_sums.get(n, 0) + rd.correction_num
-                correction = rd.correction if correction is zero else correction + rd.correction
-                s += rd.chain.length
+                    length, num = resolution_numbers(SingularityType(n, lt.q))
+                    rd = resolutions[n, lt.q] = (length, num, Fraction(num, n))
+                length, num, term = rd
+                correction_sums[n] = correction_sums.get(n, 0) + num
+                correction = term if correction is zero else correction + term
+                s += length
         if total != d:
             found.append(Violation("V2", (at,), (
                 f"{at}: sum of local degrees d_y is {total}, expected degree {d}"

@@ -1,4 +1,4 @@
-"""Strict JSON input for cover documents.
+"""Strict JSON input for cover documents: this module only parses.
 
 A document is one JSON object with top-level keys ``base`` and ``cover``
 mirroring the model types field for field.  Parsing is deliberately fussy:
@@ -9,8 +9,9 @@ constructors sort their lists (see :mod:`ramcov.model`), so documents equal
 up to list order load to equal models and produce byte-identical reports.
 The loader reads the ramification table in component id order only so that
 the first bad sheet list in that order is the one an error names.  Lattice
-generators are echoed as given, not reduced: ``[[2,0],[1,1]]`` and
-``[[2,0],[3,1]]`` generate the same subgroup but echo differently.
+generators are kept as given, not reduced: ``[[2,0],[1,1]]`` and
+``[[2,0],[3,1]]`` generate the same subgroup but load to different models.
+The document is written back, in canonical order, by :mod:`ramcov.report`.
 
 Local data at a point is given either as a lattice subgroup
 ``[[g1x, g1y], [g2x, g2y]]`` (first coordinate = winding around the first
@@ -19,8 +20,10 @@ component of the crossing's pair) or directly as an object
 
 The field tables ``_COMPONENT`` ... ``_LOCAL_TYPE`` are the code's statement
 of the six nested record formats: each names a record's keys, in the order
-its fields are checked, with the converter of each.  Parsing, the echo and
-the test holding ``docs/input_schema.json`` to the code all read them.
+its fields are checked, with the converter of each; where the record is a
+model type, that is also the order of its fields, as a test checks.
+Parsing and the test holding ``docs/input_schema.json`` to the code read
+them.
 
 Every error names the path of the offending value, such as
 ``cover.points_above['3'][0].local[1][0]``; a range error that a model
@@ -47,14 +50,8 @@ from .model import (
     RamSheet,
     check_references,
 )
-from .report import render_document
 
-__all__ = [
-    "parse_cover_json",
-    "load_cover_path",
-    "canonical_document",
-    "dumps_document",
-]
+__all__ = ["parse_cover_json", "load_cover_path"]
 
 _BASE_KEYS = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings", "pair_intersections"}
 _BASE_REQUIRED = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings"}
@@ -310,56 +307,3 @@ def load_cover_path(path: str) -> tuple[BaseGeometry, CoverDescription]:
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
     return parse_cover_json(text)
-
-
-def _echo(record, table: dict) -> dict:
-    """The JSON form of a record whose fields are plain values."""
-    return {key: getattr(record, key) for key in table}
-
-
-def _local_to_json(local) -> Any:
-    if isinstance(local, LatticeSubgroup):
-        return [list(local.g1), list(local.g2)]
-    return _echo(local, _LOCAL_TYPE)
-
-
-def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
-    """Rebuild the JSON form of a document, lists in the model's canonical order."""
-    doc: dict[str, Any] = {
-        "base": {
-            "genus_C": base.genus_C,
-            "KX_sq": base.KX_sq,
-            "euler_X": base.euler_X,
-            "KX_dot_F": base.KX_dot_F,
-            "components": [_echo(c, _COMPONENT) for c in base.components],
-            "crossings": [
-                {"index": x.index, "pair": list(x.pair)} for x in base.crossings
-            ],
-        },
-        "cover": {
-            "degree": cover.degree,
-            "ramification": {
-                cid: [_echo(s, _SHEET) for s in sheets] for cid, sheets in cover.ramification
-            },
-            "points_above": {
-                str(idx): [
-                    {"j": p.j, "jp": p.jp, "local": _local_to_json(p.local)}
-                    for p in points
-                ]
-                for idx, points in cover.points_above
-            },
-        },
-    }
-    if base.pair_counts:
-        doc["base"]["pair_intersections"] = [
-            {"pair": list(pair), "count": count} for pair, count in base.pair_counts
-        ]
-    return doc
-
-
-def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:
-    """Serialize a document deterministically (sorted keys, two-space indent).
-
-    The writer is the report's: these are the bytes of its ``input`` member.
-    """
-    return render_document(canonical_document(base, cover)) + "\n"

@@ -11,6 +11,12 @@ which builds the report as dicts and lists.  It is also the reference: the
 tests hold :meth:`ReportDocument.to_json` to ``json.dumps(to_json_dict(),
 indent=2, sort_keys=True)`` byte for byte.
 
+The report's ``input`` member echoes the document, read from the model:
+this module is the echo's one home.  :func:`canonical_document` gives it as
+dicts and lists and :func:`dumps_document` as the bytes of a document file.
+Components, sheets and raw local types are echoed from their dataclass
+fields, which the loader's field tables name in the same order.
+
 :meth:`ReportDocument.to_json` writes those bytes without building that
 tree.  Three lists grow with the crossings: ``certificate.terms`` (three
 receipts per crossing) and, in the echoed document, ``base.crossings`` and
@@ -20,8 +26,8 @@ passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
 as ``json.dumps`` does.  On a document with many crossings, a dict per
 record, walked container by container, took longer than loading the
 document and computing its certificate together.  :func:`render_json`
-copies such a written member as it is.  The same echo writer,
-:func:`render_document`, gives ``loader.dumps_document`` its bytes.
+copies such a written member as it is.  :func:`dumps_document` writes the
+echo the same way.
 
 Everything else goes through :func:`render_json`: the skeleton, components,
 ramification, violations and the fibration block.  It is one recursive
@@ -34,21 +40,24 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
+from . import __version__
 from .errors import InvalidInputError
 from .invariants import BoundCertificate
-from .model import EulerData, Violation
+from .local_cover import LatticeSubgroup
+from .model import BaseGeometry, CoverDescription, EulerData, Violation, derived_euler_data
 
 __all__ = [
     "fmt_rational",
     "parse_rational",
     "ReportDocument",
     "FIBRATION_HYPOTHESES",
-    "render_document",
+    "canonical_document",
+    "dumps_document",
 ]
 
 #: Hypotheses behind the fibration bound that the data cannot certify;
@@ -161,74 +170,110 @@ def _written_terms(terms) -> _Written:
     )
 
 
-def _written_crossings(crossings: list, depth: int) -> _Written:
-    """A canonical document's ``base.crossings``, opened at ``depth``: one string per crossing."""
+def _written_crossings(crossings, depth: int) -> _Written:
+    """``base.crossings``, opened at ``depth``: one string per crossing."""
     enc = encode_basestring_ascii
     end, key, member = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
+    return _written_list(
+        [
+            f'{{{key}"index": {x.index!r},'
+            f'{key}"pair": [{member}{enc(x.pair[0])},{member}{enc(x.pair[1])}{key}]{end}}}'
+            for x in crossings
+        ],
+        depth,
+    )
+
+
+def _written_points(points, depth: int) -> _Written:
+    """The points over one crossing, opened at ``depth``: one string per point."""
+    # Line starts of a point, of its keys, of its local data's members and,
+    # for a lattice, of its generators' coordinates.
+    end, key, member, coord = (_newline(depth + i) for i in range(1, 5))
     records = []
-    for crossing in crossings:
-        a, b = crossing["pair"]
+    for point in points:
+        local = point.local
+        if isinstance(local, LatticeSubgroup):
+            (x1, y1), (x2, y2) = local.g1, local.g2
+            local = (
+                f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
+                f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
+            )
+        else:
+            local = (
+                f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
+                f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
+            )
         records.append(
-            f'{{{key}"index": {crossing["index"]!r},'
-            f'{key}"pair": [{member}{enc(a)},{member}{enc(b)}{key}]{end}}}'
+            f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
         )
     return _written_list(records, depth)
 
 
-def _written_points_above(points_above: dict, depth: int) -> dict:
-    """The ``cover.points_above`` of a canonical document, opened at ``depth``.
+def _record(record) -> dict:
+    """A record whose fields are plain values, as a JSON object of those fields."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
-    Each crossing's points become one written list, one string per point;
-    :func:`render_json` writes the object around them and sorts its keys.
+
+def _point(point) -> dict:
+    local = point.local
+    if isinstance(local, LatticeSubgroup):
+        local = [list(local.g1), list(local.g2)]
+    else:
+        local = _record(local)
+    return {"j": point.j, "jp": point.jp, "local": local}
+
+
+def _echo(base: BaseGeometry, cover: CoverDescription, depth: int, written: bool) -> dict:
+    """The document of ``base`` and ``cover``, its lists in the model's canonical order.
+
+    When ``written``, its crossings and the points over each are written
+    text, for the document opened at ``depth``; otherwise they are dicts.
     """
-    # Line starts of a point, of its keys, of its local data's members and,
-    # for a lattice, of its generators' coordinates.
-    end, key, member, coord = (_newline(depth + i) for i in range(2, 6))
-    written = {}
-    for index, points in points_above.items():
-        records = []
-        for point in points:
-            local = point["local"]
-            if type(local) is dict:
-                local = (
-                    f'{{{member}"m1": {local["m1"]!r},{member}"m2": {local["m2"]!r},'
-                    f'{member}"n": {local["n"]!r},{member}"q": {local["q"]!r}{key}}}'
-                )
-            else:
-                (x1, y1), (x2, y2) = local
-                local = (
-                    f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
-                    f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
-                )
-            records.append(
-                f'{{{key}"j": {point["j"]!r},{key}"jp": {point["jp"]!r},'
-                f'{key}"local": {local}{end}}}'
-            )
-        written[index] = _written_list(records, depth + 1)
-    return written
-
-
-def _written_document(doc: Optional[dict], depth: int) -> Optional[dict]:
-    """The canonical document ``doc``, opened at ``depth``, with its per-crossing lists written."""
-    if doc is None:
-        return None
-    base, cover = doc["base"], doc["cover"]
-    return {
-        "base": {**base, "crossings": _written_crossings(base["crossings"], depth + 2)},
+    if written:
+        crossings = _written_crossings(base.crossings, depth + 2)
+        points_above = {
+            str(idx): _written_points(points, depth + 3) for idx, points in cover.points_above
+        }
+    else:
+        crossings = [{"index": x.index, "pair": list(x.pair)} for x in base.crossings]
+        points_above = {
+            str(idx): [_point(p) for p in points] for idx, points in cover.points_above
+        }
+    doc: dict = {
+        "base": {
+            "genus_C": base.genus_C,
+            "KX_sq": base.KX_sq,
+            "euler_X": base.euler_X,
+            "KX_dot_F": base.KX_dot_F,
+            "components": [_record(c) for c in base.components],
+            "crossings": crossings,
+        },
         "cover": {
-            **cover,
-            "points_above": _written_points_above(cover["points_above"], depth + 2),
+            "degree": cover.degree,
+            "ramification": {
+                cid: [_record(s) for s in sheets] for cid, sheets in cover.ramification
+            },
+            "points_above": points_above,
         },
     }
+    if base.pair_counts:
+        doc["base"]["pair_intersections"] = [
+            {"pair": list(pair), "count": count} for pair, count in base.pair_counts
+        ]
+    return doc
 
 
-def render_document(doc: dict) -> str:
-    """The ``indent=2`` JSON of a document built by ``loader.canonical_document``.
+def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
+    """Rebuild the JSON form of a document, lists in the model's canonical order."""
+    return _echo(base, cover, 0, written=False)
 
-    These are the bytes of the report's ``input`` member, one level
-    shallower: both come from one writer.
+
+def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:
+    """Serialize a document deterministically (sorted keys, two-space indent).
+
+    These are the bytes of the report's ``input`` member, one level shallower.
     """
-    return render_json(_written_document(doc, 0))
+    return render_json(_echo(base, cover, 0, written=True)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -237,21 +282,24 @@ class ReportDocument:
 
     ``certificate``, whose ``report`` holds the invariants, may be absent
     when the input is too broken to evaluate (the reason is then carried in
-    ``error``); the validation findings are always present.  ``input_echo``
-    is read by the JSON rendering only, so a text report may leave it out.
+    ``error``); the validation findings are always present.  The JSON
+    rendering echoes ``base`` and ``cover`` as its ``input`` member.
     """
 
-    tool_version: str
     strict: bool
-    input_echo: Optional[dict]
+    base: BaseGeometry
+    cover: CoverDescription
     violations: tuple[Violation, ...]
-    derived_base: EulerData
     certificate: Optional[BoundCertificate]
     error: Optional[str] = None
 
     @property
     def valid(self) -> bool:
         return not self.violations
+
+    @property
+    def derived_base(self) -> EulerData:
+        return derived_euler_data(self.base)
 
     def to_json_dict(self) -> dict:
         """The JSON report as dicts and lists: its schema's one source.
@@ -262,10 +310,11 @@ class ReportDocument:
 
     def _tree(self, written: bool) -> dict:
         """The report's tree; when ``written``, its per-crossing lists are written text."""
+        eb = self.derived_base
         doc: dict = {
-            "tool": {"name": "ramcov", "version": self.tool_version},
+            "tool": {"name": "ramcov", "version": __version__},
             "strict": self.strict,
-            "input": _written_document(self.input_echo, 1) if written else self.input_echo,
+            "input": _echo(self.base, self.cover, 1, written),
             "validation": {
                 "valid": self.valid,
                 "violations": [
@@ -274,9 +323,9 @@ class ReportDocument:
                 ],
             },
             "derived_base": {
-                "e_c_U": self.derived_base.e_c_U,
-                "open_components": {k: v for k, v in self.derived_base.open_components},
-                "n_crossings": self.derived_base.n_crossings,
+                "e_c_U": eb.e_c_U,
+                "open_components": {k: v for k, v in eb.open_components},
+                "n_crossings": eb.n_crossings,
             },
             "invariants": None,
             "certificate": None,
@@ -343,7 +392,7 @@ class ReportDocument:
         return render_json(self._tree(written=True)) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"ramcov invariants report (version {self.tool_version})"]
+        lines = [f"ramcov invariants report (version {__version__})"]
         mode = "strict" if self.strict else "standard"
         lines.append(f"validation ({mode} mode): " + ("OK" if self.valid else f"{len(self.violations)} violation(s)"))
         for v in self.violations:

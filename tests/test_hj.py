@@ -22,8 +22,10 @@ from ramcov.hj import (
     discrepancies,
     hj_evaluate,
     hj_expand,
+    resolution_numbers,
     resolve,
 )
+from ramcov.hj import _dedekind12  # private: checked against its definition
 
 
 def oracle_discrepancies(entries):
@@ -242,3 +244,33 @@ def test_chain_length_matches_the_expansion():
             if math.gcd(n, q) == 1:
                 sing = SingularityType(n, q)
                 assert chain_length(sing) == hj_expand(sing).length, (n, q)
+
+
+def test_resolution_numbers_match_the_chain():
+    # The O(log n) closed form against the chain resolve builds and the
+    # correction its continuants give, integer against integer.
+    for n in range(2, 400):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                sing = SingularityType(n, q)
+                data = resolve(sing)
+                assert resolution_numbers(sing) == (data.chain.length, data.correction_num), (n, q)
+
+
+def test_dedekind_term_is_twelve_n_times_the_dedekind_sum():
+    # T(q, n) = 12 n s(q, n), with s summed from its definition.
+    def saw(x: Fraction) -> Fraction:
+        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+    for n in range(1, 40):
+        for q in range(0, n):
+            if math.gcd(n, q) == 1:
+                s = sum((saw(Fraction(i, n)) * saw(Fraction(q * i, n)) for i in range(1, n)), Fraction(0))
+                assert _dedekind12(q, n) == 12 * n * s, (q, n)
+
+
+def test_resolution_numbers_at_a_huge_order():
+    # A_{n,n-1} has a chain of n - 1 twos and no correction; A_{n,1} one entry n.
+    n = 10**18
+    assert resolution_numbers(SingularityType(n, n - 1)) == (n - 1, 0)
+    assert resolution_numbers(SingularityType(n, 1)) == (1, -((n - 2) ** 2))

@@ -2,7 +2,7 @@
 
 import json
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
 import pytest
@@ -13,24 +13,77 @@ from ramcov import loader
 from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
-from ramcov.loader import (
-    canonical_document,
-    dumps_document,
-    load_cover_path,
-    parse_cover_json,
-)
+from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LocalCoverType
-from ramcov.model import PointAbove, check_references
+from ramcov.model import BranchComponent, Crossing, PointAbove, RamSheet, check_references
+from ramcov.report import canonical_document, dumps_document
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
+DOCUMENTS = ROOT / "tests" / "fixtures" / "documents"
 SCHEMA = json.loads((ROOT / "docs" / "input_schema.json").read_text())
 
 
+def _loads(path: pathlib.Path) -> bool:
+    try:
+        load_cover_path(str(path))
+    except (InputFormatError, InvalidInputError):
+        return False
+    return True
+
+
+def _grid(k: int):
+    """The double cover of the square grid of k fibres and k sections."""
+    fibres, sections = [f"F{i}" for i in range(k)], [f"S{j}" for j in range(k)]
+    lines = fibres + sections
+    doc = {
+        "base": {
+            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
+            "components": [
+                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c in sections)}
+                for c in lines
+            ],
+            "crossings": [
+                {"index": i * k + j, "pair": [f, s]}
+                for i, f in enumerate(fibres)
+                for j, s in enumerate(sections)
+            ],
+        },
+        "cover": {
+            "degree": 2,
+            "ramification": {c: [{"e": 2, "f": 1}] for c in lines},
+            "points_above": {
+                str(i): [{"j": 0, "jp": 0, "local": [[2, 0], [1, 1]]}] for i in range(k * k)
+            },
+        },
+    }
+    return parse_cover_json(json.dumps(doc))
+
+
+# Every shipped and fixture document that loads, whatever its findings.
+_LOADABLE = [
+    p
+    for p in sorted([*COVERS.glob("*.json"), *COVERS.glob("malformed/*.json"), *DOCUMENTS.glob("*.json")])
+    if _loads(p)
+]
+
+
 @pytest.mark.parametrize(
-    "builder", [identity_cover, double_cover, lambda: power_map_cover(3, 2)]
+    "builder",
+    [
+        identity_cover,
+        double_cover,
+        lambda: power_map_cover(3, 2),
+        lambda: _grid(12),
+        *(lambda p=p: load_cover_path(str(p)) for p in _LOADABLE),
+    ],
+    ids=[
+        "identity", "double", "power_3_2", "grid_12",
+        *(f"{p.parent.name}/{p.name}" for p in _LOADABLE),
+    ],
 )
 def test_round_trip_preserves_model(builder):
+    # The parser shares no code with the report's echo writer.
     base, cover = builder()
     text = dumps_document(base, cover)
     base2, cover2 = parse_cover_json(text)
@@ -195,6 +248,22 @@ def test_schema_top_level_keys_match_the_loader():
     assert set(base["required"]) == loader._BASE_REQUIRED
     assert loader._BASE_KEYS - loader._BASE_REQUIRED == {"pair_intersections"}
     assert set(cover["properties"]) == set(cover["required"]) == loader._COVER_KEYS
+
+
+@pytest.mark.parametrize(
+    "table,model",
+    [
+        (loader._COMPONENT, BranchComponent),
+        (loader._CROSSING, Crossing),
+        (loader._SHEET, RamSheet),
+        (loader._POINT, PointAbove),
+        (loader._LOCAL_TYPE, LocalCoverType),
+    ],
+    ids=["component", "crossing", "sheet", "point", "local_type"],
+)
+def test_loader_tables_name_the_model_fields_in_order(table, model):
+    # The loader builds each model from its table; the report's echo reads the model's fields.
+    assert list(table) == [f.name for f in fields(model)]
 
 
 def test_malformed_fixtures():

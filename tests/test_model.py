@@ -16,7 +16,7 @@ import pytest
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
 from ramcov.invariants import invariant_report
-from ramcov.loader import canonical_document, load_cover_path
+from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import (
     BaseGeometry,
@@ -30,6 +30,7 @@ from ramcov.model import (
     derived_euler_data,
     validate,
 )
+from ramcov.report import canonical_document
 
 
 def one_crossing_base():

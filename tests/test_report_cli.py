@@ -9,6 +9,7 @@ import json
 import pathlib
 import re
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -18,11 +19,18 @@ import ramcov.cli
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.errors import InvalidInputError
+import ramcov.report
+from ramcov import __version__
 from ramcov.golden import identity_cover
-from ramcov.loader import canonical_document
 from ramcov.local_cover import LocalCoverType, local_type
 from ramcov.model import derived_euler_data
-from ramcov.report import FIBRATION_HYPOTHESES, ReportDocument, fmt_rational, parse_rational
+from ramcov.report import (
+    FIBRATION_HYPOTHESES,
+    ReportDocument,
+    canonical_document,
+    fmt_rational,
+    parse_rational,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -67,18 +75,16 @@ def test_rational_round_trip():
 def test_report_error_path_rendering():
     base, cover = identity_cover()
     doc = ReportDocument(
-        tool_version="0.0-test",
-        strict=False,
-        input_echo=canonical_document(base, cover),
-        violations=(),
-        derived_base=derived_euler_data(base),
-        certificate=None,
-        error="boom",
+        strict=False, base=base, cover=cover, violations=(), certificate=None, error="boom"
     )
     assert doc.valid
+    assert doc.derived_base == derived_euler_data(base)
     text = doc.to_text()
+    assert text.startswith(f"ramcov invariants report (version {__version__})\n")
     assert "invariants: not computed (boom)" in text
     payload = doc.to_json_dict()
+    assert payload["tool"] == {"name": "ramcov", "version": __version__}
+    assert payload["input"] == canonical_document(base, cover)
     assert payload["invariants"] is None
     assert payload["certificate"] is None
     assert payload["error"] == "boom"
@@ -132,15 +138,62 @@ def test_cli_local(capsys):
 
 def test_cli_invariants_text_report_builds_no_json_echo(capsys, monkeypatch):
     # The text report never shows the input echo, so it is not built.
-    def refuse(base, cover):
+    def refuse(*args):
         raise AssertionError("the input echo was built for a text report")
 
-    monkeypatch.setattr(ramcov.cli, "canonical_document", refuse)
+    monkeypatch.setattr(ramcov.report, "_echo", refuse)
     code, out, err = run(capsys, "invariants", str(COVERS / "bidouble.json"), "--strict")
     assert (code, err) == (0, "")
     assert out == (ROOT / "tests" / "fixtures" / "invariants" / "bidouble.strict.txt").read_text(
         encoding="utf-8"
     )
+
+
+def _cyclic_square_document(n: int) -> dict:
+    """The Z/n cover of P1 x P1 branched on the square with weights (1, n-1, 1, n-1).
+
+    D1, D2 are fibres and D3, D4 sections; each line has one sheet with
+    e = n, and over each crossing sits one point, the kernel of the local
+    weight map: generated by (n, 0) and (c, 1), with c = -w_section / w_fibre.
+    """
+    weights = {"D1": 1, "D2": n - 1, "D3": 1, "D4": n - 1}
+    square = [("D1", "D3"), ("D1", "D4"), ("D2", "D3"), ("D2", "D4")]
+    return {
+        "base": {
+            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
+            "components": [
+                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c in ("D3", "D4"))}
+                for c in weights
+            ],
+            "crossings": [{"index": i, "pair": list(pair)} for i, pair in enumerate(square)],
+        },
+        "cover": {
+            "degree": n,
+            "ramification": {c: [{"e": n, "f": 1}] for c in weights},
+            "points_above": {
+                str(i): [{"j": 0, "jp": 0, "local": [[n, 0], [-weights[s] * pow(weights[f], -1, n) % n, 1]]}]
+                for i, (f, s) in enumerate(square)
+            },
+        },
+    }
+
+
+@pytest.mark.parametrize("n", [7, 10001, 10**18])
+def test_cli_invariants_resolves_huge_quotient_orders_at_once(capsys, tmp_path, n):
+    # Over two crossings sits an A_{n,n-1} point, whose chain has n - 1
+    # entries; over the other two an A_{n,1}.  Esnault-Viehweg gives chi = 1
+    # for every n, and s = 2(n - 1) + 2.
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(_cyclic_square_document(n)))
+    start = time.perf_counter()
+    code, text, err = run(capsys, "invariants", str(path))
+    code_json, out, err_json = run(capsys, "invariants", str(path), "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, err, code_json, err_json) == (0, "", 0, "")
+    assert "  chi = 1 [integral]\n" in text
+    assert f"   s = {2 * n}   " in text
+    invariants = json.loads(out)["invariants"]
+    assert (invariants["chi"], invariants["exceptional_s"]) == ("1", 2 * n)
 
 
 def test_cli_invariants_identity(capsys):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import ramcov.report
 from ramcov.cli import main
-from ramcov.loader import canonical_document, dumps_document, load_cover_path
-from ramcov.report import _Written, render_json
+from ramcov.loader import load_cover_path
+from ramcov.report import _Written, canonical_document, dumps_document, render_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
