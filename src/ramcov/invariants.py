@@ -51,7 +51,7 @@ from .errors import InvalidInputError
 # resolve is not called here; it stays bound because perfbench/tracer.py
 # wraps it under this module's name.
 from .hj import SingularityType, resolution_numbers, resolve
-from .model import BaseGeometry, CoverDescription, Violation, derived_euler_data
+from .model import BaseGeometry, CoverDescription, Violation, check_references, derived_euler_data
 
 __all__ = [
     "InvariantReport",
@@ -348,9 +348,10 @@ def examine(
     The first point, in crossing index order, whose sheet index is out of
     range or whose local type breaks a range or gcd constraint becomes
     ``error``: from there on the walk sums nothing and returns no
-    certificate, but it still checks every point.  References are checked
-    by :func:`~ramcov.model.check_references`, not here: a point whose sheet
-    index is out of range has no findings.
+    certificate, but it still checks every point.  A point whose sheet
+    index is out of range has no findings.  Failing such a point, a key of
+    the cover that names nothing in the base makes ``error`` the message of
+    :func:`~ramcov.model.check_references`, which is called only then.
     """
     d = cover.degree
     # Receipts repeat a few small integers (s, max(d, 2 * points)): one
@@ -384,7 +385,7 @@ def examine(
                 f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
             )))
         b_mult = sum((s.e - 1) * s.f for s in sheets)
-        diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets), zero)
+        diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
         b_mults.append((comp.id, b_mult))
         kx_dot_b += b_mult * comp.KX_dot
         b_dot_f += b_mult * comp.fiber_deg
@@ -421,11 +422,10 @@ def examine(
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
         euler_y += len(points)
-        # The local degree total (V2) and, per sheet, the local degrees of
-        # the upstairs curve: m2 on the first component, m1 on the second (V4).
+        # The local degree total (V2) and, per sheet carrying a point, the local
+        # degrees of the upstairs curve: m2 on the first component, m1 on the second (V4).
         total = 0
-        m2_on = [0] * len(first)
-        m1_on = [0] * len(second)
+        m2_on, m1_on = {}, {}
         cross = correction = zero
         s = 0
         for k, pt in enumerate(points):
@@ -438,8 +438,8 @@ def examine(
                 continue
             lt = pt.local_cover_type()
             total += lt.d_y
-            m2_on[pt.j] += lt.m2
-            m1_on[pt.jp] += lt.m1
+            m2_on[pt.j] = m2_on.get(pt.j, 0) + lt.m2
+            m1_on[pt.jp] = m1_on.get(pt.jp, 0) + lt.m1
             e1, e2 = first[pt.j].e, second[pt.jp].e
             if lt.e1 != e1:
                 found.append(Violation("V3", (at, f"point {k}"), (
@@ -483,9 +483,9 @@ def examine(
                 (second_id, second, m1_on, "jp", "m1"),
             ):
                 for jj, sheet in enumerate(sheets):
-                    if sums[jj] != sheet.f:
+                    if sums.get(jj, 0) != sheet.f:
                         found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
-                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums[jj]}, "
+                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums.get(jj, 0)}, "
                             f"expected f={sheet.f}"
                         )))
         if error is not None:
@@ -515,6 +515,12 @@ def examine(
                 per_degree=one,
             )
         )
+    if error is None and not (cover._sheets.keys() <= base._components.keys()
+                              and cover._points.keys() <= base._crossings.keys()):
+        try:
+            check_references(base, cover)
+        except InvalidInputError as exc:
+            error = str(exc)
     found.sort()
     if error is not None:
         return found, None, error
@@ -574,9 +580,10 @@ def degree_linear_certificate(
 ) -> BoundCertificate:
     """The linear degree bound with per-term receipts: :func:`examine`'s certificate.
 
-    Raises :class:`InvalidInputError` at the first point, in crossing index
-    order, whose sheet index is out of range or whose local type breaks a
-    range or gcd constraint.
+    Raises :class:`InvalidInputError` with :func:`examine`'s error: the
+    first point, in crossing index order, whose sheet index is out of range
+    or whose local type breaks a range or gcd constraint, or failing one,
+    the first reference that does not resolve.
     """
     _, certificate, error = examine(base, cover, fibration)
     if error is not None:

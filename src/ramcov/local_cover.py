@@ -44,12 +44,14 @@ DEFAULT_ENUMERATION_CAP = 1000
 def check_enumeration_bound(
     name: str, value: int, minimum: int, cap: Optional[int] = None
 ) -> None:
-    """Raise unless ``minimum <= value <= cap`` for the sweep bound ``name``.
+    """Raise unless the sweep bound ``name`` is an int with ``minimum <= value <= cap``.
 
-    The cap is ``DEFAULT_ENUMERATION_CAP`` unless given.  A value below the
-    minimum raises :class:`InvalidInputError`, one above the cap
-    :class:`EnumerationLimitError`; the range is checked first.
+    The cap is ``DEFAULT_ENUMERATION_CAP`` unless given.  A non-int (a bool
+    too) or a value below the minimum raises :class:`InvalidInputError`, one
+    above the cap :class:`EnumerationLimitError`; type, then range, is checked.
     """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer (got {value!r})")
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum} (got {value})")
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap

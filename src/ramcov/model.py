@@ -17,7 +17,9 @@ declared pair counts by their sorted pair and then as given, ramification
 by component id, points_above by crossing index, and the points over one
 crossing by ``(j, jp, repr(local))``.  Models built from permuted lists are
 equal, and every error that names the first offending item names the first
-in that order.
+in that order.  After the sort each constructor indexes each list in one
+dict, by id or index: its size is the duplicate check, and the reference
+checks and every lookup read it.
 
 Structural problems (dangling references, malformed values) raise
 :class:`~ramcov.errors.InvalidInputError`; semantic incoherence on
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Union
 
 from .errors import InvalidInputError
@@ -69,6 +71,15 @@ def _check_int(value, what: str, minimum: "int | None" = None) -> int:
 def _canonical(obj, name: str, key) -> None:
     """Store the list field ``name`` of a frozen instance sorted by ``key``."""
     object.__setattr__(obj, name, tuple(sorted(getattr(obj, name), key=key)))
+
+
+def _index(items: tuple, key, what: str) -> dict:
+    """``items`` by ``key``; a repeated key raises, naming every repeated one, sorted."""
+    index = {key(item): item for item in items}
+    if len(index) != len(items):
+        repeats = sorted(k for k, count in Counter(map(key, items)).items() if count > 1)
+        raise InvalidInputError(f"duplicate {what}: {repeats}")
+    return index
 
 
 def _pair_key(item) -> tuple:
@@ -153,28 +164,24 @@ class BaseGeometry:
         _canonical(self, "components", lambda c: c.id)
         _canonical(self, "crossings", lambda x: x.index)
         _canonical(self, "pair_counts", _pair_key)
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
-            dup = sorted(i for i, count in Counter(ids).items() if count > 1)
-            raise InvalidInputError(f"duplicate component ids: {dup}")
-        indices = [x.index for x in self.crossings]
-        if len(set(indices)) != len(indices):
-            dup = sorted(i for i, count in Counter(indices).items() if count > 1)
-            raise InvalidInputError(f"duplicate crossing indices: {dup}")
-        known = set(ids)
+        components = _index(self.components, attrgetter("id"), "component ids")
+        object.__setattr__(self, "_components", components)
+        object.__setattr__(
+            self, "_crossings", _index(self.crossings, attrgetter("index"), "crossing indices")
+        )
         for x in self.crossings:
             for cid in x.pair:
-                if cid not in known:
+                if cid not in components:
                     raise InvalidInputError(
                         f"crossing {x.index} references unknown component {cid!r}"
                     )
         # Declared pairwise intersection numbers, when present, must agree
         # with the actual crossing count on that pair (SNC transversality
         # makes the two notions coincide).
-        actual = Counter(tuple(sorted(x.pair)) for x in self.crossings)
+        actual = Counter(tuple(sorted(x.pair)) for x in self.crossings) if self.pair_counts else {}
         for pair, count in self.pair_counts:
             key = tuple(sorted(pair))
-            if key[0] not in known or key[1] not in known:
+            if key[0] not in components or key[1] not in components:
                 raise InvalidInputError(f"declared pair {pair} references unknown components")
             got = actual[key]
             if got != count:
@@ -183,22 +190,15 @@ class BaseGeometry:
                     f"but the crossing list has {got}"
                 )
 
-    @cached_property
-    def _component_index(self) -> dict[str, BranchComponent]:
-        return {c.id: c for c in self.components}
-
-    @cached_property
-    def _crossing_counts(self) -> Counter:
-        return Counter(cid for x in self.crossings for cid in x.pair)
-
     def component(self, cid: str) -> BranchComponent:
         try:
-            return self._component_index[cid]
+            return self._components[cid]
         except KeyError:
             raise InvalidInputError(f"unknown component {cid!r}") from None
 
     def crossings_on(self, cid: str) -> int:
-        return self._crossing_counts[cid]
+        """The number of crossings on ``cid``, counted in one pass over the crossings."""
+        return sum(cid in x.pair for x in self.crossings)
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,9 @@ class CoverDescription:
     ``ramification`` maps component ids to their sheet lists and
     ``points_above`` maps crossing indices to the points over that
     crossing; both are stored as tuples of pairs to stay hashable, in
-    canonical order, and looked up through dicts built from them on first
-    use.  Absent entries mean "unspecified" and are flagged by the
-    validator rather than silently defaulted.
+    canonical order, and looked up through the one dict the constructor
+    builds from each.  Absent entries mean "unspecified" and are flagged by
+    the validator rather than silently defaulted.
     """
 
     degree: int
@@ -265,18 +265,15 @@ class CoverDescription:
 
     def __post_init__(self) -> None:
         _check_int(self.degree, "cover degree", minimum=1)
-        ram_ids = [cid for cid, _ in self.ramification]
-        for cid in ram_ids:
+        for cid, _ in self.ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
-        if len(set(ram_ids)) != len(ram_ids):
-            raise InvalidInputError("duplicate component id in ramification table")
-        pt_keys = [idx for idx, _ in self.points_above]
-        for idx in pt_keys:
-            _check_int(idx, "points_above key")
-        if len(set(pt_keys)) != len(pt_keys):
-            raise InvalidInputError("duplicate crossing index in points_above table")
         _canonical(self, "ramification", itemgetter(0))
+        object.__setattr__(self, "_sheets", dict(self.ramification))
+        if len(self._sheets) != len(self.ramification):
+            raise InvalidInputError("duplicate component id in ramification table")
+        for idx, _ in self.points_above:
+            _check_int(idx, "points_above key")
         object.__setattr__(
             self,
             "points_above",
@@ -285,20 +282,15 @@ class CoverDescription:
                 for idx, points in sorted(self.points_above, key=itemgetter(0))
             ),
         )
-
-    @cached_property
-    def _sheet_index(self) -> dict[str, tuple[RamSheet, ...]]:
-        return dict(self.ramification)
-
-    @cached_property
-    def _point_index(self) -> dict[int, tuple[PointAbove, ...]]:
-        return dict(self.points_above)
+        object.__setattr__(self, "_points", dict(self.points_above))
+        if len(self._points) != len(self.points_above):
+            raise InvalidInputError("duplicate crossing index in points_above table")
 
     def sheets_for(self, cid: str) -> tuple[RamSheet, ...]:
-        return self._sheet_index.get(cid, ())
+        return self._sheets.get(cid, ())
 
     def points_for(self, index: int) -> tuple[PointAbove, ...]:
-        return self._point_index.get(index, ())
+        return self._points.get(index, ())
 
 
 @dataclass(frozen=True, order=True)
@@ -324,13 +316,12 @@ class EulerData:
     open_components: tuple[tuple[str, int], ...]
     n_crossings: int
 
-    @cached_property
-    def _open_index(self) -> dict[str, int]:
-        return dict(self.open_components)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_opens", dict(self.open_components))
 
     def open_component(self, cid: str) -> int:
         try:
-            return self._open_index[cid]
+            return self._opens[cid]
         except KeyError:
             raise InvalidInputError(f"unknown component {cid!r}") from None
 
@@ -343,17 +334,18 @@ def check_references(base: BaseGeometry, cover: CoverDescription, point_path=Non
     each point's sheet indices are in range for the two components of its
     crossing.  An out-of-range index names its point ``crossing I, point K``
     in canonical order, or by ``point_path(I, point)`` and the field when
-    that is given: the loader gives the point's path in its document.
+    that is given: the loader gives the point's path in its document.  The
+    ramification keys are checked first, then each crossing's key and its
+    points in index order; every check reads the base's indexes.
     """
-    known_ids = {c.id for c in base.components}
     for cid, _ in cover.ramification:
-        if cid not in known_ids:
+        if cid not in base._components:
             raise InvalidInputError(f"ramification references unknown component {cid!r}")
-    known_idx = {x.index: x for x in base.crossings}
     for idx, points in cover.points_above:
-        if idx not in known_idx:
+        crossing = base._crossings.get(idx)
+        if crossing is None:
             raise InvalidInputError(f"points_above references unknown crossing {idx}")
-        first, second = known_idx[idx].pair
+        first, second = crossing.pair
         n_first, n_second = len(cover.sheets_for(first)), len(cover.sheets_for(second))
         for k, pt in enumerate(points):
             if pt.j < n_first and pt.jp < n_second:
@@ -393,9 +385,8 @@ def derived_euler_data(base: BaseGeometry) -> EulerData:
     adds the crossing points back once, and the complement gets whatever
     remains of ``e_c(X)``.
     """
-    opens = [
-        (comp.id, 2 - 2 * comp.genus - base.crossings_on(comp.id)) for comp in base.components
-    ]
+    on = Counter(chain.from_iterable(map(attrgetter("pair"), base.crossings)))
+    opens = [(comp.id, 2 - 2 * comp.genus - on[comp.id]) for comp in base.components]
     n_cross = len(base.crossings)
     e_c_D = sum(v for _, v in opens) + n_cross
     return EulerData(

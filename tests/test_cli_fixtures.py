@@ -36,6 +36,10 @@ lists them by sorted pair and then as given.
 four sections, 16 crossings: its ``--strict`` report is the one frozen
 ``--json`` output with more than four crossings, and its ``points_above``
 keys sort as strings ("10" before "2") in the echo, not as numbers.
+``short_sheets.json`` is a trivial double cover of the square whose D4 has
+one sheet of degree 2: over crossing 0 both points lie on sheet 0 of D1,
+so sheet 1 sums to 0, and crossing 1 has one point, so D4's sheet falls
+short of its f.  Its ``--strict`` reports are the frozen V4 findings.
 """
 
 import functools
@@ -74,6 +78,7 @@ _RUNS = [
 ] + [
     ("bidouble.strict.ev", COVERS / "bidouble.json", ("--strict", "--ev", "0", "2", "0", "2", "0"), 0),
     ("grid_4.strict", DOCUMENTS / "grid_4.json", ("--strict",), 0),
+    ("short_sheets.strict", DOCUMENTS / "short_sheets.json", ("--strict",), 1),
     ("bad_v1", COVERS / "malformed" / "bad_v1.json", (), 1),
     ("bad_v3", COVERS / "malformed" / "bad_v3.json", (), 1),
 ]

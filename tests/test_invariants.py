@@ -19,6 +19,7 @@ Frozen oracles used here, all independent of the code under test:
 import dataclasses
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import mpmath
@@ -45,7 +46,9 @@ from ramcov.invariants import (
 from ramcov.hj import SingularityType, resolve
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
-from ramcov.model import CoverDescription, PointAbove, validate
+from ramcov.model import (
+    BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet, validate,
+)
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
@@ -246,6 +249,53 @@ def test_invariants_raise_on_out_of_range_sheet_index(j, jp):
         invariant_report(base, bad)
     with pytest.raises(InvalidInputError, match=message):
         degree_linear_certificate(base, bad)
+
+
+def test_dangling_references_are_the_error_of_every_view():
+    # A key that names no component or crossing makes the cover unusable:
+    # the walk names it as check_references does, and sums no smaller cover.
+    base, cover = double_cover()
+    (_, (node,)), *rest = cover.points_above
+    dangling = CoverDescription(
+        degree=2,
+        ramification=cover.ramification + (("ZZ", (RamSheet(e=2, f=1),)),),
+        points_above=cover.points_above + ((99, (node,)),),
+    )
+    message = "ramification references unknown component 'ZZ'"
+    assert examine(base, dangling)[1:] == (None, message)
+    for view in (validate, degree_linear_certificate, invariant_report, deg_det):
+        with pytest.raises(InvalidInputError) as info:
+            view(base, dangling)
+        assert str(info.value) == message
+    points_only = dataclasses.replace(dangling, ramification=cover.ramification)
+    assert examine(base, points_only)[1:] == (None, "points_above references unknown crossing 99")
+    # A point's own error comes first.
+    bad_point = dataclasses.replace(
+        dangling, points_above=((0, (PointAbove(j=1, jp=0, local=node.local),)), *rest)
+    )
+    assert examine(base, bad_point)[2].startswith("crossing 0: point sheet index out of range")
+
+
+def test_examine_without_strict_does_no_work_per_sheet_and_crossing():
+    # 4 000 crossings on a component with 10^6 unramified sheets, one point
+    # each.  Without strict the walk is linear in the input; a list sized by
+    # the sheet count at every crossing would fill 4 * 10^9 entries.
+    sheets = 10**6
+    comps = tuple(BranchComponent(id=c, genus=0, self_int=0, KX_dot=-2, fiber_deg=0)
+                  for c in ("D1", "D2"))
+    base = BaseGeometry(genus_C=0, KX_sq=8, euler_X=4, KX_dot_F=-2, components=comps,
+                        crossings=tuple(Crossing(index=i, pair=("D1", "D2")) for i in range(4000)))
+    point = (PointAbove(j=0, jp=0, local=LocalCoverType(n=1, q=0, m1=1, m2=1)),)
+    cover = CoverDescription(
+        degree=sheets,
+        ramification=(("D1", (RamSheet(e=1, f=1),) * sheets), ("D2", (RamSheet(e=1, f=sheets),))),
+        points_above=tuple((i, point) for i in range(4000)),
+    )
+    start = time.perf_counter()
+    violations, certificate, error = examine(base, cover)
+    assert time.perf_counter() - start < 1
+    assert error is None and certificate.report.B_mult == (("D1", 0), ("D2", 0))
+    assert {v.code for v in violations} == {"V2"} and len(violations) == 4000
 
 
 def _double_cover_with(points_over: dict):

@@ -518,6 +518,15 @@ def _two_components(**fields):
     return BaseGeometry(genus_C=0, KX_sq=0, euler_X=0, KX_dot_F=0, components=comps, **fields)
 
 
+def _bad_sheet_index_before_dangling_key():
+    # Crossing 3's point names sheet 1 of a one-sheet line, and key 4 names
+    # no crossing: check_references meets crossing 3 first.
+    base, cover = double_cover()
+    pts = tuple((idx, (smooth_point(j=1),) if idx == 3 else points)
+                for idx, points in cover.points_above)
+    check_references(base, dataclasses.replace(cover, points_above=pts + ((4, ()),)))
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
@@ -530,8 +539,42 @@ def _two_components(**fields):
             lambda: CoverDescription(degree=1, ramification=(), points_above=((4, ()), (4, ()))),
             "duplicate crossing index in points_above table",
         ),
+        # Two faults each: the checks fire in a fixed order, so the message
+        # names the same one whichever way the model is indexed.
+        (
+            lambda: CoverDescription(
+                degree=1, ramification=(("A", ()), ("A", ())), points_above=(("0", ()),)
+            ),
+            "duplicate component id in ramification table",
+        ),
+        (
+            lambda: BaseGeometry(
+                genus_C=0, KX_sq=0, euler_X=0, KX_dot_F=0,
+                components=_two_components(crossings=()).components * 2,
+                crossings=(Crossing(index=0, pair=("A", "Z")),),
+            ),
+            "duplicate component ids: ['A', 'B']",
+        ),
+        (
+            lambda: _two_components(
+                crossings=(Crossing(index=0, pair=("A", "B")), Crossing(index=0, pair=("A", "Z")))
+            ),
+            "duplicate crossing indices: [0]",
+        ),
+        (
+            _bad_sheet_index_before_dangling_key,
+            "crossing 3, point 0: sheet index j=1 out of range for component 'D2' (1 sheets)",
+        ),
     ],
-    ids=["crossing_pair_member", "declared_pair_unknown", "points_above_duplicate"],
+    ids=[
+        "crossing_pair_member",
+        "declared_pair_unknown",
+        "points_above_duplicate",
+        "ramification_duplicate_before_points_key",
+        "component_duplicate_before_unknown_component",
+        "crossing_duplicate_before_unknown_component",
+        "sheet_index_before_later_dangling_key",
+    ],
 )
 def test_constructor_rejection_messages(build, message):
     with pytest.raises(InvalidInputError) as info:

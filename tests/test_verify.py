@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 import ramcov.verify as verify
-from ramcov.errors import EnumerationLimitError
+from ramcov.errors import EnumerationLimitError, InvalidInputError
 from ramcov.hj import HJChain, discrepancies, hj_expand
 from ramcov.local_cover import (
     DEFAULT_ENUMERATION_CAP,
@@ -48,6 +48,23 @@ def test_hj_sweep_cap():
     assert verify.hj_sweep(20, cap=20).ok
     with pytest.raises(EnumerationLimitError, match="cap 1000"):
         verify.hj_sweep(DEFAULT_ENUMERATION_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "sweep,bound,message",
+    [
+        (verify.hj_sweep, 2.5, "max_n must be an integer (got 2.5)"),
+        (verify.hj_sweep, "5", "max_n must be an integer (got '5')"),
+        (verify.hj_sweep, True, "max_n must be an integer (got True)"),
+        (verify.lattice_sweep, 3.0, "max_index must be an integer (got 3.0)"),
+        (enumerate_subgroups, True, "max_index must be an integer (got True)"),
+    ],
+)
+def test_sweep_bounds_must_be_integers(sweep, bound, message):
+    # A float or a string is no bound, and a bool is not the int it equals.
+    with pytest.raises(InvalidInputError) as info:
+        sweep(bound)
+    assert str(info.value) == message
 
 
 def test_hj_sweep_detects_corrupted_expansion(monkeypatch):
