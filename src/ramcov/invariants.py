@@ -34,9 +34,13 @@ cover.
 The walk's findings are :func:`~ramcov.model.validate`'s, and its
 certificate, which carries the receipts so a failure localizes, is
 :func:`degree_linear_certificate`'s; :func:`invariant_report` is the
-certificate's report alone.  Beside them sit an Arakelov-type bound for
-semistable fibrations and a logarithmic height bound for plane models, the
-single place the package leaves exact arithmetic (flagged as such).
+certificate's report alone.  A crossing's three receipts are one plain row
+of numbers and verdicts, each verdict decided once, where the walk emits
+it; the reports write the rows, and :attr:`BoundCertificate.terms` builds
+their :class:`BoundTerm` objects only when read.  Beside them sit an
+Arakelov-type bound for semistable fibrations and a logarithmic height
+bound for plane models, the single place the package leaves exact
+arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from .errors import InvalidInputError
 # resolve is not called here; it stays bound because perfbench/tracer.py
 # wraps it under this module's name.
 from .hj import SingularityType, resolution_numbers, resolve
-from .model import BaseGeometry, CoverDescription, Violation, check_references, derived_euler_data
+from .model import BaseGeometry, CoverDescription, EulerData, Violation
+from .model import check_references, derived_euler_data
 
 __all__ = [
     "InvariantReport",
@@ -129,8 +134,9 @@ class InvariantReport:
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
     """The report of :func:`degree_linear_certificate`'s walk.
 
-    It builds the whole certificate, receipts included, and returns only
-    its report: a caller that needs the receipts too should ask for the
+    It runs the whole walk and returns only its report.  The walk keeps the
+    per-crossing receipts as plain rows and builds no :class:`BoundTerm`
+    per crossing; a caller that needs the receipts too should ask for the
     certificate.
     """
     return degree_linear_certificate(base, cover).report
@@ -141,7 +147,7 @@ def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
 
     The ``deg_det`` of :func:`invariant_report`; for geometrically
     consistent input it is an integer.  Like :func:`invariant_report`, it
-    builds the whole certificate, receipts included.
+    runs the whole walk, which keeps the per-crossing receipts as rows.
     """
     return invariant_report(base, cover).deg_det
 
@@ -238,6 +244,15 @@ def plane_model_height_log(d: int, nB: int, h: Union[Fraction, int] = 0) -> Frac
     return Fraction(height_log_decimal(d, nB, h))
 
 
+def _within(value, bound) -> bool:
+    """Every receipt's verdict, ``|value| <= bound``, for rationals or ints.
+
+    Cross-multiplied over the positive denominators: Fraction's own abs and
+    comparison cost four times as much.
+    """
+    return abs(value.numerator) * bound.denominator <= bound.numerator * value.denominator
+
+
 @dataclass(frozen=True)
 class BoundTerm:
     """One receipt of the linear-bound certificate."""
@@ -249,41 +264,61 @@ class BoundTerm:
 
     @cached_property
     def ok(self) -> bool:
-        # |value| <= bound, cross-multiplied over the positive denominators
-        # (Fraction's own abs and comparison cost four times as much).  A
-        # report asks for each term's verdict and for ``satisfied``; the
-        # term keeps its verdict, so the comparison runs once.
-        v, b = self.value, self.bound
-        return abs(v.numerator) * b.denominator <= b.numerator * v.denominator
+        return _within(self.value, self.bound)
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
     """Receipts showing |deg_det| is linearly bounded in the cover degree.
 
-    ``linear_coefficient`` is assembled from the base configuration alone,
-    so one coefficient serves every cover of the same base; the terms
-    instantiate the individual estimates that make the aggregate work, and
-    ``satisfied`` holds exactly when every term's |value| is within its
-    bound.  The optional fibration bound is carried along for comparison
-    when its inputs are supplied.  ``report`` is summed in the walk that
-    emits the receipts; its ``deg_det`` is the certificate's.
+    ``linear_coefficient`` is assembled from the base configuration alone
+    (its Euler data is ``derived_base``), so one coefficient serves every
+    cover of the same base; the terms instantiate the individual estimates
+    that make the aggregate work, and ``satisfied`` holds exactly when
+    every term's |value| is within its bound.  A row of ``crossing_rows``,
+    ``(index, cross, cross_ok, correction, correction_bound, correction_ok,
+    s, s_ok)``, holds the numbers and verdicts of a crossing's three terms,
+    which ``terms`` builds only when read, between ``component_terms`` and
+    ``degree_terms``.  The optional fibration bound is carried along for
+    comparison when its inputs are supplied.  ``report`` is summed in the
+    walk that emits the receipts; its ``deg_det`` is the certificate's.
     """
 
-    terms: tuple[BoundTerm, ...]
+    component_terms: tuple[BoundTerm, ...]
+    crossing_rows: tuple[tuple, ...]
+    degree_terms: tuple[BoundTerm, ...]
     linear_coefficient: Fraction
     degree: int
     report: InvariantReport
+    derived_base: EulerData
     fibration_inputs: Optional[FibrationInputs]
     fibration_bound: Optional[Fraction]
+
+    @cached_property
+    def terms(self) -> tuple[BoundTerm, ...]:
+        one, two = Fraction(1), Fraction(2)
+        once, twice = Fraction(self.degree), Fraction(2 * self.degree)
+        crossing_terms = [
+            term
+            for index, cross, _, correction, bound, _, s, _ in self.crossing_rows
+            for term in (
+                BoundTerm(f"rr_cross[crossing {index}]", cross, twice, two),
+                BoundTerm(f"correction[crossing {index}]", correction, Fraction(bound), two),
+                BoundTerm(f"exceptional_s[crossing {index}]", Fraction(s), once, one),
+            )
+        ]
+        return (*self.component_terms, *crossing_terms, *self.degree_terms)
 
     @property
     def deg_det(self) -> Fraction:
         return self.report.deg_det
 
-    @property
+    @cached_property
     def satisfied(self) -> bool:
-        return all(t.ok for t in self.terms)
+        return all(t.ok for t in self.component_terms + self.degree_terms) and all(
+            cross_ok and correction_ok and s_ok
+            for _, _, cross_ok, _, _, correction_ok, _, s_ok in self.crossing_rows
+        )
 
     @property
     def deg_det_within_linear(self) -> bool:
@@ -305,7 +340,11 @@ def linear_coefficient(base: BaseGeometry) -> Fraction:
     Conservative by construction; the certificate's per-term receipts show
     where the slack lives.
     """
-    euler = derived_euler_data(base)
+    return _linear_coefficient(base, derived_euler_data(base))
+
+
+def _linear_coefficient(base: BaseGeometry, euler: EulerData) -> Fraction:
+    """:func:`linear_coefficient` of ``base``, whose Euler data is ``euler``."""
     n_cross = len(base.crossings)
     twelfth = (
         abs(base.KX_sq)
@@ -335,8 +374,9 @@ def examine(
 
     Returns ``(violations, certificate, error)``.  The violations are
     :func:`~ramcov.model.validate`'s sorted findings (V4 only when
-    ``strict``).  The certificate has one term per estimate, emitted
-    where its value is computed: branch multiplicities are at most d, the
+    ``strict``).  The certificate has one term per estimate, emitted, with
+    its verdict, where its value is computed (a crossing's three as one
+    row): branch multiplicities are at most d, the
     diagonal (R,R) factors lie in [0, d), each crossing's ordered cross term
     is at most 2d in absolute value, per-crossing resolution corrections lie
     in (-d, 2 * points], per-crossing exceptional counts are at most d, and
@@ -354,29 +394,17 @@ def examine(
     :func:`~ramcov.model.check_references`, which is called only then.
     """
     d = cover.degree
-    # Receipts repeat a few small integers (s, max(d, 2 * points)): one
-    # Fraction each per certificate.
-    small: dict[int, Fraction] = {}
-
-    def exact(i: int) -> Fraction:
-        f = small.get(i)
-        if f is None:
-            f = small[i] = Fraction(i)
-        return f
-
-    one, two, fd = exact(1), exact(2), exact(d)
-    f2d = exact(2 * d)
     zero = Fraction(0)
-    euler = derived_euler_data(base)
+    fd, one = Fraction(d), Fraction(1)
     found: list[Violation] = []
     error: Optional[str] = None
 
-    terms: list[BoundTerm] = []
+    component_terms: list[BoundTerm] = []
     diagonal_terms: list[BoundTerm] = []
     b_mults = []
+    d_sums = []  # d_i = sum_j f_ij, in component order
     kx_dot_b = b_dot_f = 0
     rr = zero
-    euler_y = d * euler.e_c_U
     for comp in base.components:
         sheets = cover.sheets_for(comp.id)
         total = sum(s.e * s.f for s in sheets)
@@ -390,24 +418,10 @@ def examine(
         kx_dot_b += b_mult * comp.KX_dot
         b_dot_f += b_mult * comp.fiber_deg
         rr += diagonal * comp.self_int
-        euler_y += sum(s.f for s in sheets) * euler.open_component(comp.id)
-        terms.append(
-            BoundTerm(
-                name=f"branch_mult[{comp.id}]",
-                value=Fraction(b_mult),
-                bound=fd,
-                per_degree=one,
-            )
-        )
-        diagonal_terms.append(
-            BoundTerm(
-                name=f"rr_diagonal_factor[{comp.id}]",
-                value=diagonal,
-                bound=fd,
-                per_degree=one,
-            )
-        )
-    terms += diagonal_terms
+        d_sums.append(sum(s.f for s in sheets))
+        component_terms.append(BoundTerm(f"branch_mult[{comp.id}]", Fraction(b_mult), fd, one))
+        diagonal_terms.append(BoundTerm(f"rr_diagonal_factor[{comp.id}]", diagonal, fd, one))
+    component_terms += diagonal_terms
 
     # (n, q) -> chain length, correction numerator and the correction over n
     resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
@@ -415,13 +429,14 @@ def examine(
     # the corrections of all points
     cross_sums: dict[int, int] = {}
     correction_sums: dict[int, int] = {}
-    s_total = 0
+    s_total = n_points = 0
+    rows = []
     for crossing in base.crossings:
         at = f"crossing {crossing.index}"
         first_id, second_id = crossing.pair
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
-        euler_y += len(points)
+        n_points += len(points)
         # The local degree total (V2) and, per sheet carrying a point, the local
         # degrees of the upstairs curve: m2 on the first component, m1 on the second (V4).
         total = 0
@@ -491,30 +506,11 @@ def examine(
         if error is not None:
             continue
         s_total += s
-        terms.append(
-            BoundTerm(
-                name=f"rr_cross[{at}]",
-                value=cross,
-                bound=f2d,
-                per_degree=two,
-            )
-        )
-        terms.append(
-            BoundTerm(
-                name=f"correction[{at}]",
-                value=correction,
-                bound=exact(max(d, 2 * len(points))),
-                per_degree=two,
-            )
-        )
-        terms.append(
-            BoundTerm(
-                name=f"exceptional_s[{at}]",
-                value=exact(s),
-                bound=fd,
-                per_degree=one,
-            )
-        )
+        bound = max(d, 2 * len(points))
+        rows.append((
+            crossing.index, cross, _within(cross, 2 * d),
+            correction, bound, _within(correction, bound), s, _within(s, d),
+        ))
     if error is None and not (cover._sheets.keys() <= base._components.keys()
                               and cover._points.keys() <= base._crossings.keys()):
         try:
@@ -525,6 +521,10 @@ def examine(
     if error is not None:
         return found, None, error
 
+    euler = derived_euler_data(base)
+    euler_y = d * euler.e_c_U + n_points + sum(
+        d_i * e_c for d_i, (_, e_c) in zip(d_sums, euler.open_components)
+    )
     rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
     correction_total = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
     report = InvariantReport(
@@ -539,34 +539,24 @@ def examine(
         fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
     )
 
-    coeff = linear_coefficient(base)
-    terms.append(
-        BoundTerm(
-            name="deg_det_vs_linear",
-            value=report.deg_det,
-            bound=coeff * d,
-            per_degree=coeff,
-        )
-    )
-
+    coeff = _linear_coefficient(base, euler)
+    degree_terms = [BoundTerm("deg_det_vs_linear", report.deg_det, coeff * d, coeff)]
     fib_bound = None
     if fibration is not None:
         fi = fibration
         fib_bound = arakelov_degree_bound(fi.gF, fi.Dhor_dot_F, fi.gC, fi.nDC, fi.nS, d)
-        terms.append(
-            BoundTerm(
-                name="deg_det_vs_fibration",
-                value=report.deg_det,
-                bound=fib_bound,
-                per_degree=Fraction(fib_bound, d),
-            )
+        degree_terms.append(
+            BoundTerm("deg_det_vs_fibration", report.deg_det, fib_bound, Fraction(fib_bound, d))
         )
 
     certificate = BoundCertificate(
-        terms=tuple(terms),
+        component_terms=tuple(component_terms),
+        crossing_rows=tuple(rows),
+        degree_terms=tuple(degree_terms),
         linear_coefficient=coeff,
         degree=d,
         report=report,
+        derived_base=euler,
         fibration_inputs=fibration,
         fibration_bound=fib_bound,
     )

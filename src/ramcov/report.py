@@ -23,11 +23,13 @@ receipts per crossing) and, in the echoed document, ``base.crossings`` and
 ``cover.points_above``.  Each record of these lists is written as one
 formatted string, for the fixed depth at which it sits, with strings
 passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
-as ``json.dumps`` does.  On a document with many crossings, a dict per
-record, walked container by container, took longer than loading the
-document and computing its certificate together.  :func:`render_json`
-copies such a written member as it is.  :func:`dumps_document` writes the
-echo the same way.
+as ``json.dumps`` does; a dict per record, walked container by container,
+took longer than loading the document and computing its certificate
+together.  A crossing's terms are written from the certificate's row of
+numbers and verdicts, as is each line of the text report's certificate:
+neither writer builds a :class:`~ramcov.invariants.BoundTerm` per crossing.
+:func:`render_json` copies a written member as it is, and
+:func:`dumps_document` writes the echo the same way.
 
 Everything else goes through :func:`render_json`: the skeleton, components,
 ramification, violations and the fibration block.  It is one recursive
@@ -154,20 +156,37 @@ def _written_list(records: list, depth: int) -> _Written:
     return _Written(f"[{inner}{(',' + inner).join(records)}{_newline(depth)}]")
 
 
-def _written_terms(terms) -> _Written:
-    """``certificate.terms``, which the report opens at depth 2: one string per term."""
-    enc = encode_basestring_ascii
+def _written_terms(cert: BoundCertificate) -> _Written:
+    """``certificate.terms``, which the report opens at depth 2: one string per term.
+
+    A crossing's terms are written from its row; their names and values need no escaping.
+    """
     end, key = _newline(3), _newline(4)
-    return _written_list(
-        [
-            f'{{{key}"bound": {enc(fmt_rational(t.bound))},{key}"name": {enc(t.name)},'
-            f'{key}"ok": {"true" if t.ok else "false"},'
-            f'{key}"per_degree": {enc(fmt_rational(t.per_degree))},'
-            f'{key}"value": {enc(fmt_rational(t.value))}{end}}}'
+    verdict = ("false", "true")
+
+    def written(terms):
+        return [
+            f'{{{key}"bound": "{t.bound!s}",{key}"name": {encode_basestring_ascii(t.name)},'
+            f'{key}"ok": {verdict[t.ok]},{key}"per_degree": "{t.per_degree!s}",'
+            f'{key}"value": "{t.value!s}"{end}}}'
             for t in terms
-        ],
-        2,
-    )
+        ]
+
+    records = written(cert.component_terms)
+    d, twice = cert.degree, 2 * cert.degree
+    for i, cross, cross_ok, correction, bound, correction_ok, s, s_ok in cert.crossing_rows:
+        records += (
+            f'{{{key}"bound": "{twice}",{key}"name": "rr_cross[crossing {i}]",'
+            f'{key}"ok": {verdict[cross_ok]},{key}"per_degree": "2",'
+            f'{key}"value": "{cross!s}"{end}}}',
+            f'{{{key}"bound": "{bound}",{key}"name": "correction[crossing {i}]",'
+            f'{key}"ok": {verdict[correction_ok]},{key}"per_degree": "2",'
+            f'{key}"value": "{correction!s}"{end}}}',
+            f'{{{key}"bound": "{d}",{key}"name": "exceptional_s[crossing {i}]",'
+            f'{key}"ok": {verdict[s_ok]},{key}"per_degree": "1",'
+            f'{key}"value": "{s}"{end}}}',
+        )
+    return _written_list(records + written(cert.degree_terms), 2)
 
 
 def _written_crossings(crossings, depth: int) -> _Written:
@@ -276,6 +295,10 @@ def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:
     return render_json(_echo(base, cover, 0, written=True)) + "\n"
 
 
+def _text_term(name: str, value, bound, ok: bool) -> str:
+    return f"  {name}: |{value!s}| <= {bound!s}  {'ok' if ok else 'VIOLATED'}"
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """Everything one invariants run produces, ready to render.
@@ -299,7 +322,8 @@ class ReportDocument:
 
     @property
     def derived_base(self) -> EulerData:
-        return derived_euler_data(self.base)
+        cert = self.certificate
+        return derived_euler_data(self.base) if cert is None else cert.derived_base
 
     def to_json_dict(self) -> dict:
         """The JSON report as dicts and lists: its schema's one source.
@@ -354,7 +378,7 @@ class ReportDocument:
                 "deg_det_integral": inv.deg_det_is_integral,
             }
             cert_doc: dict = {
-                "terms": _written_terms(cert.terms) if written else [
+                "terms": _written_terms(cert) if written else [
                     {
                         "name": t.name,
                         "value": fmt_rational(t.value),
@@ -372,15 +396,8 @@ class ReportDocument:
                 "fibration": None,
             }
             if cert.fibration_inputs is not None:
-                fi = cert.fibration_inputs
                 cert_doc["fibration"] = {
-                    "inputs": {
-                        "gF": fi.gF,
-                        "Dhor_dot_F": fi.Dhor_dot_F,
-                        "gC": fi.gC,
-                        "nDC": fi.nDC,
-                        "nS": fi.nS,
-                    },
+                    "inputs": _record(cert.fibration_inputs),
                     "bound": fmt_rational(cert.fibration_bound),
                     "deg_det_within": cert.deg_det_within_fibration,
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),
@@ -428,11 +445,15 @@ class ReportDocument:
             lines.append(f"  chi = {fmt_rational(inv.chi)} [{chi_tag}]")
             lines.append(f"  deg_det = {fmt_rational(inv.deg_det)} [{dd_tag}]")
             lines.append("linear bound certificate:")
-            for t in cert.terms:
-                flag = "ok" if t.ok else "VIOLATED"
-                lines.append(
-                    f"  {t.name}: |{fmt_rational(t.value)}| <= {fmt_rational(t.bound)}  {flag}"
+            lines += [_text_term(t.name, t.value, t.bound, t.ok) for t in cert.component_terms]
+            d, twice = cert.degree, 2 * cert.degree
+            for i, cross, cross_ok, correction, bound, correction_ok, s, s_ok in cert.crossing_rows:
+                lines += (
+                    _text_term(f"rr_cross[crossing {i}]", cross, twice, cross_ok),
+                    _text_term(f"correction[crossing {i}]", correction, bound, correction_ok),
+                    _text_term(f"exceptional_s[crossing {i}]", s, d, s_ok),
                 )
+            lines += [_text_term(t.name, t.value, t.bound, t.ok) for t in cert.degree_terms]
             lines.append(
                 f"  coefficient c = {fmt_rational(cert.linear_coefficient)}; "
                 f"|deg_det| <= c*d = {fmt_rational(cert.linear_coefficient * cert.degree)}: "

@@ -40,20 +40,29 @@ keys sort as strings ("10" before "2") in the echo, not as numbers.
 one sheet of degree 2: over crossing 0 both points lie on sheet 0 of D1,
 so sheet 1 sums to 0, and crossing 1 has one point, so D4's sheet falls
 short of its f.  Its ``--strict`` reports are the frozen V4 findings.
+``failing_receipts.json`` is a degree 2 cover of the square whose D1 sheet
+has e = 4 > 2: its receipts fail over D1 and over crossings 0 and 1, so its
+reports read ``VIOLATED``, ``"ok": false`` and ``satisfied: no``, beside a
+V1 finding.  Crossing 0 holds two points of orders 2 and 5, so its cross
+term is 3 + 6/5 = 21/5.
 """
 
-import functools
+import json
 import pathlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import ramcov.cli
+import ramcov.invariants
 import ramcov.loader
 import ramcov.model
+import ramcov.report
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.hj import HJChain, discrepancies, hj_expand
-from ramcov.invariants import BoundTerm
+from ramcov.invariants import BoundTerm, FibrationInputs, degree_linear_certificate
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 
@@ -78,6 +87,7 @@ _RUNS = [
 ] + [
     ("bidouble.strict.ev", COVERS / "bidouble.json", ("--strict", "--ev", "0", "2", "0", "2", "0"), 0),
     ("grid_4.strict", DOCUMENTS / "grid_4.json", ("--strict",), 0),
+    ("failing_receipts.strict", DOCUMENTS / "failing_receipts.json", ("--strict",), 1),
     ("short_sheets.strict", DOCUMENTS / "short_sheets.json", ("--strict",), 1),
     ("bad_v1", COVERS / "malformed" / "bad_v1.json", (), 1),
     ("bad_v3", COVERS / "malformed" / "bad_v3.json", (), 1),
@@ -281,22 +291,85 @@ def test_a_second_run_classifies_every_point_again(capsys, monkeypatch):
     assert counts == [4, 4]
 
 
-@pytest.mark.parametrize("flags", [(), ("--json",), ("--ev", "0", "2", "0", "2", "0")])
+_EV = ("--ev", "0", "2", "0", "2", "0")
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",), _EV])
 def test_a_report_evaluates_each_receipt_once(capsys, monkeypatch, flags):
-    # A report shows each receipt's verdict and whether all hold; the term
-    # keeps its verdict, so each comparison runs once per report.
-    calls = Counter()
-    compare = BoundTerm.ok.func
+    # A report shows each receipt's verdict and whether all hold.  Every
+    # verdict is one call of the one comparison, and a report makes it once
+    # per receipt: the walk decides a crossing's three, and a term keeps its
+    # own.
+    compared = Counter()
+    within = ramcov.invariants._within
 
-    def counting(term):
-        calls[id(term)] += 1
-        return compare(term)
+    def counting(value, bound):
+        compared[Fraction(value), Fraction(bound)] += 1
+        return within(value, bound)
 
-    ok = functools.cached_property(counting)
-    ok.__set_name__(BoundTerm, "ok")
-    monkeypatch.setattr(BoundTerm, "ok", ok)
-    assert main(["invariants", str(COVERS / "cyclic_5_1_4_2_3.json"), *flags]) == 0
+    path = COVERS / "cyclic_5_1_4_2_3.json"
+    monkeypatch.setattr(ramcov.invariants, "_within", counting)
+    assert main(["invariants", str(path), *flags]) == 0
     capsys.readouterr()
-    n_terms = 2 * 4 + 3 * 4 + 1 + (len(flags) > 1)
-    assert len(calls) == n_terms
-    assert set(calls.values()) == {1}
+    monkeypatch.undo()
+    fibration = FibrationInputs(0, 2, 0, 2, 0) if flags == _EV else None
+    terms = degree_linear_certificate(*load_cover_path(str(path)), fibration).terms
+    assert len(terms) == 2 * 4 + 3 * 4 + 1 + (flags == _EV)
+    assert compared == Counter((t.value, t.bound) for t in terms)
+
+
+@pytest.mark.parametrize("flags", [(), _EV])
+@pytest.mark.parametrize("path,components", [
+    (COVERS / "cyclic_5_1_4_2_3.json", 4), (DOCUMENTS / "grid_4.json", 8),
+])
+def test_a_json_report_builds_no_term_per_crossing(capsys, monkeypatch, flags, path, components):
+    # Two terms per component and one per bound on deg_det; the crossings'
+    # terms are written from the certificate's rows.
+    built = []
+    init = BoundTerm.__init__
+
+    def counting(term, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(term, *args, **kwargs)
+
+    monkeypatch.setattr(BoundTerm, "__init__", counting)
+    assert main(["invariants", str(path), "--json", *flags]) == 0
+    capsys.readouterr()
+    assert len(built) == 2 * components + 1 + (flags == _EV)
+    assert not [name for name in built if "crossing" in name]
+
+
+def _not_coprime(tmp_path) -> pathlib.Path:
+    # A raw local type whose n and q share a factor: the walk sets ``error``.
+    doc = json.loads((COVERS / "identity.json").read_text())
+    doc["cover"]["points_above"]["0"][0]["local"] = {"n": 4, "q": 2, "m1": 1, "m2": 1}
+    path = tmp_path / "not_coprime.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("document,code", [
+    (lambda tmp: COVERS / "bidouble.json", 0),
+    (lambda tmp: DOCUMENTS / "failing_receipts.json", 1),
+    (_not_coprime, 1),
+], ids=["bidouble", "failing_receipts", "not_coprime"])
+def test_an_invariants_run_derives_the_euler_data_once(
+    capsys, monkeypatch, tmp_path, json_flag, document, code
+):
+    # The walk derives it for the linear coefficient and e_c(Y), and the
+    # report shows the certificate's; a report without a certificate
+    # derives its own.
+    calls = []
+    derive = ramcov.model.derived_euler_data
+
+    def counting(base):
+        calls.append(base)
+        return derive(base)
+
+    for module in (ramcov.cli, ramcov.invariants, ramcov.report):
+        monkeypatch.setattr(module, "derived_euler_data", counting)
+    assert main(["invariants", str(document(tmp_path)), "--strict", *json_flag]) == code
+    out = capsys.readouterr().out
+    assert ("not computed" in out or '"certificate": null' in out) == (document is _not_coprime)
+    assert len(calls) == 1

@@ -47,7 +47,8 @@ from ramcov.hj import SingularityType, resolve
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import (
-    BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet, validate,
+    BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
+    derived_euler_data, validate,
 )
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -505,13 +506,17 @@ def test_bound_term_and_certificate_failure_logic():
     bad = BoundTerm(name="x", value=Fraction(3), bound=Fraction(2), per_degree=Fraction(1))
     good = BoundTerm(name="y", value=Fraction(-2), bound=Fraction(2), per_degree=Fraction(1))
     assert not bad.ok and good.ok
-    report = invariant_report(*double_cover())
+    base, cover = double_cover()
+    report = invariant_report(base, cover)
     report = dataclasses.replace(report, fibration_term=Fraction(3) - report.chi)
     cert = BoundCertificate(
-        terms=(good, bad),
+        component_terms=(good, bad),
+        crossing_rows=(),
+        degree_terms=(),
         linear_coefficient=Fraction(1),
         degree=1,
         report=report,
+        derived_base=derived_euler_data(base),
         fibration_inputs=None,
         fibration_bound=None,
     )
@@ -521,14 +526,43 @@ def test_bound_term_and_certificate_failure_logic():
     assert cert.deg_det == 3
     with pytest.raises(TypeError, match="deg_det"):
         BoundCertificate(
-            terms=(good,),
+            component_terms=(good,),
+            crossing_rows=(),
+            degree_terms=(),
             linear_coefficient=Fraction(1),
             degree=1,
             deg_det=report.deg_det + 1,
+            derived_base=derived_euler_data(base),
             fibration_inputs=None,
             fibration_bound=None,
             report=report,
         )
+
+
+def test_crossing_rows_give_the_terms_and_their_verdicts():
+    # A document whose receipts fail over crossings 0 and 1: each crossing's
+    # three terms are built from its row, with the verdict the walk decided.
+    base, cover = load_cover_path(str(DOCUMENTS / "failing_receipts.json"))
+    cert = degree_linear_certificate(base, cover)
+    n = len(cert.component_terms)
+    assert len(cert.terms) == n + 3 * len(cert.crossing_rows) + len(cert.degree_terms)
+    assert cert.terms[:n] == cert.component_terms and cert.terms[-1:] == cert.degree_terms
+    d = cert.degree
+    for row, triple in zip(cert.crossing_rows, zip(*[iter(cert.terms[n:-1])] * 3)):
+        index, cross, cross_ok, correction, bound, correction_ok, s, s_ok = row
+        at = f"crossing {index}"
+        assert [(t.name, t.value, t.bound, t.per_degree, t.ok) for t in triple] == [
+            (f"rr_cross[{at}]", cross, 2 * d, 2, cross_ok),
+            (f"correction[{at}]", correction, bound, 2, correction_ok),
+            (f"exceptional_s[{at}]", s, d, 1, s_ok),
+        ]
+    failing = [t.name for t in cert.terms if not t.ok]
+    assert failing == [
+        "branch_mult[D1]", "rr_diagonal_factor[D1]", "rr_cross[crossing 0]",
+        "exceptional_s[crossing 0]", "rr_cross[crossing 1]",
+    ]
+    assert cert.terms[n].value == Fraction(21, 5)  # 3 + 6/5, over n = 2 and n = 5
+    assert not cert.satisfied
 
 
 # ------------------------------------------------------------ fibration bound
