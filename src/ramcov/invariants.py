@@ -376,10 +376,10 @@ def examine(
     :func:`~ramcov.model.validate`'s sorted findings (V4 only when
     ``strict``).  The certificate has one term per estimate, emitted, with
     its verdict, where its value is computed (a crossing's three as one
-    row): branch multiplicities are at most d, the
-    diagonal (R,R) factors lie in [0, d), each crossing's ordered cross term
-    is at most 2d in absolute value, per-crossing resolution corrections lie
-    in (-d, 2 * points], per-crossing exceptional counts are at most d, and
+    row): branch multiplicities are at most d, the diagonal (R,R) factors
+    lie in [0, d), each crossing's ordered cross term is at most 2d in
+    absolute value, per-crossing resolution corrections lie in
+    (-d, 2 * points], per-crossing exceptional counts are at most d, and
     finally |deg_det| itself against ``linear_coefficient * d``.  When
     fibration inputs are supplied the comparison against the semistable
     bound is appended as a term as well.  The same values are summed into
