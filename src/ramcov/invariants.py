@@ -34,9 +34,9 @@ cover.
 The walk's findings are :func:`~ramcov.model.validate`'s, and its
 certificate, which carries the receipts so a failure localizes, is
 :func:`degree_linear_certificate`'s; :func:`invariant_report` is the
-certificate's report alone.  A crossing's three receipts are one plain row
-of numbers and verdicts, each verdict decided once, where the walk emits
-it; the reports write the rows, and :attr:`BoundCertificate.terms` builds
+certificate's report alone.  Every receipt is one plain row ``(name, value,
+bound, per_degree, ok)``, named and decided once, where the walk emits it;
+both reports write the rows, and :attr:`BoundCertificate.terms` builds
 their :class:`BoundTerm` objects only when read.  Beside them sit an
 Arakelov-type bound for semistable fibrations and a logarithmic height
 bound for plane models, the single place the package leaves exact
@@ -134,10 +134,8 @@ class InvariantReport:
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
     """The report of :func:`degree_linear_certificate`'s walk.
 
-    It runs the whole walk and returns only its report.  The walk keeps the
-    per-crossing receipts as plain rows and builds no :class:`BoundTerm`
-    per crossing; a caller that needs the receipts too should ask for the
-    certificate.
+    It runs the whole walk, receipts included, and returns only its report;
+    a caller that needs the receipts too should ask for the certificate.
     """
     return degree_linear_certificate(base, cover).report
 
@@ -147,7 +145,7 @@ def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
 
     The ``deg_det`` of :func:`invariant_report`; for geometrically
     consistent input it is an integer.  Like :func:`invariant_report`, it
-    runs the whole walk, which keeps the per-crossing receipts as rows.
+    runs the whole walk, receipts included.
     """
     return invariant_report(base, cover).deg_det
 
@@ -273,20 +271,18 @@ class BoundCertificate:
 
     ``linear_coefficient`` is assembled from the base configuration alone
     (its Euler data is ``derived_base``), so one coefficient serves every
-    cover of the same base; the terms instantiate the individual estimates
-    that make the aggregate work, and ``satisfied`` holds exactly when
-    every term's |value| is within its bound.  A row of ``crossing_rows``,
-    ``(index, cross, cross_ok, correction, correction_bound, correction_ok,
-    s, s_ok)``, holds the numbers and verdicts of a crossing's three terms,
-    which ``terms`` builds only when read, between ``component_terms`` and
-    ``degree_terms``.  The optional fibration bound is carried along for
-    comparison when its inputs are supplied.  ``report`` is summed in the
-    walk that emits the receipts; its ``deg_det`` is the certificate's.
+    cover of the same base.  ``receipts`` instantiate the individual
+    estimates that make the aggregate work, one plain row ``(name, value,
+    bound, per_degree, ok)`` each, in report order, with the verdict
+    ``|value| <= bound`` decided where the walk emits it; ``satisfied``
+    holds exactly when every verdict does.  ``terms`` builds their
+    :class:`BoundTerm` objects only when read.  The optional fibration
+    bound is carried along for comparison when its inputs are supplied.
+    ``report`` is summed in the walk that emits the receipts; its
+    ``deg_det`` is the certificate's.
     """
 
-    component_terms: tuple[BoundTerm, ...]
-    crossing_rows: tuple[tuple, ...]
-    degree_terms: tuple[BoundTerm, ...]
+    receipts: tuple[tuple, ...]
     linear_coefficient: Fraction
     degree: int
     report: InvariantReport
@@ -296,18 +292,10 @@ class BoundCertificate:
 
     @cached_property
     def terms(self) -> tuple[BoundTerm, ...]:
-        one, two = Fraction(1), Fraction(2)
-        once, twice = Fraction(self.degree), Fraction(2 * self.degree)
-        crossing_terms = [
-            term
-            for index, cross, _, correction, bound, _, s, _ in self.crossing_rows
-            for term in (
-                BoundTerm(f"rr_cross[crossing {index}]", cross, twice, two),
-                BoundTerm(f"correction[crossing {index}]", correction, Fraction(bound), two),
-                BoundTerm(f"exceptional_s[crossing {index}]", Fraction(s), once, one),
-            )
-        ]
-        return (*self.component_terms, *crossing_terms, *self.degree_terms)
+        return tuple(
+            BoundTerm(name, Fraction(value), Fraction(bound), Fraction(per_degree))
+            for name, value, bound, per_degree, _ in self.receipts
+        )
 
     @property
     def deg_det(self) -> Fraction:
@@ -315,10 +303,7 @@ class BoundCertificate:
 
     @cached_property
     def satisfied(self) -> bool:
-        return all(t.ok for t in self.component_terms + self.degree_terms) and all(
-            cross_ok and correction_ok and s_ok
-            for _, _, cross_ok, _, _, correction_ok, _, s_ok in self.crossing_rows
-        )
+        return all(ok for *_, ok in self.receipts)
 
     @property
     def deg_det_within_linear(self) -> bool:
@@ -374,16 +359,16 @@ def examine(
 
     Returns ``(violations, certificate, error)``.  The violations are
     :func:`~ramcov.model.validate`'s sorted findings (V4 only when
-    ``strict``).  The certificate has one term per estimate, emitted, with
-    its verdict, where its value is computed (a crossing's three as one
-    row): branch multiplicities are at most d, the diagonal (R,R) factors
-    lie in [0, d), each crossing's ordered cross term is at most 2d in
-    absolute value, per-crossing resolution corrections lie in
-    (-d, 2 * points], per-crossing exceptional counts are at most d, and
-    finally |deg_det| itself against ``linear_coefficient * d``.  When
-    fibration inputs are supplied the comparison against the semistable
-    bound is appended as a term as well.  The same values are summed into
-    the carried report, as integer numerators over each quotient order n.
+    ``strict``).  The certificate has one receipt per estimate, emitted,
+    with its verdict, where its value is computed: branch multiplicities
+    are at most d, the diagonal (R,R) factors lie in [0, d), each
+    crossing's ordered cross term is at most 2d in absolute value,
+    per-crossing resolution corrections lie in (-d, 2 * points],
+    per-crossing exceptional counts are at most d, and finally |deg_det|
+    itself against ``linear_coefficient * d``.  When fibration inputs are
+    supplied the comparison against the semistable bound is appended as a
+    receipt as well.  The same values are summed into the carried report,
+    as integer numerators over each quotient order n.
 
     The first point, in crossing index order, whose sheet index is out of
     range or whose local type breaks a range or gcd constraint becomes
@@ -394,13 +379,13 @@ def examine(
     :func:`~ramcov.model.check_references`, which is called only then.
     """
     d = cover.degree
+    twice = 2 * d
     zero = Fraction(0)
-    fd, one = Fraction(d), Fraction(1)
     found: list[Violation] = []
     error: Optional[str] = None
 
-    component_terms: list[BoundTerm] = []
-    diagonal_terms: list[BoundTerm] = []
+    receipts = []  # (name, value, bound, per_degree, ok), in report order
+    diagonals = []
     b_mults = []
     d_sums = []  # d_i = sum_j f_ij, in component order
     kx_dot_b = b_dot_f = 0
@@ -419,9 +404,9 @@ def examine(
         b_dot_f += b_mult * comp.fiber_deg
         rr += diagonal * comp.self_int
         d_sums.append(sum(s.f for s in sheets))
-        component_terms.append(BoundTerm(f"branch_mult[{comp.id}]", Fraction(b_mult), fd, one))
-        diagonal_terms.append(BoundTerm(f"rr_diagonal_factor[{comp.id}]", diagonal, fd, one))
-    component_terms += diagonal_terms
+        receipts.append((f"branch_mult[{comp.id}]", b_mult, d, 1, _within(b_mult, d)))
+        diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, _within(diagonal, d)))
+    receipts += diagonals
 
     # (n, q) -> chain length, correction numerator and the correction over n
     resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
@@ -430,7 +415,6 @@ def examine(
     cross_sums: dict[int, int] = {}
     correction_sums: dict[int, int] = {}
     s_total = n_points = 0
-    rows = []
     for crossing in base.crossings:
         at = f"crossing {crossing.index}"
         first_id, second_id = crossing.pair
@@ -507,10 +491,11 @@ def examine(
             continue
         s_total += s
         bound = max(d, 2 * len(points))
-        rows.append((
-            crossing.index, cross, _within(cross, 2 * d),
-            correction, bound, _within(correction, bound), s, _within(s, d),
-        ))
+        receipts += (
+            (f"rr_cross[{at}]", cross, twice, 2, _within(cross, twice)),
+            (f"correction[{at}]", correction, bound, 2, _within(correction, bound)),
+            (f"exceptional_s[{at}]", s, d, 1, _within(s, d)),
+        )
     if error is None and not (cover._sheets.keys() <= base._components.keys()
                               and cover._points.keys() <= base._crossings.keys()):
         try:
@@ -539,20 +524,19 @@ def examine(
         fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
     )
 
+    dd = report.deg_det
     coeff = _linear_coefficient(base, euler)
-    degree_terms = [BoundTerm("deg_det_vs_linear", report.deg_det, coeff * d, coeff)]
+    receipts.append(("deg_det_vs_linear", dd, coeff * d, coeff, _within(dd, coeff * d)))
     fib_bound = None
     if fibration is not None:
         fi = fibration
         fib_bound = arakelov_degree_bound(fi.gF, fi.Dhor_dot_F, fi.gC, fi.nDC, fi.nS, d)
-        degree_terms.append(
-            BoundTerm("deg_det_vs_fibration", report.deg_det, fib_bound, Fraction(fib_bound, d))
+        receipts.append(
+            ("deg_det_vs_fibration", dd, fib_bound, Fraction(fib_bound, d), _within(dd, fib_bound))
         )
 
     certificate = BoundCertificate(
-        component_terms=tuple(component_terms),
-        crossing_rows=tuple(rows),
-        degree_terms=tuple(degree_terms),
+        receipts=tuple(receipts),
         linear_coefficient=coeff,
         degree=d,
         report=report,

@@ -25,9 +25,9 @@ formatted string, for the fixed depth at which it sits, with strings
 passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
 as ``json.dumps`` does; a dict per record, walked container by container,
 took longer than loading the document and computing its certificate
-together.  A crossing's terms are written from the certificate's row of
-numbers and verdicts, as is each line of the text report's certificate:
-neither writer builds a :class:`~ramcov.invariants.BoundTerm` per crossing.
+together.  The terms are written from the certificate's receipts, rows of
+names, numbers and verdicts, as is each line of the text report's
+certificate: neither writer builds a :class:`~ramcov.invariants.BoundTerm`.
 :func:`render_json` copies a written member as it is, and
 :func:`dumps_document` writes the echo the same way.
 
@@ -157,36 +157,18 @@ def _written_list(records: list, depth: int) -> _Written:
 
 
 def _written_terms(cert: BoundCertificate) -> _Written:
-    """``certificate.terms``, which the report opens at depth 2: one string per term.
-
-    A crossing's terms are written from its row; their names and values need no escaping.
-    """
+    """``certificate.terms``, which the report opens at depth 2: one string per receipt."""
     end, key = _newline(3), _newline(4)
     verdict = ("false", "true")
-
-    def written(terms):
-        return [
-            f'{{{key}"bound": "{t.bound!s}",{key}"name": {encode_basestring_ascii(t.name)},'
-            f'{key}"ok": {verdict[t.ok]},{key}"per_degree": "{t.per_degree!s}",'
-            f'{key}"value": "{t.value!s}"{end}}}'
-            for t in terms
-        ]
-
-    records = written(cert.component_terms)
-    d, twice = cert.degree, 2 * cert.degree
-    for i, cross, cross_ok, correction, bound, correction_ok, s, s_ok in cert.crossing_rows:
-        records += (
-            f'{{{key}"bound": "{twice}",{key}"name": "rr_cross[crossing {i}]",'
-            f'{key}"ok": {verdict[cross_ok]},{key}"per_degree": "2",'
-            f'{key}"value": "{cross!s}"{end}}}',
-            f'{{{key}"bound": "{bound}",{key}"name": "correction[crossing {i}]",'
-            f'{key}"ok": {verdict[correction_ok]},{key}"per_degree": "2",'
-            f'{key}"value": "{correction!s}"{end}}}',
-            f'{{{key}"bound": "{d}",{key}"name": "exceptional_s[crossing {i}]",'
-            f'{key}"ok": {verdict[s_ok]},{key}"per_degree": "1",'
-            f'{key}"value": "{s}"{end}}}',
-        )
-    return _written_list(records + written(cert.degree_terms), 2)
+    return _written_list(
+        [
+            f'{{{key}"bound": "{bound!s}",{key}"name": {encode_basestring_ascii(name)},'
+            f'{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
+            f'{key}"value": "{value!s}"{end}}}'
+            for name, value, bound, per_degree, ok in cert.receipts
+        ],
+        2,
+    )
 
 
 def _written_crossings(crossings, depth: int) -> _Written:
@@ -445,15 +427,9 @@ class ReportDocument:
             lines.append(f"  chi = {fmt_rational(inv.chi)} [{chi_tag}]")
             lines.append(f"  deg_det = {fmt_rational(inv.deg_det)} [{dd_tag}]")
             lines.append("linear bound certificate:")
-            lines += [_text_term(t.name, t.value, t.bound, t.ok) for t in cert.component_terms]
-            d, twice = cert.degree, 2 * cert.degree
-            for i, cross, cross_ok, correction, bound, correction_ok, s, s_ok in cert.crossing_rows:
-                lines += (
-                    _text_term(f"rr_cross[crossing {i}]", cross, twice, cross_ok),
-                    _text_term(f"correction[crossing {i}]", correction, bound, correction_ok),
-                    _text_term(f"exceptional_s[crossing {i}]", s, d, s_ok),
-                )
-            lines += [_text_term(t.name, t.value, t.bound, t.ok) for t in cert.degree_terms]
+            lines += [
+                _text_term(name, value, bound, ok) for name, value, bound, _, ok in cert.receipts
+            ]
             lines.append(
                 f"  coefficient c = {fmt_rational(cert.linear_coefficient)}; "
                 f"|deg_det| <= c*d = {fmt_rational(cert.linear_coefficient * cert.degree)}: "

@@ -510,9 +510,7 @@ def test_bound_term_and_certificate_failure_logic():
     report = invariant_report(base, cover)
     report = dataclasses.replace(report, fibration_term=Fraction(3) - report.chi)
     cert = BoundCertificate(
-        component_terms=(good, bad),
-        crossing_rows=(),
-        degree_terms=(),
+        receipts=tuple((t.name, t.value, t.bound, t.per_degree, t.ok) for t in (good, bad)),
         linear_coefficient=Fraction(1),
         degree=1,
         report=report,
@@ -526,9 +524,7 @@ def test_bound_term_and_certificate_failure_logic():
     assert cert.deg_det == 3
     with pytest.raises(TypeError, match="deg_det"):
         BoundCertificate(
-            component_terms=(good,),
-            crossing_rows=(),
-            degree_terms=(),
+            receipts=(("y", good.value, good.bound, good.per_degree, good.ok),),
             linear_coefficient=Fraction(1),
             degree=1,
             deg_det=report.deg_det + 1,
@@ -539,30 +535,81 @@ def test_bound_term_and_certificate_failure_logic():
         )
 
 
-def test_crossing_rows_give_the_terms_and_their_verdicts():
-    # A document whose receipts fail over crossings 0 and 1: each crossing's
-    # three terms are built from its row, with the verdict the walk decided.
+def test_receipts_come_in_report_order_with_their_verdicts():
+    # A document whose receipts fail over D1 and over crossings 0 and 1.
     base, cover = load_cover_path(str(DOCUMENTS / "failing_receipts.json"))
     cert = degree_linear_certificate(base, cover)
-    n = len(cert.component_terms)
-    assert len(cert.terms) == n + 3 * len(cert.crossing_rows) + len(cert.degree_terms)
-    assert cert.terms[:n] == cert.component_terms and cert.terms[-1:] == cert.degree_terms
     d = cert.degree
-    for row, triple in zip(cert.crossing_rows, zip(*[iter(cert.terms[n:-1])] * 3)):
-        index, cross, cross_ok, correction, bound, correction_ok, s, s_ok = row
-        at = f"crossing {index}"
-        assert [(t.name, t.value, t.bound, t.per_degree, t.ok) for t in triple] == [
-            (f"rr_cross[{at}]", cross, 2 * d, 2, cross_ok),
-            (f"correction[{at}]", correction, bound, 2, correction_ok),
-            (f"exceptional_s[{at}]", s, d, 1, s_ok),
-        ]
-    failing = [t.name for t in cert.terms if not t.ok]
+    ids = [c.id for c in base.components]
+    assert [name for name, *_ in cert.receipts] == [
+        *(f"branch_mult[{i}]" for i in ids),
+        *(f"rr_diagonal_factor[{i}]" for i in ids),
+        *(f"{kind}[crossing {x.index}]"
+          for x in base.crossings for kind in ("rr_cross", "correction", "exceptional_s")),
+        "deg_det_vs_linear",
+    ]
+    rows = {name: row for name, *row in cert.receipts}
+    for x in base.crossings:
+        at = f"crossing {x.index}"
+        bound = max(d, 2 * len(cover.points_for(x.index)))
+        assert rows[f"rr_cross[{at}]"][1:3] == [2 * d, 2]
+        assert rows[f"correction[{at}]"][1:3] == [bound, 2]
+        assert rows[f"exceptional_s[{at}]"][1:3] == [d, 1]
+    failing = [name for name, *_, ok in cert.receipts if not ok]
     assert failing == [
         "branch_mult[D1]", "rr_diagonal_factor[D1]", "rr_cross[crossing 0]",
         "exceptional_s[crossing 0]", "rr_cross[crossing 1]",
     ]
-    assert cert.terms[n].value == Fraction(21, 5)  # 3 + 6/5, over n = 2 and n = 5
+    assert rows["rr_cross[crossing 0]"][0] == Fraction(21, 5)  # 3 + 6/5, over n = 2 and n = 5
     assert not cert.satisfied
+
+
+def _certified(path) -> bool:
+    """Whether the document at ``path`` loads and its walk gives a certificate."""
+    try:
+        return examine(*load_cover_path(str(path)))[1] is not None
+    except ValueError:  # InvalidInputError or InputFormatError
+        return False
+
+
+_SHIPPED = [
+    path
+    for path in sorted([*COVERS.glob("*.json"), *COVERS.glob("malformed/*.json"),
+                        *DOCUMENTS.glob("*.json")])
+    if _certified(path)
+]
+_CERTIFIED = [
+    ("identity", identity_cover),
+    ("double", double_cover),
+    *((f"power_{a}_{b}", lambda a=a, b=b: power_map_cover(a, b)) for a, b in ((2, 3), (5, 4))),
+    *((f"{p.parent.name}/{p.name}", lambda p=p: load_cover_path(str(p))) for p in _SHIPPED),
+]
+
+
+@pytest.mark.parametrize("fibration", [None, FibrationInputs(0, 2, 0, 2, 0)], ids=["", "fib"])
+@pytest.mark.parametrize("load", [c[1] for c in _CERTIFIED], ids=[c[0] for c in _CERTIFIED])
+def test_terms_rebuild_the_receipts_and_their_verdicts(load, fibration):
+    # The walk decides each verdict once; a term decides its own, so the two
+    # agree only if the walk compared the right value with the right bound.
+    cert = degree_linear_certificate(*load(), fibration)
+    assert [(t.name, t.value, t.bound, t.per_degree, t.ok) for t in cert.terms] == list(
+        cert.receipts
+    )
+    assert all(type(field) is Fraction for t in cert.terms
+               for field in (t.value, t.bound, t.per_degree))
+    assert cert.satisfied == all(t.ok for t in cert.terms)
+
+
+def test_one_module_names_the_receipts():
+    # The walk names every receipt; the writers read the names it gives.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ramcov"
+    prefixes = ("rr_cross[", "correction[", "exceptional_s[", "branch_mult[",
+                "rr_diagonal_factor[", "deg_det_vs_")
+    homes = {
+        prefix: [path.stem for path in sorted(package.glob("*.py")) if prefix in path.read_text()]
+        for prefix in prefixes
+    }
+    assert homes == {prefix: ["invariants"] for prefix in prefixes}
 
 
 # ------------------------------------------------------------ fibration bound
