@@ -476,17 +476,23 @@ def examine(
             )))
         if strict:
             # Per-sheet incidence: over a crossing the points on one sheet
-            # must exhaust its degree over the downstairs component.
+            # must exhaust its degree over the downstairs component.  A sheet
+            # without points sums to 0 < f, so the first sheet that is off and
+            # the count of those that are come from the sums alone: one
+            # finding per component, in O(points) rather than O(sheets).
             for cid, sheets, sums, j, m in (
                 (first_id, first, m2_on, "j", "m2"),
                 (second_id, second, m1_on, "jp", "m1"),
             ):
-                for jj, sheet in enumerate(sheets):
-                    if sums.get(jj, 0) != sheet.f:
-                        found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
-                            f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums.get(jj, 0)}, "
-                            f"expected f={sheet.f}"
-                        )))
+                jj = 0
+                while jj in sums and sums[jj] == sheets[jj].f:
+                    jj += 1
+                if jj < len(sheets):
+                    off = len(sheets) - sum(got == sheets[i].f for i, got in sums.items())
+                    found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
+                        f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums.get(jj, 0)}, "
+                        f"expected f={sheets[jj].f}; {off} of {len(sheets)} sheet(s) off"
+                    )))
         if error is not None:
             continue
         s_total += s

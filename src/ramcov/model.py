@@ -30,7 +30,8 @@ with one of the codes V1 to V5:
   V2  per-crossing local degree sum: sum of d_y over points equals the degree
   V3  ramification compatibility of each point with its assigned sheets
   V4  (strict mode only) per-sheet incidence: the local degrees m2 (resp.
-      m1) of the points on a sheet sum to that sheet's f
+      m1) of the points on a sheet sum to that sheet's f; one finding per
+      crossing and component names the first sheet that is off and counts them
   V5  range/gcd invariants of every local type
 """
 
@@ -316,14 +317,11 @@ class EulerData:
     open_components: tuple[tuple[str, int], ...]
     n_crossings: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_opens", dict(self.open_components))
-
     def open_component(self, cid: str) -> int:
-        try:
-            return self._opens[cid]
-        except KeyError:
-            raise InvalidInputError(f"unknown component {cid!r}") from None
+        for key, value in self.open_components:
+            if key == cid:
+                return value
+        raise InvalidInputError(f"unknown component {cid!r}")
 
 
 def check_references(base: BaseGeometry, cover: CoverDescription, point_path=None) -> None:

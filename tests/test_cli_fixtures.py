@@ -38,8 +38,13 @@ four sections, 16 crossings: its ``--strict`` report is the one frozen
 keys sort as strings ("10" before "2") in the echo, not as numbers.
 ``short_sheets.json`` is a trivial double cover of the square whose D4 has
 one sheet of degree 2: over crossing 0 both points lie on sheet 0 of D1,
-so sheet 1 sums to 0, and crossing 1 has one point, so D4's sheet falls
-short of its f.  Its ``--strict`` reports are the frozen V4 findings.
+so sheet 0 sums to 2 and sheet 1 to 0, and crossing 1 has one point, so
+D4's sheet falls short of its f.  Its ``--strict`` reports are the frozen
+V4 findings, one per crossing and component: it names the first sheet
+that is off and counts them ("2 of 2 sheet(s) off" over crossing 0).
+``many_sheets.json`` is ``_many_sheets(20, 50)``: D1 has 50 unramified
+sheets and every crossing fails V2 and V4 on both sides, yet its
+``--strict`` reports hold 40 V4 findings, not one per sheet.
 ``failing_receipts.json`` is a degree 2 cover of the square whose D1 sheet
 has e = 4 > 2: its receipts fail over D1 and over crossings 0 and 1, so its
 reports read ``VIOLATED``, ``"ok": false`` and ``satisfied: no``, beside a
@@ -89,6 +94,7 @@ _RUNS = [
     ("grid_4.strict", DOCUMENTS / "grid_4.json", ("--strict",), 0),
     ("failing_receipts.strict", DOCUMENTS / "failing_receipts.json", ("--strict",), 1),
     ("short_sheets.strict", DOCUMENTS / "short_sheets.json", ("--strict",), 1),
+    ("many_sheets.strict", DOCUMENTS / "many_sheets.json", ("--strict",), 1),
     ("bad_v1", COVERS / "malformed" / "bad_v1.json", (), 1),
     ("bad_v3", COVERS / "malformed" / "bad_v3.json", (), 1),
 ]
@@ -370,3 +376,55 @@ def test_an_invariants_run_derives_the_euler_data_once(
     out = capsys.readouterr().out
     assert ("not computed" in out or '"certificate": null' in out) == (document is _not_coprime)
     assert len(calls) == 1
+
+
+def _many_sheets(crossings: int, sheets: int) -> dict:
+    """A degree ``sheets`` cover whose D1 has that many unramified sheets and D2 one.
+
+    Crossing k of D1 and D2 holds ``k % 5 + 1`` smooth points, on sheets
+    k, k + 1, ... of D1 (mod ``sheets``) and on D2's one sheet of degree
+    ``sheets``, so over every crossing most of D1's sheets are off (V4),
+    D2's is too, and the local degrees fall short of the degree (V2).
+    """
+    smooth = {"n": 1, "q": 0, "m1": 1, "m2": 1}
+    return {
+        "base": {
+            "genus_C": 0,
+            "KX_sq": 8,
+            "euler_X": 4,
+            "KX_dot_F": -2,
+            "components": [
+                {"id": "D1", "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": 1},
+                {"id": "D2", "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": 0},
+            ],
+            "crossings": [{"index": k, "pair": ["D1", "D2"]} for k in range(crossings)],
+        },
+        "cover": {
+            "degree": sheets,
+            "ramification": {"D1": [{"e": 1, "f": 1}] * sheets, "D2": [{"e": 1, "f": sheets}]},
+            "points_above": {
+                str(k): [{"j": (k + i) % sheets, "jp": 0, "local": smooth} for i in range(k % 5 + 1)]
+                for k in range(crossings)
+            },
+        },
+    }
+
+
+def test_the_many_sheets_fixture_is_built_by_its_builder():
+    frozen = json.loads((DOCUMENTS / "many_sheets.json").read_text(encoding="utf-8"))
+    assert frozen == _many_sheets(20, 50)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_strict_report_is_bounded_by_its_input(capsys, tmp_path, json_flag):
+    # V4 gives one finding per crossing and component, not per sheet, so the
+    # report stays within a fixed multiple of the document as either grows.
+    ratios = []
+    for crossings, sheets in ((20, 50), (50, 500), (10, 2000), (200, 20)):
+        path = tmp_path / f"many_sheets_{crossings}_{sheets}.json"
+        path.write_text(json.dumps(_many_sheets(crossings, sheets), indent=2))
+        assert main(["invariants", str(path), "--strict", *json_flag]) == 1
+        out = capsys.readouterr().out
+        assert out.count("V4") == 2 * crossings
+        ratios.append(len(out.encode()) / path.stat().st_size)
+    assert max(ratios) < 4, ratios

@@ -23,6 +23,7 @@ from ramcov.model import (
     BranchComponent,
     CoverDescription,
     Crossing,
+    EulerData,
     PointAbove,
     RamSheet,
     Violation,
@@ -63,6 +64,13 @@ def test_euler_data_square():
         assert data.open_component(cid) == 0
     with pytest.raises(InvalidInputError):
         data.open_component("D9")
+
+
+def test_open_component_reads_its_own_entry():
+    data = EulerData(e_c_U=0, open_components=(("A", 1), ("B", -2)), n_crossings=0)
+    assert (data.open_component("A"), data.open_component("B")) == (1, -2)
+    with pytest.raises(InvalidInputError, match="unknown component 'C'"):
+        data.open_component("C")
 
 
 def test_euler_data_empty_divisor():
@@ -170,9 +178,9 @@ def test_isolated_v4_strict_only():
     )
     assert validate(base, cover) == []
     violations = validate(base, cover, strict=True)
-    assert [v.code for v in violations] == ["V4", "V4"]
-    assert {v.where[1] for v in violations} == {"sheet j=0", "sheet j=1"}
-    assert "sums to 3" in violations[0].message
+    # Both sheets of A are off; one finding names the first and counts them.
+    assert [(v.code, v.where[1]) for v in violations] == [("V4", "sheet j=0")]
+    assert violations[0].message.endswith("sums to 3, expected f=2; 2 of 2 sheet(s) off")
 
 
 def test_isolated_v4_on_the_second_component():
@@ -192,12 +200,8 @@ def test_isolated_v4_on_the_second_component():
         Violation(
             code="V4",
             where=("crossing 0", "sheet jp=0"),
-            message="crossing 0: m1 over sheet 0 of 'B' sums to 3, expected f=2",
-        ),
-        Violation(
-            code="V4",
-            where=("crossing 0", "sheet jp=1"),
-            message="crossing 0: m1 over sheet 1 of 'B' sums to 1, expected f=2",
+            message="crossing 0: m1 over sheet 0 of 'B' sums to 3, expected f=2; "
+                    "2 of 2 sheet(s) off",
         ),
     ]
 
@@ -412,17 +416,19 @@ def _recount(base, cover, strict):
             )
         if not strict:
             continue
-        for jj, sheet in enumerate(first):
-            got = sum(t.m2 for p, t in zip(points, types) if p.j == jj)
-            if got != sheet.f:
-                found.append(Violation("V4", (at, f"sheet j={jj}"), (
-                    f"{at}: m2 over sheet {jj} of {x.pair[0]!r} sums to {got}, expected f={sheet.f}"
-                )))
-        for jj, sheet in enumerate(second):
-            got = sum(t.m1 for p, t in zip(points, types) if p.jp == jj)
-            if got != sheet.f:
-                found.append(Violation("V4", (at, f"sheet jp={jj}"), (
-                    f"{at}: m1 over sheet {jj} of {x.pair[1]!r} sums to {got}, expected f={sheet.f}"
+        # One finding per component: the first sheet that is off, and how many are.
+        for cid, own, j, m, on_sheet in (
+            (x.pair[0], first, "j", "m2", lambda p, t, jj: t.m2 if p.j == jj else 0),
+            (x.pair[1], second, "jp", "m1", lambda p, t, jj: t.m1 if p.jp == jj else 0),
+        ):
+            sums = [sum(on_sheet(p, t, jj) for p, t in zip(points, types))
+                    for jj in range(len(own))]
+            off = [jj for jj, sheet in enumerate(own) if sums[jj] != sheet.f]
+            if off:
+                jj = off[0]
+                found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
+                    f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums[jj]}, "
+                    f"expected f={own[jj].f}; {len(off)} of {len(own)} sheet(s) off"
                 )))
     return sorted(found, key=lambda v: (v.code, v.where, v.message))
 
