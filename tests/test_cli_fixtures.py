@@ -36,6 +36,13 @@ lists them by sorted pair and then as given.
 four sections, 16 crossings: its ``--strict`` report is the one frozen
 ``--json`` output with more than four crossings, and its ``points_above``
 keys sort as strings ("10" before "2") in the echo, not as numbers.
+``repeated_points.json`` is ``shuffled.json``'s cover with its twelve
+points written as five distinct records: over each crossing two smooth
+points lie on sheets (0, 0), given as the lattice ``[[1,0],[0,1]]`` or as
+a raw local type, and the node on sheets (1, 1) is a raw type or one of
+two bases of one subgroup, ``[[2,0],[1,1]]`` and ``[[2,0],[3,1]]``, which
+echo as given.  Its strict reports were frozen before equal records
+loaded to one object, so they show that the sharing changes no byte.
 ``short_sheets.json`` is a trivial double cover of the square whose D4 has
 one sheet of degree 2: over crossing 0 both points lie on sheet 0 of D1,
 so sheet 0 sums to 2 and sheet 1 to 0, and crossing 1 has one point, so
@@ -92,6 +99,7 @@ _RUNS = [
 ] + [
     ("bidouble.strict.ev", COVERS / "bidouble.json", ("--strict", "--ev", "0", "2", "0", "2", "0"), 0),
     ("grid_4.strict", DOCUMENTS / "grid_4.json", ("--strict",), 0),
+    ("repeated_points.strict", DOCUMENTS / "repeated_points.json", ("--strict",), 0),
     ("failing_receipts.strict", DOCUMENTS / "failing_receipts.json", ("--strict",), 1),
     ("short_sheets.strict", DOCUMENTS / "short_sheets.json", ("--strict",), 1),
     ("many_sheets.strict", DOCUMENTS / "many_sheets.json", ("--strict",), 1),
