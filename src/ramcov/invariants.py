@@ -10,7 +10,8 @@ the linear degree bound where its value is computed:
 * per component, the branch multiplicity ``B_mult(i) = sum_j (e_ij - 1) f_ij``
   and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``;
 * per crossing, from the local type of each point above it (classified
-  once per walk, see :meth:`PointAbove.local_cover_type`), the ordered
+  once per distinct local object per walk, see
+  :meth:`PointAbove.local_cover_type`), the ordered
   cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
   resolution correction and the exceptional curve count ``s`` of its
   quotient points.  Each distinct quotient type is resolved once per walk,
@@ -370,6 +371,13 @@ def examine(
     receipt as well.  The same values are summed into the carried report,
     as integer numerators over each quotient order n.
 
+    Each distinct ``local`` object is classified, and its range and gcd
+    constraints checked, once per walk; the memo keys on identity and lives
+    for the call.  The loader gives equal point records one object, so a
+    loaded document pays once per distinct value.  A model built by hand
+    with equal but distinct local data gets the same answer, one object at
+    a time.
+
     The first point, in crossing index order, whose sheet index is out of
     range or whose local type breaks a range or gcd constraint becomes
     ``error``: from there on the walk sums nothing and returns no
@@ -408,6 +416,8 @@ def examine(
         diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, _within(diagonal, d)))
     receipts += diagonals
 
+    # id of a point's local data -> its local type and that type's problems
+    classified: dict[int, tuple] = {}
     # (n, q) -> chain length, correction numerator and the correction over n
     resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
     # n -> sum of the numerators over n, of the ordered cross terms and of
@@ -435,7 +445,11 @@ def examine(
                     f"{len(first)} sheet(s) and {second_id} has {len(second)}"
                 )
                 continue
-            lt = pt.local_cover_type()
+            known = classified.get(id(pt.local))
+            if known is None:
+                lt = pt.local_cover_type()
+                known = classified[id(pt.local)] = (lt, lt.invariant_problems())
+            lt, problems = known
             total += lt.d_y
             m2_on[pt.j] = m2_on.get(pt.j, 0) + lt.m2
             m1_on[pt.jp] = m1_on.get(pt.jp, 0) + lt.m1
@@ -449,7 +463,6 @@ def examine(
                     f"{at}, point {k}: local e2={lt.e2} but "
                     f"sheet {pt.jp} of {second_id!r} has e={e2}"
                 )))
-            problems = lt.invariant_problems()
             for problem in problems:
                 found.append(Violation("V5", (at, f"point {k}"), f"{at}, point {k}: {problem}"))
             if problems and error is None:

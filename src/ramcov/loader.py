@@ -32,11 +32,25 @@ fields per crossing, so that text is formatted only when an error is
 raised: a check takes the path of the item and the suffix naming the field,
 and the common cases (an exact ``int``, an object with exactly the allowed
 keys, no duplicate key) are decided before any message is built.
+
+Equal point records load to one object.  In an abelian cover the local
+lattice at a crossing of ``D_i`` and ``D_j`` is the kernel of
+``(s, t) -> s g_i + t g_j``, so every point over that crossing, and over
+every crossing of the same two components, carries the same local data.
+Each parse keeps one memo.  Once a point record, or its local data, has
+passed every per-record check, its exact ``int`` values key the object
+built from them, and a later equal record gets that object without a
+second constructor call (see :func:`_build`).  The memo lives for the one
+call, so two parses share no object.  The walk and the report writer then
+do their per-point work once per distinct object.  Lattices are keyed by
+their generators as given, so the two forms above still load to two
+objects.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import AbstractSet, Any, Callable
 
 from .errors import InputFormatError, InvalidInputError
@@ -137,8 +151,11 @@ _ROWS = (".local[0]", ".local[1]")
 _COORDS = ((".local[0][0]", ".local[0][1]"), (".local[1][0]", ".local[1][1]"))
 
 
-def _parse_local(value: Any, path: str, suffix: str):
-    """The local data of the point at ``path``, from its ``local`` field."""
+def _parse_local(value: Any, path: str, suffix: str, memo: "dict | None" = None):
+    """The local data of the point at ``path``, from its ``local`` field.
+
+    With a ``memo``, equal local data give one object (see :func:`_build`).
+    """
     if isinstance(value, list):
         if len(value) != 2:
             raise InputFormatError(f"{path}{suffix}: lattice form needs exactly two generator rows")
@@ -149,9 +166,9 @@ def _parse_local(value: Any, path: str, suffix: str):
                 raise InputFormatError(f"{path}{_ROWS[r]}: generator must have two coordinates")
             x, y = _COORDS[r]
             gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
-        return _build(LatticeSubgroup, gens, path, suffix)
+        return _build(LatticeSubgroup, gens, path, suffix, memo)
     if isinstance(value, dict):
-        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix)
+        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix, memo)
     raise InputFormatError(
         f"{path}{suffix}: local data must be a 2x2 generator list or an n/q/m1/m2 object"
     )
@@ -175,25 +192,45 @@ _POINT = _fields(j=_as_int, jp=_as_int, local=_parse_local)
 _LOCAL_TYPE = _fields(".local", n=_as_int, q=_as_int, m1=_as_int, m2=_as_int)
 
 
-def _build(make: Callable, args: list, path: str, suffix: str = ""):
-    """``make(*args)``, with the path of the record named in any error it raises."""
+def _build(make: Callable, args: list, path: str, suffix: str = "", memo: "dict | None" = None):
+    """``make(*args)``, with the path of the record named in any error it raises.
+
+    A ``memo`` lives for one parse.  It maps ``make`` and the converted
+    fields of each record built so far to the object built, so a record
+    equal to an earlier one gets that object and ``make`` is not called
+    again: its fields have passed every check by then, and a constructor's
+    verdict depends on the values alone.
+    """
+    if memo is not None:
+        key = (make, *args)
+        made = memo.get(key)
+        if made is None:
+            made = memo[key] = _build(make, args, path, suffix)
+        return made
     try:
         return make(*args)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}{suffix}: {exc}") from None
 
 
-def _record(make: Callable, value: Any, path: str, table: dict, suffix: str = ""):
+def _record(
+    make: Callable, value: Any, path: str, table: dict, suffix: str = "", memo: "dict | None" = None
+):
     """``make`` called on the fields of the object at ``path``, converted in table order."""
     obj = _as_obj(value, path, table.keys(), suffix=suffix)
     args = [convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()]
-    return _build(make, args, path, suffix)
+    return _build(make, args, path, suffix, memo)
 
 
-def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:
+def _records(
+    make: Callable, value: Any, path: str, table: dict, memo: "dict | None" = None
+) -> tuple:
     """The records of the list at ``path``, each built by :func:`_record`."""
     return tuple(
-        [_record(make, raw, f"{path}[{k}]", table) for k, raw in enumerate(_as_list(value, path))]
+        [
+            _record(make, raw, f"{path}[{k}]", table, memo=memo)
+            for k, raw in enumerate(_as_list(value, path))
+        ]
     )
 
 
@@ -240,6 +277,10 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
         for cid in sorted(ram_obj)
     ]
 
+    # One memo for the parse: equal points, and equal local data, load to one
+    # object.  The point table's local converter is given the same memo.
+    memo: dict = {}
+    point = {**_POINT, "local": (_POINT["local"][0], partial(_parse_local, memo=memo))}
     pts = []
     pts_obj = obj["points_above"]
     if not isinstance(pts_obj, dict):
@@ -256,7 +297,7 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
         path = f"cover.points_above[{key!r}]"
-        pts.append((idx, _records(PointAbove, pts_obj[key], path, _POINT)))
+        pts.append((idx, _records(PointAbove, pts_obj[key], path, point, memo)))
 
     cover = CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),

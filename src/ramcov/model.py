@@ -226,7 +226,8 @@ class PointAbove:
     the crossing's pair.  ``local`` is the local classification, either as
     a lattice subgroup (first coordinate = winding around the first
     component's branch) or directly as a :class:`LocalCoverType`.  The point
-    keeps no classification: a run's one walk asks once per point.
+    keeps no classification: a run's one walk asks once per distinct
+    ``local`` object, and the loader gives equal records one object.
     """
 
     j: int

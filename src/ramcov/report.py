@@ -18,14 +18,18 @@ Components, sheets and raw local types are echoed from their dataclass
 fields, which the loader's field tables name in the same order.
 
 :meth:`ReportDocument.to_json` writes those bytes without building that
-tree.  Three lists grow with the crossings: ``certificate.terms`` (three
+tree.  Three members grow with the crossings: ``certificate.terms`` (three
 receipts per crossing) and, in the echoed document, ``base.crossings`` and
-``cover.points_above``.  Each record of these lists is written as one
-formatted string, for the fixed depth at which it sits, with strings
+``cover.points_above``.  Each record of these is written as one formatted
+string, for the fixed depth at which it sits, with strings
 passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
 as ``json.dumps`` does; a dict per record, walked container by container,
 took longer than loading the document and computing its certificate
-together.  The terms are written from the certificate's receipts, rows of
+together.  ``cover.points_above`` is written whole, as one member, its
+crossings in the string order of their keys that :func:`render_json`
+would give them; each distinct point object is formatted once per
+document and its text repeated, and the loader gives equal point records
+one object.  The terms are written from the certificate's receipts, rows of
 names, numbers and verdicts, as is each line of the text report's
 certificate: neither writer builds a :class:`~ramcov.invariants.BoundTerm`.
 :func:`render_json` copies a written member as it is, and
@@ -185,29 +189,43 @@ def _written_crossings(crossings, depth: int) -> _Written:
     )
 
 
-def _written_points(points, depth: int) -> _Written:
-    """The points over one crossing, opened at ``depth``: one string per point."""
-    # Line starts of a point, of its keys, of its local data's members and,
-    # for a lattice, of its generators' coordinates.
-    end, key, member, coord = (_newline(depth + i) for i in range(1, 5))
-    records = []
-    for point in points:
-        local = point.local
-        if isinstance(local, LatticeSubgroup):
-            (x1, y1), (x2, y2) = local.g1, local.g2
-            local = (
-                f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
-                f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
-            )
-        else:
-            local = (
-                f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
-                f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
-            )
-        records.append(
-            f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
-        )
-    return _written_list(records, depth)
+def _written_points_above(points_above, depth: int) -> _Written:
+    """``cover.points_above``, opened at ``depth``: each distinct point written once.
+
+    The crossings come in :func:`_render`'s order, their keys sorted as
+    strings.  Equal points that the loader made one object are written once
+    and their text repeated; the memo lives for this one call.
+    """
+    if not points_above:
+        return _Written("{}")
+    # Line starts of a crossing's key, of a point, of its keys, of its local
+    # data's members and, for a lattice, of its generators' coordinates.
+    inner, end, key, member, coord = (_newline(depth + i) for i in range(1, 6))
+    written: dict[int, str] = {}  # id(point) -> its record
+    crossings = []
+    for idx, points in sorted([(str(idx), points) for idx, points in points_above]):
+        records = []
+        for point in points:
+            record = written.get(id(point))
+            if record is None:
+                local = point.local
+                if isinstance(local, LatticeSubgroup):
+                    (x1, y1), (x2, y2) = local.g1, local.g2
+                    local = (
+                        f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
+                        f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
+                    )
+                else:
+                    local = (
+                        f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
+                        f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
+                    )
+                record = written[id(point)] = (
+                    f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
+                )
+            records.append(record)
+        crossings.append(f'"{idx}": {_written_list(records, depth + 1)}')
+    return _Written(f"{{{inner}{(',' + inner).join(crossings)}{_newline(depth)}}}")
 
 
 def _record(record) -> dict:
@@ -232,9 +250,7 @@ def _echo(base: BaseGeometry, cover: CoverDescription, depth: int, written: bool
     """
     if written:
         crossings = _written_crossings(base.crossings, depth + 2)
-        points_above = {
-            str(idx): _written_points(points, depth + 3) for idx, points in cover.points_above
-        }
+        points_above = _written_points_above(cover.points_above, depth + 2)
     else:
         crossings = [{"index": x.index, "pair": list(x.pair)} for x in base.crossings]
         points_above = {

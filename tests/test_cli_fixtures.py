@@ -250,12 +250,14 @@ def test_invariants_error_matches_frozen_line(capsys, name, argv):
     assert captured.err == (FIXTURES / name).read_text(encoding="utf-8")
 
 
-def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatch):
+def test_invariants_classifies_each_distinct_point_once(capsys, monkeypatch):
     # One run walks the points once: the references are checked once (by the
-    # loader), each lattice is classified once and each local type's range
-    # and gcd constraints are checked once.  A second walk, a second check of
-    # the references, or re-walking the configuration per invariant shows up
-    # here.
+    # loader), each distinct lattice is classified once and each distinct
+    # local datum's range and gcd constraints are checked once.  Equal point
+    # records load to one object and the walk asks once per object, so
+    # "distinct" is by value here.  A second walk, a second check of the
+    # references, or re-walking the configuration per invariant doubles a
+    # count and shows up here.
     calls = Counter()
 
     def counting(name, function):
@@ -265,13 +267,14 @@ def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatc
         return wrapper
 
     documents = [COVERS / "bidouble.json", COVERS / "cyclic_5_1_4_2_3.json",
-                 DOCUMENTS / "shuffled.json", DOCUMENTS / "grid_4.json"]
+                 DOCUMENTS / "shuffled.json", DOCUMENTS / "grid_4.json",
+                 DOCUMENTS / "repeated_points.json"]
     expected = []
     for path in documents:
-        points = [pt for _, pts in load_cover_path(str(path))[1].points_above for pt in pts]
-        lattices = sum(isinstance(pt.local, LatticeSubgroup) for pt in points)
+        locals_ = {pt.local for _, pts in load_cover_path(str(path))[1].points_above for pt in pts}
+        lattices = sum(isinstance(local, LatticeSubgroup) for local in locals_)
         expected.append(Counter(check_references=1, local_type=lattices,
-                                invariant_problems=len(points)))
+                                invariant_problems=len(locals_)))
     monkeypatch.setattr(ramcov.model, "local_type", counting("local_type", local_type))
     monkeypatch.setattr(LocalCoverType, "invariant_problems",
                         counting("invariant_problems", LocalCoverType.invariant_problems))
@@ -285,11 +288,15 @@ def test_invariants_classifies_each_point_at_most_three_times(capsys, monkeypatc
         counts.append(Counter(calls))
     capsys.readouterr()
     assert counts == expected
+    # repeated_points.json: three lattices (two bases of one subgroup among
+    # them) and two raw types, over twelve points.
+    assert expected[-1] == Counter(check_references=1, local_type=3, invariant_problems=5)
 
 
 def test_a_second_run_classifies_every_point_again(capsys, monkeypatch):
-    # The classification is kept by the points of one loaded document, not
-    # by the process: a second request pays for its own.
+    # The classification is kept by one walk over one loaded document, not
+    # by the process: a second request pays for its own.  bidouble.json's
+    # four points are one lattice, given four times.
     counts = []
     original = ramcov.model.local_type
 
@@ -302,7 +309,7 @@ def test_a_second_run_classifies_every_point_again(capsys, monkeypatch):
         counts.append(0)
         assert main(["invariants", str(COVERS / "bidouble.json"), "--strict", "--json"]) == 0
     capsys.readouterr()
-    assert counts == [4, 4]
+    assert counts == [1, 1]
 
 
 _EV = ("--ev", "0", "2", "0", "2", "0")

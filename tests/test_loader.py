@@ -14,13 +14,15 @@ from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
 from ramcov.loader import load_cover_path, parse_cover_json
-from ramcov.local_cover import LocalCoverType
+from ramcov.invariants import examine
+from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import BranchComponent, Crossing, PointAbove, RamSheet, check_references
-from ramcov.report import canonical_document, dumps_document
+from ramcov.report import ReportDocument, canonical_document, dumps_document
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
 DOCUMENTS = ROOT / "tests" / "fixtures" / "documents"
+FIXTURES = ROOT / "tests" / "fixtures" / "invariants"
 SCHEMA = json.loads((ROOT / "docs" / "input_schema.json").read_text())
 
 
@@ -588,3 +590,103 @@ def test_sheet_index_errors_name_the_document_path_or_the_canonical_point():
     assert str(info.value) == (
         "crossing 2, point 0: sheet index jp=7 out of range for component 'D3' (2 sheets)"
     )
+
+
+# Within one parse, equal point records load to one object, and so do equal
+# local data (loader._build): repeated_points.json's twelve points are five
+# distinct records.
+
+REPEATED = DOCUMENTS / "repeated_points.json"
+
+
+def _points(cover) -> list:
+    return [pt for _, pts in cover.points_above for pt in pts]
+
+
+def test_equal_point_records_load_to_one_object():
+    points = _points(load_cover_path(str(REPEATED))[1])
+    assert len(points) == 12
+    assert len({id(pt) for pt in points}) == len(set(points)) == 5
+    locals_ = [pt.local for pt in points]
+    assert len({id(local) for local in locals_}) == len(set(locals_)) == 5
+
+
+def test_two_parses_share_no_object():
+    text = REPEATED.read_text()
+    first, second = (_points(parse_cover_json(text)[1]) for _ in range(2))
+    assert first == second
+
+    def objects(points):
+        return {id(obj) for pt in points for obj in (pt, pt.local)}
+
+    assert not objects(first) & objects(second)
+
+
+def test_two_bases_of_one_subgroup_stay_distinct_and_echo_as_given():
+    base, cover = load_cover_path(str(REPEATED))
+    given, other = LatticeSubgroup((2, 0), (1, 1)), LatticeSubgroup((2, 0), (3, 1))
+    assert local_type(given) == local_type(other)
+    assert {pt.local for pt in _points(cover) if isinstance(pt.local, LatticeSubgroup)} == {
+        LatticeSubgroup((1, 0), (0, 1)), given, other,
+    }
+    for echo in (canonical_document(base, cover), json.loads(dumps_document(base, cover))):
+        nodes = {idx: [pt["local"] for pt in pts if pt["j"] == 1]
+                 for idx, pts in echo["cover"]["points_above"].items()}
+        assert nodes == {
+            "0": [[[2, 0], [1, 1]]], "1": [[[2, 0], [3, 1]]],
+            "2": [{"n": 2, "q": 1, "m1": 1, "m2": 1}], "3": [[[2, 0], [1, 1]]],
+        }
+
+
+def test_equal_but_distinct_points_built_by_hand_render_the_same_bytes():
+    # The walk and the writer key on identity: a model whose equal points
+    # are distinct objects takes the slow path to the same bytes, which are
+    # the reports frozen before the loader shared equal records.
+    base, loaded = load_cover_path(str(REPEATED))
+
+    def copy(pt):
+        local = pt.local
+        if isinstance(local, LatticeSubgroup):
+            local = LatticeSubgroup(local.g1, local.g2)
+        else:
+            local = LocalCoverType(local.n, local.q, local.m1, local.m2)
+        return PointAbove(pt.j, pt.jp, local)
+
+    built = replace(loaded, points_above=tuple(
+        (idx, tuple(copy(pt) for pt in pts)) for idx, pts in loaded.points_above
+    ))
+    assert built == loaded
+    assert len({id(pt.local) for pt in _points(built)}) == 12
+    for cover in (loaded, built):
+        violations, certificate, error = examine(base, cover, strict=True)
+        doc = ReportDocument(True, base, cover, tuple(violations), certificate, error)
+        assert doc.to_text() == (FIXTURES / "repeated_points.strict.txt").read_text()
+        assert doc.to_json() == (FIXTURES / "repeated_points.strict.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # The decoder refuses the float before any record is read, so its
+        # message names the literal and no path.
+        ({"j": 1.0}, "floating point literal '1.0' is not allowed; "
+                     "all numeric fields are exact integers"),
+        ({"j": True}, "cover.points_above['0'][3].j: expected an integer (got True)"),
+        ({"jq": 0}, "cover.points_above['0'][3]: unknown keys ['jq']"),
+        ({"j": -1}, "cover.points_above['0'][3]: point sheet index j must be >= 0 (got -1)"),
+        ({"jp": 7}, "cover.points_above['0'][3].jp: sheet index 7 out of range "
+                    "for component 'D3' (2 sheets)"),
+    ],
+    ids=["float-j", "bool-j", "unknown-key", "negative-j", "jp-out-of-range"],
+)
+def test_a_repeated_local_does_not_excuse_its_record(edit, message):
+    # Over crossing 0 the second point is the smooth lattice on sheets (0, 0),
+    # and the third repeats it; a fourth repeats it too, with one field edited.
+    doc = json.loads(REPEATED.read_text())
+    points = doc["cover"]["points_above"]["0"]
+    assert points[1] == points[2]
+    points.append({**points[1], **edit})
+    points.append(points[3])  # an equal record after the faulty one
+    with pytest.raises((InputFormatError, InvalidInputError)) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == message
