@@ -375,8 +375,8 @@ def examine(
     constraints checked, once per walk; the memo keys on identity and lives
     for the call.  The loader gives equal point records one object, so a
     loaded document pays once per distinct value.  A model built by hand
-    with equal but distinct local data gets the same answer, one object at
-    a time.
+    with equal but distinct local data gets the same answer and pays once
+    per object.
 
     The first point, in crossing index order, whose sheet index is out of
     range or whose local type breaks a range or gcd constraint becomes
