@@ -378,14 +378,17 @@ def examine(
     with equal but distinct local data gets the same answer and pays once
     per object.
 
-    The first point, in crossing index order, whose sheet index is out of
-    range or whose local type breaks a range or gcd constraint becomes
+    A reference that does not resolve raises the error of
+    :func:`~ramcov.model.check_references`, called only then: before the
+    walk for a key of the cover that names nothing in the base, at its
+    point for a sheet index out of range.  The first point, in crossing
+    index order, whose local type breaks a range or gcd constraint becomes
     ``error``: from there on the walk sums nothing and returns no
-    certificate, but it still checks every point.  A point whose sheet
-    index is out of range has no findings.  Failing such a point, a key of
-    the cover that names nothing in the base makes ``error`` the message of
-    :func:`~ramcov.model.check_references`, which is called only then.
+    certificate, but it still checks every point.
     """
+    if not (cover._sheets.keys() <= base._components.keys()
+            and cover._points.keys() <= base._crossings.keys()):
+        check_references(base, cover)
     d = cover.degree
     twice = 2 * d
     zero = Fraction(0)
@@ -439,12 +442,7 @@ def examine(
         s = 0
         for k, pt in enumerate(points):
             if pt.j >= len(first) or pt.jp >= len(second):
-                error = error or (
-                    f"{at}: point sheet index out of range: "
-                    f"(j, jp) = ({pt.j}, {pt.jp}), but {first_id} has "
-                    f"{len(first)} sheet(s) and {second_id} has {len(second)}"
-                )
-                continue
+                check_references(base, cover)  # raises, naming this point
             known = classified.get(id(pt.local))
             if known is None:
                 lt = pt.local_cover_type()
@@ -515,12 +513,6 @@ def examine(
             (f"correction[{at}]", correction, bound, 2, _within(correction, bound)),
             (f"exceptional_s[{at}]", s, d, 1, _within(s, d)),
         )
-    if error is None and not (cover._sheets.keys() <= base._components.keys()
-                              and cover._points.keys() <= base._crossings.keys()):
-        try:
-            check_references(base, cover)
-        except InvalidInputError as exc:
-            error = str(exc)
     found.sort()
     if error is not None:
         return found, None, error
@@ -573,10 +565,10 @@ def degree_linear_certificate(
 ) -> BoundCertificate:
     """The linear degree bound with per-term receipts: :func:`examine`'s certificate.
 
-    Raises :class:`InvalidInputError` with :func:`examine`'s error: the
-    first point, in crossing index order, whose sheet index is out of range
-    or whose local type breaks a range or gcd constraint, or failing one,
-    the first reference that does not resolve.
+    Raises :class:`InvalidInputError`: :func:`~ramcov.model.check_references`'
+    error when a reference does not resolve, else :func:`examine`'s, which
+    names the first point, in crossing index order, whose local type breaks
+    a range or gcd constraint.
     """
     _, certificate, error = examine(base, cover, fibration)
     if error is not None:

@@ -7,9 +7,10 @@ complement is described purely numerically: its degree, the ramification
 sheets over each ``D_i``, and the classified local picture over each
 crossing.  Nothing here touches equations; the model is bookkeeping, and
 :func:`validate` checks that the bookkeeping is arithmetically coherent.
-It checks the references with :func:`check_references` and takes its
-findings from the one walk of :func:`ramcov.invariants.examine`, which
-also sums the invariants: a run walks the points once.
+Its findings are those of the one walk of :func:`ramcov.invariants.examine`,
+which also sums the invariants: a run walks the points once.  A reference
+that does not resolve raises, for every view, the error of
+:func:`check_references`, the one place that names such faults.
 
 The order of the model's lists carries no meaning, so each constructor
 puts its lists in canonical order: components by id, crossings by index,
@@ -85,10 +86,6 @@ def _index(items: tuple, key, what: str) -> dict:
 
 def _pair_key(item) -> tuple:
     return (tuple(sorted(item[0])), item)
-
-
-def _point_key(p: "PointAbove") -> tuple:
-    return (p.j, p.jp, repr(p.local))
 
 
 @dataclass(frozen=True)
@@ -276,11 +273,18 @@ class CoverDescription:
             raise InvalidInputError("duplicate component id in ramification table")
         for idx, _ in self.points_above:
             _check_int(idx, "points_above key")
+        # Each distinct local object over a crossing with several points, formatted once.
+        shared = {id(p.local): p.local for _, pts in self.points_above if len(pts) > 1 for p in pts}
+        reprs = {key: repr(local) for key, local in shared.items()}
+
+        def point_key(p: PointAbove) -> tuple:
+            return (p.j, p.jp, reprs[id(p.local)])
+
         object.__setattr__(
             self,
             "points_above",
             tuple(
-                (idx, tuple(sorted(points, key=_point_key)) if len(points) > 1 else points)
+                (idx, tuple(sorted(points, key=point_key)) if len(points) > 1 else points)
                 for idx, points in sorted(self.points_above, key=itemgetter(0))
             ),
         )
@@ -328,14 +332,16 @@ class EulerData:
 def check_references(base: BaseGeometry, cover: CoverDescription, point_path=None) -> None:
     """Raise InvalidInputError unless every cross-reference resolves.
 
-    Covers the structural preconditions of :func:`validate`: ramification
-    keys are component ids, points_above keys are crossing indices, and
-    each point's sheet indices are in range for the two components of its
-    crossing.  An out-of-range index names its point ``crossing I, point K``
-    in canonical order, or by ``point_path(I, point)`` and the field when
-    that is given: the loader gives the point's path in its document.  The
-    ramification keys are checked first, then each crossing's key and its
-    points in index order; every check reads the base's indexes.
+    The one judge of reference faults, for :func:`validate` and every view
+    of :func:`ramcov.invariants.examine`'s walk, which calls it when it
+    meets one: ramification keys are component ids, points_above keys are
+    crossing indices, and each point's sheet indices are in range for the
+    two components of its crossing.  An out-of-range index names its point
+    ``crossing I, point K`` in canonical order, or by ``point_path(I,
+    point)`` and the field when that is given: the loader gives the point's
+    path in its document.  The ramification keys are checked first, then
+    each crossing's key and its points in index order; every check reads
+    the base's indexes.
     """
     for cid, _ in cover.ramification:
         if cid not in base._components:
@@ -362,17 +368,17 @@ def check_references(base: BaseGeometry, cover: CoverDescription, point_path=Non
 def validate(
     base: BaseGeometry, cover: CoverDescription, *, strict: bool = False
 ) -> list[Violation]:
-    """Check the references, then the degree and incidence identities; return sorted violations.
+    """Check the degree and incidence identities; return sorted violations.
 
-    The findings are those of :func:`ramcov.invariants.examine`'s walk.
-    The verdict does not depend on input list order: findings are sorted by
-    code, location, and message.  ``strict`` additionally enables the
+    The findings are those of :func:`ramcov.invariants.examine`'s walk, and
+    a reference that does not resolve raises :func:`check_references`'
+    error, as it does there.  The verdict does not depend on input list
+    order: findings are sorted by code, location, and message.  ``strict`` additionally enables the
     per-sheet incidence check V4, which requires the points above every
     crossing to account exactly for the local degrees of each sheet.
     """
     from .invariants import examine  # ramcov.invariants imports this module
 
-    check_references(base, cover)
     return examine(base, cover, strict=strict)[0]
 
 

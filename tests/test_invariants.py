@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
@@ -48,7 +50,7 @@ from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import (
     BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
-    derived_euler_data, validate,
+    check_references, derived_euler_data, validate,
 )
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -236,47 +238,6 @@ def test_invariants_raise_on_bad_local_type():
         degree_linear_certificate(base, bad)
 
 
-@pytest.mark.parametrize("j,jp", [(3, 0), (0, 1)], ids=["j", "jp"])
-def test_invariants_raise_on_out_of_range_sheet_index(j, jp):
-    base, cover = double_cover()
-    # Every line of the double cover has one sheet, so only index 0 exists.
-    (_, (node,)), *rest = cover.points_above
-    bad_pt = (PointAbove(j=j, jp=jp, local=node.local),)
-    bad = CoverDescription(
-        degree=2, ramification=cover.ramification, points_above=((0, bad_pt), *rest)
-    )
-    message = rf"crossing 0: point sheet index out of range: \(j, jp\) = \({j}, {jp}\)"
-    with pytest.raises(InvalidInputError, match=message):
-        invariant_report(base, bad)
-    with pytest.raises(InvalidInputError, match=message):
-        degree_linear_certificate(base, bad)
-
-
-def test_dangling_references_are_the_error_of_every_view():
-    # A key that names no component or crossing makes the cover unusable:
-    # the walk names it as check_references does, and sums no smaller cover.
-    base, cover = double_cover()
-    (_, (node,)), *rest = cover.points_above
-    dangling = CoverDescription(
-        degree=2,
-        ramification=cover.ramification + (("ZZ", (RamSheet(e=2, f=1),)),),
-        points_above=cover.points_above + ((99, (node,)),),
-    )
-    message = "ramification references unknown component 'ZZ'"
-    assert examine(base, dangling)[1:] == (None, message)
-    for view in (validate, degree_linear_certificate, invariant_report, deg_det):
-        with pytest.raises(InvalidInputError) as info:
-            view(base, dangling)
-        assert str(info.value) == message
-    points_only = dataclasses.replace(dangling, ramification=cover.ramification)
-    assert examine(base, points_only)[1:] == (None, "points_above references unknown crossing 99")
-    # A point's own error comes first.
-    bad_point = dataclasses.replace(
-        dangling, points_above=((0, (PointAbove(j=1, jp=0, local=node.local),)), *rest)
-    )
-    assert examine(base, bad_point)[2].startswith("crossing 0: point sheet index out of range")
-
-
 def test_examine_without_strict_does_no_work_per_sheet_and_crossing():
     # 4 000 crossings on a component with 10^6 unramified sheets, one point
     # each.  Without strict the walk is linear in the input; a list sized by
@@ -307,21 +268,140 @@ def _double_cover_with(points_over: dict):
 
 
 _NOT_COPRIME = (PointAbove(j=0, jp=0, local=LocalCoverType(n=4, q=2, m1=1, m2=1)),)
-_JP_OUT_OF_RANGE = (PointAbove(j=0, jp=1, local=LatticeSubgroup((2, 0), (1, 1))),)
+
+_VIEWS = {
+    "validate": validate,
+    "validate-strict": lambda base, cover: validate(base, cover, strict=True),
+    "degree_linear_certificate": degree_linear_certificate,
+    "invariant_report": invariant_report,
+    "deg_det": deg_det,
+    "examine": examine,
+    "examine-strict": lambda base, cover: examine(base, cover, strict=True),
+}
+
+
+def _plant(base, cover, *, invalid_at=None, ram_key=None, points_key=None, index_faults=()):
+    """``cover`` with reference faults planted, after an invalid raw local type.
+
+    ``invalid_at`` names the crossing whose points become one point of a raw
+    type that fails V5.  ``ram_key`` and ``points_key`` add a ramification
+    key and a points_above key that name nothing in the base.  Each
+    ``(crossing, field, past, extra)`` of ``index_faults`` sets ``field``
+    ('j' or 'jp') of the crossing's first point to ``past`` beyond the last
+    sheet of its component, on that point or, with ``extra``, on an added copy.
+    """
+    pairs = {x.index: x.pair for x in base.crossings}
+    points = dict(cover.points_above)
+    if invalid_at is not None:
+        points[invalid_at] = _NOT_COPRIME
+    for idx, field, past, extra in index_faults:
+        cid = pairs[idx][field == "jp"]
+        pt = points[idx][0]
+        bad = dataclasses.replace(pt, **{field: len(cover.sheets_for(cid)) + past})
+        points[idx] = (*points[idx], bad) if extra else (bad, *points[idx][1:])
+    if points_key is not None:
+        points[points_key] = cover.points_above[0][1]
+    ramification = cover.ramification
+    if ram_key is not None:
+        ramification += ((ram_key, (RamSheet(e=1, f=cover.degree),)),)
+    return CoverDescription(cover.degree, ramification, tuple(points.items()))
+
+
+def _reference_error(base, cover):
+    """The message check_references raises for the model, or None."""
+    try:
+        check_references(base, cover)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_every_view_raises(base, cover, message):
+    for name, view in _VIEWS.items():
+        with pytest.raises(InvalidInputError) as info:
+            view(base, cover)
+        assert str(info.value) == message, name
+
+
+_J_0 = "crossing 0, point 0: sheet index j=1 out of range for component 'D1' (1 sheets)"
+_JP_3 = "crossing 3, point 0: sheet index jp=1 out of range for component 'D4' (1 sheets)"
 
 
 @pytest.mark.parametrize(
-    "at_0,at_3,message",
+    "golden,planted,message",
     [
-        (_NOT_COPRIME, _JP_OUT_OF_RANGE, r"crossing 0: invalid local type: n and q must be coprime"),
-        (_JP_OUT_OF_RANGE, _NOT_COPRIME, r"crossing 0: point sheet index out of range: \(j, jp\) = \(0, 1\)"),
+        (double_cover(), dict(ram_key="ZZ"), "ramification references unknown component 'ZZ'"),
+        (double_cover(), dict(points_key=99), "points_above references unknown crossing 99"),
+        (double_cover(), dict(points_key=-1), "points_above references unknown crossing -1"),
+        (double_cover(), dict(index_faults=[(0, "j", 2, False)]),
+         "crossing 0, point 0: sheet index j=3 out of range for component 'D1' (1 sheets)"),
+        (double_cover(), dict(index_faults=[(3, "jp", 0, False)]), _JP_3),
+        # An invalid local type at an earlier crossing does not hide a reference fault.
+        (double_cover(), dict(invalid_at=0, index_faults=[(3, "jp", 0, False)]), _JP_3),
+        (double_cover(), dict(invalid_at=3, index_faults=[(0, "j", 0, False)]), _J_0),
+        (double_cover(), dict(invalid_at=0, ram_key="ZZ"),
+         "ramification references unknown component 'ZZ'"),
+        # Several faults: the ramification keys come first, then each crossing in index order.
+        (double_cover(), dict(ram_key="ZZ", index_faults=[(0, "j", 0, False)]),
+         "ramification references unknown component 'ZZ'"),
+        (double_cover(), dict(invalid_at=1, points_key=99, index_faults=[(2, "j", 0, False)]),
+         "crossing 2, point 0: sheet index j=1 out of range for component 'D2' (1 sheets)"),
+        # The point is named in canonical order: the added copy sorts after the first.
+        (power_map_cover(3, 2), dict(index_faults=[(1, "jp", 2, True)]),
+         "crossing 1, point 1: sheet index jp=3 out of range for component 'D4' (1 sheets)"),
+        # No reference fault: examine refuses the certificate and validate reports V5.
+        (double_cover(), dict(invalid_at=2),
+         "crossing 2: invalid local type: n and q must be coprime (got gcd(4, 2) = 2)"),
     ],
-    ids=["invalid-type-first", "index-first"],
+    ids=["ram-key", "points-key", "negative-points-key", "j", "jp", "invalid-type-first",
+         "index-first", "invalid-type-and-ram-key", "ram-key-before-index",
+         "index-before-points-key", "added-point", "invalid-type-alone"],
 )
-def test_certificate_names_the_first_failing_point(at_0, at_3, message):
-    base, cover = _double_cover_with({0: at_0, 3: at_3})
-    with pytest.raises(InvalidInputError, match=f"^{message}"):
-        degree_linear_certificate(base, cover)
+def test_check_references_judges_every_view(golden, planted, message):
+    base, cover = golden
+    bad = _plant(base, cover, **planted)
+    if planted.keys() - {"invalid_at"}:
+        assert _reference_error(base, bad) == message
+        _assert_every_view_raises(base, bad, message)
+        return
+    assert _reference_error(base, bad) is None
+    for strict in (False, True):
+        found, certificate, error = examine(base, bad, strict=strict)
+        assert (certificate, error) == (None, message)
+        assert found == validate(base, bad, strict=strict)
+        assert [v.message for v in found if v.code == "V5"] == [
+            "crossing 2, point 0: n and q must be coprime (got gcd(4, 2) = 2)"
+        ]
+    for view in (degree_linear_certificate, invariant_report, deg_det):
+        with pytest.raises(InvalidInputError) as info:
+            view(base, bad)
+        assert str(info.value) == message
+
+
+_INDEX_FAULT = st.tuples(
+    st.integers(0, 3), st.sampled_from(["j", "jp"]), st.integers(0, 2), st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([identity_cover(), double_cover()])
+    | st.builds(power_map_cover, st.integers(1, 4), st.integers(1, 4)),
+    st.none() | st.integers(0, 3),
+    st.none() | st.sampled_from(["A0", "D0", "D9", "ZZ"]),
+    st.none() | st.integers(-3, 200).filter(lambda idx: idx not in range(4)),
+    st.lists(_INDEX_FAULT, max_size=3),
+)
+def test_every_view_raises_check_references_error(golden, invalid_at, ram_key, points_key,
+                                                  index_faults):
+    # One to five reference faults, in any mix, maybe after an invalid local type.
+    assume(ram_key is not None or points_key is not None or index_faults)
+    base, cover = golden
+    bad = _plant(base, cover, invalid_at=invalid_at, ram_key=ram_key, points_key=points_key,
+                 index_faults=index_faults)
+    message = _reference_error(base, bad)
+    assert message is not None
+    _assert_every_view_raises(base, bad, message)
 
 
 def test_examine_finds_every_invalid_type_and_names_the_first():
