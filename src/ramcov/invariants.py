@@ -443,6 +443,7 @@ def examine(
         for k, pt in enumerate(points):
             if pt.j >= len(first) or pt.jp >= len(second):
                 check_references(base, cover)  # raises, naming this point
+                raise AssertionError(f"{at}, point {k}: check_references passed an out-of-range index")
             known = classified.get(id(pt.local))
             if known is None:
                 lt = pt.local_cover_type()

@@ -88,6 +88,10 @@ def _pair_key(item) -> tuple:
     return (tuple(sorted(item[0])), item)
 
 
+def _point_key(p: "PointAbove") -> tuple:
+    return (p.j, p.jp, repr(p.local))
+
+
 @dataclass(frozen=True)
 class BranchComponent:
     """Numerical data of one smooth component of the branch divisor."""
@@ -273,18 +277,11 @@ class CoverDescription:
             raise InvalidInputError("duplicate component id in ramification table")
         for idx, _ in self.points_above:
             _check_int(idx, "points_above key")
-        # Each distinct local object over a crossing with several points, formatted once.
-        shared = {id(p.local): p.local for _, pts in self.points_above if len(pts) > 1 for p in pts}
-        reprs = {key: repr(local) for key, local in shared.items()}
-
-        def point_key(p: PointAbove) -> tuple:
-            return (p.j, p.jp, reprs[id(p.local)])
-
         object.__setattr__(
             self,
             "points_above",
             tuple(
-                (idx, tuple(sorted(points, key=point_key)) if len(points) > 1 else points)
+                (idx, tuple(sorted(points, key=_point_key)) if len(points) > 1 else points)
                 for idx, points in sorted(self.points_above, key=itemgetter(0))
             ),
         )
@@ -373,9 +370,10 @@ def validate(
     The findings are those of :func:`ramcov.invariants.examine`'s walk, and
     a reference that does not resolve raises :func:`check_references`'
     error, as it does there.  The verdict does not depend on input list
-    order: findings are sorted by code, location, and message.  ``strict`` additionally enables the
-    per-sheet incidence check V4, which requires the points above every
-    crossing to account exactly for the local degrees of each sheet.
+    order: findings are sorted by code, location, and message.  ``strict``
+    additionally enables the per-sheet incidence check V4, which requires
+    the points above every crossing to account exactly for the local
+    degrees of each sheet.
     """
     from .invariants import examine  # ramcov.invariants imports this module
 

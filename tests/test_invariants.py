@@ -404,6 +404,18 @@ def test_every_view_raises_check_references_error(golden, invalid_at, ram_key, p
     _assert_every_view_raises(base, bad, message)
 
 
+def test_walk_fails_loudly_if_check_references_passes_an_out_of_range_point(monkeypatch):
+    # The walk leaves the range rule to check_references; were the two ever to
+    # disagree, examine must not index past the sheets.
+    import ramcov.invariants
+
+    base, cover = double_cover()
+    bad = _plant(base, cover, index_faults=[(0, "j", 0, False)])
+    monkeypatch.setattr(ramcov.invariants, "check_references", lambda base, cover: None)
+    with pytest.raises(AssertionError, match=r"^crossing 0, point 0: check_references passed"):
+        examine(base, bad)
+
+
 def test_examine_finds_every_invalid_type_and_names_the_first():
     q_zero = (PointAbove(j=0, jp=0, local=LocalCoverType(n=3, q=0, m1=1, m2=2)),)
     base, cover = _double_cover_with({1: _NOT_COPRIME, 2: q_zero})

@@ -295,30 +295,6 @@ def test_models_built_from_permuted_tuples_are_equal(load):
         assert canonical_document(base2, cover2) == canonical_document(base, cover)
 
 
-def test_points_are_sorted_formatting_each_local_object_once(monkeypatch):
-    # Over a crossing with more than one point the constructor sorts by
-    # (j, jp, repr(local)), formatting each distinct local object once per
-    # call: a twin equal to a shared lattice is another object, so one more.
-    _, cover = load_cover_path(str(DOCUMENTS / "repeated_points.json"))
-    (idx, points), *rest = cover.points_above
-    twin = dataclasses.replace(points[0], local=LatticeSubgroup(points[0].local.g1,
-                                                                 points[0].local.g2))
-    given = tuple((i, pts[::-1]) for i, pts in ((idx, (*points, twin)), *rest))
-    expected = tuple(
-        (i, tuple(sorted(pts, key=lambda p: (p.j, p.jp, repr(p.local)))))
-        for i, pts in sorted(given)
-    )
-    lattices = {id(p.local) for _, pts in given for p in pts
-                if isinstance(p.local, LatticeSubgroup)}
-    assert all(len(pts) > 1 for _, pts in given) and len(lattices) == 4
-    calls = []
-    original = LatticeSubgroup.__repr__
-    monkeypatch.setattr(LatticeSubgroup, "__repr__", lambda self: calls.append(1) or original(self))
-    built = CoverDescription(cover.degree, cover.ramification, given)
-    assert len(calls) == len(lattices)
-    assert built.points_above == expected
-
-
 def test_wrongly_typed_keys_raise_invalid_input():
     base, cover = double_cover()
     sheets = cover.sheets_for("D1")
