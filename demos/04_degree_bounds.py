@@ -29,9 +29,11 @@ print(f"linear coefficient of the square base: c = {c}")
 cert = degree_linear_certificate(*double_cover())
 print(f"double cover: deg_det = {cert.deg_det}, degree = {cert.degree}, "
       f"|deg_det| <= c*d = {c * cert.degree}: {cert.deg_det_within_linear}")
-print("per-term receipts:")
-for term in cert.terms:
-    print(f"  {term.name}: |{term.value}| <= {term.bound}  {'ok' if term.ok else 'VIOLATED'}")
+# Each receipt is one row, its verdict decided where the walk computed it;
+# the last row is deg_det against c*d.
+print("per-term receipts (name, value, bound, per degree, ok):")
+for name, value, bound, per_degree, ok in cert.receipts:
+    print(f"  {name}: |{value}| <= {bound} = {per_degree}*d  {'ok' if ok else 'VIOLATED'}")
 assert cert.satisfied
 
 print()

@@ -74,18 +74,8 @@ def square_base() -> BaseGeometry:
 
 
 def identity_cover() -> tuple[BaseGeometry, CoverDescription]:
-    """The trivial degree-1 cover: one unramified sheet everywhere."""
-    base = square_base()
-    sheet = (RamSheet(e=1, f=1),)
-    cover = CoverDescription(
-        degree=1,
-        ramification=tuple((cid, sheet) for cid in ("D1", "D2", "D3", "D4")),
-        points_above=tuple(
-            (x.index, (PointAbove(j=0, jp=0, local=LatticeSubgroup((1, 0), (0, 1))),))
-            for x in base.crossings
-        ),
-    )
-    return base, cover
+    """The trivial degree-1 cover: ``power_map_cover(1, 1)``, unramified everywhere."""
+    return power_map_cover(1, 1)
 
 
 def power_map_cover(a: int, b: int) -> tuple[BaseGeometry, CoverDescription]:

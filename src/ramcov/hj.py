@@ -61,7 +61,9 @@ class SingularityType:
     q: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.q) is not int:  # exact type: bool is an int subclass
+        if (type(self.n) is not int or type(self.q) is not int) and not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.q)
+        ):  # the exact-type test passes plain ints fast; bool is an int subclass
             raise InvalidInputError("n and q must be integers")
         if self.n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={self.n})")

@@ -37,9 +37,8 @@ certificate, which carries the receipts so a failure localizes, is
 :func:`degree_linear_certificate`'s; :func:`invariant_report` is the
 certificate's report alone.  Every receipt is one plain row ``(name, value,
 bound, per_degree, ok)``, named and decided once, where the walk emits it;
-both reports write the rows, and :attr:`BoundCertificate.terms` builds
-their :class:`BoundTerm` objects only when read.  Beside them sit an
-Arakelov-type bound for semistable fibrations and a logarithmic height
+the certificate's verdicts and both reports read the rows.  Beside them sit
+an Arakelov-type bound for semistable fibrations and a logarithmic height
 bound for plane models, the single place the package leaves exact
 arithmetic (flagged as such).
 """
@@ -61,7 +60,6 @@ from .model import check_references, derived_euler_data
 
 __all__ = [
     "InvariantReport",
-    "BoundTerm",
     "BoundCertificate",
     "FibrationInputs",
     "deg_det",
@@ -253,20 +251,6 @@ def _within(value, bound) -> bool:
 
 
 @dataclass(frozen=True)
-class BoundTerm:
-    """One receipt of the linear-bound certificate."""
-
-    name: str
-    value: Fraction
-    bound: Fraction
-    per_degree: Fraction
-
-    @cached_property
-    def ok(self) -> bool:
-        return _within(self.value, self.bound)
-
-
-@dataclass(frozen=True)
 class BoundCertificate:
     """Receipts showing |deg_det| is linearly bounded in the cover degree.
 
@@ -276,11 +260,11 @@ class BoundCertificate:
     estimates that make the aggregate work, one plain row ``(name, value,
     bound, per_degree, ok)`` each, in report order, with the verdict
     ``|value| <= bound`` decided where the walk emits it; ``satisfied``
-    holds exactly when every verdict does.  ``terms`` builds their
-    :class:`BoundTerm` objects only when read.  The optional fibration
-    bound is carried along for comparison when its inputs are supplied.
-    ``report`` is summed in the walk that emits the receipts; its
-    ``deg_det`` is the certificate's.
+    holds exactly when every verdict does.  The last row compares
+    ``deg_det`` with ``linear_coefficient * degree``; when the optional
+    fibration bound is supplied, its row follows.  The two
+    ``deg_det_within_*`` verdicts are those rows'.  ``report`` is summed in
+    the walk that emits the receipts; its ``deg_det`` is the certificate's.
     """
 
     receipts: tuple[tuple, ...]
@@ -291,13 +275,6 @@ class BoundCertificate:
     fibration_inputs: Optional[FibrationInputs]
     fibration_bound: Optional[Fraction]
 
-    @cached_property
-    def terms(self) -> tuple[BoundTerm, ...]:
-        return tuple(
-            BoundTerm(name, Fraction(value), Fraction(bound), Fraction(per_degree))
-            for name, value, bound, per_degree, _ in self.receipts
-        )
-
     @property
     def deg_det(self) -> Fraction:
         return self.report.deg_det
@@ -307,14 +284,19 @@ class BoundCertificate:
         return all(ok for *_, ok in self.receipts)
 
     @property
+    def _linear_row(self) -> tuple:
+        """The ``deg_det_vs_linear`` row: the last, or the one before the fibration row."""
+        return self.receipts[-1 if self.fibration_bound is None else -2]
+
+    @property
     def deg_det_within_linear(self) -> bool:
-        return abs(self.deg_det) <= self.linear_coefficient * self.degree
+        return self._linear_row[-1]
 
     @property
     def deg_det_within_fibration(self) -> Optional[bool]:
         if self.fibration_bound is None:
             return None
-        return abs(self.deg_det) <= self.fibration_bound
+        return self.receipts[-1][-1]
 
 
 def linear_coefficient(base: BaseGeometry) -> Fraction:

@@ -29,9 +29,9 @@ together.  ``cover.points_above`` is written whole, as one member, its
 crossings in the string order of their keys that :func:`render_json`
 would give them; each distinct point object is formatted once per
 document and its text repeated, and the loader gives equal point records
-one object.  The terms are written from the certificate's receipts, rows of
-names, numbers and verdicts, as is each line of the text report's
-certificate: neither writer builds a :class:`~ramcov.invariants.BoundTerm`.
+one object.  The terms are the certificate's receipts, rows of names,
+numbers and verdicts: the JSON tree, its written text and each line of the
+text report's certificate copy them as the walk stored them.
 :func:`render_json` copies a written member as it is, and
 :func:`dumps_document` writes the echo the same way.
 
@@ -378,13 +378,13 @@ class ReportDocument:
             cert_doc: dict = {
                 "terms": _written_terms(cert) if written else [
                     {
-                        "name": t.name,
-                        "value": fmt_rational(t.value),
-                        "bound": fmt_rational(t.bound),
-                        "per_degree": fmt_rational(t.per_degree),
-                        "ok": t.ok,
+                        "name": name,
+                        "value": fmt_rational(value),
+                        "bound": fmt_rational(bound),
+                        "per_degree": fmt_rational(per_degree),
+                        "ok": ok,
                     }
-                    for t in cert.terms
+                    for name, value, bound, per_degree, ok in cert.receipts
                 ],
                 "linear_coefficient": fmt_rational(cert.linear_coefficient),
                 "degree": cert.degree,
@@ -448,7 +448,7 @@ class ReportDocument:
             ]
             lines.append(
                 f"  coefficient c = {fmt_rational(cert.linear_coefficient)}; "
-                f"|deg_det| <= c*d = {fmt_rational(cert.linear_coefficient * cert.degree)}: "
+                f"|deg_det| <= c*d = {fmt_rational(cert._linear_row[2])}: "
                 + ("ok" if cert.deg_det_within_linear else "VIOLATED")
             )
             lines.append(f"  satisfied: {'yes' if cert.satisfied else 'no'}")

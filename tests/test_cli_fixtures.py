@@ -74,7 +74,7 @@ import ramcov.report
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.hj import HJChain, discrepancies, hj_expand
-from ramcov.invariants import BoundTerm, FibrationInputs, degree_linear_certificate
+from ramcov.invariants import FibrationInputs, degree_linear_certificate
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 
@@ -333,28 +333,40 @@ def test_a_report_evaluates_each_receipt_once(capsys, monkeypatch, flags):
     capsys.readouterr()
     monkeypatch.undo()
     fibration = FibrationInputs(0, 2, 0, 2, 0) if flags == _EV else None
-    terms = degree_linear_certificate(*load_cover_path(str(path)), fibration).terms
-    assert len(terms) == 2 * 4 + 3 * 4 + 1 + (flags == _EV)
-    assert compared == Counter((t.value, t.bound) for t in terms)
+    rows = degree_linear_certificate(*load_cover_path(str(path)), fibration).receipts
+    assert len(rows) == 2 * 4 + 3 * 4 + 1 + (flags == _EV)
+    assert compared == Counter((Fraction(value), Fraction(bound)) for _, value, bound, *_ in rows)
 
 
 @pytest.mark.parametrize("flags", [(), _EV])
-@pytest.mark.parametrize("path", [COVERS / "cyclic_5_1_4_2_3.json", DOCUMENTS / "grid_4.json"])
-def test_a_json_report_builds_no_term_per_crossing(capsys, monkeypatch, flags, path):
-    # Both writers read the certificate's receipts, so neither a text nor a
-    # --json report builds a single term, per crossing or otherwise.
-    built = []
-    init = BoundTerm.__init__
+def test_report_verdicts_are_the_rows_verdicts(capsys, monkeypatch, flags):
+    # The walk decides each verdict once, in its row.  With that one
+    # comparison negated, every verdict a certificate or report shows must
+    # follow its row: none may be decided again.
+    within = ramcov.invariants._within
+    monkeypatch.setattr(ramcov.invariants, "_within", lambda value, bound: not within(value, bound))
+    path = str(COVERS / "bidouble.json")
+    fibration = FibrationInputs(0, 2, 0, 2, 0) if flags else None
+    cert = degree_linear_certificate(*load_cover_path(path), fibration)
+    rows = {name: (bound, ok) for name, _, bound, _, ok in cert.receipts}
+    c_times_d, linear = rows["deg_det_vs_linear"]
+    fib = rows["deg_det_vs_fibration"][1] if flags else None
+    assert linear is False and fib is (False if flags else None)
+    assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (linear, fib)
 
-    def counting(term, *args, **kwargs):
-        built.append(args[0] if args else kwargs["name"])
-        init(term, *args, **kwargs)
+    assert main(["invariants", path, "--json", *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)["certificate"]
+    assert {t["name"]: t["ok"] for t in doc["terms"]} == {name: ok for name, (_, ok) in rows.items()}
+    assert doc["deg_det_within_linear"] is linear
+    assert (doc["fibration"] and doc["fibration"]["deg_det_within"]) is fib
 
-    monkeypatch.setattr(BoundTerm, "__init__", counting)
-    for json_flag in ((), ("--json",)):
-        assert main(["invariants", str(path), *json_flag, *flags]) == 0
-        assert built == []
-    capsys.readouterr()
+    assert main(["invariants", path, *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    word = {True: "ok", False: "VIOLATED"}
+    assert [line.split("; ")[1] for line in lines if "|deg_det| <=" in line] == [
+        f"|deg_det| <= c*d = {c_times_d}: {word[linear]}",
+        *([f"|deg_det| <= bound: {word[fib]}"] if flags else []),
+    ]
 
 
 def _not_coprime(tmp_path) -> pathlib.Path:

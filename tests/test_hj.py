@@ -68,6 +68,17 @@ def test_singularity_type_rejects_non_integers(n, q):
     assert str(info.value) == "n and q must be integers"
 
 
+class _Int(int):
+    pass
+
+
+def test_singularity_type_accepts_int_subclasses():
+    sing = SingularityType(_Int(5), _Int(2))
+    assert sing == SingularityType(5, 2)
+    assert hj_expand(sing).b == (3, 2)
+    assert resolution_numbers(SingularityType(_Int(5), 2)) == resolution_numbers(sing)
+
+
 def test_chain_validation():
     assert HJChain((2, 3)).length == 2
     assert len(HJChain((4,))) == 1

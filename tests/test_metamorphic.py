@@ -152,10 +152,10 @@ def test_disjoint_union_is_valid_and_adds(first, second):
     assert [m for _, m in whole.report.B_mult] == [
         m1 + m2 for (_, m1), (_, m2) in zip(*(c.report.B_mult for c in parts))
     ]
-    names = [t.name for t in whole.terms]
-    assert [[t.name for t in c.terms] for c in parts] == [names, names]
-    assert [t.value for t in whole.terms] == [
-        t1.value + t2.value for t1, t2 in zip(*(c.terms for c in parts))
+    names = [name for name, *_ in whole.receipts]
+    assert [[name for name, *_ in c.receipts] for c in parts] == [names, names]
+    assert [value for _, value, *_ in whole.receipts] == [
+        v1 + v2 for (_, v1, *_), (_, v2, *_) in zip(*(c.receipts for c in parts))
     ]
 
 
@@ -178,8 +178,8 @@ def _summary(base, cover, fibration, component=lambda cid: cid, crossing=lambda 
         return _codes(base, cover), outcome
     return (
         _codes(base, cover),
-        {name(t.name): (t.value, t.bound, t.per_degree, t.ok) for t in outcome.terms},
-        len(outcome.terms),
+        {name(term): tuple(row) for term, *row in outcome.receipts},
+        len(outcome.receipts),
         {component(cid): m for cid, m in outcome.report.B_mult},
         [getattr(outcome.report, field) for field in _ADDITIVE],
         outcome.linear_coefficient,
