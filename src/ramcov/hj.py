@@ -61,20 +61,20 @@ class SingularityType:
     q: int
 
     def __post_init__(self) -> None:
-        if (type(self.n) is not int or type(self.q) is not int) and not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.q)
-        ):  # the exact-type test passes plain ints fast; bool is an int subclass
+        n, q = self.n, self.q
+        if (not isinstance(n, int) or isinstance(n, bool)
+                or not isinstance(q, int) or isinstance(q, bool)):
             raise InvalidInputError("n and q must be integers")
-        if self.n < 2:
-            raise InvalidInputError(f"order must satisfy n >= 2 (got n={self.n})")
-        if not 1 <= self.q < self.n:
+        if n < 2:
+            raise InvalidInputError(f"order must satisfy n >= 2 (got n={n})")
+        if not 1 <= q < n:
             raise InvalidInputError(
-                f"weight must satisfy 1 <= q < n (got n={self.n}, q={self.q})"
+                f"weight must satisfy 1 <= q < n (got n={n}, q={q})"
             )
-        g = math.gcd(self.n, self.q)
+        g = math.gcd(n, q)
         if g != 1:
             raise InvalidInputError(
-                f"n and q must be coprime (got gcd({self.n}, {self.q}) = {g})"
+                f"n and q must be coprime (got gcd({n}, {q}) = {g})"
             )
 
     @property

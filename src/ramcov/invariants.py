@@ -260,10 +260,15 @@ class BoundCertificate:
     estimates that make the aggregate work, one plain row ``(name, value,
     bound, per_degree, ok)`` each, in report order, with the verdict
     ``|value| <= bound`` decided where the walk emits it; ``satisfied``
-    holds exactly when every verdict does.  The last row compares
-    ``deg_det`` with ``linear_coefficient * degree``; when the optional
-    fibration bound is supplied, its row follows.  The two
-    ``deg_det_within_*`` verdicts are those rows'.  ``report`` is summed in
+    holds exactly when every verdict does.  The rows have a positional
+    contract, which :func:`examine` keeps and a certificate built by hand
+    must keep too: the last row compares ``deg_det`` with
+    ``linear_coefficient * degree``, except that when ``fibration_bound``
+    is set the row comparing ``deg_det`` with it comes last and the linear
+    row just before it.  ``deg_det_within_linear`` and
+    ``deg_det_within_fibration`` are those rows' verdicts, read by position
+    with no comparison of their own, and the text report's ``c*d`` is the
+    linear row's bound.  ``report`` is summed in
     the walk that emits the receipts; its ``deg_det`` is the certificate's.
     """
 
@@ -284,13 +289,8 @@ class BoundCertificate:
         return all(ok for *_, ok in self.receipts)
 
     @property
-    def _linear_row(self) -> tuple:
-        """The ``deg_det_vs_linear`` row: the last, or the one before the fibration row."""
-        return self.receipts[-1 if self.fibration_bound is None else -2]
-
-    @property
     def deg_det_within_linear(self) -> bool:
-        return self._linear_row[-1]
+        return self.receipts[-1 if self.fibration_bound is None else -2][-1]
 
     @property
     def deg_det_within_fibration(self) -> Optional[bool]:

@@ -31,6 +31,7 @@ from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
 from ramcov.invariants import (
     HEIGHT_LOG_PRECISION,
+    BoundCertificate,
     FibrationInputs,
     InvariantReport,
     arakelov_degree_bound,
@@ -48,8 +49,9 @@ from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import (
     BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
-    check_references, validate,
+    check_references, derived_euler_data, validate,
 )
+from ramcov.report import ReportDocument
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
@@ -606,6 +608,34 @@ def test_certificate_power_family(a, b):
     assert cert.satisfied
     assert cert.deg_det_within_linear
     assert abs(cert.deg_det) <= cert.linear_coefficient * cert.degree
+
+
+def test_a_hand_built_certificate_reads_its_verdicts_by_position():
+    base, cover = double_cover()
+    fields = dict(
+        linear_coefficient=Fraction(1),
+        degree=1,
+        report=invariant_report(base, cover),
+        derived_base=derived_euler_data(base),
+    )
+    one = Fraction(1)
+    rows = (("x", 1, 2, one, True), ("deg_det_vs_linear", 3, 2, one, False))
+    cert = BoundCertificate(receipts=rows, fibration_inputs=None, fibration_bound=None, **fields)
+    assert cert.deg_det_within_linear is False and not cert.satisfied
+    assert cert.deg_det_within_fibration is None
+    fib = FibrationInputs(0, 2, 0, 2, 0)
+    cert = BoundCertificate(
+        receipts=rows + (("deg_det_vs_fibration", 3, 9, one, True),),
+        fibration_inputs=fib, fibration_bound=Fraction(9), **fields,
+    )
+    assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
+    text = ReportDocument(False, base, cover, (), cert).to_text()
+    assert "|deg_det| <= c*d = 2: VIOLATED" in text
+    # the certificate's deg_det is its report's, so the two cannot disagree
+    assert cert.deg_det == fields["report"].deg_det
+    with pytest.raises(TypeError, match="deg_det"):
+        BoundCertificate(receipts=rows, fibration_inputs=None, fibration_bound=None,
+                         deg_det=cert.deg_det + 1, **fields)
 
 
 def test_receipts_come_in_report_order_with_their_verdicts():
