@@ -17,6 +17,16 @@ the linear degree bound where its value is computed:
   quotient points.  Each distinct quotient type is resolved once per walk,
   in O(log n) steps by :func:`~ramcov.hj.resolution_numbers`.
 
+A crossing's numbers depend only on its two sheet lists and its points,
+so the walk computes them, with their verdicts and findings as data, once
+per distinct ``(id(first sheets), id(second sheets), id(points))`` (see
+:func:`_crossing_shape`); the loader gives equal lists one tuple.  Each
+crossing then only gets its labels: receipt names, finding messages and
+``error``.  The memo keys on identity, never on list contents, keeps at
+most ``_SHAPES_KEPT`` shapes and lives for one walk, so a model whose
+crossings share nothing pays once per crossing.  The totals add each
+shape's numbers times its crossing count.
+
 The same values, with ``d_i = sum_j f_ij`` and the point counts, are added
 into the totals of the chain
 
@@ -46,6 +56,7 @@ arithmetic (flagged as such).
 from __future__ import annotations
 
 import decimal
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -331,6 +342,127 @@ def _linear_coefficient(base: BaseGeometry, euler: EulerData) -> Fraction:
     return Fraction(twelfth, 12) + fib
 
 
+_ZERO = Fraction(0)
+#: The crossing shapes one walk keeps, so that a model whose crossings share
+#: nothing holds no more than this many shapes at once.
+_SHAPES_KEPT = 1024
+
+
+def _crossing_shape(
+    base: BaseGeometry,
+    cover: CoverDescription,
+    first: tuple,
+    second: tuple,
+    points: tuple,
+    strict: bool,
+    classified: dict,
+    resolutions: dict,
+    tallies: dict,
+) -> tuple:
+    """What one crossing gives :func:`examine`, from its sheets and points alone.
+
+    Returns ``(faults, problem, cross, cross_ok, correction, bound,
+    correction_ok, s, s_ok, tally)``.  ``faults`` holds its V2 to V5
+    findings as data, ``(code, where, before, side, after)``: the walk
+    names a finding ``(at, where)``, or ``(at,)`` when ``where`` is empty,
+    and its message is ``at + before + repr(pair[side]) + after``, with no
+    component id when ``side`` is None.  ``problem`` is the first range or
+    gcd problem of a point's local type, or None; the numbers are summed
+    only up to it.  Then come the receipts' numbers: the cross term and its
+    verdict, the correction, its bound and its verdict, and the exceptional
+    curve count ``s`` and its verdict.  ``tally`` numbers
+    ``(s, points, cross numerators, correction numerators)``, each list of
+    numerators as ``(n, numerator over n)`` pairs, in ``tallies``, which
+    gives equal tallies one number.  ``classified`` and ``resolutions`` are
+    the walk's memos.  A sheet index out of range raises
+    :func:`~ramcov.model.check_references`' error.
+    """
+    d = cover.degree
+    zero = _ZERO
+    faults = []
+    problem = None
+    total = 0
+    # Per sheet carrying a point, the local degrees of the upstairs curve:
+    # m2 on the first component, m1 on the second (V4).
+    m2_on, m1_on = {}, {}
+    cross_nums, correction_nums = {}, {}  # n -> numerators over n
+    cross = correction = zero
+    s = 0
+    for k, pt in enumerate(points):
+        if pt.j >= len(first) or pt.jp >= len(second):
+            check_references(base, cover)  # raises, naming this point
+            raise AssertionError(f"point {k}: check_references passed an out-of-range index")
+        known = classified.get(id(pt.local))
+        if known is None:
+            lt = pt.local_cover_type()
+            known = classified[id(pt.local)] = (lt, lt.invariant_problems())
+        lt, problems = known
+        total += lt.d_y
+        if strict:
+            m2_on[pt.j] = m2_on.get(pt.j, 0) + lt.m2
+            m1_on[pt.jp] = m1_on.get(pt.jp, 0) + lt.m1
+        e1, e2 = first[pt.j].e, second[pt.jp].e
+        if lt.e1 != e1 or lt.e2 != e2 or problems:
+            where = f"point {k}"
+            if lt.e1 != e1:
+                faults.append(("V3", where, f", {where}: local e1={lt.e1} but sheet {pt.j} of ",
+                               0, f" has e={e1}"))
+            if lt.e2 != e2:
+                faults.append(("V3", where, f", {where}: local e2={lt.e2} but sheet {pt.jp} of ",
+                               1, f" has e={e2}"))
+            faults += [("V5", where, f", {where}: {p}", None, "") for p in problems]
+            if problems and problem is None:
+                problem = problems[0]
+        if problem is not None:
+            continue
+        n = lt.n
+        num = 2 * (e1 - 1) * (e2 - 1)
+        cross_nums[n] = cross_nums.get(n, 0) + num
+        term = Fraction(num, n)
+        cross = term if cross is zero else cross + term  # a first term as it is
+        if n > 1:
+            rd = resolutions.get((n, lt.q))
+            if rd is None:
+                length, num = resolution_numbers(SingularityType(n, lt.q))
+                rd = resolutions[n, lt.q] = (length, num, Fraction(num, n))
+            length, num, term = rd
+            correction_nums[n] = correction_nums.get(n, 0) + num
+            correction = term if correction is zero else correction + term
+            s += length
+    if total != d:
+        faults.append(("V2", "", f": sum of local degrees d_y is {total}, expected degree {d}",
+                       None, ""))
+    if strict:
+        # Per-sheet incidence: over a crossing the points on one sheet must
+        # exhaust its degree over the downstairs component.  A sheet without
+        # points sums to 0 < f, so the first sheet that is off and the count
+        # of those that are come from the sums alone: one finding per
+        # component, in O(points) rather than O(sheets).
+        for side, sheets, sums, j, m in (
+            (0, first, m2_on, "j", "m2"), (1, second, m1_on, "jp", "m1")
+        ):
+            jj = 0
+            while jj in sums and sums[jj] == sheets[jj].f:
+                jj += 1
+            if jj < len(sheets):
+                off = len(sheets) - sum(got == sheets[i].f for i, got in sums.items())
+                faults.append(("V4", f"sheet {j}={jj}", f": {m} over sheet {jj} of ", side, (
+                    f" sums to {sums.get(jj, 0)}, expected f={sheets[jj].f}; "
+                    f"{off} of {len(sheets)} sheet(s) off"
+                )))
+    twice, bound = 2 * d, max(d, 2 * len(points))
+    return (
+        tuple(faults), problem,
+        cross, _within(cross, twice),
+        correction, bound, _within(correction, bound),
+        s, _within(s, d),
+        tallies.setdefault(
+            (s, len(points), tuple(cross_nums.items()), tuple(correction_nums.items())),
+            len(tallies),
+        ),
+    )
+
+
 def examine(
     base: BaseGeometry,
     cover: CoverDescription,
@@ -353,12 +485,14 @@ def examine(
     receipt as well.  The same values are summed into the carried report,
     as integer numerators over each quotient order n.
 
-    Each distinct ``local`` object is classified, and its range and gcd
-    constraints checked, once per walk; the memo keys on identity and lives
-    for the call.  The loader gives equal point records one object, so a
-    loaded document pays once per distinct value.  A model built by hand
-    with equal but distinct local data gets the same answer and pays once
-    per object.
+    Each distinct crossing shape, ``(id(first sheets), id(second sheets),
+    id(points))``, is computed once per walk, and within those each
+    distinct ``local`` object is classified, and its range and gcd
+    constraints checked, once; both memos key on identity and live for the
+    call.  The loader gives equal lists one tuple and equal point records
+    one object, so a loaded document pays once per distinct value.  A model
+    built by hand with equal but distinct lists or local data gets the same
+    answer and pays once per object.
 
     A reference that does not resolve raises the error of
     :func:`~ramcov.model.check_references`, called only then: before the
@@ -405,100 +539,57 @@ def examine(
     classified: dict[int, tuple] = {}
     # (n, q) -> chain length, correction numerator and the correction over n
     resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
-    # n -> sum of the numerators over n, of the ordered cross terms and of
-    # the corrections of all points
-    cross_sums: dict[int, int] = {}
-    correction_sums: dict[int, int] = {}
-    s_total = n_points = 0
+    # (id(first sheets), id(second sheets), id(points)) -> the numbers of that
+    # crossing shape (see _crossing_shape), for the first _SHAPES_KEPT shapes met
+    shapes: dict[tuple[int, int, int], tuple] = {}
+    # a shape's (s, points, per-n numerators) -> its number, in the order met
+    tallies: dict[tuple, int] = {}
+    summed = []  # the tally number of each crossing summed
     for crossing in base.crossings:
-        at = f"crossing {crossing.index}"
-        first_id, second_id = crossing.pair
+        pair = first_id, second_id = crossing.pair
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
-        n_points += len(points)
-        # The local degree total (V2) and, per sheet carrying a point, the local
-        # degrees of the upstairs curve: m2 on the first component, m1 on the second (V4).
-        total = 0
-        m2_on, m1_on = {}, {}
-        cross = correction = zero
-        s = 0
-        for k, pt in enumerate(points):
-            if pt.j >= len(first) or pt.jp >= len(second):
-                check_references(base, cover)  # raises, naming this point
-                raise AssertionError(f"{at}, point {k}: check_references passed an out-of-range index")
-            known = classified.get(id(pt.local))
-            if known is None:
-                lt = pt.local_cover_type()
-                known = classified[id(pt.local)] = (lt, lt.invariant_problems())
-            lt, problems = known
-            total += lt.d_y
-            m2_on[pt.j] = m2_on.get(pt.j, 0) + lt.m2
-            m1_on[pt.jp] = m1_on.get(pt.jp, 0) + lt.m1
-            e1, e2 = first[pt.j].e, second[pt.jp].e
-            if lt.e1 != e1:
-                found.append(Violation("V3", (at, f"point {k}"), (
-                    f"{at}, point {k}: local e1={lt.e1} but sheet {pt.j} of {first_id!r} has e={e1}"
-                )))
-            if lt.e2 != e2:
-                found.append(Violation("V3", (at, f"point {k}"), (
-                    f"{at}, point {k}: local e2={lt.e2} but "
-                    f"sheet {pt.jp} of {second_id!r} has e={e2}"
-                )))
-            for problem in problems:
-                found.append(Violation("V5", (at, f"point {k}"), f"{at}, point {k}: {problem}"))
-            if problems and error is None:
-                error = f"{at}: invalid local type: {problems[0]}"
-            if error is not None:
-                continue
-            n = lt.n
-            num = 2 * (e1 - 1) * (e2 - 1)
-            cross_sums[n] = cross_sums.get(n, 0) + num
-            term = Fraction(num, n)
-            cross = term if cross is zero else cross + term  # a first term as it is
-            if n > 1:
-                rd = resolutions.get((n, lt.q))
-                if rd is None:
-                    length, num = resolution_numbers(SingularityType(n, lt.q))
-                    rd = resolutions[n, lt.q] = (length, num, Fraction(num, n))
-                length, num, term = rd
-                correction_sums[n] = correction_sums.get(n, 0) + num
-                correction = term if correction is zero else correction + term
-                s += length
-        if total != d:
-            found.append(Violation("V2", (at,), (
-                f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
+        key = (id(first), id(second), id(points))
+        shape = shapes.get(key)
+        if shape is None:
+            shape = _crossing_shape(
+                base, cover, first, second, points, strict, classified, resolutions, tallies
+            )
+            if len(shapes) < _SHAPES_KEPT:
+                shapes[key] = shape
+        faults, problem, cross, cross_ok, correction, bound, correction_ok, s, s_ok, tally = shape
+        at = f"crossing {crossing.index}"
+        for code, where, before, side, after in faults:
+            found.append(Violation(code, (at, where) if where else (at,), (
+                f"{at}{before}{after}" if side is None else f"{at}{before}{pair[side]!r}{after}"
             )))
-        if strict:
-            # Per-sheet incidence: over a crossing the points on one sheet
-            # must exhaust its degree over the downstairs component.  A sheet
-            # without points sums to 0 < f, so the first sheet that is off and
-            # the count of those that are come from the sums alone: one
-            # finding per component, in O(points) rather than O(sheets).
-            for cid, sheets, sums, j, m in (
-                (first_id, first, m2_on, "j", "m2"),
-                (second_id, second, m1_on, "jp", "m1"),
-            ):
-                jj = 0
-                while jj in sums and sums[jj] == sheets[jj].f:
-                    jj += 1
-                if jj < len(sheets):
-                    off = len(sheets) - sum(got == sheets[i].f for i, got in sums.items())
-                    found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
-                        f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums.get(jj, 0)}, "
-                        f"expected f={sheets[jj].f}; {off} of {len(sheets)} sheet(s) off"
-                    )))
+        if problem is not None and error is None:
+            error = f"{at}: invalid local type: {problem}"
         if error is not None:
             continue
-        s_total += s
-        bound = max(d, 2 * len(points))
+        summed.append(tally)
         receipts += (
-            (f"rr_cross[{at}]", cross, twice, 2, _within(cross, twice)),
-            (f"correction[{at}]", correction, bound, 2, _within(correction, bound)),
-            (f"exceptional_s[{at}]", s, d, 1, _within(s, d)),
+            (f"rr_cross[{at}]", cross, twice, 2, cross_ok),
+            (f"correction[{at}]", correction, bound, 2, correction_ok),
+            (f"exceptional_s[{at}]", s, d, 1, s_ok),
         )
     found.sort()
     if error is not None:
         return found, None, error
+
+    # n -> sum of the numerators over n, of the ordered cross terms and of
+    # the corrections of all points: each tally's, times its crossing count
+    cross_sums: dict[int, int] = {}
+    correction_sums: dict[int, int] = {}
+    s_total = n_points = 0
+    numbered = list(tallies)
+    for number, count in Counter(summed).items():
+        s, on, cross_nums, correction_nums = numbered[number]
+        s_total += count * s
+        n_points += count * on
+        for sums, nums in ((cross_sums, cross_nums), (correction_sums, correction_nums)):
+            for n, num in nums:
+                sums[n] = sums.get(n, 0) + count * num
 
     euler = derived_euler_data(base)
     euler_y = d * euler.e_c_U + n_points + sum(

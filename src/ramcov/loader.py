@@ -33,17 +33,21 @@ raised: a check takes the path of the item and the suffix naming the field,
 and the common cases (an exact ``int``, an object with exactly the allowed
 keys, no duplicate key) are decided before any message is built.
 
-Equal point records load to one object.  In an abelian cover the local
-lattice at a crossing of ``D_i`` and ``D_j`` is the kernel of
-``(s, t) -> s g_i + t g_j``, so every point over that crossing, and over
-every crossing of the same two components, carries the same local data.
-Each parse keeps one memo.  Once a point record, or its local data, has
-passed every per-record check, its exact ``int`` values key the object
-built from them, and a later equal record gets that object without a
-second constructor call (see :func:`_build`).  The memo lives for the one
-call, so two parses share no object.  The walk and the report writer then
-do their per-point work once per distinct object.  Lattices are keyed by
-their generators as given, so the two forms above still load to two
+Equal records load to one object, and equal lists to one tuple.  In an
+abelian cover the local lattice at a crossing of ``D_i`` and ``D_j`` is the
+kernel of ``(s, t) -> s g_i + t g_j``, so every point over that crossing,
+and over every crossing of two components with the same sheets, carries
+the same local data.  Each parse keeps one memo.  Once a sheet or point
+record, or a point's local data, has passed every per-record check, its
+exact ``int`` values key the object built from them, and a later equal
+record gets that object without a second constructor call (see
+:func:`_build`).  A sheet list or a point list is then keyed by the
+identities of its records, never by their contents, so
+``cover.sheets_for`` and ``cover.points_for`` give one tuple per distinct
+list (see :func:`_records`).  The memo lives for the one call, so two
+parses share no object.  The walk and the report writer key their
+per-crossing and per-point work on these identities.  Lattices are keyed
+by their generators as given, so the two forms above still load to two
 objects.
 """
 
@@ -225,13 +229,24 @@ def _record(
 def _records(
     make: Callable, value: Any, path: str, table: dict, memo: "dict | None" = None
 ) -> tuple:
-    """The records of the list at ``path``, each built by :func:`_record`."""
-    return tuple(
+    """The records of the list at ``path``, each built by :func:`_record`.
+
+    With a ``memo``, a list whose records are the same objects as those of
+    an earlier list is that list's tuple: the key is the records' identities,
+    which the memo keeps alive, and never their contents.  A one-record list,
+    the common case, is keyed by its record's ``id`` alone, an ``int`` that
+    no other memo key equals.
+    """
+    records = tuple(
         [
             _record(make, raw, f"{path}[{k}]", table, memo=memo)
             for k, raw in enumerate(_as_list(value, path))
         ]
     )
+    if memo is None:
+        return records
+    key = id(records[0]) if len(records) == 1 else (_records, *map(id, records))
+    return memo.setdefault(key, records)
 
 
 def _crossing(value: Any, path: str) -> Crossing:
@@ -272,14 +287,14 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
         raise InputFormatError("cover.ramification: expected an object keyed by component id")
+    # One memo for the parse: equal sheets, points and local data load to one
+    # object, and so do equal sheet lists and equal point lists.  The point
+    # table's local converter is given the same memo.
+    memo: dict = {}
     ram = [
-        (cid, _records(RamSheet, ram_obj[cid], f"cover.ramification[{cid!r}]", _SHEET))
+        (cid, _records(RamSheet, ram_obj[cid], f"cover.ramification[{cid!r}]", _SHEET, memo))
         for cid in sorted(ram_obj)
     ]
-
-    # One memo for the parse: equal points, and equal local data, load to one
-    # object.  The point table's local converter is given the same memo.
-    memo: dict = {}
     point = {**_POINT, "local": (_POINT["local"][0], partial(_parse_local, memo=memo))}
     pts = []
     pts_obj = obj["points_above"]

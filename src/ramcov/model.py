@@ -18,7 +18,10 @@ declared pair counts by their sorted pair and then as given, ramification
 by component id, points_above by crossing index, and the points over one
 crossing by ``(j, jp, repr(local))``.  Models built from permuted lists are
 equal, and every error that names the first offending item names the first
-in that order.  After the sort each constructor indexes each list in one
+in that order.  A point list that several crossings share as one tuple, as
+the loader gives equal lists, is sorted once per construction and stays one
+tuple: the memo keys on the list's identity and lives for the constructor
+call.  After the sort each constructor indexes each list in one
 dict, by id or index: its size is the duplicate check, and the reference
 checks and every lookup read it.
 
@@ -277,11 +280,23 @@ class CoverDescription:
             raise InvalidInputError("duplicate component id in ramification table")
         for idx, _ in self.points_above:
             _check_int(idx, "points_above key")
+        # id(points) -> those points in canonical order: a list shared by
+        # several crossings is sorted once and stays one tuple.
+        ordered: dict[int, tuple] = {}
+
+        def canonical(points):
+            if len(points) < 2:
+                return points
+            got = ordered.get(id(points))
+            if got is None:
+                got = ordered[id(points)] = tuple(sorted(points, key=_point_key))
+            return got
+
         object.__setattr__(
             self,
             "points_above",
             tuple(
-                (idx, tuple(sorted(points, key=_point_key)) if len(points) > 1 else points)
+                (idx, canonical(points))
                 for idx, points in sorted(self.points_above, key=itemgetter(0))
             ),
         )

@@ -27,11 +27,14 @@ as ``json.dumps`` does; a dict per record, walked container by container,
 took longer than loading the document and computing its certificate
 together.  ``cover.points_above`` is written whole, as one member, its
 crossings in the string order of their keys that :func:`render_json`
-would give them; each distinct point object is formatted once per
-document and its text repeated, and the loader gives equal point records
-one object.  The terms are the certificate's receipts, rows of names,
-numbers and verdicts: the JSON tree, its written text and each line of the
-text report's certificate copy them as the walk stored them.
+would give them; each distinct point list is formatted once per document,
+keyed on the identity of its tuple, and its text repeated, and the loader
+gives equal point lists one tuple.  The terms are the certificate's
+receipts, rows of names, numbers and verdicts: the JSON tree, its written
+text and each line of the text report's certificate copy them as the walk
+stored them.  Crossings of one shape share their receipts' number objects,
+so the written text around a receipt's name is formatted once per distinct
+numbers, keyed on their identities.  Both memos live for one render.
 :func:`render_json` copies a written member as it is, and
 :func:`dumps_document` writes the echo the same way.
 
@@ -160,19 +163,37 @@ def _written_list(records: list, depth: int) -> _Written:
     return _Written(f"[{inner}{(',' + inner).join(records)}{_newline(depth)}]")
 
 
+#: The texts :func:`_written_terms` keeps, so that a certificate whose
+#: receipts share no value object holds no more than this many at once.
+_TERMS_KEPT = 1024
+
+
 def _written_terms(cert: BoundCertificate) -> _Written:
-    """``certificate.terms``, which the report opens at depth 2: one string per receipt."""
+    """``certificate.terms``, which the report opens at depth 2: one string per receipt.
+
+    Receipts of crossings of one shape hold the same value, bound and
+    verdict objects, so the text around a receipt's name is written once per
+    distinct ``(value, bound, per_degree, ok)`` objects, for the first
+    ``_TERMS_KEPT`` met; the memo keys on their identities and lives for this
+    one call.
+    """
     end, key = _newline(3), _newline(4)
     verdict = ("false", "true")
-    return _written_list(
-        [
-            f'{{{key}"bound": "{bound!s}",{key}"name": {encode_basestring_ascii(name)},'
-            f'{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
-            f'{key}"value": "{value!s}"{end}}}'
-            for name, value, bound, per_degree, ok in cert.receipts
-        ],
-        2,
-    )
+    written: dict[tuple, tuple[str, str]] = {}  # ids of a row's numbers -> text around its name
+    records = []
+    for name, value, bound, per_degree, ok in cert.receipts:
+        numbers = (id(value), id(bound), id(per_degree), ok)
+        around = written.get(numbers)
+        if around is None:
+            around = (
+                f'{{{key}"bound": "{bound!s}",{key}"name": ',
+                f',{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
+                f'{key}"value": "{value!s}"{end}}}',
+            )
+            if len(written) < _TERMS_KEPT:
+                written[numbers] = around
+        records.append(f"{around[0]}{encode_basestring_ascii(name)}{around[1]}")
+    return _written_list(records, 2)
 
 
 def _written_crossings(crossings, depth: int) -> _Written:
@@ -190,24 +211,25 @@ def _written_crossings(crossings, depth: int) -> _Written:
 
 
 def _written_points_above(points_above, depth: int) -> _Written:
-    """``cover.points_above``, opened at ``depth``: each distinct point written once.
+    """``cover.points_above``, opened at ``depth``: each distinct point list written once.
 
     The crossings come in :func:`_render`'s order, their keys sorted as
-    strings.  Equal points that the loader made one object are written once
-    and their text repeated; the memo lives for this one call.
+    strings.  A point list that several crossings share as one tuple, as the
+    loader gives equal lists, is written once and its text repeated; the
+    memo keys on the tuple's identity and lives for this one call.
     """
     if not points_above:
         return _Written("{}")
     # Line starts of a crossing's key, of a point, of its keys, of its local
     # data's members and, for a lattice, of its generators' coordinates.
     inner, end, key, member, coord = (_newline(depth + i) for i in range(1, 6))
-    written: dict[int, str] = {}  # id(point) -> its record
+    written: dict[int, str] = {}  # id(points) -> their list
     crossings = []
     for idx, points in sorted([(str(idx), points) for idx, points in points_above]):
-        records = []
-        for point in points:
-            record = written.get(id(point))
-            if record is None:
+        text = written.get(id(points))
+        if text is None:
+            records = []
+            for point in points:
                 local = point.local
                 if isinstance(local, LatticeSubgroup):
                     (x1, y1), (x2, y2) = local.g1, local.g2
@@ -220,11 +242,11 @@ def _written_points_above(points_above, depth: int) -> _Written:
                         f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
                         f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
                     )
-                record = written[id(point)] = (
+                records.append(
                     f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
                 )
-            records.append(record)
-        crossings.append(f'"{idx}": {_written_list(records, depth + 1)}')
+            text = written[id(points)] = _written_list(records, depth + 1)
+        crossings.append(f'"{idx}": {text}')
     return _Written(f"{{{inner}{(',' + inner).join(crossings)}{_newline(depth)}}}")
 
 

@@ -433,7 +433,7 @@ def test_walk_fails_loudly_if_check_references_passes_an_out_of_range_point(monk
     base, cover = double_cover()
     bad = _plant(base, cover, index_faults=[(0, "j", 0, False)])
     monkeypatch.setattr(ramcov.invariants, "check_references", lambda base, cover: None)
-    with pytest.raises(AssertionError, match=r"^crossing 0, point 0: check_references passed"):
+    with pytest.raises(AssertionError, match=r"^point 0: check_references passed"):
         examine(base, bad)
 
 
