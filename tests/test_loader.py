@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcov import loader
+from ramcov import invariants, loader, model
 from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover
@@ -662,6 +662,114 @@ def test_equal_but_distinct_points_built_by_hand_render_the_same_bytes():
         doc = ReportDocument(True, base, cover, tuple(violations), certificate, error)
         assert doc.to_text() == (FIXTURES / "repeated_points.strict.txt").read_text()
         assert doc.to_json() == (FIXTURES / "repeated_points.strict.json").read_text()
+
+
+def _twin(cover):
+    """``cover`` rebuilt from fresh sheet tuples, point tuples, points and locals."""
+    def local(loc):
+        if isinstance(loc, LatticeSubgroup):
+            return LatticeSubgroup(tuple(loc.g1), tuple(loc.g2))
+        return LocalCoverType(loc.n, loc.q, loc.m1, loc.m2)
+
+    return replace(
+        cover,
+        ramification=tuple(
+            (cid, tuple(RamSheet(s.e, s.f) for s in sheets)) for cid, sheets in cover.ramification
+        ),
+        points_above=tuple(
+            (idx, tuple(PointAbove(p.j, p.jp, local(p.local)) for p in points))
+            for idx, points in cover.points_above
+        ),
+    )
+
+
+def _views(base, cover, strict):
+    """Everything a run shows of a model: findings, receipts, report, error and both reports."""
+    violations, certificate, error = examine(base, cover, strict=strict)
+    doc = ReportDocument(strict, base, cover, tuple(violations), certificate, error)
+    numbers = None if certificate is None else (certificate.receipts, certificate.report)
+    return violations, numbers, error, doc.to_text(), doc.to_json()
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["standard", "strict"])
+@pytest.mark.parametrize(
+    "load",
+    [lambda: _grid(6), *(lambda p=p: load_cover_path(str(p)) for p in _LOADABLE)],
+    ids=["grid_6", *(f"{p.parent.name}/{p.name}" for p in _LOADABLE)],
+)
+def test_a_twin_sharing_no_object_gives_the_same_answers(load, strict):
+    # The walk and the writer key their per-crossing work on the identity of
+    # the loader's shared sheet and point lists.  A twin sharing no list, no
+    # point and no local data pays once per crossing and point, and must show
+    # the same findings, receipts, report, error and bytes.  many_sheets,
+    # short_sheets and failing_receipts repeat shapes that carry V2, V4 and
+    # failed receipts.
+    base, loaded = load()
+    twin = _twin(loaded)
+    assert twin == loaded
+    objects = [id(x) for _, pts in twin.points_above for pt in pts for x in (pt, pt.local)]
+    assert len(set(objects)) == len(objects)
+    assert _views(base, twin, strict) == _views(base, loaded, strict)
+
+
+def test_equal_sheet_and_point_lists_load_to_one_tuple():
+    base, cover = _grid(6)
+    assert len({id(cover.sheets_for(c.id)) for c in base.components}) == 1
+    assert len({id(cover.points_for(x.index)) for x in base.crossings}) == 1
+    # Its four components carry one sheet list; its four crossings hold four
+    # different point lists.
+    _, repeated = load_cover_path(str(REPEATED))
+    assert len({id(sheets) for _, sheets in repeated.ramification}) == 1
+    assert len({id(points) for _, points in repeated.points_above}) == 4
+
+
+def test_the_walk_computes_each_crossing_shape_once(monkeypatch):
+    # grid(6): 36 crossings, all on one sheet list with one point list.
+    base, loaded = _grid(6)
+    calls = []
+    shape = invariants._crossing_shape
+    monkeypatch.setattr(
+        invariants, "_crossing_shape", lambda *args: calls.append(1) or shape(*args)
+    )
+    for cover, count in ((loaded, 1), (_twin(loaded), 36)):
+        calls.clear()
+        examine(base, cover, strict=True)
+        assert len(calls) == count
+
+
+def test_a_walk_past_its_kept_shapes_gives_the_same_answers(monkeypatch):
+    # With room for one shape, every other shape is computed at each of its
+    # crossings and summed there, as is every receipt text past the writer's
+    # memo: the answers and bytes stay those of the full memos.
+    import ramcov.report
+
+    cases = [(_grid(6), strict) for strict in (False, True)] + [
+        (load_cover_path(str(p)), True) for p in _LOADABLE
+    ]
+    expected = [_views(base, cover, strict) for (base, cover), strict in cases]
+    monkeypatch.setattr(invariants, "_SHAPES_KEPT", 1)
+    monkeypatch.setattr(ramcov.report, "_TERMS_KEPT", 1)
+    assert [_views(base, cover, strict) for (base, cover), strict in cases] == expected
+
+
+@pytest.mark.parametrize("copies", [1, 10, 100])
+def test_each_distinct_point_list_is_sorted_once(monkeypatch, copies):
+    # repeated_points.json's four crossings, repeated: four distinct point
+    # lists of three points each, sorted once each whatever the copies.
+    doc = json.loads(REPEATED.read_text())
+    crossings, points = doc["base"]["crossings"], doc["cover"]["points_above"]
+    doc["base"]["crossings"] = [
+        {"index": 4 * r + x["index"], "pair": x["pair"]} for r in range(copies) for x in crossings
+    ]
+    doc["cover"]["points_above"] = {
+        str(4 * r + int(idx)): pts for r in range(copies) for idx, pts in points.items()
+    }
+    calls = []
+    point_key = model._point_key
+    monkeypatch.setattr(model, "_point_key", lambda p: calls.append(p) or point_key(p))
+    _, cover = parse_cover_json(json.dumps(doc))
+    assert len(calls) == 12
+    assert len({id(pts) for _, pts in cover.points_above}) == 4
 
 
 @pytest.mark.parametrize(
