@@ -137,7 +137,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         certificate=certificate,
         error=error,
     )
-    sys.stdout.write(doc.to_json() if args.json else doc.to_text())
+    if args.json:
+        sys.stdout.writelines(doc.to_json())
+    else:
+        sys.stdout.write(doc.to_text())
     return 0 if not violations else 1
 
 

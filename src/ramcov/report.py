@@ -1,48 +1,47 @@
 """Report assembly and deterministic rendering.
 
 Reports exist in two formats: a human-readable text form and a JSON form
-validating against the shipped schema.  Both are deterministic: rationals
-are rendered as ``p/q`` strings (plain ``n`` when the denominator is 1),
-lists are canonically ordered, and JSON keys are sorted, so identical
+whose schema is ``docs/report_schema.json``.  Both are deterministic:
+rationals are rendered as ``p/q`` strings (plain ``n`` when the denominator
+is 1), lists are canonically ordered, and JSON keys are sorted, so identical
 inputs produce byte-identical output.  Floating point appears nowhere.
 
-The JSON form's schema has one source, :meth:`ReportDocument.to_json_dict`,
-which builds the report as dicts and lists.  It is also the reference: the
-tests hold :meth:`ReportDocument.to_json` to ``json.dumps(to_json_dict(),
-indent=2, sort_keys=True)`` byte for byte.
+The JSON form has one writer, :func:`_render`.  It walks a tree of dicts,
+lists, tuples and scalars, sorts keys and indents as ``json.dumps(indent=2,
+sort_keys=True)`` does, and appends each piece of text to one output list,
+writing strings through ``encode_basestring_ascii``, exact ints through
+``int.__repr__`` and any other scalar through ``json.dumps``.  A callable
+member of the tree writes itself: the writer calls it as ``member(depth,
+out)``, with the depth at which the member opens, and the member appends its
+text to the same list.  :func:`render_json` joins the list;
+:meth:`ReportDocument.to_json` returns it, ending in ``"\\n"``, and the CLI
+hands it to ``writelines``, so neither a list that grows with the document
+nor the report as a whole is joined into one string.  Rendering ends before the first
+write, so a number past the interpreter's digit limit leaves stdout empty.
+
+Three members grow with the crossings and write themselves, one chunk per
+record: ``certificate.terms`` (three receipts per crossing) and, in the
+echoed document, ``base.crossings`` and ``cover.points_above``; a dict per
+record, walked container by container, took longer than loading the
+document and computing its certificate together.  The terms are the
+certificate's receipts, rows of names, numbers and verdicts: the written
+text and each line of the text report's certificate copy them as the walk
+stored them.  Two memos save repeated formatting, each living for one call
+of its member's writer, that is for one render:
+
+* ``cover.points_above`` keys each point list's text on the identity of its
+  tuple, and the loader gives equal point lists one tuple, so a shared list
+  is formatted once and its one string appended for every crossing over it;
+* ``certificate.terms`` keys the text around a receipt's name on the
+  identities of its value, bound and per-degree objects and its verdict,
+  which crossings of one shape share, keeping at most ``_TERMS_KEPT`` texts.
 
 The report's ``input`` member echoes the document, read from the model:
-this module is the echo's one home.  :func:`canonical_document` gives it as
-dicts and lists and :func:`dumps_document` as the bytes of a document file.
-Components, sheets and raw local types are echoed from their dataclass
-fields, which the loader's field tables name in the same order.
-
-:meth:`ReportDocument.to_json` writes those bytes without building that
-tree.  Three members grow with the crossings: ``certificate.terms`` (three
-receipts per crossing) and, in the echoed document, ``base.crossings`` and
-``cover.points_above``.  Each record of these is written as one formatted
-string, for the fixed depth at which it sits, with strings
-passed through ``encode_basestring_ascii`` and ints through ``int.__repr__``,
-as ``json.dumps`` does; a dict per record, walked container by container,
-took longer than loading the document and computing its certificate
-together.  ``cover.points_above`` is written whole, as one member, its
-crossings in the string order of their keys that :func:`render_json`
-would give them; each distinct point list is formatted once per document,
-keyed on the identity of its tuple, and its text repeated, and the loader
-gives equal point lists one tuple.  The terms are the certificate's
-receipts, rows of names, numbers and verdicts: the JSON tree, its written
-text and each line of the text report's certificate copy them as the walk
-stored them.  Crossings of one shape share their receipts' number objects,
-so the written text around a receipt's name is formatted once per distinct
-numbers, keyed on their identities.  Both memos live for one render.
-:func:`render_json` copies a written member as it is, and
-:func:`dumps_document` writes the echo the same way.
-
-Everything else goes through :func:`render_json`: the skeleton, components,
-ramification, violations and the fibration block.  It is one recursive
-writer that sorts keys and indents as ``json.dumps`` does, writing strings
-through ``encode_basestring_ascii``, exact ints through ``int.__repr__`` and
-any other scalar through ``json.dumps``.
+this module is the echo's one home.  :func:`dumps_document` gives it as the
+bytes of a document file and :func:`canonical_document` as those bytes
+parsed back into dicts and lists.  Components, sheets and raw local types
+are echoed from their dataclass fields, which the loader's field tables name
+in the same order.
 """
 
 from __future__ import annotations
@@ -101,12 +100,6 @@ _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
 
 
-class _Written(str):
-    """JSON text already written for the depth at which it is placed."""
-
-    __slots__ = ()
-
-
 @functools.cache
 def _newline(depth: int) -> str:
     """The start of a line at ``depth``."""
@@ -123,7 +116,11 @@ def _scalar(value) -> str:
 
 
 def _render(obj, depth: int, out: list) -> None:
-    """Append the ``indent=2`` JSON of the container ``obj``, opened at ``depth``."""
+    """Append the ``indent=2`` JSON of the container ``obj``, opened at ``depth``.
+
+    A callable member writes itself, as ``member(depth, out)`` with the depth
+    at which it opens.
+    """
     is_dict = isinstance(obj, dict)
     if not obj:
         out.append("{}" if is_dict else "[]")
@@ -133,10 +130,10 @@ def _render(obj, depth: int, out: list) -> None:
     out.append("{" if is_dict else "[")
     for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
         out.append(f"{sep}{encode_basestring_ascii(key)}: " if is_dict else sep)
-        if type(value) is _Written:
-            out.append(value)
-        elif isinstance(value, _CONTAINERS):
+        if isinstance(value, _CONTAINERS):
             _render(value, depth + 1, out)
+        elif callable(value):
+            value(depth + 1, out)
         else:
             out.append(_scalar(value))
         sep = "," + inner
@@ -146,7 +143,8 @@ def _render(obj, depth: int, out: list) -> None:
 def render_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
-    ``obj`` is a tree of dicts with string keys, lists, tuples and scalars.
+    ``obj`` is a tree of dicts with string keys, lists, tuples and scalars,
+    and of callable members, which write themselves (see :func:`_render`).
     """
     if not isinstance(obj, _CONTAINERS):
         return _scalar(obj)
@@ -155,21 +153,23 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
-def _written_list(records: list, depth: int) -> _Written:
-    """A list opened at ``depth`` whose members are the written ``records``."""
-    if not records:
-        return _Written("[]")
+def _write_list(records, depth: int, out: list) -> None:
+    """Append a list opened at ``depth`` whose members are the written ``records``."""
     inner = _newline(depth + 1)
-    return _Written(f"[{inner}{(',' + inner).join(records)}{_newline(depth)}]")
+    sep = opening = "[" + inner
+    for record in records:
+        out.append(sep + record)
+        sep = "," + inner
+    out.append("[]" if sep is opening else _newline(depth) + "]")
 
 
-#: The texts :func:`_written_terms` keeps, so that a certificate whose
+#: The texts :func:`_write_terms` keeps, so that a certificate whose
 #: receipts share no value object holds no more than this many at once.
 _TERMS_KEPT = 1024
 
 
-def _written_terms(cert: BoundCertificate) -> _Written:
-    """``certificate.terms``, which the report opens at depth 2: one string per receipt.
+def _write_terms(receipts, depth: int, out: list) -> None:
+    """``certificate.terms``, opened at ``depth``: one chunk per receipt.
 
     Receipts of crossings of one shape hold the same value, bound and
     verdict objects, so the text around a receipt's name is written once per
@@ -177,77 +177,85 @@ def _written_terms(cert: BoundCertificate) -> _Written:
     ``_TERMS_KEPT`` met; the memo keys on their identities and lives for this
     one call.
     """
-    end, key = _newline(3), _newline(4)
+    end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
     written: dict[tuple, tuple[str, str]] = {}  # ids of a row's numbers -> text around its name
-    records = []
-    for name, value, bound, per_degree, ok in cert.receipts:
-        numbers = (id(value), id(bound), id(per_degree), ok)
-        around = written.get(numbers)
-        if around is None:
-            around = (
-                f'{{{key}"bound": "{bound!s}",{key}"name": ',
-                f',{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
-                f'{key}"value": "{value!s}"{end}}}',
-            )
-            if len(written) < _TERMS_KEPT:
-                written[numbers] = around
-        records.append(f"{around[0]}{encode_basestring_ascii(name)}{around[1]}")
-    return _written_list(records, 2)
+
+    def records():
+        for name, value, bound, per_degree, ok in receipts:
+            numbers = (id(value), id(bound), id(per_degree), ok)
+            around = written.get(numbers)
+            if around is None:
+                around = (
+                    f'{{{key}"bound": "{bound!s}",{key}"name": ',
+                    f',{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
+                    f'{key}"value": "{value!s}"{end}}}',
+                )
+                if len(written) < _TERMS_KEPT:
+                    written[numbers] = around
+            yield f"{around[0]}{encode_basestring_ascii(name)}{around[1]}"
+
+    _write_list(records(), depth, out)
 
 
-def _written_crossings(crossings, depth: int) -> _Written:
-    """``base.crossings``, opened at ``depth``: one string per crossing."""
+def _write_crossings(crossings, depth: int, out: list) -> None:
+    """``base.crossings``, opened at ``depth``: one chunk per crossing."""
     enc = encode_basestring_ascii
     end, key, member = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
-    return _written_list(
-        [
+    _write_list(
+        (
             f'{{{key}"index": {x.index!r},'
             f'{key}"pair": [{member}{enc(x.pair[0])},{member}{enc(x.pair[1])}{key}]{end}}}'
             for x in crossings
-        ],
+        ),
         depth,
+        out,
     )
 
 
-def _written_points_above(points_above, depth: int) -> _Written:
+def _write_points_above(points_above, depth: int, out: list) -> None:
     """``cover.points_above``, opened at ``depth``: each distinct point list written once.
 
     The crossings come in :func:`_render`'s order, their keys sorted as
     strings.  A point list that several crossings share as one tuple, as the
-    loader gives equal lists, is written once and its text repeated; the
-    memo keys on the tuple's identity and lives for this one call.
+    loader gives equal lists, is written once, and that one string is
+    appended for each of them; the memo keys on the tuple's identity and
+    lives for this one call.
     """
     if not points_above:
-        return _Written("{}")
+        out.append("{}")
+        return
     # Line starts of a crossing's key, of a point, of its keys, of its local
     # data's members and, for a lattice, of its generators' coordinates.
     inner, end, key, member, coord = (_newline(depth + i) for i in range(1, 6))
+
+    def record(point) -> str:
+        local = point.local
+        if isinstance(local, LatticeSubgroup):
+            (x1, y1), (x2, y2) = local.g1, local.g2
+            local = (
+                f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
+                f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
+            )
+        else:
+            local = (
+                f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
+                f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
+            )
+        return f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
+
     written: dict[int, str] = {}  # id(points) -> their list
-    crossings = []
+    sep = "{" + inner
     for idx, points in sorted([(str(idx), points) for idx, points in points_above]):
         text = written.get(id(points))
         if text is None:
-            records = []
-            for point in points:
-                local = point.local
-                if isinstance(local, LatticeSubgroup):
-                    (x1, y1), (x2, y2) = local.g1, local.g2
-                    local = (
-                        f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
-                        f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
-                    )
-                else:
-                    local = (
-                        f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
-                        f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
-                    )
-                records.append(
-                    f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
-                )
-            text = written[id(points)] = _written_list(records, depth + 1)
-        crossings.append(f'"{idx}": {text}')
-    return _Written(f"{{{inner}{(',' + inner).join(crossings)}{_newline(depth)}}}")
+            chunks: list = []
+            _write_list(map(record, points), depth + 1, chunks)
+            text = written[id(points)] = "".join(chunks)
+        out.append(f'{sep}"{idx}": ')
+        out.append(text)
+        sep = "," + inner
+    out.append(_newline(depth) + "}")
 
 
 def _record(record) -> dict:
@@ -255,29 +263,11 @@ def _record(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def _point(point) -> dict:
-    local = point.local
-    if isinstance(local, LatticeSubgroup):
-        local = [list(local.g1), list(local.g2)]
-    else:
-        local = _record(local)
-    return {"j": point.j, "jp": point.jp, "local": local}
-
-
-def _echo(base: BaseGeometry, cover: CoverDescription, depth: int, written: bool) -> dict:
+def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
     """The document of ``base`` and ``cover``, its lists in the model's canonical order.
 
-    When ``written``, its crossings and the points over each are written
-    text, for the document opened at ``depth``; otherwise they are dicts.
+    Its crossings and the points over each are members that write themselves.
     """
-    if written:
-        crossings = _written_crossings(base.crossings, depth + 2)
-        points_above = _written_points_above(cover.points_above, depth + 2)
-    else:
-        crossings = [{"index": x.index, "pair": list(x.pair)} for x in base.crossings]
-        points_above = {
-            str(idx): [_point(p) for p in points] for idx, points in cover.points_above
-        }
     doc: dict = {
         "base": {
             "genus_C": base.genus_C,
@@ -285,14 +275,14 @@ def _echo(base: BaseGeometry, cover: CoverDescription, depth: int, written: bool
             "euler_X": base.euler_X,
             "KX_dot_F": base.KX_dot_F,
             "components": [_record(c) for c in base.components],
-            "crossings": crossings,
+            "crossings": functools.partial(_write_crossings, base.crossings),
         },
         "cover": {
             "degree": cover.degree,
             "ramification": {
                 cid: [_record(s) for s in sheets] for cid, sheets in cover.ramification
             },
-            "points_above": points_above,
+            "points_above": functools.partial(_write_points_above, cover.points_above),
         },
     }
     if base.pair_counts:
@@ -302,17 +292,17 @@ def _echo(base: BaseGeometry, cover: CoverDescription, depth: int, written: bool
     return doc
 
 
-def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
-    """Rebuild the JSON form of a document, lists in the model's canonical order."""
-    return _echo(base, cover, 0, written=False)
-
-
 def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:
     """Serialize a document deterministically (sorted keys, two-space indent).
 
     These are the bytes of the report's ``input`` member, one level shallower.
     """
-    return render_json(_echo(base, cover, 0, written=True)) + "\n"
+    return render_json(_echo(base, cover)) + "\n"
+
+
+def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
+    """The JSON form of a document, lists in the model's canonical order."""
+    return json.loads(dumps_document(base, cover))
 
 
 def _text_term(name: str, value, bound, ok: bool) -> str:
@@ -345,20 +335,13 @@ class ReportDocument:
         cert = self.certificate
         return derived_euler_data(self.base) if cert is None else cert.derived_base
 
-    def to_json_dict(self) -> dict:
-        """The JSON report as dicts and lists: its schema's one source.
-
-        Tests hold :meth:`to_json` to ``json.dumps`` of this tree.
-        """
-        return self._tree(written=False)
-
-    def _tree(self, written: bool) -> dict:
-        """The report's tree; when ``written``, its per-crossing lists are written text."""
+    def to_json(self) -> list[str]:
+        """The JSON report as chunks of text, the last ``"\\n"``: joined, they are its bytes."""
         eb = self.derived_base
         doc: dict = {
             "tool": {"name": "ramcov", "version": __version__},
             "strict": self.strict,
-            "input": _echo(self.base, self.cover, 1, written),
+            "input": _echo(self.base, self.cover),
             "validation": {
                 "valid": self.valid,
                 "violations": [
@@ -398,16 +381,7 @@ class ReportDocument:
                 "deg_det_integral": inv.deg_det_is_integral,
             }
             cert_doc: dict = {
-                "terms": _written_terms(cert) if written else [
-                    {
-                        "name": name,
-                        "value": fmt_rational(value),
-                        "bound": fmt_rational(bound),
-                        "per_degree": fmt_rational(per_degree),
-                        "ok": ok,
-                    }
-                    for name, value, bound, per_degree, ok in cert.receipts
-                ],
+                "terms": functools.partial(_write_terms, cert.receipts),
                 "linear_coefficient": fmt_rational(cert.linear_coefficient),
                 "degree": cert.degree,
                 "deg_det": fmt_rational(cert.deg_det),
@@ -423,10 +397,10 @@ class ReportDocument:
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),
                 }
             doc["certificate"] = cert_doc
-        return doc
-
-    def to_json(self) -> str:
-        return render_json(self._tree(written=True)) + "\n"
+        out: list[str] = []
+        _render(doc, 0, out)
+        out.append("\n")
+        return out
 
     def to_text(self) -> str:
         lines = [f"ramcov invariants report (version {__version__})"]

@@ -6,8 +6,10 @@ errors.  Reports must be byte-deterministic and free of floating point.
 """
 
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -27,10 +29,10 @@ from ramcov.model import derived_euler_data
 from ramcov.report import (
     FIBRATION_HYPOTHESES,
     ReportDocument,
-    canonical_document,
     fmt_rational,
     parse_rational,
 )
+from report_reference import reference_document, reference_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -82,9 +84,13 @@ def test_report_error_path_rendering():
     text = doc.to_text()
     assert text.startswith(f"ramcov invariants report (version {__version__})\n")
     assert "invariants: not computed (boom)" in text
-    payload = doc.to_json_dict()
+    chunks = doc.to_json()
+    assert all(type(chunk) is str for chunk in chunks) and chunks[-1] == "\n"
+    out = "".join(chunks)
+    assert out == json.dumps(reference_report(doc), indent=2, sort_keys=True) + "\n"
+    payload = json.loads(out)
     assert payload["tool"] == {"name": "ramcov", "version": __version__}
-    assert payload["input"] == canonical_document(base, cover)
+    assert payload["input"] == reference_document(base, cover)
     assert payload["invariants"] is None
     assert payload["certificate"] is None
     assert payload["error"] == "boom"
@@ -289,6 +295,35 @@ def test_cli_invariants_report_past_digit_limit_exits_2(capsys, tmp_path, flags)
     assert code == 2 and out == ""
     assert err.startswith("error: report not rendered: ") and "decimal digits" in err
     assert err.count("\n") == 1
+
+
+def _run_through_a_pipe(*argv):
+    """Exit code, stdout bytes and stderr text of ``python -m ramcov.cli`` in a child process."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramcov.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_cli_json_report_through_a_pipe_is_the_frozen_bytes():
+    code, out, err = _run_through_a_pipe(
+        "invariants", str(COVERS / "bidouble.json"), "--strict", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert out == (ROOT / "tests" / "fixtures" / "invariants" / "bidouble.strict.json").read_bytes()
+
+
+def test_cli_json_report_past_digit_limit_writes_nothing_to_a_pipe(tmp_path):
+    doc = json.loads((COVERS / "identity.json").read_text())
+    doc["base"]["KX_sq"] = doc["cover"]["degree"] = 10**4000
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = _run_through_a_pipe("invariants", str(target), "--json")
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: report not rendered: ") and err.count("\n") == 1
 
 
 _N = str(10**3000 + 1)

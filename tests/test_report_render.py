@@ -1,27 +1,37 @@
 """The JSON renderer writes the bytes of ``json.dumps(indent=2, sort_keys=True)``.
 
-``render_json`` recurses through every container and copies members that
-are already written at their depth; the oracle here is the standard
+``render_json`` recurses through every container and has each callable
+member write itself at the depth it reached; the oracle here is the standard
 library's indenting encoder.  ``ReportDocument.to_json`` writes the
-certificate terms and the echoed crossings and points one string per
-record; the oracle for it is ``json.dumps`` of ``to_json_dict()``.
+certificate terms and the echoed crossings and points one chunk per record;
+the oracle for it is ``json.dumps`` of the tree that ``report_reference``
+builds, and every report it renders validates against
+``docs/report_schema.json``.
 """
 
+import functools
 import json
 import pathlib
+import tracemalloc
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramcov.report
 from ramcov.cli import main
-from ramcov.loader import load_cover_path
-from ramcov.report import _Written, canonical_document, dumps_document, render_json
+from ramcov.invariants import examine
+from ramcov.loader import load_cover_path, parse_cover_json
+from ramcov.report import ReportDocument, dumps_document, render_json
+from report_reference import reference_document, reference_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
 DOCUMENTS = pathlib.Path(__file__).resolve().parent / "fixtures" / "documents"
+REPORT_SCHEMA = jsonschema.Draft202012Validator(
+    json.loads((ROOT / "docs" / "report_schema.json").read_text())
+)
 
 # Keys mix non-ASCII text with the characters JSON escapes or uses as syntax.
 _KEYS = st.text(alphabet=st.characters() | st.sampled_from('"\\[]{},: \n\t'), max_size=6)
@@ -81,25 +91,31 @@ def test_render_json_empty_and_nested_edges():
         assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _written(obj, rnd, depth=0):
-    """``obj`` with some members replaced by their JSON, written for the depth they open at."""
+def _write_json(value, depth, out):
+    """Append the JSON of ``value``, opened at ``depth``, one chunk per line."""
+    first, *rest = json.dumps(value, indent=2, sort_keys=True).split("\n")
+    out.append(first)
+    out.extend("\n" + "  " * depth + line for line in rest)
+
+
+def _writers(obj, rnd):
+    """``obj`` with some members replaced by callables that write their JSON."""
     if not isinstance(obj, (dict, list, tuple)):
         return obj
     items = obj.items() if isinstance(obj, dict) else enumerate(obj)
     members = {}
     for key, value in items:
         if rnd.random() < 0.4:
-            text = json.dumps(value, indent=2, sort_keys=True)
-            members[key] = _Written(text.replace("\n", "\n" + "  " * (depth + 1)))
+            members[key] = functools.partial(_write_json, value)
         else:
-            members[key] = _written(value, rnd, depth + 1)
+            members[key] = _writers(value, rnd)
     return members if isinstance(obj, dict) else [members[k] for k in range(len(obj))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_TREES, st.randoms(use_true_random=False))
-def test_render_json_copies_members_written_at_their_depth(obj, rnd):
-    assert render_json(_written(obj, rnd)) == json.dumps(obj, indent=2, sort_keys=True)
+def test_render_json_has_members_write_themselves_at_their_depth(obj, rnd):
+    assert render_json(_writers(obj, rnd)) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def grid_document(k: int) -> dict:
@@ -156,7 +172,7 @@ def test_grid_report_matches_stdlib_rendering(capsys, monkeypatch, tmp_path):
     argv = ["invariants", str(target), "--strict", "--json"]
     code, out, doc = _rendered(argv, capsys, monkeypatch)
     assert code == 0
-    assert out == json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(reference_report(doc), indent=2, sort_keys=True) + "\n"
     payload = json.loads(out)
     assert payload["invariants"]["chi"] == str(1 + (1 - k // 2) ** 2)
     assert len(payload["certificate"]["terms"]) == 3 * k * k + 2 * (2 * k) + 1
@@ -221,9 +237,31 @@ def test_report_writer_matches_stdlib_rendering(capsys, monkeypatch, tmp_path, s
     if doc is None:  # the document did not load
         assert (code, out) == (2, "")
         return
-    assert out == json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    assert check is None or check(json.loads(out))
+    assert out == json.dumps(reference_report(doc), indent=2, sort_keys=True) + "\n"
+    payload = json.loads(out)
+    REPORT_SCHEMA.validate(payload)
+    assert check is None or check(payload)
     base, cover = load_cover_path(str(path))
-    echo = canonical_document(base, cover)
+    echo = reference_document(base, cover)
     assert dumps_document(base, cover) == json.dumps(echo, indent=2, sort_keys=True) + "\n"
 
+
+def test_report_chunks_peak_below_twice_the_output():
+    # The chunks are the output; the writer joins no list and no report, so
+    # what it holds beyond them while it renders stays below one more copy,
+    # and no chunk is longer than a crossing's records.  At grid(40) one
+    # whole-report join peaks at 3.2x the output, and joining each list
+    # into one chunk makes a chunk of 0.75 MB.
+    base, cover = parse_cover_json(json.dumps(grid_document(40)))
+    violations, certificate, error = examine(base, cover, None, strict=True)
+    doc = ReportDocument(True, base, cover, tuple(violations), certificate, error)
+    tracemalloc.start()
+    try:
+        chunks = doc.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(len, chunks))
+    assert chunks[-1] == "\n" and size > 10**6
+    assert peak < 2 * size
+    assert max(map(len, chunks)) < 1024
