@@ -16,8 +16,9 @@ out)``, with the depth at which the member opens, and the member appends its
 text to the same list.  :func:`render_json` joins the list;
 :meth:`ReportDocument.to_json` returns it, ending in ``"\\n"``, and the CLI
 hands it to ``writelines``, so neither a list that grows with the document
-nor the report as a whole is joined into one string.  Rendering ends before the first
-write, so a number past the interpreter's digit limit leaves stdout empty.
+nor the report as a whole is joined into one string.  Rendering ends before
+the first write, so a number past the interpreter's digit limit leaves
+stdout empty.
 
 Three members grow with the crossings and write themselves, one chunk per
 record: ``certificate.terms`` (three receipts per crossing) and, in the
