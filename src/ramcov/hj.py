@@ -38,7 +38,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 
 __all__ = [
     "SingularityType",
@@ -61,10 +61,7 @@ class SingularityType:
     q: int
 
     def __post_init__(self) -> None:
-        n, q = self.n, self.q
-        if (not isinstance(n, int) or isinstance(n, bool)
-                or not isinstance(q, int) or isinstance(q, bool)):
-            raise InvalidInputError("n and q must be integers")
+        n, q = check_int(self.n, "n"), check_int(self.q, "q")
         if n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={n})")
         if not 1 <= q < n:

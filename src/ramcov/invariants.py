@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 # resolve is not called here; it stays bound because perfbench/tracer.py
 # wraps it under this module's name.
 from .hj import SingularityType, resolution_numbers, resolve
@@ -178,9 +178,7 @@ class FibrationInputs:
 
     def __post_init__(self) -> None:
         for name in ("gF", "Dhor_dot_F", "gC", "nDC", "nS"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InvalidInputError(f"{name} must be a non-negative integer (got {value!r})")
+            check_int(getattr(self, name), name, 0)
 
 
 def arakelov_degree_bound(
@@ -196,8 +194,7 @@ def arakelov_degree_bound(
     increasing in every argument.
     """
     FibrationInputs(gF=gF, Dhor_dot_F=Dhor_dot_F, gC=gC, nDC=nDC, nS=nS)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InvalidInputError(f"d must be a positive integer (got {d!r})")
+    check_int(d, "d", 1)
     return (gF + Fraction(Dhor_dot_F, 2)) * (gC + 2 * nDC + Fraction(1 + nS, 2)) * d
 
 
@@ -213,10 +210,8 @@ def plane_model_terms(d: int, nB: int) -> tuple[int, int]:
     degree ``d >= 2`` branched over ``nB >= 1`` points of the line; this
     returns ``(coefficient, base)``, exactly.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise InvalidInputError(f"degree must be an integer >= 2 (got {d!r})")
-    if not isinstance(nB, int) or isinstance(nB, bool) or nB < 1:
-        raise InvalidInputError(f"branch point count must be a positive integer (got {nB!r})")
+    check_int(d, "degree", 2)
+    check_int(nB, "branch point count", 1)
     return 5 * d * d * nB + 12 * d, d ** 3 * nB
 
 
@@ -276,11 +271,12 @@ class BoundCertificate:
     must keep too: the last row compares ``deg_det`` with
     ``linear_coefficient * degree``, except that when ``fibration_bound``
     is set the row comparing ``deg_det`` with it comes last and the linear
-    row just before it.  ``deg_det_within_linear`` and
-    ``deg_det_within_fibration`` are those rows' verdicts, read by position
-    with no comparison of their own, and the text report's ``c*d`` is the
-    linear row's bound.  ``report`` is summed in
-    the walk that emits the receipts; its ``deg_det`` is the certificate's.
+    row just before it.  ``linear_row`` is the one reader of that
+    position.  ``deg_det_within_linear`` and ``deg_det_within_fibration``
+    are those rows' verdicts, read by position with no comparison of their
+    own, and the text report's ``c*d`` is the linear row's bound.
+    ``report`` is summed in the walk that emits the receipts; its
+    ``deg_det`` is the certificate's.
     """
 
     receipts: tuple[tuple, ...]
@@ -300,8 +296,13 @@ class BoundCertificate:
         return all(ok for *_, ok in self.receipts)
 
     @property
+    def linear_row(self) -> tuple:
+        """The row comparing ``deg_det`` with ``linear_coefficient * degree``."""
+        return self.receipts[-1 if self.fibration_bound is None else -2]
+
+    @property
     def deg_det_within_linear(self) -> bool:
-        return self.receipts[-1 if self.fibration_bound is None else -2][-1]
+        return self.linear_row[-1]
 
     @property
     def deg_det_within_fibration(self) -> Optional[bool]:

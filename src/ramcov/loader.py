@@ -2,9 +2,10 @@
 
 A document is one JSON object with top-level keys ``base`` and ``cover``
 mirroring the model types field for field.  Parsing is deliberately fussy:
-only exact integers are accepted (any floating point literal is an error),
-object keys must be known, duplicate keys are rejected, and every
-cross-reference must resolve.  List order is decided by the model, whose
+only exact integers are accepted (a float, ``NaN`` or ``Infinity`` decodes
+as a Python float, which the field's check refuses by its path), object
+keys must be known, duplicate keys are rejected, and every cross-reference
+must resolve.  List order is decided by the model, whose
 constructors sort their lists (see :mod:`ramcov.model`), so documents equal
 up to list order load to equal models and produce byte-identical reports.
 The loader reads the ramification table in component id order only so that
@@ -76,16 +77,6 @@ _BASE_REQUIRED = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "cros
 _COVER_KEYS = {"degree", "ramification", "points_above"}
 
 
-def _reject_float(text: str) -> Any:
-    raise InputFormatError(
-        f"floating point literal {text!r} is not allowed; all numeric fields are exact integers"
-    )
-
-
-def _reject_constant(text: str) -> Any:
-    raise InputFormatError(f"non-finite literal {text!r} is not allowed")
-
-
 def _no_duplicate_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
@@ -98,7 +89,8 @@ def _no_duplicate_keys(pairs: list) -> dict:
 
 
 def _as_int(value: Any, path: str, suffix: str = "") -> int:
-    # json.loads makes no int subclass but bool, which this refuses.
+    # json.loads makes no int subclass but bool, which this refuses, as it
+    # refuses the floats it makes of 2.0, 1e400, NaN and -Infinity.
     if type(value) is int:
         return value
     raise InputFormatError(f"{path}{suffix}: expected an integer (got {value!r})")
@@ -325,18 +317,16 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
 def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
     """Parse a cover document from a JSON string.
 
-    Raises :class:`InputFormatError` on malformed documents (including any
-    floating point literal) and :class:`InvalidInputError` when values
-    violate the model's constructor preconditions or references dangle.
+    Raises :class:`InputFormatError` on malformed documents (including a
+    float, ``NaN`` or ``Infinity`` in any field, named by its path) and
+    :class:`InvalidInputError` when values violate the model's constructor
+    preconditions or references dangle.
     """
     try:
-        doc = json.loads(
-            text,
-            parse_float=_reject_float,
-            parse_constant=_reject_constant,
-            object_pairs_hook=_no_duplicate_keys,
-        )
+        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except InputFormatError:
+        # The duplicate-key hook's error is a ValueError too; without this
+        # clause the digit-limit clause below would take it.
         raise
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from None

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EnumerationLimitError, InvalidInputError
+from .errors import EnumerationLimitError, InvalidInputError, check_int
 from .hj import SingularityType
 
 __all__ = [
@@ -50,10 +50,7 @@ def check_enumeration_bound(
     too) or a value below the minimum raises :class:`InvalidInputError`, one
     above the cap :class:`EnumerationLimitError`; type, then range, is checked.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer (got {value!r})")
-    if value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum} (got {value})")
+    check_int(value, name, minimum)
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if value > limit:
         raise EnumerationLimitError(f"{name} {value} exceeds the enumeration cap {limit}")

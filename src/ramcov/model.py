@@ -47,7 +47,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 from .local_cover import LatticeSubgroup, LocalCoverType, local_type
 
 __all__ = [
@@ -63,14 +63,6 @@ __all__ = [
     "derived_euler_data",
     "check_references",
 ]
-
-
-def _check_int(value, what: str, minimum: "int | None" = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be an integer (got {value!r})")
-    if minimum is not None and value < minimum:
-        raise InvalidInputError(f"{what} must be >= {minimum} (got {value})")
-    return value
 
 
 def _canonical(obj, name: str, key) -> None:
@@ -108,10 +100,10 @@ class BranchComponent:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise InvalidInputError(f"component id must be a non-empty string (got {self.id!r})")
-        _check_int(self.genus, f"component {self.id!r}: genus", minimum=0)
-        _check_int(self.self_int, f"component {self.id!r}: self_int")
-        _check_int(self.KX_dot, f"component {self.id!r}: KX_dot")
-        _check_int(self.fiber_deg, f"component {self.id!r}: fiber_deg", minimum=0)
+        check_int(self.genus, f"component {self.id!r}: genus", minimum=0)
+        check_int(self.self_int, f"component {self.id!r}: self_int")
+        check_int(self.KX_dot, f"component {self.id!r}: KX_dot")
+        check_int(self.fiber_deg, f"component {self.id!r}: fiber_deg", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ class Crossing:
     pair: tuple[str, str]
 
     def __post_init__(self) -> None:
-        _check_int(self.index, "crossing index", minimum=0)
+        check_int(self.index, "crossing index", minimum=0)
         if (
             not isinstance(self.pair, tuple)
             or len(self.pair) != 2
@@ -156,16 +148,16 @@ class BaseGeometry:
     pair_counts: tuple[tuple[tuple[str, str], int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _check_int(self.genus_C, "genus_C", minimum=0)
-        _check_int(self.KX_sq, "KX_sq")
-        _check_int(self.euler_X, "euler_X")
-        _check_int(self.KX_dot_F, "KX_dot_F")
+        check_int(self.genus_C, "genus_C", minimum=0)
+        check_int(self.KX_sq, "KX_sq")
+        check_int(self.euler_X, "euler_X")
+        check_int(self.KX_dot_F, "KX_dot_F")
         for pair, count in self.pair_counts:
             if not (
                 isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(c, str) for c in pair)
             ):
                 raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
-            _check_int(count, f"declared count for pair {pair}")
+            check_int(count, f"declared count for pair {pair}")
         _canonical(self, "components", lambda c: c.id)
         _canonical(self, "crossings", lambda x: x.index)
         _canonical(self, "pair_counts", _pair_key)
@@ -218,8 +210,8 @@ class RamSheet:
     f: int
 
     def __post_init__(self) -> None:
-        _check_int(self.e, "sheet e", minimum=1)
-        _check_int(self.f, "sheet f", minimum=1)
+        check_int(self.e, "sheet e", minimum=1)
+        check_int(self.f, "sheet f", minimum=1)
 
 
 @dataclass(frozen=True)
@@ -239,8 +231,8 @@ class PointAbove:
     local: Union[LatticeSubgroup, LocalCoverType]
 
     def __post_init__(self) -> None:
-        _check_int(self.j, "point sheet index j", minimum=0)
-        _check_int(self.jp, "point sheet index jp", minimum=0)
+        check_int(self.j, "point sheet index j", minimum=0)
+        check_int(self.jp, "point sheet index jp", minimum=0)
         if not isinstance(self.local, (LatticeSubgroup, LocalCoverType)):
             raise InvalidInputError(
                 f"point local data must be a lattice subgroup or a local type (got {self.local!r})"
@@ -270,7 +262,7 @@ class CoverDescription:
     points_above: tuple[tuple[int, tuple[PointAbove, ...]], ...]
 
     def __post_init__(self) -> None:
-        _check_int(self.degree, "cover degree", minimum=1)
+        check_int(self.degree, "cover degree", minimum=1)
         for cid, _ in self.ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
@@ -279,7 +271,7 @@ class CoverDescription:
         if len(self._sheets) != len(self.ramification):
             raise InvalidInputError("duplicate component id in ramification table")
         for idx, _ in self.points_above:
-            _check_int(idx, "points_above key")
+            check_int(idx, "points_above key")
         # id(points) -> those points in canonical order: a list shared by
         # several crossings is sorted once and stays one tuple.
         ordered: dict[int, tuple] = {}

@@ -443,11 +443,9 @@ class ReportDocument:
             lines += [
                 _text_term(name, value, bound, ok) for name, value, bound, _, ok in cert.receipts
             ]
-            # the linear row's bound, by the certificate's positional contract
-            cd = cert.receipts[-1 if cert.fibration_bound is None else -2][2]
             lines.append(
                 f"  coefficient c = {fmt_rational(cert.linear_coefficient)}; "
-                f"|deg_det| <= c*d = {fmt_rational(cd)}: "
+                f"|deg_det| <= c*d = {fmt_rational(cert.linear_row[2])}: "
                 + ("ok" if cert.deg_det_within_linear else "VIOLATED")
             )
             lines.append(f"  satisfied: {'yes' if cert.satisfied else 'no'}")

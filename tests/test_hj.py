@@ -61,11 +61,20 @@ def test_singularity_type_validation():
         SingularityType(5, -1)
 
 
-@pytest.mark.parametrize("n,q", [(2.0, 1), (5, "2"), (None, 1), (5, True), (True, 1)])
-def test_singularity_type_rejects_non_integers(n, q):
+@pytest.mark.parametrize(
+    "n,q,message",
+    [
+        (2.0, 1, "n must be an integer (got 2.0)"),
+        (5, "2", "q must be an integer (got '2')"),
+        (None, 1, "n must be an integer (got None)"),
+        (5, True, "q must be an integer (got True)"),
+        (True, 1, "n must be an integer (got True)"),
+    ],
+)
+def test_singularity_type_rejects_non_integers(n, q, message):
     with pytest.raises(InvalidInputError) as info:
         SingularityType(n, q)
-    assert str(info.value) == "n and q must be integers"
+    assert str(info.value) == message
 
 
 class _Int(int):

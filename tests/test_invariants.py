@@ -669,12 +669,14 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     cert = BoundCertificate(receipts=rows, fibration_inputs=None, fibration_bound=None, **fields)
     assert cert.deg_det_within_linear is False and not cert.satisfied
     assert cert.deg_det_within_fibration is None
+    assert cert.linear_row is rows[1]
     fib = FibrationInputs(0, 2, 0, 2, 0)
     cert = BoundCertificate(
         receipts=rows + (("deg_det_vs_fibration", 3, 9, one, True),),
         fibration_inputs=fib, fibration_bound=Fraction(9), **fields,
     )
     assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
+    assert cert.linear_row is rows[1]
     text = ReportDocument(False, base, cover, (), cert).to_text()
     assert "|deg_det| <= c*d = 2: VIOLATED" in text
     # the certificate's deg_det is its report's, so the two cannot disagree

@@ -123,13 +123,72 @@ def mutate_identity(**edits):
 
 
 def test_float_literals_rejected():
-    for bad in ["2.0", "1e3", "0.5"]:
-        text = mutate_identity(**{"cover.degree": 1}).replace('"degree": 1', f'"degree": {bad}')
-        with pytest.raises(InputFormatError, match="floating point"):
+    for bad, got in [("2.0", "2.0"), ("1e3", "1000.0"), ("0.5", "0.5"), ("NaN", "nan")]:
+        text = mutate_identity().replace('"degree": 1', f'"degree": {bad}')
+        with pytest.raises(InputFormatError) as info:
             parse_cover_json(text)
-    text = mutate_identity().replace('"degree": 1', '"degree": NaN')
-    with pytest.raises(InputFormatError, match="non-finite"):
-        parse_cover_json(text)
+        assert str(info.value) == f"cover.degree: expected an integer (got {got})"
+
+
+_KEYED_BY_ID = {"cover.ramification", "cover.points_above"}
+
+
+def _leaves(node, path=""):
+    """Each leaf of a decoded document: its route of keys and indices, and the loader's path."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            if isinstance(node, list) or path in _KEYED_BY_ID:
+                sub = f"{path}[{key!r}]"
+            else:
+                sub = f"{path}.{key}" if path else key
+            for route, leaf in _leaves(child, sub):
+                yield (key, *route), leaf
+    else:
+        yield (), path
+
+
+IDENTITY_TEXT = (COVERS / "identity.json").read_text()
+
+
+def _with_literal(route, literal: str) -> str:
+    """``identity.json`` with the literal text ``literal`` at ``route``."""
+    doc = json.loads(IDENTITY_TEXT)
+    target = doc
+    for key in route[:-1]:
+        target = target[key]
+    target[route[-1]] = "\0"
+    return json.dumps(doc).replace(json.dumps("\0"), literal)
+
+
+NON_INTEGER_LITERALS = [("1.5", "1.5"), ("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf")]
+by_literal = pytest.mark.parametrize(
+    "literal,got", NON_INTEGER_LITERALS, ids=[lit for lit, _ in NON_INTEGER_LITERALS]
+)
+
+
+@by_literal
+def test_a_non_integer_literal_in_any_leaf_is_refused_by_its_path(literal, got):
+    leaves = list(_leaves(json.loads(IDENTITY_TEXT)))
+    assert len(leaves) == 81
+    wrong = []
+    for route, path in leaves:
+        with pytest.raises(InputFormatError) as info:
+            parse_cover_json(_with_literal(route, literal))
+        expected = "a string" if route[-1] == "id" or "pair" in route else "an integer"
+        if str(info.value) != f"{path}: expected {expected} (got {got})":
+            wrong.append(str(info.value))
+    assert wrong == []
+
+
+@by_literal
+def test_a_non_integer_literal_ends_the_command_with_one_line(literal, got, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_with_literal(("cover", "points_above", "3", 0, "local", 1, 0), literal))
+    assert main(["invariants", str(path)]) == 2
+    out, err = capsys.readouterr()
+    leaf = "cover.points_above['3'][0].local[1][0]"
+    assert (out, err) == ("", f"error: {leaf}: expected an integer (got {got})\n")
 
 
 def test_duplicate_keys_rejected():
@@ -484,9 +543,8 @@ def test_loader_diagnostic_is_exact(path, value, message):
         ('{"cover": {"x": 1, "y": 2, "y": 3, "x": 4}}', "duplicate object key 'y'"),
         ('{"base": {}, "base": {}}', "duplicate object key 'base'"),
         ('{"a": {"k": 1, "k": 1}, "a": 2}', "duplicate object key 'k'"),
-        ('{"base": 2.0}',
-         "floating point literal '2.0' is not allowed; all numeric fields are exact integers"),
-        ('{"base": -Infinity}', "non-finite literal '-Infinity' is not allowed"),
+        ('{"base": 2.0, "cover": {}}', "base: expected an object (got float)"),
+        ('{"base": -Infinity, "cover": {}}', "base: expected an object (got float)"),
         ("{",
          "not valid JSON: Expecting property name enclosed in double quotes: "
          "line 1 column 2 (char 1)"),
@@ -776,10 +834,7 @@ def test_each_distinct_point_list_is_sorted_once(monkeypatch, copies):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        # The decoder refuses the float before any record is read, so its
-        # message names the literal and no path.
-        ({"j": 1.0}, "floating point literal '1.0' is not allowed; "
-                     "all numeric fields are exact integers"),
+        ({"j": 1.0}, "cover.points_above['0'][3].j: expected an integer (got 1.0)"),
         ({"j": True}, "cover.points_above['0'][3].j: expected an integer (got True)"),
         ({"jq": 0}, "cover.points_above['0'][3]: unknown keys ['jq']"),
         ({"j": -1}, "cover.points_above['0'][3]: point sheet index j must be >= 0 (got -1)"),

@@ -256,7 +256,7 @@ def test_cli_invariants_violations_exit_1_with_report(capsys):
 
 def test_cli_invariants_parse_and_io_errors(capsys):
     code, out, err = run(capsys, "invariants", str(COVERS / "malformed" / "bad_parse.json"))
-    assert code == 2 and out == "" and "floating point" in err
+    assert (code, out, err) == (2, "", "error: cover.degree: expected an integer (got 2.0)\n")
 
     code, _, err = run(capsys, "invariants", str(COVERS / "no_such_file.json"))
     assert code == 2 and "error:" in err
