@@ -9,13 +9,12 @@ the linear degree bound where its value is computed:
 
 * per component, the branch multiplicity ``B_mult(i) = sum_j (e_ij - 1) f_ij``
   and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``;
-* per crossing, from the local type of each point above it (classified
-  once per distinct local object per walk, see
-  :meth:`PointAbove.local_cover_type`), the ordered
+* per crossing, from the local type of each point above it, the ordered
   cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
   resolution correction and the exceptional curve count ``s`` of its
-  quotient points.  Each distinct quotient type is resolved once per walk,
-  in O(log n) steps by :func:`~ramcov.hj.resolution_numbers`.
+  quotient points.  Each distinct ``local`` value is classified (see
+  :meth:`PointAbove.local_cover_type`) and, at a quotient point, resolved
+  in O(log n) steps by :func:`~ramcov.hj.resolution_numbers`, once per walk.
 
 A crossing's numbers depend only on its two sheet lists and its points,
 so the walk computes them, with their verdicts and findings as data, once
@@ -24,11 +23,12 @@ per distinct ``(id(first sheets), id(second sheets), id(points))`` (see
 crossing then only gets its labels: receipt names, finding messages and
 ``error``.  The memo keys on identity, never on list contents, keeps at
 most ``_SHAPES_KEPT`` shapes and lives for one walk, so a model whose
-crossings share nothing pays once per crossing.  The totals add each
-shape's numbers times its crossing count.
+crossings share nothing pays once per crossing.
 
-The same values, with ``d_i = sum_j f_ij`` and the point counts, are added
-into the totals of the chain
+The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
+the only terms of the totals: each crossing shape adds its ``s``, point
+count, cross term and correction times the number of crossings summed
+with it.  The totals make up the chain
 
     branch divisor B  ->  (R,R)  ->  K_Y^2  ->  K_{Y'}^2
     Euler data        ->  e_c(Y) ->  e_c(Y')
@@ -357,7 +357,6 @@ def _crossing_shape(
     points: tuple,
     strict: bool,
     classified: dict,
-    resolutions: dict,
     tallies: dict,
 ) -> tuple:
     """What one crossing gives :func:`examine`, from its sheets and points alone.
@@ -371,12 +370,14 @@ def _crossing_shape(
     gcd problem of a point's local type, or None; the numbers are summed
     only up to it.  Then come the receipts' numbers: the cross term and its
     verdict, the correction, its bound and its verdict, and the exceptional
-    curve count ``s`` and its verdict.  ``tally`` numbers
-    ``(s, points, cross numerators, correction numerators)``, each list of
-    numerators as ``(n, numerator over n)`` pairs, in ``tallies``, which
-    gives equal tallies one number.  ``classified`` and ``resolutions`` are
-    the walk's memos.  A sheet index out of range raises
-    :func:`~ramcov.model.check_references`' error.
+    curve count ``s`` and its verdict.  ``tally`` numbers ``(s, points,
+    cross.numerator, cross.denominator, correction.numerator,
+    correction.denominator)`` in ``tallies``, which gives equal tallies one
+    number.  ``classified`` is the walk's memo of each distinct ``local``
+    value: its type, that type's problems and, at a valid quotient point,
+    ``(chain length, correction)`` from
+    :func:`~ramcov.hj.resolution_numbers`, else None.  A sheet index out of
+    range raises :func:`~ramcov.model.check_references`' error.
     """
     d = cover.degree
     zero = _ZERO
@@ -386,18 +387,22 @@ def _crossing_shape(
     # Per sheet carrying a point, the local degrees of the upstairs curve:
     # m2 on the first component, m1 on the second (V4).
     m2_on, m1_on = {}, {}
-    cross_nums, correction_nums = {}, {}  # n -> numerators over n
     cross = correction = zero
     s = 0
     for k, pt in enumerate(points):
         if pt.j >= len(first) or pt.jp >= len(second):
             check_references(base, cover)  # raises, naming this point
             raise AssertionError(f"point {k}: check_references passed an out-of-range index")
-        known = classified.get(id(pt.local))
+        known = classified.get(pt.local)
         if known is None:
             lt = pt.local_cover_type()
-            known = classified[id(pt.local)] = (lt, lt.invariant_problems())
-        lt, problems = known
+            problems = lt.invariant_problems()
+            resolved = None
+            if lt.n > 1 and not problems:
+                length, num = resolution_numbers(SingularityType(lt.n, lt.q))
+                resolved = (length, Fraction(num, lt.n))
+            known = classified[pt.local] = (lt, problems, resolved)
+        lt, problems, resolved = known
         total += lt.d_y
         if strict:
             m2_on[pt.j] = m2_on.get(pt.j, 0) + lt.m2
@@ -416,18 +421,10 @@ def _crossing_shape(
                 problem = problems[0]
         if problem is not None:
             continue
-        n = lt.n
-        num = 2 * (e1 - 1) * (e2 - 1)
-        cross_nums[n] = cross_nums.get(n, 0) + num
-        term = Fraction(num, n)
+        term = Fraction(2 * (e1 - 1) * (e2 - 1), lt.n)
         cross = term if cross is zero else cross + term  # a first term as it is
-        if n > 1:
-            rd = resolutions.get((n, lt.q))
-            if rd is None:
-                length, num = resolution_numbers(SingularityType(n, lt.q))
-                rd = resolutions[n, lt.q] = (length, num, Fraction(num, n))
-            length, num, term = rd
-            correction_nums[n] = correction_nums.get(n, 0) + num
+        if resolved is not None:
+            length, term = resolved
             correction = term if correction is zero else correction + term
             s += length
     if total != d:
@@ -457,10 +454,8 @@ def _crossing_shape(
         cross, _within(cross, twice),
         correction, bound, _within(correction, bound),
         s, _within(s, d),
-        tallies.setdefault(
-            (s, len(points), tuple(cross_nums.items()), tuple(correction_nums.items())),
-            len(tallies),
-        ),
+        tallies.setdefault((s, len(points), cross.numerator, cross.denominator,
+                            correction.numerator, correction.denominator), len(tallies)),
     )
 
 
@@ -483,17 +478,17 @@ def examine(
     per-crossing exceptional counts are at most d, and finally |deg_det|
     itself against ``linear_coefficient * d``.  When fibration inputs are
     supplied the comparison against the semistable bound is appended as a
-    receipt as well.  The same values are summed into the carried report,
-    as integer numerators over each quotient order n.
+    receipt as well.  The same values are summed into the carried report.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, is computed once per walk, and within those each
-    distinct ``local`` object is classified, and its range and gcd
-    constraints checked, once; both memos key on identity and live for the
-    call.  The loader gives equal lists one tuple and equal point records
-    one object, so a loaded document pays once per distinct value.  A model
-    built by hand with equal but distinct lists or local data gets the same
-    answer and pays once per object.
+    distinct ``local`` value is classified, its range and gcd constraints
+    checked and, at a quotient point, its resolution numbers found, once.
+    The shape memo keys on identity, the local memo on value (a local is
+    hashed only where a shape is computed), and both live for the call.
+    The loader gives equal lists one tuple, so a loaded document computes
+    each distinct shape once; a model built by hand with equal but distinct
+    lists gets the same answer and computes a shape per crossing.
 
     A reference that does not resolve raises the error of
     :func:`~ramcov.model.check_references`, called only then: before the
@@ -536,14 +531,13 @@ def examine(
         diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, _within(diagonal, d)))
     receipts += diagonals
 
-    # id of a point's local data -> its local type and that type's problems
-    classified: dict[int, tuple] = {}
-    # (n, q) -> chain length, correction numerator and the correction over n
-    resolutions: dict[tuple[int, int], tuple[int, int, Fraction]] = {}
+    # a point's local data -> its local type, that type's problems and its
+    # (chain length, correction) at a valid quotient point, else None
+    classified: dict = {}
     # (id(first sheets), id(second sheets), id(points)) -> the numbers of that
     # crossing shape (see _crossing_shape), for the first _SHAPES_KEPT shapes met
     shapes: dict[tuple[int, int, int], tuple] = {}
-    # a shape's (s, points, per-n numerators) -> its number, in the order met
+    # a shape's tally (see _crossing_shape) -> its number, in the order met
     tallies: dict[tuple, int] = {}
     summed = []  # the tally number of each crossing summed
     for crossing in base.crossings:
@@ -554,7 +548,7 @@ def examine(
         shape = shapes.get(key)
         if shape is None:
             shape = _crossing_shape(
-                base, cover, first, second, points, strict, classified, resolutions, tallies
+                base, cover, first, second, points, strict, classified, tallies
             )
             if len(shapes) < _SHAPES_KEPT:
                 shapes[key] = shape
@@ -578,26 +572,21 @@ def examine(
     if error is not None:
         return found, None, error
 
-    # n -> sum of the numerators over n, of the ordered cross terms and of
-    # the corrections of all points: each tally's, times its crossing count
-    cross_sums: dict[int, int] = {}
-    correction_sums: dict[int, int] = {}
+    # each tally's numbers, times the number of crossings summed with it
     s_total = n_points = 0
+    correction_total = zero
     numbered = list(tallies)
     for number, count in Counter(summed).items():
-        s, on, cross_nums, correction_nums = numbered[number]
+        s, on, cross_num, cross_den, correction_num, correction_den = numbered[number]
         s_total += count * s
         n_points += count * on
-        for sums, nums in ((cross_sums, cross_nums), (correction_sums, correction_nums)):
-            for n, num in nums:
-                sums[n] = sums.get(n, 0) + count * num
+        rr += Fraction(count * cross_num, cross_den)
+        correction_total += Fraction(count * correction_num, correction_den)
 
     euler = derived_euler_data(base)
     euler_y = d * euler.e_c_U + n_points + sum(
         d_i * e_c for d_i, (_, e_c) in zip(d_sums, euler.open_components)
     )
-    rr += sum((Fraction(num, den) for den, num in cross_sums.items()), zero)
-    correction_total = sum((Fraction(num, den) for den, num in correction_sums.items()), zero)
     report = InvariantReport(
         B_mult=tuple(b_mults),
         KX_dot_B=kx_dot_b,

@@ -223,7 +223,7 @@ class PointAbove:
     a lattice subgroup (first coordinate = winding around the first
     component's branch) or directly as a :class:`LocalCoverType`.  The point
     keeps no classification: a run's one walk asks once per distinct
-    ``local`` object, and the loader gives equal records one object.
+    ``local`` value, and the loader gives equal records one object.
     """
 
     j: int
@@ -233,7 +233,11 @@ class PointAbove:
     def __post_init__(self) -> None:
         check_int(self.j, "point sheet index j", minimum=0)
         check_int(self.jp, "point sheet index jp", minimum=0)
-        if not isinstance(self.local, (LatticeSubgroup, LocalCoverType)):
+        if isinstance(self.local, LocalCoverType):
+            # Types only: a value out of range is the walk's V5 finding.
+            for name in ("n", "q", "m1", "m2"):
+                check_int(getattr(self.local, name), f"point local type {name}")
+        elif not isinstance(self.local, LatticeSubgroup):
             raise InvalidInputError(
                 f"point local data must be a lattice subgroup or a local type (got {self.local!r})"
             )

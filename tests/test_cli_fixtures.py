@@ -253,9 +253,8 @@ def test_invariants_error_matches_frozen_line(capsys, name, argv):
 def test_invariants_classifies_each_distinct_point_once(capsys, monkeypatch):
     # One run walks the points once: the references are checked once (by the
     # loader), each distinct lattice is classified once and each distinct
-    # local datum's range and gcd constraints are checked once.  Equal point
-    # records load to one object and the walk asks once per object, so
-    # "distinct" is by value here.  A second walk, a second check of the
+    # local datum's range and gcd constraints are checked once, by value.
+    # A second walk, a second check of the
     # references, or re-walking the configuration per invariant doubles a
     # count and shows up here.
     calls = Counter()

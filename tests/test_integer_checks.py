@@ -1,22 +1,27 @@
 """Every integer handed to the API is judged by ``errors.check_int``.
 
 The table pins the exact message each entry point gives for a bool, a
-float, a string and a value below its minimum.  The ``ast`` scan keeps the
-judge single: outside ``errors.py`` only ``LatticeSubgroup.__post_init__``,
-which checks a generator pair on the hot path, may test ``isinstance(...,
-bool)`` itself.
+float, a string and a value below its minimum.  A point's local type has
+no minimum for its fields: a value out of range builds, and the walk
+reports it as a V5 finding.  The ``ast`` scan keeps the judge single:
+outside ``errors.py`` only ``LatticeSubgroup.__post_init__``, which checks a
+generator pair on the hot path, may test ``isinstance(..., bool)`` itself.
 """
 
 import ast
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from ramcov.errors import InvalidInputError, check_int
+from ramcov.golden import double_cover
 from ramcov.hj import SingularityType
-from ramcov.invariants import FibrationInputs, arakelov_degree_bound, plane_model_terms
-from ramcov.local_cover import check_enumeration_bound
-from ramcov.model import RamSheet
+from ramcov.invariants import (
+    FibrationInputs, arakelov_degree_bound, degree_linear_certificate, examine, plane_model_terms,
+)
+from ramcov.local_cover import LocalCoverType, check_enumeration_bound
+from ramcov.model import PointAbove, RamSheet
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ramcov"
 
@@ -28,8 +33,14 @@ def _fibration(name):
     return lambda v: FibrationInputs(**{**dict.fromkeys(_FIBRATION, 0), name: v})
 
 
+def _point_local(name):
+    """A point whose local type is a node's with ``name`` set to the value."""
+    node = {"n": 2, "q": 1, "m1": 1, "m2": 1}
+    return lambda v: PointAbove(0, 0, LocalCoverType(**{**node, name: v}))
+
+
 # (id, call taking the value, the name its message gives, a value below the
-# minimum, the message for that value)
+# minimum, the message for that value, or None where that value is accepted)
 CHECKS = [
     ("singularity-n", lambda v: SingularityType(v, 1), "n", 1,
      "order must satisfy n >= 2 (got n=1)"),
@@ -48,6 +59,10 @@ CHECKS = [
      "max_n must be >= 2 (got 1)"),
     ("model-sheet-e", lambda v: RamSheet(v, 1), "sheet e", 0, "sheet e must be >= 1 (got 0)"),
     ("check-int", lambda v: check_int(v, "k", 3), "k", 2, "k must be >= 3 (got 2)"),
+    *(
+        (f"point-local-{name}", _point_local(name), f"point local type {name}", -1, None)
+        for name in ("n", "q", "m1", "m2")
+    ),
 ]
 
 
@@ -55,15 +70,45 @@ CHECKS = [
     "call,what,low,low_message", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS]
 )
 def test_every_integer_argument_is_refused_with_its_name(call, what, low, low_message):
-    for value, message in [
+    refused = [
         (True, f"{what} must be an integer (got True)"),
         (2.0, f"{what} must be an integer (got 2.0)"),
         ("3", f"{what} must be an integer (got '3')"),
-        (low, low_message),
-    ]:
+    ]
+    if low_message is None:
+        call(low)
+    else:
+        refused.append((low, low_message))
+    for value, message in refused:
         with pytest.raises(InvalidInputError) as info:
             call(value)
         assert str(info.value) == message
+
+
+def _double_cover_with_local(local):
+    """``double_cover()`` with the one point over each corner carrying ``local``."""
+    base, cover = double_cover()
+    return base, replace(cover, points_above=tuple(
+        (idx, (PointAbove(0, 0, local),)) for idx, _ in cover.points_above
+    ))
+
+
+@pytest.mark.parametrize("local,message", [
+    (LocalCoverType(2.0, 1, 1, 1), "point local type n must be an integer (got 2.0)"),
+    (LocalCoverType(2, "1", 1, 1), "point local type q must be an integer (got '1')"),
+], ids=["float-n", "string-q"])
+def test_a_hand_built_local_type_of_non_integers_is_refused_by_its_field(local, message):
+    # A float n once reached math.gcd in invariant_problems, and a string q
+    # a '<=' comparison, each as a bare TypeError out of examine.
+    with pytest.raises(InvalidInputError) as info:
+        examine(*_double_cover_with_local(local))
+    assert str(info.value) == message
+    # The node's own local type, as integers, gives the double cover's answer.
+    node = _double_cover_with_local(LocalCoverType(2, 1, 1, 1))
+    assert examine(*node)[::2] == ([], None)
+    assert degree_linear_certificate(*node).report == (
+        degree_linear_certificate(*double_cover()).report
+    )
 
 
 def _bool_checks():

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramcov import invariants
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
 from ramcov.invariants import (
@@ -54,6 +55,7 @@ from ramcov.model import (
     check_references, derived_euler_data, validate,
 )
 from ramcov.report import ReportDocument
+from twins import twin
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
 
@@ -533,10 +535,13 @@ _TOTALS_CASES = [
 
 
 @pytest.mark.parametrize("load", [c[1] for c in _TOTALS_CASES], ids=[c[0] for c in _TOTALS_CASES])
-def test_totals_and_receipts_recomputed_point_by_point(load):
+def test_totals_and_receipts_recomputed_point_by_point(load, monkeypatch):
     # Plain Fraction sums over the model, one point at a time: each point is
     # classified with local_type and resolved with resolve, as the paper's
-    # formulas read, and nothing is shared with the walk.
+    # formulas read, and nothing is shared with the walk.  The walk answers
+    # three times: on the model as loaded, on its twin, which shares no
+    # tuple, point or local and so computes every crossing's shape, and with
+    # room for one shape, so that the others are summed past the memo.
     base, cover = load()
     d = cover.degree
     rr = Fraction(0)
@@ -564,12 +569,18 @@ def test_totals_and_receipts_recomputed_point_by_point(load):
         receipts[f"correction[crossing {crossing.index}]"] = (correction, max(d, 2 * len(points)))
         receipts[f"exceptional_s[crossing {crossing.index}]"] = (s, d)
 
-    cert = degree_linear_certificate(base, cover)
-    assert (cert.report.RR, cert.report.correction_total, cert.report.exceptional_s) == (
-        rr, correction_total, s_total
-    )
-    got = {name: (value, bound) for name, value, bound, *_ in cert.receipts if name in receipts}
-    assert got == receipts
+    def check(model):
+        cert = degree_linear_certificate(base, model)
+        assert (cert.report.RR, cert.report.correction_total, cert.report.exceptional_s) == (
+            rr, correction_total, s_total
+        )
+        got = {name: (value, bound) for name, value, bound, *_ in cert.receipts if name in receipts}
+        assert got == receipts
+
+    check(cover)
+    check(twin(cover))
+    monkeypatch.setattr(invariants, "_SHAPES_KEPT", 1)
+    check(cover)
 
 
 # ------------------------------------------- fibres alone on E x P1, closed form

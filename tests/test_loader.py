@@ -19,6 +19,7 @@ from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import BranchComponent, Crossing, PointAbove, RamSheet, check_references
 from ramcov.report import ReportDocument, canonical_document, dumps_document
 from report_reference import reference_document
+from twins import twin
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -723,25 +724,6 @@ def test_equal_but_distinct_points_built_by_hand_render_the_same_bytes():
         assert "".join(doc.to_json()) == (FIXTURES / "repeated_points.strict.json").read_text()
 
 
-def _twin(cover):
-    """``cover`` rebuilt from fresh sheet tuples, point tuples, points and locals."""
-    def local(loc):
-        if isinstance(loc, LatticeSubgroup):
-            return LatticeSubgroup(tuple(loc.g1), tuple(loc.g2))
-        return LocalCoverType(loc.n, loc.q, loc.m1, loc.m2)
-
-    return replace(
-        cover,
-        ramification=tuple(
-            (cid, tuple(RamSheet(s.e, s.f) for s in sheets)) for cid, sheets in cover.ramification
-        ),
-        points_above=tuple(
-            (idx, tuple(PointAbove(p.j, p.jp, local(p.local)) for p in points))
-            for idx, points in cover.points_above
-        ),
-    )
-
-
 def _views(base, cover, strict):
     """Everything a run shows of a model: findings, receipts, report, error and both reports."""
     violations, certificate, error = examine(base, cover, strict=strict)
@@ -759,16 +741,16 @@ def _views(base, cover, strict):
 def test_a_twin_sharing_no_object_gives_the_same_answers(load, strict):
     # The walk and the writer key their per-crossing work on the identity of
     # the loader's shared sheet and point lists.  A twin sharing no list, no
-    # point and no local data pays once per crossing and point, and must show
-    # the same findings, receipts, report, error and bytes.  many_sheets,
+    # point and no local data pays once per crossing, and must show the same
+    # findings, receipts, report, error and bytes.  many_sheets,
     # short_sheets and failing_receipts repeat shapes that carry V2, V4 and
     # failed receipts.
     base, loaded = load()
-    twin = _twin(loaded)
-    assert twin == loaded
-    objects = [id(x) for _, pts in twin.points_above for pt in pts for x in (pt, pt.local)]
+    fresh = twin(loaded)
+    assert fresh == loaded
+    objects = [id(x) for _, pts in fresh.points_above for pt in pts for x in (pt, pt.local)]
     assert len(set(objects)) == len(objects)
-    assert _views(base, twin, strict) == _views(base, loaded, strict)
+    assert _views(base, fresh, strict) == _views(base, loaded, strict)
 
 
 def test_equal_sheet_and_point_lists_load_to_one_tuple():
@@ -783,17 +765,21 @@ def test_equal_sheet_and_point_lists_load_to_one_tuple():
 
 
 def test_the_walk_computes_each_crossing_shape_once(monkeypatch):
-    # grid(6): 36 crossings, all on one sheet list with one point list.
+    # grid(6): 36 crossings, all on one sheet list with one point list.  Its
+    # twin's 36 lattices are distinct objects of one value, classified once.
     base, loaded = _grid(6)
     calls = []
     shape = invariants._crossing_shape
     monkeypatch.setattr(
-        invariants, "_crossing_shape", lambda *args: calls.append(1) or shape(*args)
+        invariants, "_crossing_shape", lambda *args: calls.append("shape") or shape(*args)
     )
-    for cover, count in ((loaded, 1), (_twin(loaded), 36)):
+    monkeypatch.setattr(
+        model, "local_type", lambda gamma: calls.append("local") or local_type(gamma)
+    )
+    for cover, count in ((loaded, 1), (twin(loaded), 36)):
         calls.clear()
         examine(base, cover, strict=True)
-        assert len(calls) == count
+        assert (calls.count("shape"), calls.count("local")) == (count, 1)
 
 
 def test_a_walk_past_its_kept_shapes_gives_the_same_answers(monkeypatch):

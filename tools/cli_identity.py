@@ -14,6 +14,12 @@ lives in:
   ``tests/fixtures/documents/``;
 * 30 ``grid`` and 30 ``cyclic`` documents generated by
   ``perfbench/workloads.py`` (seed 1);
+* 2 documents with more distinct crossing shapes than the walk keeps
+  (``invariants._SHAPES_KEPT``), drawn with a fixed seed: each a Z/n cover
+  of P1 x P1, n = 10 007, branched on 36 fibres and 36 sections, every line
+  under one sheet with e = n and f = 1, and over each crossing one point
+  whose lattice is generated by (n, 0) and (c, 1), with c drawn per
+  crossing;
 * 100 faulty documents, drawn with a fixed seed: each is a shipped one
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
@@ -76,6 +82,10 @@ FIXED_RUNS = [
 LABELS = ("exit code", "stdout", "stderr")
 FAULTY_DOCUMENTS = 100
 FAULT_SEED = 13
+SHAPES_DOCUMENTS = 2
+SHAPES_K = 36
+SHAPES_N = 10_007
+SHAPES_SEED = 5
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
 # writes [exit code, stdout, stderr] per run; an exception that escapes main
@@ -115,6 +125,40 @@ def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
             path = folder / f"{name}_{i}.json"
             path.write_text(generators[name].request(SEED, i).document, encoding="utf-8")
             paths.append(path)
+    return paths
+
+
+def many_shapes_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write ``SHAPES_DOCUMENTS`` covers, each past the walk's kept shapes, into ``folder``."""
+    k, n = SHAPES_K, SHAPES_N
+    lines = [f"F{i}" for i in range(k)] + [f"S{i}" for i in range(k)]
+    base = {
+        "genus_C": 0,
+        "KX_sq": 8,
+        "euler_X": 4,
+        "KX_dot_F": -2,
+        "components": [
+            {"id": cid, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(cid[0] == "S")}
+            for cid in lines
+        ],
+        "crossings": [
+            {"index": k * i + j, "pair": [f"F{i}", f"S{j}"]} for i in range(k) for j in range(k)
+        ],
+    }
+    rnd = random.Random(SHAPES_SEED)
+    paths = []
+    for i in range(SHAPES_DOCUMENTS):
+        cover = {
+            "degree": n,
+            "ramification": {cid: [{"e": n, "f": 1}] for cid in lines},
+            "points_above": {
+                str(x): [{"j": 0, "jp": 0, "local": [[n, 0], [rnd.randrange(1, n), 1]]}]
+                for x in range(k * k)
+            },
+        }
+        path = folder / f"many_shapes_{i}.json"
+        path.write_text(json.dumps({"base": base, "cover": cover}), encoding="utf-8")
+        paths.append(path)
     return paths
 
 
@@ -229,6 +273,7 @@ def main(argv: list[str]) -> int:
         shipped = [p for folder in FOLDERS for p in sorted(folder.glob("*.json"))]
         documents = shipped + workload_documents(pathlib.Path(tmp))
         documents += faulty_documents(shipped, pathlib.Path(tmp))
+        documents += many_shapes_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
