@@ -29,27 +29,38 @@ them.
 Every error names the path of the offending value, such as
 ``cover.points_above['3'][0].local[1][0]``; a range error that a model
 constructor raises gets the path of its record.  A document has a few
-fields per crossing, so that text is formatted only when an error is
-raised: a check takes the path of the item and the suffix naming the field,
-and the common cases (an exact ``int``, an object with exactly the allowed
-keys, no duplicate key) are decided before any message is built.
+fields per crossing, so a field's path is joined only when an error is
+raised: a check takes the path of the item, formatted once for each item
+of a list that is checked, and the suffix naming the field, and the common
+cases (an exact ``int``, an object with exactly the allowed keys, no
+duplicate key) are decided before any message is built.
 
 Equal records load to one object, and equal lists to one tuple.  In an
 abelian cover the local lattice at a crossing of ``D_i`` and ``D_j`` is the
 kernel of ``(s, t) -> s g_i + t g_j``, so every point over that crossing,
-and over every crossing of two components with the same sheets, carries
-the same local data.  Each parse keeps one memo.  Once a sheet or point
-record, or a point's local data, has passed every per-record check, its
-exact ``int`` values key the object built from them, and a later equal
+and over every crossing of two components with the same sheets, carries the
+same local data, and a document repeats one sheet list and one point list
+many times.  Each parse keeps one memo.  A sheet list or a point list is
+keyed first by its decoded text, ``repr`` of the decoded list: a list met
+before gets the tuple built for it, with no record checked and no path
+formatted (see :func:`_shared_records`).  The key is ``repr`` and not
+equality because ``==`` and ``hash`` take ``true``, ``1.0`` and ``1`` for
+one value, which only the last of them passes; on decoded JSON values
+``repr`` is exact in type and value, so equal keys mean equal verdicts.  It
+cannot meet the digit limit, since the decoder refused any longer integer
+literal, nor recurse deeper than the decoder did, as a test checks at every
+depth the decoder accepts.  Only a list that passed every check is stored.
+A list met for the first time is checked record by record.  Once a sheet or
+point record, or a point's local data, has passed every per-record check,
+its exact ``int`` values key the object built from them, and a later equal
 record gets that object without a second constructor call (see
-:func:`_build`).  A sheet list or a point list is then keyed by the
-identities of its records, never by their contents, so
-``cover.sheets_for`` and ``cover.points_for`` give one tuple per distinct
-list (see :func:`_records`).  The memo lives for the one call, so two
-parses share no object.  The walk and the report writer key their
-per-crossing and per-point work on these identities.  Lattices are keyed
-by their generators as given, so the two forms above still load to two
-objects.
+:func:`_build`).  The list is then keyed also by the identities of its
+records, never by their contents, so lists that differ only in key order
+share one tuple, and ``cover.sheets_for`` and ``cover.points_for`` give one
+tuple per distinct list.  The memo lives for the one call, so two parses
+share no object.  The walk and the report writer key their per-crossing and
+per-point work on these identities.  Lattices are keyed by their generators
+as given, so the two forms above still load to two objects.
 """
 
 from __future__ import annotations
@@ -221,24 +232,36 @@ def _record(
 def _records(
     make: Callable, value: Any, path: str, table: dict, memo: "dict | None" = None
 ) -> tuple:
-    """The records of the list at ``path``, each built by :func:`_record`.
-
-    With a ``memo``, a list whose records are the same objects as those of
-    an earlier list is that list's tuple: the key is the records' identities,
-    which the memo keeps alive, and never their contents.  A one-record list,
-    the common case, is keyed by its record's ``id`` alone, an ``int`` that
-    no other memo key equals.
-    """
-    records = tuple(
+    """The records of the list at ``path``, each built by :func:`_record`."""
+    return tuple(
         [
             _record(make, raw, f"{path}[{k}]", table, memo=memo)
             for k, raw in enumerate(_as_list(value, path))
         ]
     )
-    if memo is None:
-        return records
-    key = id(records[0]) if len(records) == 1 else (_records, *map(id, records))
-    return memo.setdefault(key, records)
+
+
+def _shared_records(
+    make: Callable, value: Any, prefix: str, key: str, table: dict, memo: dict
+) -> tuple:
+    """The records of the list at ``prefix[key]``, one tuple per distinct list in a parse.
+
+    The ``memo`` keys a list first by ``make`` and the ``repr`` of its decoded
+    value.  On a miss the list is checked by :func:`_records`, its path
+    formatted only then, and a list whose records are the same objects as
+    those of an earlier list is that list's tuple: that key is the records'
+    identities, which the memo keeps alive.  A one-record list, the common
+    case, is keyed by its record's ``id`` alone, an ``int`` that no other
+    memo key equals.  A list that fails a check raises before either key is
+    stored.
+    """
+    text = (make, repr(value))
+    records = memo.get(text)
+    if records is None:
+        records = _records(make, value, f"{prefix}[{key!r}]", table, memo)
+        ids = id(records[0]) if len(records) == 1 else (_records, *map(id, records))
+        records = memo[text] = memo.setdefault(ids, records)
+    return records
 
 
 def _crossing(value: Any, path: str) -> Crossing:
@@ -284,7 +307,7 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
     # table's local converter is given the same memo.
     memo: dict = {}
     ram = [
-        (cid, _records(RamSheet, ram_obj[cid], f"cover.ramification[{cid!r}]", _SHEET, memo))
+        (cid, _shared_records(RamSheet, ram_obj[cid], "cover.ramification", cid, _SHEET, memo))
         for cid in sorted(ram_obj)
     ]
     point = {**_POINT, "local": (_POINT["local"][0], partial(_parse_local, memo=memo))}
@@ -303,8 +326,9 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        path = f"cover.points_above[{key!r}]"
-        pts.append((idx, _records(PointAbove, pts_obj[key], path, point, memo)))
+        pts.append(
+            (idx, _shared_records(PointAbove, pts_obj[key], "cover.points_above", key, point, memo))
+        )
 
     cover = CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),

@@ -115,13 +115,16 @@ class Crossing:
 
     def __post_init__(self) -> None:
         check_int(self.index, "crossing index", minimum=0)
-        if (
-            not isinstance(self.pair, tuple)
-            or len(self.pair) != 2
-            or not all(isinstance(c, str) for c in self.pair)
+        pair = self.pair
+        if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is str:
+            pass  # the common case, decided without the isinstance checks
+        elif (
+            not isinstance(pair, tuple)
+            or len(pair) != 2
+            or not all(isinstance(c, str) for c in pair)
         ):
             raise InvalidInputError(f"crossing {self.index}: pair must be two component ids")
-        if self.pair[0] == self.pair[1]:
+        if pair[0] == pair[1]:
             raise InvalidInputError(
                 f"crossing {self.index}: components must be distinct "
                 f"(transversal self-intersections are not modelled)"

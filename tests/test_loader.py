@@ -36,11 +36,11 @@ def _loads(path: pathlib.Path) -> bool:
     return True
 
 
-def _grid(k: int):
-    """The double cover of the square grid of k fibres and k sections."""
+def _grid_document(k: int) -> dict:
+    """The document of the double cover of the square grid of k fibres and k sections."""
     fibres, sections = [f"F{i}" for i in range(k)], [f"S{j}" for j in range(k)]
     lines = fibres + sections
-    doc = {
+    return {
         "base": {
             "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
             "components": [
@@ -61,7 +61,11 @@ def _grid(k: int):
             },
         },
     }
-    return parse_cover_json(json.dumps(doc))
+
+
+def _grid(k: int):
+    """The double cover of the square grid of k fibres and k sections."""
+    return parse_cover_json(json.dumps(_grid_document(k)))
 
 
 # Every shipped and fixture document that loads, whatever its findings.
@@ -840,3 +844,56 @@ def test_a_repeated_local_does_not_excuse_its_record(edit, message):
     with pytest.raises((InputFormatError, InvalidInputError)) as info:
         parse_cover_json(json.dumps(doc))
     assert str(info.value) == message
+
+
+# The loader keys a sheet or point list first on its decoded text
+# (loader._shared_records).  grid(6) repeats one sheet list and one point list;
+# a copy of either, retyped in one value, must be judged as a list of its own,
+# whether it comes before or after the shared list is stored.
+
+
+@pytest.mark.parametrize("key", ["0", "35"], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "edit,got", [({"j": False}, "False"), ({"j": 0.0}, "0.0")], ids=["false-j", "float-j"]
+)
+def test_a_retyped_copy_of_a_shared_point_list_is_refused_by_its_path(key, edit, got):
+    doc = _grid_document(6)
+    points = doc["cover"]["points_above"]
+    points[key] = [{**points[key][0], **edit}]
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == f"cover.points_above[{key!r}][0].j: expected an integer (got {got})"
+
+
+@pytest.mark.parametrize("cid", ["F0", "S5"], ids=["first", "last"])
+def test_a_retyped_copy_of_a_shared_sheet_list_is_refused_by_its_path(cid):
+    doc = _grid_document(6)
+    doc["cover"]["ramification"][cid] = [{"e": 2, "f": True}]
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == f"cover.ramification[{cid!r}][0].f: expected an integer (got True)"
+
+
+def test_a_point_list_with_its_keys_in_another_order_loads_to_the_shared_tuple():
+    doc = _grid_document(6)
+    points = doc["cover"]["points_above"]
+    points["35"] = [{key: points["35"][0][key] for key in ("local", "jp", "j")}]
+    assert json.dumps(points["35"]) != json.dumps(points["0"])
+    _, cover = parse_cover_json(json.dumps(doc))
+    assert cover.points_for(35) is cover.points_for(0)
+    assert len({id(cover.points_for(idx)) for idx in range(36)}) == 1
+
+
+def test_each_distinct_list_is_checked_once(monkeypatch):
+    # grid(20): 40 sheet lists and 400 point lists, each the one shared list.
+    calls = []
+
+    def counted(name, make):
+        return lambda *args, **kwargs: calls.append(name) or make(*args, **kwargs)
+
+    monkeypatch.setattr(loader, "_parse_local", counted("local", loader._parse_local))
+    monkeypatch.setattr(loader, "PointAbove", counted("point", PointAbove))
+    monkeypatch.setattr(loader, "RamSheet", counted("sheet", RamSheet))
+    base, cover = _grid(20)
+    assert (len(base.crossings), len(cover.points_above)) == (400, 400)
+    assert sorted(calls) == ["local", "point", "sheet"]

@@ -516,6 +516,18 @@ def test_base_constructor_rejections():
         BaseGeometry(genus_C=True, KX_sq=0, euler_X=0, KX_dot_F=0, components=(), crossings=())
 
 
+class _ComponentId(str):
+    pass
+
+
+def test_a_crossing_of_str_subclass_ids_is_accepted():
+    # Crossing.__post_init__ decides exact str pairs first; a subclass takes
+    # the isinstance branch and passes it.
+    pair = (_ComponentId("A"), _ComponentId("B"))
+    assert Crossing(index=0, pair=pair).pair == ("A", "B")
+    assert Crossing(index=1, pair=("A", _ComponentId("B"))).pair == ("A", "B")
+
+
 def _two_components(**fields):
     comps = (
         BranchComponent(id="A", genus=0, self_int=0, KX_dot=-2, fiber_deg=0),
@@ -537,6 +549,21 @@ def _bad_sheet_index_before_dangling_key():
     "build,message",
     [
         (lambda: Crossing(index=3, pair=("A", 7)), "crossing 3: pair must be two component ids"),
+        (lambda: Crossing(index=3, pair=["A", "B"]), "crossing 3: pair must be two component ids"),
+        (
+            lambda: Crossing(index=3, pair=("A", "B", "C")),
+            "crossing 3: pair must be two component ids",
+        ),
+        (
+            lambda: Crossing(index=3, pair=("A", "A")),
+            "crossing 3: components must be distinct "
+            "(transversal self-intersections are not modelled)",
+        ),
+        (
+            lambda: Crossing(index=3, pair=(_ComponentId("A"), "A")),
+            "crossing 3: components must be distinct "
+            "(transversal self-intersections are not modelled)",
+        ),
         (
             lambda: _two_components(crossings=(), pair_counts=((("A", "Z"), 0),)),
             "declared pair ('A', 'Z') references unknown components",
@@ -574,6 +601,10 @@ def _bad_sheet_index_before_dangling_key():
     ],
     ids=[
         "crossing_pair_member",
+        "crossing_pair_list",
+        "crossing_pair_of_three",
+        "crossing_pair_equal",
+        "crossing_pair_equal_subclass",
         "declared_pair_unknown",
         "points_above_duplicate",
         "ramification_duplicate_before_points_key",

@@ -283,6 +283,52 @@ def test_cli_invariants_hostile_input_exits_2(capsys, tmp_path, content, message
     assert err.count("\n") == 1
 
 
+# Runs `ramcov invariants` in a fresh interpreter, at the stack depth of the
+# command line, on identity.json with the list at cover.<field>[key] replaced
+# by lists nested `depth` deep, for depth = 900, 901, ... until the decoder
+# refuses the nesting.  The loader keys each such list on its repr.
+_NESTED_LISTS = """
+import contextlib, io, json, sys
+from ramcov.cli import main
+source, target, field, key = sys.argv[1:]
+doc = json.loads(open(source).read())
+doc["cover"][field][key] = "NESTED"
+runs = []
+for depth in range(900, 2000):
+    with open(target, "w") as fh:
+        fh.write(json.dumps(doc).replace('"NESTED"', "[" * depth + "]" * depth))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["invariants", target])
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    runs.append([depth, code, out.getvalue(), err.getvalue()])
+    if "nesting too deep" in err.getvalue():
+        break
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("field,key", [("points_above", "0"), ("ramification", "D1")])
+def test_cli_invariants_refuses_lists_nested_up_to_the_decoders_limit(tmp_path, field, key):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _NESTED_LISTS, str(COVERS / "identity.json"),
+         str(tmp_path / "nested.json"), field, key],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert runs[0][3] == f"error: cover.{field}[{key!r}][0]: expected an object (got list)\n"
+    assert runs[-1][3] == "error: not valid JSON: nesting too deep\n"
+    for depth, code, out, err in runs:
+        assert (code, out) == (2, ""), depth
+        assert err.startswith("error: ") and err.count("\n") == 1, depth
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_cli_invariants_report_past_digit_limit_exits_2(capsys, tmp_path, flags):
     # Each input has 4001 digits, under the interpreter's limit of 4300 for

@@ -20,6 +20,12 @@ lives in:
   under one sheet with e = n and f = 1, and over each crossing one point
   whose lattice is generated by (n, 0) and (c, 1), with c drawn per
   crossing;
+* 4 documents that each repeat one sheet list or point list and retype one
+  value of the copy the loader reads last, so that the copy's decoded text
+  differs from the list it repeats while comparing equal to it: in
+  ``grid(6)`` (``perfbench/workloads.py``, seed 1) a point list's ``0`` as
+  ``false``, a point list's ``1`` as ``1.0`` and a sheet list's ``1`` as
+  ``true``; in ``repeated_points.json`` a sheet list's ``2`` as ``2.0``;
 * 100 faulty documents, drawn with a fixed seed: each is a shipped one
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
@@ -36,6 +42,8 @@ runs.  The other subcommands run on fixed arguments: ``verify`` at the five
 sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
+With the shipped documents of this checkout that is 1 503 runs over 186
+documents, 32 of them on the retyped documents.
 
 The script names every run whose exit code, stdout or stderr differ between
 the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
@@ -86,6 +94,15 @@ SHAPES_DOCUMENTS = 2
 SHAPES_K = 36
 SHAPES_N = 10_007
 SHAPES_SEED = 5
+RETYPED_K = 6
+# One value of a repeated list, retyped: the source document, the kind of
+# list, the route to the value within the list's first record, and the value.
+RETYPED = (
+    ("grid", "points_above", ("j",), False),
+    ("grid", "points_above", ("local", 1, 0), 1.0),
+    ("grid", "ramification", ("f",), True),
+    ("repeated_points", "ramification", ("f",), 2.0),
+)
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
 # writes [exit code, stdout, stderr] per run; an exception that escapes main
@@ -158,6 +175,29 @@ def many_shapes_documents(folder: pathlib.Path) -> list[pathlib.Path]:
         }
         path = folder / f"many_shapes_{i}.json"
         path.write_text(json.dumps({"base": base, "cover": cover}), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def retyped_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write the ``RETYPED`` documents into ``folder``."""
+    sources = {
+        "grid": _workloads().grid_document(RETYPED_K, random.Random(SEED)),
+        "repeated_points": (FOLDERS[2] / "repeated_points.json").read_text(encoding="utf-8"),
+    }
+    paths = []
+    for i, (source, kind, route, value) in enumerate(RETYPED):
+        doc = json.loads(sources[source])
+        lists = doc["cover"][kind]
+        # The copy read last: point lists in document order, sheet lists by id.
+        record = lists[list(lists)[-1] if kind == "points_above" else max(lists)][0]
+        *steps, last = route
+        for step in steps:
+            record = record[step]
+        assert record[last] == value and type(record[last]) is not type(value)
+        record[last] = value
+        path = folder / f"retyped_{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -274,6 +314,7 @@ def main(argv: list[str]) -> int:
         documents = shipped + workload_documents(pathlib.Path(tmp))
         documents += faulty_documents(shipped, pathlib.Path(tmp))
         documents += many_shapes_documents(pathlib.Path(tmp))
+        documents += retyped_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
