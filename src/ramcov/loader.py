@@ -41,31 +41,36 @@ kernel of ``(s, t) -> s g_i + t g_j``, so every point over that crossing,
 and over every crossing of two components with the same sheets, carries the
 same local data, and a document repeats one sheet list and one point list
 many times.  Each parse keeps one memo.  A sheet list or a point list is
-keyed first by its decoded text, ``repr`` of the decoded list: a list met
-before gets the tuple built for it, with no record checked and no path
-formatted (see :func:`_shared_records`).  The key is ``repr`` and not
-equality because ``==`` and ``hash`` take ``true``, ``1.0`` and ``1`` for
-one value, which only the last of them passes; on decoded JSON values
-``repr`` is exact in type and value, so equal keys mean equal verdicts.  It
-cannot meet the digit limit, since the decoder refused any longer integer
-literal, nor recurse deeper than the decoder did, as a test checks at every
-depth the decoder accepts.  Only a list that passed every check is stored.
-A list met for the first time is checked record by record.  Once a sheet or
-point record, or a point's local data, has passed every per-record check,
-its exact ``int`` values key the object built from them, and a later equal
-record gets that object without a second constructor call (see
-:func:`_build`).  The list is then keyed also by the identities of its
-records, never by their contents, so lists that differ only in key order
-share one tuple, and ``cover.sheets_for`` and ``cover.points_for`` give one
-tuple per distinct list.  The memo lives for the one call, so two parses
-share no object.  The walk and the report writer key their per-crossing and
-per-point work on these identities.  Lattices are keyed by their generators
-as given, so the two forms above still load to two objects.
+keyed first by ``marshal.dumps`` of the decoded list: a list met before
+gets the tuple built for it, with no record checked and no path formatted
+(see :func:`_shared_records`).  The key is not equality, because ``==`` and
+``hash`` take ``true``, ``1.0`` and ``1`` for one value, which only the
+last of them passes.  ``marshal.loads`` gives back the list, type for type,
+so equal bytes mean equal verdicts; marshal may write one value two ways,
+as its back-references follow reference counts, and that costs only a miss.
+It is ``marshal`` and not ``repr``, exact too, because it costs about a
+third as much, and on a document that repeats few lists the key is pure
+cost.  It cannot meet the digit limit, since the decoder refused any longer
+integer literal, nor marshal's nesting limit of 2 000, about twice the
+depth the decoder accepts; a test runs every depth it accepts.  Only a list
+that passed every check is stored.  A list met for the first time is
+checked record by record.  Once a sheet or point record, or a point's local
+data, has passed every per-record check, its exact ``int`` values key the
+object built from them, and a later equal record gets that object without a
+second constructor call (see :func:`_build`).  The list is then keyed also
+by the identities of its records, never by their contents, so lists that
+differ only in key order share one tuple, and ``cover.sheets_for`` and
+``cover.points_for`` give one tuple per distinct list.  The memo lives for
+the one call, so two parses share no object.  The walk and the report
+writer key their per-crossing and per-point work on these identities.
+Lattices are keyed by their generators as given, so the two forms above
+still load to two objects.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from functools import partial
 from typing import AbstractSet, Any, Callable
 
@@ -246,8 +251,8 @@ def _shared_records(
 ) -> tuple:
     """The records of the list at ``prefix[key]``, one tuple per distinct list in a parse.
 
-    The ``memo`` keys a list first by ``make`` and the ``repr`` of its decoded
-    value.  On a miss the list is checked by :func:`_records`, its path
+    The ``memo`` keys a list first by ``make`` and ``marshal.dumps`` of its
+    decoded value.  On a miss the list is checked by :func:`_records`, its path
     formatted only then, and a list whose records are the same objects as
     those of an earlier list is that list's tuple: that key is the records'
     identities, which the memo keeps alive.  A one-record list, the common
@@ -255,12 +260,12 @@ def _shared_records(
     memo key equals.  A list that fails a check raises before either key is
     stored.
     """
-    text = (make, repr(value))
-    records = memo.get(text)
+    coded = (make, marshal.dumps(value))
+    records = memo.get(coded)
     if records is None:
         records = _records(make, value, f"{prefix}[{key!r}]", table, memo)
         ids = id(records[0]) if len(records) == 1 else (_records, *map(id, records))
-        records = memo[text] = memo.setdefault(ids, records)
+        records = memo[coded] = memo.setdefault(ids, records)
     return records
 
 

@@ -116,12 +116,11 @@ class Crossing:
     def __post_init__(self) -> None:
         check_int(self.index, "crossing index", minimum=0)
         pair = self.pair
-        if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is str:
-            pass  # the common case, decided without the isinstance checks
-        elif (
+        if (
             not isinstance(pair, tuple)
             or len(pair) != 2
-            or not all(isinstance(c, str) for c in pair)
+            or not isinstance(pair[0], str)
+            or not isinstance(pair[1], str)
         ):
             raise InvalidInputError(f"crossing {self.index}: pair must be two component ids")
         if pair[0] == pair[1]:

@@ -846,7 +846,7 @@ def test_a_repeated_local_does_not_excuse_its_record(edit, message):
     assert str(info.value) == message
 
 
-# The loader keys a sheet or point list first on its decoded text
+# The loader keys a sheet or point list first on its marshal bytes
 # (loader._shared_records).  grid(6) repeats one sheet list and one point list;
 # a copy of either, retyped in one value, must be judged as a list of its own,
 # whether it comes before or after the shared list is stored.

@@ -521,8 +521,8 @@ class _ComponentId(str):
 
 
 def test_a_crossing_of_str_subclass_ids_is_accepted():
-    # Crossing.__post_init__ decides exact str pairs first; a subclass takes
-    # the isinstance branch and passes it.
+    # Crossing.__post_init__ judges each id with isinstance, so a str
+    # subclass passes.
     pair = (_ComponentId("A"), _ComponentId("B"))
     assert Crossing(index=0, pair=pair).pair == ("A", "B")
     assert Crossing(index=1, pair=("A", _ComponentId("B"))).pair == ("A", "B")

@@ -286,7 +286,7 @@ def test_cli_invariants_hostile_input_exits_2(capsys, tmp_path, content, message
 # Runs `ramcov invariants` in a fresh interpreter, at the stack depth of the
 # command line, on identity.json with the list at cover.<field>[key] replaced
 # by lists nested `depth` deep, for depth = 900, 901, ... until the decoder
-# refuses the nesting.  The loader keys each such list on its repr.
+# refuses the nesting.  The loader keys each such list on its marshal bytes.
 _NESTED_LISTS = """
 import contextlib, io, json, sys
 from ramcov.cli import main

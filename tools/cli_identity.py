@@ -21,8 +21,8 @@ lives in:
   whose lattice is generated by (n, 0) and (c, 1), with c drawn per
   crossing;
 * 4 documents that each repeat one sheet list or point list and retype one
-  value of the copy the loader reads last, so that the copy's decoded text
-  differs from the list it repeats while comparing equal to it: in
+  value of the copy the loader reads last, so that the copy compares equal
+  to the list it repeats while one of its values has another type: in
   ``grid(6)`` (``perfbench/workloads.py``, seed 1) a point list's ``0`` as
   ``false``, a point list's ``1`` as ``1.0`` and a sheet list's ``1`` as
   ``true``; in ``repeated_points.json`` a sheet list's ``2`` as ``2.0``;
