@@ -20,10 +20,11 @@ A crossing's numbers depend only on its two sheet lists and its points,
 so the walk computes them, with their verdicts and findings as data, once
 per distinct ``(id(first sheets), id(second sheets), id(points))`` (see
 :func:`_crossing_shape`); the loader gives equal lists one tuple.  Each
-crossing then only gets its labels: receipt names, finding messages and
-``error``.  The memo keys on identity, never on list contents, keeps at
-most ``_SHAPES_KEPT`` shapes and lives for one walk, so a model whose
-crossings share nothing pays once per crossing.
+crossing then gets only its index and shape number in the receipts, and
+its label ``crossing {index}`` only when it has a finding or an ``error``.
+The memo keys on identity, never on list contents, keeps at most
+``_SHAPES_KEPT`` shapes and lives for one walk, so a model whose crossings
+share nothing pays once per crossing.
 
 The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
 the only terms of the totals: each crossing shape adds its ``s``, point
@@ -45,9 +46,10 @@ cover.
 The walk's findings are :func:`~ramcov.model.validate`'s, and its
 certificate, which carries the receipts so a failure localizes, is
 :func:`degree_linear_certificate`'s; :func:`invariant_report` is the
-certificate's report alone.  Every receipt is one plain row ``(name, value,
-bound, per_degree, ok)``, named and decided once, where the walk emits it;
-the certificate's verdicts and both reports read the rows.  Beside them sit
+certificate's report alone.  Every receipt reads as one plain row
+``(name, value, bound, per_degree, ok)``, decided once, where the walk
+emits it, and stored by crossing shape (see :class:`Receipts`); the
+certificate's verdicts and both reports read the rows.  Beside them sit
 an Arakelov-type bound for semistable fibrations and a logarithmic height
 bound for plane models, the single place the package leaves exact
 arithmetic (flagged as such).
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import decimal
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,6 +75,7 @@ from .model import check_references, derived_euler_data
 __all__ = [
     "InvariantReport",
     "BoundCertificate",
+    "Receipts",
     "FibrationInputs",
     "deg_det",
     "invariant_report",
@@ -144,8 +148,9 @@ class InvariantReport:
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
     """The report of :func:`degree_linear_certificate`'s walk.
 
-    It runs the whole walk, receipts included, and returns only its report;
-    a caller that needs the receipts too should ask for the certificate.
+    It runs the whole walk and returns only its report; a caller that needs
+    the receipts too should ask for the certificate.  The receipts it drops
+    are stored by crossing shape, at two list entries per crossing.
     """
     return degree_linear_certificate(base, cover).report
 
@@ -155,7 +160,7 @@ def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
 
     The ``deg_det`` of :func:`invariant_report`; for geometrically
     consistent input it is an integer.  Like :func:`invariant_report`, it
-    runs the whole walk, receipts included.
+    runs the whole walk, whose receipts are stored by crossing shape.
     """
     return invariant_report(base, cover).deg_det
 
@@ -256,6 +261,64 @@ def _within(value, bound) -> bool:
     return abs(value.numerator) * bound.denominator <= bound.numerator * value.denominator
 
 
+class Receipts(Sequence):
+    """A certificate's receipts, stored by crossing shape and named when read.
+
+    The rows are ``head``, the component rows; per crossing ``indices[k]``
+    the three rows ``shape_rows[shapes[k]]``, named after ``KINDS``
+    (``rr_cross[crossing 12]``, ``correction[crossing 12]`` and
+    ``exceptional_s[crossing 12]``); and ``tail``, the ``deg_det`` rows.  A
+    row ``(name, value, bound, per_degree, ok)`` is built when read, and
+    indexing, slicing, iteration, ``==`` and ``hash`` are the row tuple's.
+    Every shape is some crossing's, so :attr:`satisfied` reads each once.
+    """
+
+    __slots__ = ("head", "indices", "shapes", "shape_rows", "tail")
+    KINDS = ("rr_cross", "correction", "exceptional_s")
+
+    def __init__(self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple):
+        self.head, self.indices, self.shapes = head, indices, shapes
+        self.shape_rows, self.tail = shape_rows, tail
+
+    def __len__(self) -> int:
+        return len(self.head) + 3 * len(self.indices) + len(self.tail)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        size = len(self)
+        k = range(size)[k]  # as a tuple takes k, or its IndexError or TypeError
+        crossing, row = divmod(k - len(self.head), 3)
+        if crossing < 0:
+            return self.head[k]
+        if crossing >= len(self.indices):
+            return self.tail[k - size]
+        name = f"{self.KINDS[row]}[crossing {self.indices[crossing]}]"
+        return (name, *self.shape_rows[self.shapes[crossing]][row])
+
+    def __iter__(self):
+        yield from self.head
+        for index, shape in zip(self.indices, self.shapes):
+            for kind, row in zip(self.KINDS, self.shape_rows[shape]):
+                yield (f"{kind}[crossing {index}]", *row)
+        yield from self.tail
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, Receipts)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    @property
+    def satisfied(self) -> bool:
+        return all(row[-1] for rows in (self.head, *self.shape_rows, self.tail) for row in rows)
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """Receipts showing |deg_det| is linearly bounded in the cover degree.
@@ -263,23 +326,26 @@ class BoundCertificate:
     ``linear_coefficient`` is assembled from the base configuration alone
     (its Euler data is ``derived_base``), so one coefficient serves every
     cover of the same base.  ``receipts`` instantiate the individual
-    estimates that make the aggregate work, one plain row ``(name, value,
-    bound, per_degree, ok)`` each, in report order, with the verdict
-    ``|value| <= bound`` decided where the walk emits it; ``satisfied``
-    holds exactly when every verdict does.  The rows have a positional
-    contract, which :func:`examine` keeps and a certificate built by hand
-    must keep too: the last row compares ``deg_det`` with
-    ``linear_coefficient * degree``, except that when ``fibration_bound``
-    is set the row comparing ``deg_det`` with it comes last and the linear
-    row just before it.  ``linear_row`` is the one reader of that
-    position.  ``deg_det_within_linear`` and ``deg_det_within_fibration``
-    are those rows' verdicts, read by position with no comparison of their
-    own, and the text report's ``c*d`` is the linear row's bound.
-    ``report`` is summed in the walk that emits the receipts; its
-    ``deg_det`` is the certificate's.
+    estimates that make the aggregate work, one row ``(name, value, bound,
+    per_degree, ok)`` each, in report order, with the verdict ``|value| <=
+    bound`` decided where the walk emits it; ``satisfied`` holds exactly
+    when every verdict does.  :func:`examine` stores them by crossing shape,
+    as :class:`Receipts`, whose rows are named when read or written, and
+    decides ``satisfied`` once per shape; a certificate built by hand may
+    give a plain tuple of rows.  The rows have a positional contract, which
+    :func:`examine` keeps and a certificate built by hand must keep too:
+    the last row compares ``deg_det`` with ``linear_coefficient * degree``,
+    except that when ``fibration_bound`` is set the row comparing
+    ``deg_det`` with it comes last and the linear row just before it.
+    ``linear_row`` is the one reader of that position.
+    ``deg_det_within_linear`` and ``deg_det_within_fibration`` are those
+    rows' verdicts, read by position with no comparison of their own, and
+    the text report's ``c*d`` is the linear row's bound.  ``report`` is
+    summed in the walk that emits the receipts; its ``deg_det`` is the
+    certificate's.
     """
 
-    receipts: tuple[tuple, ...]
+    receipts: Union[Receipts, tuple[tuple, ...]]
     linear_coefficient: Fraction
     degree: int
     report: InvariantReport
@@ -293,6 +359,8 @@ class BoundCertificate:
 
     @cached_property
     def satisfied(self) -> bool:
+        if isinstance(self.receipts, Receipts):
+            return self.receipts.satisfied
         return all(ok for *_, ok in self.receipts)
 
     @property
@@ -357,23 +425,21 @@ def _crossing_shape(
     points: tuple,
     strict: bool,
     classified: dict,
-    tallies: dict,
 ) -> tuple:
     """What one crossing gives :func:`examine`, from its sheets and points alone.
 
-    Returns ``(faults, problem, cross, cross_ok, correction, bound,
-    correction_ok, s, s_ok, tally)``.  ``faults`` holds its V2 to V5
-    findings as data, ``(code, where, before, side, after)``: the walk
+    Returns ``(faults, problem, rows, tally)``.  ``faults`` holds its V2 to
+    V5 findings as data, ``(code, where, before, side, after)``: the walk
     names a finding ``(at, where)``, or ``(at,)`` when ``where`` is empty,
     and its message is ``at + before + repr(pair[side]) + after``, with no
     component id when ``side`` is None.  ``problem`` is the first range or
     gcd problem of a point's local type, or None; the numbers are summed
-    only up to it.  Then come the receipts' numbers: the cross term and its
-    verdict, the correction, its bound and its verdict, and the exceptional
-    curve count ``s`` and its verdict.  ``tally`` numbers ``(s, points,
-    cross.numerator, cross.denominator, correction.numerator,
-    correction.denominator)`` in ``tallies``, which gives equal tallies one
-    number.  ``classified`` is the walk's memo of each distinct ``local``
+    only up to it.  ``rows`` are its three receipts less their names (see
+    :class:`Receipts`): the cross term, the correction and the
+    exceptional curve count ``s``, each with its bound, per-degree factor
+    and verdict.  ``tally`` is ``(s, points, cross.numerator,
+    cross.denominator, correction.numerator, correction.denominator)``,
+    which the walk sums.  ``classified`` is the walk's memo of each distinct ``local``
     value: its type, that type's problems and, at a valid quotient point,
     ``(chain length, correction)`` from
     :func:`~ramcov.hj.resolution_numbers`, else None.  A sheet index out of
@@ -449,14 +515,14 @@ def _crossing_shape(
                     f"{off} of {len(sheets)} sheet(s) off"
                 )))
     twice, bound = 2 * d, max(d, 2 * len(points))
-    return (
-        tuple(faults), problem,
-        cross, _within(cross, twice),
-        correction, bound, _within(correction, bound),
-        s, _within(s, d),
-        tallies.setdefault((s, len(points), cross.numerator, cross.denominator,
-                            correction.numerator, correction.denominator), len(tallies)),
+    rows = (
+        (cross, twice, 2, _within(cross, twice)),
+        (correction, bound, 2, _within(correction, bound)),
+        (s, d, 1, _within(s, d)),
     )
+    tally = (s, len(points), cross.numerator, cross.denominator,
+             correction.numerator, correction.denominator)
+    return tuple(faults), problem, rows, tally
 
 
 def examine(
@@ -479,6 +545,8 @@ def examine(
     itself against ``linear_coefficient * d``.  When fibration inputs are
     supplied the comparison against the semistable bound is appended as a
     receipt as well.  The same values are summed into the carried report.
+    The receipts are stored by crossing shape (see :class:`Receipts`); a
+    crossing is named only in a finding, in ``error`` or when read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, is computed once per walk, and within those each
@@ -502,12 +570,11 @@ def examine(
             and cover._points.keys() <= base._crossings.keys()):
         check_references(base, cover)
     d = cover.degree
-    twice = 2 * d
     zero = Fraction(0)
     found: list[Violation] = []
     error: Optional[str] = None
 
-    receipts = []  # (name, value, bound, per_degree, ok), in report order
+    head = []  # the component rows, (name, value, bound, per_degree, ok) each
     diagonals = []
     b_mults = []
     d_sums = []  # d_i = sum_j f_ij, in component order
@@ -527,57 +594,60 @@ def examine(
         b_dot_f += b_mult * comp.fiber_deg
         rr += diagonal * comp.self_int
         d_sums.append(sum(s.f for s in sheets))
-        receipts.append((f"branch_mult[{comp.id}]", b_mult, d, 1, _within(b_mult, d)))
+        head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, _within(b_mult, d)))
         diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, _within(diagonal, d)))
-    receipts += diagonals
+    head += diagonals
 
     # a point's local data -> its local type, that type's problems and its
     # (chain length, correction) at a valid quotient point, else None
     classified: dict = {}
-    # (id(first sheets), id(second sheets), id(points)) -> the numbers of that
-    # crossing shape (see _crossing_shape), for the first _SHAPES_KEPT shapes met
+    # (id(first sheets), id(second sheets), id(points)) -> (faults, problem,
+    # shape number) of that crossing shape, for the first _SHAPES_KEPT shapes met
     shapes: dict[tuple[int, int, int], tuple] = {}
-    # a shape's tally (see _crossing_shape) -> its number, in the order met
-    tallies: dict[tuple, int] = {}
-    summed = []  # the tally number of each crossing summed
+    shape_rows = []  # per shape number, its crossings' three rows less their names
+    shape_tallies = []  # per shape number, its tally (see _crossing_shape)
+    indices = []  # the index of each crossing summed
+    numbers = []  # and its shape number
     for crossing in base.crossings:
-        pair = first_id, second_id = crossing.pair
+        first_id, second_id = crossing.pair
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
         key = (id(first), id(second), id(points))
         shape = shapes.get(key)
         if shape is None:
-            shape = _crossing_shape(
-                base, cover, first, second, points, strict, classified, tallies
+            faults, problem, rows, tally = _crossing_shape(
+                base, cover, first, second, points, strict, classified
             )
+            shape = (faults, problem, len(shape_rows))
+            shape_rows.append(rows)
+            shape_tallies.append(tally)
             if len(shapes) < _SHAPES_KEPT:
                 shapes[key] = shape
-        faults, problem, cross, cross_ok, correction, bound, correction_ok, s, s_ok, tally = shape
-        at = f"crossing {crossing.index}"
-        for code, where, before, side, after in faults:
-            found.append(Violation(code, (at, where) if where else (at,), (
-                f"{at}{before}{after}" if side is None else f"{at}{before}{pair[side]!r}{after}"
-            )))
-        if problem is not None and error is None:
-            error = f"{at}: invalid local type: {problem}"
+        faults, problem, number = shape
+        if faults or problem is not None:
+            at = f"crossing {crossing.index}"
+            for code, where, before, side, after in faults:
+                found.append(Violation(code, (at, where) if where else (at,), (
+                    f"{at}{before}{after}" if side is None
+                    else f"{at}{before}{crossing.pair[side]!r}{after}"
+                )))
+            if problem is not None and error is None:
+                error = f"{at}: invalid local type: {problem}"
         if error is not None:
             continue
-        summed.append(tally)
-        receipts += (
-            (f"rr_cross[{at}]", cross, twice, 2, cross_ok),
-            (f"correction[{at}]", correction, bound, 2, correction_ok),
-            (f"exceptional_s[{at}]", s, d, 1, s_ok),
-        )
+        indices.append(crossing.index)
+        numbers.append(number)
     found.sort()
     if error is not None:
         return found, None, error
 
     # each tally's numbers, times the number of crossings summed with it
+    tallied: Counter = Counter()
+    for number, count in Counter(numbers).items():
+        tallied[shape_tallies[number]] += count
     s_total = n_points = 0
     correction_total = zero
-    numbered = list(tallies)
-    for number, count in Counter(summed).items():
-        s, on, cross_num, cross_den, correction_num, correction_den = numbered[number]
+    for (s, on, cross_num, cross_den, correction_num, correction_den), count in tallied.items():
         s_total += count * s
         n_points += count * on
         rr += Fraction(count * cross_num, cross_den)
@@ -601,17 +671,17 @@ def examine(
 
     dd = report.deg_det
     coeff = _linear_coefficient(base, euler)
-    receipts.append(("deg_det_vs_linear", dd, coeff * d, coeff, _within(dd, coeff * d)))
+    tail = [("deg_det_vs_linear", dd, coeff * d, coeff, _within(dd, coeff * d))]
     fib_bound = None
     if fibration is not None:
         fi = fibration
         fib_bound = arakelov_degree_bound(fi.gF, fi.Dhor_dot_F, fi.gC, fi.nDC, fi.nS, d)
-        receipts.append(
+        tail.append(
             ("deg_det_vs_fibration", dd, fib_bound, Fraction(fib_bound, d), _within(dd, fib_bound))
         )
 
     certificate = BoundCertificate(
-        receipts=tuple(receipts),
+        receipts=Receipts(tuple(head), indices, numbers, tuple(shape_rows), tuple(tail)),
         linear_coefficient=coeff,
         degree=d,
         report=report,

@@ -280,10 +280,20 @@ def _crossing(value: Any, path: str) -> Crossing:
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
     components = _records(BranchComponent, obj["components"], "base.components", _COMPONENT)
-    crossings = [
-        _crossing(raw, f"base.crossings[{k}]")
-        for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings"))
-    ]
+    crossings = []
+    keys = _CROSSING.keys()
+    for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
+        # An exact record, the common case, passes every check of _crossing
+        # and Crossing's own: it is built with no per-field call and no path.
+        if type(raw) is dict and raw.keys() == keys:
+            index, pair = raw["index"], raw["pair"]
+            if (
+                type(index) is int and index >= 0 and type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str and pair[0] != pair[1]
+            ):
+                crossings.append(Crossing(index, (pair[0], pair[1])))
+                continue
+        crossings.append(_crossing(raw, f"base.crossings[{k}]"))
     pair_counts = _records(
         lambda pair, count: (pair, count),
         obj.get("pair_intersections", []),

@@ -20,22 +20,22 @@ nor the report as a whole is joined into one string.  Rendering ends before
 the first write, so a number past the interpreter's digit limit leaves
 stdout empty.
 
-Three members grow with the crossings and write themselves, one chunk per
-record: ``certificate.terms`` (three receipts per crossing) and, in the
+Three members grow with the crossings and write themselves, chunk by
+chunk: ``certificate.terms`` (three receipts per crossing) and, in the
 echoed document, ``base.crossings`` and ``cover.points_above``; a dict per
 record, walked container by container, took longer than loading the
 document and computing its certificate together.  The terms are the
-certificate's receipts, rows of names, numbers and verdicts: the written
-text and each line of the text report's certificate copy them as the walk
-stored them.  Two memos save repeated formatting, each living for one call
-of its member's writer, that is for one render:
+certificate's receipts, rows of names, numbers and verdicts, which the walk
+stores by crossing shape and names when they are read or written.  Each
+line of the text report's certificate is one row as it is read.  Two
+writers format each shared part once per render:
 
 * ``cover.points_above`` keys each point list's text on the identity of its
   tuple, and the loader gives equal point lists one tuple, so a shared list
   is formatted once and its one string appended for every crossing over it;
-* ``certificate.terms`` keys the text around a receipt's name on the
-  identities of its value, bound and per-degree objects and its verdict,
-  which crossings of one shape share, keeping at most ``_TERMS_KEPT`` texts.
+* ``certificate.terms`` formats each crossing shape's three records once,
+  as a template, and writes a crossing's three records as one string, its
+  index spliced into the three names.
 
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
@@ -56,7 +56,7 @@ from typing import Optional, Union
 
 from . import __version__
 from .errors import InvalidInputError
-from .invariants import BoundCertificate
+from .invariants import BoundCertificate, Receipts
 from .local_cover import LatticeSubgroup
 from .model import BaseGeometry, CoverDescription, EulerData, Violation, derived_euler_data
 
@@ -164,39 +164,46 @@ def _write_list(records, depth: int, out: list) -> None:
     out.append("[]" if sep is opening else _newline(depth) + "]")
 
 
-#: The texts :func:`_write_terms` keeps, so that a certificate whose
-#: receipts share no value object holds no more than this many at once.
-_TERMS_KEPT = 1024
-
-
 def _write_terms(receipts, depth: int, out: list) -> None:
-    """``certificate.terms``, opened at ``depth``: one chunk per receipt.
+    """``certificate.terms``, opened at ``depth``.
 
-    Receipts of crossings of one shape hold the same value, bound and
-    verdict objects, so the text around a receipt's name is written once per
-    distinct ``(value, bound, per_degree, ok)`` objects, for the first
-    ``_TERMS_KEPT`` met; the memo keys on their identities and lives for this
-    one call.
+    :class:`~ramcov.invariants.Receipts` keep each crossing shape's three
+    rows once, less their names: each shape's rows are written once, as a
+    template of the three records, and each crossing is one chunk, its index
+    spliced into the three names.  Every other row, and every row of a plain
+    tuple, which is taken as the head of a ``Receipts``, is one chunk.
     """
     end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
-    written: dict[tuple, tuple[str, str]] = {}  # ids of a row's numbers -> text around its name
 
-    def records():
-        for name, value, bound, per_degree, ok in receipts:
-            numbers = (id(value), id(bound), id(per_degree), ok)
-            around = written.get(numbers)
-            if around is None:
-                around = (
-                    f'{{{key}"bound": "{bound!s}",{key}"name": ',
-                    f',{key}"ok": {verdict[ok]},{key}"per_degree": "{per_degree!s}",'
-                    f'{key}"value": "{value!s}"{end}}}',
-                )
-                if len(written) < _TERMS_KEPT:
-                    written[numbers] = around
-            yield f"{around[0]}{encode_basestring_ascii(name)}{around[1]}"
+    def record(name: str, value, bound, per_degree, ok) -> str:
+        """The record of one row whose name, already written as JSON, is ``name``."""
+        return (
+            f'{{{key}"bound": "{bound!s}",{key}"name": {name},{key}"ok": {verdict[ok]},'
+            f'{key}"per_degree": "{per_degree!s}",{key}"value": "{value!s}"{end}}}'
+        )
 
-    _write_list(records(), depth, out)
+    def records(rows):
+        return (record(encode_basestring_ascii(name), *numbers) for name, *numbers in rows)
+
+    if not isinstance(receipts, Receipts):
+        receipts = Receipts(tuple(receipts), [], [], (), ())
+    # Per shape, the text of its three records, split where an index goes.
+    templates = [
+        f",{end}".join(
+            record(f'"{kind}[crossing \0]"', *row) for kind, row in zip(Receipts.KINDS, rows)
+        ).split("\0")
+        for rows in receipts.shape_rows
+    ]
+
+    def chunks():
+        yield from records(receipts.head)
+        for index, shape in zip(receipts.indices, receipts.shapes):
+            a, b, c, d = templates[shape]
+            yield f"{a}{index}{b}{index}{c}{index}{d}"
+        yield from records(receipts.tail)
+
+    _write_list(chunks(), depth, out)
 
 
 def _write_crossings(crossings, depth: int, out: list) -> None:

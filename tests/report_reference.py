@@ -4,11 +4,66 @@
 the tests hold the package's JSON writer to, byte for byte.  The builder reads
 the model and the certificate and names every key itself; it shares no code
 with the writer in ``ramcov.report``.
+
+:func:`reference_receipts` is the eager twin of a certificate's receipts:
+every row a plain tuple, named and decided as it is built.
 """
 
+from fractions import Fraction
+
 from ramcov import __version__
-from ramcov.local_cover import LatticeSubgroup
+from ramcov.hj import SingularityType, resolve
+from ramcov.local_cover import LatticeSubgroup, local_type
 from ramcov.report import FIBRATION_HYPOTHESES, fmt_rational
+
+
+def reference_receipts(base, cover, certificate) -> tuple:
+    """The rows of ``certificate``, a walk's of ``base`` and ``cover``, built one by one.
+
+    Each component and each crossing gets its rows from the model, point by
+    point, every point classified with ``local_type`` and resolved with
+    ``resolve``, every verdict decided with ``Fraction``'s ``abs`` and
+    ``<=``; the ``deg_det`` rows read the certificate's ``deg_det``, linear
+    coefficient and fibration bound.
+    """
+    d = cover.degree
+
+    def row(name, value, bound, per_degree):
+        return (name, value, bound, per_degree, abs(Fraction(value)) <= Fraction(bound))
+
+    rows = [
+        row(f"branch_mult[{c.id}]", sum((s.e - 1) * s.f for s in cover.sheets_for(c.id)), d, 1)
+        for c in base.components
+    ]
+    rows += [
+        row(f"rr_diagonal_factor[{c.id}]",
+            sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in cover.sheets_for(c.id)), Fraction(0)),
+            d, 1)
+        for c in base.components
+    ]
+    for x in base.crossings:
+        first, second = (cover.sheets_for(cid) for cid in x.pair)
+        points = cover.points_for(x.index)
+        cross, correction, s = Fraction(0), Fraction(0), 0
+        for pt in points:
+            lt = local_type(pt.local) if isinstance(pt.local, LatticeSubgroup) else pt.local
+            cross += Fraction(2 * (first[pt.j].e - 1) * (second[pt.jp].e - 1), lt.n)
+            if lt.n > 1:
+                resolved = resolve(SingularityType(lt.n, lt.q))
+                correction += resolved.correction
+                s += len(resolved.chain.b)
+        at = f"crossing {x.index}"
+        rows += [
+            row(f"rr_cross[{at}]", cross, 2 * d, 2),
+            row(f"correction[{at}]", correction, max(d, 2 * len(points)), 2),
+            row(f"exceptional_s[{at}]", s, d, 1),
+        ]
+    dd, c = certificate.deg_det, certificate.linear_coefficient
+    rows.append(row("deg_det_vs_linear", dd, c * d, c))
+    if certificate.fibration_bound is not None:
+        bound = certificate.fibration_bound
+        rows.append(row("deg_det_vs_fibration", dd, bound, Fraction(bound, d)))
+    return tuple(rows)
 
 
 def _local(local):

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from ramcov.model import (
     check_references, derived_euler_data, validate,
 )
 from ramcov.report import ReportDocument
+from report_reference import reference_receipts
 from twins import twin
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -757,6 +759,107 @@ def test_every_verdict_is_its_value_within_its_bound(load, fibration):
     for name, value, bound, _, ok in cert.receipts:
         assert ok is (abs(Fraction(value)) <= Fraction(bound)), name
     assert cert.satisfied == all(ok for *_, ok in cert.receipts)
+
+
+def _many_shapes():
+    """A Z/n cover of P1 x P1 with more crossing shapes than the walk keeps.
+
+    n = 10 007, branched on 36 fibres and 36 sections, each under one sheet
+    with e = n and f = 1; over each crossing one point whose lattice is
+    generated by (n, 0) and (c, 1), with c drawn per crossing.
+    """
+    k, n = 36, 10_007
+    rnd = random.Random(5)
+    lines = [f"F{i}" for i in range(k)] + [f"S{i}" for i in range(k)]
+    doc = {
+        "base": {
+            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
+            "components": [
+                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c[0] == "S")}
+                for c in lines
+            ],
+            "crossings": [
+                {"index": k * i + j, "pair": [f"F{i}", f"S{j}"]} for i in range(k) for j in range(k)
+            ],
+        },
+        "cover": {
+            "degree": n,
+            "ramification": {c: [{"e": n, "f": 1}] for c in lines},
+            "points_above": {
+                str(x): [{"j": 0, "jp": 0, "local": [[n, 0], [rnd.randrange(1, n), 1]]}]
+                for x in range(k * k)
+            },
+        },
+    }
+    base, cover = parse_cover_json(json.dumps(doc))
+    assert len({id(points) for _, points in cover.points_above}) > invariants._SHAPES_KEPT
+    return base, cover
+
+
+def _one_failing_crossing():
+    """The identity cover with an A_4 point over crossing 0: only its ``s`` receipt fails."""
+    base, cover = identity_cover()
+    point = PointAbove(0, 0, LocalCoverType(5, 4, 1, 1))
+    points_above = tuple(
+        (idx, (point,) if idx == 0 else points) for idx, points in cover.points_above
+    )
+    return base, dataclasses.replace(cover, points_above=points_above)
+
+
+_EV = FibrationInputs(1, 2, 0, 2, 3)
+_CONTRACT = [
+    *((f"{p.parent.name}/{p.name}", lambda p=p: load_cover_path(str(p))) for p in _SHIPPED),
+    ("many_shapes", _many_shapes),
+    ("one_failing_crossing", _one_failing_crossing),
+]
+
+
+def _receipts_contract(base, cover, strict, fibration):
+    violations, cert, error = examine(base, cover, fibration, strict=strict)
+    assert error is None
+    rows = reference_receipts(base, cover, cert)
+    receipts = cert.receipts
+    assert isinstance(receipts, invariants.Receipts)
+    assert list(receipts) == list(rows)
+    assert len(receipts) == len(rows)
+    for k in (0, -1, -2):
+        assert receipts[k] == rows[k]
+    assert [receipts[k] for k in range(-len(rows), len(rows))] == list(rows) * 2
+    assert receipts[-2:] == rows[-2:]
+    assert receipts == rows and rows == receipts and not receipts != rows
+    assert hash(receipts) == hash(rows)
+    with pytest.raises(IndexError):
+        receipts[len(rows)]
+    with pytest.raises(IndexError):
+        receipts[-len(rows) - 1]
+    # A certificate built by hand from the plain tuple is equal and reads alike.
+    plain = dataclasses.replace(cert, receipts=rows)
+    assert plain == cert and hash(plain) == hash(cert)
+    assert cert.linear_row == plain.linear_row == rows[-1 if fibration is None else -2]
+    assert cert.satisfied == plain.satisfied == all(ok for *_, ok in rows)
+    assert cert.deg_det_within_linear == plain.deg_det_within_linear
+    assert cert.deg_det_within_fibration == plain.deg_det_within_fibration
+    return [
+        (doc.to_text(), "".join(doc.to_json()))
+        for doc in (ReportDocument(strict, base, cover, tuple(violations), c) for c in (cert, plain))
+    ]
+
+
+@pytest.mark.parametrize("fibration", [None, _EV], ids=["", "ev"])
+@pytest.mark.parametrize("strict", [False, True], ids=["standard", "strict"])
+@pytest.mark.parametrize("load", [c[1] for c in _CONTRACT], ids=[c[0] for c in _CONTRACT])
+def test_receipts_by_shape_read_as_the_eager_rows(load, strict, fibration):
+    # Receipts stored by crossing shape are, row for row, the tuple of rows
+    # an eager walk builds: in every reading, in the certificate's verdicts
+    # and, written from either, in both reports' bytes.
+    by_shape, plain = _receipts_contract(*load(), strict, fibration)
+    assert by_shape == plain
+
+
+def test_a_failing_crossing_row_alone_fails_the_certificate():
+    cert = examine(*_one_failing_crossing())[1]
+    assert [name for name, *_, ok in cert.receipts if not ok] == ["exceptional_s[crossing 0]"]
+    assert not cert.satisfied
 
 
 def test_one_module_names_the_receipts():

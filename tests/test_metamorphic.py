@@ -16,16 +16,21 @@
   its sheet.  The strict finding codes, the receipts and the report's
   totals must not change, up to the new ids and indices in the receipts'
   names and in ``B_mult``.
+* Base change.  Pulling the cover back along a curve ``C' -> C`` of degree
+  ``m`` with total ramification ``R``, branched away from the branch
+  configuration, multiplies ``deg_det`` by ``m``: flat base change gives
+  ``f'_* O_{Y'} = phi^* f_* O_Y`` (Hartshorne III.9.3).  The strict
+  finding codes must not change.
 
-Hypothesis picks the covers, the crossings to reverse, the pairs to join
-and the renamings.
+Hypothesis picks the covers, the crossings to reverse, the pairs to join,
+the renamings and the base changes.
 """
 
 import math
 import pathlib
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
@@ -33,7 +38,7 @@ from ramcov.golden import double_cover, identity_cover, power_map_cover
 from ramcov.invariants import FibrationInputs, degree_linear_certificate
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
-from ramcov.model import CoverDescription, Crossing, PointAbove, validate
+from ramcov.model import BaseGeometry, CoverDescription, Crossing, PointAbove, validate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -263,3 +268,72 @@ def test_permuting_a_components_sheets_changes_nothing(document, fibration, data
     perm = data.draw(st.permutations(range(n)).filter(lambda p: p != list(range(n))))
     permuted = _permute_sheets(base, cover, cid, perm)
     assert _summary(*permuted, fibration) == _summary(base, cover, fibration)
+
+
+def base_change(document, m: int, R: int):
+    """``document`` pulled back along a curve ``C' -> C`` of degree ``m`` and total ramification ``R``.
+
+    ``2 g_C' - 2 = m (2 g_C - 2) + R``, ``K_X'^2 = m K_X^2 + 2 R (K_X . F)``,
+    ``e(X') = m e(X) + R (K_X . F)`` and ``K_X' . F = K_X . F``.  A component
+    of fibre degree 0 becomes ``m`` copies with its numbers and sheets, named
+    ``id/t``.  A component of fibre degree ``k > 0`` keeps its id and sheets,
+    with ``2g' - 2 = m (2g - 2) + kR``, ``self' = m self`` and ``K.D' = m K.D
+    + kR``.  Crossing ``x`` becomes crossings ``m x + t``, on copy ``t`` of each
+    fibre component, each over the points of ``x``; declared pair counts
+    follow.
+    """
+    base, cover = document
+    ids, components = {}, []
+    for c in base.components:
+        if c.fiber_deg:
+            k = c.fiber_deg
+            ids[c.id] = [c.id] * m
+            components.append(replace(
+                c, genus=m * (c.genus - 1) + k * R // 2 + 1, self_int=m * c.self_int,
+                KX_dot=m * c.KX_dot + k * R,
+            ))
+        else:
+            ids[c.id] = [f"{c.id}/{t}" for t in range(m)]
+            components += [replace(c, id=cid) for cid in ids[c.id]]
+    pair_counts = []
+    for pair, count in base.pair_counts:
+        copies = sorted({tuple(ids[cid][t] for cid in pair) for t in range(m)})
+        pair_counts += [(copy, count * m // len(copies)) for copy in copies]
+    changed = BaseGeometry(
+        genus_C=m * (base.genus_C - 1) + R // 2 + 1,
+        KX_sq=m * base.KX_sq + 2 * R * base.KX_dot_F,
+        euler_X=m * base.euler_X + R * base.KX_dot_F,
+        KX_dot_F=base.KX_dot_F,
+        components=tuple(components),
+        crossings=tuple(
+            Crossing(m * x.index + t, tuple(ids[cid][t] for cid in x.pair))
+            for x in base.crossings for t in range(m)
+        ),
+        pair_counts=tuple(pair_counts),
+    )
+    return changed, CoverDescription(
+        degree=cover.degree,
+        ramification=tuple(
+            (cid, sheets) for c, sheets in cover.ramification for cid in dict.fromkeys(ids[c])
+        ),
+        points_above=tuple(
+            (m * idx + t, points) for idx, points in cover.points_above for t in range(m)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_COVER, st.integers(2, 5), st.integers(0, 4))
+def test_base_change_multiplies_deg_det_by_the_degree(document, m, extra):
+    base, cover = document
+    # The least even R that leaves g_C' >= 0, plus an even extra.
+    R = max(0, 2 * m - 2 - 2 * m * base.genus_C) + 2 * extra
+    assume(all(m * (2 * c.genus - 2) + c.fiber_deg * R >= -2
+               for c in base.components if c.fiber_deg))
+    changed = base_change(document, m, R)
+    before, after = _outcome(base, cover, None), _outcome(*changed, None)
+    assert isinstance(after, str) == isinstance(before, str)
+    if not isinstance(before, str):
+        assert after.deg_det == m * before.deg_det
+    # A fibre component's finding is made once per copy.
+    assert set(_codes(*changed)) == set(_codes(base, cover))
