@@ -19,12 +19,12 @@ the linear degree bound where its value is computed:
 A crossing's numbers depend only on its two sheet lists and its points,
 so the walk computes them, with their verdicts and findings as data, once
 per distinct ``(id(first sheets), id(second sheets), id(points))`` (see
-:func:`_crossing_shape`); the loader gives equal lists one tuple.  Each
+:func:`_crossing_shape`); the loader gives byte-equal lists one tuple.  Each
 crossing then gets only its index and shape number in the receipts, and
 its label ``crossing {index}`` only when it has a finding or an ``error``.
-The memo keys on identity, never on list contents, keeps at most
-``_SHAPES_KEPT`` shapes and lives for one walk, so a model whose crossings
-share nothing pays once per crossing.
+The memo keys on identity, never on list contents, and lives for one
+walk, so a model whose crossings share nothing pays once per crossing and
+keeps one entry per shape, beside the rows the receipts keep anyway.
 
 The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
 the only terms of the totals: each crossing shape adds its ``s``, point
@@ -412,9 +412,6 @@ def _linear_coefficient(base: BaseGeometry, euler: EulerData) -> Fraction:
 
 
 _ZERO = Fraction(0)
-#: The crossing shapes one walk keeps, so that a model whose crossings share
-#: nothing holds no more than this many shapes at once.
-_SHAPES_KEPT = 1024
 
 
 def _crossing_shape(
@@ -554,9 +551,10 @@ def examine(
     checked and, at a quotient point, its resolution numbers found, once.
     The shape memo keys on identity, the local memo on value (a local is
     hashed only where a shape is computed), and both live for the call.
-    The loader gives equal lists one tuple, so a loaded document computes
-    each distinct shape once; a model built by hand with equal but distinct
-    lists gets the same answer and computes a shape per crossing.
+    The loader gives byte-equal lists one tuple, so a loaded document
+    computes each shape once for each way its lists are written; a model
+    built by hand with equal but distinct lists gets the same answer and
+    computes a shape per crossing.
 
     A reference that does not resolve raises the error of
     :func:`~ramcov.model.check_references`, called only then: before the
@@ -602,7 +600,7 @@ def examine(
     # (chain length, correction) at a valid quotient point, else None
     classified: dict = {}
     # (id(first sheets), id(second sheets), id(points)) -> (faults, problem,
-    # shape number) of that crossing shape, for the first _SHAPES_KEPT shapes met
+    # shape number) of that crossing shape
     shapes: dict[tuple[int, int, int], tuple] = {}
     shape_rows = []  # per shape number, its crossings' three rows less their names
     shape_tallies = []  # per shape number, its tally (see _crossing_shape)
@@ -618,11 +616,9 @@ def examine(
             faults, problem, rows, tally = _crossing_shape(
                 base, cover, first, second, points, strict, classified
             )
-            shape = (faults, problem, len(shape_rows))
+            shape = shapes[key] = (faults, problem, len(shape_rows))
             shape_rows.append(rows)
             shape_tallies.append(tally)
-            if len(shapes) < _SHAPES_KEPT:
-                shapes[key] = shape
         faults, problem, number = shape
         if faults or problem is not None:
             at = f"crossing {crossing.index}"

@@ -35,43 +35,37 @@ of a list that is checked, and the suffix naming the field, and the common
 cases (an exact ``int``, an object with exactly the allowed keys, no
 duplicate key) are decided before any message is built.
 
-Equal records load to one object, and equal lists to one tuple.  In an
-abelian cover the local lattice at a crossing of ``D_i`` and ``D_j`` is the
-kernel of ``(s, t) -> s g_i + t g_j``, so every point over that crossing,
-and over every crossing of two components with the same sheets, carries the
-same local data, and a document repeats one sheet list and one point list
-many times.  Each parse keeps one memo.  A sheet list or a point list is
-keyed first by ``marshal.dumps`` of the decoded list: a list met before
-gets the tuple built for it, with no record checked and no path formatted
-(see :func:`_shared_records`).  The key is not equality, because ``==`` and
-``hash`` take ``true``, ``1.0`` and ``1`` for one value, which only the
-last of them passes.  ``marshal.loads`` gives back the list, type for type,
-so equal bytes mean equal verdicts; marshal may write one value two ways,
-as its back-references follow reference counts, and that costs only a miss.
-It is ``marshal`` and not ``repr``, exact too, because it costs about a
-third as much, and on a document that repeats few lists the key is pure
-cost.  It cannot meet the digit limit, since the decoder refused any longer
-integer literal, nor marshal's nesting limit of 2 000, about twice the
-depth the decoder accepts; a test runs every depth it accepts.  Only a list
-that passed every check is stored.  A list met for the first time is
-checked record by record.  Once a sheet or point record, or a point's local
-data, has passed every per-record check, its exact ``int`` values key the
-object built from them, and a later equal record gets that object without a
-second constructor call (see :func:`_build`).  The list is then keyed also
-by the identities of its records, never by their contents, so lists that
-differ only in key order share one tuple, and ``cover.sheets_for`` and
-``cover.points_for`` give one tuple per distinct list.  The memo lives for
-the one call, so two parses share no object.  The walk and the report
-writer key their per-crossing and per-point work on these identities.
-Lattices are keyed by their generators as given, so the two forms above
-still load to two objects.
+Byte-equal lists load to one tuple.  In an abelian cover the local lattice
+at a crossing of ``D_i`` and ``D_j`` is the kernel of ``(s, t) -> s g_i +
+t g_j``, so every point over that crossing, and over every crossing of two
+components with the same sheets, carries the same local data, and a
+document repeats one sheet list and one point list many times.  Each parse
+keeps one memo, keyed by ``marshal.dumps`` of each decoded sheet or point
+list: a list met before gets the tuple built for it, with no record checked
+and no path formatted (see :func:`_shared_records`).  The key is not
+equality, because ``==`` and ``hash`` take ``true``, ``1.0`` and ``1`` for
+one value, which only the last of them passes.  ``marshal.loads`` gives
+back the list, type for type, so equal bytes mean equal verdicts.  It is
+``marshal`` and not ``repr``, exact too, because it costs about a third as
+much, and on a document that repeats few lists the key is pure cost.  It
+cannot meet the digit limit, since the decoder refused any longer integer
+literal, nor marshal's nesting limit of 2 000, about twice the depth the
+decoder accepts; a test runs every depth it accepts.  Only a list that
+passed every check is stored.  Nothing else is shared, which changes no
+number and no byte: equal records in two lists are two objects, and equal
+lists whose bytes differ (keys in another order, or a value that marshal's
+back-references, which follow reference counts, write another way) are two
+equal tuples, whose crossing shape the walk computes twice.  The memo lives
+for the one call, so two parses share no object.  The walk and the report
+writer key their per-crossing and per-point-list work on the tuples'
+identities.  Lattices are kept with their generators as given, so the two
+forms above still load to two objects.
 """
 
 from __future__ import annotations
 
 import json
 import marshal
-from functools import partial
 from typing import AbstractSet, Any, Callable
 
 from .errors import InputFormatError, InvalidInputError
@@ -163,11 +157,8 @@ _ROWS = (".local[0]", ".local[1]")
 _COORDS = ((".local[0][0]", ".local[0][1]"), (".local[1][0]", ".local[1][1]"))
 
 
-def _parse_local(value: Any, path: str, suffix: str, memo: "dict | None" = None):
-    """The local data of the point at ``path``, from its ``local`` field.
-
-    With a ``memo``, equal local data give one object (see :func:`_build`).
-    """
+def _parse_local(value: Any, path: str, suffix: str):
+    """The local data of the point at ``path``, from its ``local`` field."""
     if isinstance(value, list):
         if len(value) != 2:
             raise InputFormatError(f"{path}{suffix}: lattice form needs exactly two generator rows")
@@ -178,9 +169,9 @@ def _parse_local(value: Any, path: str, suffix: str, memo: "dict | None" = None)
                 raise InputFormatError(f"{path}{_ROWS[r]}: generator must have two coordinates")
             x, y = _COORDS[r]
             gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
-        return _build(LatticeSubgroup, gens, path, suffix, memo)
+        return _build(LatticeSubgroup, gens, path, suffix)
     if isinstance(value, dict):
-        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix, memo)
+        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix)
     raise InputFormatError(
         f"{path}{suffix}: local data must be a 2x2 generator list or an n/q/m1/m2 object"
     )
@@ -204,45 +195,25 @@ _POINT = _fields(j=_as_int, jp=_as_int, local=_parse_local)
 _LOCAL_TYPE = _fields(".local", n=_as_int, q=_as_int, m1=_as_int, m2=_as_int)
 
 
-def _build(make: Callable, args: list, path: str, suffix: str = "", memo: "dict | None" = None):
-    """``make(*args)``, with the path of the record named in any error it raises.
-
-    A ``memo`` lives for one parse.  It maps ``make`` and the converted
-    fields of each record built so far to the object built, so a record
-    equal to an earlier one gets that object and ``make`` is not called
-    again: its fields have passed every check by then, and a constructor's
-    verdict depends on the values alone.
-    """
-    if memo is not None:
-        key = (make, *args)
-        made = memo.get(key)
-        if made is None:
-            made = memo[key] = _build(make, args, path, suffix)
-        return made
+def _build(make: Callable, args: list, path: str, suffix: str = ""):
+    """``make(*args)``, with the path of the record named in any error it raises."""
     try:
         return make(*args)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}{suffix}: {exc}") from None
 
 
-def _record(
-    make: Callable, value: Any, path: str, table: dict, suffix: str = "", memo: "dict | None" = None
-):
+def _record(make: Callable, value: Any, path: str, table: dict, suffix: str = ""):
     """``make`` called on the fields of the object at ``path``, converted in table order."""
     obj = _as_obj(value, path, table.keys(), suffix=suffix)
     args = [convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()]
-    return _build(make, args, path, suffix, memo)
+    return _build(make, args, path, suffix)
 
 
-def _records(
-    make: Callable, value: Any, path: str, table: dict, memo: "dict | None" = None
-) -> tuple:
+def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:
     """The records of the list at ``path``, each built by :func:`_record`."""
     return tuple(
-        [
-            _record(make, raw, f"{path}[{k}]", table, memo=memo)
-            for k, raw in enumerate(_as_list(value, path))
-        ]
+        [_record(make, raw, f"{path}[{k}]", table) for k, raw in enumerate(_as_list(value, path))]
     )
 
 
@@ -251,21 +222,16 @@ def _shared_records(
 ) -> tuple:
     """The records of the list at ``prefix[key]``, one tuple per distinct list in a parse.
 
-    The ``memo`` keys a list first by ``make`` and ``marshal.dumps`` of its
-    decoded value.  On a miss the list is checked by :func:`_records`, its path
-    formatted only then, and a list whose records are the same objects as
-    those of an earlier list is that list's tuple: that key is the records'
-    identities, which the memo keeps alive.  A one-record list, the common
-    case, is keyed by its record's ``id`` alone, an ``int`` that no other
-    memo key equals.  A list that fails a check raises before either key is
-    stored.
+    The ``memo`` keys a list by ``make`` and ``marshal.dumps`` of its decoded
+    value, and by nothing else: lists equal but not byte for byte get two
+    equal tuples, and equal records in two lists are two objects.  On a miss
+    the list is checked by :func:`_records`, its path formatted only then; a
+    list that fails a check raises before its key is stored.
     """
     coded = (make, marshal.dumps(value))
     records = memo.get(coded)
     if records is None:
-        records = _records(make, value, f"{prefix}[{key!r}]", table, memo)
-        ids = id(records[0]) if len(records) == 1 else (_records, *map(id, records))
-        records = memo[coded] = memo.setdefault(ids, records)
+        records = memo[coded] = _records(make, value, f"{prefix}[{key!r}]", table)
     return records
 
 
@@ -283,16 +249,16 @@ def _parse_base(obj: Any) -> BaseGeometry:
     crossings = []
     keys = _CROSSING.keys()
     for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
-        # An exact record, the common case, passes every check of _crossing
-        # and Crossing's own: it is built with no per-field call and no path.
-        if type(raw) is dict and raw.keys() == keys:
-            index, pair = raw["index"], raw["pair"]
-            if (
-                type(index) is int and index >= 0 and type(pair) is list and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str and pair[0] != pair[1]
-            ):
-                crossings.append(Crossing(index, (pair[0], pair[1])))
+        # An exact record, the common case, is judged by Crossing alone, with
+        # no per-field call and no path; a refusal, or any other record, is
+        # judged again by _crossing for the message naming its field.  The
+        # list check keeps a string or an object from passing as its pair.
+        if type(raw) is dict and raw.keys() == keys and type(pair := raw["pair"]) is list:
+            try:
+                crossings.append(Crossing(raw["index"], tuple(pair)))
                 continue
+            except InvalidInputError:
+                pass
         crossings.append(_crossing(raw, f"base.crossings[{k}]"))
     pair_counts = _records(
         lambda pair, count: (pair, count),
@@ -317,15 +283,12 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
         raise InputFormatError("cover.ramification: expected an object keyed by component id")
-    # One memo for the parse: equal sheets, points and local data load to one
-    # object, and so do equal sheet lists and equal point lists.  The point
-    # table's local converter is given the same memo.
+    # One memo for the parse: byte-equal sheet or point lists load to one tuple.
     memo: dict = {}
     ram = [
         (cid, _shared_records(RamSheet, ram_obj[cid], "cover.ramification", cid, _SHEET, memo))
         for cid in sorted(ram_obj)
     ]
-    point = {**_POINT, "local": (_POINT["local"][0], partial(_parse_local, memo=memo))}
     pts = []
     pts_obj = obj["points_above"]
     if not isinstance(pts_obj, dict):
@@ -342,7 +305,7 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
         pts.append(
-            (idx, _shared_records(PointAbove, pts_obj[key], "cover.points_above", key, point, memo))
+            (idx, _shared_records(PointAbove, pts_obj[key], "cover.points_above", key, _POINT, memo))
         )
 
     cover = CoverDescription(

@@ -225,7 +225,7 @@ class PointAbove:
     a lattice subgroup (first coordinate = winding around the first
     component's branch) or directly as a :class:`LocalCoverType`.  The point
     keeps no classification: a run's one walk asks once per distinct
-    ``local`` value, and the loader gives equal records one object.
+    ``local`` value, whether or not equal values are one object.
     """
 
     j: int

@@ -31,8 +31,9 @@ line of the text report's certificate is one row as it is read.  Two
 writers format each shared part once per render:
 
 * ``cover.points_above`` keys each point list's text on the identity of its
-  tuple, and the loader gives equal point lists one tuple, so a shared list
-  is formatted once and its one string appended for every crossing over it;
+  tuple, and the loader gives byte-equal point lists one tuple, so a shared
+  list is formatted once and its one string appended for every crossing
+  over it;
 * ``certificate.terms`` formats each crossing shape's three records once,
   as a template, and writes a crossing's three records as one string, its
   index spliced into the three names.
@@ -226,7 +227,7 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
 
     The crossings come in :func:`_render`'s order, their keys sorted as
     strings.  A point list that several crossings share as one tuple, as the
-    loader gives equal lists, is written once, and that one string is
+    loader gives byte-equal lists, is written once, and that one string is
     appended for each of them; the memo keys on the tuple's identity and
     lives for this one call.
     """

@@ -41,8 +41,8 @@ points written as five distinct records: over each crossing two smooth
 points lie on sheets (0, 0), given as the lattice ``[[1,0],[0,1]]`` or as
 a raw local type, and the node on sheets (1, 1) is a raw type or one of
 two bases of one subgroup, ``[[2,0],[1,1]]`` and ``[[2,0],[3,1]]``, which
-echo as given.  Its strict reports were frozen before equal records
-loaded to one object, so they show that the sharing changes no byte.
+echo as given.  Its strict reports were frozen before the loader shared
+any record or list, so they show that sharing changes no byte.
 ``short_sheets.json`` is a trivial double cover of the square whose D4 has
 one sheet of degree 2: over crossing 0 both points lie on sheet 0 of D1,
 so sheet 0 sums to 2 and sheet 1 to 0, and crossing 1 has one point, so

@@ -537,13 +537,12 @@ _TOTALS_CASES = [
 
 
 @pytest.mark.parametrize("load", [c[1] for c in _TOTALS_CASES], ids=[c[0] for c in _TOTALS_CASES])
-def test_totals_and_receipts_recomputed_point_by_point(load, monkeypatch):
+def test_totals_and_receipts_recomputed_point_by_point(load):
     # Plain Fraction sums over the model, one point at a time: each point is
     # classified with local_type and resolved with resolve, as the paper's
     # formulas read, and nothing is shared with the walk.  The walk answers
-    # three times: on the model as loaded, on its twin, which shares no
-    # tuple, point or local and so computes every crossing's shape, and with
-    # room for one shape, so that the others are summed past the memo.
+    # twice: on the model as loaded, and on its twin, which shares no tuple,
+    # point or local and so computes every crossing's shape.
     base, cover = load()
     d = cover.degree
     rr = Fraction(0)
@@ -581,8 +580,6 @@ def test_totals_and_receipts_recomputed_point_by_point(load, monkeypatch):
 
     check(cover)
     check(twin(cover))
-    monkeypatch.setattr(invariants, "_SHAPES_KEPT", 1)
-    check(cover)
 
 
 # ------------------------------------------- fibres alone on E x P1, closed form
@@ -762,7 +759,7 @@ def test_every_verdict_is_its_value_within_its_bound(load, fibration):
 
 
 def _many_shapes():
-    """A Z/n cover of P1 x P1 with more crossing shapes than the walk keeps.
+    """A Z/n cover of P1 x P1 whose 1 296 crossings hold 1 203 distinct point lists.
 
     n = 10 007, branched on 36 fibres and 36 sections, each under one sheet
     with e = n and f = 1; over each crossing one point whose lattice is
@@ -792,7 +789,7 @@ def _many_shapes():
         },
     }
     base, cover = parse_cover_json(json.dumps(doc))
-    assert len({id(points) for _, points in cover.points_above}) > invariants._SHAPES_KEPT
+    assert len({id(points) for _, points in cover.points_above}) == 1203
     return base, cover
 
 

@@ -578,10 +578,15 @@ _SELF = "components must be distinct (transversal self-intersections are not mod
          f"{_AT}.index: expected an integer (got True)"),
         ({"index": 1, "pair": ["D1", "D9"]}, InvalidInputError,
          "crossing 1 references unknown component 'D9'"),
+        # A string or an object of two ids is not a pair, though either
+        # makes a tuple of two strings.
+        ({"index": 1, "pair": "D4"}, InputFormatError, f"{_AT}.pair: expected a list (got str)"),
+        ({"index": 1, "pair": {"D1": 0, "D4": 1}}, InputFormatError,
+         f"{_AT}.pair: expected a list (got dict)"),
     ],
     ids=["bool", "float", "negative", "string", "equal-pair", "one-id", "three-ids", "int-id",
          "int-first-id", "extra-key", "no-pair", "no-index", "float-and-short-pair",
-         "bool-and-int-id", "unknown-id"],
+         "bool-and-int-id", "unknown-id", "string-pair", "object-pair"],
 )
 def test_a_malformed_crossing_record_is_refused_by_its_path(record, error, message):
     # Exact records are built with no per-field call; every other record is
@@ -706,23 +711,14 @@ def test_sheet_index_errors_name_the_document_path_or_the_canonical_point():
     )
 
 
-# Within one parse, equal point records load to one object, and so do equal
-# local data (loader._build): repeated_points.json's twelve points are five
-# distinct records.
+# repeated_points.json's twelve points are five distinct records over four
+# distinct point lists.
 
 REPEATED = DOCUMENTS / "repeated_points.json"
 
 
 def _points(cover) -> list:
     return [pt for _, pts in cover.points_above for pt in pts]
-
-
-def test_equal_point_records_load_to_one_object():
-    points = _points(load_cover_path(str(REPEATED))[1])
-    assert len(points) == 12
-    assert len({id(pt) for pt in points}) == len(set(points)) == 5
-    locals_ = [pt.local for pt in points]
-    assert len({id(local) for local in locals_}) == len(set(locals_)) == 5
 
 
 def test_two_parses_share_no_object():
@@ -854,18 +850,6 @@ def test_the_walk_keeps_no_row_per_crossing():
     assert rise <= 1.5 * 2**20
 
 
-def test_a_walk_past_its_kept_shapes_gives_the_same_answers(monkeypatch):
-    # With room for one shape, every other shape is computed at each of its
-    # crossings and summed there, and its receipts are stored and written
-    # once for each of them: the answers and bytes stay those of the full memo.
-    cases = [(_grid(6), strict) for strict in (False, True)] + [
-        (load_cover_path(str(p)), True) for p in _LOADABLE
-    ]
-    expected = [_views(base, cover, strict) for (base, cover), strict in cases]
-    monkeypatch.setattr(invariants, "_SHAPES_KEPT", 1)
-    assert [_views(base, cover, strict) for (base, cover), strict in cases] == expected
-
-
 @pytest.mark.parametrize("copies", [1, 10, 100])
 def test_each_distinct_point_list_is_sorted_once(monkeypatch, copies):
     # repeated_points.json's four crossings, repeated: four distinct point
@@ -939,26 +923,32 @@ def test_a_retyped_copy_of_a_shared_sheet_list_is_refused_by_its_path(cid):
     assert str(info.value) == f"cover.ramification[{cid!r}][0].f: expected an integer (got True)"
 
 
-def test_a_point_list_with_its_keys_in_another_order_loads_to_the_shared_tuple():
+def test_a_point_list_with_its_keys_in_another_order_gives_the_same_bytes():
+    # Its marshal bytes differ, so it loads to a tuple of its own, equal to
+    # the shared one, and the walk computes its crossing shape apart: the
+    # answers and bytes are those of the document as written.
     doc = _grid_document(6)
+    expected = _views(*parse_cover_json(json.dumps(doc)), True)
     points = doc["cover"]["points_above"]
     points["35"] = [{key: points["35"][0][key] for key in ("local", "jp", "j")}]
     assert json.dumps(points["35"]) != json.dumps(points["0"])
-    _, cover = parse_cover_json(json.dumps(doc))
-    assert cover.points_for(35) is cover.points_for(0)
-    assert len({id(cover.points_for(idx)) for idx in range(36)}) == 1
+    base, cover = parse_cover_json(json.dumps(doc))
+    assert cover.points_for(35) == cover.points_for(0)
+    assert len({id(cover.points_for(idx)) for idx in range(36)}) == 2
+    assert _views(base, cover, True) == expected
 
 
 def test_each_distinct_list_is_checked_once(monkeypatch):
-    # grid(20): 40 sheet lists and 400 point lists, each the one shared list.
+    # grid(20): 40 sheet lists and 400 point lists, each the one shared list
+    # of one record: one sheet, one point and one lattice are constructed.
     calls = []
 
     def counted(name, make):
         return lambda *args, **kwargs: calls.append(name) or make(*args, **kwargs)
 
-    monkeypatch.setattr(loader, "_parse_local", counted("local", loader._parse_local))
+    monkeypatch.setattr(loader, "LatticeSubgroup", counted("lattice", LatticeSubgroup))
     monkeypatch.setattr(loader, "PointAbove", counted("point", PointAbove))
     monkeypatch.setattr(loader, "RamSheet", counted("sheet", RamSheet))
     base, cover = _grid(20)
     assert (len(base.crossings), len(cover.points_above)) == (400, 400)
-    assert sorted(calls) == ["local", "point", "sheet"]
+    assert sorted(calls) == ["lattice", "point", "sheet"]

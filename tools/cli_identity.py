@@ -14,9 +14,9 @@ lives in:
   ``tests/fixtures/documents/``;
 * 30 ``grid`` and 30 ``cyclic`` documents generated by
   ``perfbench/workloads.py`` (seed 1);
-* 2 documents with more distinct crossing shapes than the walk keeps
-  (``invariants._SHAPES_KEPT``), drawn with a fixed seed: each a Z/n cover
-  of P1 x P1, n = 10 007, branched on 36 fibres and 36 sections, every line
+* 2 documents with many distinct crossing shapes, about one for each of
+  their 1 296 crossings, drawn with a fixed seed: each a Z/n cover of
+  P1 x P1, n = 10 007, branched on 36 fibres and 36 sections, every line
   under one sheet with e = n and f = 1, and over each crossing one point
   whose lattice is generated by (n, 0) and (c, 1), with c drawn per
   crossing;
@@ -146,7 +146,7 @@ def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
 
 
 def many_shapes_documents(folder: pathlib.Path) -> list[pathlib.Path]:
-    """Write ``SHAPES_DOCUMENTS`` covers, each past the walk's kept shapes, into ``folder``."""
+    """Write ``SHAPES_DOCUMENTS`` covers, each with a shape per crossing, into ``folder``."""
     k, n = SHAPES_K, SHAPES_N
     lines = [f"F{i}" for i in range(k)] + [f"S{i}" for i in range(k)]
     base = {
