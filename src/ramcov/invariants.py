@@ -8,7 +8,8 @@ identities V1 to V5 (see :mod:`ramcov.model`), and it emits each receipt of
 the linear degree bound where its value is computed:
 
 * per component, the branch multiplicity ``B_mult(i) = sum_j (e_ij - 1) f_ij``
-  and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``;
+  and the diagonal (R,R) factor ``sum_j (e_ij - 1)^2 f_ij / e_ij``, each
+  computed and decided once per distinct sheet list;
 * per crossing, from the local type of each point above it, the ordered
   cross term ``2 sum_y (e_1(y) - 1)(e_2(y) - 1) / n_y`` of (R,R), the
   resolution correction and the exceptional curve count ``s`` of its
@@ -549,12 +550,17 @@ def examine(
     id(points))``, is computed once per walk, and within those each
     distinct ``local`` value is classified, its range and gcd constraints
     checked and, at a quotient point, its resolution numbers found, once.
-    The shape memo keys on identity, the local memo on value (a local is
-    hashed only where a shape is computed), and both live for the call.
-    The loader gives byte-equal lists one tuple, so a loaded document
-    computes each shape once for each way its lists are written; a model
-    built by hand with equal but distinct lists gets the same answer and
-    computes a shape per crossing.
+    Likewise each distinct sheet list, ``id(sheets)``, gives its sum of
+    ``e*f``, ``B_mult``, diagonal factor, ``d_i`` and two verdicts once per
+    walk; a component adds only its own products, its V1 finding and its
+    two named rows, and (R,R) takes each list's diagonal factor times the
+    sum of its components' self-intersections.  The shape and sheet-list
+    memos key on identity, the local memo on value (a local is hashed only
+    where a shape is computed), and all three live for the call.  The
+    loader gives byte-equal lists one tuple, so a loaded document computes
+    each shape and sheet list once for each way its lists are written; a
+    model built by hand with equal but distinct lists gets the same answer
+    and computes a shape per crossing and a sheet list per component.
 
     A reference that does not resolve raises the error of
     :func:`~ramcov.model.check_references`, called only then: before the
@@ -577,24 +583,33 @@ def examine(
     b_mults = []
     d_sums = []  # d_i = sum_j f_ij, in component order
     kx_dot_b = b_dot_f = 0
-    rr = zero
+    # id(sheets) -> [diagonal, sum of self_int over the components with those
+    # sheets, sum of e*f, b_mult and its verdict, the diagonal's verdict, d_i]
+    sheet_lists: dict[int, list] = {}
     for comp in base.components:
         sheets = cover.sheets_for(comp.id)
-        total = sum(s.e * s.f for s in sheets)
+        known = sheet_lists.get(id(sheets))
+        if known is None:
+            b_mult = sum((s.e - 1) * s.f for s in sheets)
+            diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
+            known = sheet_lists[id(sheets)] = [
+                diagonal, 0, sum(s.e * s.f for s in sheets), b_mult, _within(b_mult, d),
+                _within(diagonal, d), sum(s.f for s in sheets),
+            ]
+        diagonal, _, total, b_mult, b_ok, diagonal_ok, d_i = known
+        known[1] += comp.self_int
         if total != d:
             found.append(Violation("V1", (comp.id,), (
                 f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
             )))
-        b_mult = sum((s.e - 1) * s.f for s in sheets)
-        diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
         b_mults.append((comp.id, b_mult))
         kx_dot_b += b_mult * comp.KX_dot
         b_dot_f += b_mult * comp.fiber_deg
-        rr += diagonal * comp.self_int
-        d_sums.append(sum(s.f for s in sheets))
-        head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, _within(b_mult, d)))
-        diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, _within(diagonal, d)))
+        d_sums.append(d_i)
+        head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, b_ok))
+        diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, diagonal_ok))
     head += diagonals
+    rr = sum((diagonal * self_int for diagonal, self_int, *_ in sheet_lists.values()), zero)
 
     # a point's local data -> its local type, that type's problems and its
     # (chain length, correction) at a valid quotient point, else None

@@ -20,20 +20,24 @@ nor the report as a whole is joined into one string.  Rendering ends before
 the first write, so a number past the interpreter's digit limit leaves
 stdout empty.
 
-Three members grow with the crossings and write themselves, chunk by
-chunk: ``certificate.terms`` (three receipts per crossing) and, in the
-echoed document, ``base.crossings`` and ``cover.points_above``; a dict per
-record, walked container by container, took longer than loading the
-document and computing its certificate together.  The terms are the
-certificate's receipts, rows of names, numbers and verdicts, which the walk
-stores by crossing shape and names when they are read or written.  Each
-line of the text report's certificate is one row as it is read.  Two
-writers format each shared part once per render:
+The members that grow with the document write themselves, chunk by
+chunk: ``certificate.terms`` (three receipts per crossing) and the echoed
+``base.crossings``, one chunk per crossing; ``base.components``,
+``derived_base.open_components`` and ``invariants.B_mult``, one chunk per
+component; and ``cover.points_above`` and ``cover.ramification``, a key
+and a shared list's text per crossing or component.  A dict per record,
+walked container by container, took longer than loading the document and
+computing its certificate together.  :func:`_render` is left with the
+fixed skeleton around them.  The terms are the certificate's receipts, rows
+of names, numbers and verdicts, which the walk stores by crossing shape and
+names when they are read or written.  Each line of the text report's
+certificate is one row as it is read.  Three writers format each shared
+part once per render:
 
-* ``cover.points_above`` keys each point list's text on the identity of its
-  tuple, and the loader gives byte-equal point lists one tuple, so a shared
-  list is formatted once and its one string appended for every crossing
-  over it;
+* ``cover.ramification`` and ``cover.points_above`` key each sheet or point
+  list's text on the identity of its tuple, and the loader gives byte-equal
+  lists one tuple, so a shared list is formatted once and its one string
+  appended for every component or crossing with it;
 * ``certificate.terms`` formats each crossing shape's three records once,
   as a template, and writes a crossing's three records as one string, its
   index spliced into the three names.
@@ -41,9 +45,9 @@ writers format each shared part once per render:
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
 bytes of a document file and :func:`canonical_document` as those bytes
-parsed back into dicts and lists.  Components, sheets and raw local types
-are echoed from their dataclass fields, which the loader's field tables name
-in the same order.
+parsed back into dicts and lists.  Components, sheets, points and raw local
+types are written with the keys of the loader's field tables, in sorted
+order.
 """
 
 from __future__ import annotations
@@ -155,14 +159,17 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
-def _write_list(records, depth: int, out: list) -> None:
-    """Append a list opened at ``depth`` whose members are the written ``records``."""
+def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
+    """Append a list opened at ``depth`` whose members are the written ``records``.
+
+    With ``brackets="{}"`` it is an object, each record a written ``key: value``.
+    """
     inner = _newline(depth + 1)
-    sep = opening = "[" + inner
+    sep = opening = brackets[0] + inner
     for record in records:
         out.append(sep + record)
         sep = "," + inner
-    out.append("[]" if sep is opening else _newline(depth) + "]")
+    out.append(brackets if sep is opening else _newline(depth) + brackets[1])
 
 
 def _write_terms(receipts, depth: int, out: list) -> None:
@@ -222,21 +229,72 @@ def _write_crossings(crossings, depth: int, out: list) -> None:
     )
 
 
+def _write_components(components, depth: int, out: list) -> None:
+    """``base.components``, opened at ``depth``: one chunk per component."""
+    enc = encode_basestring_ascii
+    end, key = _newline(depth + 1), _newline(depth + 2)
+    _write_list(
+        (
+            f'{{{key}"KX_dot": {c.KX_dot!r},{key}"fiber_deg": {c.fiber_deg!r},{key}"genus": '
+            f'{c.genus!r},{key}"id": {enc(c.id)},{key}"self_int": {c.self_int!r}{end}}}'
+            for c in components
+        ),
+        depth,
+        out,
+    )
+
+
+def _write_by_id(pairs, depth: int, out: list) -> None:
+    """A ``{component id: int}`` member from its pairs in id order: one chunk per entry."""
+    enc = encode_basestring_ascii
+    _write_list((f"{enc(cid)}: {value!r}" for cid, value in pairs), depth, out, "{}")
+
+
+def _write_shared_lists(entries, record, depth: int, out: list) -> None:
+    """An object opened at ``depth`` whose members are lists, each distinct list written once.
+
+    ``entries`` are ``(key, members)`` in sorted key order, each key written
+    as JSON, and ``record`` writes one member of a list.  A list that
+    several keys share as one tuple, as the loader gives byte-equal lists,
+    is written once, and that one string is appended for each of them; the
+    memo keys on the tuple's identity and lives for this one call.
+    """
+    inner = _newline(depth + 1)
+    written: dict[int, str] = {}  # id(members) -> their list
+    sep = opening = "{" + inner
+    for key, members in entries:
+        text = written.get(id(members))
+        if text is None:
+            chunks: list = []
+            _write_list(map(record, members), depth + 1, chunks)
+            text = written[id(members)] = "".join(chunks)
+        out.append(f"{sep}{key}: ")
+        out.append(text)
+        sep = "," + inner
+    out.append("{}" if sep is opening else _newline(depth) + "}")
+
+
+def _write_ramification(ramification, depth: int, out: list) -> None:
+    """``cover.ramification``, opened at ``depth``: each distinct sheet list written once."""
+    enc = encode_basestring_ascii
+    end, key = _newline(depth + 2), _newline(depth + 3)
+    _write_shared_lists(
+        ((enc(cid), sheets) for cid, sheets in ramification),
+        lambda s: f'{{{key}"e": {s.e!r},{key}"f": {s.f!r}{end}}}',
+        depth,
+        out,
+    )
+
+
 def _write_points_above(points_above, depth: int, out: list) -> None:
     """``cover.points_above``, opened at ``depth``: each distinct point list written once.
 
     The crossings come in :func:`_render`'s order, their keys sorted as
-    strings.  A point list that several crossings share as one tuple, as the
-    loader gives byte-equal lists, is written once, and that one string is
-    appended for each of them; the memo keys on the tuple's identity and
-    lives for this one call.
+    strings.
     """
-    if not points_above:
-        out.append("{}")
-        return
-    # Line starts of a crossing's key, of a point, of its keys, of its local
-    # data's members and, for a lattice, of its generators' coordinates.
-    inner, end, key, member, coord = (_newline(depth + i) for i in range(1, 6))
+    # Line starts of a point, of its keys, of its local data's members and,
+    # for a lattice, of its generators' coordinates.
+    end, key, member, coord = (_newline(depth + i) for i in range(2, 6))
 
     def record(point) -> str:
         local = point.local
@@ -253,18 +311,8 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
             )
         return f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
 
-    written: dict[int, str] = {}  # id(points) -> their list
-    sep = "{" + inner
-    for idx, points in sorted([(str(idx), points) for idx, points in points_above]):
-        text = written.get(id(points))
-        if text is None:
-            chunks: list = []
-            _write_list(map(record, points), depth + 1, chunks)
-            text = written[id(points)] = "".join(chunks)
-        out.append(f'{sep}"{idx}": ')
-        out.append(text)
-        sep = "," + inner
-    out.append(_newline(depth) + "}")
+    entries = sorted([(str(idx), points) for idx, points in points_above])
+    _write_shared_lists(((f'"{idx}"', points) for idx, points in entries), record, depth, out)
 
 
 def _record(record) -> dict:
@@ -275,7 +323,9 @@ def _record(record) -> dict:
 def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
     """The document of ``base`` and ``cover``, its lists in the model's canonical order.
 
-    Its crossings and the points over each are members that write themselves.
+    Its components, crossings, sheet lists and the points over each crossing
+    are members that write themselves; each distinct sheet or point tuple is
+    written once.
     """
     doc: dict = {
         "base": {
@@ -283,14 +333,12 @@ def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
             "KX_sq": base.KX_sq,
             "euler_X": base.euler_X,
             "KX_dot_F": base.KX_dot_F,
-            "components": [_record(c) for c in base.components],
+            "components": functools.partial(_write_components, base.components),
             "crossings": functools.partial(_write_crossings, base.crossings),
         },
         "cover": {
             "degree": cover.degree,
-            "ramification": {
-                cid: [_record(s) for s in sheets] for cid, sheets in cover.ramification
-            },
+            "ramification": functools.partial(_write_ramification, cover.ramification),
             "points_above": functools.partial(_write_points_above, cover.points_above),
         },
     }
@@ -360,7 +408,7 @@ class ReportDocument:
             },
             "derived_base": {
                 "e_c_U": eb.e_c_U,
-                "open_components": {k: v for k, v in eb.open_components},
+                "open_components": functools.partial(_write_by_id, eb.open_components),
                 "n_crossings": eb.n_crossings,
             },
             "invariants": None,
@@ -372,7 +420,7 @@ class ReportDocument:
         if cert is not None:
             inv = cert.report
             doc["invariants"] = {
-                "B_mult": {k: v for k, v in inv.B_mult},
+                "B_mult": functools.partial(_write_by_id, inv.B_mult),
                 "KX_dot_B": inv.KX_dot_B,
                 "B_dot_F": inv.B_dot_F,
                 "RR": fmt_rational(inv.RR),

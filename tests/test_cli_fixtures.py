@@ -317,9 +317,10 @@ _EV = ("--ev", "0", "2", "0", "2", "0")
 @pytest.mark.parametrize("flags", [(), ("--json",), _EV])
 def test_a_report_evaluates_each_receipt_once(capsys, monkeypatch, flags):
     # A report shows each receipt's verdict and whether all hold.  Every
-    # verdict is one call of the one comparison, and a report makes it once
-    # per receipt, where the walk emits it; crossings with equal sheets and
-    # points share their three verdicts, made at the first of them.
+    # verdict is one call of the one comparison, made where the walk emits
+    # its receipt: components with equal sheets share their two verdicts,
+    # and crossings with equal sheets and points their three, each made at
+    # the first of them.
     compared = Counter()
     within = ramcov.invariants._within
 
@@ -336,15 +337,18 @@ def test_a_report_evaluates_each_receipt_once(capsys, monkeypatch, flags):
     base, cover = load_cover_path(str(path))
     rows = degree_linear_certificate(base, cover, fibration).receipts
     assert len(rows) == 2 * 4 + 3 * 4 + 1 + (flags == _EV)
+    sheet_lists = {}
+    for comp in base.components:
+        sheet_lists.setdefault(cover.sheets_for(comp.id), f"[{comp.id}]")
     shapes = {}
     for x in base.crossings:
         shape = (*map(cover.sheets_for, x.pair), cover.points_for(x.index))
         shapes.setdefault(shape, f"[crossing {x.index}]")
-    assert len(shapes) == 2
-    decided = [row for row in rows if "[crossing" not in row[0] or row[0].endswith(
-        tuple(shapes.values())
+    assert (len(sheet_lists), len(shapes)) == (1, 2)
+    decided = [row for row in rows if "[" not in row[0] or row[0].endswith(
+        (*sheet_lists.values(), *shapes.values())
     )]
-    assert len(decided) == 2 * 4 + 3 * 2 + 1 + (flags == _EV)
+    assert len(decided) == 2 * 1 + 3 * 2 + 1 + (flags == _EV)
     assert compared == Counter((Fraction(value), Fraction(bound)) for _, value, bound, *_ in decided)
 
 

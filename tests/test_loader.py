@@ -69,6 +69,14 @@ def _grid(k: int):
     return parse_cover_json(json.dumps(_grid_document(k)))
 
 
+def _grid_with_self_ints():
+    """grid(6) with the self-intersections -3 to 8: (R,R) sums all twelve."""
+    doc = _grid_document(6)
+    for k, component in enumerate(doc["base"]["components"]):
+        component["self_int"] = k - 3
+    return parse_cover_json(json.dumps(doc))
+
+
 # Every shipped and fixture document that loads, whatever its findings.
 _LOADABLE = [
     p
@@ -785,16 +793,18 @@ def _views(base, cover, strict):
 @pytest.mark.parametrize("strict", [False, True], ids=["standard", "strict"])
 @pytest.mark.parametrize(
     "load",
-    [lambda: _grid(6), *(lambda p=p: load_cover_path(str(p)) for p in _LOADABLE)],
-    ids=["grid_6", *(f"{p.parent.name}/{p.name}" for p in _LOADABLE)],
+    [lambda: _grid(6), _grid_with_self_ints,
+     *(lambda p=p: load_cover_path(str(p)) for p in _LOADABLE)],
+    ids=["grid_6", "grid_6_self_ints", *(f"{p.parent.name}/{p.name}" for p in _LOADABLE)],
 )
 def test_a_twin_sharing_no_object_gives_the_same_answers(load, strict):
-    # The walk and the writer key their per-crossing work on the identity of
-    # the loader's shared sheet and point lists.  A twin sharing no list, no
-    # point and no local data pays once per crossing, and must show the same
-    # findings, receipts, report, error and bytes.  many_sheets,
-    # short_sheets and failing_receipts repeat shapes that carry V2, V4 and
-    # failed receipts.
+    # The walk and the writer key their per-component and per-crossing work
+    # on the identity of the loader's shared sheet and point lists.  A twin
+    # sharing no list, no point and no local data pays once per component
+    # and crossing, and must show the same findings, receipts, report, error
+    # and bytes.  many_sheets, short_sheets and failing_receipts repeat
+    # shapes that carry V2, V4 and failed receipts; grid_6_self_ints gives
+    # twelve components on one ramified sheet list twelve self-intersections.
     base, loaded = load()
     fresh = twin(loaded)
     assert fresh == loaded
@@ -830,6 +840,25 @@ def test_the_walk_computes_each_crossing_shape_once(monkeypatch):
         calls.clear()
         examine(base, cover, strict=True)
         assert (calls.count("shape"), calls.count("local")) == (count, 1)
+
+
+def test_each_distinct_sheet_list_is_examined_once(monkeypatch):
+    # grid(20): 40 components, all on one sheet list.  The walk decides its
+    # branch multiplicity and diagonal factor verdicts once, before the first
+    # crossing shape; the twin's 40 distinct lists are decided per component.
+    base, loaded = _grid(20)
+    calls = []
+    within, shape = invariants._within, invariants._crossing_shape
+    monkeypatch.setattr(
+        invariants, "_within", lambda *args: calls.append("within") or within(*args)
+    )
+    monkeypatch.setattr(
+        invariants, "_crossing_shape", lambda *args: calls.append("shape") or shape(*args)
+    )
+    for cover, count in ((loaded, 2), (twin(loaded), 80)):
+        calls.clear()
+        examine(base, cover, strict=True)
+        assert calls.index("shape") == count
 
 
 def test_the_walk_keeps_no_row_per_crossing():

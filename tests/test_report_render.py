@@ -192,10 +192,35 @@ def _bidouble_with_escaped_ids() -> dict:
     return rename(json.loads((COVERS / "bidouble.json").read_text()))
 
 
-def _identity_with(edit) -> dict:
-    doc = json.loads((COVERS / "identity.json").read_text())
-    edit(doc["cover"]["points_above"])
+def _edited(name: str, edit) -> dict:
+    doc = json.loads((COVERS / name).read_text())
+    edit(doc)
     return doc
+
+
+def _identity_with(edit) -> dict:
+    return _edited("identity.json", lambda doc: edit(doc["cover"]["points_above"]))
+
+
+def _bidouble_with_d5(sheets) -> dict:
+    # bidouble.json and a component D5 on no crossing, with ``sheets`` as
+    # its sheet list, or no ramification entry for None.
+    def edit(doc):
+        doc["base"]["components"].append(
+            {"id": "D5", "genus": 1, "self_int": -3, "KX_dot": 5, "fiber_deg": 2}
+        )
+        if sheets is not None:
+            doc["cover"]["ramification"]["D5"] = sheets
+
+    return _edited("bidouble.json", edit)
+
+
+def _reordered_sheet_keys(doc):
+    # D1's and D3's sheet lists, written with their keys in another order,
+    # load to tuples equal to, but not one with, those of D2 and D4.
+    for cid in ("D1", "D3"):
+        doc["cover"]["ramification"][cid] = [{"f": s["f"], "e": s["e"]}
+                                             for s in doc["cover"]["ramification"][cid]]
 
 
 #: (name, document, what its report must show) of documents built here.
@@ -211,6 +236,19 @@ _EDITED = [
      lambda p: p["certificate"] is None and "coprime" in p["error"]),
     ("grid_12", grid_document(12),
      lambda p: list(p["input"]["cover"]["points_above"])[:3] == ["0", "1", "10"]),
+    ("component_without_sheets", _bidouble_with_d5(None),
+     lambda p: "D5" not in p["input"]["cover"]["ramification"]
+     and p["invariants"]["B_mult"]["D5"] == 0 and p["derived_base"]["open_components"]["D5"] == 0),
+    ("empty_sheet_list", _bidouble_with_d5([]),
+     lambda p: p["input"]["cover"]["ramification"]["D5"] == []
+     and ["V1", ["D5"]] in [[v["code"], v["where"]] for v in p["validation"]["violations"]]),
+    ("no_ramification",
+     _edited("identity.json", lambda doc: doc["cover"].update(ramification={}, points_above={})),
+     lambda p: p["input"]["cover"]["ramification"] == {}
+     and p["invariants"]["B_mult"] == {"D1": 0, "D2": 0, "D3": 0, "D4": 0}),
+    ("reordered_sheet_keys", _edited("bidouble.json", _reordered_sheet_keys),
+     lambda p: [p["invariants"]["B_mult"], *p["input"]["cover"]["ramification"].values()]
+     == [{"D1": 1, "D2": 1, "D3": 1, "D4": 1}, *[[{"e": 2, "f": 1}]] * 4]),
 ]
 _FILES = [
     *sorted(COVERS.glob("*.json")),

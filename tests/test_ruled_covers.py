@@ -21,11 +21,20 @@ so the degree of the determinant of its pushforward to ``C`` is
 ``chi - rank (1 - g) = -p (1 - q)``, and ``deg_det`` is the sum of these
 over ``0 < i < n``.  The genus cancels: the walk's ``(1 - g_C)`` factors
 must too.
+
+That sum takes n steps.  For units ``u`` and ``v``,
+``sum_{0<i<n} {i u / n} {i v / n} = s(v u^-1, n) + (n - 1)/4``, where ``s``
+is the Dedekind sum, and ``sum_{0<i<n} {i u / n} = (n - 1)/2``, so with ``r``
+fibres ``deg_det = -r (n - 1)/2 + sum_{k, l} [s(v_l w_k^-1, n) + (n - 1)/4]``.
+The test's Dedekind sum follows reciprocity in O(log n) steps and shares
+no code with ``ramcov.hj``'s, which the walk's corrections use, so the
+comparison at n past 10^18 cannot pass through one fault made twice.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +91,42 @@ def ev_deg_det(n: int, fibre_weights, section_weights) -> int:
     return int(total)
 
 
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """``s(h, k)`` for coprime ``h`` and ``k > 0``, by reciprocity.
+
+    ``s(h, k) = s(h mod k, k)`` and ``s(h, k) + s(k, h) = (h/k + k/h +
+    1/(hk))/12 - 1/4`` for coprime positive ``h`` and ``k``; ``s(0, 1) = 0``.
+    """
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k, sign = k % h, h, -sign
+    return total
+
+
+def closed_deg_det(n: int, fibre_weights, section_weights) -> Fraction:
+    """:func:`ev_deg_det` in O(log n) steps per crossing, through Dedekind sums."""
+    return Fraction(-len(fibre_weights) * (n - 1), 2) + sum(
+        dedekind_sum(v * pow(w, -1, n), n) + Fraction(n - 1, 4)
+        for w in fibre_weights
+        for v in section_weights
+    )
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return x - math.floor(x) - Fraction(1, 2) if x.denominator > 1 else Fraction(0)
+
+
+def test_dedekind_sum_by_reciprocity_is_its_defining_sum():
+    for k in range(1, 60):
+        for h in range(k):
+            if math.gcd(h, k) == 1:
+                assert dedekind_sum(h, k) == sum(
+                    _sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k)
+                ), (h, k)
+
+
 @st.composite
 def _unit_weights(draw, n: int):
     """2 to 4 units mod n summing to 0 mod n; a single unit cannot."""
@@ -131,3 +176,26 @@ def test_a_cover_of_an_elliptic_ruled_surface_by_hand():
     assert cover.points_for(3)[0].local_cover_type().q == 1
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error, certificate.report.deg_det) == ([], None, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 40))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_the_closed_form_is_the_esnault_viehweg_sum(n, data):
+    fibre_weights, section_weights = data.draw(_unit_weights(n)), data.draw(_unit_weights(n))
+    assert closed_deg_det(n, fibre_weights, section_weights) == ev_deg_det(
+        n, fibre_weights, section_weights
+    )
+
+
+@pytest.mark.parametrize("n", [10**18 + 9, 2**61 - 1, 10**30 + 57])
+def test_deg_det_at_a_huge_quotient_order_is_the_closed_form(n):
+    # Two fibres and three sections on an elliptic C; the ev sum would take
+    # n steps, the walk and the closed form O(log n) each.
+    fibre_weights = [n // 7, n - n // 7]
+    section_weights = [n // 3, n // 5, n - n // 3 - n // 5]
+    assert all(math.gcd(w, n) == 1 for w in fibre_weights + section_weights)
+    base, cover = ruled_cyclic_cover(1, n, fibre_weights, section_weights)
+    violations, certificate, error = examine(base, cover, strict=True)
+    assert (violations, error) == ([], None)
+    assert certificate.report.deg_det == closed_deg_det(n, fibre_weights, section_weights)

@@ -1,9 +1,9 @@
 """A model's twin: equal to it, and sharing no tuple, point or local with it.
 
-The walk and the report writer key their per-crossing work on the identity
-of the loader's shared sheet lists and point lists.  A twin pays once per
-crossing, so the tests hold its answers to the shared model's and to the
-independent oracles.
+The walk and the report writer key their per-component and per-crossing
+work on the identity of the loader's shared sheet lists and point lists.  A
+twin pays once per component and crossing, so the tests hold its answers to
+the shared model's and to the independent oracles.
 """
 
 from dataclasses import replace
