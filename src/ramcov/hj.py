@@ -55,13 +55,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularityType:
-    """A cyclic quotient surface singularity ``A_{n,q}``."""
+    """A cyclic quotient surface singularity ``A_{n,q}``.
+
+    Construction accepts exact ints with ``0 < q < n`` and ``gcd(n, q) = 1``
+    in one test; anything else (an int subclass, a non-int, a value out of
+    range) goes through :func:`~ramcov.errors.check_int` and the range and
+    gcd checks, which name what fails.
+    """
 
     n: int
     q: int
 
     def __post_init__(self) -> None:
-        n, q = check_int(self.n, "n"), check_int(self.q, "q")
+        n, q = self.n, self.q
+        if type(n) is int and type(q) is int and 0 < q < n and math.gcd(n, q) == 1:
+            return
+        n, q = check_int(n, "n"), check_int(q, "q")
         if n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={n})")
         if not 1 <= q < n:
@@ -268,20 +277,28 @@ def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[int, ...], in
     relation scaled by ``n``, with zero at both ends: nothing is divided.
 
     Returns ``(v, c)`` with ``v_i = n a_i`` and ``c = n sum_i a_i (b_i - 2)``.
+    Both recursions run in two locals, keeping only ``alpha_1..alpha_lambda``
+    (as they come, from the far end) and ``n``; the pass that runs ``beta``
+    builds ``v`` and ``c`` beside it.
     """
     b = _chain_entries(chain)
-    beta = [0, 1]
-    for bi in b:
-        beta.append(bi * beta[-1] - beta[-2])
-    alpha = [0, 1]
+    alpha = []  # alpha_lambda, ..., alpha_1
+    prev, cur = 0, 1
     for bi in reversed(b):
-        alpha.append(bi * alpha[-1] - alpha[-2])
-    alpha.reverse()
-    n = alpha[0]
+        alpha.append(cur)
+        prev, cur = cur, bi * cur - prev
+    n = cur
     # From a list, not a generator: tuple() of a generator resizes its
     # result, which leaves CPython's per-size tuple free lists growing.
-    v = tuple([alpha[i] + beta[i] - n for i in range(1, len(b) + 1)])
-    return v, sum(vi * (bi - 2) for vi, bi in zip(v, b))
+    v = []
+    c = 0
+    prev, cur = 0, 1  # beta_(i-1), beta_i
+    for bi, ai in zip(b, reversed(alpha)):
+        vi = ai + cur - n
+        v.append(vi)
+        c += vi * (bi - 2)
+        prev, cur = cur, bi * cur - prev
+    return tuple(v), c
 
 
 def resolve(sing: SingularityType) -> ResolutionData:

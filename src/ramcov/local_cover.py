@@ -92,11 +92,15 @@ class LatticeSubgroup:
         return LatticeSubgroup((self.g1[1], self.g1[0]), (self.g2[1], self.g2[0]))
 
     def contains(self, v: tuple[int, int]) -> bool:
-        """Membership test by Cramer's rule over the integers."""
-        d = self.det
-        s_num = v[0] * self.g2[1] - v[1] * self.g2[0]
-        t_num = self.g1[0] * v[1] - self.g1[1] * v[0]
-        return s_num % d == 0 and t_num % d == 0
+        """Membership test by Cramer's rule over the integers.
+
+        ``v`` is a pair; the determinant is formed from the unpacked
+        generators, as :attr:`det` forms it, without the property call.
+        """
+        (a, b), (c, d) = self.g1, self.g2
+        x, y = v
+        det = a * d - b * c
+        return (x * d - y * c) % det == 0 and (a * y - b * x) % det == 0
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def canonical_basis(gamma: LatticeSubgroup) -> tuple[int, int, int]:
     # Second coordinates generate gZ; the combination below realizes g.
     m2 = g
     x = u * a + v * c
-    n_prime = gamma.index // g
+    n_prime = abs(a * d - b * c) // g  # the index, without the property calls
     q_prime = x % n_prime
     return n_prime, q_prime, m2
 

@@ -719,6 +719,47 @@ def test_sheet_index_errors_name_the_document_path_or_the_canonical_point():
     )
 
 
+def test_a_shared_point_list_out_of_range_is_named_at_its_lowest_crossing():
+    # One point list with j = 1 under crossings 9 and 6 of grid(4), written
+    # with 9 first; every component has one sheet, so both crossings fail and
+    # the lower one is named.  check_references checks the list's largest
+    # indices once, and each crossing against its own sheet counts.
+    doc = _grid_document(4)
+    lattice = [[2, 0], [1, 1]]
+    bad = [{"j": 0, "jp": 0, "local": lattice}, {"j": 1, "jp": 0, "local": lattice}]
+    rest = doc["cover"]["points_above"]
+    doc["cover"]["points_above"] = {
+        "9": bad, **{key: pts for key, pts in rest.items() if key not in ("6", "9")}, "6": bad,
+    }
+    with pytest.raises(InvalidInputError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == (
+        "cover.points_above['6'][1].j: sheet index 1 out of range for component 'F1' (1 sheets)"
+    )
+    base, cover = _grid(4)
+    local = LatticeSubgroup((2, 0), (1, 1))
+    shared = (PointAbove(0, 0, local), PointAbove(1, 0, local))
+    with_shared = replace(cover, points_above=tuple(
+        (idx, shared if idx in (6, 9) else pts) for idx, pts in cover.points_above
+    ))
+    with pytest.raises(InvalidInputError) as info:
+        check_references(base, with_shared)
+    assert str(info.value) == (
+        "crossing 6, point 1: sheet index j=1 out of range for component 'F1' (1 sheets)"
+    )
+    # With two sheets on F1, crossing 6 (F1, S2) passes and crossing 9
+    # (F2, S1) still fails on the same list.
+    sheets = dict(with_shared.ramification)
+    two_sheets = replace(with_shared, ramification=tuple(
+        (cid, sheets["F1"] * 2 if cid == "F1" else ram) for cid, ram in with_shared.ramification
+    ))
+    with pytest.raises(InvalidInputError) as info:
+        check_references(base, two_sheets)
+    assert str(info.value) == (
+        "crossing 9, point 1: sheet index j=1 out of range for component 'F2' (1 sheets)"
+    )
+
+
 # repeated_points.json's twelve points are five distinct records over four
 # distinct point lists.
 

@@ -10,7 +10,7 @@ import sympy
 
 import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError, InvalidInputError
-from ramcov.hj import HJChain, discrepancies, hj_expand
+from ramcov.hj import HJChain, discrepancies, hj_evaluate, hj_expand
 from ramcov.local_cover import (
     DEFAULT_ENUMERATION_CAP,
     LatticeSubgroup,
@@ -134,6 +134,20 @@ def test_hj_sweep_detects_a_correction_off_by_one(monkeypatch):
     ]
 
 
+def test_hj_sweep_detects_a_wrong_evaluation(monkeypatch):
+    # The expansion is right; only reading it back is wrong, on one chain.
+    def bad_evaluate(chain):
+        value = hj_evaluate(chain)
+        return value + 1 if chain.b == (2, 2, 3) else value
+
+    monkeypatch.setattr(verify, "hj_evaluate", bad_evaluate)
+    res = verify.hj_sweep(10)
+    assert [(f.prop, f.witness["n"], f.witness["q"]) for f in res.failures] == [
+        ("reconstruction", 7, 5)
+    ]
+    assert res.failures[0].message == "evaluates to 12/5, expected 7/5"
+
+
 def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
     def bad_type(gamma):
         lt = local_type(gamma)
@@ -157,6 +171,29 @@ def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
     res = verify.lattice_sweep(6)
     assert not res.ok
     assert any(f.prop == "enumeration-count" for f in res.failures)
+
+
+def test_lattice_sweep_detects_a_wrong_membership_test(monkeypatch):
+    # Membership that refuses every vector off the first axis in the
+    # subgroups of index 6: their canonical (q', m2) has m2 > 0.
+    contains = LatticeSubgroup.contains
+
+    def bad_contains(self, v):
+        return contains(self, v) and not (self.index == 6 and v[1] != 0)
+
+    monkeypatch.setattr(LatticeSubgroup, "contains", bad_contains)
+    res = verify.lattice_sweep(8)
+    assert "canonical-membership" in {f.prop for f in res.failures}
+    assert res.checked == sum(int(sympy.divisor_sigma(k, 1)) for k in range(1, 6)) + 1
+
+
+def test_lattice_sweep_detects_a_wrong_axis_swap(monkeypatch):
+    # A swap that exchanges nothing keeps m1 and m2 in place: (1, 0), (0, 2)
+    # of index 2 is the first subgroup with m1 != m2.
+    monkeypatch.setattr(LatticeSubgroup, "swapped", lambda self: self)
+    res = verify.lattice_sweep(8)
+    assert {f.prop for f in res.failures} & {"axis-swap-shape", "axis-swap-duality"}
+    assert [(f.witness["g1"], f.witness["g2"]) for f in res.failures] == [([1, 0], [0, 2])]
 
 
 def _rebased(g, a, b, c, d):
@@ -188,6 +225,13 @@ def test_prime_divisors():
     ]
     for k in range(1, 500):
         assert verify._prime_divisors(k) == tuple(sympy.primefactors(k))
+
+
+def test_prime_table_matches_trial_division():
+    for limit in (0, 1, 45, 120):
+        table = verify._prime_table(limit)
+        assert len(table) == limit + 1
+        assert all(table[k] == verify._prime_divisors(k) for k in range(limit + 1))
 
 
 def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
