@@ -55,22 +55,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularityType:
-    """A cyclic quotient surface singularity ``A_{n,q}``.
-
-    Construction accepts exact ints with ``0 < q < n`` and ``gcd(n, q) = 1``
-    in one test; anything else (an int subclass, a non-int, a value out of
-    range) goes through :func:`~ramcov.errors.check_int` and the range and
-    gcd checks, which name what fails.
-    """
+    """A cyclic quotient surface singularity ``A_{n,q}``."""
 
     n: int
     q: int
 
     def __post_init__(self) -> None:
-        n, q = self.n, self.q
-        if type(n) is int and type(q) is int and 0 < q < n and math.gcd(n, q) == 1:
-            return
-        n, q = check_int(n, "n"), check_int(q, "q")
+        n, q = check_int(self.n, "n"), check_int(self.q, "q")
         if n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={n})")
         if not 1 <= q < n:

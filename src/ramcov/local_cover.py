@@ -95,7 +95,7 @@ class LatticeSubgroup:
         """Membership test by Cramer's rule over the integers.
 
         ``v`` is a pair; the determinant is formed from the unpacked
-        generators, as :attr:`det` forms it, without the property call.
+        generators, as :attr:`det` forms it.
         """
         (a, b), (c, d) = self.g1, self.g2
         x, y = v
@@ -193,7 +193,7 @@ def canonical_basis(gamma: LatticeSubgroup) -> tuple[int, int, int]:
     # Second coordinates generate gZ; the combination below realizes g.
     m2 = g
     x = u * a + v * c
-    n_prime = abs(a * d - b * c) // g  # the index, without the property calls
+    n_prime = abs(a * d - b * c) // g
     q_prime = x % n_prime
     return n_prime, q_prime, m2
 

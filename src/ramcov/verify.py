@@ -71,12 +71,8 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
 
     Each chain statistic is one C-level reduction (``min``, ``max``,
     ``sum``, ``count``, ``any``) and the recursion is one pass over the
-    chain, so a pair costs little more than the code it checks: building
-    ``SingularityType(n, q)`` (one test for an in-range pair of ints),
-    ``hj_expand``, ``hj_evaluate`` and ``discrepancies`` (both continuant
-    recursions in locals), each called through this module's name for it.
-    The witness, with its copy of the chain, is built only for a pair that
-    fails.
+    chain, so a pair costs little more than its chain and discrepancies.  The
+    witness, with its copy of the chain, is built only for a pair that fails.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
@@ -159,25 +155,15 @@ def _prime_divisors(k: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _prime_table(limit: int) -> tuple[tuple[int, ...], ...]:
-    """``_prime_divisors(k)`` at index ``k``, for ``0 <= k <= limit``."""
-    return tuple([_prime_divisors(k) for k in range(limit + 1)])
-
-
-def _axis_multiple_below(
-    g: LatticeSubgroup, n_prime: int, n_prime_in: bool, primes: tuple = ()
-) -> bool:
+def _axis_multiple_below(g: LatticeSubgroup, n_prime: int, n_prime_in: bool) -> bool:
     """Whether ``(t, 0)`` lies in ``g`` for some ``0 < t < n_prime``.
 
     ``n_prime_in`` says whether ``(n_prime, 0)`` lies in ``g``; when it does,
     only ``(n_prime / p, 0)`` for the primes ``p | n_prime`` are tested (see
-    :func:`lattice_sweep`), otherwise every ``t``.  The primes are read from
-    ``primes``, a :func:`_prime_table`, when it covers ``n_prime``, and
-    found by trial division when it does not.
+    :func:`lattice_sweep`), otherwise every ``t``.
     """
     if n_prime_in:
-        found = primes[n_prime] if 0 <= n_prime < len(primes) else _prime_divisors(n_prime)
-        return any(g.contains((n_prime // p, 0)) for p in found)
+        return any(g.contains((n_prime // p, 0)) for p in _prime_divisors(n_prime))
     return any(g.contains((t, 0)) for t in range(1, n_prime))
 
 
@@ -201,14 +187,10 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     :meth:`LatticeSubgroup.contains` tests.  Once ``(n', 0)`` is in the
     subgroup, ``t0`` divides ``n'``, and ``t0 < n'`` exactly when ``t0``
     divides ``n'/p`` for a prime ``p | n'``; so ``(n'/p, 0)`` is tested for
-    the primes of ``n'``, and the property is vacuous for ``n' <= 1``.  The
-    primes are read from a :func:`_prime_table` up to ``max_index``, built
-    once per sweep by trial division; an ``n'`` past it (only a wrong
-    classification gives one) is factored on the spot.  When ``(n', 0)`` is
-    not in the subgroup, ``canonical-membership`` has already failed and
-    every ``t < n'`` is tested, so the failures are the same as a full
-    scan's on any input.  ``contains`` and ``canonical_basis``, called a
-    few times per subgroup, form the determinant from unpacked generators.
+    the primes of ``n'`` (trial division, ``n' <= index``), and the property
+    is vacuous for ``n' <= 1``.  When ``(n', 0)`` is not in the subgroup,
+    ``canonical-membership`` has already failed and every ``t < n'`` is
+    tested, so the failures are the same as a full scan's on any input.
     """
     result = SweepResult(suite="lattice")
     subgroups = enumerate_subgroups(max_index, cap=cap)
@@ -229,7 +211,6 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
             )
             return result
 
-    primes = _prime_table(max_index)
     for g in subgroups:
         result.checked += 1
         lt = local_type(g)
@@ -255,7 +236,7 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
             failed.append(("canonical-membership", "canonical basis vectors not in subgroup"))
         if n_prime * lt.m2 != index:
             failed.append(("canonical-index", "canonical basis does not have full index"))
-        if _axis_multiple_below(g, n_prime, first_in, primes):
+        if _axis_multiple_below(g, n_prime, first_in):
             failed.append(("first-generator-minimality", f"(t, 0) in subgroup for t < {n_prime}"))
 
         swapped = local_type(g.swapped())

@@ -227,13 +227,6 @@ def test_prime_divisors():
         assert verify._prime_divisors(k) == tuple(sympy.primefactors(k))
 
 
-def test_prime_table_matches_trial_division():
-    for limit in (0, 1, 45, 120):
-        table = verify._prime_table(limit)
-        assert len(table) == limit + 1
-        assert all(table[k] == verify._prime_divisors(k) for k in range(limit + 1))
-
-
 def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
     # m1 doubled on the product lattice (3, 0), (0, 4): the first generator
     # (6, 0) and the second (0, 4) still lie in the subgroup, but (3, 0) is
