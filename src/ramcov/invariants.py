@@ -18,14 +18,16 @@ the linear degree bound where its value is computed:
   in O(log n) steps by :func:`~ramcov.hj.resolution_numbers`, once per walk.
 
 A crossing's numbers depend only on its two sheet lists and its points,
-so the walk computes them, with their verdicts and findings as data, once
-per distinct ``(id(first sheets), id(second sheets), id(points))`` (see
-:func:`_crossing_shape`); the loader gives byte-equal lists one tuple.  Each
-crossing then gets only its index and shape number in the receipts, and
-its label ``crossing {index}`` only when it has a finding or an ``error``.
-The memo keys on identity, never on list contents, and lives for one
-walk, so a model whose crossings share nothing pays once per crossing and
-keeps one entry per shape, beside the rows the receipts keep anyway.
+so the walk computes them, with their verdicts, once per distinct
+``(id(first sheets), id(second sheets), id(points))`` with no finding and
+no ``error`` (see :func:`_crossing_shape`); the loader gives byte-equal
+lists one tuple.  Each such crossing then gets only its index and shape
+number in the receipts.  A crossing whose shape has a finding or an
+``error`` is examined on its own, and its findings are written, with its
+label ``crossing {index}``, where they are found.  The memo keys on
+identity, never on list contents, and lives for one walk, so a model whose
+crossings share nothing pays once per crossing and keeps one entry per
+shape, beside the rows the receipts keep anyway.
 
 The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
 the only terms of the totals: each crossing shape adds its ``s``, point
@@ -49,11 +51,11 @@ certificate, which carries the receipts so a failure localizes, is
 :func:`degree_linear_certificate`'s; :func:`invariant_report` is the
 certificate's report alone.  Every receipt reads as one plain row
 ``(name, value, bound, per_degree, ok)``, decided once, where the walk
-emits it, and stored by crossing shape (see :class:`Receipts`); the
-certificate's verdicts and both reports read the rows.  Beside them sit
-an Arakelov-type bound for semistable fibrations and a logarithmic height
-bound for plane models, the single place the package leaves exact
-arithmetic (flagged as such).
+emits it; the certificate holds them in one :class:`Receipts`, stored by
+crossing shape and read by part, and its verdicts and both reports read
+them there.  Beside them sit an Arakelov-type bound for semistable
+fibrations and a logarithmic height bound for plane models, the single
+place the package leaves exact arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import InvalidInputError, check_int
 # resolve is not called here; it stays bound because perfbench/tracer.py
 # wraps it under this module's name.
 from .hj import SingularityType, resolution_numbers, resolve
-from .model import BaseGeometry, CoverDescription, EulerData, Violation
+from .model import BaseGeometry, CoverDescription, Crossing, EulerData, Violation
 from .model import check_references, derived_euler_data
 
 __all__ = [
@@ -268,8 +271,10 @@ class Receipts(Sequence):
     The rows are ``head``, the component rows; per crossing ``indices[k]``
     the three rows ``shape_rows[shapes[k]]``, named after ``KINDS``
     (``rr_cross[crossing 12]``, ``correction[crossing 12]`` and
-    ``exceptional_s[crossing 12]``); and ``tail``, the ``deg_det`` rows.  A
-    row ``(name, value, bound, per_degree, ok)`` is built when read, and
+    ``exceptional_s[crossing 12]``); and ``tail``, the ``deg_det`` rows: the
+    linear row, then the fibration row when there is one.  A certificate
+    built by hand passes its rows as ``Receipts(head, [], [], (), tail)``.
+    A row ``(name, value, bound, per_degree, ok)`` is built when read, and
     indexing, slicing, iteration, ``==`` and ``hash`` are the row tuple's.
     Every shape is some crossing's, so :attr:`satisfied` reads each once.
     """
@@ -329,24 +334,18 @@ class BoundCertificate:
     cover of the same base.  ``receipts`` instantiate the individual
     estimates that make the aggregate work, one row ``(name, value, bound,
     per_degree, ok)`` each, in report order, with the verdict ``|value| <=
-    bound`` decided where the walk emits it; ``satisfied`` holds exactly
-    when every verdict does.  :func:`examine` stores them by crossing shape,
-    as :class:`Receipts`, whose rows are named when read or written, and
-    decides ``satisfied`` once per shape; a certificate built by hand may
-    give a plain tuple of rows.  The rows have a positional contract, which
-    :func:`examine` keeps and a certificate built by hand must keep too:
-    the last row compares ``deg_det`` with ``linear_coefficient * degree``,
-    except that when ``fibration_bound`` is set the row comparing
-    ``deg_det`` with it comes last and the linear row just before it.
-    ``linear_row`` is the one reader of that position.
+    bound`` decided where the walk emits it (see :class:`Receipts`);
+    ``satisfied`` holds exactly when every verdict does.  Their ``tail``
+    holds the ``deg_det`` rows: ``linear_row`` compares ``deg_det`` with
+    ``linear_coefficient * degree``, and when ``fibration_bound`` is set the
+    row after it compares ``deg_det`` with that bound.
     ``deg_det_within_linear`` and ``deg_det_within_fibration`` are those
-    rows' verdicts, read by position with no comparison of their own, and
-    the text report's ``c*d`` is the linear row's bound.  ``report`` is
-    summed in the walk that emits the receipts; its ``deg_det`` is the
-    certificate's.
+    rows' verdicts, and the text report's ``c*d`` is the linear row's bound.
+    ``report`` is summed in the walk that emits the receipts; its
+    ``deg_det`` is the certificate's.
     """
 
-    receipts: Union[Receipts, tuple[tuple, ...]]
+    receipts: Receipts
     linear_coefficient: Fraction
     degree: int
     report: InvariantReport
@@ -360,14 +359,12 @@ class BoundCertificate:
 
     @cached_property
     def satisfied(self) -> bool:
-        if isinstance(self.receipts, Receipts):
-            return self.receipts.satisfied
-        return all(ok for *_, ok in self.receipts)
+        return self.receipts.satisfied
 
     @property
     def linear_row(self) -> tuple:
         """The row comparing ``deg_det`` with ``linear_coefficient * degree``."""
-        return self.receipts[-1 if self.fibration_bound is None else -2]
+        return self.receipts.tail[0]
 
     @property
     def deg_det_within_linear(self) -> bool:
@@ -377,7 +374,7 @@ class BoundCertificate:
     def deg_det_within_fibration(self) -> Optional[bool]:
         if self.fibration_bound is None:
             return None
-        return self.receipts[-1][-1]
+        return self.receipts.tail[1][-1]
 
 
 def linear_coefficient(base: BaseGeometry) -> Fraction:
@@ -418,34 +415,35 @@ _ZERO = Fraction(0)
 def _crossing_shape(
     base: BaseGeometry,
     cover: CoverDescription,
+    crossing: Crossing,
     first: tuple,
     second: tuple,
     points: tuple,
     strict: bool,
     classified: dict,
 ) -> tuple:
-    """What one crossing gives :func:`examine`, from its sheets and points alone.
+    """What ``crossing`` gives :func:`examine`, from its sheets and points alone.
 
-    Returns ``(faults, problem, rows, tally)``.  ``faults`` holds its V2 to
-    V5 findings as data, ``(code, where, before, side, after)``: the walk
-    names a finding ``(at, where)``, or ``(at,)`` when ``where`` is empty,
-    and its message is ``at + before + repr(pair[side]) + after``, with no
-    component id when ``side`` is None.  ``problem`` is the first range or
-    gcd problem of a point's local type, or None; the numbers are summed
-    only up to it.  ``rows`` are its three receipts less their names (see
-    :class:`Receipts`): the cross term, the correction and the
-    exceptional curve count ``s``, each with its bound, per-degree factor
-    and verdict.  ``tally`` is ``(s, points, cross.numerator,
-    cross.denominator, correction.numerator, correction.denominator)``,
-    which the walk sums.  ``classified`` is the walk's memo of each distinct ``local``
-    value: its type, that type's problems and, at a valid quotient point,
-    ``(chain length, correction)`` from
-    :func:`~ramcov.hj.resolution_numbers`, else None.  A sheet index out of
-    range raises :func:`~ramcov.model.check_references`' error.
+    Returns ``(violations, error, rows, tally)``.  ``violations`` are its V2
+    to V5 findings, each named after the crossing where it is found.
+    ``error`` names the crossing and the first range or gcd problem of a
+    point's local type, or is None; the numbers are summed only up to that
+    point.  ``rows`` are its three receipts less their names (see
+    :class:`Receipts`): the cross term, the correction and the exceptional
+    curve count ``s``, each with its bound, per-degree factor and verdict.
+    ``tally`` is ``(s, points, cross.numerator, cross.denominator,
+    correction.numerator, correction.denominator)``, which the walk sums.
+    ``classified`` is the walk's memo of each distinct ``local`` value: its
+    type, that type's problems and, at a valid quotient point, ``(chain
+    length, correction)`` from :func:`~ramcov.hj.resolution_numbers`, else
+    None.  A sheet index out of range raises
+    :func:`~ramcov.model.check_references`' error.
     """
     d = cover.degree
     zero = _ZERO
-    faults = []
+    at = f"crossing {crossing.index}"
+    first_id, second_id = crossing.pair
+    found = []
     problem = None
     total = 0
     # Per sheet carrying a point, the local degrees of the upstairs curve:
@@ -475,12 +473,14 @@ def _crossing_shape(
         if lt.e1 != e1 or lt.e2 != e2 or problems:
             where = f"point {k}"
             if lt.e1 != e1:
-                faults.append(("V3", where, f", {where}: local e1={lt.e1} but sheet {pt.j} of ",
-                               0, f" has e={e1}"))
+                found.append(Violation("V3", (at, where), (
+                    f"{at}, {where}: local e1={lt.e1} but sheet {pt.j} of {first_id!r} has e={e1}"
+                )))
             if lt.e2 != e2:
-                faults.append(("V3", where, f", {where}: local e2={lt.e2} but sheet {pt.jp} of ",
-                               1, f" has e={e2}"))
-            faults += [("V5", where, f", {where}: {p}", None, "") for p in problems]
+                found.append(Violation("V3", (at, where), (
+                    f"{at}, {where}: local e2={lt.e2} but sheet {pt.jp} of {second_id!r} has e={e2}"
+                )))
+            found += [Violation("V5", (at, where), f"{at}, {where}: {p}") for p in problems]
             if problems and problem is None:
                 problem = problems[0]
         if problem is not None:
@@ -492,25 +492,26 @@ def _crossing_shape(
             correction = term if correction is zero else correction + term
             s += length
     if total != d:
-        faults.append(("V2", "", f": sum of local degrees d_y is {total}, expected degree {d}",
-                       None, ""))
+        found.append(Violation("V2", (at,), (
+            f"{at}: sum of local degrees d_y is {total}, expected degree {d}"
+        )))
     if strict:
         # Per-sheet incidence: over a crossing the points on one sheet must
         # exhaust its degree over the downstairs component.  A sheet without
         # points sums to 0 < f, so the first sheet that is off and the count
         # of those that are come from the sums alone: one finding per
         # component, in O(points) rather than O(sheets).
-        for side, sheets, sums, j, m in (
-            (0, first, m2_on, "j", "m2"), (1, second, m1_on, "jp", "m1")
+        for cid, sheets, sums, j, m in (
+            (first_id, first, m2_on, "j", "m2"), (second_id, second, m1_on, "jp", "m1")
         ):
             jj = 0
             while jj in sums and sums[jj] == sheets[jj].f:
                 jj += 1
             if jj < len(sheets):
                 off = len(sheets) - sum(got == sheets[i].f for i, got in sums.items())
-                faults.append(("V4", f"sheet {j}={jj}", f": {m} over sheet {jj} of ", side, (
-                    f" sums to {sums.get(jj, 0)}, expected f={sheets[jj].f}; "
-                    f"{off} of {len(sheets)} sheet(s) off"
+                found.append(Violation("V4", (at, f"sheet {j}={jj}"), (
+                    f"{at}: {m} over sheet {jj} of {cid!r} sums to {sums.get(jj, 0)}, "
+                    f"expected f={sheets[jj].f}; {off} of {len(sheets)} sheet(s) off"
                 )))
     twice, bound = 2 * d, max(d, 2 * len(points))
     rows = (
@@ -520,7 +521,8 @@ def _crossing_shape(
     )
     tally = (s, len(points), cross.numerator, cross.denominator,
              correction.numerator, correction.denominator)
-    return tuple(faults), problem, rows, tally
+    error = None if problem is None else f"{at}: invalid local type: {problem}"
+    return found, error, rows, tally
 
 
 def examine(
@@ -547,9 +549,11 @@ def examine(
     crossing is named only in a finding, in ``error`` or when read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
-    id(points))``, is computed once per walk, and within those each
-    distinct ``local`` value is classified, its range and gcd constraints
-    checked and, at a quotient point, its resolution numbers found, once.
+    id(points))``, with no finding and no ``error`` is computed once per
+    walk; a crossing whose shape has either is computed on its own, and
+    its findings name it.  Within those, each distinct ``local`` value is
+    classified, its range and gcd constraints checked and, at a quotient
+    point, its resolution numbers found, once.
     Likewise each distinct sheet list, ``id(sheets)``, gives its sum of
     ``e*f``, ``B_mult``, diagonal factor, ``d_i`` and two verdicts once per
     walk; a component adds only its own products, its V1 finding and its
@@ -614,9 +618,9 @@ def examine(
     # a point's local data -> its local type, that type's problems and its
     # (chain length, correction) at a valid quotient point, else None
     classified: dict = {}
-    # (id(first sheets), id(second sheets), id(points)) -> (faults, problem,
-    # shape number) of that crossing shape
-    shapes: dict[tuple[int, int, int], tuple] = {}
+    # (id(first sheets), id(second sheets), id(points)) -> the shape number
+    # of a crossing shape with no finding and no error
+    shapes: dict[tuple[int, int, int], int] = {}
     shape_rows = []  # per shape number, its crossings' three rows less their names
     shape_tallies = []  # per shape number, its tally (see _crossing_shape)
     indices = []  # the index of each crossing summed
@@ -626,29 +630,25 @@ def examine(
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
         points = cover.points_for(crossing.index)
         key = (id(first), id(second), id(points))
-        shape = shapes.get(key)
-        if shape is None:
-            faults, problem, rows, tally = _crossing_shape(
-                base, cover, first, second, points, strict, classified
+        number = shapes.get(key)
+        if number is None:
+            violations, shape_error, rows, tally = _crossing_shape(
+                base, cover, crossing, first, second, points, strict, classified
             )
-            shape = shapes[key] = (faults, problem, len(shape_rows))
+            number = len(shape_rows)
             shape_rows.append(rows)
             shape_tallies.append(tally)
-        faults, problem, number = shape
-        if faults or problem is not None:
-            at = f"crossing {crossing.index}"
-            for code, where, before, side, after in faults:
-                found.append(Violation(code, (at, where) if where else (at,), (
-                    f"{at}{before}{after}" if side is None
-                    else f"{at}{before}{crossing.pair[side]!r}{after}"
-                )))
-            if problem is not None and error is None:
-                error = f"{at}: invalid local type: {problem}"
+            if violations or shape_error is not None:
+                found += violations
+                if error is None:
+                    error = shape_error
+            else:
+                shapes[key] = number
         if error is not None:
             continue
         indices.append(crossing.index)
         numbers.append(number)
-    found.sort()
+    found.sort(key=attrgetter("code", "where", "message"))  # Violation's order, in C
     if error is not None:
         return found, None, error
 

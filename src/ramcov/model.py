@@ -350,32 +350,20 @@ def check_references(base: BaseGeometry, cover: CoverDescription, point_path=Non
     ``crossing I, point K`` in canonical order, or by ``point_path(I,
     point)`` and the field when that is given: the loader gives the point's
     path in its document.  The ramification keys are checked first, then
-    each crossing's key and its points in index order; every check reads
-    the base's indexes.  Each distinct point tuple's largest ``j`` and
-    ``jp`` are found once, keyed on its identity for this call, and each
-    crossing compares them with its two sheet counts; only a crossing that
-    fails walks its points, so a fault is named at the first failing point
-    of the lowest failing crossing, as a walk over every point names it.
+    each crossing's key and its points in index order, so a fault is named
+    at the first failing point of the lowest failing crossing; every check
+    reads the base's indexes and the cover's sheet table.
     """
     for cid, _ in cover.ramification:
         if cid not in base._components:
             raise InvalidInputError(f"ramification references unknown component {cid!r}")
     sheets = cover._sheets
-    reach = {}  # id(points) -> (largest j, largest jp), -1 when empty
     for idx, points in cover.points_above:
         crossing = base._crossings.get(idx)
         if crossing is None:
             raise InvalidInputError(f"points_above references unknown crossing {idx}")
         first, second = crossing.pair
         n_first, n_second = len(sheets.get(first, ())), len(sheets.get(second, ()))
-        top = reach.get(id(points))
-        if top is None:
-            top = reach[id(points)] = (
-                max([pt.j for pt in points], default=-1),
-                max([pt.jp for pt in points], default=-1),
-            )
-        if top[0] < n_first and top[1] < n_second:
-            continue
         for k, pt in enumerate(points):
             if pt.j < n_first and pt.jp < n_second:
                 continue

@@ -172,14 +172,13 @@ def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
     out.append(brackets if sep is opening else _newline(depth) + brackets[1])
 
 
-def _write_terms(receipts, depth: int, out: list) -> None:
+def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     """``certificate.terms``, opened at ``depth``.
 
-    :class:`~ramcov.invariants.Receipts` keep each crossing shape's three
-    rows once, less their names: each shape's rows are written once, as a
-    template of the three records, and each crossing is one chunk, its index
-    spliced into the three names.  Every other row, and every row of a plain
-    tuple, which is taken as the head of a ``Receipts``, is one chunk.
+    The receipts keep each crossing shape's three rows once, less their
+    names: each shape's rows are written once, as a template of the three
+    records, and each crossing is one chunk, its index spliced into the
+    three names.  Every ``head`` and ``tail`` row is one chunk.
     """
     end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
@@ -194,8 +193,6 @@ def _write_terms(receipts, depth: int, out: list) -> None:
     def records(rows):
         return (record(encode_basestring_ascii(name), *numbers) for name, *numbers in rows)
 
-    if not isinstance(receipts, Receipts):
-        receipts = Receipts(tuple(receipts), [], [], (), ())
     # Per shape, the text of its three records, split where an index goes.
     templates = [
         f",{end}".join(

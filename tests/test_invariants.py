@@ -38,6 +38,7 @@ from ramcov.invariants import (
     BoundCertificate,
     FibrationInputs,
     InvariantReport,
+    Receipts,
     arakelov_degree_bound,
     deg_det,
     degree_linear_certificate,
@@ -56,7 +57,7 @@ from ramcov.model import (
     check_references, derived_euler_data, validate,
 )
 from ramcov.report import ReportDocument
-from report_reference import reference_receipts
+from report_reference import reference_receipts, reference_report
 from twins import twin
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -675,24 +676,37 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
         derived_base=derived_euler_data(base),
     )
     one = Fraction(1)
-    rows = (("x", 1, 2, one, True), ("deg_det_vs_linear", 3, 2, one, False))
-    cert = BoundCertificate(receipts=rows, fibration_inputs=None, fibration_bound=None, **fields)
+    head = (("x", 1, 2, one, True),)
+    linear = ("deg_det_vs_linear", 3, 2, one, False)
+    receipts = Receipts(head, [], [], (), (linear,))
+    cert = BoundCertificate(
+        receipts=receipts, fibration_inputs=None, fibration_bound=None, **fields
+    )
     assert cert.deg_det_within_linear is False and not cert.satisfied
     assert cert.deg_det_within_fibration is None
-    assert cert.linear_row is rows[1]
+    assert cert.linear_row is linear
+    assert tuple(cert.receipts) == (*head, linear)
     fib = FibrationInputs(0, 2, 0, 2, 0)
+    fibration = ("deg_det_vs_fibration", 3, 9, one, True)
     cert = BoundCertificate(
-        receipts=rows + (("deg_det_vs_fibration", 3, 9, one, True),),
+        receipts=Receipts(head, [], [], (), (linear, fibration)),
         fibration_inputs=fib, fibration_bound=Fraction(9), **fields,
     )
     assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
-    assert cert.linear_row is rows[1]
+    assert cert.linear_row is linear
     text = ReportDocument(False, base, cover, (), cert).to_text()
     assert "|deg_det| <= c*d = 2: VIOLATED" in text
+    # a failing head row alone fails the certificate, however its tail reads
+    passing = ("deg_det_vs_linear", 1, 2, one, True)
+    cert = BoundCertificate(
+        receipts=Receipts((("x", 3, 2, one, False),), [], [], (), (passing,)),
+        fibration_inputs=None, fibration_bound=None, **fields,
+    )
+    assert cert.deg_det_within_linear and not cert.satisfied
     # the certificate's deg_det is its report's, so the two cannot disagree
     assert cert.deg_det == fields["report"].deg_det
     with pytest.raises(TypeError, match="deg_det"):
-        BoundCertificate(receipts=rows, fibration_inputs=None, fibration_bound=None,
+        BoundCertificate(receipts=receipts, fibration_inputs=None, fibration_bound=None,
                          deg_det=cert.deg_det + 1, **fields)
 
 
@@ -793,10 +807,10 @@ def _many_shapes():
     return base, cover
 
 
-def _one_failing_crossing():
-    """The identity cover with an A_4 point over crossing 0: only its ``s`` receipt fails."""
+def _one_failing_crossing(local=LocalCoverType(5, 4, 1, 1)):
+    """The identity cover with ``local`` over crossing 0; an A_4 point fails only its ``s``."""
     base, cover = identity_cover()
-    point = PointAbove(0, 0, LocalCoverType(5, 4, 1, 1))
+    point = PointAbove(0, 0, local)
     points_above = tuple(
         (idx, (point,) if idx == 0 else points) for idx, points in cover.points_above
     )
@@ -808,6 +822,8 @@ _CONTRACT = [
     *((f"{p.parent.name}/{p.name}", lambda p=p: load_cover_path(str(p))) for p in _SHIPPED),
     ("many_shapes", _many_shapes),
     ("one_failing_crossing", _one_failing_crossing),
+    # a (101, 1) point: its correction -9801/101 fails against the bound 2
+    ("one_failing_correction", lambda: _one_failing_crossing(LocalCoverType(101, 1, 1, 1))),
 ]
 
 
@@ -829,17 +845,29 @@ def _receipts_contract(base, cover, strict, fibration):
         receipts[len(rows)]
     with pytest.raises(IndexError):
         receipts[-len(rows) - 1]
-    # A certificate built by hand from the plain tuple is equal and reads alike.
-    plain = dataclasses.replace(cert, receipts=rows)
-    assert plain == cert and hash(plain) == hash(cert)
-    assert cert.linear_row == plain.linear_row == rows[-1 if fibration is None else -2]
-    assert cert.satisfied == plain.satisfied == all(ok for *_, ok in rows)
-    assert cert.deg_det_within_linear == plain.deg_det_within_linear
-    assert cert.deg_det_within_fibration == plain.deg_det_within_fibration
-    return [
-        (doc.to_text(), "".join(doc.to_json()))
-        for doc in (ReportDocument(strict, base, cover, tuple(violations), c) for c in (cert, plain))
+    # The verdicts read the reference rows by name.
+    by_name = {row[0]: row for row in rows}
+    linear = by_name["deg_det_vs_linear"]
+    assert cert.linear_row == linear
+    assert cert.satisfied == all(ok for *_, ok in rows)
+    assert cert.deg_det_within_linear == linear[-1]
+    assert cert.deg_det_within_fibration == (
+        None if fibration is None else by_name["deg_det_vs_fibration"][-1]
+    )
+    # Both writers write the reference rows.
+    doc = ReportDocument(strict, base, cover, tuple(violations), cert)
+    reference = json.dumps(reference_report(doc), indent=2, sort_keys=True) + "\n"
+    assert "".join(doc.to_json()) == reference
+    lines = doc.to_text().splitlines()
+    start = lines.index("linear bound certificate:") + 1
+    assert lines[start:start + len(rows)] == [
+        f"  {name}: |{value}| <= {bound}  {'ok' if ok else 'VIOLATED'}"
+        for name, value, bound, _, ok in rows
     ]
+    assert lines[start + len(rows)].endswith(
+        f"|deg_det| <= c*d = {linear[2]}: {'ok' if linear[-1] else 'VIOLATED'}"
+    )
+    assert lines[start + len(rows) + 1] == f"  satisfied: {'yes' if cert.satisfied else 'no'}"
 
 
 @pytest.mark.parametrize("fibration", [None, _EV], ids=["", "ev"])
@@ -848,9 +876,8 @@ def _receipts_contract(base, cover, strict, fibration):
 def test_receipts_by_shape_read_as_the_eager_rows(load, strict, fibration):
     # Receipts stored by crossing shape are, row for row, the tuple of rows
     # an eager walk builds: in every reading, in the certificate's verdicts
-    # and, written from either, in both reports' bytes.
-    by_shape, plain = _receipts_contract(*load(), strict, fibration)
-    assert by_shape == plain
+    # and in both reports' bytes.
+    _receipts_contract(*load(), strict, fibration)
 
 
 def test_a_failing_crossing_row_alone_fails_the_certificate():

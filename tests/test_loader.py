@@ -722,8 +722,8 @@ def test_sheet_index_errors_name_the_document_path_or_the_canonical_point():
 def test_a_shared_point_list_out_of_range_is_named_at_its_lowest_crossing():
     # One point list with j = 1 under crossings 9 and 6 of grid(4), written
     # with 9 first; every component has one sheet, so both crossings fail and
-    # the lower one is named.  check_references checks the list's largest
-    # indices once, and each crossing against its own sheet counts.
+    # the lower one is named.  check_references checks each crossing's
+    # points against its own sheet counts.
     doc = _grid_document(4)
     lattice = [[2, 0], [1, 1]]
     bad = [{"j": 0, "jp": 0, "local": lattice}, {"j": 1, "jp": 0, "local": lattice}]
@@ -852,6 +852,71 @@ def test_a_twin_sharing_no_object_gives_the_same_answers(load, strict):
     objects = [id(x) for _, pts in fresh.points_above for pt in pts for x in (pt, pt.local)]
     assert len(set(objects)) == len(objects)
     assert _views(base, fresh, strict) == _views(base, loaded, strict)
+
+
+def _shared_faulty_shape(local):
+    """grid(6) with ``local`` in its one point list, written from crossing 35 down."""
+    doc = _grid_document(6)
+    doc["base"]["crossings"].reverse()
+    points_above = doc["cover"]["points_above"]
+    doc["cover"]["points_above"] = {key: points_above[key] for key in reversed(points_above)}
+    for points in points_above.values():
+        points[0]["local"] = local
+    return parse_cover_json(json.dumps(doc))
+
+
+_NOT_COPRIME = "n and q must be coprime (got gcd(4, 2) = 2)"
+
+
+def _shared_fault_findings(base, kind, strict):
+    """The sorted ``(code, where, message)`` of every finding of ``_shared_faulty_shape``."""
+    found = []
+    for x in base.crossings:
+        at, (first, second) = f"crossing {x.index}", x.pair
+        point = (at, "point 0")
+        if kind == "v3":
+            found.append(
+                ("V3", point, f"{at}, point 0: local e1=1 but sheet 0 of {first!r} has e=2")
+            )
+            if strict:
+                found.append(("V4", (at, "sheet j=0"), (
+                    f"{at}: m2 over sheet 0 of {first!r} sums to 2, expected f=1; "
+                    "1 of 1 sheet(s) off"
+                )))
+        else:
+            found += [
+                ("V2", (at,), f"{at}: sum of local degrees d_y is 4, expected degree 2"),
+                ("V3", point, f"{at}, point 0: local e1=4 but sheet 0 of {first!r} has e=2"),
+                ("V3", point, f"{at}, point 0: local e2=4 but sheet 0 of {second!r} has e=2"),
+                ("V5", point, f"{at}, point 0: {_NOT_COPRIME}"),
+            ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["standard", "strict"])
+@pytest.mark.parametrize(
+    "kind,local",
+    [("v3", [[1, 0], [0, 2]]), ("invalid", {"n": 4, "q": 2, "m1": 1, "m2": 1})],
+    ids=["v3", "invalid"],
+)
+def test_a_shared_faulty_shape_is_named_at_every_crossing(kind, local, strict):
+    # grid(6)'s 36 crossings share one point list, here with a lattice of
+    # e1 = 1 (V3, and V4 when strict) or a raw type with n and q not coprime
+    # (V2, V3 twice and V5, and an error).  Each crossing's findings name it
+    # and its own components, in the sort order of (code, where, message),
+    # and the lowest crossing index is the error; a twin sharing nothing
+    # shows the same findings, receipts, error and bytes.
+    base, cover = _shared_faulty_shape(local)
+    assert len({id(cover.points_for(x.index)) for x in base.crossings}) == 1
+    violations, certificate, error = examine(base, cover, strict=strict)
+    assert [(v.code, v.where, v.message) for v in violations] == (
+        _shared_fault_findings(base, kind, strict)
+    )
+    if kind == "v3":
+        assert error is None and len(certificate.receipts) == 3 * 36 + 2 * 12 + 1
+    else:
+        assert (certificate, error) == (None, f"crossing 0: invalid local type: {_NOT_COPRIME}")
+    assert _views(base, twin(cover), strict) == _views(base, cover, strict)
 
 
 def test_equal_sheet_and_point_lists_load_to_one_tuple():

@@ -26,6 +26,10 @@ lives in:
   ``grid(6)`` (``perfbench/workloads.py``, seed 1) a point list's ``0`` as
   ``false``, a point list's ``1`` as ``1.0`` and a sheet list's ``1`` as
   ``true``; in ``repeated_points.json`` a sheet list's ``2`` as ``2.0``;
+* 2 documents in which every crossing shares one faulty shape: ``grid(6)``
+  (``perfbench/workloads.py``, seed 1) with its one point list's lattice
+  replaced by one of e1 = 1, which breaks V3, or by the raw local type
+  n = 4, q = 2, which is invalid;
 * 100 faulty documents, drawn with a fixed seed: each is a shipped one
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
@@ -42,8 +46,9 @@ runs.  The other subcommands run on fixed arguments: ``verify`` at the five
 sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
-With the shipped documents of this checkout that is 1 503 runs over 186
-documents, 32 of them on the retyped documents.
+With the shipped documents of this checkout that is 1 519 runs over 188
+documents, 32 of them on the retyped documents and 16 on the shared faulty
+shapes.
 
 The script names every run whose exit code, stdout or stderr differ between
 the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
@@ -94,7 +99,7 @@ SHAPES_DOCUMENTS = 2
 SHAPES_K = 36
 SHAPES_N = 10_007
 SHAPES_SEED = 5
-RETYPED_K = 6
+SMALL_GRID_K = 6
 # One value of a repeated list, retyped: the source document, the kind of
 # list, the route to the value within the list's first record, and the value.
 RETYPED = (
@@ -102,6 +107,11 @@ RETYPED = (
     ("grid", "points_above", ("local", 1, 0), 1.0),
     ("grid", "ramification", ("f",), True),
     ("repeated_points", "ramification", ("f",), 2.0),
+)
+# The local data put in grid(SMALL_GRID_K)'s one point list, which every crossing shares.
+SHARED_FAULTS = (
+    [[1, 0], [0, 2]],  # e1 = 1 under sheets with e = 2: V3
+    {"n": 4, "q": 2, "m1": 1, "m2": 1},  # n and q not coprime: V5 and an error
 )
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
@@ -182,7 +192,7 @@ def many_shapes_documents(folder: pathlib.Path) -> list[pathlib.Path]:
 def retyped_documents(folder: pathlib.Path) -> list[pathlib.Path]:
     """Write the ``RETYPED`` documents into ``folder``."""
     sources = {
-        "grid": _workloads().grid_document(RETYPED_K, random.Random(SEED)),
+        "grid": _workloads().grid_document(SMALL_GRID_K, random.Random(SEED)),
         "repeated_points": (FOLDERS[2] / "repeated_points.json").read_text(encoding="utf-8"),
     }
     paths = []
@@ -197,6 +207,20 @@ def retyped_documents(folder: pathlib.Path) -> list[pathlib.Path]:
         assert record[last] == value and type(record[last]) is not type(value)
         record[last] = value
         path = folder / f"retyped_{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def shared_fault_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write one ``grid`` document per ``SHARED_FAULTS`` value into ``folder``."""
+    source = _workloads().grid_document(SMALL_GRID_K, random.Random(SEED))
+    paths = []
+    for i, local in enumerate(SHARED_FAULTS):
+        doc = json.loads(source)
+        for points in doc["cover"]["points_above"].values():
+            points[0]["local"] = local
+        path = folder / f"shared_fault_{i}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(path)
     return paths
@@ -315,6 +339,7 @@ def main(argv: list[str]) -> int:
         documents += faulty_documents(shipped, pathlib.Path(tmp))
         documents += many_shapes_documents(pathlib.Path(tmp))
         documents += retyped_documents(pathlib.Path(tmp))
+        documents += shared_fault_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
