@@ -1,26 +1,33 @@
 """Built-in example covers with independently known invariants.
 
-All three families live over the quadric surface (a product of two lines)
-fibred by its first projection, with the branch configuration a "square"
-of four lines: two fibres ``D1 = {0} x P1``, ``D2 = {inf} x P1`` and two
-sections ``D3 = P1 x {0}``, ``D4 = P1 x {inf}``, meeting in four crossings.
+Every cover here lives over ``C x P1`` for a curve ``C`` of genus ``g``,
+fibred over ``C`` by its first projection and branched on fibres
+``{c_k} x P1`` and sections ``C x {t_l}``, which meet in one crossing per
+fibre and section (:func:`ruled_cyclic_cover`).  The "square" is the case
+``g = 0`` with two fibres ``D1``, ``D2`` and two sections ``D3``, ``D4``
+(:func:`square_base`).  Over the square sit
 
 * the identity cover (degree 1, everything trivial),
 * the power-map family ``(u, v) -> (u^a, v^b)`` of degree ``a*b``, whose
   determinant degree is known from the pushforward of the structure sheaf
   along a one-variable power map (trivial summand plus ``a - 1`` summands
   of degree -1, independent of ``b``),
-* the double cover branched along all four lines, which acquires an
-  ordinary double point over each crossing and resolves to a surface with
-  known classical invariants.
+* the double cover branched along all four lines, ``ruled_cyclic_cover``
+  with ``n = 2`` and every weight 1, which acquires an ordinary double
+  point over each crossing and resolves to a surface with known classical
+  invariants.
 
 These serve as frozen oracles in the test suite and ship as JSON files for
-the command line.
+the command line: ``demos/covers/bidouble.json`` is :func:`double_cover`,
+and ``demos/covers/cyclic_5_1_4_2_3.json`` is the square's Z/5 cover with
+weights 1, 4, 2, 3 on ``D1`` to ``D4``.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidInputError
+import math
+
+from .errors import InvalidInputError, check_int
 from .local_cover import LatticeSubgroup
 from .model import (
     BaseGeometry,
@@ -36,41 +43,80 @@ __all__ = [
     "identity_cover",
     "power_map_cover",
     "double_cover",
+    "ruled_cyclic_cover",
 ]
 
 _VERTICAL = ("D1", "D2")  # fibres of the first projection
 _HORIZONTAL = ("D3", "D4")  # sections of the first projection
 
 
-def square_base() -> BaseGeometry:
-    """The quadric with four branch lines in a square, fibred to a line.
+def _ruled_base(g: int, fibres, sections) -> BaseGeometry:
+    """``C x P1``, ``g(C) = g``, branched on the fibres and sections named.
 
-    Numerology: K^2 = 8, e_c = 4, (K.F) = -2, genus of the base curve 0;
-    each line is rational with self-intersection 0, (K.D_i) = -2, and
-    fibre degree 0 for the two fibres, 1 for the two sections.  Crossings
-    are ordered (vertical, horizontal), matching the lattice convention
-    used by the cover builders below.
+    K^2 = 8(1 - g), e_c = 4(1 - g), (K.F) = -2.  Every line has self-intersection
+    0; a fibre is rational with (K.F_k) = -2, a section has genus g and
+    (K.S_l) = 2g - 2.  Crossings are ordered (fibre, section), fibre-major,
+    and each pair declares its one crossing.
     """
-    components = tuple(
-        BranchComponent(id=cid, genus=0, self_int=0, KX_dot=-2, fiber_deg=fd)
-        for cid, fd in (("D1", 0), ("D2", 0), ("D3", 1), ("D4", 1))
-    )
-    crossings = tuple(
-        Crossing(index=k, pair=pair)
-        for k, pair in enumerate(
-            (("D1", "D3"), ("D1", "D4"), ("D2", "D3"), ("D2", "D4"))
-        )
-    )
-    pair_counts = tuple((pair, 1) for pair in (("D1", "D3"), ("D1", "D4"), ("D2", "D3"), ("D2", "D4")))
+    pairs = [(f, s) for f in fibres for s in sections]
     return BaseGeometry(
-        genus_C=0,
-        KX_sq=8,
-        euler_X=4,
+        genus_C=g,
+        KX_sq=8 * (1 - g),
+        euler_X=4 * (1 - g),
         KX_dot_F=-2,
-        components=components,
-        crossings=crossings,
-        pair_counts=pair_counts,
+        components=tuple(
+            BranchComponent(id=cid, genus=0, self_int=0, KX_dot=-2, fiber_deg=0) for cid in fibres
+        ) + tuple(
+            BranchComponent(id=cid, genus=g, self_int=0, KX_dot=2 * g - 2, fiber_deg=1)
+            for cid in sections
+        ),
+        crossings=tuple(Crossing(index=k, pair=pair) for k, pair in enumerate(pairs)),
+        pair_counts=tuple((pair, 1) for pair in pairs),
     )
+
+
+def square_base() -> BaseGeometry:
+    """The quadric with four branch lines in a square, fibred to a line: ``C x P1`` with g = 0."""
+    return _ruled_base(0, _VERTICAL, _HORIZONTAL)
+
+
+def ruled_cyclic_cover(
+    g: int, n: int, fibres: dict, sections: dict
+) -> tuple[BaseGeometry, CoverDescription]:
+    """The Z/n cover of ``C x P1``, ``g(C) = g``, with these unit weights.
+
+    ``fibres`` and ``sections`` map each branch line's id to its weight, a
+    unit mod ``n``; each family's weights sum to 0 mod ``n``.  Every line is
+    totally ramified, under one sheet with ``e = n`` and ``f = 1``.  Over
+    the crossing of a fibre of weight ``w`` and a section of weight ``v``
+    sits one point whose lattice is the kernel of ``(s, t) -> s w + t v``
+    mod ``n``, generated by ``(n, 0)`` and ``(c, 1)`` with
+    ``w c + v = 0`` mod ``n``: a quotient point of type ``1/n(1, q)``.
+    Other weights, or a ``g`` or ``n`` that :func:`check_int` refuses, raise
+    :class:`InvalidInputError`.
+    """
+    check_int(g, "genus g", minimum=0)
+    check_int(n, "cyclic order n", minimum=1)
+    for family, weights in (("fibre", fibres), ("section", sections)):
+        for cid, w in weights.items():
+            if math.gcd(check_int(w, f"weight of {cid!r}"), n) != 1:
+                raise InvalidInputError(f"weight {w} of {cid!r} is not a unit mod {n}")
+        if total := sum(weights.values()) % n:
+            raise InvalidInputError(f"{family} weights sum to {total} mod {n}, not 0")
+    sheet = (RamSheet(e=n, f=1),)
+    lattices = [  # in crossing order
+        LatticeSubgroup((n, 0), (-v * pow(w, -1, n) % n, 1))
+        for w in fibres.values()
+        for v in sections.values()
+    ]
+    cover = CoverDescription(
+        degree=n,
+        ramification=tuple((cid, sheet) for cid in (*fibres, *sections)),
+        points_above=tuple(
+            (k, (PointAbove(j=0, jp=0, local=lattice),)) for k, lattice in enumerate(lattices)
+        ),
+    )
+    return _ruled_base(g, fibres, sections), cover
 
 
 def identity_cover() -> tuple[BaseGeometry, CoverDescription]:
@@ -115,14 +161,4 @@ def double_cover() -> tuple[BaseGeometry, CoverDescription]:
     index-2 subgroup generated by (2, 0) and (1, 1), an ordinary double
     point.  After resolving the four nodes: K^2 = 4, e_c = 8, chi = 1.
     """
-    base = square_base()
-    sheet = (RamSheet(e=2, f=1),)
-    node = LatticeSubgroup((2, 0), (1, 1))
-    cover = CoverDescription(
-        degree=2,
-        ramification=tuple((cid, sheet) for cid in ("D1", "D2", "D3", "D4")),
-        points_above=tuple(
-            (x.index, (PointAbove(j=0, jp=0, local=node),)) for x in base.crossings
-        ),
-    )
-    return base, cover
+    return ruled_cyclic_cover(0, 2, dict.fromkeys(_VERTICAL, 1), dict.fromkeys(_HORIZONTAL, 1))

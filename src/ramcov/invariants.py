@@ -30,9 +30,9 @@ crossings share nothing pays once per crossing and keeps one entry per
 shape, beside the rows the receipts keep anyway.
 
 The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
-the only terms of the totals: each crossing shape adds its ``s``, point
-count, cross term and correction times the number of crossings summed
-with it.  The totals make up the chain
+the only terms of the totals: each crossing shape adds its rows' cross
+term, correction and ``s`` times the number of crossings summed with it,
+and each crossing summed adds its point count.  The totals make up the chain
 
     branch divisor B  ->  (R,R)  ->  K_Y^2  ->  K_{Y'}^2
     Euler data        ->  e_c(Y) ->  e_c(Y')
@@ -424,15 +424,13 @@ def _crossing_shape(
 ) -> tuple:
     """What ``crossing`` gives :func:`examine`, from its sheets and points alone.
 
-    Returns ``(violations, error, rows, tally)``.  ``violations`` are its V2
+    Returns ``(violations, error, rows)``.  ``violations`` are its V2
     to V5 findings, each named after the crossing where it is found.
     ``error`` names the crossing and the first range or gcd problem of a
     point's local type, or is None; the numbers are summed only up to that
     point.  ``rows`` are its three receipts less their names (see
     :class:`Receipts`): the cross term, the correction and the exceptional
     curve count ``s``, each with its bound, per-degree factor and verdict.
-    ``tally`` is ``(s, points, cross.numerator, cross.denominator,
-    correction.numerator, correction.denominator)``, which the walk sums.
     ``classified`` is the walk's memo of each distinct ``local`` value: its
     type, that type's problems and, at a valid quotient point, ``(chain
     length, correction)`` from :func:`~ramcov.hj.resolution_numbers`, else
@@ -519,10 +517,8 @@ def _crossing_shape(
         (correction, bound, 2, _within(correction, bound)),
         (s, d, 1, _within(s, d)),
     )
-    tally = (s, len(points), cross.numerator, cross.denominator,
-             correction.numerator, correction.denominator)
     error = None if problem is None else f"{at}: invalid local type: {problem}"
-    return found, error, rows, tally
+    return found, error, rows
 
 
 def examine(
@@ -622,9 +618,9 @@ def examine(
     # of a crossing shape with no finding and no error
     shapes: dict[tuple[int, int, int], int] = {}
     shape_rows = []  # per shape number, its crossings' three rows less their names
-    shape_tallies = []  # per shape number, its tally (see _crossing_shape)
     indices = []  # the index of each crossing summed
     numbers = []  # and its shape number
+    n_points = 0  # the points over the crossings summed
     for crossing in base.crossings:
         first_id, second_id = crossing.pair
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
@@ -632,12 +628,11 @@ def examine(
         key = (id(first), id(second), id(points))
         number = shapes.get(key)
         if number is None:
-            violations, shape_error, rows, tally = _crossing_shape(
+            violations, shape_error, rows = _crossing_shape(
                 base, cover, crossing, first, second, points, strict, classified
             )
             number = len(shape_rows)
             shape_rows.append(rows)
-            shape_tallies.append(tally)
             if violations or shape_error is not None:
                 found += violations
                 if error is None:
@@ -648,21 +643,19 @@ def examine(
             continue
         indices.append(crossing.index)
         numbers.append(number)
+        n_points += len(points)
     found.sort(key=attrgetter("code", "where", "message"))  # Violation's order, in C
     if error is not None:
         return found, None, error
 
-    # each tally's numbers, times the number of crossings summed with it
-    tallied: Counter = Counter()
-    for number, count in Counter(numbers).items():
-        tallied[shape_tallies[number]] += count
-    s_total = n_points = 0
+    # each shape's values, times the number of crossings summed with it
+    s_total = 0
     correction_total = zero
-    for (s, on, cross_num, cross_den, correction_num, correction_den), count in tallied.items():
+    for number, count in Counter(numbers).items():
+        (cross, *_), (correction, *_), (s, *_) = shape_rows[number]
+        rr += count * cross
+        correction_total += count * correction
         s_total += count * s
-        n_points += count * on
-        rr += Fraction(count * cross_num, cross_den)
-        correction_total += Fraction(count * correction_num, correction_den)
 
     euler = derived_euler_data(base)
     euler_y = d * euler.e_c_U + n_points + sum(

@@ -16,7 +16,11 @@ run through ``ramcov.cli.main``.  A document that cannot be loaded is frozen as 
 Besides the goldens this pins the Z/5 cover of the quadric branched on the
 square with weights (1, 4, 2, 3), whose four points are the non-du-Val
 quotients A_{5,2} and A_{5,3}: its correction total (-8/5) and exceptional
-curve count (8) are the only nonzero ones among the shipped documents.
+curve count (8) were the only nonzero ones among the shipped documents
+before ``elliptic_5_1_4_1_1_3.json``, the Z/5 cover of E x P1 (g_C = 1)
+with weights (1, 4) on fibres F0, F1 and (1, 1, 3) on sections S0, S1, S2:
+its deg_det is 2, and over F1 and S0 sits a 1/5(1, 1) point, which is not
+du Val.
 
 The documents under ``tests/fixtures/documents/`` pin list order.
 ``shuffled.json`` is a degree 4 cover of the quadric on the square whose
@@ -91,7 +95,8 @@ _RUNS = [
     (f"{stem}{'.strict' if strict else ''}", folder / f"{stem}.json",
      ("--strict",) if strict else (), 0)
     for folder, stems in (
-        (COVERS, ("identity", "bidouble", "kummer_2_1", "cyclic_5_1_4_2_3")),
+        (COVERS, ("identity", "bidouble", "kummer_2_1", "cyclic_5_1_4_2_3",
+                  "elliptic_5_1_4_1_1_3")),
         (DOCUMENTS, ("shuffled", "both_orientations")),
     )
     for stem in stems
@@ -238,6 +243,13 @@ def test_invariants_output_matches_frozen_bytes(capsys, name, argv, code):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (FIXTURES / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", ["elliptic_5_1_4_1_1_3", "elliptic_5_1_4_1_1_3.strict"])
+def test_the_elliptic_golden_is_frozen_with_deg_det_2(stem):
+    report = json.loads((FIXTURES / f"{stem}.json").read_text(encoding="utf-8"))
+    assert report["certificate"]["deg_det"] == report["invariants"]["deg_det"] == "2"
+    assert "  deg_det = 2 [integral]" in (FIXTURES / f"{stem}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

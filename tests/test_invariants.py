@@ -32,7 +32,9 @@ from hypothesis import strategies as st
 
 from ramcov import invariants
 from ramcov.errors import InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
+from ramcov.golden import (
+    double_cover, identity_cover, power_map_cover, ruled_cyclic_cover, square_base,
+)
 from ramcov.invariants import (
     HEIGHT_LOG_PRECISION,
     BoundCertificate,
@@ -586,37 +588,20 @@ def test_totals_and_receipts_recomputed_point_by_point(load):
 # ------------------------------------------- fibres alone on E x P1, closed form
 
 
-def _fibres_on_elliptic_ruled(r: int, n: int):
-    """r fibres of E x P1, each under one sheet with e = n and f = 1.
-
-    The base has g_C = 1, K_X^2 = e(X) = 0 and K_X.F = -2.  Fibres do not meet, so the cover has no crossing: it is the Z/n cover
-    branched on the fibres with unit weights, pulled back from P1.
-    """
-    fibres = tuple(
-        BranchComponent(id=f"F{i}", genus=0, self_int=0, KX_dot=-2, fiber_deg=0) for i in range(r)
-    )
-    base = BaseGeometry(
-        genus_C=1, KX_sq=0, euler_X=0, KX_dot_F=-2, components=fibres, crossings=()
-    )
-    sheet = (RamSheet(e=n, f=1),)
-    return base, CoverDescription(
-        degree=n, ramification=tuple((f.id, sheet) for f in fibres), points_above=()
-    )
-
-
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_fibres_alone_on_an_elliptic_ruled_surface_match_their_closed_form(r, n):
-    # A Z/n cover with unit weights w_i on r fibres needs sum w_i = 0 mod n,
-    # which has a solution exactly when r(n - 1) is even.  Its height is then
-    # -r(n - 1)/2 and the linear coefficient 2r/3, so |deg_det|/(c d) tends
-    # to 3/4: the slack of the linear bound, in closed form (g_C = 1).
+    # A Z/n cover with unit weights w_i on r fibres of E x P1 needs sum w_i = 0
+    # mod n, which has a solution exactly when r(n - 1) is even.  Fibres do not
+    # meet, so the cover has no crossing: it is pulled back from P1.  Its height
+    # is then -r(n - 1)/2 and the linear coefficient 2r/3, so |deg_det|/(c d)
+    # tends to 3/4: the slack of the linear bound, in closed form (g_C = 1).
     units = [w for w in range(1, n) if math.gcd(w, n) == 1]
-    exists = any(sum(ws) % n == 0 for ws in itertools.product(units, repeat=r))
-    assert exists == (r * (n - 1) % 2 == 0)
-    if not exists:
+    weights = next((ws for ws in itertools.product(units, repeat=r) if sum(ws) % n == 0), None)
+    assert (weights is not None) == (r * (n - 1) % 2 == 0)
+    if weights is None:
         return
-    base, cover = _fibres_on_elliptic_ruled(r, n)
+    base, cover = ruled_cyclic_cover(1, n, {f"F{i}": w for i, w in enumerate(weights)}, {})
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None) and certificate.satisfied
     assert certificate.deg_det == Fraction(-r * (n - 1), 2)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramcov import invariants, loader, model
 from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover
+from ramcov.golden import double_cover, identity_cover, power_map_cover, ruled_cyclic_cover
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.invariants import examine
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
@@ -284,12 +284,22 @@ def test_shipped_goldens_load_and_match_builders():
         ("identity.json", identity_cover()),
         ("bidouble.json", double_cover()),
         ("kummer_2_1.json", power_map_cover(2, 1)),
+        ("cyclic_5_1_4_2_3.json", ruled_cyclic_cover(0, 5, {"D1": 1, "D2": 4}, {"D3": 2, "D4": 3})),
+        ("elliptic_5_1_4_1_1_3.json",
+         ruled_cyclic_cover(1, 5, {"F0": 1, "F1": 4}, {"S0": 1, "S1": 1, "S2": 3})),
     ]
     for name, (base, cover) in pairs:
         path = COVERS / name
         loaded_base, loaded_cover = load_cover_path(str(path))
         assert (loaded_base, loaded_cover) == (base, cover), name
         assert path.read_text() == dumps_document(base, cover), name
+
+
+def test_grid_4_is_the_builders_double_cover_without_declared_pairs():
+    ones = {f"F{k}": 1 for k in range(4)}, {f"S{k}": 1 for k in range(4)}
+    base, cover = ruled_cyclic_cover(0, 2, *ones)
+    expected = (replace(base, pair_counts=()), cover)
+    assert load_cover_path(str(DOCUMENTS / "grid_4.json")) == expected
 
 
 def test_shipped_files_validate_against_schema():

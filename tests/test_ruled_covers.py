@@ -1,15 +1,12 @@
 """deg_det of cyclic covers of C x P1 against the Esnault-Viehweg splitting.
 
-The base is ``C x P1`` for a curve ``C`` of genus ``g``, fibred over ``C`` by
-its first projection, branched on fibres ``{c_k} x P1`` and sections
-``C x {t_l}``.  The cover is the Z/n cover whose branch weights are units:
-``w_k`` on the fibres and ``v_l`` on the sections, each family summing to 0
-mod n.  Every line is totally ramified, so it lies under one sheet with
-``e = n`` and ``f = 1``, and over the crossing of a fibre of weight ``w``
-and a section of weight ``v`` sits one point whose lattice is the kernel
-of ``(s, t) -> s w + t v`` mod n, generated by ``(n, 0)`` and ``(c, 1)``
-with ``w c + v = 0`` mod n.  Its quotient point is of type ``1/n(1, q)``
-for a ``q`` that the weights choose, so most draws are not du Val.
+The covers are :func:`ramcov.golden.ruled_cyclic_cover`'s: the Z/n cover of
+``C x P1``, ``g(C) = g``, branched on fibres ``F0, F1, ...`` with unit
+weights ``w_k`` and sections ``S0, S1, ...`` with unit weights ``v_l``,
+each family summing to 0 mod n.  Over the crossing of a fibre of weight
+``w`` and a section of weight ``v`` sits a quotient point of type
+``1/n(1, q)`` for a ``q`` that the weights choose, so most draws are not du
+Val.
 
 The oracle shares no code with ``ramcov.invariants`` or ``ramcov.hj``.
 The pushforward of ``O_Y`` splits into eigensheaves ``O(-L_i)``,
@@ -38,46 +35,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramcov.invariants import examine
-from ramcov.local_cover import LatticeSubgroup
-from ramcov.model import (
-    BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
-)
+from ramcov.errors import InvalidInputError
+from ramcov.golden import ruled_cyclic_cover
+from ramcov.invariants import examine, linear_coefficient
 from test_metamorphic import base_change
 
 
-def ruled_cyclic_cover(g: int, n: int, fibre_weights, section_weights):
-    """The Z/n cover of ``C x P1``, ``g(C) = g``, with these unit weights on fibres and sections."""
-    fibres = [f"F{k}" for k in range(len(fibre_weights))]
-    sections = [f"S{l}" for l in range(len(section_weights))]
-    components = [
-        BranchComponent(id=cid, genus=0, self_int=0, KX_dot=-2, fiber_deg=0) for cid in fibres
-    ] + [
-        BranchComponent(id=cid, genus=g, self_int=0, KX_dot=2 * g - 2, fiber_deg=1)
-        for cid in sections
-    ]
-    pairs = [(f, s) for f in fibres for s in sections]
-    base = BaseGeometry(
-        genus_C=g,
-        KX_sq=8 * (1 - g),
-        euler_X=4 * (1 - g),
-        KX_dot_F=-2,
-        components=tuple(components),
-        crossings=tuple(Crossing(index=x, pair=pair) for x, pair in enumerate(pairs)),
-        pair_counts=tuple((pair, 1) for pair in pairs),
-    )
-    sheet = (RamSheet(e=n, f=1),)
-    points_above = []
-    for x, (w, v) in enumerate((w, v) for w in fibre_weights for v in section_weights):
-        c = -v * pow(w, -1, n) % n
-        lattice = LatticeSubgroup((n, 0), (c, 1))
-        points_above.append((x, (PointAbove(j=0, jp=0, local=lattice),)))
-    cover = CoverDescription(
-        degree=n,
-        ramification=tuple((cid, sheet) for cid in fibres + sections),
-        points_above=tuple(points_above),
-    )
-    return base, cover
+def _cover(g: int, n: int, fibre_weights, section_weights):
+    """:func:`ruled_cyclic_cover` with these weights on ``F0, F1, ...`` and ``S0, S1, ...``."""
+    fibres = {f"F{k}": w for k, w in enumerate(fibre_weights)}
+    return ruled_cyclic_cover(g, n, fibres, {f"S{l}": v for l, v in enumerate(section_weights)})
 
 
 def ev_deg_det(n: int, fibre_weights, section_weights) -> int:
@@ -150,7 +117,7 @@ def _ruled_covers(draw):
 @given(_ruled_covers(), st.integers(2, 5), st.integers(0, 4))
 def test_deg_det_of_a_cyclic_cover_of_c_x_p1_is_its_esnault_viehweg_sum(drawn, m, extra):
     g, n, fibre_weights, section_weights = drawn
-    base, cover = ruled_cyclic_cover(g, n, fibre_weights, section_weights)
+    base, cover = _cover(g, n, fibre_weights, section_weights)
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None)
     assert certificate.satisfied
@@ -171,7 +138,7 @@ def test_a_cover_of_an_elliptic_ruled_surface_by_hand():
     # p_i = {i/5} + {4i/5} = 1 for every i; q_i = 2{i/5} + {3i/5} is 1, 1,
     # 2, 2 for i = 1..4, so deg_det = 0 + 0 + 1 + 1 = 2.  Over F1 and S0
     # (w = 4, v = 1, c = 1) the point is of type 1/5(1, 1), not du Val.
-    base, cover = ruled_cyclic_cover(1, 5, [1, 4], [1, 1, 3])
+    base, cover = _cover(1, 5, [1, 4], [1, 1, 3])
     assert ev_deg_det(5, [1, 4], [1, 1, 3]) == 2
     assert cover.points_for(3)[0].local_cover_type().q == 1
     violations, certificate, error = examine(base, cover, strict=True)
@@ -195,7 +162,37 @@ def test_deg_det_at_a_huge_quotient_order_is_the_closed_form(n):
     fibre_weights = [n // 7, n - n // 7]
     section_weights = [n // 3, n // 5, n - n // 3 - n // 5]
     assert all(math.gcd(w, n) == 1 for w in fibre_weights + section_weights)
-    base, cover = ruled_cyclic_cover(1, n, fibre_weights, section_weights)
+    base, cover = _cover(1, n, fibre_weights, section_weights)
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None)
     assert certificate.report.deg_det == closed_deg_det(n, fibre_weights, section_weights)
+
+
+@pytest.mark.parametrize("n", range(3, 32))
+def test_linear_coefficient_along_the_all_ones_tower(n):
+    # n fibres and n sections of weight 1 on P1 x P1.  The linear coefficient
+    # is (3n^2 + 2n + 8)/4 and deg_det = n^3/3 + O(n^2), so deg_det/(c d)
+    # rises from 0.065 at n = 3 to 0.393 at n = 31, towards 4/9.
+    ones = [1] * n
+    base, cover = _cover(0, n, ones, ones)
+    violations, certificate, error = examine(base, cover, strict=True)
+    assert (violations, error) == ([], None) and certificate.satisfied
+    c = Fraction(3 * n * n + 2 * n + 8, 4)
+    assert linear_coefficient(base) == certificate.linear_coefficient == c
+    assert certificate.deg_det == closed_deg_det(n, ones, ones)
+    assert 0 < certificate.deg_det / (c * n) < Fraction(4, 9)
+
+
+@pytest.mark.parametrize("g, n, fibres, sections, message", [
+    (0, 4, {"F0": 1, "F1": 2}, {}, "weight 2 of 'F1' is not a unit mod 4"),
+    (0, 5, {"F0": 1, "F1": 4}, {"S0": 1, "S1": 1}, "section weights sum to 2 mod 5, not 0"),
+    (0, 5, {"F0": 1.0, "F1": 4}, {}, "weight of 'F0' must be an integer (got 1.0)"),
+    (-1, 2, {}, {}, "genus g must be >= 0 (got -1)"),
+    (0, 0, {}, {}, "cyclic order n must be >= 1 (got 0)"),
+    (True, 2, {}, {}, "genus g must be an integer (got True)"),
+    (0, 2.0, {}, {}, "cyclic order n must be an integer (got 2.0)"),
+])
+def test_the_builder_refuses_bad_input_in_one_line(g, n, fibres, sections, message):
+    with pytest.raises(InvalidInputError) as raised:
+        ruled_cyclic_cover(g, n, fibres, sections)
+    assert str(raised.value) == message

@@ -46,7 +46,7 @@ runs.  The other subcommands run on fixed arguments: ``verify`` at the five
 sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
-With the shipped documents of this checkout that is 1 519 runs over 188
+With the shipped documents of this checkout that is 1 527 runs over 189
 documents, 32 of them on the retyped documents and 16 on the shared faulty
 shapes.
 
