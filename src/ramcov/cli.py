@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
+from .errors import EnumerationLimitError, InputFormatError, InvalidInputError, check_int
 from .hj import SingularityType, chain_length, resolve
 # canonical_document, degree_linear_certificate, derived_euler_data,
 # invariant_report and validate are not called here; they stay imported
@@ -154,6 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InvalidInputError(
                 f"RAMCOV_MAX_ENUM must be an integer (got {env_cap!r})"
             ) from None
+        check_int(cap, "RAMCOV_MAX_ENUM", 1)
     # Both bounds are checked before either sweep starts, in the order the
     # sweeps would check them.
     check_enumeration_bound("max_n", args.max_n, 2, cap)

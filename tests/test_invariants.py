@@ -32,9 +32,7 @@ from hypothesis import strategies as st
 
 from ramcov import invariants
 from ramcov.errors import InvalidInputError
-from ramcov.golden import (
-    double_cover, identity_cover, power_map_cover, ruled_cyclic_cover, square_base,
-)
+from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
 from ramcov.invariants import (
     HEIGHT_LOG_PRECISION,
     BoundCertificate,
@@ -58,8 +56,9 @@ from ramcov.model import (
     BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
     check_references, derived_euler_data, validate,
 )
-from ramcov.report import ReportDocument
+from ramcov.report import ReportDocument, dumps_document
 from report_reference import reference_receipts, reference_report
+from ruled_documents import ruled_cover
 from twins import twin
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -601,7 +600,7 @@ def test_fibres_alone_on_an_elliptic_ruled_surface_match_their_closed_form(r, n)
     assert (weights is not None) == (r * (n - 1) % 2 == 0)
     if weights is None:
         return
-    base, cover = ruled_cyclic_cover(1, n, {f"F{i}": w for i, w in enumerate(weights)}, {})
+    base, cover = ruled_cover(1, n, weights, [])
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None) and certificate.satisfied
     assert certificate.deg_det == Fraction(-r * (n - 1), 2)
@@ -758,37 +757,18 @@ def test_every_verdict_is_its_value_within_its_bound(load, fibration):
 
 
 def _many_shapes():
-    """A Z/n cover of P1 x P1 whose 1 296 crossings hold 1 203 distinct point lists.
+    """A Z/n cover of P1 x P1 whose 1 296 crossings hold 1 223 distinct point lists.
 
-    n = 10 007, branched on 36 fibres and 36 sections, each under one sheet
-    with e = n and f = 1; over each crossing one point whose lattice is
-    generated by (n, 0) and (c, 1), with c drawn per crossing.
+    n = 10 007, a prime, on 36 fibres and 36 sections.  In each family 35
+    unit weights are drawn (seed 5) and the last, which the builder checks is
+    a unit, makes their sum 0 mod n.  The point over a crossing has a type
+    fixed by the ratio of its two weights, so most crossings have their own.
     """
-    k, n = 36, 10_007
-    rnd = random.Random(5)
-    lines = [f"F{i}" for i in range(k)] + [f"S{i}" for i in range(k)]
-    doc = {
-        "base": {
-            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
-            "components": [
-                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c[0] == "S")}
-                for c in lines
-            ],
-            "crossings": [
-                {"index": k * i + j, "pair": [f"F{i}", f"S{j}"]} for i in range(k) for j in range(k)
-            ],
-        },
-        "cover": {
-            "degree": n,
-            "ramification": {c: [{"e": n, "f": 1}] for c in lines},
-            "points_above": {
-                str(x): [{"j": 0, "jp": 0, "local": [[n, 0], [rnd.randrange(1, n), 1]]}]
-                for x in range(k * k)
-            },
-        },
-    }
-    base, cover = parse_cover_json(json.dumps(doc))
-    assert len({id(points) for _, points in cover.points_above}) == 1203
+    n, rnd = 10_007, random.Random(5)
+    drawn = [[rnd.randrange(1, n) for _ in range(35)] for _ in "FS"]
+    weights = (ws + [-sum(ws) % n] for ws in drawn)
+    base, cover = parse_cover_json(dumps_document(*ruled_cover(0, n, *weights)))
+    assert len({id(points) for _, points in cover.points_above}) == 1223
     return base, cover
 
 

@@ -20,6 +20,7 @@ from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
 from ramcov.model import BranchComponent, Crossing, PointAbove, RamSheet, check_references
 from ramcov.report import ReportDocument, canonical_document, dumps_document
 from report_reference import reference_document
+from ruled_documents import grid_document, ruled_cover
 from twins import twin
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -37,41 +38,14 @@ def _loads(path: pathlib.Path) -> bool:
     return True
 
 
-def _grid_document(k: int) -> dict:
-    """The document of the double cover of the square grid of k fibres and k sections."""
-    fibres, sections = [f"F{i}" for i in range(k)], [f"S{j}" for j in range(k)]
-    lines = fibres + sections
-    return {
-        "base": {
-            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
-            "components": [
-                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c in sections)}
-                for c in lines
-            ],
-            "crossings": [
-                {"index": i * k + j, "pair": [f, s]}
-                for i, f in enumerate(fibres)
-                for j, s in enumerate(sections)
-            ],
-        },
-        "cover": {
-            "degree": 2,
-            "ramification": {c: [{"e": 2, "f": 1}] for c in lines},
-            "points_above": {
-                str(i): [{"j": 0, "jp": 0, "local": [[2, 0], [1, 1]]}] for i in range(k * k)
-            },
-        },
-    }
-
-
 def _grid(k: int):
     """The double cover of the square grid of k fibres and k sections."""
-    return parse_cover_json(json.dumps(_grid_document(k)))
+    return parse_cover_json(json.dumps(grid_document(k)))
 
 
 def _grid_with_self_ints():
     """grid(6) with the self-intersections -3 to 8: (R,R) sums all twelve."""
-    doc = _grid_document(6)
+    doc = grid_document(6)
     for k, component in enumerate(doc["base"]["components"]):
         component["self_int"] = k - 3
     return parse_cover_json(json.dumps(doc))
@@ -296,8 +270,7 @@ def test_shipped_goldens_load_and_match_builders():
 
 
 def test_grid_4_is_the_builders_double_cover_without_declared_pairs():
-    ones = {f"F{k}": 1 for k in range(4)}, {f"S{k}": 1 for k in range(4)}
-    base, cover = ruled_cyclic_cover(0, 2, *ones)
+    base, cover = ruled_cover(0, 2, [1] * 4, [1] * 4)
     expected = (replace(base, pair_counts=()), cover)
     assert load_cover_path(str(DOCUMENTS / "grid_4.json")) == expected
 
@@ -734,7 +707,7 @@ def test_a_shared_point_list_out_of_range_is_named_at_its_lowest_crossing():
     # with 9 first; every component has one sheet, so both crossings fail and
     # the lower one is named.  check_references checks each crossing's
     # points against its own sheet counts.
-    doc = _grid_document(4)
+    doc = grid_document(4)
     lattice = [[2, 0], [1, 1]]
     bad = [{"j": 0, "jp": 0, "local": lattice}, {"j": 1, "jp": 0, "local": lattice}]
     rest = doc["cover"]["points_above"]
@@ -866,10 +839,10 @@ def test_a_twin_sharing_no_object_gives_the_same_answers(load, strict):
 
 def _shared_faulty_shape(local):
     """grid(6) with ``local`` in its one point list, written from crossing 35 down."""
-    doc = _grid_document(6)
+    doc = grid_document(6)
     doc["base"]["crossings"].reverse()
     points_above = doc["cover"]["points_above"]
-    doc["cover"]["points_above"] = {key: points_above[key] for key in reversed(points_above)}
+    doc["cover"]["points_above"] = {str(x): points_above[str(x)] for x in range(35, -1, -1)}
     for points in points_above.values():
         points[0]["local"] = local
     return parse_cover_json(json.dumps(doc))
@@ -1051,7 +1024,7 @@ def test_a_repeated_local_does_not_excuse_its_record(edit, message):
     "edit,got", [({"j": False}, "False"), ({"j": 0.0}, "0.0")], ids=["false-j", "float-j"]
 )
 def test_a_retyped_copy_of_a_shared_point_list_is_refused_by_its_path(key, edit, got):
-    doc = _grid_document(6)
+    doc = grid_document(6)
     points = doc["cover"]["points_above"]
     points[key] = [{**points[key][0], **edit}]
     with pytest.raises(InputFormatError) as info:
@@ -1061,7 +1034,7 @@ def test_a_retyped_copy_of_a_shared_point_list_is_refused_by_its_path(key, edit,
 
 @pytest.mark.parametrize("cid", ["F0", "S5"], ids=["first", "last"])
 def test_a_retyped_copy_of_a_shared_sheet_list_is_refused_by_its_path(cid):
-    doc = _grid_document(6)
+    doc = grid_document(6)
     doc["cover"]["ramification"][cid] = [{"e": 2, "f": True}]
     with pytest.raises(InputFormatError) as info:
         parse_cover_json(json.dumps(doc))
@@ -1072,7 +1045,7 @@ def test_a_point_list_with_its_keys_in_another_order_gives_the_same_bytes():
     # Its marshal bytes differ, so it loads to a tuple of its own, equal to
     # the shared one, and the walk computes its crossing shape apart: the
     # answers and bytes are those of the document as written.
-    doc = _grid_document(6)
+    doc = grid_document(6)
     expected = _views(*parse_cover_json(json.dumps(doc)), True)
     points = doc["cover"]["points_above"]
     points["35"] = [{key: points["35"][0][key] for key in ("local", "jp", "j")}]

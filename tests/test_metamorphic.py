@@ -34,11 +34,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover
+from ramcov.golden import double_cover, identity_cover, power_map_cover, ruled_cyclic_cover
 from ramcov.invariants import FibrationInputs, degree_linear_certificate
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import BaseGeometry, CoverDescription, Crossing, PointAbove, validate
+from ruled_documents import ruled_cover, ruled_weights, unit_weights
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -58,13 +59,26 @@ _LOADED = {
 _GOLDEN = st.sampled_from([identity_cover(), double_cover()]) | st.builds(
     power_map_cover, st.integers(1, 4), st.integers(1, 4)
 )
-#: Every shipped and golden cover; some fail validation, which must not change either.
-_ANY_COVER = st.sampled_from(sorted(_LOADED.items())).map(lambda item: item[1]) | _GOLDEN
+#: Every shipped and golden cover, and the builder's covers of C x P1; some
+#: fail validation, which must not change either.
+_ANY_COVER = st.sampled_from(sorted(_LOADED.items())).map(lambda item: item[1]) | _GOLDEN | (
+    ruled_weights().map(lambda drawn: ruled_cover(*drawn))
+)
+
+
+@st.composite
+def _square_cyclic_cover(draw):
+    """The builder's Z/n cover of the square: fibres D1, D2 and sections D3, D4."""
+    n = draw(st.integers(2, 23))
+    (w1, w2), (v1, v2) = (draw(unit_weights(n, counts=(2,))) for _ in range(2))
+    return ruled_cyclic_cover(0, n, {"D1": w1, "D2": w2}, {"D3": v1, "D4": v2})
+
+
 #: The strictly valid covers of the square base that the golden covers share.
 _SQUARE_COVERS = st.sampled_from(
     [_LOADED[name] for name in ("bidouble.json", "cyclic_5_1_4_2_3.json", "identity.json",
                                 "kummer_2_1.json")]
-) | _GOLDEN
+) | _GOLDEN | _square_cyclic_cover()
 _FIBRATION = st.sampled_from([None, FibrationInputs(gF=1, Dhor_dot_F=2, gC=0, nDC=2, nS=3)])
 
 

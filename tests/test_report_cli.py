@@ -9,6 +9,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -23,12 +24,14 @@ from ramcov.cli import main
 from ramcov.errors import InvalidInputError
 import ramcov.report
 from ramcov import __version__
-from ramcov.golden import identity_cover
+from ramcov.golden import identity_cover, ruled_cyclic_cover
+from ramcov.loader import load_cover_path
 from ramcov.local_cover import LocalCoverType, local_type
 from ramcov.model import derived_euler_data
 from ramcov.report import (
     FIBRATION_HYPOTHESES,
     ReportDocument,
+    dumps_document,
     fmt_rational,
     parse_rational,
 )
@@ -155,42 +158,15 @@ def test_cli_invariants_text_report_builds_no_json_echo(capsys, monkeypatch):
     )
 
 
-def _cyclic_square_document(n: int) -> dict:
-    """The Z/n cover of P1 x P1 branched on the square with weights (1, n-1, 1, n-1).
-
-    D1, D2 are fibres and D3, D4 sections; each line has one sheet with
-    e = n, and over each crossing sits one point, the kernel of the local
-    weight map: generated by (n, 0) and (c, 1), with c = -w_section / w_fibre.
-    """
-    weights = {"D1": 1, "D2": n - 1, "D3": 1, "D4": n - 1}
-    square = [("D1", "D3"), ("D1", "D4"), ("D2", "D3"), ("D2", "D4")]
-    return {
-        "base": {
-            "genus_C": 0, "KX_sq": 8, "euler_X": 4, "KX_dot_F": -2,
-            "components": [
-                {"id": c, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(c in ("D3", "D4"))}
-                for c in weights
-            ],
-            "crossings": [{"index": i, "pair": list(pair)} for i, pair in enumerate(square)],
-        },
-        "cover": {
-            "degree": n,
-            "ramification": {c: [{"e": n, "f": 1}] for c in weights},
-            "points_above": {
-                str(i): [{"j": 0, "jp": 0, "local": [[n, 0], [-weights[s] * pow(weights[f], -1, n) % n, 1]]}]
-                for i, (f, s) in enumerate(square)
-            },
-        },
-    }
-
-
 @pytest.mark.parametrize("n", [7, 10001, 10**18])
 def test_cli_invariants_resolves_huge_quotient_orders_at_once(capsys, tmp_path, n):
-    # Over two crossings sits an A_{n,n-1} point, whose chain has n - 1
-    # entries; over the other two an A_{n,1}.  Esnault-Viehweg gives chi = 1
-    # for every n, and s = 2(n - 1) + 2.
+    # The Z/n cover of the square with weights (1, n - 1) on the fibres and
+    # on the sections.  Over two crossings sits an A_{n,n-1} point, whose
+    # chain has n - 1 entries; over the other two an A_{n,1}.
+    # Esnault-Viehweg gives chi = 1 for every n, and s = 2(n - 1) + 2.
     path = tmp_path / "cyclic.json"
-    path.write_text(json.dumps(_cyclic_square_document(n)))
+    weights = ({"D1": 1, "D2": n - 1}, {"D3": 1, "D4": n - 1})
+    path.write_text(dumps_document(*ruled_cyclic_cover(0, n, *weights)))
     start = time.perf_counter()
     code, text, err = run(capsys, "invariants", str(path))
     code_json, out, err_json = run(capsys, "invariants", str(path), "--json")
@@ -200,6 +176,20 @@ def test_cli_invariants_resolves_huge_quotient_orders_at_once(capsys, tmp_path, 
     assert f"   s = {2 * n}   " in text
     invariants = json.loads(out)["invariants"]
     assert (invariants["chi"], invariants["exceptional_s"]) == ("1", 2 * n)
+
+
+def test_cli_identity_many_shapes_documents_are_valid_covers(capsys, tmp_path):
+    # tools/cli_identity.py runs every subcommand on these documents; each
+    # must load with about one point list per crossing and pass --strict.
+    tool = runpy.run_path(str(ROOT / "tools" / "cli_identity.py"))
+    paths = tool["many_shapes_documents"](tmp_path)
+    assert len(paths) == tool["SHAPES_DOCUMENTS"] == 2
+    for path in paths:
+        _, cover = load_cover_path(str(path))
+        assert len({id(points) for _, points in cover.points_above}) >= 1200
+        code, out, err = run(capsys, "invariants", str(path), "--strict")
+        assert (code, err) == (0, "")
+        assert re.search(r"^  chi = -?\d+ \[integral\]$", out, re.M)
 
 
 def test_cli_invariants_identity(capsys):
@@ -498,6 +488,11 @@ def test_cli_verify_env_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--max-n", "5", "--max-index", "20")
     assert code == 2 and "RAMCOV_MAX_ENUM" in err
 
+    for value in ("0", "-5"):
+        monkeypatch.setenv("RAMCOV_MAX_ENUM", value)
+        code, out, err = run(capsys, "verify")
+        assert (code, out, err) == (2, "", f"error: RAMCOV_MAX_ENUM must be >= 1 (got {value})\n")
+
 
 def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
     def no_sweep_work(sing):
@@ -520,7 +515,7 @@ def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
         ("300", ("--max-n", "300", "--max-index", "301"), "max_index 301 exceeds the enumeration cap 300"),
         (None, ("--max-n", "1000", "--max-index", "1001"), "max_index 1001 exceeds the enumeration cap 1000"),
         (None, ("--max-n", "50", "--max-index", "0"), "max_index must be >= 1 (got 0)"),
-        ("0", ("--max-n", "1", "--max-index", "5"), "max_n must be >= 2 (got 1)"),
+        ("1", ("--max-n", "1", "--max-index", "5"), "max_n must be >= 2 (got 1)"),
     ],
 )
 def test_cli_verify_max_index_is_checked_before_any_sweep(capsys, monkeypatch, env, argv, message):

@@ -25,6 +25,7 @@ from ramcov.invariants import examine
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.report import ReportDocument, dumps_document, render_json
 from report_reference import reference_document, reference_report
+from ruled_documents import grid_document
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COVERS = ROOT / "demos" / "covers"
@@ -116,37 +117,6 @@ def _writers(obj, rnd):
 @given(_TREES, st.randoms(use_true_random=False))
 def test_render_json_has_members_write_themselves_at_their_depth(obj, rnd):
     assert render_json(_writers(obj, rnd)) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def grid_document(k: int) -> dict:
-    """Double cover of P1 x P1 branched on k fibres and k sections: k^2 nodes."""
-    fibres = [f"F{i}" for i in range(k)]
-    sections = [f"S{i}" for i in range(k)]
-    return {
-        "base": {
-            "genus_C": 0,
-            "KX_sq": 8,
-            "euler_X": 4,
-            "KX_dot_F": -2,
-            "components": [
-                {"id": cid, "genus": 0, "self_int": 0, "KX_dot": -2,
-                 "fiber_deg": int(cid in sections)}
-                for cid in fibres + sections
-            ],
-            "crossings": [
-                {"index": i * k + j, "pair": [f, s]}
-                for i, f in enumerate(fibres)
-                for j, s in enumerate(sections)
-            ],
-        },
-        "cover": {
-            "degree": 2,
-            "ramification": {cid: [{"e": 2, "f": 1}] for cid in fibres + sections},
-            "points_above": {
-                str(idx): [{"j": 0, "jp": 0, "local": [[2, 0], [1, 1]]}] for idx in range(k * k)
-            },
-        },
-    }
 
 
 def _rendered(argv, capsys, monkeypatch):

@@ -32,19 +32,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import ruled_cyclic_cover
 from ramcov.invariants import examine, linear_coefficient
+from ruled_documents import ruled_cover, ruled_weights, unit_weights
 from test_metamorphic import base_change
-
-
-def _cover(g: int, n: int, fibre_weights, section_weights):
-    """:func:`ruled_cyclic_cover` with these weights on ``F0, F1, ...`` and ``S0, S1, ...``."""
-    fibres = {f"F{k}": w for k, w in enumerate(fibre_weights)}
-    return ruled_cyclic_cover(g, n, fibres, {f"S{l}": v for l, v in enumerate(section_weights)})
 
 
 def ev_deg_det(n: int, fibre_weights, section_weights) -> int:
@@ -94,30 +89,11 @@ def test_dedekind_sum_by_reciprocity_is_its_defining_sum():
                 ), (h, k)
 
 
-@st.composite
-def _unit_weights(draw, n: int):
-    """2 to 4 units mod n summing to 0 mod n; a single unit cannot."""
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    # Units of an even n are odd, so an even n needs an even count.
-    count = draw(st.sampled_from([2, 4] if n % 2 == 0 else [2, 3, 4]))
-    weights = draw(st.lists(st.sampled_from(units), min_size=count - 1, max_size=count - 1))
-    last = -sum(weights) % n
-    assume(math.gcd(last, n) == 1)
-    return weights + [last]
-
-
-@st.composite
-def _ruled_covers(draw):
-    n = draw(st.integers(2, 23))
-    g = draw(st.integers(0, 3))
-    return g, n, draw(_unit_weights(n)), draw(_unit_weights(n))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_ruled_covers(), st.integers(2, 5), st.integers(0, 4))
+@given(ruled_weights(), st.integers(2, 5), st.integers(0, 4))
 def test_deg_det_of_a_cyclic_cover_of_c_x_p1_is_its_esnault_viehweg_sum(drawn, m, extra):
     g, n, fibre_weights, section_weights = drawn
-    base, cover = _cover(g, n, fibre_weights, section_weights)
+    base, cover = ruled_cover(g, n, fibre_weights, section_weights)
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None)
     assert certificate.satisfied
@@ -138,7 +114,7 @@ def test_a_cover_of_an_elliptic_ruled_surface_by_hand():
     # p_i = {i/5} + {4i/5} = 1 for every i; q_i = 2{i/5} + {3i/5} is 1, 1,
     # 2, 2 for i = 1..4, so deg_det = 0 + 0 + 1 + 1 = 2.  Over F1 and S0
     # (w = 4, v = 1, c = 1) the point is of type 1/5(1, 1), not du Val.
-    base, cover = _cover(1, 5, [1, 4], [1, 1, 3])
+    base, cover = ruled_cover(1, 5, [1, 4], [1, 1, 3])
     assert ev_deg_det(5, [1, 4], [1, 1, 3]) == 2
     assert cover.points_for(3)[0].local_cover_type().q == 1
     violations, certificate, error = examine(base, cover, strict=True)
@@ -149,7 +125,7 @@ def test_a_cover_of_an_elliptic_ruled_surface_by_hand():
 @settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_the_closed_form_is_the_esnault_viehweg_sum(n, data):
-    fibre_weights, section_weights = data.draw(_unit_weights(n)), data.draw(_unit_weights(n))
+    fibre_weights, section_weights = data.draw(unit_weights(n)), data.draw(unit_weights(n))
     assert closed_deg_det(n, fibre_weights, section_weights) == ev_deg_det(
         n, fibre_weights, section_weights
     )
@@ -162,7 +138,7 @@ def test_deg_det_at_a_huge_quotient_order_is_the_closed_form(n):
     fibre_weights = [n // 7, n - n // 7]
     section_weights = [n // 3, n // 5, n - n // 3 - n // 5]
     assert all(math.gcd(w, n) == 1 for w in fibre_weights + section_weights)
-    base, cover = _cover(1, n, fibre_weights, section_weights)
+    base, cover = ruled_cover(1, n, fibre_weights, section_weights)
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None)
     assert certificate.report.deg_det == closed_deg_det(n, fibre_weights, section_weights)
@@ -174,7 +150,7 @@ def test_linear_coefficient_along_the_all_ones_tower(n):
     # is (3n^2 + 2n + 8)/4 and deg_det = n^3/3 + O(n^2), so deg_det/(c d)
     # rises from 0.065 at n = 3 to 0.393 at n = 31, towards 4/9.
     ones = [1] * n
-    base, cover = _cover(0, n, ones, ones)
+    base, cover = ruled_cover(0, n, ones, ones)
     violations, certificate, error = examine(base, cover, strict=True)
     assert (violations, error) == ([], None) and certificate.satisfied
     c = Fraction(3 * n * n + 2 * n + 8, 4)

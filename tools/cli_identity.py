@@ -15,11 +15,10 @@ lives in:
 * 30 ``grid`` and 30 ``cyclic`` documents generated by
   ``perfbench/workloads.py`` (seed 1);
 * 2 documents with many distinct crossing shapes, about one for each of
-  their 1 296 crossings, drawn with a fixed seed: each a Z/n cover of
-  P1 x P1, n = 10 007, branched on 36 fibres and 36 sections, every line
-  under one sheet with e = n and f = 1, and over each crossing one point
-  whose lattice is generated by (n, 0) and (c, 1), with c drawn per
-  crossing;
+  their 1 296 crossings: each the Z/n cover of P1 x P1, n = 10 007, that
+  ``ramcov.golden.ruled_cyclic_cover`` of this checkout's ``src`` builds
+  on 36 fibres and 36 sections, with unit weights summing to 0 mod n
+  drawn with a fixed seed;
 * 4 documents that each repeat one sheet list or point list and retype one
   value of the copy the loader reads last, so that the copy compares equal
   to the list it repeats while one of its values has another type: in
@@ -155,36 +154,27 @@ def workload_documents(folder: pathlib.Path) -> list[pathlib.Path]:
     return paths
 
 
+def _unit_weights(rnd: random.Random, prefix: str) -> dict:
+    """``SHAPES_K`` random units mod the prime ``SHAPES_N`` summing to 0, named ``prefix0``, ..."""
+    while True:
+        weights = [rnd.randrange(1, SHAPES_N) for _ in range(SHAPES_K - 1)]
+        if last := -sum(weights) % SHAPES_N:
+            return {f"{prefix}{k}": w for k, w in enumerate([*weights, last])}
+
+
 def many_shapes_documents(folder: pathlib.Path) -> list[pathlib.Path]:
     """Write ``SHAPES_DOCUMENTS`` covers, each with a shape per crossing, into ``folder``."""
-    k, n = SHAPES_K, SHAPES_N
-    lines = [f"F{i}" for i in range(k)] + [f"S{i}" for i in range(k)]
-    base = {
-        "genus_C": 0,
-        "KX_sq": 8,
-        "euler_X": 4,
-        "KX_dot_F": -2,
-        "components": [
-            {"id": cid, "genus": 0, "self_int": 0, "KX_dot": -2, "fiber_deg": int(cid[0] == "S")}
-            for cid in lines
-        ],
-        "crossings": [
-            {"index": k * i + j, "pair": [f"F{i}", f"S{j}"]} for i in range(k) for j in range(k)
-        ],
-    }
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's builder, whichever trees are compared
+    from ramcov.golden import ruled_cyclic_cover
+    from ramcov.report import dumps_document
+
     rnd = random.Random(SHAPES_SEED)
     paths = []
     for i in range(SHAPES_DOCUMENTS):
-        cover = {
-            "degree": n,
-            "ramification": {cid: [{"e": n, "f": 1}] for cid in lines},
-            "points_above": {
-                str(x): [{"j": 0, "jp": 0, "local": [[n, 0], [rnd.randrange(1, n), 1]]}]
-                for x in range(k * k)
-            },
-        }
+        fibres, sections = (_unit_weights(rnd, prefix) for prefix in "FS")
         path = folder / f"many_shapes_{i}.json"
-        path.write_text(json.dumps({"base": base, "cover": cover}), encoding="utf-8")
+        text = dumps_document(*ruled_cyclic_cover(0, SHAPES_N, fibres, sections))
+        path.write_text(text, encoding="utf-8")
         paths.append(path)
     return paths
 
