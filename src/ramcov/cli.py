@@ -36,7 +36,7 @@ from .invariants import (
     plane_model_terms,
 )
 from .loader import load_cover_path
-from .local_cover import LatticeSubgroup, canonical_basis, check_enumeration_bound, local_type
+from .local_cover import LatticeSubgroup, check_enumeration_bound, local_type
 from .model import derived_euler_data, validate
 from .report import ReportDocument, canonical_document, fmt_rational, parse_rational
 from .verify import hj_sweep, lattice_sweep
@@ -109,12 +109,11 @@ def cmd_hj(args: argparse.Namespace) -> int:
 def cmd_local(args: argparse.Namespace) -> int:
     x1, y1, x2, y2 = args.coords
     gamma = LatticeSubgroup((x1, y1), (x2, y2))
-    n_prime, q_prime, m2 = canonical_basis(gamma)
     lt = local_type(gamma)
     sing = lt.singularity()
     print("\n".join([
         f"subgroup generated by ({x1}, {y1}) and ({x2}, {y2}): index {gamma.index}",
-        f"canonical basis: ({n_prime}, 0), ({q_prime}, {m2})",
+        f"canonical basis: ({lt.n * lt.m1}, 0), ({lt.q * lt.m1}, {lt.m2})",
         f"n = {lt.n}  q = {lt.q}  m1 = {lt.m1}  m2 = {lt.m2}",
         f"d_y = {lt.d_y}  e1 = {lt.e1}  e2 = {lt.e2}",
         f"type: {'singular ' + sing.label if sing else 'smooth'}",

@@ -131,8 +131,11 @@ def power_map_cover(a: int, b: int) -> tuple[BaseGeometry, CoverDescription]:
     ``a`` and degree ``b`` over it, each horizontal line one sheet with
     ramification ``b`` and degree ``a``; above each corner sits a single
     point whose lattice is ``aZ x bZ`` (first coordinate winds around the
-    vertical line), a smooth point with local degree ``a*b``.
+    vertical line), a smooth point with local degree ``a*b``.  An exponent
+    that :func:`check_int` refuses, or below 1, raises :class:`InvalidInputError`.
     """
+    check_int(a, "exponent a")
+    check_int(b, "exponent b")
     if a < 1 or b < 1:
         raise InvalidInputError(f"exponents must be positive (got a={a}, b={b})")
     base = square_base()

@@ -52,17 +52,16 @@ certificate, which carries the receipts so a failure localizes, is
 certificate's report alone.  Every receipt reads as one plain row
 ``(name, value, bound, per_degree, ok)``, decided once, where the walk
 emits it; the certificate holds them in one :class:`Receipts`, stored by
-crossing shape and read by part, and its verdicts and both reports read
-them there.  Beside them sit an Arakelov-type bound for semistable
-fibrations and a logarithmic height bound for plane models, the single
-place the package leaves exact arithmetic (flagged as such).
+crossing shape and named as they are read, and its verdicts and both
+reports read them there.  Beside them sit an Arakelov-type bound for
+semistable fibrations and a logarithmic height bound for plane models, the
+single place the package leaves exact arithmetic (flagged as such).
 """
 
 from __future__ import annotations
 
 import decimal
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -265,18 +264,18 @@ def _within(value, bound) -> bool:
     return abs(value.numerator) * bound.denominator <= bound.numerator * value.denominator
 
 
-class Receipts(Sequence):
+class Receipts:
     """A certificate's receipts, stored by crossing shape and named when read.
 
     The rows are ``head``, the component rows; per crossing ``indices[k]``
-    the three rows ``shape_rows[shapes[k]]``, named after ``KINDS``
-    (``rr_cross[crossing 12]``, ``correction[crossing 12]`` and
-    ``exceptional_s[crossing 12]``); and ``tail``, the ``deg_det`` rows: the
+    the three rows ``shape_rows[shapes[k]]``, named by :meth:`crossing_row`
+    after ``KINDS`` and the index; and ``tail``, the ``deg_det`` rows: the
     linear row, then the fibration row when there is one.  A certificate
     built by hand passes its rows as ``Receipts(head, [], [], (), tail)``.
-    A row ``(name, value, bound, per_degree, ok)`` is built when read, and
-    indexing, slicing, iteration, ``==`` and ``hash`` are the row tuple's.
-    Every shape is some crossing's, so :attr:`satisfied` reads each once.
+    Iteration is the one reader of the rows: it builds each row ``(name,
+    value, bound, per_degree, ok)`` as it is read, and ``==``, ``hash`` and
+    ``repr`` are those of the tuple of the rows it gives.  Every shape is
+    some crossing's, so :attr:`satisfied` reads each once.
     """
 
     __slots__ = ("head", "indices", "shapes", "shape_rows", "tail")
@@ -286,27 +285,17 @@ class Receipts(Sequence):
         self.head, self.indices, self.shapes = head, indices, shapes
         self.shape_rows, self.tail = shape_rows, tail
 
-    def __len__(self) -> int:
-        return len(self.head) + 3 * len(self.indices) + len(self.tail)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        size = len(self)
-        k = range(size)[k]  # as a tuple takes k, or its IndexError or TypeError
-        crossing, row = divmod(k - len(self.head), 3)
-        if crossing < 0:
-            return self.head[k]
-        if crossing >= len(self.indices):
-            return self.tail[k - size]
-        name = f"{self.KINDS[row]}[crossing {self.indices[crossing]}]"
-        return (name, *self.shape_rows[self.shapes[crossing]][row])
+    @staticmethod
+    def crossing_row(kind: str, index) -> str:
+        """The name of crossing ``index``'s ``kind`` row: ``rr_cross[crossing 12]``,
+        ``correction[crossing 12]`` or ``exceptional_s[crossing 12]``."""
+        return f"{kind}[crossing {index}]"
 
     def __iter__(self):
         yield from self.head
         for index, shape in zip(self.indices, self.shapes):
             for kind, row in zip(self.KINDS, self.shape_rows[shape]):
-                yield (f"{kind}[crossing {index}]", *row)
+                yield (self.crossing_row(kind, index), *row)
         yield from self.tail
 
     def __eq__(self, other) -> bool:
@@ -329,16 +318,18 @@ class Receipts(Sequence):
 class BoundCertificate:
     """Receipts showing |deg_det| is linearly bounded in the cover degree.
 
-    ``linear_coefficient`` is assembled from the base configuration alone
-    (its Euler data is ``derived_base``), so one coefficient serves every
-    cover of the same base.  ``receipts`` instantiate the individual
-    estimates that make the aggregate work, one row ``(name, value, bound,
-    per_degree, ok)`` each, in report order, with the verdict ``|value| <=
-    bound`` decided where the walk emits it (see :class:`Receipts`);
-    ``satisfied`` holds exactly when every verdict does.  Their ``tail``
-    holds the ``deg_det`` rows: ``linear_row`` compares ``deg_det`` with
-    ``linear_coefficient * degree``, and when ``fibration_bound`` is set the
-    row after it compares ``deg_det`` with that bound.
+    ``receipts`` instantiate the individual estimates that make the
+    aggregate work, one row ``(name, value, bound, per_degree, ok)`` each,
+    in report order, with the verdict ``|value| <= bound`` decided where
+    the walk emits it (see :class:`Receipts`); ``satisfied`` holds exactly
+    when every verdict does.  Their ``tail`` holds the ``deg_det`` rows:
+    ``linear_row`` compares ``deg_det`` with ``c * degree``, and when
+    ``fibration_inputs`` are set the row after it compares ``deg_det`` with
+    their semistable bound.  Nothing else stores a row's number:
+    ``linear_coefficient``, c, is the linear row's per-degree value,
+    assembled from the base configuration alone (its Euler data is
+    ``derived_base``), so one coefficient serves every cover of the same
+    base; ``fibration_bound`` is the fibration row's bound.
     ``deg_det_within_linear`` and ``deg_det_within_fibration`` are those
     rows' verdicts, and the text report's ``c*d`` is the linear row's bound.
     ``report`` is summed in the walk that emits the receipts; its
@@ -346,12 +337,10 @@ class BoundCertificate:
     """
 
     receipts: Receipts
-    linear_coefficient: Fraction
     degree: int
     report: InvariantReport
     derived_base: EulerData
     fibration_inputs: Optional[FibrationInputs]
-    fibration_bound: Optional[Fraction]
 
     @property
     def deg_det(self) -> Fraction:
@@ -367,14 +356,20 @@ class BoundCertificate:
         return self.receipts.tail[0]
 
     @property
+    def linear_coefficient(self) -> Fraction:
+        return self.linear_row[3]
+
+    @property
     def deg_det_within_linear(self) -> bool:
         return self.linear_row[-1]
 
     @property
+    def fibration_bound(self) -> Optional[Fraction]:
+        return None if self.fibration_inputs is None else self.receipts.tail[1][2]
+
+    @property
     def deg_det_within_fibration(self) -> Optional[bool]:
-        if self.fibration_bound is None:
-            return None
-        return self.receipts.tail[1][-1]
+        return None if self.fibration_inputs is None else self.receipts.tail[1][-1]
 
 
 def linear_coefficient(base: BaseGeometry) -> Fraction:
@@ -552,15 +547,16 @@ def examine(
     point, its resolution numbers found, once.
     Likewise each distinct sheet list, ``id(sheets)``, gives its sum of
     ``e*f``, ``B_mult``, diagonal factor, ``d_i`` and two verdicts once per
-    walk; a component adds only its own products, its V1 finding and its
-    two named rows, and (R,R) takes each list's diagonal factor times the
-    sum of its components' self-intersections.  The shape and sheet-list
-    memos key on identity, the local memo on value (a local is hashed only
-    where a shape is computed), and all three live for the call.  The
-    loader gives byte-equal lists one tuple, so a loaded document computes
-    each shape and sheet list once for each way its lists are written; a
-    model built by hand with equal but distinct lists gets the same answer
-    and computes a shape per crossing and a sheet list per component.
+    walk, as one immutable row; a component adds only its own products, its
+    V1 finding, its two named rows and, when its self-intersection is not
+    0, its list's diagonal factor times that self-intersection to (R,R).
+    The shape and sheet-list memos key on identity, the local memo on value
+    (a local is hashed only where a shape is computed), and all three live
+    for the call.  The loader gives byte-equal lists one tuple, so a loaded
+    document computes each shape and sheet list once for each way its lists
+    are written; a model built by hand with equal but distinct lists gets
+    the same answer and computes a shape per crossing and a sheet list per
+    component.
 
     A reference that does not resolve raises the error of
     :func:`~ramcov.model.check_references`, called only then: before the
@@ -583,21 +579,23 @@ def examine(
     b_mults = []
     d_sums = []  # d_i = sum_j f_ij, in component order
     kx_dot_b = b_dot_f = 0
-    # id(sheets) -> [diagonal, sum of self_int over the components with those
-    # sheets, sum of e*f, b_mult and its verdict, the diagonal's verdict, d_i]
-    sheet_lists: dict[int, list] = {}
+    # id(sheets) -> (diagonal, sum of e*f, b_mult and its verdict, the
+    # diagonal's verdict, d_i)
+    sheet_lists: dict[int, tuple] = {}
+    rr = zero
     for comp in base.components:
         sheets = cover.sheets_for(comp.id)
         known = sheet_lists.get(id(sheets))
         if known is None:
             b_mult = sum((s.e - 1) * s.f for s in sheets)
             diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
-            known = sheet_lists[id(sheets)] = [
-                diagonal, 0, sum(s.e * s.f for s in sheets), b_mult, _within(b_mult, d),
+            known = sheet_lists[id(sheets)] = (
+                diagonal, sum(s.e * s.f for s in sheets), b_mult, _within(b_mult, d),
                 _within(diagonal, d), sum(s.f for s in sheets),
-            ]
-        diagonal, _, total, b_mult, b_ok, diagonal_ok, d_i = known
-        known[1] += comp.self_int
+            )
+        diagonal, total, b_mult, b_ok, diagonal_ok, d_i = known
+        if comp.self_int:
+            rr += diagonal * comp.self_int
         if total != d:
             found.append(Violation("V1", (comp.id,), (
                 f"component {comp.id!r}: sum of e*f over sheets is {total}, expected degree {d}"
@@ -609,7 +607,6 @@ def examine(
         head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, b_ok))
         diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, diagonal_ok))
     head += diagonals
-    rr = sum((diagonal * self_int for diagonal, self_int, *_ in sheet_lists.values()), zero)
 
     # a point's local data -> its local type, that type's problems and its
     # (chain length, correction) at a valid quotient point, else None
@@ -676,7 +673,6 @@ def examine(
     dd = report.deg_det
     coeff = _linear_coefficient(base, euler)
     tail = [("deg_det_vs_linear", dd, coeff * d, coeff, _within(dd, coeff * d))]
-    fib_bound = None
     if fibration is not None:
         fi = fibration
         fib_bound = arakelov_degree_bound(fi.gF, fi.Dhor_dot_F, fi.gC, fi.nDC, fi.nS, d)
@@ -686,12 +682,10 @@ def examine(
 
     certificate = BoundCertificate(
         receipts=Receipts(tuple(head), indices, numbers, tuple(shape_rows), tuple(tail)),
-        linear_coefficient=coeff,
         degree=d,
         report=report,
         derived_base=euler,
         fibration_inputs=fibration,
-        fibration_bound=fib_bound,
     )
     return found, certificate, None
 

@@ -39,8 +39,10 @@ part once per render:
   lists one tuple, so a shared list is formatted once and its one string
   appended for every component or crossing with it;
 * ``certificate.terms`` formats each crossing shape's three records once,
-  as a template, and writes a crossing's three records as one string, its
-  index spliced into the three names.
+  as a template named by :meth:`~ramcov.invariants.Receipts.crossing_row`,
+  and writes a crossing's three records as one string, its index spliced
+  into the three names.  It alone reads the receipts' parts; every other
+  reader of the rows iterates over them.
 
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
@@ -177,8 +179,9 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
 
     The receipts keep each crossing shape's three rows once, less their
     names: each shape's rows are written once, as a template of the three
-    records, and each crossing is one chunk, its index spliced into the
-    three names.  Every ``head`` and ``tail`` row is one chunk.
+    records named by :meth:`Receipts.crossing_row` with a ``chr(0)`` where
+    the index goes, and each crossing is one chunk, its index spliced into
+    the three names.  Every ``head`` and ``tail`` row is one chunk.
     """
     end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
@@ -196,8 +199,9 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     # Per shape, the text of its three records, split where an index goes.
     templates = [
         f",{end}".join(
-            record(f'"{kind}[crossing \0]"', *row) for kind, row in zip(Receipts.KINDS, rows)
-        ).split("\0")
+            record(f'"{Receipts.crossing_row(kind, chr(0))}"', *row)
+            for kind, row in zip(Receipts.KINDS, rows)
+        ).split(chr(0))
         for rows in receipts.shape_rows
     ]
 
@@ -310,11 +314,6 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
 
     entries = sorted([(str(idx), points) for idx, points in points_above])
     _write_shared_lists(((f'"{idx}"', points) for idx, points in entries), record, depth, out)
-
-
-def _record(record) -> dict:
-    """A record whose fields are plain values, as a JSON object of those fields."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
@@ -445,7 +444,7 @@ class ReportDocument:
             }
             if cert.fibration_inputs is not None:
                 cert_doc["fibration"] = {
-                    "inputs": _record(cert.fibration_inputs),
+                    "inputs": asdict(cert.fibration_inputs),
                     "bound": fmt_rational(cert.fibration_bound),
                     "deg_det_within": cert.deg_det_within_fibration,
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),

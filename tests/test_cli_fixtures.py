@@ -347,7 +347,7 @@ def test_a_report_evaluates_each_receipt_once(capsys, monkeypatch, flags):
     monkeypatch.undo()
     fibration = FibrationInputs(0, 2, 0, 2, 0) if flags == _EV else None
     base, cover = load_cover_path(str(path))
-    rows = degree_linear_certificate(base, cover, fibration).receipts
+    rows = tuple(degree_linear_certificate(base, cover, fibration).receipts)
     assert len(rows) == 2 * 4 + 3 * 4 + 1 + (flags == _EV)
     sheet_lists = {}
     for comp in base.components:

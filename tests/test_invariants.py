@@ -638,7 +638,9 @@ def test_certificate_with_fibration_inputs():
     cert = degree_linear_certificate(*double_cover(), fibration=fib)
     assert cert.fibration_bound == 9
     assert cert.deg_det_within_fibration is True
-    assert [name for name, *_ in cert.receipts[-2:]] == ["deg_det_vs_linear", "deg_det_vs_fibration"]
+    assert [name for name, *_ in tuple(cert.receipts)[-2:]] == [
+        "deg_det_vs_linear", "deg_det_vs_fibration"
+    ]
     assert cert.satisfied
 
 
@@ -654,7 +656,6 @@ def test_certificate_power_family(a, b):
 def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     base, cover = double_cover()
     fields = dict(
-        linear_coefficient=Fraction(1),
         degree=1,
         report=invariant_report(base, cover),
         derived_base=derived_euler_data(base),
@@ -663,20 +664,18 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     head = (("x", 1, 2, one, True),)
     linear = ("deg_det_vs_linear", 3, 2, one, False)
     receipts = Receipts(head, [], [], (), (linear,))
-    cert = BoundCertificate(
-        receipts=receipts, fibration_inputs=None, fibration_bound=None, **fields
-    )
+    cert = BoundCertificate(receipts=receipts, fibration_inputs=None, **fields)
     assert cert.deg_det_within_linear is False and not cert.satisfied
-    assert cert.deg_det_within_fibration is None
-    assert cert.linear_row is linear
+    assert (cert.deg_det_within_fibration, cert.fibration_bound) == (None, None)
+    assert cert.linear_row is linear and cert.linear_coefficient is one
     assert tuple(cert.receipts) == (*head, linear)
     fib = FibrationInputs(0, 2, 0, 2, 0)
     fibration = ("deg_det_vs_fibration", 3, 9, one, True)
     cert = BoundCertificate(
-        receipts=Receipts(head, [], [], (), (linear, fibration)),
-        fibration_inputs=fib, fibration_bound=Fraction(9), **fields,
+        receipts=Receipts(head, [], [], (), (linear, fibration)), fibration_inputs=fib, **fields,
     )
     assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
+    assert cert.fibration_bound == 9
     assert cert.linear_row is linear
     text = ReportDocument(False, base, cover, (), cert).to_text()
     assert "|deg_det| <= c*d = 2: VIOLATED" in text
@@ -684,14 +683,19 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     passing = ("deg_det_vs_linear", 1, 2, one, True)
     cert = BoundCertificate(
         receipts=Receipts((("x", 3, 2, one, False),), [], [], (), (passing,)),
-        fibration_inputs=None, fibration_bound=None, **fields,
+        fibration_inputs=None, **fields,
     )
     assert cert.deg_det_within_linear and not cert.satisfied
-    # the certificate's deg_det is its report's, so the two cannot disagree
+    # the certificate's deg_det is its report's, and its coefficient and
+    # fibration bound are its rows', so none of them can disagree
     assert cert.deg_det == fields["report"].deg_det
-    with pytest.raises(TypeError, match="deg_det"):
-        BoundCertificate(receipts=receipts, fibration_inputs=None, fibration_bound=None,
-                         deg_det=cert.deg_det + 1, **fields)
+    for name, value in (("deg_det", cert.deg_det + 1), ("linear_coefficient", one),
+                        ("fibration_bound", Fraction(9))):
+        with pytest.raises(TypeError, match=name):
+            BoundCertificate(receipts=receipts, fibration_inputs=None, **fields, **{name: value})
+    assert [f.name for f in dataclasses.fields(BoundCertificate)] == [
+        "receipts", "degree", "report", "derived_base", "fibration_inputs"
+    ]
 
 
 def test_receipts_come_in_report_order_with_their_verdicts():
@@ -799,17 +803,8 @@ def _receipts_contract(base, cover, strict, fibration):
     receipts = cert.receipts
     assert isinstance(receipts, invariants.Receipts)
     assert list(receipts) == list(rows)
-    assert len(receipts) == len(rows)
-    for k in (0, -1, -2):
-        assert receipts[k] == rows[k]
-    assert [receipts[k] for k in range(-len(rows), len(rows))] == list(rows) * 2
-    assert receipts[-2:] == rows[-2:]
     assert receipts == rows and rows == receipts and not receipts != rows
     assert hash(receipts) == hash(rows)
-    with pytest.raises(IndexError):
-        receipts[len(rows)]
-    with pytest.raises(IndexError):
-        receipts[-len(rows) - 1]
     # The verdicts read the reference rows by name.
     by_name = {row[0]: row for row in rows}
     linear = by_name["deg_det_vs_linear"]
@@ -855,7 +850,7 @@ def test_one_module_names_the_receipts():
     # The walk names every receipt; the writers read the names it gives.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ramcov"
     prefixes = ("rr_cross[", "correction[", "exceptional_s[", "branch_mult[",
-                "rr_diagonal_factor[", "deg_det_vs_")
+                "rr_diagonal_factor[", "deg_det_vs_", "[crossing ")
     homes = {
         prefix: [path.stem for path in sorted(package.glob("*.py")) if prefix in path.read_text()]
         for prefix in prefixes

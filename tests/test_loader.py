@@ -98,21 +98,27 @@ def test_shuffled_document_canonicalizes_to_same_bytes():
     assert (base2, cover2) == (base, cover)
 
 
-def mutate_identity(**edits):
-    base, cover = identity_cover()
-    doc = canonical_document(base, cover)
-    for dotted, value in edits.items():
-        target = doc
-        *parents, leaf = dotted.split(".")
-        for key in parents:
-            target = target[key]
-        target[leaf] = value
+def _identity_with(path=None, value=None):
+    """The identity document as JSON text with the node at ``path`` replaced.
+
+    ``path`` is a tuple of object keys and list indices from the top; the
+    empty path replaces the whole document, and no path leaves it as it is.
+    """
+    doc = canonical_document(*identity_cover())
+    if path is None:
+        return json.dumps(doc)
+    if not path:
+        return json.dumps(value)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     return json.dumps(doc)
 
 
 def test_float_literals_rejected():
     for bad, got in [("2.0", "2.0"), ("1e3", "1000.0"), ("0.5", "0.5"), ("NaN", "nan")]:
-        text = mutate_identity().replace('"degree": 1', f'"degree": {bad}')
+        text = _identity_with().replace('"degree": 1', f'"degree": {bad}')
         with pytest.raises(InputFormatError) as info:
             parse_cover_json(text)
         assert str(info.value) == f"cover.degree: expected an integer (got {got})"
@@ -180,17 +186,17 @@ def test_a_non_integer_literal_ends_the_command_with_one_line(literal, got, tmp_
 
 
 def test_duplicate_keys_rejected():
-    text = mutate_identity().replace('"degree": 1', '"degree": 1, "degree": 1', 1)
+    text = _identity_with().replace('"degree": 1', '"degree": 1, "degree": 1', 1)
     with pytest.raises(InputFormatError, match="duplicate object key"):
         parse_cover_json(text)
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(InputFormatError, match="unknown keys"):
-        parse_cover_json(mutate_identity(**{"base.euler_Y": 4}))
+        parse_cover_json(_identity_with(("base", "euler_Y"), 4))
     with pytest.raises(InputFormatError, match="unknown keys"):
-        parse_cover_json(mutate_identity(**{"cover.color": "red"}))
-    text = mutate_identity().replace('"e": 1', '"e": 1, "extra": 2', 1)
+        parse_cover_json(_identity_with(("cover", "color"), "red"))
+    text = _identity_with().replace('"e": 1', '"e": 1, "extra": 2', 1)
     with pytest.raises(InputFormatError, match="unknown keys"):
         parse_cover_json(text)
 
@@ -219,7 +225,7 @@ def test_noncanonical_points_key_rejected():
 
 def test_type_errors_are_path_tagged():
     with pytest.raises(InputFormatError, match=r"base\.genus_C"):
-        parse_cover_json(mutate_identity(**{"base.genus_C": "zero"}))
+        parse_cover_json(_identity_with(("base", "genus_C"), "zero"))
     with pytest.raises(InputFormatError, match=r"components\[0\]\.genus"):
         base, cover = identity_cover()
         doc = canonical_document(base, cover)
@@ -377,22 +383,6 @@ def test_parse_arbitrary_json_returns_or_raises_input_errors(value):
         parse_cover_json(json.dumps(value))
     except (InputFormatError, InvalidInputError):
         pass
-
-
-def _identity_with(path, value):
-    """The identity document as JSON text with the node at ``path`` replaced.
-
-    ``path`` is a tuple of object keys and list indices from the top; the
-    empty path replaces the whole document.
-    """
-    doc = canonical_document(*identity_cover())
-    if not path:
-        return json.dumps(value)
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return json.dumps(doc)
 
 
 _PT = ("cover", "points_above", "1", 0)
@@ -896,7 +886,7 @@ def test_a_shared_faulty_shape_is_named_at_every_crossing(kind, local, strict):
         _shared_fault_findings(base, kind, strict)
     )
     if kind == "v3":
-        assert error is None and len(certificate.receipts) == 3 * 36 + 2 * 12 + 1
+        assert error is None and len(tuple(certificate.receipts)) == 3 * 36 + 2 * 12 + 1
     else:
         assert (certificate, error) == (None, f"crossing 0: invalid local type: {_NOT_COPRIME}")
     assert _views(base, twin(cover), strict) == _views(base, cover, strict)
@@ -964,7 +954,8 @@ def test_the_walk_keeps_no_row_per_crossing():
         rise = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert (violations, error) == ([], None) and len(certificate.receipts) == 3 * 6400 + 2 * 160 + 1
+    assert (violations, error) == ([], None)
+    assert len(tuple(certificate.receipts)) == 3 * 6400 + 2 * 160 + 1
     assert rise <= 1.5 * 2**20
 
 

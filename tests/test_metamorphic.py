@@ -198,7 +198,7 @@ def _summary(base, cover, fibration, component=lambda cid: cid, crossing=lambda 
     return (
         _codes(base, cover),
         {name(term): tuple(row) for term, *row in outcome.receipts},
-        len(outcome.receipts),
+        len(tuple(outcome.receipts)),
         {component(cid): m for cid, m in outcome.report.B_mult},
         [getattr(outcome.report, field) for field in _ADDITIVE],
         outcome.linear_coefficient,

@@ -109,10 +109,21 @@ def test_goldens_strictly_valid(builder):
     assert validate(base, cover, strict=True) == []
 
 
-@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3)])
-def test_power_map_cover_rejects_non_positive_exponents(a, b):
-    with pytest.raises(InvalidInputError, match="exponents must be positive"):
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        (0, 1, "exponents must be positive (got a=0, b=1)"),
+        (1, 0, "exponents must be positive (got a=1, b=0)"),
+        (-2, 3, "exponents must be positive (got a=-2, b=3)"),
+        ("2", 1, "exponent a must be an integer (got '2')"),
+        (1.5, 1, "exponent a must be an integer (got 1.5)"),
+        (True, 2, "exponent a must be an integer (got True)"),
+    ],
+)
+def test_power_map_cover_refuses_bad_exponents(a, b, message):
+    with pytest.raises(InvalidInputError) as info:
         power_map_cover(a, b)
+    assert str(info.value) == message
 
 
 # --------------------------------------------------- one code at a time

@@ -33,11 +33,18 @@ lives in:
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
   draws only from ``FINDING_FAULTS``: a raw local type that fails V5, a V1
-  break or a V3 break, which leave it loadable.  The rest draw also from
-  ``LOAD_FAULTS``: a dangling ``points_above`` or ``ramification`` key, an
-  unknown component, an out-of-range sheet index and a wrong declared
-  count.  They compare which error a run names and in which order its
-  findings come.
+  break or a V3 break, which leave it loadable.  The rest take each of
+  ``LOAD_FAULTS`` in turn, and up to two more faults of either kind: a
+  dangling ``points_above`` or ``ramification`` key, an unknown
+  component, an out-of-range sheet index, a wrong declared count, and the
+  ``FORM_FAULTS``, which the loader refuses by path: a leaf retyped to a
+  string, bool, float, list or null; a record key dropped or an unknown
+  one added; a ``pair`` as a string or with three ids; a lattice with
+  three rows or three coordinates, or ``local`` as a string;
+  ``ramification`` or ``points_above`` as a list; and the ``points_above``
+  key ``"01"``.  The faults in the form go last, as the others read it.
+  They compare which error a run names and in which order its findings
+  come.
 
 Each document runs through ``invariants`` as text and ``--json``, each with
 and without ``--strict`` and with and without ``--ev 1 2 0 2 3``: eight
@@ -275,6 +282,68 @@ def _bad_declared_count(doc: dict, rnd: random.Random) -> None:
     doc["base"].setdefault("pair_intersections", []).append({"pair": list(pair), "count": count})
 
 
+def _entries(node):
+    """Every ``(container, key)`` below ``node``: each member of each dict and list."""
+    members = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, value in list(members):
+        yield node, key
+        yield from _entries(value)
+
+
+def _form_fault(hits, new):
+    """The fault that puts ``new(value, rnd)`` in place of one value that ``hits(key, value)``.
+
+    The value is drawn among all such in the document, wherever they are, so
+    the fault applies to a document whose form other faults broke; where
+    there is none, it does nothing.
+    """
+    def fault(doc: dict, rnd: random.Random) -> None:
+        slots = [(node, key) for node, key in _entries(doc) if hits(key, node[key])]
+        if slots:
+            node, key = rnd.choice(slots)
+            node[key] = new(node[key], rnd)
+
+    return fault
+
+
+def _rekeyed(record: dict, rnd: random.Random) -> dict:
+    """``record`` less one of its keys, or with an unknown one."""
+    record = dict(record)
+    if record and rnd.randint(0, 1):
+        del record[rnd.choice(sorted(record))]
+    else:
+        record["extra"] = 0
+    return record
+
+
+# Faults in the document's form, which the loader refuses.
+FORM_FAULTS = (
+    # a leaf retyped to a string, bool, float, list or null
+    _form_fault(
+        lambda key, value: type(value) in (int, str),
+        lambda value, rnd: rnd.choice(
+            [new for new in ("1", True, 1.5, [], None) if type(new) is not type(value)]
+        ),
+    ),
+    # a record, or a table keyed by id, with a key dropped or an unknown one added
+    _form_fault(lambda key, value: type(value) is dict, _rekeyed),
+    # a pair as a string, or with three ids
+    _form_fault(lambda key, value: key == "pair", lambda pair, rnd: rnd.choice(["D1", ["D1"] * 3])),
+    # a lattice with three rows or three coordinates, or local data as a string
+    _form_fault(lambda key, value: key == "local", lambda local, rnd: rnd.choice([
+        [[1, 0], [0, 1], [1, 1]], [[1, 0, 0], [0, 1]], [[1, 0], [0, 1, 0]], "1/2(1, 1)",
+    ])),
+    # the ramification or points_above table as a list
+    _form_fault(
+        lambda key, value: key in ("ramification", "points_above") and type(value) is dict,
+        lambda table, rnd: list(table.values()),
+    ),
+    # a points_above key in non-canonical decimal form
+    _form_fault(
+        lambda key, value: key == "points_above" and type(value) is dict,
+        lambda table, rnd: {"01": [], **table},
+    ),
+)
 FINDING_FAULTS = (_invalid_local_type, _v1_break, _v3_break)
 LOAD_FAULTS = (
     _dangling_point_key,
@@ -282,6 +351,7 @@ LOAD_FAULTS = (
     _unknown_component,
     _sheet_index_out_of_range,
     _bad_declared_count,
+    *FORM_FAULTS,
 )
 
 
@@ -295,9 +365,14 @@ def faulty_documents(shipped: list[pathlib.Path], folder: pathlib.Path) -> list[
     paths = []
     for i in range(FAULTY_DOCUMENTS):
         doc = json.loads(json.dumps(rnd.choice(originals)))
-        faults = FINDING_FAULTS if i % 2 == 0 else FINDING_FAULTS + LOAD_FAULTS
-        for _ in range(rnd.randint(1, 3)):
-            rnd.choice(faults)(doc, rnd)
+        if i % 2 == 0:
+            drawn = [rnd.choice(FINDING_FAULTS) for _ in range(rnd.randint(1, 3))]
+        else:  # each load fault in turn, and up to two of either kind
+            drawn = [LOAD_FAULTS[i // 2 % len(LOAD_FAULTS)]]
+            drawn += [rnd.choice(FINDING_FAULTS + LOAD_FAULTS) for _ in range(rnd.randint(0, 2))]
+        # The others read the document's form, so the faults in it go last.
+        for fault in sorted(drawn, key=FORM_FAULTS.__contains__):
+            fault(doc, rnd)
         path = folder / f"faulty_{i}.json"
         path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
         paths.append(path)
