@@ -24,6 +24,17 @@ and the correction numerator, and :func:`resolution_numbers` gives those two
 in O(log n) steps, from the continued fraction of ``n/q`` and a Dedekind sum,
 without building the chain.
 
+Where values are checked: :class:`SingularityType` and :class:`HJChain`
+check their fields in ``__post_init__``, so every value that comes from a
+caller (``SingularityType(n, q)``, ``HJChain(entries)``, a plain sequence
+handed to :func:`hj_evaluate` or :func:`discrepancies`, and
+``dataclasses.replace``) is checked once, as it enters.  Where values are
+built: a chain this module derives from already-checked values
+(:func:`hj_expand`, :meth:`HJChain.reversed`) goes through the private
+builder ``_hj_chain``, which sets the field and runs no check; each call
+site names the invariant that makes its chain valid, and
+``verify.hj_sweep`` checks the entries of every chain it expands.
+
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
 ``n/q'`` where ``q q' = 1 (mod n)``; both orientations describe the same
@@ -89,7 +100,10 @@ class HJChain:
     """The entries ``b_1, ..., b_lambda`` of a Hirzebruch-Jung expansion.
 
     Entries are the negated self-intersection numbers of the exceptional
-    curves, so every entry is at least 2 and the chain is non-empty.
+    curves, so every entry is at least 2 and the chain is non-empty.  The
+    constructor checks both for entries from a caller; the chains this
+    module derives (:func:`hj_expand`, :meth:`reversed`) are built by
+    ``_hj_chain`` without the check.
     """
 
     b: tuple[int, ...]
@@ -112,7 +126,19 @@ class HJChain:
         return len(self.b)
 
     def reversed(self) -> "HJChain":
-        return HJChain(tuple(reversed(self.b)))
+        # The reverse of a checked chain has the same entries.
+        return _hj_chain(tuple(reversed(self.b)))
+
+
+def _hj_chain(b: tuple[int, ...]) -> HJChain:
+    """An :class:`HJChain` on ``b``, built without ``__post_init__``.
+
+    For derived chains only: the caller guarantees that ``b`` is a non-empty
+    tuple of ints, each at least 2.
+    """
+    chain = object.__new__(HJChain)
+    object.__setattr__(chain, "b", b)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -178,7 +204,9 @@ def hj_expand(sing: SingularityType) -> HJChain:
         bi = -(-prev // cur)  # ceil(prev / cur)
         entries.append(bi)
         prev, cur = cur, bi * cur - prev
-    return HJChain(tuple(entries))
+    # prev > cur >= 1 at every step makes each entry an int >= 2, and q >= 1
+    # makes the chain non-empty.
+    return _hj_chain(tuple(entries))
 
 
 def chain_length(sing: SingularityType) -> int:

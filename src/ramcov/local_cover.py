@@ -14,6 +14,16 @@ around the first local branch, so ``e1 = n * m1`` is the ramification index
 over that branch and ``m2`` is the degree of the upstairs curve over it.
 Swapping the two coordinates fixes ``n``, exchanges ``m1`` and ``m2``, and
 replaces ``q`` by its inverse mod ``n``.
+
+Where values are checked: :class:`LatticeSubgroup` checks its generators in
+``__post_init__``, so a subgroup from a caller (the loader, ``ramcov
+local``, ``dataclasses.replace``) is checked once, as it enters.  Where
+values are built: a subgroup or local type this module derives from
+already-checked values (:func:`enumerate_subgroups`,
+:meth:`LatticeSubgroup.swapped`, :func:`local_type`) goes through the
+private builders ``_lattice_subgroup`` and ``_local_cover_type``, which set
+the fields and run no check; each call site names the invariant that makes
+its value valid, and ``verify.lattice_sweep`` checks every derived value.
 """
 
 from __future__ import annotations
@@ -58,7 +68,13 @@ def check_enumeration_bound(
 
 @dataclass(frozen=True)
 class LatticeSubgroup:
-    """A finite-index subgroup of Z^2 given by two generators."""
+    """A finite-index subgroup of Z^2 given by two generators.
+
+    The constructor checks that the generators are exact int pairs with
+    nonzero determinant; the subgroups this module derives
+    (:func:`enumerate_subgroups`, :meth:`swapped`) are built by
+    ``_lattice_subgroup`` without the check.
+    """
 
     g1: tuple[int, int]
     g2: tuple[int, int]
@@ -89,7 +105,9 @@ class LatticeSubgroup:
 
     def swapped(self) -> "LatticeSubgroup":
         """The subgroup with the two coordinate axes exchanged."""
-        return LatticeSubgroup((self.g1[1], self.g1[0]), (self.g2[1], self.g2[0]))
+        # Swapping the coordinates of a checked subgroup negates det only.
+        (a, b), (c, d) = self.g1, self.g2
+        return _lattice_subgroup((b, a), (d, c))
 
     def contains(self, v: tuple[int, int]) -> bool:
         """Membership test by Cramer's rule over the integers.
@@ -101,6 +119,18 @@ class LatticeSubgroup:
         x, y = v
         det = a * d - b * c
         return (x * d - y * c) % det == 0 and (a * y - b * x) % det == 0
+
+
+def _lattice_subgroup(g1: tuple[int, int], g2: tuple[int, int]) -> LatticeSubgroup:
+    """A :class:`LatticeSubgroup` on ``g1, g2``, built without ``__post_init__``.
+
+    For derived subgroups only: the caller guarantees that both generators
+    are tuples of two ints and that their determinant is nonzero.
+    """
+    gamma = object.__new__(LatticeSubgroup)
+    object.__setattr__(gamma, "g1", g1)
+    object.__setattr__(gamma, "g2", g2)
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -167,6 +197,20 @@ class LocalCoverType:
         return SingularityType(self.n, self.q)
 
 
+def _local_cover_type(n: int, q: int, m1: int, m2: int) -> LocalCoverType:
+    """A :class:`LocalCoverType`, built without the keyword ``__init__``.
+
+    The class checks nothing, so this skips only the generated constructor's
+    keyword call; the caller guarantees that the four numbers are ints.
+    """
+    lt = object.__new__(LocalCoverType)
+    object.__setattr__(lt, "n", n)
+    object.__setattr__(lt, "q", q)
+    object.__setattr__(lt, "m1", m1)
+    object.__setattr__(lt, "m2", m2)
+    return lt
+
+
 def _xgcd(b: int, d: int) -> tuple[int, int, int]:
     """Extended gcd returning ``(g, u, v)`` with ``g = u*b + v*d >= 0``."""
     old_r, r = b, d
@@ -207,7 +251,8 @@ def local_type(gamma: LatticeSubgroup) -> LocalCoverType:
     """
     n_prime, q_prime, m2 = canonical_basis(gamma)
     m1 = math.gcd(n_prime, q_prime)
-    return LocalCoverType(n=n_prime // m1, q=q_prime // m1, m1=m1, m2=m2)
+    # LocalCoverType has no checks; n', q', m2 and m1 = gcd(n', q') are ints.
+    return _local_cover_type(n_prime // m1, q_prime // m1, m1, m2)
 
 
 def enumerate_subgroups(
@@ -232,5 +277,6 @@ def enumerate_subgroups(
                 continue
             m = k // a
             for c in range(a):
-                out.append(LatticeSubgroup((a, 0), (c, m)))
+                # a, m >= 1 are ints, so det = a * m >= 1.
+                out.append(_lattice_subgroup((a, 0), (c, m)))
     return out

@@ -1,0 +1,108 @@
+"""Derived values skip their constructors' checks; values from outside do not.
+
+``hj`` and ``local_cover`` build the chains, subgroups and local types they
+derive from already-checked values with private builders that run no
+``__post_init__``.  The first three tests hold each builder's output to the
+checked constructor.  The last two count ``__post_init__`` calls: the sweeps
+run none, and a document, ``ramcov local`` and the public constructors run
+the checks as before.
+"""
+
+import math
+import pathlib
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from ramcov.cli import main
+from ramcov.errors import InvalidInputError
+from ramcov.hj import HJChain, SingularityType, discrepancies, hj_evaluate, hj_expand
+from ramcov.loader import parse_cover_json
+from ramcov.local_cover import (
+    LatticeSubgroup,
+    LocalCoverType,
+    canonical_basis,
+    enumerate_subgroups,
+    local_type,
+)
+from ramcov.verify import hj_sweep, lattice_sweep
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _int_pair(g):
+    return type(g) is tuple and len(g) == 2 and all(type(c) is int for c in g)
+
+
+def test_expanded_and_reversed_chains_pass_the_checked_constructor():
+    for n in range(2, 301):
+        for q in range(1, n):
+            if math.gcd(n, q) != 1:
+                continue
+            chain = hj_expand(SingularityType(n, q))
+            for c in (chain, chain.reversed()):
+                assert type(c.b) is tuple and all(type(bi) is int for bi in c.b), (n, q)
+                assert HJChain(c.b) == c, (n, q)
+
+
+def test_enumerated_and_swapped_subgroups_pass_the_checked_constructor():
+    subgroups = enumerate_subgroups(60)
+    assert len(subgroups) == sum(a for k in range(1, 61) for a in range(1, k + 1) if k % a == 0)
+    for g in subgroups:
+        for h in (g, g.swapped()):
+            assert _int_pair(h.g1) and _int_pair(h.g2), h
+            assert LatticeSubgroup(h.g1, h.g2) == h
+
+
+def test_local_type_equals_the_keyword_construction():
+    for g in enumerate_subgroups(60):
+        for h in (g, g.swapped()):
+            n_prime, q_prime, m2 = canonical_basis(h)
+            m1 = math.gcd(n_prime, q_prime)
+            expected = LocalCoverType(n=n_prime // m1, q=q_prime // m1, m1=m1, m2=m2)
+            lt = local_type(h)
+            assert type(lt) is LocalCoverType
+            assert lt == expected and hash(lt) == hash(expected), h
+            assert repr(lt) == repr(expected)
+
+
+@pytest.fixture
+def post_inits(monkeypatch):
+    """Counts ``__post_init__`` calls per class, by wrapping the class attribute."""
+    calls = Counter()
+    for cls in (HJChain, LatticeSubgroup):
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            calls[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_the_sweeps_run_no_constructor_check(post_inits):
+    assert hj_sweep(40).ok and lattice_sweep(30).ok
+    assert post_inits == Counter()
+
+
+def test_values_from_outside_are_checked(post_inits, capsys):
+    document = (ROOT / "demos" / "covers" / "bidouble.json").read_text()
+    assert '"local"' in document
+    parse_cover_json(document)
+    assert post_inits["LatticeSubgroup"] >= 1
+
+    post_inits.clear()
+    assert main(["local", "4", "0", "2", "1"]) == 0
+    assert post_inits["LatticeSubgroup"] >= 1
+    assert main(["local", "2", "0", "4", "0"]) == 2
+    assert "linearly independent" in capsys.readouterr().err
+
+    post_inits.clear()
+    assert hj_evaluate([2, 3]) == Fraction(5, 3) and discrepancies((2, 2)) == ((0, 0), 0)
+    assert post_inits["HJChain"] == 2
+    chain = hj_expand(SingularityType(5, 2))
+    with pytest.raises(InvalidInputError, match="integers >= 2"):
+        replace(chain, b=(1,))
+    with pytest.raises(InvalidInputError, match="linearly independent"):
+        replace(enumerate_subgroups(1)[0], g2=(4, 0))
+    assert post_inits == Counter({"HJChain": 3, "LatticeSubgroup": 1})
