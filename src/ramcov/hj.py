@@ -25,10 +25,10 @@ in O(log n) steps, from the continued fraction of ``n/q`` and a Dedekind sum,
 without building the chain.
 
 Where values are checked: :class:`SingularityType` and :class:`HJChain`
-check their fields in ``__post_init__``, so every value that comes from a
-caller (``SingularityType(n, q)``, ``HJChain(entries)``, a plain sequence
-handed to :func:`hj_evaluate` or :func:`discrepancies`, and
-``dataclasses.replace``) is checked once, as it enters.  Where values are
+check their fields in ``__init__``, so every value that comes from a
+caller (``SingularityType(n, q)``, ``HJChain(entries)``, and a plain
+sequence handed to :func:`hj_evaluate` or :func:`discrepancies`) is checked
+once, as it enters.  Where values are
 built: a chain this module derives from already-checked values
 (:func:`hj_expand`, :meth:`HJChain.reversed`) goes through the private
 builder ``_hj_chain``, which sets the field and runs no check; each call
@@ -44,12 +44,12 @@ singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, check_int
+from .value import Value
 
 __all__ = [
     "SingularityType",
@@ -64,15 +64,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(Value):
     """A cyclic quotient surface singularity ``A_{n,q}``."""
 
-    n: int
-    q: int
+    __slots__ = ("n", "q")
 
-    def __post_init__(self) -> None:
-        n, q = check_int(self.n, "n"), check_int(self.q, "q")
+    def __init__(self, n: int, q: int) -> None:
+        check_int(n, "n")
+        check_int(q, "q")
         if n < 2:
             raise InvalidInputError(f"order must satisfy n >= 2 (got n={n})")
         if not 1 <= q < n:
@@ -84,6 +83,8 @@ class SingularityType:
             raise InvalidInputError(
                 f"n and q must be coprime (got gcd({n}, {q}) = {g})"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
 
     @property
     def label(self) -> str:
@@ -95,8 +96,7 @@ class SingularityType:
         return self.q == self.n - 1
 
 
-@dataclass(frozen=True)
-class HJChain:
+class HJChain(Value):
     """The entries ``b_1, ..., b_lambda`` of a Hirzebruch-Jung expansion.
 
     Entries are the negated self-intersection numbers of the exceptional
@@ -106,16 +106,17 @@ class HJChain:
     ``_hj_chain`` without the check.
     """
 
-    b: tuple[int, ...]
+    __slots__ = ("b",)
 
-    def __post_init__(self) -> None:
-        if not self.b:
+    def __init__(self, b: tuple[int, ...]) -> None:
+        if not b:
             raise InvalidInputError("chain must be non-empty")
-        for i, bi in enumerate(self.b):
+        for i, bi in enumerate(b):
             if not isinstance(bi, int) or bi < 2:
                 raise InvalidInputError(
                     f"chain entries must be integers >= 2 (got b_{i + 1} = {bi!r})"
                 )
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self) -> int:
@@ -131,7 +132,7 @@ class HJChain:
 
 
 def _hj_chain(b: tuple[int, ...]) -> HJChain:
-    """An :class:`HJChain` on ``b``, built without ``__post_init__``.
+    """An :class:`HJChain` on ``b``, built without ``__init__``'s check.
 
     For derived chains only: the caller guarantees that ``b`` is a non-empty
     tuple of ints, each at least 2.
@@ -141,8 +142,7 @@ def _hj_chain(b: tuple[int, ...]) -> HJChain:
     return chain
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(Value):
     """Minimal-resolution data of a cyclic quotient singularity.
 
     Carries the chain, the numerators ``v_i = n a_i`` of the discrepancies
@@ -153,23 +153,26 @@ class ResolutionData:
     tridiagonal relation is checked by ``verify.hj_sweep``.
     """
 
-    sing: SingularityType
-    chain: HJChain
-    v: tuple[int, ...]
-    correction_num: int
+    __slots__ = ("sing", "chain", "v", "correction_num", "__dict__")
 
-    def __post_init__(self) -> None:
-        if len(self.v) != self.chain.length:
+    def __init__(
+        self, sing: SingularityType, chain: HJChain, v: tuple[int, ...], correction_num: int
+    ) -> None:
+        if len(v) != chain.length:
             raise InvalidInputError(
                 "discrepancy vector length must match the chain length "
-                f"(got {len(self.v)} vs {self.chain.length})"
+                f"(got {len(v)} vs {chain.length})"
             )
-        n = self.sing.n
-        for i, vi in enumerate(self.v):
+        n = sing.n
+        for i, vi in enumerate(v):
             if not (-n < vi <= 0):
                 raise InvalidInputError(
                     f"discrepancies must lie in (-1, 0] (got a_{i + 1} = {Fraction(vi, n)})"
                 )
+        object.__setattr__(self, "sing", sing)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "correction_num", correction_num)
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -186,7 +189,7 @@ def _chain_entries(chain: "HJChain | Sequence[int] | Iterable[int]") -> tuple[in
     if isinstance(chain, HJChain):
         return chain.b
     entries = tuple(chain)
-    # Route validation through the dataclass so the error messages agree.
+    # Route validation through the constructor so the error messages agree.
     return HJChain(entries).b
 
 

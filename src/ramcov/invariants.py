@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import decimal
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -74,6 +73,7 @@ from .errors import InvalidInputError, check_int
 from .hj import SingularityType, resolution_numbers, resolve
 from .model import BaseGeometry, CoverDescription, Crossing, EulerData, Violation
 from .model import check_references, derived_euler_data
+from .value import Value
 
 __all__ = [
     "InvariantReport",
@@ -93,8 +93,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Value):
     """All invariants of one cover, with the per-term breakdown.
 
     ``KY_sq = d*K_X^2 + 2*(K_X . B) + (R,R)``, and resolving the quotient
@@ -113,15 +112,32 @@ class InvariantReport:
     inconsistent input, not an arithmetic error.
     """
 
-    B_mult: tuple[tuple[str, int], ...]
-    KX_dot_B: int
-    B_dot_F: int
-    RR: Fraction
-    KY_sq: Fraction
-    correction_total: Fraction
-    euler_Y: int
-    exceptional_s: int
-    fibration_term: Fraction
+    __slots__ = (
+        "B_mult", "KX_dot_B", "B_dot_F", "RR", "KY_sq", "correction_total", "euler_Y",
+        "exceptional_s", "fibration_term", "__dict__",
+    )
+
+    def __init__(
+        self,
+        B_mult: tuple[tuple[str, int], ...],
+        KX_dot_B: int,
+        B_dot_F: int,
+        RR: Fraction,
+        KY_sq: Fraction,
+        correction_total: Fraction,
+        euler_Y: int,
+        exceptional_s: int,
+        fibration_term: Fraction,
+    ) -> None:
+        object.__setattr__(self, "B_mult", B_mult)
+        object.__setattr__(self, "KX_dot_B", KX_dot_B)
+        object.__setattr__(self, "B_dot_F", B_dot_F)
+        object.__setattr__(self, "RR", RR)
+        object.__setattr__(self, "KY_sq", KY_sq)
+        object.__setattr__(self, "correction_total", correction_total)
+        object.__setattr__(self, "euler_Y", euler_Y)
+        object.__setattr__(self, "exceptional_s", exceptional_s)
+        object.__setattr__(self, "fibration_term", fibration_term)
 
     @cached_property
     def KYprime_sq(self) -> Fraction:
@@ -168,8 +184,7 @@ def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
     return invariant_report(base, cover).deg_det
 
 
-@dataclass(frozen=True)
-class FibrationInputs:
+class FibrationInputs(Value):
     """Caller-asserted data for the semistable fibration bound.
 
     The hypotheses behind the bound (semistable fibration with connected
@@ -178,15 +193,12 @@ class FibrationInputs:
     are asserted by whoever supplies these numbers and echoed in reports.
     """
 
-    gF: int
-    Dhor_dot_F: int
-    gC: int
-    nDC: int
-    nS: int
+    __slots__ = ("gF", "Dhor_dot_F", "gC", "nDC", "nS")
 
-    def __post_init__(self) -> None:
-        for name in ("gF", "Dhor_dot_F", "gC", "nDC", "nS"):
-            check_int(getattr(self, name), name, 0)
+    def __init__(self, gF: int, Dhor_dot_F: int, gC: int, nDC: int, nS: int) -> None:
+        for name, value in zip(self.__slots__, (gF, Dhor_dot_F, gC, nDC, nS)):
+            check_int(value, name, 0)
+            object.__setattr__(self, name, value)
 
 
 def arakelov_degree_bound(
@@ -314,8 +326,7 @@ class Receipts:
         return all(row[-1] for rows in (self.head, *self.shape_rows, self.tail) for row in rows)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Value):
     """Receipts showing |deg_det| is linearly bounded in the cover degree.
 
     ``receipts`` instantiate the individual estimates that make the
@@ -336,11 +347,21 @@ class BoundCertificate:
     ``deg_det`` is the certificate's.
     """
 
-    receipts: Receipts
-    degree: int
-    report: InvariantReport
-    derived_base: EulerData
-    fibration_inputs: Optional[FibrationInputs]
+    __slots__ = ("receipts", "degree", "report", "derived_base", "fibration_inputs", "__dict__")
+
+    def __init__(
+        self,
+        receipts: Receipts,
+        degree: int,
+        report: InvariantReport,
+        derived_base: EulerData,
+        fibration_inputs: Optional[FibrationInputs],
+    ) -> None:
+        object.__setattr__(self, "receipts", receipts)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "derived_base", derived_base)
+        object.__setattr__(self, "fibration_inputs", fibration_inputs)
 
     @property
     def deg_det(self) -> Fraction:

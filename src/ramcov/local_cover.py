@@ -16,8 +16,8 @@ Swapping the two coordinates fixes ``n``, exchanges ``m1`` and ``m2``, and
 replaces ``q`` by its inverse mod ``n``.
 
 Where values are checked: :class:`LatticeSubgroup` checks its generators in
-``__post_init__``, so a subgroup from a caller (the loader, ``ramcov
-local``, ``dataclasses.replace``) is checked once, as it enters.  Where
+``__init__``, so a subgroup from a caller (the loader, ``ramcov local``, the
+constructor called by hand) is checked once, as it enters.  Where
 values are built: a subgroup or local type this module derives from
 already-checked values (:func:`enumerate_subgroups`,
 :meth:`LatticeSubgroup.swapped`, :func:`local_type`) goes through the
@@ -29,11 +29,11 @@ its value valid, and ``verify.lattice_sweep`` checks every derived value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EnumerationLimitError, InvalidInputError, check_int
 from .hj import SingularityType
+from .value import Value
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -66,8 +66,7 @@ def check_enumeration_bound(
         raise EnumerationLimitError(f"{name} {value} exceeds the enumeration cap {limit}")
 
 
-@dataclass(frozen=True)
-class LatticeSubgroup:
+class LatticeSubgroup(Value):
     """A finite-index subgroup of Z^2 given by two generators.
 
     The constructor checks that the generators are exact int pairs with
@@ -76,11 +75,10 @@ class LatticeSubgroup:
     ``_lattice_subgroup`` without the check.
     """
 
-    g1: tuple[int, int]
-    g2: tuple[int, int]
+    __slots__ = ("g1", "g2")
 
-    def __post_init__(self) -> None:
-        for g in (self.g1, self.g2):
+    def __init__(self, g1: tuple[int, int], g2: tuple[int, int]) -> None:
+        for g in (g1, g2):
             if type(g) is tuple and len(g) == 2 and type(g[0]) is int and type(g[1]) is int:
                 continue  # the common case, decided without the isinstance checks
             if (
@@ -89,10 +87,10 @@ class LatticeSubgroup:
                 or not all(isinstance(c, int) and not isinstance(c, bool) for c in g)
             ):
                 raise InvalidInputError(f"generators must be integer pairs (got {g!r})")
-        if self.det == 0:
-            raise InvalidInputError(
-                f"generators must be linearly independent (got {self.g1}, {self.g2})"
-            )
+        if g1[0] * g2[1] - g1[1] * g2[0] == 0:
+            raise InvalidInputError(f"generators must be linearly independent (got {g1}, {g2})")
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
     @property
     def det(self) -> int:
@@ -122,7 +120,7 @@ class LatticeSubgroup:
 
 
 def _lattice_subgroup(g1: tuple[int, int], g2: tuple[int, int]) -> LatticeSubgroup:
-    """A :class:`LatticeSubgroup` on ``g1, g2``, built without ``__post_init__``.
+    """A :class:`LatticeSubgroup` on ``g1, g2``, built without ``__init__``'s check.
 
     For derived subgroups only: the caller guarantees that both generators
     are tuples of two ints and that their determinant is nonzero.
@@ -133,8 +131,7 @@ def _lattice_subgroup(g1: tuple[int, int], g2: tuple[int, int]) -> LatticeSubgro
     return gamma
 
 
-@dataclass(frozen=True)
-class LocalCoverType:
+class LocalCoverType(Value):
     """Classified local data of a cover at a crossing point.
 
     ``n, q`` is the primitive singularity pair (``n = 1``, ``q = 0`` for a
@@ -150,10 +147,13 @@ class LocalCoverType:
     validator surfaces these as V5 findings).
     """
 
-    n: int
-    q: int
-    m1: int
-    m2: int
+    __slots__ = ("n", "q", "m1", "m2")
+
+    def __init__(self, n: int, q: int, m1: int, m2: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
 
     @property
     def d_y(self) -> int:
@@ -198,10 +198,10 @@ class LocalCoverType:
 
 
 def _local_cover_type(n: int, q: int, m1: int, m2: int) -> LocalCoverType:
-    """A :class:`LocalCoverType`, built without the keyword ``__init__``.
+    """A :class:`LocalCoverType`, built without the ``__init__`` call.
 
-    The class checks nothing, so this skips only the generated constructor's
-    keyword call; the caller guarantees that the four numbers are ints.
+    The class checks nothing, so this skips only the constructor's call; the
+    caller guarantees that the four numbers are ints.
     """
     lt = object.__new__(LocalCoverType)
     object.__setattr__(lt, "n", n)

@@ -42,13 +42,13 @@ with one of the codes V1 to V5:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Union
 
 from .errors import InvalidInputError, check_int
 from .local_cover import LatticeSubgroup, LocalCoverType, local_type
+from .value import Value
 
 __all__ = [
     "BranchComponent",
@@ -63,11 +63,6 @@ __all__ = [
     "derived_euler_data",
     "check_references",
 ]
-
-
-def _canonical(obj, name: str, key) -> None:
-    """Store the list field ``name`` of a frozen instance sorted by ``key``."""
-    object.__setattr__(obj, name, tuple(sorted(getattr(obj, name), key=key)))
 
 
 def _index(items: tuple, key, what: str) -> dict:
@@ -87,51 +82,49 @@ def _point_key(p: "PointAbove") -> tuple:
     return (p.j, p.jp, repr(p.local))
 
 
-@dataclass(frozen=True)
-class BranchComponent:
+class BranchComponent(Value):
     """Numerical data of one smooth component of the branch divisor."""
 
-    id: str
-    genus: int
-    self_int: int
-    KX_dot: int
-    fiber_deg: int
+    __slots__ = ("id", "genus", "self_int", "KX_dot", "fiber_deg")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidInputError(f"component id must be a non-empty string (got {self.id!r})")
-        check_int(self.genus, f"component {self.id!r}: genus", minimum=0)
-        check_int(self.self_int, f"component {self.id!r}: self_int")
-        check_int(self.KX_dot, f"component {self.id!r}: KX_dot")
-        check_int(self.fiber_deg, f"component {self.id!r}: fiber_deg", minimum=0)
+    def __init__(self, id: str, genus: int, self_int: int, KX_dot: int, fiber_deg: int) -> None:
+        if not isinstance(id, str) or not id:
+            raise InvalidInputError(f"component id must be a non-empty string (got {id!r})")
+        check_int(genus, f"component {id!r}: genus", minimum=0)
+        check_int(self_int, f"component {id!r}: self_int")
+        check_int(KX_dot, f"component {id!r}: KX_dot")
+        check_int(fiber_deg, f"component {id!r}: fiber_deg", minimum=0)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "KX_dot", KX_dot)
+        object.__setattr__(self, "fiber_deg", fiber_deg)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     """A transversal intersection point of two distinct components."""
 
-    index: int
-    pair: tuple[str, str]
+    __slots__ = ("index", "pair")
 
-    def __post_init__(self) -> None:
-        check_int(self.index, "crossing index", minimum=0)
-        pair = self.pair
+    def __init__(self, index: int, pair: tuple[str, str]) -> None:
+        check_int(index, "crossing index", minimum=0)
         if (
             not isinstance(pair, tuple)
             or len(pair) != 2
             or not isinstance(pair[0], str)
             or not isinstance(pair[1], str)
         ):
-            raise InvalidInputError(f"crossing {self.index}: pair must be two component ids")
+            raise InvalidInputError(f"crossing {index}: pair must be two component ids")
         if pair[0] == pair[1]:
             raise InvalidInputError(
-                f"crossing {self.index}: components must be distinct "
+                f"crossing {index}: components must be distinct "
                 f"(transversal self-intersections are not modelled)"
             )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pair", pair)
 
 
-@dataclass(frozen=True)
-class BaseGeometry:
+class BaseGeometry(Value):
     """The fibred base surface with its branch configuration.
 
     ``KX_dot_F`` is the intersection of a canonical divisor with the fibre
@@ -141,36 +134,45 @@ class BaseGeometry:
     cross-checked at construction time.
     """
 
-    genus_C: int
-    KX_sq: int
-    euler_X: int
-    KX_dot_F: int
-    components: tuple[BranchComponent, ...]
-    crossings: tuple[Crossing, ...]
-    pair_counts: tuple[tuple[tuple[str, str], int], ...] = field(default=())
+    __slots__ = (
+        "genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings", "pair_counts",
+        "_components", "_crossings",
+    )
 
-    def __post_init__(self) -> None:
-        check_int(self.genus_C, "genus_C", minimum=0)
-        check_int(self.KX_sq, "KX_sq")
-        check_int(self.euler_X, "euler_X")
-        check_int(self.KX_dot_F, "KX_dot_F")
-        for pair, count in self.pair_counts:
+    def __init__(
+        self,
+        genus_C: int,
+        KX_sq: int,
+        euler_X: int,
+        KX_dot_F: int,
+        components: tuple[BranchComponent, ...],
+        crossings: tuple[Crossing, ...],
+        pair_counts: tuple[tuple[tuple[str, str], int], ...] = (),
+    ) -> None:
+        check_int(genus_C, "genus_C", minimum=0)
+        check_int(KX_sq, "KX_sq")
+        check_int(euler_X, "euler_X")
+        check_int(KX_dot_F, "KX_dot_F")
+        for pair, count in pair_counts:
             if not (
                 isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(c, str) for c in pair)
             ):
                 raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
             check_int(count, f"declared count for pair {pair}")
-        _canonical(self, "components", lambda c: c.id)
-        _canonical(self, "crossings", lambda x: x.index)
-        _canonical(self, "pair_counts", _pair_key)
-        components = _index(self.components, attrgetter("id"), "component ids")
-        object.__setattr__(self, "_components", components)
-        object.__setattr__(
-            self, "_crossings", _index(self.crossings, attrgetter("index"), "crossing indices")
-        )
+        object.__setattr__(self, "genus_C", genus_C)
+        object.__setattr__(self, "KX_sq", KX_sq)
+        object.__setattr__(self, "euler_X", euler_X)
+        object.__setattr__(self, "KX_dot_F", KX_dot_F)
+        by_id, by_index = attrgetter("id"), attrgetter("index")
+        object.__setattr__(self, "components", tuple(sorted(components, key=by_id)))
+        object.__setattr__(self, "crossings", tuple(sorted(crossings, key=by_index)))
+        object.__setattr__(self, "pair_counts", tuple(sorted(pair_counts, key=_pair_key)))
+        ids = _index(self.components, by_id, "component ids")
+        object.__setattr__(self, "_components", ids)
+        object.__setattr__(self, "_crossings", _index(self.crossings, by_index, "crossing indices"))
         for x in self.crossings:
             for cid in x.pair:
-                if cid not in components:
+                if cid not in ids:
                     raise InvalidInputError(
                         f"crossing {x.index} references unknown component {cid!r}"
                     )
@@ -180,7 +182,7 @@ class BaseGeometry:
         actual = Counter(tuple(sorted(x.pair)) for x in self.crossings) if self.pair_counts else {}
         for pair, count in self.pair_counts:
             key = tuple(sorted(pair))
-            if key[0] not in components or key[1] not in components:
+            if key[0] not in ids or key[1] not in ids:
                 raise InvalidInputError(f"declared pair {pair} references unknown components")
             got = actual[key]
             if got != count:
@@ -200,24 +202,23 @@ class BaseGeometry:
         return sum(cid in x.pair for x in self.crossings)
 
 
-@dataclass(frozen=True)
-class RamSheet:
+class RamSheet(Value):
     """One irreducible piece of the preimage of a branch component.
 
     ``e`` is the ramification index along the piece, ``f`` its degree over
     the downstairs component.
     """
 
-    e: int
-    f: int
+    __slots__ = ("e", "f")
 
-    def __post_init__(self) -> None:
-        check_int(self.e, "sheet e", minimum=1)
-        check_int(self.f, "sheet f", minimum=1)
+    def __init__(self, e: int, f: int) -> None:
+        check_int(e, "sheet e", minimum=1)
+        check_int(f, "sheet f", minimum=1)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
 
-@dataclass(frozen=True)
-class PointAbove:
+class PointAbove(Value):
     """One point of the cover above a crossing.
 
     ``j`` and ``jp`` index the sheets of the first and second component of
@@ -228,21 +229,22 @@ class PointAbove:
     ``local`` value, whether or not equal values are one object.
     """
 
-    j: int
-    jp: int
-    local: Union[LatticeSubgroup, LocalCoverType]
+    __slots__ = ("j", "jp", "local")
 
-    def __post_init__(self) -> None:
-        check_int(self.j, "point sheet index j", minimum=0)
-        check_int(self.jp, "point sheet index jp", minimum=0)
-        if isinstance(self.local, LocalCoverType):
+    def __init__(self, j: int, jp: int, local: Union[LatticeSubgroup, LocalCoverType]) -> None:
+        check_int(j, "point sheet index j", minimum=0)
+        check_int(jp, "point sheet index jp", minimum=0)
+        if isinstance(local, LocalCoverType):
             # Types only: a value out of range is the walk's V5 finding.
             for name in ("n", "q", "m1", "m2"):
-                check_int(getattr(self.local, name), f"point local type {name}")
-        elif not isinstance(self.local, LatticeSubgroup):
+                check_int(getattr(local, name), f"point local type {name}")
+        elif not isinstance(local, LatticeSubgroup):
             raise InvalidInputError(
-                f"point local data must be a lattice subgroup or a local type (got {self.local!r})"
+                f"point local data must be a lattice subgroup or a local type (got {local!r})"
             )
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "jp", jp)
+        object.__setattr__(self, "local", local)
 
     def local_cover_type(self) -> LocalCoverType:
         """The local type: ``local`` itself, or its lattice classified anew."""
@@ -251,8 +253,7 @@ class PointAbove:
         return self.local
 
 
-@dataclass(frozen=True)
-class CoverDescription:
+class CoverDescription(Value):
     """Numerical description of a branched cover of the base.
 
     ``ramification`` maps component ids to their sheet lists and
@@ -263,20 +264,24 @@ class CoverDescription:
     the validator rather than silently defaulted.
     """
 
-    degree: int
-    ramification: tuple[tuple[str, tuple[RamSheet, ...]], ...]
-    points_above: tuple[tuple[int, tuple[PointAbove, ...]], ...]
+    __slots__ = ("degree", "ramification", "points_above", "_sheets", "_points")
 
-    def __post_init__(self) -> None:
-        check_int(self.degree, "cover degree", minimum=1)
-        for cid, _ in self.ramification:
+    def __init__(
+        self,
+        degree: int,
+        ramification: tuple[tuple[str, tuple[RamSheet, ...]], ...],
+        points_above: tuple[tuple[int, tuple[PointAbove, ...]], ...],
+    ) -> None:
+        check_int(degree, "cover degree", minimum=1)
+        for cid, _ in ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
-        _canonical(self, "ramification", itemgetter(0))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "ramification", tuple(sorted(ramification, key=itemgetter(0))))
         object.__setattr__(self, "_sheets", dict(self.ramification))
         if len(self._sheets) != len(self.ramification):
             raise InvalidInputError("duplicate component id in ramification table")
-        for idx, _ in self.points_above:
+        for idx, _ in points_above:
             check_int(idx, "points_above key")
         # id(points) -> those points in canonical order: a list shared by
         # several crossings is sorted once and stays one tuple.
@@ -295,7 +300,7 @@ class CoverDescription:
             "points_above",
             tuple(
                 (idx, canonical(points))
-                for idx, points in sorted(self.points_above, key=itemgetter(0))
+                for idx, points in sorted(points_above, key=itemgetter(0))
             ),
         )
         object.__setattr__(self, "_points", dict(self.points_above))
@@ -309,17 +314,18 @@ class CoverDescription:
         return self._points.get(index, ())
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(Value, order=True):
     """One validation finding: the identity violated and where (the sort order)."""
 
-    code: str
-    where: tuple[str, ...]
-    message: str
+    __slots__ = ("code", "where", "message")
+
+    def __init__(self, code: str, where: tuple[str, ...], message: str) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(Value):
     """Euler characteristics derived from the base configuration alone.
 
     ``open_components`` holds, per component id, the compactly supported
@@ -328,9 +334,14 @@ class EulerData:
     the Euler characteristic of the complement of the whole divisor.
     """
 
-    e_c_U: int
-    open_components: tuple[tuple[str, int], ...]
-    n_crossings: int
+    __slots__ = ("e_c_U", "open_components", "n_crossings")
+
+    def __init__(
+        self, e_c_U: int, open_components: tuple[tuple[str, int], ...], n_crossings: int
+    ) -> None:
+        object.__setattr__(self, "e_c_U", e_c_U)
+        object.__setattr__(self, "open_components", open_components)
+        object.__setattr__(self, "n_crossings", n_crossings)
 
     def open_component(self, cid: str) -> int:
         for key, value in self.open_components:

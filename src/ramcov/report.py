@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
@@ -66,6 +65,7 @@ from .errors import InvalidInputError
 from .invariants import BoundCertificate, Receipts
 from .local_cover import LatticeSubgroup
 from .model import BaseGeometry, CoverDescription, EulerData, Violation, derived_euler_data
+from .value import Value
 
 __all__ = [
     "fmt_rational",
@@ -362,8 +362,7 @@ def _text_term(name: str, value, bound, ok: bool) -> str:
     return f"  {name}: |{value!s}| <= {bound!s}  {'ok' if ok else 'VIOLATED'}"
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(Value):
     """Everything one invariants run produces, ready to render.
 
     ``certificate``, whose ``report`` holds the invariants, may be absent
@@ -372,12 +371,23 @@ class ReportDocument:
     rendering echoes ``base`` and ``cover`` as its ``input`` member.
     """
 
-    strict: bool
-    base: BaseGeometry
-    cover: CoverDescription
-    violations: tuple[Violation, ...]
-    certificate: Optional[BoundCertificate]
-    error: Optional[str] = None
+    __slots__ = ("strict", "base", "cover", "violations", "certificate", "error")
+
+    def __init__(
+        self,
+        strict: bool,
+        base: BaseGeometry,
+        cover: CoverDescription,
+        violations: tuple[Violation, ...],
+        certificate: Optional[BoundCertificate],
+        error: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "error", error)
 
     @property
     def valid(self) -> bool:
@@ -442,9 +452,16 @@ class ReportDocument:
                 "satisfied": cert.satisfied,
                 "fibration": None,
             }
-            if cert.fibration_inputs is not None:
+            fib = cert.fibration_inputs
+            if fib is not None:
                 cert_doc["fibration"] = {
-                    "inputs": asdict(cert.fibration_inputs),
+                    "inputs": {
+                        "gF": fib.gF,
+                        "Dhor_dot_F": fib.Dhor_dot_F,
+                        "gC": fib.gC,
+                        "nDC": fib.nDC,
+                        "nS": fib.nS,
+                    },
                     "bound": fmt_rational(cert.fibration_bound),
                     "deg_det_within": cert.deg_det_within_fibration,
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),

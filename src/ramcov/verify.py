@@ -12,7 +12,6 @@ correctness statement the package can make about itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional
 
@@ -23,25 +22,34 @@ from .local_cover import (
     enumerate_subgroups,
     local_type,
 )
+from .value import Value
 
 __all__ = ["PropertyFailure", "SweepResult", "hj_sweep", "lattice_sweep"]
 
 
-@dataclass(frozen=True)
-class PropertyFailure:
+class PropertyFailure(Value):
     """A counterexample: which property broke, and on what witness."""
 
-    suite: str
-    prop: str
-    witness: dict
-    message: str
+    __slots__ = ("suite", "prop", "witness", "message")
+
+    def __init__(self, suite: str, prop: str, witness: dict, message: str) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass
-class SweepResult:
-    suite: str
-    checked: int = 0
-    failures: list[PropertyFailure] = field(default_factory=list)
+class SweepResult(Value, frozen=False):
+    """A sweep's tally, mutable while it runs: items checked and the failures found."""
+
+    __slots__ = ("suite", "checked", "failures")
+
+    def __init__(
+        self, suite: str, checked: int = 0, failures: Optional[list[PropertyFailure]] = None
+    ) -> None:
+        self.suite = suite
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

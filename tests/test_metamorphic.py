@@ -28,7 +28,6 @@ the renamings and the base changes.
 
 import math
 import pathlib
-from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -39,6 +38,7 @@ from ramcov.invariants import FibrationInputs, degree_linear_certificate
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import BaseGeometry, CoverDescription, Crossing, PointAbove, validate
+from rebuild import replace
 from ruled_documents import ruled_cover, ruled_weights, unit_weights
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -6,7 +6,6 @@ meta-tests at the bottom verify the arithmetic that makes the per-crossing
 degree identity a consequence of the per-sheet ones on coherent input.
 """
 
-import dataclasses
 import pathlib
 import random
 import time
@@ -32,6 +31,7 @@ from ramcov.model import (
     validate,
 )
 from ramcov.report import canonical_document
+from rebuild import replace
 
 
 def one_crossing_base():
@@ -270,13 +270,13 @@ def _permuted(rng, base, cover):
         rng.shuffle(items)
         return tuple(items)
 
-    new_base = dataclasses.replace(
+    new_base = replace(
         base,
         components=shuffled(base.components),
         crossings=shuffled(base.crossings),
         pair_counts=shuffled(base.pair_counts),
     )
-    new_cover = dataclasses.replace(
+    new_cover = replace(
         cover,
         ramification=shuffled(cover.ramification),
         points_above=shuffled((idx, shuffled(points)) for idx, points in cover.points_above),
@@ -329,7 +329,7 @@ def test_wrongly_typed_keys_raise_invalid_input():
             validate(base, build())
     for pair in (("D1", 3), (None, "D2")):
         with pytest.raises(InvalidInputError):
-            dataclasses.replace(base, pair_counts=base.pair_counts + ((pair, 1),))
+            replace(base, pair_counts=base.pair_counts + ((pair, 1),))
 
 
 # ------------------------------------------------------ brute-force recount
@@ -532,7 +532,7 @@ class _ComponentId(str):
 
 
 def test_a_crossing_of_str_subclass_ids_is_accepted():
-    # Crossing.__post_init__ judges each id with isinstance, so a str
+    # Crossing.__init__ judges each id with isinstance, so a str
     # subclass passes.
     pair = (_ComponentId("A"), _ComponentId("B"))
     assert Crossing(index=0, pair=pair).pair == ("A", "B")
@@ -553,7 +553,7 @@ def _bad_sheet_index_before_dangling_key():
     base, cover = double_cover()
     pts = tuple((idx, (smooth_point(j=1),) if idx == 3 else points)
                 for idx, points in cover.points_above)
-    check_references(base, dataclasses.replace(cover, points_above=pts + ((4, ()),)))
+    check_references(base, replace(cover, points_above=pts + ((4, ()),)))
 
 
 @pytest.mark.parametrize(

@@ -144,10 +144,29 @@ def test_deg_det_at_a_huge_quotient_order_is_the_closed_form(n):
     assert certificate.report.deg_det == closed_deg_det(n, fibre_weights, section_weights)
 
 
+def _all_ones_deg_det(n: int) -> Fraction:
+    """``closed_deg_det(n, ones, ones)`` for n ones a side, as one term.
+
+    Every one of its n^2 terms is ``s(1, n) + (n - 1)/4``, so this takes
+    O(log n) steps at any n.
+    """
+    return Fraction(-n * (n - 1), 2) + n * n * (dedekind_sum(1, n) + Fraction(n - 1, 4))
+
+
+def _all_ones_gap(n: int) -> Fraction:
+    """``4/9 - deg_det/(c n)`` along the all-ones tower, with c = (3n^2 + 2n + 8)/4.
+
+    With ``s(1, n) = (n - 1)(n - 2)/(12 n)``, ``deg_det = n(n - 1)(n - 2)/3``,
+    so the ratio is ``4(n - 1)(n - 2)/(3(3n^2 + 2n + 8))`` and the gap below
+    its limit 4/9 is ``4(11n + 2)/(9(3n^2 + 2n + 8))``.
+    """
+    return Fraction(4 * (11 * n + 2), 9 * (3 * n * n + 2 * n + 8))
+
+
 @pytest.mark.parametrize("n", range(3, 32))
 def test_linear_coefficient_along_the_all_ones_tower(n):
     # n fibres and n sections of weight 1 on P1 x P1.  The linear coefficient
-    # is (3n^2 + 2n + 8)/4 and deg_det = n^3/3 + O(n^2), so deg_det/(c d)
+    # is (3n^2 + 2n + 8)/4 and deg_det = n(n - 1)(n - 2)/3, so deg_det/(c d)
     # rises from 0.065 at n = 3 to 0.393 at n = 31, towards 4/9.
     ones = [1] * n
     base, cover = ruled_cover(0, n, ones, ones)
@@ -155,8 +174,21 @@ def test_linear_coefficient_along_the_all_ones_tower(n):
     assert (violations, error) == ([], None) and certificate.satisfied
     c = Fraction(3 * n * n + 2 * n + 8, 4)
     assert linear_coefficient(base) == certificate.linear_coefficient == c
-    assert certificate.deg_det == closed_deg_det(n, ones, ones)
-    assert 0 < certificate.deg_det / (c * n) < Fraction(4, 9)
+    deg_det = n * (n - 1) * (n - 2) // 3
+    assert certificate.deg_det == closed_deg_det(n, ones, ones) == _all_ones_deg_det(n) == deg_det
+    assert Fraction(4, 9) - certificate.deg_det / (c * n) == _all_ones_gap(n)
+
+
+@pytest.mark.parametrize("n", [10**6 + 3, 10**18 + 9])
+def test_the_all_ones_ratio_tends_to_four_ninths(n):
+    # The tower's document has n^2 crossings, so here the one-term form of
+    # the closed form stands in for the walk; the test above holds the two
+    # equal for 3 <= n <= 31.
+    deg_det = _all_ones_deg_det(n)
+    assert deg_det == n * (n - 1) * (n - 2) // 3
+    ratio = deg_det / (Fraction(3 * n * n + 2 * n + 8, 4) * n)
+    assert Fraction(4, 9) - ratio == _all_ones_gap(n)
+    assert 0 < Fraction(4, 9) - ratio < Fraction(2, n)
 
 
 @pytest.mark.parametrize("g, n, fibres, sections, message", [

@@ -6,10 +6,9 @@ twin pays once per component and crossing, so the tests hold its answers to
 the shared model's and to the independent oracles.
 """
 
-from dataclasses import replace
-
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import PointAbove, RamSheet
+from rebuild import replace
 
 
 def twin(cover):
