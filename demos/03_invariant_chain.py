@@ -9,7 +9,7 @@ degree of the determinant of cohomology on the base line.
 """
 
 from ramcov.golden import double_cover, power_map_cover
-from ramcov.invariants import deg_det, invariant_report
+from ramcov.invariants import invariant_report
 from ramcov.model import validate
 
 base, cover = double_cover()
@@ -44,7 +44,7 @@ print("power map family, deg_det by (a, b):")
 for a in range(1, 5):
     row = []
     for b in range(1, 5):
-        dd = deg_det(*power_map_cover(a, b))
+        dd = invariant_report(*power_map_cover(a, b)).deg_det
         assert dd == 1 - a
         row.append(str(dd).rjust(3))
     print(f"  a={a}: " + " ".join(row))

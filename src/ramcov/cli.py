@@ -38,7 +38,7 @@ from .invariants import (
 from .loader import load_cover_path
 from .local_cover import LatticeSubgroup, check_enumeration_bound, local_type
 from .model import derived_euler_data, validate
-from .report import ReportDocument, canonical_document, fmt_rational, parse_rational
+from .report import ReportDocument, canonical_document, parse_rational
 from .verify import hj_sweep, lattice_sweep
 
 
@@ -99,8 +99,8 @@ def cmd_hj(args: argparse.Namespace) -> int:
     print("\n".join([
         data.sing.label,
         f"chain: {list(data.chain.b)} (length {data.chain.length})",
-        "discrepancies: [" + ", ".join(fmt_rational(a) for a in data.a) + "]",
-        f"correction: {fmt_rational(data.correction)}",
+        "discrepancies: [" + ", ".join(map(str, data.a)) + "]",
+        f"correction: {data.correction!s}",
         f"du Val: {'yes' if data.sing.is_du_val else 'no'}",
     ]))
     return 0
@@ -185,7 +185,7 @@ def cmd_bs_bound(args: argparse.Namespace) -> int:
     coeff, base = plane_model_terms(args.d, args.nB)
     print("\n".join([
         "plane-model height bound (natural log scale)",
-        f"  d = {args.d}  branch points = {args.nB}  height h = {fmt_rational(h)}",
+        f"  d = {args.d}  branch points = {args.nB}  height h = {h!s}",
         f"  exact form: log(h + 1) + {coeff} * log({base})",
         f"  value ~= {value} "
         f"[approximate: logarithms evaluated at {HEIGHT_LOG_PRECISION} significant digits]",

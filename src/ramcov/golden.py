@@ -7,11 +7,11 @@ fibre and section (:func:`ruled_cyclic_cover`).  The "square" is the case
 ``g = 0`` with two fibres ``D1``, ``D2`` and two sections ``D3``, ``D4``
 (:func:`square_base`).  Over the square sit
 
-* the identity cover (degree 1, everything trivial),
 * the power-map family ``(u, v) -> (u^a, v^b)`` of degree ``a*b``, whose
   determinant degree is known from the pushforward of the structure sheaf
   along a one-variable power map (trivial summand plus ``a - 1`` summands
-  of degree -1, independent of ``b``),
+  of degree -1, independent of ``b``); the identity cover (degree 1,
+  everything trivial) is ``power_map_cover(1, 1)``,
 * the double cover branched along all four lines, ``ruled_cyclic_cover``
   with ``n = 2`` and every weight 1, which acquires an ordinary double
   point over each crossing and resolves to a surface with known classical
@@ -40,7 +40,6 @@ from .model import (
 
 __all__ = [
     "square_base",
-    "identity_cover",
     "power_map_cover",
     "double_cover",
     "ruled_cyclic_cover",
@@ -73,6 +72,25 @@ def _ruled_base(g: int, fibres, sections) -> BaseGeometry:
         crossings=tuple(Crossing(index=k, pair=pair) for k, pair in enumerate(pairs)),
         pair_counts=tuple((pair, 1) for pair in pairs),
     )
+
+
+def _ruled_cover(
+    g: int, degree: int, fibres: dict, sections: dict, lattices: list
+) -> tuple[BaseGeometry, CoverDescription]:
+    """A cover of ``_ruled_base(g, fibres, sections)`` with one sheet list per line.
+
+    ``fibres`` and ``sections`` map each line's id to its sheet list, and
+    ``lattices`` gives, in crossing order, the lattice of the one point over
+    each crossing.
+    """
+    cover = CoverDescription(
+        degree=degree,
+        ramification=(*fibres.items(), *sections.items()),
+        points_above=tuple(
+            (k, (PointAbove(j=0, jp=0, local=lattice),)) for k, lattice in enumerate(lattices)
+        ),
+    )
+    return _ruled_base(g, fibres, sections), cover
 
 
 def square_base() -> BaseGeometry:
@@ -109,19 +127,8 @@ def ruled_cyclic_cover(
         for w in fibres.values()
         for v in sections.values()
     ]
-    cover = CoverDescription(
-        degree=n,
-        ramification=tuple((cid, sheet) for cid in (*fibres, *sections)),
-        points_above=tuple(
-            (k, (PointAbove(j=0, jp=0, local=lattice),)) for k, lattice in enumerate(lattices)
-        ),
-    )
-    return _ruled_base(g, fibres, sections), cover
-
-
-def identity_cover() -> tuple[BaseGeometry, CoverDescription]:
-    """The trivial degree-1 cover: ``power_map_cover(1, 1)``, unramified everywhere."""
-    return power_map_cover(1, 1)
+    fibre_sheets, section_sheets = dict.fromkeys(fibres, sheet), dict.fromkeys(sections, sheet)
+    return _ruled_cover(g, n, fibre_sheets, section_sheets, lattices)
 
 
 def power_map_cover(a: int, b: int) -> tuple[BaseGeometry, CoverDescription]:
@@ -131,29 +138,22 @@ def power_map_cover(a: int, b: int) -> tuple[BaseGeometry, CoverDescription]:
     ``a`` and degree ``b`` over it, each horizontal line one sheet with
     ramification ``b`` and degree ``a``; above each corner sits a single
     point whose lattice is ``aZ x bZ`` (first coordinate winds around the
-    vertical line), a smooth point with local degree ``a*b``.  An exponent
-    that :func:`check_int` refuses, or below 1, raises :class:`InvalidInputError`.
+    vertical line), a smooth point with local degree ``a*b``.  With
+    ``a = b = 1`` it is the identity cover, unramified everywhere.  An
+    exponent that :func:`check_int` refuses, or below 1, raises
+    :class:`InvalidInputError`.
     """
     check_int(a, "exponent a")
     check_int(b, "exponent b")
     if a < 1 or b < 1:
         raise InvalidInputError(f"exponents must be positive (got a={a}, b={b})")
-    base = square_base()
-    vertical_sheet = (RamSheet(e=a, f=b),)
-    horizontal_sheet = (RamSheet(e=b, f=a),)
-    ram = tuple(
-        (cid, vertical_sheet if cid in _VERTICAL else horizontal_sheet)
-        for cid in ("D1", "D2", "D3", "D4")
+    return _ruled_cover(
+        0,
+        a * b,
+        dict.fromkeys(_VERTICAL, (RamSheet(e=a, f=b),)),
+        dict.fromkeys(_HORIZONTAL, (RamSheet(e=b, f=a),)),
+        [LatticeSubgroup((a, 0), (0, b))] * 4,  # one point per corner
     )
-    corner = LatticeSubgroup((a, 0), (0, b))
-    cover = CoverDescription(
-        degree=a * b,
-        ramification=ram,
-        points_above=tuple(
-            (x.index, (PointAbove(j=0, jp=0, local=corner),)) for x in base.crossings
-        ),
-    )
-    return base, cover
 
 
 def double_cover() -> tuple[BaseGeometry, CoverDescription]:

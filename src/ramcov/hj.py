@@ -123,9 +123,6 @@ class HJChain(Value):
         """Number of exceptional curves in the chain."""
         return len(self.b)
 
-    def __len__(self) -> int:
-        return len(self.b)
-
     def reversed(self) -> "HJChain":
         # The reverse of a checked chain has the same entries.
         return _hj_chain(tuple(reversed(self.b)))

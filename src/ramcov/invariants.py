@@ -80,7 +80,6 @@ __all__ = [
     "BoundCertificate",
     "Receipts",
     "FibrationInputs",
-    "deg_det",
     "invariant_report",
     "degree_linear_certificate",
     "examine",
@@ -172,16 +171,6 @@ def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantRe
     are stored by crossing shape, at two list entries per crossing.
     """
     return degree_linear_certificate(base, cover).report
-
-
-def deg_det(base: BaseGeometry, cover: CoverDescription) -> Fraction:
-    """Degree of the determinant of cohomology on the base curve.
-
-    The ``deg_det`` of :func:`invariant_report`; for geometrically
-    consistent input it is an integer.  Like :func:`invariant_report`, it
-    runs the whole walk, whose receipts are stored by crossing shape.
-    """
-    return invariant_report(base, cover).deg_det
 
 
 class FibrationInputs(Value):

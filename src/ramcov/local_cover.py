@@ -79,8 +79,6 @@ class LatticeSubgroup(Value):
 
     def __init__(self, g1: tuple[int, int], g2: tuple[int, int]) -> None:
         for g in (g1, g2):
-            if type(g) is tuple and len(g) == 2 and type(g[0]) is int and type(g[1]) is int:
-                continue  # the common case, decided without the isinstance checks
             if (
                 not isinstance(g, tuple)
                 or len(g) != 2

@@ -2,9 +2,10 @@
 
 Reports exist in two formats: a human-readable text form and a JSON form
 whose schema is ``docs/report_schema.json``.  Both are deterministic:
-rationals are rendered as ``p/q`` strings (plain ``n`` when the denominator
-is 1), lists are canonically ordered, and JSON keys are sorted, so identical
-inputs produce byte-identical output.  Floating point appears nowhere.
+rationals are written with ``str``, as ``p/q`` or as plain ``n`` when the
+denominator is 1, lists are canonically ordered, and JSON keys are sorted,
+so identical inputs produce byte-identical output.  Floating point appears
+nowhere.
 
 The JSON form has one writer, :func:`_render`.  It walks a tree of dicts,
 lists, tuples and scalars, sorts keys and indents as ``json.dumps(indent=2,
@@ -58,7 +59,7 @@ import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Optional
 
 from . import __version__
 from .errors import InvalidInputError
@@ -68,7 +69,6 @@ from .model import BaseGeometry, CoverDescription, EulerData, Violation, derived
 from .value import Value
 
 __all__ = [
-    "fmt_rational",
     "parse_rational",
     "ReportDocument",
     "FIBRATION_HYPOTHESES",
@@ -82,13 +82,6 @@ FIBRATION_HYPOTHESES = (
     "fibration is semistable with connected fibres",
     "branch divisor splits into an etale-over-C horizontal part and fibre components",
 )
-
-
-def fmt_rational(x: Union[Fraction, int]) -> str:
-    """Render an exact rational as ``p/q``, or ``p`` when integral."""
-    if type(x) is int or type(x) is Fraction:
-        return str(x)  # a Fraction's str is already p/q, or p when integral
-    return str(Fraction(x))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -429,15 +422,15 @@ class ReportDocument(Value):
                 "B_mult": functools.partial(_write_by_id, inv.B_mult),
                 "KX_dot_B": inv.KX_dot_B,
                 "B_dot_F": inv.B_dot_F,
-                "RR": fmt_rational(inv.RR),
-                "KY_sq": fmt_rational(inv.KY_sq),
-                "correction_total": fmt_rational(inv.correction_total),
-                "KYprime_sq": fmt_rational(inv.KYprime_sq),
+                "RR": str(inv.RR),
+                "KY_sq": str(inv.KY_sq),
+                "correction_total": str(inv.correction_total),
+                "KYprime_sq": str(inv.KYprime_sq),
                 "euler_Y": inv.euler_Y,
                 "exceptional_s": inv.exceptional_s,
                 "euler_Yprime": inv.euler_Yprime,
-                "chi": fmt_rational(inv.chi),
-                "deg_det": fmt_rational(inv.deg_det),
+                "chi": str(inv.chi),
+                "deg_det": str(inv.deg_det),
             }
             doc["consistency"] = {
                 "chi_integral": inv.chi_is_integral,
@@ -445,9 +438,9 @@ class ReportDocument(Value):
             }
             cert_doc: dict = {
                 "terms": functools.partial(_write_terms, cert.receipts),
-                "linear_coefficient": fmt_rational(cert.linear_coefficient),
+                "linear_coefficient": str(cert.linear_coefficient),
                 "degree": cert.degree,
-                "deg_det": fmt_rational(cert.deg_det),
+                "deg_det": str(cert.deg_det),
                 "deg_det_within_linear": cert.deg_det_within_linear,
                 "satisfied": cert.satisfied,
                 "fibration": None,
@@ -462,7 +455,7 @@ class ReportDocument(Value):
                         "nDC": fib.nDC,
                         "nS": fib.nS,
                     },
-                    "bound": fmt_rational(cert.fibration_bound),
+                    "bound": str(cert.fibration_bound),
                     "deg_det_within": cert.deg_det_within_fibration,
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),
                 }
@@ -495,10 +488,10 @@ class ReportDocument(Value):
             bm = ", ".join(f"{k}: {v}" for k, v in inv.B_mult)
             lines.append(f"  branch multiplicities: {bm}")
             lines.append(f"  (K_X . B) = {inv.KX_dot_B}   (B . F) = {inv.B_dot_F}")
-            lines.append(f"  (R,R) = {fmt_rational(inv.RR)}")
+            lines.append(f"  (R,R) = {inv.RR!s}")
             lines.append(
-                f"  K_Y^2 = {fmt_rational(inv.KY_sq)}   correction = "
-                f"{fmt_rational(inv.correction_total)}   K_Y'^2 = {fmt_rational(inv.KYprime_sq)}"
+                f"  K_Y^2 = {inv.KY_sq!s}   correction = "
+                f"{inv.correction_total!s}   K_Y'^2 = {inv.KYprime_sq!s}"
             )
             lines.append(
                 f"  e_c(Y) = {inv.euler_Y}   s = {inv.exceptional_s}   "
@@ -506,22 +499,22 @@ class ReportDocument(Value):
             )
             chi_tag = "integral" if inv.chi_is_integral else "NOT integral"
             dd_tag = "integral" if inv.deg_det_is_integral else "NOT integral"
-            lines.append(f"  chi = {fmt_rational(inv.chi)} [{chi_tag}]")
-            lines.append(f"  deg_det = {fmt_rational(inv.deg_det)} [{dd_tag}]")
+            lines.append(f"  chi = {inv.chi!s} [{chi_tag}]")
+            lines.append(f"  deg_det = {inv.deg_det!s} [{dd_tag}]")
             lines.append("linear bound certificate:")
             lines += [
                 _text_term(name, value, bound, ok) for name, value, bound, _, ok in cert.receipts
             ]
             lines.append(
-                f"  coefficient c = {fmt_rational(cert.linear_coefficient)}; "
-                f"|deg_det| <= c*d = {fmt_rational(cert.linear_row[2])}: "
+                f"  coefficient c = {cert.linear_coefficient!s}; "
+                f"|deg_det| <= c*d = {cert.linear_row[2]!s}: "
                 + ("ok" if cert.deg_det_within_linear else "VIOLATED")
             )
             lines.append(f"  satisfied: {'yes' if cert.satisfied else 'no'}")
             if cert.fibration_bound is not None:
                 within = cert.deg_det_within_fibration
                 lines.append(
-                    f"  fibration bound = {fmt_rational(cert.fibration_bound)}; "
+                    f"  fibration bound = {cert.fibration_bound!s}; "
                     f"|deg_det| <= bound: " + ("ok" if within else "VIOLATED")
                 )
                 lines.append("  assumed (caller-asserted): " + "; ".join(FIBRATION_HYPOTHESES))

@@ -12,10 +12,9 @@ From the field names alone the base gives each subclass:
 
 * ``==`` over the tuple of its fields, with ``NotImplemented`` for an
   object of any other class;
-* the hash of that tuple, and, with ``frozen=False``, no hash at all;
+* the hash of that tuple;
 * a repr that names each field, ``LatticeSubgroup(g1=(2, 0), g2=(1, 1))``;
-* with ``frozen=True`` (the default), ``__setattr__`` and ``__delattr__``
-  that raise :class:`AttributeError`;
+* ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`;
 * with ``order=True``, the four orderings over the field tuples;
 * ``__match_args__``, the field names in constructor order.
 
@@ -41,7 +40,7 @@ class Value:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, order: bool = False, **kwargs):
+    def __init_subclass__(cls, order: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if len(fields) == 1:
@@ -66,11 +65,10 @@ class Value:
 
         cls.__match_args__ = fields
         cls.__eq__ = __eq__
-        cls.__hash__ = __hash__ if frozen else None
+        cls.__hash__ = __hash__
         cls.__repr__ = __repr__
-        if frozen:
-            cls.__setattr__ = _frozen_setattr
-            cls.__delattr__ = _frozen_delattr
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
         if order:
             for name, op in (("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)):
                 setattr(cls, name, _ordering(values, op))

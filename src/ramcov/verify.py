@@ -28,40 +28,37 @@ __all__ = ["PropertyFailure", "SweepResult", "hj_sweep", "lattice_sweep"]
 
 
 class PropertyFailure(Value):
-    """A counterexample: which property broke, and on what witness."""
+    """A counterexample: which property broke, on what witness, and why.
 
-    __slots__ = ("suite", "prop", "witness", "message")
+    The sweep it came from is the ``suite`` of the :class:`SweepResult`
+    that holds it.
+    """
 
-    def __init__(self, suite: str, prop: str, witness: dict, message: str) -> None:
-        object.__setattr__(self, "suite", suite)
+    __slots__ = ("prop", "witness", "message")
+
+    def __init__(self, prop: str, witness: dict, message: str) -> None:
         object.__setattr__(self, "prop", prop)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "message", message)
 
 
-class SweepResult(Value, frozen=False):
-    """A sweep's tally, mutable while it runs: items checked and the failures found."""
+class SweepResult(Value):
+    """A finished sweep: its suite, the items it checked and the failures it found.
+
+    Like every value type it is immutable: a sweep counts in locals and
+    builds its one result as it returns.
+    """
 
     __slots__ = ("suite", "checked", "failures")
 
-    def __init__(
-        self, suite: str, checked: int = 0, failures: Optional[list[PropertyFailure]] = None
-    ) -> None:
-        self.suite = suite
-        self.checked = checked
-        self.failures = [] if failures is None else failures
+    def __init__(self, suite: str, checked: int, failures: tuple[PropertyFailure, ...]) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _fail(result: SweepResult, witness: dict, failed: list[tuple[str, str]]) -> None:
-    """Record each ``(property, message)`` that one item failed, in order."""
-    for prop, message in failed:
-        result.failures.append(
-            PropertyFailure(suite=result.suite, prop=prop, witness=witness, message=message)
-        )
 
 
 def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
@@ -87,12 +84,12 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     same cap that bounds :func:`lattice_sweep`.
     """
     check_enumeration_bound("max_n", max_n, 2, cap)
-    result = SweepResult(suite="hj")
+    checked = 0
     for n in range(2, max_n + 1):
         for q in range(1, n):
             if math.gcd(n, q) != 1:
                 continue
-            result.checked += 1
+            checked += 1
             chain = hj_expand(SingularityType(n, q))
             b = chain.b
             length = len(b)
@@ -139,9 +136,10 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
                 failed.append(("du-val-length", f"du Val chain length {length} != n - 1"))
 
             if failed:
-                _fail(result, {"n": n, "q": q, "chain": list(b)}, failed)
-                return result
-    return result
+                witness = {"n": n, "q": q, "chain": list(b)}
+                failures = tuple(PropertyFailure(prop, witness, msg) for prop, msg in failed)
+                return SweepResult("hj", checked, failures)
+    return SweepResult("hj", checked, ())
 
 
 def _sigma(k: int) -> int:
@@ -200,7 +198,6 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     ``canonical-membership`` has already failed and every ``t < n'`` is
     tested, so the failures are the same as a full scan's on any input.
     """
-    result = SweepResult(suite="lattice")
     subgroups = enumerate_subgroups(max_index, cap=cap)
 
     counts: dict[int, int] = {}
@@ -209,18 +206,16 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     for k in range(1, max_index + 1):
         expected = _sigma(k)
         if counts.get(k, 0) != expected:
-            _fail(
-                result,
+            failure = PropertyFailure(
+                "enumeration-count",
                 {"index": k},
-                [(
-                    "enumeration-count",
-                    f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
-                )],
+                f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
             )
-            return result
+            return SweepResult("lattice", 0, (failure,))
 
+    checked = 0
     for g in subgroups:
-        result.checked += 1
+        checked += 1
         lt = local_type(g)
         index = g.index
         failed = []  # (property, message), in check order
@@ -279,6 +274,6 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
                 "m1": lt.m1,
                 "m2": lt.m2,
             }
-            _fail(result, witness, failed)
-            return result
-    return result
+            failures = tuple(PropertyFailure(prop, witness, msg) for prop, msg in failed)
+            return SweepResult("lattice", checked, failures)
+    return SweepResult("lattice", checked, ())

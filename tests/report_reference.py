@@ -2,8 +2,8 @@
 
 ``json.dumps(tree, indent=2, sort_keys=True)`` of these trees is the oracle
 the tests hold the package's JSON writer to, byte for byte.  The builder reads
-the model and the certificate and names every key itself; it shares no code
-with the writer in ``ramcov.report``.
+the model and the certificate, names every key itself and writes each
+rational with ``str``; it shares no code with the writer in ``ramcov.report``.
 
 :func:`reference_receipts` is the eager twin of a certificate's receipts:
 every row a plain tuple, named and decided as it is built.
@@ -14,7 +14,7 @@ from fractions import Fraction
 from ramcov import __version__
 from ramcov.hj import SingularityType, resolve
 from ramcov.local_cover import LatticeSubgroup, local_type
-from ramcov.report import FIBRATION_HYPOTHESES, fmt_rational
+from ramcov.report import FIBRATION_HYPOTHESES
 
 
 def reference_receipts(base, cover, certificate) -> tuple:
@@ -137,15 +137,15 @@ def reference_report(report) -> dict:
         "B_mult": dict(inv.B_mult),
         "KX_dot_B": inv.KX_dot_B,
         "B_dot_F": inv.B_dot_F,
-        "RR": fmt_rational(inv.RR),
-        "KY_sq": fmt_rational(inv.KY_sq),
-        "correction_total": fmt_rational(inv.correction_total),
-        "KYprime_sq": fmt_rational(inv.KYprime_sq),
+        "RR": str(inv.RR),
+        "KY_sq": str(inv.KY_sq),
+        "correction_total": str(inv.correction_total),
+        "KYprime_sq": str(inv.KYprime_sq),
         "euler_Y": inv.euler_Y,
         "exceptional_s": inv.exceptional_s,
         "euler_Yprime": inv.euler_Yprime,
-        "chi": fmt_rational(inv.chi),
-        "deg_det": fmt_rational(inv.deg_det),
+        "chi": str(inv.chi),
+        "deg_det": str(inv.deg_det),
     }
     doc["consistency"] = {
         "chi_integral": inv.chi_is_integral,
@@ -157,7 +157,7 @@ def reference_report(report) -> dict:
         fibration = {
             "inputs": {"gF": given.gF, "Dhor_dot_F": given.Dhor_dot_F, "gC": given.gC,
                        "nDC": given.nDC, "nS": given.nS},
-            "bound": fmt_rational(cert.fibration_bound),
+            "bound": str(cert.fibration_bound),
             "deg_det_within": cert.deg_det_within_fibration,
             "assumed_hypotheses": list(FIBRATION_HYPOTHESES),
         }
@@ -165,16 +165,16 @@ def reference_report(report) -> dict:
         "terms": [
             {
                 "name": name,
-                "value": fmt_rational(value),
-                "bound": fmt_rational(bound),
-                "per_degree": fmt_rational(per_degree),
+                "value": str(value),
+                "bound": str(bound),
+                "per_degree": str(per_degree),
                 "ok": ok,
             }
             for name, value, bound, per_degree, ok in cert.receipts
         ],
-        "linear_coefficient": fmt_rational(cert.linear_coefficient),
+        "linear_coefficient": str(cert.linear_coefficient),
         "degree": cert.degree,
-        "deg_det": fmt_rational(cert.deg_det),
+        "deg_det": str(cert.deg_det),
         "deg_det_within_linear": cert.deg_det_within_linear,
         "satisfied": cert.satisfied,
         "fibration": fibration,

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from ramcov import invariants
 from ramcov.errors import InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
+from ramcov.golden import double_cover, power_map_cover, square_base
 from ramcov.invariants import (
     HEIGHT_LOG_PRECISION,
     BoundCertificate,
@@ -40,7 +40,6 @@ from ramcov.invariants import (
     InvariantReport,
     Receipts,
     arakelov_degree_bound,
-    deg_det,
     degree_linear_certificate,
     examine,
     height_log_decimal,
@@ -78,7 +77,7 @@ def values_by_name(base, cover):
 
 
 def test_branch_divisor_examples():
-    report = invariant_report(*identity_cover())
+    report = invariant_report(*power_map_cover(1, 1))
     assert dict(report.B_mult) == {"D1": 0, "D2": 0, "D3": 0, "D4": 0}
     report = invariant_report(*double_cover())
     assert dict(report.B_mult) == {"D1": 1, "D2": 1, "D3": 1, "D4": 1}
@@ -90,7 +89,7 @@ def test_branch_divisor_examples():
 
 
 def test_rr_examples():
-    assert invariant_report(*identity_cover()).RR == 0
+    assert invariant_report(*power_map_cover(1, 1)).RR == 0
     by_name = values_by_name(*double_cover())
     for cid in ("D1", "D2", "D3", "D4"):
         assert by_name[f"rr_diagonal_factor[{cid}]"] == Fraction(1, 2)
@@ -102,7 +101,7 @@ def test_rr_examples():
 
 
 @pytest.mark.parametrize(
-    "builder", [identity_cover, double_cover, lambda: power_map_cover(3, 4)]
+    "builder", [lambda: power_map_cover(1, 1), double_cover, lambda: power_map_cover(3, 4)]
 )
 def test_rr_cross_counts_both_orientations(builder):
     base, cover = builder()
@@ -126,7 +125,7 @@ def test_rr_cross_counts_both_orientations(builder):
 
 
 def test_k2_chain_identity():
-    report = invariant_report(*identity_cover())
+    report = invariant_report(*power_map_cover(1, 1))
     assert (report.KY_sq, report.correction_total, report.KYprime_sq) == (8, 0, 8)
 
 
@@ -155,7 +154,7 @@ def test_k2_chain_power_maps_stay_quadric(a, b):
 
 
 def test_euler_chain_identity():
-    report = invariant_report(*identity_cover())
+    report = invariant_report(*power_map_cover(1, 1))
     assert (report.euler_Y, report.exceptional_s, report.euler_Yprime) == (4, 0, 4)
 
 
@@ -181,24 +180,25 @@ def test_euler_chain_power_maps(a, b):
 
 
 def test_deg_det_identity_and_double():
-    assert deg_det(*identity_cover()) == 0
-    assert deg_det(*double_cover()) == 0
+    assert invariant_report(*power_map_cover(1, 1)).deg_det == 0
+    assert invariant_report(*double_cover()).deg_det == 0
 
 
 def test_deg_det_power_family_exact():
     for a in range(1, 7):
         for b in range(1, 7):
-            assert deg_det(*power_map_cover(a, b)) == 1 - a, (a, b)
+            assert invariant_report(*power_map_cover(a, b)).deg_det == 1 - a, (a, b)
 
 
 def test_deg_det_linear_growth_profile():
     # Fixing a fixes the value outright; along the diagonal family the
     # ratio |deg_det| / degree = (a - 1) / a^2 decreases, comfortably
     # inside any linear envelope.
-    values_fixed_a = {deg_det(*power_map_cover(4, b)) for b in range(1, 8)}
+    values_fixed_a = {invariant_report(*power_map_cover(4, b)).deg_det for b in range(1, 8)}
     assert values_fixed_a == {-3}
     ratios = [
-        Fraction(abs(deg_det(*power_map_cover(a, a))), a * a) for a in range(2, 8)
+        Fraction(abs(invariant_report(*power_map_cover(a, a)).deg_det), a * a)
+        for a in range(2, 8)
     ]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
 
@@ -305,7 +305,6 @@ _VIEWS = {
     "validate-strict": lambda base, cover: validate(base, cover, strict=True),
     "degree_linear_certificate": degree_linear_certificate,
     "invariant_report": invariant_report,
-    "deg_det": deg_det,
     "examine": examine,
     "examine-strict": lambda base, cover: examine(base, cover, strict=True),
 }
@@ -403,7 +402,7 @@ def test_check_references_judges_every_view(golden, planted, message):
         assert [v.message for v in found if v.code == "V5"] == [
             "crossing 2, point 0: n and q must be coprime (got gcd(4, 2) = 2)"
         ]
-    for view in (degree_linear_certificate, invariant_report, deg_det):
+    for view in (degree_linear_certificate, invariant_report):
         with pytest.raises(InvalidInputError) as info:
             view(base, bad)
         assert str(info.value) == message
@@ -416,7 +415,7 @@ _INDEX_FAULT = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([identity_cover(), double_cover()])
+    st.sampled_from([power_map_cover(1, 1), double_cover()])
     | st.builds(power_map_cover, st.integers(1, 4), st.integers(1, 4)),
     st.none() | st.integers(0, 3),
     st.none() | st.sampled_from(["A0", "D0", "D9", "ZZ"]),
@@ -744,7 +743,7 @@ _SHIPPED = [
     if _certified(path)
 ]
 _CERTIFIED = [
-    ("identity", identity_cover),
+    ("identity", lambda: power_map_cover(1, 1)),
     ("double", double_cover),
     *((f"power_{a}_{b}", lambda a=a, b=b: power_map_cover(a, b)) for a, b in ((2, 3), (5, 4))),
     *((f"{p.parent.name}/{p.name}", lambda p=p: load_cover_path(str(p))) for p in _SHIPPED),
@@ -780,7 +779,7 @@ def _many_shapes():
 
 def _one_failing_crossing(local=LocalCoverType(5, 4, 1, 1)):
     """The identity cover with ``local`` over crossing 0; an A_4 point fails only its ``s``."""
-    base, cover = identity_cover()
+    base, cover = power_map_cover(1, 1)
     point = PointAbove(0, 0, local)
     points_above = tuple(
         (idx, (point,) if idx == 0 else points) for idx, points in cover.points_above
@@ -840,6 +839,22 @@ def test_receipts_by_shape_read_as_the_eager_rows(load, strict, fibration):
     # an eager walk builds: in every reading, in the certificate's verdicts
     # and in both reports' bytes.
     _receipts_contract(*load(), strict, fibration)
+
+
+def test_receipts_compare_only_with_tuples_and_receipts():
+    # Any other object is left to its own ``==``: a list of the same rows
+    # is not equal, and an object that claims equality is asked.
+    receipts = degree_linear_certificate(*double_cover()).receipts
+    rows = list(receipts)
+    assert receipts.__eq__(rows) is NotImplemented
+    assert receipts != rows and not receipts == rows
+    assert receipts.__eq__(None) is NotImplemented
+
+    class Anything:
+        def __eq__(self, other):
+            return True
+
+    assert receipts == Anything()
 
 
 def test_a_failing_crossing_row_alone_fails_the_certificate():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramcov import invariants, loader, model
 from ramcov.cli import main
 from ramcov.errors import InputFormatError, InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover, ruled_cyclic_cover
+from ramcov.golden import double_cover, power_map_cover, ruled_cyclic_cover
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.invariants import examine
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
@@ -63,7 +63,7 @@ _LOADABLE = [
 @pytest.mark.parametrize(
     "builder",
     [
-        identity_cover,
+        lambda: power_map_cover(1, 1),
         double_cover,
         lambda: power_map_cover(3, 2),
         lambda: _grid(12),
@@ -105,7 +105,7 @@ def _identity_with(path=None, value=None):
     ``path`` is a tuple of object keys and list indices from the top; the
     empty path replaces the whole document, and no path leaves it as it is.
     """
-    doc = canonical_document(*identity_cover())
+    doc = canonical_document(*power_map_cover(1, 1))
     if path is None:
         return json.dumps(doc)
     if not path:
@@ -203,7 +203,7 @@ def test_unknown_keys_rejected():
 
 
 def test_missing_keys_rejected():
-    base, cover = identity_cover()
+    base, cover = power_map_cover(1, 1)
     doc = canonical_document(base, cover)
     del doc["base"]["euler_X"]
     with pytest.raises(InputFormatError, match="missing keys"):
@@ -216,7 +216,7 @@ def test_missing_keys_rejected():
 
 def test_noncanonical_points_key_rejected():
     for key in ("01", "+1", " 1", "-0", "0x1"):
-        base, cover = identity_cover()
+        base, cover = power_map_cover(1, 1)
         doc = canonical_document(base, cover)
         pts = doc["cover"]["points_above"]
         pts[key] = pts.pop("1")
@@ -228,12 +228,12 @@ def test_type_errors_are_path_tagged():
     with pytest.raises(InputFormatError, match=r"base\.genus_C"):
         parse_cover_json(_identity_with(("base", "genus_C"), "zero"))
     with pytest.raises(InputFormatError, match=r"components\[0\]\.genus"):
-        base, cover = identity_cover()
+        base, cover = power_map_cover(1, 1)
         doc = canonical_document(base, cover)
         doc["base"]["components"][0]["genus"] = None
         parse_cover_json(json.dumps(doc))
     with pytest.raises(InputFormatError, match="generator"):
-        base, cover = identity_cover()
+        base, cover = power_map_cover(1, 1)
         doc = canonical_document(base, cover)
         doc["cover"]["points_above"]["0"][0]["local"] = [[1, 0, 0], [0, 1]]
         parse_cover_json(json.dumps(doc))
@@ -242,7 +242,7 @@ def test_type_errors_are_path_tagged():
 
 
 def test_local_type_object_form():
-    base, cover = identity_cover()
+    base, cover = power_map_cover(1, 1)
     doc = canonical_document(base, cover)
     doc["cover"]["points_above"]["0"][0]["local"] = {"n": 1, "q": 0, "m1": 1, "m2": 1}
     base2, cover2 = parse_cover_json(json.dumps(doc))
@@ -253,7 +253,7 @@ def test_local_type_object_form():
 
 def test_dangling_reference_is_invalid_input():
     with pytest.raises(InvalidInputError, match="unknown crossing"):
-        base, cover = identity_cover()
+        base, cover = power_map_cover(1, 1)
         doc = canonical_document(base, cover)
         pts = doc["cover"]["points_above"]
         pts["9"] = pts.pop("3")
@@ -262,7 +262,7 @@ def test_dangling_reference_is_invalid_input():
 
 def test_shipped_goldens_load_and_match_builders():
     pairs = [
-        ("identity.json", identity_cover()),
+        ("identity.json", power_map_cover(1, 1)),
         ("bidouble.json", double_cover()),
         ("kummer_2_1.json", power_map_cover(2, 1)),
         ("cyclic_5_1_4_2_3.json", ruled_cyclic_cover(0, 5, {"D1": 1, "D2": 4}, {"D3": 2, "D4": 3})),

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from ramcov.errors import InvalidInputError
-from ramcov.golden import double_cover, identity_cover, power_map_cover, square_base
+from ramcov.golden import double_cover, power_map_cover, square_base
 from ramcov.invariants import invariant_report
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
@@ -102,7 +102,12 @@ def test_euler_data_elliptic_component():
 
 @pytest.mark.parametrize(
     "builder",
-    [identity_cover, double_cover, lambda: power_map_cover(2, 1), lambda: power_map_cover(3, 5)],
+    [
+        lambda: power_map_cover(1, 1),
+        double_cover,
+        lambda: power_map_cover(2, 1),
+        lambda: power_map_cover(3, 5),
+    ],
 )
 def test_goldens_strictly_valid(builder):
     base, cover = builder()
@@ -460,7 +465,7 @@ def test_validate_matches_brute_force_recount():
 
 
 @pytest.mark.parametrize(
-    "builder", [identity_cover, double_cover, lambda: power_map_cover(3, 2)]
+    "builder", [lambda: power_map_cover(1, 1), double_cover, lambda: power_map_cover(3, 2)]
 )
 def test_local_degree_factors_through_either_sheet(builder):
     base, cover = builder()
@@ -471,7 +476,7 @@ def test_local_degree_factors_through_either_sheet(builder):
 
 
 @pytest.mark.parametrize(
-    "builder", [identity_cover, double_cover, lambda: power_map_cover(4, 3)]
+    "builder", [lambda: power_map_cover(1, 1), double_cover, lambda: power_map_cover(4, 3)]
 )
 def test_per_sheet_identities_imply_crossing_identity(builder):
     # If every sheet's f is exhausted by the m2's of its points (V4) and the
@@ -672,7 +677,7 @@ def test_duplicate_ids_are_counted_once():
 
 
 def test_check_references_errors():
-    base, cover = identity_cover()
+    base, cover = power_map_cover(1, 1)
     with pytest.raises(InvalidInputError, match="unknown component"):
         check_references(
             base,

@@ -5,6 +5,9 @@ assert that the sweeps notice.  Without these, a sweep that checks
 nothing would look identical to a sweep that checks everything.
 """
 
+import math
+import types
+
 import pytest
 import sympy
 
@@ -25,7 +28,7 @@ def test_hj_sweep_clean():
     res = verify.hj_sweep(60)
     assert res.ok
     assert res.suite == "hj"
-    assert res.failures == []
+    assert res.failures == ()
     expected = sum(int(sympy.totient(n)) for n in range(2, 61))
     assert res.checked == expected
 
@@ -70,7 +73,7 @@ def test_sweep_bounds_must_be_integers(sweep, bound, message):
 def test_hj_sweep_detects_corrupted_expansion(monkeypatch):
     def bad_expand(sing):
         chain = hj_expand(sing)
-        if sing.n == 17 and len(chain) > 1:
+        if sing.n == 17 and chain.length > 1:
             return HJChain(chain.b[::-1])
         return chain
 
@@ -78,7 +81,7 @@ def test_hj_sweep_detects_corrupted_expansion(monkeypatch):
     res = verify.hj_sweep(30)
     assert not res.ok
     assert any(f.witness["n"] == 17 for f in res.failures)
-    assert all(f.suite == "hj" for f in res.failures)
+    assert res.suite == "hj"
 
 
 def test_hj_sweep_stop_on_failure(monkeypatch):
@@ -148,6 +151,45 @@ def test_hj_sweep_detects_a_wrong_evaluation(monkeypatch):
     assert res.failures[0].message == "evaluates to 12/5, expected 7/5"
 
 
+def _chain_at(target, entries):
+    """An ``hj_expand`` that gives the type ``target = (n, q)`` the chain ``entries``."""
+
+    def expand(sing):
+        return HJChain(entries) if (sing.n, sing.q) == target else hj_expand(sing)
+
+    return expand
+
+
+def _correction_plus_one_at_2_2(chain):
+    v, c = discrepancies(chain)
+    return v, (c + 1 if chain.b == (2, 2) else c)
+
+
+# (property, name patched in verify, mutant, the first type that fails)
+_HJ_MUTANTS = [
+    # six 2s for A_{5,4}: a chain longer than n
+    ("length", "hj_expand", _chain_at((5, 4), (2,) * 6), (5, 4)),
+    # four 2s for A_{5,2}: every entry 2 off the du Val line
+    ("du-val-entries", "hj_expand", _chain_at((5, 2), (2,) * 4), (5, 2)),
+    # a correction of 1/3 on A_{3,2}, which is du Val
+    ("du-val-correction", "discrepancies", _correction_plus_one_at_2_2, (3, 2)),
+    # five 2s for A_{5,4}: a du Val chain of n entries, not n - 1
+    ("du-val-length", "hj_expand", _chain_at((5, 4), (2,) * 5), (5, 4)),
+]
+
+
+@pytest.mark.parametrize("prop,name,mutant,first", _HJ_MUTANTS, ids=[m[0] for m in _HJ_MUTANTS])
+def test_hj_sweep_names_the_property_at_the_first_failing_type(
+    monkeypatch, prop, name, mutant, first
+):
+    monkeypatch.setattr(verify, name, mutant)
+    res = verify.hj_sweep(30)
+    coprime = [(n, q) for n in range(2, 31) for q in range(1, n) if math.gcd(n, q) == 1]
+    assert res.checked == coprime.index(first) + 1
+    assert {(f.witness["n"], f.witness["q"]) for f in res.failures} == {first}
+    assert prop in {f.prop for f in res.failures}
+
+
 def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
     def bad_type(gamma):
         lt = local_type(gamma)
@@ -158,7 +200,7 @@ def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
     monkeypatch.setattr(verify, "local_type", bad_type)
     res = verify.lattice_sweep(8)
     assert not res.ok
-    assert all(f.suite == "lattice" for f in res.failures)
+    assert res.suite == "lattice"
 
 
 def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
@@ -194,6 +236,55 @@ def test_lattice_sweep_detects_a_wrong_axis_swap(monkeypatch):
     res = verify.lattice_sweep(8)
     assert {f.prop for f in res.failures} & {"axis-swap-shape", "axis-swap-duality"}
     assert [(f.witness["g1"], f.witness["g2"]) for f in res.failures] == [([1, 0], [0, 2])]
+
+
+def _type_at(target, **changes):
+    """A ``local_type`` that changes these attributes of the type of the subgroup ``target``.
+
+    The type is a namespace of the seven attributes the sweep reads, so a
+    derived one (``e1``, ``d_y``) can change alone.
+    """
+
+    def classify(gamma):
+        lt = local_type(gamma)
+        if (gamma.g1, gamma.g2) != target:
+            return lt
+        fields = {name: getattr(lt, name) for name in ("n", "q", "m1", "m2", "d_y", "e1", "e2")}
+        return types.SimpleNamespace(**{**fields, **changes})
+
+    return classify
+
+
+# (test id, property, mutant, the first subgroup that fails)
+_LATTICE_MUTANTS = [
+    # e1 = 3 on (2, 0), (1, 1), whose n = 2 and m1 = 1
+    ("ramification-split", "ramification-split",
+     _type_at(((2, 0), (1, 1)), e1=3), ((2, 0), (1, 1))),
+    ("positivity", "positivity", _type_at(((1, 0), (0, 2)), m1=0), ((1, 0), (0, 2))),
+    # q = 2 and q = 5 on (4, 0), (1, 1), whose n = 4 and q = 1
+    ("primitivity", "primitivity", _type_at(((4, 0), (1, 1)), q=2), ((4, 0), (1, 1))),
+    ("q-range", "q-range", _type_at(((4, 0), (1, 1)), q=5), ((4, 0), (1, 1))),
+    # q = 2 on (5, 0), (2, 1), and its swap given q = 1 in place of 3
+    ("axis-swap-duality-singular", "axis-swap-duality",
+     _type_at(((0, 5), (1, 2)), q=1), ((5, 0), (2, 1))),
+    # the product lattice (2, 0), (0, 1), and its smooth swap given q = 1
+    ("axis-swap-duality-smooth", "axis-swap-duality",
+     _type_at(((0, 2), (1, 0)), q=1), ((2, 0), (0, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "prop,mutant,first", [m[1:] for m in _LATTICE_MUTANTS], ids=[m[0] for m in _LATTICE_MUTANTS]
+)
+def test_lattice_sweep_names_the_property_at_the_first_failing_subgroup(
+    monkeypatch, prop, mutant, first
+):
+    monkeypatch.setattr(verify, "local_type", mutant)
+    res = verify.lattice_sweep(8)
+    subgroups = [(g.g1, g.g2) for g in enumerate_subgroups(8)]
+    assert res.checked == subgroups.index(first) + 1
+    assert {(tuple(f.witness["g1"]), tuple(f.witness["g2"])) for f in res.failures} == {first}
+    assert prop in {f.prop for f in res.failures}
 
 
 def _rebased(g, a, b, c, d):
