@@ -45,7 +45,7 @@ subgroups = enumerate_subgroups(6)
 print(f"subgroups of Z^2 with index <= 6: {len(subgroups)}")
 by_index = Counter(g.index for g in subgroups)
 print("  per index:", dict(sorted(by_index.items())))
-singular = [g for g in subgroups if local_type(g).singular]
+singular = [g for g in subgroups if local_type(g).n > 1]
 print(f"  of these, {len(singular)} produce a singular point upstairs")
 worst = max(singular, key=lambda g: local_type(g).n)
 lt = local_type(worst)

@@ -10,6 +10,8 @@ Three bounds on the determinant degree
    package leaves exact arithmetic, and it says so.
 """
 
+from fractions import Fraction
+
 from ramcov.golden import double_cover, square_base
 from ramcov.invariants import (
     FibrationInputs,
@@ -17,7 +19,6 @@ from ramcov.invariants import (
     degree_linear_certificate,
     height_log_decimal,
     linear_coefficient,
-    plane_model_height_log,
     plane_model_terms,
 )
 
@@ -62,6 +63,6 @@ for d, nB in ((2, 1), (2, 3), (3, 1)):
     value = height_log_decimal(d, nB, 0)
     print(f"d={d}, {nB} branch point(s): log-height bound = {coeff} * log({base}) ~= {value}")
 
-# The exact-rational snapshot is what downstream rational pipelines get.
-snapshot = plane_model_height_log(2, 3, 0)
+# The decimal converts exactly to a Fraction, for rational pipelines.
+snapshot = Fraction(height_log_decimal(2, 3, 0))
 print("as an exact rational snapshot:", snapshot.numerator, "/", snapshot.denominator)

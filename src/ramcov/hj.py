@@ -24,16 +24,12 @@ and the correction numerator, and :func:`resolution_numbers` gives those two
 in O(log n) steps, from the continued fraction of ``n/q`` and a Dedekind sum,
 without building the chain.
 
-Where values are checked: :class:`SingularityType` and :class:`HJChain`
-check their fields in ``__init__``, so every value that comes from a
-caller (``SingularityType(n, q)``, ``HJChain(entries)``, and a plain
-sequence handed to :func:`hj_evaluate` or :func:`discrepancies`) is checked
-once, as it enters.  Where values are
-built: a chain this module derives from already-checked values
-(:func:`hj_expand`, :meth:`HJChain.reversed`) goes through the private
-builder ``_hj_chain``, which sets the field and runs no check; each call
-site names the invariant that makes its chain valid, and
-``verify.hj_sweep`` checks the entries of every chain it expands.
+Where values are checked (the rule is in :mod:`ramcov.value`):
+:class:`HJChain` checks its entries in ``__init__``, and the chains this
+module derives (:func:`hj_expand`, :meth:`HJChain.reversed`) go through the
+private builder ``_hj_chain``, which runs no check; each call site names
+the invariant that makes its chain valid, and ``verify.hj_sweep`` checks
+the entries of every chain it expands.
 
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
@@ -46,7 +42,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, check_int
 from .value import Value
@@ -101,14 +96,16 @@ class HJChain(Value):
 
     Entries are the negated self-intersection numbers of the exceptional
     curves, so every entry is at least 2 and the chain is non-empty.  The
-    constructor checks both for entries from a caller; the chains this
-    module derives (:func:`hj_expand`, :meth:`reversed`) are built by
-    ``_hj_chain`` without the check.
+    constructor checks both, and that the entries are a tuple, for entries
+    from a caller; the chains this module derives (:func:`hj_expand`,
+    :meth:`reversed`) are built by ``_hj_chain`` without the check.
     """
 
     __slots__ = ("b",)
 
     def __init__(self, b: tuple[int, ...]) -> None:
+        if not isinstance(b, tuple):
+            raise InvalidInputError(f"chain entries must be a tuple (got {b!r})")
         if not b:
             raise InvalidInputError("chain must be non-empty")
         for i, bi in enumerate(b):
@@ -179,15 +176,6 @@ class ResolutionData(Value):
     @cached_property
     def correction(self) -> Fraction:
         return Fraction(self.correction_num, self.sing.n)
-
-
-def _chain_entries(chain: "HJChain | Sequence[int] | Iterable[int]") -> tuple[int, ...]:
-    """Normalize a chain argument to a validated tuple of entries."""
-    if isinstance(chain, HJChain):
-        return chain.b
-    entries = tuple(chain)
-    # Route validation through the constructor so the error messages agree.
-    return HJChain(entries).b
 
 
 def hj_expand(sing: SingularityType) -> HJChain:
@@ -261,21 +249,21 @@ def resolution_numbers(sing: SingularityType) -> tuple[int, int]:
     return length, 2 * n - 2 - n * length - _dedekind12(sing.q, n)
 
 
-def hj_evaluate(chain: "HJChain | Sequence[int]") -> Fraction:
+def hj_evaluate(chain: HJChain) -> Fraction:
     """Evaluate a chain back to the rational number ``n/q > 1`` it encodes.
 
     Folds from the right: with every entry >= 2 each partial value stays
     strictly greater than 1, so no division by zero can occur, and
     consecutive numerator/denominator pairs remain coprime throughout.
     """
-    b = _chain_entries(chain)
+    b = chain.b
     num, den = b[-1], 1
     for bi in reversed(b[:-1]):
         num, den = bi * num - den, num
     return Fraction(num, den)
 
 
-def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[int, ...], int]:
+def discrepancies(chain: HJChain) -> tuple[tuple[int, ...], int]:
     """The discrepancies of a chain and their correction term, as integers over n.
 
     The discrepancies are the unique solution of the tridiagonal system
@@ -300,7 +288,7 @@ def discrepancies(chain: "HJChain | Sequence[int]") -> tuple[tuple[int, ...], in
     (as they come, from the far end) and ``n``; the pass that runs ``beta``
     builds ``v`` and ``c`` beside it.
     """
-    b = _chain_entries(chain)
+    b = chain.b
     alpha = []  # alpha_lambda, ..., alpha_1
     prev, cur = 0, 1
     for bi in reversed(b):

@@ -86,7 +86,6 @@ __all__ = [
     "linear_coefficient",
     "arakelov_degree_bound",
     "plane_model_terms",
-    "plane_model_height_log",
     "height_log_decimal",
     "HEIGHT_LOG_PRECISION",
 ]
@@ -243,17 +242,6 @@ def height_log_decimal(d: int, nB: int, h: Union[Fraction, int] = 0) -> decimal.
         ctx.prec = HEIGHT_LOG_PRECISION
         log_h1 = decimal.Decimal(h1.numerator).ln() - decimal.Decimal(h1.denominator).ln()
         return log_h1 + coeff * decimal.Decimal(base).ln()
-
-
-def plane_model_height_log(d: int, nB: int, h: Union[Fraction, int] = 0) -> Fraction:
-    """The plane-model height bound as an exact rational snapshot.
-
-    Same quantity as :func:`height_log_decimal`, converted exactly from its
-    fixed-precision decimal evaluation so downstream consumers stay in
-    rational arithmetic.  The precision cutoff is inherited, and flagged,
-    from the decimal step.
-    """
-    return Fraction(height_log_decimal(d, nB, h))
 
 
 def _within(value, bound) -> bool:
@@ -414,9 +402,6 @@ def _linear_coefficient(base: BaseGeometry, euler: EulerData) -> Fraction:
     return Fraction(twelfth, 12) + fib
 
 
-_ZERO = Fraction(0)
-
-
 def _crossing_shape(
     base: BaseGeometry,
     cover: CoverDescription,
@@ -443,7 +428,6 @@ def _crossing_shape(
     :func:`~ramcov.model.check_references`' error.
     """
     d = cover.degree
-    zero = _ZERO
     at = f"crossing {crossing.index}"
     first_id, second_id = crossing.pair
     found = []
@@ -452,7 +436,7 @@ def _crossing_shape(
     # Per sheet carrying a point, the local degrees of the upstairs curve:
     # m2 on the first component, m1 on the second (V4).
     m2_on, m1_on = {}, {}
-    cross = correction = zero
+    cross = correction = Fraction(0)
     s = 0
     for k, pt in enumerate(points):
         if pt.j >= len(first) or pt.jp >= len(second):
@@ -488,11 +472,10 @@ def _crossing_shape(
                 problem = problems[0]
         if problem is not None:
             continue
-        term = Fraction(2 * (e1 - 1) * (e2 - 1), lt.n)
-        cross = term if cross is zero else cross + term  # a first term as it is
+        cross += Fraction(2 * (e1 - 1) * (e2 - 1), lt.n)
         if resolved is not None:
             length, term = resolved
-            correction = term if correction is zero else correction + term
+            correction += term
             s += length
     if total != d:
         found.append(Violation("V2", (at,), (
@@ -651,7 +634,7 @@ def examine(
         indices.append(crossing.index)
         numbers.append(number)
         n_points += len(points)
-    found.sort(key=attrgetter("code", "where", "message"))  # Violation's order, in C
+    found.sort(key=attrgetter("code", "where", "message"))
     if error is not None:
         return found, None, error
 

@@ -15,15 +15,13 @@ over that branch and ``m2`` is the degree of the upstairs curve over it.
 Swapping the two coordinates fixes ``n``, exchanges ``m1`` and ``m2``, and
 replaces ``q`` by its inverse mod ``n``.
 
-Where values are checked: :class:`LatticeSubgroup` checks its generators in
-``__init__``, so a subgroup from a caller (the loader, ``ramcov local``, the
-constructor called by hand) is checked once, as it enters.  Where
-values are built: a subgroup or local type this module derives from
-already-checked values (:func:`enumerate_subgroups`,
-:meth:`LatticeSubgroup.swapped`, :func:`local_type`) goes through the
-private builders ``_lattice_subgroup`` and ``_local_cover_type``, which set
-the fields and run no check; each call site names the invariant that makes
-its value valid, and ``verify.lattice_sweep`` checks every derived value.
+Where values are checked (the rule is in :mod:`ramcov.value`):
+:class:`LatticeSubgroup` checks its generators in ``__init__``, and the
+subgroups this module derives (:func:`enumerate_subgroups`,
+:meth:`LatticeSubgroup.swapped`) go through the private builder
+``_lattice_subgroup``, which runs no check; each call site names the
+invariant that makes its subgroup valid, and ``verify.lattice_sweep``
+checks every one.
 """
 
 from __future__ import annotations
@@ -91,13 +89,9 @@ class LatticeSubgroup(Value):
         object.__setattr__(self, "g2", g2)
 
     @property
-    def det(self) -> int:
-        return self.g1[0] * self.g2[1] - self.g1[1] * self.g2[0]
-
-    @property
     def index(self) -> int:
-        """Index of the subgroup in Z^2, i.e. ``|det|``."""
-        return abs(self.det)
+        """Index of the subgroup in Z^2, the absolute determinant of its generators."""
+        return abs(self.g1[0] * self.g2[1] - self.g1[1] * self.g2[0])
 
     def swapped(self) -> "LatticeSubgroup":
         """The subgroup with the two coordinate axes exchanged."""
@@ -109,7 +103,7 @@ class LatticeSubgroup(Value):
         """Membership test by Cramer's rule over the integers.
 
         ``v`` is a pair; the determinant is formed from the unpacked
-        generators, as :attr:`det` forms it.
+        generators.
         """
         (a, b), (c, d) = self.g1, self.g2
         x, y = v
@@ -165,10 +159,6 @@ class LocalCoverType(Value):
     def e2(self) -> int:
         return self.n * self.m2
 
-    @property
-    def singular(self) -> bool:
-        return self.n > 1
-
     def invariant_problems(self) -> list[str]:
         """Range and gcd constraints, reported rather than raised."""
         problems = []
@@ -193,20 +183,6 @@ class LocalCoverType(Value):
         if self.n == 1:
             return None
         return SingularityType(self.n, self.q)
-
-
-def _local_cover_type(n: int, q: int, m1: int, m2: int) -> LocalCoverType:
-    """A :class:`LocalCoverType`, built without the ``__init__`` call.
-
-    The class checks nothing, so this skips only the constructor's call; the
-    caller guarantees that the four numbers are ints.
-    """
-    lt = object.__new__(LocalCoverType)
-    object.__setattr__(lt, "n", n)
-    object.__setattr__(lt, "q", q)
-    object.__setattr__(lt, "m1", m1)
-    object.__setattr__(lt, "m2", m2)
-    return lt
 
 
 def _xgcd(b: int, d: int) -> tuple[int, int, int]:
@@ -249,8 +225,7 @@ def local_type(gamma: LatticeSubgroup) -> LocalCoverType:
     """
     n_prime, q_prime, m2 = canonical_basis(gamma)
     m1 = math.gcd(n_prime, q_prime)
-    # LocalCoverType has no checks; n', q', m2 and m1 = gcd(n', q') are ints.
-    return _local_cover_type(n_prime // m1, q_prime // m1, m1, m2)
+    return LocalCoverType(n_prime // m1, q_prime // m1, m1, m2)
 
 
 def enumerate_subgroups(

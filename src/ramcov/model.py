@@ -314,8 +314,8 @@ class CoverDescription(Value):
         return self._points.get(index, ())
 
 
-class Violation(Value, order=True):
-    """One validation finding: the identity violated and where (the sort order)."""
+class Violation(Value):
+    """One validation finding; :func:`~ramcov.invariants.examine` sorts findings by their fields."""
 
     __slots__ = ("code", "where", "message")
 

@@ -15,14 +15,20 @@ From the field names alone the base gives each subclass:
 * the hash of that tuple;
 * a repr that names each field, ``LatticeSubgroup(g1=(2, 0), g2=(1, 1))``;
 * ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`;
-* with ``order=True``, the four orderings over the field tuples;
 * ``__match_args__``, the field names in constructor order.
 
-The methods are closures over one ``operator.attrgetter`` of the fields:
-nothing is compiled from source when a class is made.
+It gives no ordering: ``<`` between two values raises :class:`TypeError`,
+and code that sorts values names its key.  The methods are closures over
+one ``operator.attrgetter`` of the fields: nothing is compiled from source
+when a class is made.
+
+The construction rule: a value is built by its constructor.  A module may
+keep a private builder that sets the fields without ``__init__`` only for a
+class whose constructor checks something, and uses it only on values it
+derives from already-checked ones, which a ``verify`` sweep re-checks.
 """
 
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 __all__ = ["Value"]
 
@@ -40,8 +46,8 @@ class Value:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, order: bool = False, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if len(fields) == 1:
             get = attrgetter(fields[0])
@@ -69,15 +75,3 @@ class Value:
         cls.__repr__ = __repr__
         cls.__setattr__ = _frozen_setattr
         cls.__delattr__ = _frozen_delattr
-        if order:
-            for name, op in (("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)):
-                setattr(cls, name, _ordering(values, op))
-
-
-def _ordering(values, op):
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(values(self), values(other))
-        return NotImplemented
-
-    return compare

@@ -20,8 +20,8 @@ from ramcov.golden import double_cover, power_map_cover
 from ramcov.invariants import (
     arakelov_degree_bound,
     degree_linear_certificate,
+    height_log_decimal,
     invariant_report,
-    plane_model_height_log,
 )
 from ramcov.loader import load_cover_path
 from ramcov.model import validate
@@ -133,7 +133,7 @@ def test_criterion_6_integrality_and_exit_codes(capsys):
 
 @pytest.mark.acceptance(7, "plane-model height bound matches 84 log 24 to 1e-12 relative error")
 def test_criterion_7_height_bound():
-    got = plane_model_height_log(2, 3, 0)
+    got = Fraction(height_log_decimal(2, 3, 0))
     mpmath.mp.dps = 60
     reference = 84 * mpmath.log(24)
     rel_err = abs(mpmath.mpf(got.numerator) / got.denominator - reference) / reference

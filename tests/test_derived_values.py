@@ -1,11 +1,15 @@
 """Derived values skip their constructors' checks; values from outside do not.
 
-``hj`` and ``local_cover`` build the chains, subgroups and local types they
-derive from already-checked values with private builders that never call
-the checking ``__init__``.  The first three tests hold each builder's output
-to the checked constructor.  The last two count ``__init__`` calls: the
-sweeps run none, and a document, ``ramcov local`` and the public
-constructors run the checks as before.
+Two private builders remain, one per class whose constructor checks
+something: ``hj._hj_chain`` builds the chains that :func:`hj_expand` and
+``HJChain.reversed`` derive, and ``local_cover._lattice_subgroup`` the
+subgroups that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped``
+derive.  :class:`LocalCoverType` checks nothing, so :func:`local_type`
+calls its constructor.  The first three tests hold each derived value to
+the constructor.  The last three count ``__init__`` calls: the sweeps run
+no check, the lattice sweep builds its local types through the
+constructor, and a document, ``ramcov local`` and the public constructors
+run the checks as before.
 """
 
 import functools
@@ -73,7 +77,7 @@ def test_local_type_equals_the_keyword_construction():
 def checked_inits(monkeypatch):
     """Counts ``__init__`` calls per class, by wrapping the class attribute."""
     calls = Counter()
-    for cls in (HJChain, LatticeSubgroup):
+    for cls in (HJChain, LatticeSubgroup, LocalCoverType):
         @functools.wraps(cls.__init__)  # keeps the signature that rebuild.replace reads
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls[_name] += 1
@@ -84,7 +88,15 @@ def checked_inits(monkeypatch):
 
 def test_the_sweeps_run_no_constructor_check(checked_inits):
     assert hj_sweep(40).ok and lattice_sweep(30).ok
-    assert checked_inits == Counter()
+    assert checked_inits["HJChain"] == checked_inits["LatticeSubgroup"] == 0
+
+
+def test_the_lattice_sweep_builds_two_local_types_per_subgroup(checked_inits):
+    # local_type of each subgroup and of its swap, each through the constructor.
+    result = lattice_sweep(30)
+    subgroups = sum(a for k in range(1, 31) for a in range(1, k + 1) if k % a == 0)
+    assert result.ok and result.checked == subgroups
+    assert checked_inits == Counter({"LocalCoverType": 2 * subgroups})
 
 
 def test_values_from_outside_are_checked(checked_inits, capsys):
@@ -100,7 +112,8 @@ def test_values_from_outside_are_checked(checked_inits, capsys):
     assert "linearly independent" in capsys.readouterr().err
 
     checked_inits.clear()
-    assert hj_evaluate([2, 3]) == Fraction(5, 3) and discrepancies((2, 2)) == ((0, 0), 0)
+    assert hj_evaluate(HJChain((2, 3))) == Fraction(5, 3)
+    assert discrepancies(HJChain((2, 2))) == ((0, 0), 0)
     assert checked_inits["HJChain"] == 2
     chain = hj_expand(SingularityType(5, 2))
     with pytest.raises(InvalidInputError, match="integers >= 2"):

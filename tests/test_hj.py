@@ -117,18 +117,21 @@ def test_expand_examples():
 
 
 def test_evaluate_examples():
-    assert hj_evaluate([2]) == 2
-    assert hj_evaluate([3, 2]) == Fraction(5, 2)
-    assert hj_evaluate([2, 2, 3]) == Fraction(7, 5)
+    assert hj_evaluate(HJChain((2,))) == 2
+    assert hj_evaluate(HJChain((3, 2))) == Fraction(5, 2)
+    assert hj_evaluate(HJChain((2, 2, 3))) == Fraction(7, 5)
     assert hj_evaluate(HJChain((4,))) == 4
-    assert hj_evaluate([2] * 9) == Fraction(10, 9)
+    assert hj_evaluate(HJChain((2,) * 9)) == Fraction(10, 9)
 
 
 def test_evaluate_rejects_bad_chains():
     with pytest.raises(InvalidInputError):
-        hj_evaluate([])
+        hj_evaluate(HJChain(()))
     with pytest.raises(InvalidInputError):
-        hj_evaluate([3, 1])
+        hj_evaluate(HJChain((3, 1)))
+    # A list would make an unhashable chain unequal to the tuple's.
+    with pytest.raises(InvalidInputError, match="must be a tuple"):
+        HJChain([2, 3])
 
 
 def test_roundtrip_small_exhaustive():
@@ -170,10 +173,10 @@ def test_reversal_swaps_q_for_its_inverse():
 
 def test_discrepancy_examples():
     # (v, c) with v_i = n a_i and c = n * correction
-    assert discrepancies([3]) == ((-1,), -1)  # n = 3
-    assert discrepancies([3, 2]) == ((-2, -1), -2)  # n = 5
-    assert discrepancies([2, 2, 2]) == ((0, 0, 0), 0)  # n = 4
-    assert discrepancies([4]) == ((-2,), -4)  # n = 4
+    assert discrepancies(HJChain((3,))) == ((-1,), -1)  # n = 3
+    assert discrepancies(HJChain((3, 2))) == ((-2, -1), -2)  # n = 5
+    assert discrepancies(HJChain((2, 2, 2))) == ((0, 0, 0), 0)  # n = 4
+    assert discrepancies(HJChain((4,))) == ((-2,), -4)  # n = 4
 
 
 def test_discrepancies_match_cas_solve_on_expansions():
@@ -189,8 +192,9 @@ def test_discrepancies_match_cas_solve_on_expansions():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=12))
 def test_discrepancies_match_cas_solve_on_arbitrary_chains(entries):
-    v, c = discrepancies(entries)
-    n = hj_evaluate(entries).numerator
+    chain = HJChain(tuple(entries))
+    v, c = discrepancies(chain)
+    n = hj_evaluate(chain).numerator
     a = tuple(Fraction(vi, n) for vi in v)
     assert a == oracle_discrepancies(entries)
     assert Fraction(c, n) == sum(ai * (bi - 2) for ai, bi in zip(a, entries))

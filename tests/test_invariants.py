@@ -45,7 +45,6 @@ from ramcov.invariants import (
     height_log_decimal,
     invariant_report,
     linear_coefficient,
-    plane_model_height_log,
     plane_model_terms,
 )
 from ramcov.hj import SingularityType, resolve
@@ -923,36 +922,35 @@ def test_arakelov_degree_bound_rejections():
 )
 def test_height_log_closed_form(d, nB, h, coeff, argument):
     assert plane_model_terms(d, nB) == (coeff, argument)
-    got = plane_model_height_log(d, nB, h)
+    got = height_log_decimal(d, nB, h)
     mpmath.mp.dps = 60
     want = mpmath.log(h + 1) + coeff * mpmath.log(argument)
     assert abs(float(got) - float(want)) <= 1e-12 * float(want)
 
 
 def test_height_log_with_rational_height():
-    got = plane_model_height_log(2, 1, Fraction(3, 2))
+    got = height_log_decimal(2, 1, Fraction(3, 2))
     mpmath.mp.dps = 60
     want = mpmath.log(mpmath.mpf(5) / 2) + 44 * mpmath.log(8)
     assert abs(float(got) - float(want)) <= 1e-12
-    assert plane_model_height_log(2, 1, Fraction(3, 2)) == got  # deterministic
+    assert height_log_decimal(2, 1, Fraction(3, 2)) == got  # deterministic
 
 
-def test_height_log_decimal_agrees_with_fraction_snapshot():
+def test_height_log_decimal_carries_its_pinned_precision():
     dec = height_log_decimal(3, 2, 1)
-    frac = plane_model_height_log(3, 2, 1)
-    assert frac == Fraction(dec)
     assert HEIGHT_LOG_PRECISION == 50
+    assert len(dec.as_tuple().digits) == HEIGHT_LOG_PRECISION
 
 
 def test_height_log_rejections():
     with pytest.raises(InvalidInputError):
-        plane_model_height_log(1, 1)
+        height_log_decimal(1, 1)
     with pytest.raises(InvalidInputError):
-        plane_model_height_log(2, 0)
+        height_log_decimal(2, 0)
     with pytest.raises(InvalidInputError):
-        plane_model_height_log(2, 1, -1)
+        height_log_decimal(2, 1, -1)
     with pytest.raises(InvalidInputError):
-        plane_model_height_log(True, 1)
+        height_log_decimal(True, 1)
     for d, nB in ((1, 1), (2, 0), (2.0, 1), (2, False)):
         with pytest.raises(InvalidInputError):
             plane_model_terms(d, nB)

@@ -86,19 +86,16 @@ def test_local_type_examples():
     lt = local_type(LatticeSubgroup((1, 0), (0, 1)))
     assert (lt.n, lt.q, lt.m1, lt.m2) == (1, 0, 1, 1)
     assert lt.d_y == 1 and lt.e1 == 1 and lt.e2 == 1
-    assert not lt.singular
     assert lt.singularity() is None
 
     lt = local_type(LatticeSubgroup((2, 0), (1, 1)))
     assert (lt.n, lt.q, lt.m1, lt.m2) == (2, 1, 1, 1)
     assert lt.d_y == 2 and (lt.e1, lt.e2) == (2, 2)
-    assert lt.singular
     assert lt.singularity() == SingularityType(2, 1)
 
     lt = local_type(LatticeSubgroup((2, 0), (0, 2)))
     assert (lt.n, lt.q, lt.m1, lt.m2) == (1, 0, 2, 2)
     assert lt.d_y == 4 and (lt.e1, lt.e2) == (2, 2)
-    assert not lt.singular
 
     lt = local_type(LatticeSubgroup((4, 0), (2, 1)))
     assert (lt.n, lt.q, lt.m1, lt.m2) == (2, 1, 2, 1)

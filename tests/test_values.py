@@ -1,17 +1,20 @@
 """The package's value types: the protocol :class:`ramcov.value.Value` gives them, and a light start.
 
 Each of the 19 value types writes its own ``__init__`` and takes ``==``,
-the hash, the repr, immutability and (for ``Violation``) the ordering from
-its field names, its public ``__slots__``.  The tests hold every type to
-that protocol: the repr names each field, the hash is that of the field
-tuple, ``==`` is false across types, assigning or deleting an attribute
-raises, and a copy rebuilt by keyword through the constructor is equal.
+the hash, the repr and immutability from its field names, its public
+``__slots__``.  The tests hold every type to that protocol: the repr names
+each field, the hash is that of the field tuple, ``==`` is false across
+types, ``<`` raises, assigning or deleting an attribute raises, and a copy
+rebuilt by keyword through the constructor is equal.  No value type is
+ordered, so the one place that sorts values, ``examine``'s findings, is
+held to its key here too.
 The last test runs a fresh interpreter: importing ``ramcov.cli`` and
 building its parser loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import inspect
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -26,6 +29,7 @@ from ramcov.invariants import (
     FibrationInputs,
     InvariantReport,
     degree_linear_certificate,
+    examine,
 )
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import (
@@ -91,12 +95,13 @@ def test_there_are_nineteen_value_types_each_on_the_one_base():
         assert "__init__" in vars(cls), cls.__name__
 
 
-def test_every_value_type_is_frozen_and_order_is_the_one_option():
-    assert list(inspect.signature(Value.__init_subclass__).parameters) == ["order", "kwargs"]
-    with pytest.raises(TypeError):
+def test_value_takes_no_option():
+    assert list(inspect.signature(Value.__init_subclass__).parameters) == []
+    for option in ({"order": True}, {"frozen": False}):
+        with pytest.raises(TypeError):
 
-        class Mutable(Value, frozen=False):
-            __slots__ = ("x",)
+            class Optioned(Value, **option):
+                __slots__ = ("x",)
 
 
 def test_literal_reprs():
@@ -171,20 +176,44 @@ def test_slotted_types_keep_no_instance_dict():
         assert hasattr(value, "__dict__") == (cls in with_dict), cls.__name__
 
 
-def test_violations_sort_by_code_then_where_then_message():
-    v = [
-        Violation("V3", ("crossing 0",), "b"),
-        Violation("V1", ("component D2",), "a"),
-        Violation("V3", ("crossing 0",), "a"),
-        Violation("V1", ("component D1",), "z"),
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_values_have_no_order(cls):
+    value = SAMPLES[cls]
+    assert not {"__lt__", "__le__", "__gt__", "__ge__"} & set(vars(cls))
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(value, replace(value))
+    with pytest.raises(TypeError):
+        value < SAMPLES[Crossing]
+
+
+def test_examine_sorts_findings_by_code_then_where_then_message():
+    # The double cover with a V1 break on D2, a lattice of e1 = 1 over
+    # crossing 1 and a raw type with n and q not coprime over crossing 3:
+    # the walk finds them per component, then per crossing and point, and
+    # the report lists them by (code, where, message).
+    base, cover = double_cover()
+    points = dict(cover.points_above)
+    points[1] = (PointAbove(0, 0, LatticeSubgroup((1, 0), (0, 2))),)
+    points[3] = (PointAbove(0, 0, LocalCoverType(4, 2, 1, 1)),)
+    ramification = {**dict(cover.ramification), "D2": (RamSheet(e=2, f=2),)}
+    cover = replace(
+        cover, ramification=tuple(ramification.items()), points_above=tuple(points.items())
+    )
+    found, certificate, error = examine(base, cover, strict=True)
+    assert certificate is None and error.startswith("crossing 3: invalid local type")
+    assert [(v.code, v.where) for v in found] == [
+        ("V1", ("D2",)),
+        ("V2", ("crossing 3",)),
+        ("V3", ("crossing 1", "point 0")),
+        ("V3", ("crossing 3", "point 0")),
+        ("V3", ("crossing 3", "point 0")),
+        ("V4", ("crossing 1", "sheet j=0")),
+        ("V4", ("crossing 2", "sheet j=0")),
+        ("V4", ("crossing 3", "sheet j=0")),
+        ("V5", ("crossing 3", "point 0")),
     ]
-    assert sorted(v) == [v[3], v[1], v[2], v[0]]
-    assert v[1] < v[0] and v[0] > v[2] and v[2] <= v[0] and v[0] >= v[0]
-    assert Violation("V1", (), "").__lt__(("V1", (), "")) is NotImplemented
-    with pytest.raises(TypeError):
-        v[0] < Crossing(0, ("a", "b"))
-    with pytest.raises(TypeError):
-        Crossing(0, ("a", "b")) < Crossing(1, ("a", "b"))
+    assert "local e1=4" in found[3].message and "local e2=4" in found[4].message
 
 
 def test_construction_by_keyword_and_the_defaults():

@@ -52,9 +52,13 @@ runs.  The other subcommands run on fixed arguments: ``verify`` at the five
 sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
-With the shipped documents of this checkout that is 1 527 runs over 189
+Last, each ``demos/0*.py`` and ``demos/covers/make_kummer.py 3 2`` runs as
+a script in a fresh interpreter with ``PYTHONPATH`` set to the tree: the
+scripts are those of the checkout that holds the tree (``demos/`` beside
+it), or this checkout's when there is none.  With the shipped documents
+and demos of this checkout that is 1 527 ``ramcov`` runs over 189
 documents, 32 of them on the retyped documents and 16 on the shared faulty
-shapes.
+shapes, and 5 demo runs.
 
 The script names every run whose exit code, stdout or stderr differ between
 the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import collections
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -97,6 +102,11 @@ FIXED_RUNS = [
     ["local", "1", "0", "2", "0"],  # degenerate: index 0
     ["bs-bound", "2", "3"],
     ["bs-bound", "2", "3", "5/2"],
+]
+# Each demo script, by its path in a checkout, with its arguments.
+DEMO_RUNS = [
+    *([f"demos/{path.name}"] for path in sorted((ROOT / "demos").glob("0*.py"))),
+    ["demos/covers/make_kummer.py", "3", "2"],
 ]
 LABELS = ("exit code", "stdout", "stderr")
 FAULTY_DOCUMENTS = 100
@@ -393,6 +403,24 @@ def run_tree(src: str, runs: list[list[str]]) -> list:
     return json.loads(done.stdout)
 
 
+def run_demos(src: str) -> list:
+    """The [exit code, stdout, stderr] of every ``DEMO_RUNS`` script, with ``ramcov`` from ``src``."""
+    tree = pathlib.Path(src).resolve()
+    checkout = tree.parent if (tree.parent / "demos").is_dir() else ROOT
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    results = []
+    for script, *args in DEMO_RUNS:
+        done = subprocess.run(
+            [sys.executable, "-B", str(checkout / script), *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        results.append([done.returncode, done.stdout, done.stderr])
+    return results
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/cli_identity.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -412,21 +440,25 @@ def main(argv: list[str]) -> int:
         ]
         runs += FIXED_RUNS
         parent, change = run_tree(parent_src, runs), run_tree(change_src, runs)
+    parent += run_demos(parent_src)
+    change += run_demos(change_src)
+    commands = [["ramcov", *argv_] for argv_ in runs] + [["python3", *run] for run in DEMO_RUNS]
     differing = 0
-    for argv_, before, after in zip(runs, parent, change):
+    for command, before, after in zip(commands, parent, change):
         labels = [label for label, a, b in zip(LABELS, before, after) if a != b]
         if not labels:
             continue
-        print(f"differs in {', '.join(labels)}: ramcov {' '.join(argv_)}")
+        print(f"differs in {', '.join(labels)}: {' '.join(command)}")
         if not differing:
             for label, a, b in zip(LABELS, before, after):
                 if a != b:
                     print(f"--- {parent_src} {label}\n{a}\n+++ {change_src} {label}\n{b}")
         differing += 1
     counts = collections.Counter(argv_[0] for argv_ in runs)
+    counts["demos"] = len(DEMO_RUNS)
     per_command = ", ".join(f"{command} {count}" for command, count in counts.items())
     verdict = f"{differing} differ" if differing else "identical exit code, stdout and stderr"
-    print(f"{len(runs)} runs ({per_command}; {len(documents)} documents): {verdict}")
+    print(f"{len(commands)} runs ({per_command}; {len(documents)} documents): {verdict}")
     return 1 if differing else 0
 
 
