@@ -7,6 +7,8 @@ Usage::
 K(a, b) is the degree a*b cover of the quadric given by (u, v) ->
 (u^a, v^b), branched along the square of four lines.  The shipped
 kummer_2_1.json was produced by ``python make_kummer.py 2 1 kummer_2_1.json``.
+An exponent that is not a positive integer ends the script with one
+``error: ...`` line on stderr and exit code 2, as ``ramcov`` does.
 """
 
 import sys
@@ -19,8 +21,12 @@ def main(argv):
     if len(argv) not in (3, 4):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    a, b = int(argv[1]), int(argv[2])
-    text = dumps_document(*power_map_cover(a, b))
+    try:
+        a, b = int(argv[1]), int(argv[2])
+        text = dumps_document(*power_map_cover(a, b))
+    except ValueError as exc:  # not an integer, or an exponent power_map_cover refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(argv) == 4:
         with open(argv[3], "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -27,9 +27,10 @@ without building the chain.
 Where values are checked (the rule is in :mod:`ramcov.value`):
 :class:`HJChain` checks its entries in ``__init__``, and the chains this
 module derives (:func:`hj_expand`, :meth:`HJChain.reversed`) go through the
-private builder ``_hj_chain``, which runs no check; each call site names
-the invariant that makes its chain valid, and ``verify.hj_sweep`` checks
-the entries of every chain it expands.
+private builder ``_hj_chain``, which sets the entries with the base's
+``_set_fields`` and runs no check; each call site names the invariant that
+makes its chain valid, and ``verify.hj_sweep`` checks the entries of every
+chain it expands.
 
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
@@ -78,8 +79,7 @@ class SingularityType(Value):
             raise InvalidInputError(
                 f"n and q must be coprime (got gcd({n}, {q}) = {g})"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
+        self._set_fields(n, q)
 
     @property
     def label(self) -> str:
@@ -113,7 +113,7 @@ class HJChain(Value):
                 raise InvalidInputError(
                     f"chain entries must be integers >= 2 (got b_{i + 1} = {bi!r})"
                 )
-        object.__setattr__(self, "b", b)
+        self._set_fields(b)
 
     @property
     def length(self) -> int:
@@ -132,7 +132,7 @@ def _hj_chain(b: tuple[int, ...]) -> HJChain:
     tuple of ints, each at least 2.
     """
     chain = object.__new__(HJChain)
-    object.__setattr__(chain, "b", b)
+    chain._set_fields(b)
     return chain
 
 
@@ -163,10 +163,7 @@ class ResolutionData(Value):
                 raise InvalidInputError(
                     f"discrepancies must lie in (-1, 0] (got a_{i + 1} = {Fraction(vi, n)})"
                 )
-        object.__setattr__(self, "sing", sing)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "correction_num", correction_num)
+        self._set_fields(sing, chain, v, correction_num)
 
     @property
     def a(self) -> tuple[Fraction, ...]:

@@ -115,28 +115,6 @@ class InvariantReport(Value):
         "exceptional_s", "fibration_term", "__dict__",
     )
 
-    def __init__(
-        self,
-        B_mult: tuple[tuple[str, int], ...],
-        KX_dot_B: int,
-        B_dot_F: int,
-        RR: Fraction,
-        KY_sq: Fraction,
-        correction_total: Fraction,
-        euler_Y: int,
-        exceptional_s: int,
-        fibration_term: Fraction,
-    ) -> None:
-        object.__setattr__(self, "B_mult", B_mult)
-        object.__setattr__(self, "KX_dot_B", KX_dot_B)
-        object.__setattr__(self, "B_dot_F", B_dot_F)
-        object.__setattr__(self, "RR", RR)
-        object.__setattr__(self, "KY_sq", KY_sq)
-        object.__setattr__(self, "correction_total", correction_total)
-        object.__setattr__(self, "euler_Y", euler_Y)
-        object.__setattr__(self, "exceptional_s", exceptional_s)
-        object.__setattr__(self, "fibration_term", fibration_term)
-
     @cached_property
     def KYprime_sq(self) -> Fraction:
         return self.KY_sq + self.correction_total
@@ -186,7 +164,7 @@ class FibrationInputs(Value):
     def __init__(self, gF: int, Dhor_dot_F: int, gC: int, nDC: int, nS: int) -> None:
         for name, value in zip(self.__slots__, (gF, Dhor_dot_F, gC, nDC, nS)):
             check_int(value, name, 0)
-            object.__setattr__(self, name, value)
+        self._set_fields(gF, Dhor_dot_F, gC, nDC, nS)
 
 
 def arakelov_degree_bound(
@@ -325,20 +303,6 @@ class BoundCertificate(Value):
     """
 
     __slots__ = ("receipts", "degree", "report", "derived_base", "fibration_inputs", "__dict__")
-
-    def __init__(
-        self,
-        receipts: Receipts,
-        degree: int,
-        report: InvariantReport,
-        derived_base: EulerData,
-        fibration_inputs: Optional[FibrationInputs],
-    ) -> None:
-        object.__setattr__(self, "receipts", receipts)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "derived_base", derived_base)
-        object.__setattr__(self, "fibration_inputs", fibration_inputs)
 
     @property
     def deg_det(self) -> Fraction:

@@ -19,9 +19,9 @@ Where values are checked (the rule is in :mod:`ramcov.value`):
 :class:`LatticeSubgroup` checks its generators in ``__init__``, and the
 subgroups this module derives (:func:`enumerate_subgroups`,
 :meth:`LatticeSubgroup.swapped`) go through the private builder
-``_lattice_subgroup``, which runs no check; each call site names the
-invariant that makes its subgroup valid, and ``verify.lattice_sweep``
-checks every one.
+``_lattice_subgroup``, which sets the generators with the base's
+``_set_fields`` and runs no check; each call site names the invariant that
+makes its subgroup valid, and ``verify.lattice_sweep`` checks every one.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class LatticeSubgroup(Value):
                 raise InvalidInputError(f"generators must be integer pairs (got {g!r})")
         if g1[0] * g2[1] - g1[1] * g2[0] == 0:
             raise InvalidInputError(f"generators must be linearly independent (got {g1}, {g2})")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
+        self._set_fields(g1, g2)
 
     @property
     def index(self) -> int:
@@ -118,8 +117,7 @@ def _lattice_subgroup(g1: tuple[int, int], g2: tuple[int, int]) -> LatticeSubgro
     are tuples of two ints and that their determinant is nonzero.
     """
     gamma = object.__new__(LatticeSubgroup)
-    object.__setattr__(gamma, "g1", g1)
-    object.__setattr__(gamma, "g2", g2)
+    gamma._set_fields(g1, g2)
     return gamma
 
 
@@ -140,12 +138,6 @@ class LocalCoverType(Value):
     """
 
     __slots__ = ("n", "q", "m1", "m2")
-
-    def __init__(self, n: int, q: int, m1: int, m2: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
 
     @property
     def d_y(self) -> int:

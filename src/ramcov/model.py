@@ -94,11 +94,7 @@ class BranchComponent(Value):
         check_int(self_int, f"component {id!r}: self_int")
         check_int(KX_dot, f"component {id!r}: KX_dot")
         check_int(fiber_deg, f"component {id!r}: fiber_deg", minimum=0)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "self_int", self_int)
-        object.__setattr__(self, "KX_dot", KX_dot)
-        object.__setattr__(self, "fiber_deg", fiber_deg)
+        self._set_fields(id, genus, self_int, KX_dot, fiber_deg)
 
 
 class Crossing(Value):
@@ -120,8 +116,7 @@ class Crossing(Value):
                 f"crossing {index}: components must be distinct "
                 f"(transversal self-intersections are not modelled)"
             )
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "pair", pair)
+        self._set_fields(index, pair)
 
 
 class BaseGeometry(Value):
@@ -159,18 +154,14 @@ class BaseGeometry(Value):
             ):
                 raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
             check_int(count, f"declared count for pair {pair}")
-        object.__setattr__(self, "genus_C", genus_C)
-        object.__setattr__(self, "KX_sq", KX_sq)
-        object.__setattr__(self, "euler_X", euler_X)
-        object.__setattr__(self, "KX_dot_F", KX_dot_F)
         by_id, by_index = attrgetter("id"), attrgetter("index")
-        object.__setattr__(self, "components", tuple(sorted(components, key=by_id)))
-        object.__setattr__(self, "crossings", tuple(sorted(crossings, key=by_index)))
-        object.__setattr__(self, "pair_counts", tuple(sorted(pair_counts, key=_pair_key)))
-        ids = _index(self.components, by_id, "component ids")
+        components = tuple(sorted(components, key=by_id))
+        crossings = tuple(sorted(crossings, key=by_index))
+        pair_counts = tuple(sorted(pair_counts, key=_pair_key))
+        ids = _index(components, by_id, "component ids")
         object.__setattr__(self, "_components", ids)
-        object.__setattr__(self, "_crossings", _index(self.crossings, by_index, "crossing indices"))
-        for x in self.crossings:
+        object.__setattr__(self, "_crossings", _index(crossings, by_index, "crossing indices"))
+        for x in crossings:
             for cid in x.pair:
                 if cid not in ids:
                     raise InvalidInputError(
@@ -179,8 +170,8 @@ class BaseGeometry(Value):
         # Declared pairwise intersection numbers, when present, must agree
         # with the actual crossing count on that pair (SNC transversality
         # makes the two notions coincide).
-        actual = Counter(tuple(sorted(x.pair)) for x in self.crossings) if self.pair_counts else {}
-        for pair, count in self.pair_counts:
+        actual = Counter(tuple(sorted(x.pair)) for x in crossings) if pair_counts else {}
+        for pair, count in pair_counts:
             key = tuple(sorted(pair))
             if key[0] not in ids or key[1] not in ids:
                 raise InvalidInputError(f"declared pair {pair} references unknown components")
@@ -190,6 +181,7 @@ class BaseGeometry(Value):
                     f"declared intersection count for pair {key} is {count} "
                     f"but the crossing list has {got}"
                 )
+        self._set_fields(genus_C, KX_sq, euler_X, KX_dot_F, components, crossings, pair_counts)
 
     def component(self, cid: str) -> BranchComponent:
         try:
@@ -214,8 +206,7 @@ class RamSheet(Value):
     def __init__(self, e: int, f: int) -> None:
         check_int(e, "sheet e", minimum=1)
         check_int(f, "sheet f", minimum=1)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
+        self._set_fields(e, f)
 
 
 class PointAbove(Value):
@@ -242,9 +233,7 @@ class PointAbove(Value):
             raise InvalidInputError(
                 f"point local data must be a lattice subgroup or a local type (got {local!r})"
             )
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "jp", jp)
-        object.__setattr__(self, "local", local)
+        self._set_fields(j, jp, local)
 
     def local_cover_type(self) -> LocalCoverType:
         """The local type: ``local`` itself, or its lattice classified anew."""
@@ -276,10 +265,9 @@ class CoverDescription(Value):
         for cid, _ in ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "ramification", tuple(sorted(ramification, key=itemgetter(0))))
-        object.__setattr__(self, "_sheets", dict(self.ramification))
-        if len(self._sheets) != len(self.ramification):
+        ramification = tuple(sorted(ramification, key=itemgetter(0)))
+        object.__setattr__(self, "_sheets", dict(ramification))
+        if len(self._sheets) != len(ramification):
             raise InvalidInputError("duplicate component id in ramification table")
         for idx, _ in points_above:
             check_int(idx, "points_above key")
@@ -295,17 +283,13 @@ class CoverDescription(Value):
                 got = ordered[id(points)] = tuple(sorted(points, key=_point_key))
             return got
 
-        object.__setattr__(
-            self,
-            "points_above",
-            tuple(
-                (idx, canonical(points))
-                for idx, points in sorted(points_above, key=itemgetter(0))
-            ),
+        points_above = tuple(
+            (idx, canonical(points)) for idx, points in sorted(points_above, key=itemgetter(0))
         )
-        object.__setattr__(self, "_points", dict(self.points_above))
-        if len(self._points) != len(self.points_above):
+        object.__setattr__(self, "_points", dict(points_above))
+        if len(self._points) != len(points_above):
             raise InvalidInputError("duplicate crossing index in points_above table")
+        self._set_fields(degree, ramification, points_above)
 
     def sheets_for(self, cid: str) -> tuple[RamSheet, ...]:
         return self._sheets.get(cid, ())
@@ -315,14 +299,12 @@ class CoverDescription(Value):
 
 
 class Violation(Value):
-    """One validation finding; :func:`~ramcov.invariants.examine` sorts findings by their fields."""
+    """One validation finding: its ``code``, ``where`` it is (a tuple of names) and ``message``.
+
+    :func:`~ramcov.invariants.examine` sorts findings by these fields.
+    """
 
     __slots__ = ("code", "where", "message")
-
-    def __init__(self, code: str, where: tuple[str, ...], message: str) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "where", where)
-        object.__setattr__(self, "message", message)
 
 
 class EulerData(Value):
@@ -335,13 +317,6 @@ class EulerData(Value):
     """
 
     __slots__ = ("e_c_U", "open_components", "n_crossings")
-
-    def __init__(
-        self, e_c_U: int, open_components: tuple[tuple[str, int], ...], n_crossings: int
-    ) -> None:
-        object.__setattr__(self, "e_c_U", e_c_U)
-        object.__setattr__(self, "open_components", open_components)
-        object.__setattr__(self, "n_crossings", n_crossings)
 
     def open_component(self, cid: str) -> int:
         for key, value in self.open_components:

@@ -59,13 +59,12 @@ import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from . import __version__
 from .errors import InvalidInputError
-from .invariants import BoundCertificate, Receipts
+from .invariants import Receipts
 from .local_cover import LatticeSubgroup
-from .model import BaseGeometry, CoverDescription, EulerData, Violation, derived_euler_data
+from .model import BaseGeometry, CoverDescription, EulerData, derived_euler_data
 from .value import Value
 
 __all__ = [
@@ -365,22 +364,6 @@ class ReportDocument(Value):
     """
 
     __slots__ = ("strict", "base", "cover", "violations", "certificate", "error")
-
-    def __init__(
-        self,
-        strict: bool,
-        base: BaseGeometry,
-        cover: CoverDescription,
-        violations: tuple[Violation, ...],
-        certificate: Optional[BoundCertificate],
-        error: Optional[str] = None,
-    ) -> None:
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "error", error)
 
     @property
     def valid(self) -> bool:

@@ -36,11 +36,6 @@ class PropertyFailure(Value):
 
     __slots__ = ("prop", "witness", "message")
 
-    def __init__(self, prop: str, witness: dict, message: str) -> None:
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "message", message)
-
 
 class SweepResult(Value):
     """A finished sweep: its suite, the items it checked and the failures it found.
@@ -50,11 +45,6 @@ class SweepResult(Value):
     """
 
     __slots__ = ("suite", "checked", "failures")
-
-    def __init__(self, suite: str, checked: int, failures: tuple[PropertyFailure, ...]) -> None:
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

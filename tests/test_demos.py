@@ -25,20 +25,25 @@ def test_demo_runs_clean(script):
     assert proc.stdout  # each demo narrates something
 
 
-def test_make_kummer_reproduces_shipped_file():
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / "covers" / "make_kummer.py"), "2", "1"],
+def _make_kummer(*args):
+    return subprocess.run(
+        [sys.executable, str(DEMOS / "covers" / "make_kummer.py"), *args],
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_make_kummer_reproduces_shipped_file():
+    proc = _make_kummer("2", "1")
     assert proc.returncode == 0
     assert proc.stdout == (DEMOS / "covers" / "kummer_2_1.json").read_text()
 
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / "covers" / "make_kummer.py")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
+    assert _make_kummer().returncode == 2
+    # Bad exponents end with one error line, as ramcov's command line does.
+    for args, message in [
+        (("x", "2"), "error: invalid literal for int() with base 10: 'x'\n"),
+        (("0", "2"), "error: exponents must be positive (got a=0, b=2)\n"),
+    ]:
+        proc = _make_kummer(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)

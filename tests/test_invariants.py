@@ -677,7 +677,7 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
     assert cert.fibration_bound == 9
     assert cert.linear_row is linear
-    text = ReportDocument(False, base, cover, (), cert).to_text()
+    text = ReportDocument(False, base, cover, (), cert, None).to_text()
     assert "|deg_det| <= c*d = 2: VIOLATED" in text
     # a failing head row alone fails the certificate, however its tail reads
     passing = ("deg_det_vs_linear", 1, 2, one, True)
@@ -815,7 +815,7 @@ def _receipts_contract(base, cover, strict, fibration):
         None if fibration is None else by_name["deg_det_vs_fibration"][-1]
     )
     # Both writers write the reference rows.
-    doc = ReportDocument(strict, base, cover, tuple(violations), cert)
+    doc = ReportDocument(strict, base, cover, tuple(violations), cert, None)
     reference = json.dumps(reference_report(doc), indent=2, sort_keys=True) + "\n"
     assert "".join(doc.to_json()) == reference
     lines = doc.to_text().splitlines()

@@ -21,11 +21,16 @@
   configuration, multiplies ``deg_det`` by ``m``: flat base change gives
   ``f'_* O_{Y'} = phi^* f_* O_Y`` (Hartshorne III.9.3).  The strict
   finding codes must not change.
+* Blow-up.  Blowing the base up at a crossing and pulling the cover back
+  changes the resolved cover only birationally, and its singularities are
+  rational, so ``chi`` and ``deg_det`` must not change; the strict walk
+  stays clean and the certificate satisfied, three blow-ups in a row.
 
 Hypothesis picks the covers, the crossings to reverse, the pairs to join,
-the renamings and the base changes.
+the renamings, the base changes and the crossings to blow up.
 """
 
+import itertools
 import math
 import pathlib
 
@@ -34,10 +39,18 @@ from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, power_map_cover, ruled_cyclic_cover
-from ramcov.invariants import FibrationInputs, degree_linear_certificate
+from ramcov.invariants import FibrationInputs, degree_linear_certificate, examine
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
-from ramcov.model import BaseGeometry, CoverDescription, Crossing, PointAbove, validate
+from ramcov.model import (
+    BaseGeometry,
+    BranchComponent,
+    CoverDescription,
+    Crossing,
+    PointAbove,
+    RamSheet,
+    validate,
+)
 from rebuild import replace
 from ruled_documents import ruled_cover, ruled_weights, unit_weights
 
@@ -351,3 +364,87 @@ def test_base_change_multiplies_deg_det_by_the_degree(document, m, extra):
         assert after.deg_det == m * before.deg_det
     # A fibre component's finding is made once per copy.
     assert set(_codes(*changed)) == set(_codes(base, cover))
+
+
+def blow_up(base, cover, index: int):
+    """``(base, cover)`` with the base blown up at crossing ``index`` and the cover pulled back.
+
+    The crossing, of ``(D_i, D_j)``, gives way to a new rational vertical
+    component ``E`` with ``E^2 = K.E = -1`` and two crossings, ``(D_i, E)``
+    and ``(E, D_j)``, indexed past the last one; ``D_i`` and ``D_j`` each
+    lose 1 of self-intersection and gain 1 of ``K.D``, ``K_X^2`` falls by 1,
+    ``e(X)`` rises by 1 and a declared count on ``(D_i, D_j)`` falls by 1.
+    Each point ``y`` over the crossing, with lattice ``L``, gives ``E`` one
+    sheet, with ``e`` the order of ``(1, 1)`` in ``Z^2/L`` and ``f = d_y/e``,
+    one point over ``(D_i, E)`` with lattice ``{(a, b) : (a + b, b) in L}``
+    and one over ``(E, D_j)`` with lattice ``{(a, b) : (a, a + b) in L}``:
+    the two charts ``(u, v) = (u'v', v')`` and ``(u', u'v')`` of the blow-up
+    at the crossing ``uv = 0``.  Every point over the crossing must carry a
+    lattice.
+    """
+    pair = next(x.pair for x in base.crossings if x.index == index)
+    ids = {c.id for c in base.components}
+    eid = next(f"E{t}" for t in itertools.count() if f"E{t}" not in ids)
+    first = max(x.index for x in base.crossings) + 1
+    changed = replace(
+        base,
+        KX_sq=base.KX_sq - 1,
+        euler_X=base.euler_X + 1,
+        components=tuple(
+            replace(c, self_int=c.self_int - 1, KX_dot=c.KX_dot + 1) if c.id in pair else c
+            for c in base.components
+        ) + (BranchComponent(eid, genus=0, self_int=-1, KX_dot=-1, fiber_deg=0),),
+        crossings=tuple(x for x in base.crossings if x.index != index) + (
+            Crossing(first, (pair[0], eid)), Crossing(first + 1, (eid, pair[1])),
+        ),
+        pair_counts=tuple(
+            (declared, count - (sorted(declared) == sorted(pair)))
+            for declared, count in base.pair_counts
+        ),
+    )
+    sheets, over_first, over_second = [], [], []
+    for k, p in enumerate(cover.points_for(index)):
+        lattice = p.local
+        e = next(t for t in itertools.count(1) if lattice.contains((t, t)))
+        sheets.append(RamSheet(e=e, f=lattice.index // e))
+        (a1, b1), (a2, b2) = lattice.g1, lattice.g2
+        over_first.append(PointAbove(p.j, k, LatticeSubgroup((a1 - b1, b1), (a2 - b2, b2))))
+        over_second.append(PointAbove(k, p.jp, LatticeSubgroup((a1, b1 - a1), (a2, b2 - a2))))
+    return changed, replace(
+        cover,
+        ramification=cover.ramification + ((eid, tuple(sheets)),),
+        points_above=tuple((i, points) for i, points in cover.points_above if i != index) + (
+            (first, tuple(over_first)), (first + 1, tuple(over_second)),
+        ),
+    )
+
+
+def _clean_with_lattices(document) -> bool:
+    base, cover = document
+    found, _, error = examine(base, cover, strict=True)
+    lattices = all(isinstance(p.local, LatticeSubgroup) for _, ps in cover.points_above for p in ps)
+    return lattices and not found and error is None
+
+
+#: The shipped documents whose points carry lattices and whose strict walk
+#: is clean, the golden covers, and the builder's covers of C x P1, g_C <= 2.
+_BLOWABLE = st.sampled_from(
+    [document for _, document in sorted(_LOADED.items()) if _clean_with_lattices(document)]
+) | _GOLDEN | ruled_weights().filter(lambda drawn: drawn[0] <= 2).map(
+    lambda drawn: ruled_cover(*drawn)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BLOWABLE, st.data())
+def test_blowing_up_crossings_keeps_chi_deg_det_and_a_clean_certificate(document, data):
+    base, cover = document
+    found, before, error = examine(base, cover, strict=True)
+    assert (found, error) == ([], None) and before.satisfied
+    for _ in range(3):
+        index = data.draw(st.sampled_from([x.index for x in base.crossings]))
+        base, cover = blow_up(base, cover, index)
+        found, after, error = examine(base, cover, strict=True)
+        assert (found, error) == ([], None)
+        assert after.satisfied
+        assert (after.report.chi, after.deg_det) == (before.report.chi, before.deg_det)

@@ -1,8 +1,11 @@
 """The package's value types: the protocol :class:`ramcov.value.Value` gives them, and a light start.
 
-Each of the 19 value types writes its own ``__init__`` and takes ``==``,
-the hash, the repr and immutability from its field names, its public
-``__slots__``.  The tests hold every type to that protocol: the repr names
+Each of the 19 value types takes its field setter, ``==``, the hash, the
+repr and immutability from its field names, its public ``__slots__``.
+Eleven write an ``__init__`` that runs their checks and then the setter;
+the other eight check nothing, and the setter is their ``__init__``.  The
+tests hold every type to that protocol: the constructor and the setter
+take the fields in slot order, the setter checks nothing, the repr names
 each field, the hash is that of the field tuple, ``==`` is false across
 types, ``<`` raises, assigning or deleting an attribute raises, and a copy
 rebuilt by keyword through the constructor is equal.  No value type is
@@ -22,6 +25,7 @@ import sys
 
 import pytest
 
+from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover
 from ramcov.hj import HJChain, ResolutionData, SingularityType, resolve
 from ramcov.invariants import (
@@ -75,12 +79,19 @@ def _samples() -> dict:
         LocalCoverType(n=5, q=2, m1=1, m2=3),
         PropertyFailure("length", {"n": 5, "q": 2}, "chain length 9 exceeds n=5"),
         SweepResult("lattice", 3, ()),
-        ReportDocument(False, base, cover, (), cert),
+        ReportDocument(False, base, cover, (), cert, None),
     ]
     return {type(v): v for v in values}
 
 
 SAMPLES = _samples()
+
+
+#: The types whose constructor checks nothing: their ``__init__`` is the base's field setter.
+UNCHECKED = (
+    InvariantReport, BoundCertificate, LocalCoverType, Violation, EulerData, ReportDocument,
+    PropertyFailure, SweepResult,
+)
 
 
 def _fields(cls) -> tuple:
@@ -91,8 +102,42 @@ def test_there_are_nineteen_value_types_each_on_the_one_base():
     assert len(SAMPLES) == 19
     assert all(issubclass(cls, Value) for cls in SAMPLES)
     for cls in SAMPLES:
-        assert cls.__match_args__ == _fields(cls), cls.__name__
-        assert "__init__" in vars(cls), cls.__name__
+        setter = tuple(inspect.signature(cls._set_fields).parameters)
+        assert cls.__match_args__ == _fields(cls) == setter[1:], cls.__name__
+        assert setter[0] == "self" and "__init__" in vars(cls), cls.__name__
+    assert {cls for cls in SAMPLES if cls.__init__ is cls._set_fields} == set(UNCHECKED)
+
+
+@pytest.mark.parametrize("cls", UNCHECKED, ids=lambda cls: cls.__name__)
+def test_a_type_without_checks_takes_its_fields_by_position_or_keyword(cls):
+    value = SAMPLES[cls]
+    names = cls.__match_args__
+    fields = [getattr(value, name) for name in names]
+    built = [
+        cls(*fields),
+        cls(**dict(zip(names, fields))),
+        cls(fields[0], **dict(zip(names[1:], fields[1:]))),
+    ]
+    for copy in built:
+        assert copy == value and all(getattr(copy, n) is getattr(value, n) for n in names)
+    for bad_args, bad_kwargs in [
+        (fields[:-1], {}),  # a field missing
+        (fields + [None], {}),  # one argument too many
+        (fields, {"extra": 1}),  # an unknown keyword
+        (fields, {names[0]: fields[0]}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_the_field_setter_runs_no_check():
+    with pytest.raises(InvalidInputError, match="linearly independent"):
+        LatticeSubgroup((0, 0), (0, 0))
+    gamma = object.__new__(LatticeSubgroup)
+    assert LatticeSubgroup._set_fields(gamma, (0, 0), (0, 0)) is None
+    assert repr(gamma) == "LatticeSubgroup(g1=(0, 0), g2=(0, 0))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'g1'"):
+        gamma.g1 = (1, 0)
 
 
 def test_value_takes_no_option():
@@ -217,15 +262,12 @@ def test_examine_sorts_findings_by_code_then_where_then_message():
 
 
 def test_construction_by_keyword_and_the_defaults():
-    base, cover = double_cover()
+    base, _ = double_cover()
     by_keyword = BaseGeometry(
         genus_C=base.genus_C, KX_sq=base.KX_sq, euler_X=base.euler_X, KX_dot_F=base.KX_dot_F,
         components=base.components, crossings=base.crossings,
     )
     assert by_keyword.pair_counts == () and by_keyword == replace(base, pair_counts=())
-    cert = SAMPLES[BoundCertificate]
-    report = ReportDocument(strict=True, base=base, cover=cover, violations=(), certificate=cert)
-    assert report.error is None
     assert SweepResult(suite="hj", checked=0, failures=()) == SweepResult("hj", 0, ())
     assert CoverDescription(degree=2, ramification=(), points_above=()).points_above == ()
     assert EulerData(e_c_U=1, open_components=(), n_crossings=0).n_crossings == 0
