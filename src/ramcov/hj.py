@@ -41,7 +41,6 @@ singularity.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import InvalidInputError, check_int
@@ -147,7 +146,7 @@ class ResolutionData(Value):
     tridiagonal relation is checked by ``verify.hj_sweep``.
     """
 
-    __slots__ = ("sing", "chain", "v", "correction_num", "__dict__")
+    __slots__ = ("sing", "chain", "v", "correction_num")
 
     def __init__(
         self, sing: SingularityType, chain: HJChain, v: tuple[int, ...], correction_num: int
@@ -170,7 +169,7 @@ class ResolutionData(Value):
         """The discrepancies ``a_i = v_i / n``."""
         return tuple(Fraction(vi, self.sing.n) for vi in self.v)
 
-    @cached_property
+    @property
     def correction(self) -> Fraction:
         return Fraction(self.correction_num, self.sing.n)
 

@@ -302,13 +302,13 @@ class BoundCertificate(Value):
     ``deg_det`` is the certificate's.
     """
 
-    __slots__ = ("receipts", "degree", "report", "derived_base", "fibration_inputs", "__dict__")
+    __slots__ = ("receipts", "degree", "report", "derived_base", "fibration_inputs")
 
     @property
     def deg_det(self) -> Fraction:
         return self.report.deg_det
 
-    @cached_property
+    @property
     def satisfied(self) -> bool:
         return self.receipts.satisfied
 

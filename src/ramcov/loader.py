@@ -19,21 +19,27 @@ Local data at a point is given either as a lattice subgroup
 component of the crossing's pair) or directly as an object
 ``{"n":., "q":., "m1":., "m2":.}`` when the lattice is not known.
 
-The field tables ``_COMPONENT`` ... ``_LOCAL_TYPE`` are the code's statement
-of the six nested record formats: each names a record's keys, in the order
-its fields are checked, with the converter of each; where the record is a
-model type, that is also the order of its fields, as a test checks.
-Parsing and the test holding ``docs/input_schema.json`` to the code read
-them.
+The model types are the statement of the document's records.  The field
+tables ``_COMPONENT`` ... ``_LOCAL_TYPE`` of the six nested record formats
+are read off them: each names a record's keys, in the order its fields are
+checked, with the converter of each, and for a model record that is its
+``__match_args__``, the order of its fields; a field that is not an exact
+int names its converter.  Only the pair declaration, which no model type
+holds, is written out, and the keys of ``base`` and ``cover`` are those of
+:class:`BaseGeometry` and :class:`CoverDescription` but for one rename, the
+optional ``pair_intersections`` for the model's ``pair_counts``.  Parsing
+and the test holding ``docs/input_schema.json`` to the code read them.
 
 Every error names the path of the offending value, such as
 ``cover.points_above['3'][0].local[1][0]``; a range error that a model
-constructor raises gets the path of its record.  A document has a few
-fields per crossing, so a field's path is joined only when an error is
-raised: a check takes the path of the item, formatted once for each item
-of a list that is checked, and the suffix naming the field, and the common
-cases (an exact ``int``, an object with exactly the allowed keys, no
-duplicate key) are decided before any message is built.
+constructor raises gets the path of its record.  Each record has one path,
+formatted once for each item of a list that is checked; a point's local
+data is a record of its own, at the point's path joined to ``.local``.  A
+document has a few fields per crossing, so a field's path is joined only
+when an error is raised: a field's check takes the path of its record and
+the suffix naming the field, and the common cases (an exact ``int``, an
+object with exactly the allowed keys, no duplicate key) are decided before
+any message is built.
 
 Byte-equal lists load to one tuple.  In an abelian cover the local lattice
 at a crossing of ``D_i`` and ``D_j`` is the kernel of ``(s, t) -> s g_i +
@@ -82,9 +88,11 @@ from .model import (
 
 __all__ = ["parse_cover_json", "load_cover_path"]
 
-_BASE_KEYS = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings", "pair_intersections"}
-_BASE_REQUIRED = {"genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings"}
-_COVER_KEYS = {"degree", "ramification", "points_above"}
+# The keys of base and cover are the model's fields, but for one rename: the
+# model's pair_counts is the document's optional pair_intersections.
+_BASE_REQUIRED = set(BaseGeometry.__match_args__) - {"pair_counts"}
+_BASE_KEYS = _BASE_REQUIRED | {"pair_intersections"}
+_COVER_KEYS = set(CoverDescription.__match_args__)
 
 
 def _no_duplicate_keys(pairs: list) -> dict:
@@ -113,19 +121,18 @@ def _as_str(value: Any, path: str, suffix: str = "") -> str:
 
 
 def _as_obj(
-    value: Any, path: str, allowed: AbstractSet, required: "AbstractSet | None" = None,
-    suffix: str = "",
+    value: Any, path: str, allowed: AbstractSet, required: "AbstractSet | None" = None
 ) -> dict:
     if type(value) is dict and value.keys() == allowed:
         return value
     if not isinstance(value, dict):
-        raise InputFormatError(f"{path}{suffix}: expected an object (got {type(value).__name__})")
+        raise InputFormatError(f"{path}: expected an object (got {type(value).__name__})")
     unknown = set(value) - allowed
     if unknown:
-        raise InputFormatError(f"{path}{suffix}: unknown keys {sorted(unknown)}")
+        raise InputFormatError(f"{path}: unknown keys {sorted(unknown)}")
     missing = (required if required is not None else allowed) - set(value)
     if missing:
-        raise InputFormatError(f"{path}{suffix}: missing keys {sorted(missing)}")
+        raise InputFormatError(f"{path}: missing keys {sorted(missing)}")
     return value
 
 
@@ -152,16 +159,17 @@ def _as_id_pair(value: Any, path: str, suffix: str) -> tuple[str, str]:
     return _pair_ids(_as_pair(value, path), path)
 
 
-# Field suffixes of the two generator rows of a lattice and of their coordinates.
-_ROWS = (".local[0]", ".local[1]")
-_COORDS = ((".local[0][0]", ".local[0][1]"), (".local[1][0]", ".local[1][1]"))
+# Suffixes of the two generator rows of a lattice and of their coordinates.
+_ROWS = ("[0]", "[1]")
+_COORDS = (("[0][0]", "[0][1]"), ("[1][0]", "[1][1]"))
 
 
 def _parse_local(value: Any, path: str, suffix: str):
     """The local data of the point at ``path``, from its ``local`` field."""
+    path += suffix
     if isinstance(value, list):
         if len(value) != 2:
-            raise InputFormatError(f"{path}{suffix}: lattice form needs exactly two generator rows")
+            raise InputFormatError(f"{path}: lattice form needs exactly two generator rows")
         gens = []
         for r, row in enumerate(value):
             row = _as_list(row, path, _ROWS[r])
@@ -169,45 +177,46 @@ def _parse_local(value: Any, path: str, suffix: str):
                 raise InputFormatError(f"{path}{_ROWS[r]}: generator must have two coordinates")
             x, y = _COORDS[r]
             gens.append((_as_int(row[0], path, x), _as_int(row[1], path, y)))
-        return _build(LatticeSubgroup, gens, path, suffix)
+        return _build(LatticeSubgroup, gens, path)
     if isinstance(value, dict):
-        return _record(LocalCoverType, value, path, _LOCAL_TYPE, suffix)
+        return _record(LocalCoverType, value, path, _LOCAL_TYPE)
     raise InputFormatError(
-        f"{path}{suffix}: local data must be a 2x2 generator list or an n/q/m1/m2 object"
+        f"{path}: local data must be a 2x2 generator list or an n/q/m1/m2 object"
     )
 
 
-def _fields(prefix: str = "", **converters: Callable) -> dict[str, tuple[str, Callable]]:
-    """A record's field table: each key, in check order, to its path suffix and converter.
+def _table(model: type, **converters: Callable) -> dict[str, tuple[str, Callable]]:
+    """The table of ``model``'s record: each field, in constructor order, to suffix and converter.
 
-    A converter takes the raw value, the record's path and the field's suffix.
+    A field not named in ``converters`` is an exact int.  A converter takes
+    the raw value, the record's path and the field's suffix.
     """
-    return {key: (f"{prefix}.{key}", convert) for key, convert in converters.items()}
+    return {key: (f".{key}", converters.get(key, _as_int)) for key in model.__match_args__}
 
 
-# The record formats.  Table order is the order in which fields are checked
-# and, where the record is a model type, its constructor's positional order.
-_COMPONENT = _fields(id=_as_str, genus=_as_int, self_int=_as_int, KX_dot=_as_int, fiber_deg=_as_int)
-_CROSSING = _fields(index=_as_int, pair=_as_id_pair)
-_PAIR_DECLARATION = _fields(pair=_as_id_pair, count=_as_int)
-_SHEET = _fields(e=_as_int, f=_as_int)
-_POINT = _fields(j=_as_int, jp=_as_int, local=_parse_local)
-_LOCAL_TYPE = _fields(".local", n=_as_int, q=_as_int, m1=_as_int, m2=_as_int)
+# The record formats.  A model record's table is in the order of its fields,
+# which is the order in which they are checked.
+_COMPONENT = _table(BranchComponent, id=_as_str)
+_CROSSING = _table(Crossing, pair=_as_id_pair)
+_PAIR_DECLARATION = {"pair": (".pair", _as_id_pair), "count": (".count", _as_int)}
+_SHEET = _table(RamSheet)
+_POINT = _table(PointAbove, local=_parse_local)
+_LOCAL_TYPE = _table(LocalCoverType)
 
 
-def _build(make: Callable, args: list, path: str, suffix: str = ""):
+def _build(make: Callable, args: list, path: str):
     """``make(*args)``, with the path of the record named in any error it raises."""
     try:
         return make(*args)
     except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}{suffix}: {exc}") from None
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _record(make: Callable, value: Any, path: str, table: dict, suffix: str = ""):
+def _record(make: Callable, value: Any, path: str, table: dict):
     """``make`` called on the fields of the object at ``path``, converted in table order."""
-    obj = _as_obj(value, path, table.keys(), suffix=suffix)
+    obj = _as_obj(value, path, table.keys())
     args = [convert(obj[key], path, sfx) for key, (sfx, convert) in table.items()]
-    return _build(make, args, path, suffix)
+    return _build(make, args, path)
 
 
 def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:

@@ -48,9 +48,11 @@ part once per render:
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
 bytes of a document file and :func:`canonical_document` as those bytes
-parsed back into dicts and lists.  Components, sheets, points and raw local
-types are written with the keys of the loader's field tables, in sorted
-order.
+parsed back into dicts and lists.  Components, crossings, sheets, points
+and raw local types are written with the model's fields as keys, in sorted
+order.  The chunk writers write an int with ``format``, so an ``int``
+subclass that the model's checks accept, such as an ``enum.IntEnum``
+member, is written as its number, not its repr.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def _write_crossings(crossings, depth: int, out: list) -> None:
     end, key, member = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
     _write_list(
         (
-            f'{{{key}"index": {x.index!r},'
+            f'{{{key}"index": {x.index},'
             f'{key}"pair": [{member}{enc(x.pair[0])},{member}{enc(x.pair[1])}{key}]{end}}}'
             for x in crossings
         ),
@@ -228,8 +230,8 @@ def _write_components(components, depth: int, out: list) -> None:
     end, key = _newline(depth + 1), _newline(depth + 2)
     _write_list(
         (
-            f'{{{key}"KX_dot": {c.KX_dot!r},{key}"fiber_deg": {c.fiber_deg!r},{key}"genus": '
-            f'{c.genus!r},{key}"id": {enc(c.id)},{key}"self_int": {c.self_int!r}{end}}}'
+            f'{{{key}"KX_dot": {c.KX_dot},{key}"fiber_deg": {c.fiber_deg},{key}"genus": '
+            f'{c.genus},{key}"id": {enc(c.id)},{key}"self_int": {c.self_int}{end}}}'
             for c in components
         ),
         depth,
@@ -240,7 +242,7 @@ def _write_components(components, depth: int, out: list) -> None:
 def _write_by_id(pairs, depth: int, out: list) -> None:
     """A ``{component id: int}`` member from its pairs in id order: one chunk per entry."""
     enc = encode_basestring_ascii
-    _write_list((f"{enc(cid)}: {value!r}" for cid, value in pairs), depth, out, "{}")
+    _write_list((f"{enc(cid)}: {value}" for cid, value in pairs), depth, out, "{}")
 
 
 def _write_shared_lists(entries, record, depth: int, out: list) -> None:
@@ -273,7 +275,7 @@ def _write_ramification(ramification, depth: int, out: list) -> None:
     end, key = _newline(depth + 2), _newline(depth + 3)
     _write_shared_lists(
         ((enc(cid), sheets) for cid, sheets in ramification),
-        lambda s: f'{{{key}"e": {s.e!r},{key}"f": {s.f!r}{end}}}',
+        lambda s: f'{{{key}"e": {s.e},{key}"f": {s.f}{end}}}',
         depth,
         out,
     )
@@ -294,17 +296,17 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
         if isinstance(local, LatticeSubgroup):
             (x1, y1), (x2, y2) = local.g1, local.g2
             local = (
-                f"[{member}[{coord}{x1!r},{coord}{y1!r}{member}],"
-                f"{member}[{coord}{x2!r},{coord}{y2!r}{member}]{key}]"
+                f"[{member}[{coord}{x1},{coord}{y1}{member}],"
+                f"{member}[{coord}{x2},{coord}{y2}{member}]{key}]"
             )
         else:
             local = (
-                f'{{{member}"m1": {local.m1!r},{member}"m2": {local.m2!r},'
-                f'{member}"n": {local.n!r},{member}"q": {local.q!r}{key}}}'
+                f'{{{member}"m1": {local.m1},{member}"m2": {local.m2},'
+                f'{member}"n": {local.n},{member}"q": {local.q}{key}}}'
             )
-        return f'{{{key}"j": {point.j!r},{key}"jp": {point.jp!r},{key}"local": {local}{end}}}'
+        return f'{{{key}"j": {point.j},{key}"jp": {point.jp},{key}"local": {local}{end}}}'
 
-    entries = sorted([(str(idx), points) for idx, points in points_above])
+    entries = sorted([(f"{idx}", points) for idx, points in points_above])
     _write_shared_lists(((f'"{idx}"', points) for idx, points in entries), record, depth, out)
 
 

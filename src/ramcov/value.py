@@ -3,8 +3,9 @@
 A subclass names its fields once, in its ``__slots__``, in constructor
 order.  Every other slot is private: a name with a leading underscore holds
 an index the constructor builds from the fields, and ``"__dict__"`` gives
-an instance dict to a class whose ``cached_property`` needs one.  Neither
-takes part in ``==``, the hash or the repr.
+an instance dict to the one class whose ``cached_property`` needs one,
+:class:`~ramcov.invariants.InvariantReport`.  Neither takes part in ``==``,
+the hash or the repr.
 
 From the field names alone the base gives each subclass:
 

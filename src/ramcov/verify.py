@@ -245,12 +245,10 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
         elif swapped.q != 0:
             failed.append(("axis-swap-duality", "smooth type must swap to q = 0"))
 
-        is_product = (
-            g.contains((0, index // g.g1[0]))
-            if g.g1[1] == 0 and g.g1[0] > 0
-            else None
-        )
-        if is_product is not None and (lt.n == 1) != is_product:
+        # An enumerated subgroup has g1 = (a, 0), a >= 1: it is the product
+        # aZ x (index/a)Z exactly when it holds (0, index/a).
+        is_product = g.contains((0, index // g.g1[0]))
+        if (lt.n == 1) != is_product:
             failed.append(
                 ("smoothness", "n = 1 must coincide with the subgroup being a product lattice")
             )

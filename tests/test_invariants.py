@@ -57,7 +57,7 @@ from ramcov.model import (
 from ramcov.report import ReportDocument, dumps_document
 from rebuild import replace
 from report_reference import reference_receipts, reference_report
-from ruled_documents import ruled_cover
+from ruled_documents import ruled_cover, ruled_weights
 from twins import twin
 
 CYCLIC_5 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "covers" / "cyclic_5_1_4_2_3.json"
@@ -758,6 +758,41 @@ def test_every_verdict_is_its_value_within_its_bound(load, fibration):
     for name, value, bound, _, ok in cert.receipts:
         assert ok is (abs(Fraction(value)) <= Fraction(bound)), name
     assert cert.satisfied == all(ok for *_, ok in cert.receipts)
+
+
+def _twelve_c_summed(base, cert) -> Fraction:
+    """12 c, summed from the per-degree factor ``p`` of each of ``cert``'s own rows."""
+    p = {name: per_degree for name, _, _, per_degree, _ in cert.receipts}
+    euler = cert.derived_base
+    fib = Fraction(abs(1 - base.genus_C), 2) * (
+        abs(base.KX_dot_F) + sum(c.fiber_deg * p[f"branch_mult[{c.id}]"] for c in base.components)
+    )
+    return 12 * fib + abs(base.KX_sq) + sum(
+        2 * abs(c.KX_dot) * p[f"branch_mult[{c.id}]"]
+        + abs(c.self_int) * p[f"rr_diagonal_factor[{c.id}]"]
+        for c in base.components
+    ) + sum(
+        p[f"rr_cross[crossing {k}]"] + p[f"correction[crossing {k}]"]
+        + p[f"exceptional_s[crossing {k}]"] + 1
+        for k in (x.index for x in base.crossings)
+    ) + abs(euler.e_c_U) + sum(abs(e_c) for _, e_c in euler.open_components)
+
+
+# c is the receipts' per-degree factors summed, each weighted by the base
+# number its row bounds; a change to one term of c must keep this relation.
+@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_c_is_the_receipts_per_degree_factors_summed(path):
+    base, cover = load_cover_path(str(path))
+    cert = degree_linear_certificate(base, cover)
+    assert 12 * cert.linear_coefficient == _twelve_c_summed(base, cert)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ruled_weights())
+def test_c_is_the_receipts_per_degree_factors_summed_on_ruled_covers(drawn):
+    base, cover = ruled_cover(*drawn)
+    cert = degree_linear_certificate(base, cover)
+    assert 12 * cert.linear_coefficient == _twelve_c_summed(base, cert)
 
 
 def _many_shapes():

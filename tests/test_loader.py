@@ -1,6 +1,5 @@
 """Strict JSON loading, canonicalization, and the shipped document files."""
 
-import inspect
 import json
 import pathlib
 import tracemalloc
@@ -17,7 +16,7 @@ from ramcov.golden import double_cover, power_map_cover, ruled_cyclic_cover
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.invariants import examine
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType, local_type
-from ramcov.model import BranchComponent, Crossing, PointAbove, RamSheet, check_references
+from ramcov.model import PointAbove, RamSheet, check_references
 from ramcov.report import ReportDocument, canonical_document, dumps_document
 from report_reference import reference_document
 from ruled_documents import grid_document, ruled_cover
@@ -314,22 +313,6 @@ def test_schema_top_level_keys_match_the_loader():
     assert set(base["required"]) == loader._BASE_REQUIRED
     assert loader._BASE_KEYS - loader._BASE_REQUIRED == {"pair_intersections"}
     assert set(cover["properties"]) == set(cover["required"]) == loader._COVER_KEYS
-
-
-@pytest.mark.parametrize(
-    "table,model",
-    [
-        (loader._COMPONENT, BranchComponent),
-        (loader._CROSSING, Crossing),
-        (loader._SHEET, RamSheet),
-        (loader._POINT, PointAbove),
-        (loader._LOCAL_TYPE, LocalCoverType),
-    ],
-    ids=["component", "crossing", "sheet", "point", "local_type"],
-)
-def test_loader_tables_name_the_model_fields_in_order(table, model):
-    # The loader builds each model from its table; the report's echo reads the model's fields.
-    assert list(table) == list(inspect.signature(model).parameters)
 
 
 def test_malformed_fixtures():

@@ -24,7 +24,9 @@
 * Blow-up.  Blowing the base up at a crossing and pulling the cover back
   changes the resolved cover only birationally, and its singularities are
   rational, so ``chi`` and ``deg_det`` must not change; the strict walk
-  stays clean and the certificate satisfied, three blow-ups in a row.
+  stays clean and the certificate satisfied, three blow-ups in a row.  A
+  document with raw local types is blown up with each type given as the
+  lattice of its canonical basis, which leaves its certificate equal.
 
 Hypothesis picks the covers, the crossings to reverse, the pairs to join,
 the renamings, the base changes and the crossings to blow up.
@@ -426,10 +428,47 @@ def _clean_with_lattices(document) -> bool:
     return lattices and not found and error is None
 
 
-#: The shipped documents whose points carry lattices and whose strict walk
-#: is clean, the golden covers, and the builder's covers of C x P1, g_C <= 2.
+def _as_lattices(document):
+    """``document`` with each raw local type ``(n, q, m1, m2)`` given as a lattice.
+
+    The lattice is ``(n m1, 0), (q m1, m2)``: that is its canonical basis,
+    so when the raw type is valid it is the lattice's local type.
+    """
+    base, cover = document
+
+    def lattice(local):
+        if isinstance(local, LatticeSubgroup):
+            return local
+        return LatticeSubgroup((local.n * local.m1, 0), (local.q * local.m1, local.m2))
+
+    points_above = tuple(
+        (idx, tuple(replace(p, local=lattice(p.local)) for p in points))
+        for idx, points in cover.points_above
+    )
+    return base, replace(cover, points_above=points_above)
+
+
+#: The shipped documents whose points carry raw local types and whose strict walk is clean.
+_RAW = [
+    load_cover_path(str(DOCUMENTS / name))
+    for name in ("crossed_sheets.json", "repeated_points.json", "shuffled.json")
+]
+
+
+def test_a_valid_raw_local_type_is_the_lattice_of_its_canonical_basis():
+    for base, cover in _RAW:
+        assert not _clean_with_lattices((base, cover))
+        converted = _as_lattices((base, cover))
+        assert _clean_with_lattices(converted)
+        assert examine(*converted, strict=True) == examine(base, cover, strict=True)
+
+
+#: The shipped documents whose points carry lattices, or raw local types given
+#: as lattices, and whose strict walk is clean, the golden covers, and the
+#: builder's covers of C x P1, g_C <= 2.
 _BLOWABLE = st.sampled_from(
     [document for _, document in sorted(_LOADED.items()) if _clean_with_lattices(document)]
+    + [_as_lattices(document) for document in _RAW]
 ) | _GOLDEN | ruled_weights().filter(lambda drawn: drawn[0] <= 2).map(
     lambda drawn: ruled_cover(*drawn)
 )

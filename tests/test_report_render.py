@@ -9,6 +9,7 @@ builds, and every report it renders validates against
 ``docs/report_schema.json``.
 """
 
+import enum
 import functools
 import json
 import pathlib
@@ -23,7 +24,9 @@ import ramcov.report
 from ramcov.cli import main
 from ramcov.invariants import examine
 from ramcov.loader import load_cover_path, parse_cover_json
+from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.report import ReportDocument, dumps_document, render_json
+from ramcov.value import Value
 from report_reference import reference_document, reference_report
 from ruled_documents import grid_document
 
@@ -273,3 +276,39 @@ def test_report_chunks_peak_below_twice_the_output():
     assert chunks[-1] == "\n" and size > 10**6
     assert peak < 2 * size
     assert max(map(len, chunks)) < 1024
+
+
+def _rebuilt(value, number):
+    """``value`` built again through its constructors, each int ``v`` in it as ``number(v)``."""
+    if type(value) is int:
+        return number(value)
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(member, number) for member in value)
+    if isinstance(value, Value):
+        return type(value)(*(_rebuilt(getattr(value, f), number) for f in value.__match_args__))
+    return value
+
+
+def test_the_echo_writes_an_int_subclass_as_its_number():
+    # The model's checks take int subclasses; echoed as their reprs, IntEnum
+    # members made ``"genus": <Number.N0: 0>``, which is not JSON.
+    plain = load_cover_path(str(DOCUMENTS / "shuffled.json"))
+    ints: list = []
+    _rebuilt(plain, lambda v: ints.append(v) or v)
+    Number = enum.IntEnum("Number", [(f"N{k}", v) for k, v in enumerate(sorted(set(ints)))])
+    retyped = _rebuilt(plain, Number)
+    # No exact int is left: every component field, crossing index, sheet,
+    # point, lattice coordinate and raw local type field is a Number.
+    exact: list = []
+    _rebuilt(retyped, lambda v: exact.append(v) or v)
+    assert ints and not exact
+    points = [p for _, points in retyped[1].points_above for p in points]
+    assert {type(p.local) for p in points} == {LatticeSubgroup, LocalCoverType}
+    assert json.loads(dumps_document(*retyped)) == json.loads(dumps_document(*plain))
+
+    def report(base, cover):
+        violations, certificate, error = examine(base, cover, None, strict=True)
+        doc = ReportDocument(True, base, cover, tuple(violations), certificate, error)
+        return json.loads("".join(doc.to_json()))
+
+    assert report(*retyped) == report(*plain)
