@@ -123,10 +123,8 @@ def cmd_local(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     base, cover = load_cover_path(args.file)
-    fibration = None
-    if args.ev is not None:
-        gf, dhor, gc, ndc, ns = args.ev
-        fibration = FibrationInputs(gF=gf, Dhor_dot_F=dhor, gC=gc, nDC=ndc, nS=ns)
+    # --ev's five numbers are in the order of FibrationInputs' fields.
+    fibration = None if args.ev is None else FibrationInputs(*args.ev)
     violations, certificate, error = examine(base, cover, fibration, strict=args.strict)
     doc = ReportDocument(
         strict=args.strict,

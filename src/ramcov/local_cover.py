@@ -177,35 +177,26 @@ class LocalCoverType(Value):
         return SingularityType(self.n, self.q)
 
 
-def _xgcd(b: int, d: int) -> tuple[int, int, int]:
-    """Extended gcd returning ``(g, u, v)`` with ``g = u*b + v*d >= 0``."""
-    old_r, r = b, d
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def canonical_basis(gamma: LatticeSubgroup) -> tuple[int, int, int]:
     """Reduce a subgroup to its unique basis ``(n', 0), (q', m2)``.
 
     Returns ``(n', q', m2)`` with ``n' > 0``, ``m2 > 0`` and
-    ``0 <= q' < n'``; the index of the subgroup is ``n' * m2``.
+    ``0 <= q' < n'``; the index of the subgroup is ``n' * m2``.  ``m2`` is
+    ``math.gcd`` of the second coordinates, and the Bezout pair that
+    realizes it comes from the modular inverse ``pow(x, -1, m)``.
     """
     (a, b), (c, d) = gamma.g1, gamma.g2
-    g, u, v = _xgcd(b, d)
-    # Second coordinates generate gZ; the combination below realizes g.
-    m2 = g
-    x = u * a + v * c
-    n_prime = abs(a * d - b * c) // g
-    q_prime = x % n_prime
-    return n_prime, q_prime, m2
+    # Second coordinates generate m2 Z, and u*b + v*d = m2 gives the member
+    # (u*a + v*c, m2).  Two Bezout pairs differ by a multiple of (d, -b)/m2,
+    # which moves u*a + v*c by a multiple of det/m2 = +-n', so q' does not
+    # depend on the pair.  With d != 0, u inverts b/m2 mod |d|/m2 and v is
+    # (m2 - u*b)/d exactly; with d = 0, m2 = |b| and (u, v) = (b/m2, 0).
+    m2 = math.gcd(b, d)
+    n_prime = abs(a * d - b * c) // m2
+    if d:
+        u = pow(b // m2, -1, abs(d) // m2)
+        return n_prime, (u * a + (m2 - u * b) // d * c) % n_prime, m2
+    return n_prime, b // m2 * a % n_prime, m2
 
 
 def local_type(gamma: LatticeSubgroup) -> LocalCoverType:

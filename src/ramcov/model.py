@@ -83,13 +83,23 @@ def _point_key(p: "PointAbove") -> tuple:
 
 
 class BranchComponent(Value):
-    """Numerical data of one smooth component of the branch divisor."""
+    """Numerical data of one smooth component of the branch divisor.
+
+    Its ``id`` is a non-empty string that UTF-8 can encode: a lone surrogate,
+    which a JSON document can spell as ``"\\ud800"``, is refused, so that
+    every report can be written.
+    """
 
     __slots__ = ("id", "genus", "self_int", "KX_dot", "fiber_deg")
 
     def __init__(self, id: str, genus: int, self_int: int, KX_dot: int, fiber_deg: int) -> None:
         if not isinstance(id, str) or not id:
             raise InvalidInputError(f"component id must be a non-empty string (got {id!r})")
+        if not id.isascii():
+            try:
+                id.encode()
+            except UnicodeEncodeError:
+                raise InvalidInputError(f"component id must be UTF-8 text (got {id!r})") from None
         check_int(genus, f"component {id!r}: genus", minimum=0)
         check_int(self_int, f"component {id!r}: self_int")
         check_int(KX_dot, f"component {id!r}: KX_dot")
@@ -227,7 +237,7 @@ class PointAbove(Value):
         check_int(jp, "point sheet index jp", minimum=0)
         if isinstance(local, LocalCoverType):
             # Types only: a value out of range is the walk's V5 finding.
-            for name in ("n", "q", "m1", "m2"):
+            for name in LocalCoverType.__match_args__:
                 check_int(getattr(local, name), f"point local type {name}")
         elif not isinstance(local, LatticeSubgroup):
             raise InvalidInputError(

@@ -2,7 +2,7 @@
 
 Reports exist in two formats: a human-readable text form and a JSON form
 whose schema is ``docs/report_schema.json``.  Both are deterministic:
-rationals are written with ``str``, as ``p/q`` or as plain ``n`` when the
+rationals are written as ``p/q`` or as plain ``n`` when the
 denominator is 1, lists are canonically ordered, and JSON keys are sorted,
 so identical inputs produce byte-identical output.  Floating point appears
 nowhere.
@@ -53,6 +53,14 @@ and raw local types are written with the model's fields as keys, in sorted
 order.  The chunk writers write an int with ``format``, so an ``int``
 subclass that the model's checks accept, such as an ``enum.IntEnum``
 member, is written as its number, not its repr.
+
+A record that the report writes whole, a validation finding, the fibration
+inputs, and the derived base data but for its ``open_components``, is
+written from its type's fields, ``__match_args__``, each field name a key.
+The certificate's numbers, a row's value, bound and per-degree factor in
+``certificate.terms`` and on the text report's lines, are written with
+``format`` too: a bound equal to the cover degree is the model's int, and
+``str()`` of an ``enum.IntEnum`` member is its name on CPython 3.10.
 """
 
 from __future__ import annotations
@@ -183,8 +191,8 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     def record(name: str, value, bound, per_degree, ok) -> str:
         """The record of one row whose name, already written as JSON, is ``name``."""
         return (
-            f'{{{key}"bound": "{bound!s}",{key}"name": {name},{key}"ok": {verdict[ok]},'
-            f'{key}"per_degree": "{per_degree!s}",{key}"value": "{value!s}"{end}}}'
+            f'{{{key}"bound": "{bound}",{key}"name": {name},{key}"ok": {verdict[ok]},'
+            f'{key}"per_degree": "{per_degree}",{key}"value": "{value}"{end}}}'
         )
 
     def records(rows):
@@ -352,8 +360,13 @@ def canonical_document(base: BaseGeometry, cover: CoverDescription) -> dict:
     return json.loads(dumps_document(base, cover))
 
 
+def _fields(record: Value) -> dict:
+    """A record's fields by name, as its type names them."""
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
 def _text_term(name: str, value, bound, ok: bool) -> str:
-    return f"  {name}: |{value!s}| <= {bound!s}  {'ok' if ok else 'VIOLATED'}"
+    return f"  {name}: |{value}| <= {bound}  {'ok' if ok else 'VIOLATED'}"
 
 
 class ReportDocument(Value):
@@ -385,15 +398,11 @@ class ReportDocument(Value):
             "input": _echo(self.base, self.cover),
             "validation": {
                 "valid": self.valid,
-                "violations": [
-                    {"code": v.code, "where": list(v.where), "message": v.message}
-                    for v in self.violations
-                ],
+                "violations": [_fields(v) for v in self.violations],
             },
             "derived_base": {
-                "e_c_U": eb.e_c_U,
+                **_fields(eb),
                 "open_components": functools.partial(_write_by_id, eb.open_components),
-                "n_crossings": eb.n_crossings,
             },
             "invariants": None,
             "certificate": None,
@@ -430,16 +439,9 @@ class ReportDocument(Value):
                 "satisfied": cert.satisfied,
                 "fibration": None,
             }
-            fib = cert.fibration_inputs
-            if fib is not None:
+            if cert.fibration_inputs is not None:
                 cert_doc["fibration"] = {
-                    "inputs": {
-                        "gF": fib.gF,
-                        "Dhor_dot_F": fib.Dhor_dot_F,
-                        "gC": fib.gC,
-                        "nDC": fib.nDC,
-                        "nS": fib.nS,
-                    },
+                    "inputs": _fields(cert.fibration_inputs),
                     "bound": str(cert.fibration_bound),
                     "deg_det_within": cert.deg_det_within_fibration,
                     "assumed_hypotheses": list(FIBRATION_HYPOTHESES),

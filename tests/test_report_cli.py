@@ -406,6 +406,16 @@ def test_cli_invariants_reports_n_below_one_as_invalid_local_type(capsys, tmp_pa
     )
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_cli_invariants_refuses_a_component_id_utf8_cannot_encode(capsys, tmp_path, flags):
+    # "\ud800" is valid JSON, but the text report could not write it to stdout.
+    target = tmp_path / "surrogate.json"
+    target.write_text((COVERS / "identity.json").read_text().replace('"D1"', '"\\ud800"'))
+    code, out, err = run(capsys, "invariants", str(target), *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: base.components[0]: component id must be UTF-8 text (got '\\ud800')\n"
+
+
 def test_cli_invariants_ev_arity_error(capsys):
     code, _, err = run(capsys, "invariants", str(COVERS / "identity.json"), "--ev", "0", "2")
     assert code == 2
@@ -437,6 +447,15 @@ def test_cli_invariants_json_values(capsys):
     assert inv["euler_Yprime"] == 4
     assert payload["consistency"] == {"chi_integral": True, "deg_det_integral": True}
     assert payload["certificate"]["satisfied"] is True
+
+
+def test_cli_invariants_ev_numbers_are_the_fibration_inputs_in_order(capsys):
+    # Five distinct numbers: the shipped runs' 1 2 0 2 3 would hide a swap.
+    _, out, _ = run(capsys, "invariants", str(COVERS / "identity.json"), "--json",
+                    "--ev", "1", "2", "3", "4", "5")
+    assert json.loads(out)["certificate"]["fibration"]["inputs"] == {
+        "gF": 1, "Dhor_dot_F": 2, "gC": 3, "nDC": 4, "nS": 5,
+    }
 
 
 def test_cli_invariants_output_is_byte_deterministic(capsys, tmp_path):

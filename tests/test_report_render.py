@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 
 import ramcov.report
 from ramcov.cli import main
+from ramcov.golden import double_cover
 from ramcov.invariants import examine
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
+from ramcov.model import CoverDescription
 from ramcov.report import ReportDocument, dumps_document, render_json
 from ramcov.value import Value
 from report_reference import reference_document, reference_report
@@ -312,3 +314,31 @@ def test_the_echo_writes_an_int_subclass_as_its_number():
         return json.loads("".join(doc.to_json()))
 
     assert report(*retyped) == report(*plain)
+
+
+class _Named(int):
+    """An int that ``str()`` spells by a name and ``format`` by its number.
+
+    So ``enum.IntEnum`` members behave on CPython 3.10.
+    """
+
+    def __str__(self):
+        return f"Named.N{int(self)}"
+
+    def __format__(self, spec):
+        return format(int(self), spec)
+
+
+def test_the_certificate_writes_a_degree_int_subclass_as_its_number():
+    # A bound equal to the cover degree is the model's int; with str() the
+    # double cover's certificate wrote "Named.N2" in 16 terms and text lines.
+    base, plain = double_cover()
+    named = CoverDescription(_Named(plain.degree), plain.ramification, plain.points_above)
+
+    def reports(cover):
+        violations, certificate, error = examine(base, cover, None, strict=True)
+        doc = ReportDocument(True, base, cover, tuple(violations), certificate, error)
+        return "".join(doc.to_json()), doc.to_text()
+
+    assert "Named.N2" in str(named.degree)
+    assert reports(named) == reports(plain)
