@@ -96,8 +96,9 @@ class HJChain(Value):
     Entries are the negated self-intersection numbers of the exceptional
     curves, so every entry is at least 2 and the chain is non-empty.  The
     constructor checks both, and that the entries are a tuple, for entries
-    from a caller; the chains this module derives (:func:`hj_expand`,
-    :meth:`reversed`) are built by ``_hj_chain`` without the check.
+    from a caller, each entry by :func:`~ramcov.errors.check_int`; the
+    chains this module derives (:func:`hj_expand`, :meth:`reversed`) are
+    built by ``_hj_chain`` without the check.
     """
 
     __slots__ = ("b",)
@@ -107,11 +108,8 @@ class HJChain(Value):
             raise InvalidInputError(f"chain entries must be a tuple (got {b!r})")
         if not b:
             raise InvalidInputError("chain must be non-empty")
-        for i, bi in enumerate(b):
-            if not isinstance(bi, int) or bi < 2:
-                raise InvalidInputError(
-                    f"chain entries must be integers >= 2 (got b_{i + 1} = {bi!r})"
-                )
+        for i, bi in enumerate(b, 1):
+            check_int(bi, f"chain entry b_{i}", 2)
         self._set_fields(b)
 
     @property

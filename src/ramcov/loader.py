@@ -142,21 +142,12 @@ def _as_list(value: Any, path: str, suffix: str = "") -> list:
     return value
 
 
-def _as_pair(value: Any, path: str) -> list:
-    """The two-member list in the ``pair`` field of the item at ``path``."""
-    pair = _as_list(value, path, ".pair")
-    if len(pair) != 2:
-        raise InputFormatError(f"{path}.pair: expected exactly two component ids")
-    return pair
-
-
-def _pair_ids(pair: list, path: str) -> tuple[str, str]:
-    return (_as_str(pair[0], path, ".pair[0]"), _as_str(pair[1], path, ".pair[1]"))
-
-
 def _as_id_pair(value: Any, path: str, suffix: str) -> tuple[str, str]:
-    """A ``pair`` field: its shape, then its members."""
-    return _pair_ids(_as_pair(value, path), path)
+    """A ``pair`` field: a list of exactly two members, each a string."""
+    pair = _as_list(value, path, suffix)
+    if len(pair) != 2:
+        raise InputFormatError(f"{path}{suffix}: expected exactly two component ids")
+    return (_as_str(pair[0], path, f"{suffix}[0]"), _as_str(pair[1], path, f"{suffix}[1]"))
 
 
 # Suffixes of the two generator rows of a lattice and of their coordinates.
@@ -244,14 +235,6 @@ def _shared_records(
     return records
 
 
-def _crossing(value: Any, path: str) -> Crossing:
-    # Not table-driven: the pair's shape is checked before the index and its
-    # members after it, so a crossing's faults are reported in that order.
-    obj = _as_obj(value, path, _CROSSING.keys())
-    pair = _as_pair(obj["pair"], path)
-    return _build(Crossing, [_as_int(obj["index"], path, ".index"), _pair_ids(pair, path)], path)
-
-
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
     components = _records(BranchComponent, obj["components"], "base.components", _COMPONENT)
@@ -260,15 +243,15 @@ def _parse_base(obj: Any) -> BaseGeometry:
     for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
         # An exact record, the common case, is judged by Crossing alone, with
         # no per-field call and no path; a refusal, or any other record, is
-        # judged again by _crossing for the message naming its field.  The
-        # list check keeps a string or an object from passing as its pair.
+        # judged again through _CROSSING for the message naming its field.
+        # The list check keeps a string or an object from passing as its pair.
         if type(raw) is dict and raw.keys() == keys and type(pair := raw["pair"]) is list:
             try:
                 crossings.append(Crossing(raw["index"], tuple(pair)))
                 continue
             except InvalidInputError:
                 pass
-        crossings.append(_crossing(raw, f"base.crossings[{k}]"))
+        crossings.append(_record(Crossing, raw, f"base.crossings[{k}]", _CROSSING))
     pair_counts = _records(
         lambda pair, count: (pair, count),
         obj.get("pair_intersections", []),

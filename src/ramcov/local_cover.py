@@ -67,8 +67,9 @@ def check_enumeration_bound(
 class LatticeSubgroup(Value):
     """A finite-index subgroup of Z^2 given by two generators.
 
-    The constructor checks that the generators are exact int pairs with
-    nonzero determinant; the subgroups this module derives
+    The constructor checks that the generators are tuples of two integers,
+    each coordinate by :func:`~ramcov.errors.check_int`, with nonzero
+    determinant; the subgroups this module derives
     (:func:`enumerate_subgroups`, :meth:`swapped`) are built by
     ``_lattice_subgroup`` without the check.
     """
@@ -77,12 +78,10 @@ class LatticeSubgroup(Value):
 
     def __init__(self, g1: tuple[int, int], g2: tuple[int, int]) -> None:
         for g in (g1, g2):
-            if (
-                not isinstance(g, tuple)
-                or len(g) != 2
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in g)
-            ):
+            if not isinstance(g, tuple) or len(g) != 2:
                 raise InvalidInputError(f"generators must be integer pairs (got {g!r})")
+            for c in g:
+                check_int(c, "generator coordinate")
         if g1[0] * g2[1] - g1[1] * g2[0] == 0:
             raise InvalidInputError(f"generators must be linearly independent (got {g1}, {g2})")
         self._set_fields(g1, g2)

@@ -85,9 +85,13 @@ def _point_key(p: "PointAbove") -> tuple:
 class BranchComponent(Value):
     """Numerical data of one smooth component of the branch divisor.
 
-    Its ``id`` is a non-empty string that UTF-8 can encode: a lone surrogate,
-    which a JSON document can spell as ``"\\ud800"``, is refused, so that
-    every report can be written.
+    Its ``id`` is a non-empty string for which ``str.isprintable`` holds.
+    That refuses a lone surrogate, which a JSON document can spell as
+    ``"\\ud800"`` and no report could write, and every line break, tab,
+    control or format character and every separator but the space, with
+    which an id could write lines of its own into the text report.  Every
+    other id a report writes must name a component, so this one check
+    covers them all.
     """
 
     __slots__ = ("id", "genus", "self_int", "KX_dot", "fiber_deg")
@@ -95,11 +99,8 @@ class BranchComponent(Value):
     def __init__(self, id: str, genus: int, self_int: int, KX_dot: int, fiber_deg: int) -> None:
         if not isinstance(id, str) or not id:
             raise InvalidInputError(f"component id must be a non-empty string (got {id!r})")
-        if not id.isascii():
-            try:
-                id.encode()
-            except UnicodeEncodeError:
-                raise InvalidInputError(f"component id must be UTF-8 text (got {id!r})") from None
+        if not id.isprintable():
+            raise InvalidInputError(f"component id must be printable text (got {id!r})")
         check_int(genus, f"component {id!r}: genus", minimum=0)
         check_int(self_int, f"component {id!r}: self_int")
         check_int(KX_dot, f"component {id!r}: KX_dot")

@@ -116,7 +116,7 @@ def test_values_from_outside_are_checked(checked_inits, capsys):
     assert discrepancies(HJChain((2, 2))) == ((0, 0), 0)
     assert checked_inits["HJChain"] == 2
     chain = hj_expand(SingularityType(5, 2))
-    with pytest.raises(InvalidInputError, match="integers >= 2"):
+    with pytest.raises(InvalidInputError, match=r"^chain entry b_1 must be >= 2 \(got 1\)$"):
         replace(chain, b=(1,))
     with pytest.raises(InvalidInputError, match="linearly independent"):
         replace(enumerate_subgroups(1)[0], g2=(4, 0))

@@ -477,7 +477,7 @@ _DIAGNOSTICS = [
     (("base", "components", 0), {"id": 1, "genus": "g", "self_int": 0, "KX_dot": 0, "fiber_deg": 0},
      "base.components[0].id: expected a string (got 1)"),
     (("base", "crossings", 0), {"index": "0", "pair": ["D1"]},
-     "base.crossings[0].pair: expected exactly two component ids"),
+     "base.crossings[0].index: expected an integer (got '0')"),
     (("base", "crossings", 0), {"index": "0", "pair": [1, 2]},
      "base.crossings[0].index: expected an integer (got '0')"),
     (("base", "pair_intersections", 0), {"count": "1", "pair": ["D1", 2]},
@@ -536,9 +536,8 @@ _SELF = "components must be distinct (transversal self-intersections are not mod
          f"{_AT}: unknown keys ['at']"),
         ({"index": 1}, InputFormatError, f"{_AT}: missing keys ['pair']"),
         ({"pair": ["D1", "D4"]}, InputFormatError, f"{_AT}: missing keys ['index']"),
-        # The pair's shape is judged before the index, its members after it.
         ({"index": 1.0, "pair": ["D1"]}, InputFormatError,
-         f"{_AT}.pair: expected exactly two component ids"),
+         f"{_AT}.index: expected an integer (got 1.0)"),
         ({"index": True, "pair": ["D1", 4]}, InputFormatError,
          f"{_AT}.index: expected an integer (got True)"),
         ({"index": 1, "pair": ["D1", "D9"]}, InvalidInputError,

@@ -55,8 +55,8 @@ class _Pair(tuple):
     "g1,g2,message",
     [
         ([2, 0], (1, 1), "generators must be integer pairs (got [2, 0])"),
-        ((2, 0), (True, 1), "generators must be integer pairs (got (True, 1))"),
-        ((2, 0), (1, 1.0), "generators must be integer pairs (got (1, 1.0))"),
+        ((2, 0), (True, 1), "generator coordinate must be an integer (got True)"),
+        ((2, 0), (1, 1.0), "generator coordinate must be an integer (got 1.0)"),
         ((2, 0, 0), (1, 1), "generators must be integer pairs (got (2, 0, 0))"),
         ((2, 0), "11", "generators must be integer pairs (got '11')"),
         ((2, 0), (4, 0), "generators must be linearly independent (got (2, 0), (4, 0))"),

@@ -406,14 +406,45 @@ def test_cli_invariants_reports_n_below_one_as_invalid_local_type(capsys, tmp_pa
     )
 
 
+def _renamed_d1(tmp_path, name: str, cid: str):
+    """The path of a copy of the shipped document ``name`` with ``D1`` renamed ``cid``."""
+    target = tmp_path / "renamed.json"
+    target.write_text((COVERS / name).read_text().replace('"D1"', json.dumps(cid)))
+    return target
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
-def test_cli_invariants_refuses_a_component_id_utf8_cannot_encode(capsys, tmp_path, flags):
-    # "\ud800" is valid JSON, but the text report could not write it to stdout.
-    target = tmp_path / "surrogate.json"
-    target.write_text((COVERS / "identity.json").read_text().replace('"D1"', '"\\ud800"'))
-    code, out, err = run(capsys, "invariants", str(target), *flags)
+@pytest.mark.parametrize(
+    "name,cid",
+    [
+        # "\ud800" is valid JSON, but the text report could not write it to stdout.
+        ("identity.json", "\ud800"),
+        # Would write a false chi line into the text report, ahead of the true one.
+        ("bidouble.json", "D1\n  chi = 999 [integral]"),
+        ("identity.json", "\t"),
+        ("identity.json", "\u2028"),
+        ("identity.json", "\x85"),
+    ],
+    ids=["surrogate", "spoofed-chi", "tab", "line-separator", "next-line"],
+)
+def test_cli_invariants_refuses_a_component_id_that_is_not_printable(
+    capsys, tmp_path, flags, name, cid
+):
+    code, out, err = run(capsys, "invariants", str(_renamed_d1(tmp_path, name, cid)), *flags)
     assert (code, out) == (2, "")
-    assert err == "error: base.components[0]: component id must be UTF-8 text (got '\\ud800')\n"
+    assert err == f"error: base.components[0]: component id must be printable text (got {cid!r})\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_cli_invariants_accepts_a_printable_non_ascii_component_id(capsys, tmp_path, flags):
+    # Delta and subscript one are assigned long before Unicode 13, so every
+    # supported interpreter's str.isprintable knows them.
+    code, out, err = run(
+        capsys, "invariants", str(_renamed_d1(tmp_path, "bidouble.json", "\u0394\u2081")), *flags
+    )
+    assert (code, err) == (0, "")
+    text = json.dumps(json.loads(out), ensure_ascii=False) if flags else out
+    assert "\u0394\u2081" in text and "D1" not in text
 
 
 def test_cli_invariants_ev_arity_error(capsys):
