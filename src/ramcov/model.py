@@ -91,7 +91,9 @@ class BranchComponent(Value):
     control or format character and every separator but the space, with
     which an id could write lines of its own into the text report.  Every
     other id a report writes must name a component, so this one check
-    covers them all.
+    covers them all.  ``str.isprintable`` follows the running interpreter's
+    Unicode version: an id holding a character assigned after Unicode 13,
+    such as U+1FAE0, loads under CPython 3.11 and later but not under 3.10.
     """
 
     __slots__ = ("id", "genus", "self_int", "KX_dot", "fiber_deg")

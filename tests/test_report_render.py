@@ -154,8 +154,10 @@ def test_grid_report_matches_stdlib_rendering(capsys, monkeypatch, tmp_path):
 
 
 def _bidouble_with_escaped_ids() -> dict:
-    # Ids holding a quote, a backslash, a non-ASCII and a control character.
-    names = {"D1": 'D"1', "D2": "D\\2", "D3": "D\u00e93", "D4": "D\x014"}
+    # Ids holding a quote, a backslash, a non-ASCII character and one
+    # outside the Basic Multilingual Plane, which JSON escapes as a
+    # surrogate pair.
+    names = {"D1": 'D"1', "D2": "D\\2", "D3": "D\u00e93", "D4": "D\U0001d49f4"}
 
     def rename(obj):
         if isinstance(obj, dict):
@@ -202,7 +204,7 @@ def _reordered_sheet_keys(doc):
 _EDITED = [
     ("escaped_ids", _bidouble_with_escaped_ids(),
      lambda p: [c["id"] for c in p["input"]["base"]["components"]]
-     == ["D\x014", 'D"1', "D\\2", "D\u00e93"]),
+     == ['D"1', "D\\2", "D\u00e93", "D\U0001d49f4"]),
     ("empty_point_list", _identity_with(lambda pts: pts.update({"0": []})),
      lambda p: p["input"]["cover"]["points_above"]["0"] == []),
     ("no_points", _identity_with(dict.clear), lambda p: p["input"]["cover"]["points_above"] == {}),
