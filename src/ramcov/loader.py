@@ -70,6 +70,7 @@ forms above still load to two objects.
 
 from __future__ import annotations
 
+import gc
 import json
 import marshal
 from typing import AbstractSet, Any, Callable
@@ -339,6 +340,15 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
 
 
 def load_cover_path(path: str) -> tuple[BaseGeometry, CoverDescription]:
+    """Read and parse the cover document at ``path``, as :func:`parse_cover_json` does.
+
+    The cyclic garbage collector is paused for the parse and restored after
+    it, whether the document loads or is refused; it is enabled again only
+    if it was enabled on entry.  While the parse runs, the decoded tree and
+    the model built from it are all live, so the collector's passes, which
+    the many new containers trigger, find nothing to collect: at 10^5
+    crossings they took about a third of the command's time.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -346,4 +356,10 @@ def load_cover_path(path: str) -> tuple[BaseGeometry, CoverDescription]:
             raise InputFormatError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
-    return parse_cover_json(text)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_cover_json(text)
+    finally:
+        if enabled:
+            gc.enable()

@@ -37,7 +37,8 @@ The construction rule: a value is built by its constructor.  A module may
 keep a private builder that calls ``_set_fields`` on ``object.__new__(cls)``
 only for a class whose constructor checks something, and uses it only on
 values it derives from already-checked ones, which a ``verify`` sweep
-re-checks.
+re-checks.  A sweep may likewise build the values its own loop derives and
+has just judged, such as the coprime pairs ``(n, q)`` of ``hj_sweep``.
 """
 
 from operator import attrgetter

@@ -12,7 +12,8 @@ correctness statement the package can make about itself.
 from __future__ import annotations
 
 import math
-from operator import mul
+from collections import Counter
+from operator import attrgetter, mul
 from typing import Optional
 
 from .hj import SingularityType, discrepancies, hj_evaluate, hj_expand
@@ -51,6 +52,17 @@ class SweepResult(Value):
         return not self.failures
 
 
+def _swept_type(n: int, q: int) -> SingularityType:
+    """A :class:`SingularityType` on ``n, q``, built without ``__init__``'s check.
+
+    For :func:`hj_sweep`'s own pairs only: its loop gives ints with
+    ``2 <= n``, ``1 <= q < n`` and ``gcd(n, q) = 1``.
+    """
+    sing = object.__new__(SingularityType)
+    sing._set_fields(n, q)
+    return sing
+
+
 def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
@@ -66,8 +78,11 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
 
     Each chain statistic is one C-level reduction (``min``, ``max``,
     ``sum``, ``count``, ``any``) and the recursion is one pass over the
-    chain, so a pair costs little more than its chain and discrepancies.  The
-    witness, with its copy of the chain, is built only for a pair that fails.
+    chain, with no padded copy of the discrepancies, so a pair costs little
+    more than its chain and discrepancies.  The loop has built and tested
+    each pair, so its type is built by ``_swept_type`` without the
+    constructor's check.  The index of a nonzero residual, and the witness
+    with its copy of the chain, are found only for a pair that fails.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
@@ -76,11 +91,12 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     check_enumeration_bound("max_n", max_n, 2, cap)
     checked = 0
     for n in range(2, max_n + 1):
+        two_n = 2 * n
         for q in range(1, n):
             if math.gcd(n, q) != 1:
                 continue
             checked += 1
-            chain = hj_expand(SingularityType(n, q))
+            chain = hj_expand(_swept_type(n, q))
             b = chain.b
             length = len(b)
             failed = []  # (property, message), in check order
@@ -105,11 +121,18 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
                 failed.append(("discrepancy-range", f"some n * a_i outside (-n, 0]: {list(v)}"))
             if len(v) == length:
                 # b_i v_i - v_(i-1) - v_(i+1) = (2 - b_i) n, with v_0 = v_(λ+1) = 0
-                w = (0, *v, 0)
-                for i, (bi, left, vi, right) in enumerate(zip(b, w, v, w[2:]), 1):
-                    if bi * (vi + n) != left + right + 2 * n:
+                left = 0
+                for bi, vi, right in zip(b, v, (*v[1:], 0)):
+                    if bi * (vi + n) != left + right + two_n:
+                        # the first failing index, found by a scan that counts
+                        w = (0, *v, 0)
+                        i = next(
+                            i for i, (bi, left, vi, right) in enumerate(zip(b, w, v, w[2:]), 1)
+                            if bi * (vi + n) != left + right + two_n
+                        )
                         failed.append(("recursion-residual", f"nonzero residual at index {i}"))
                         break
+                    left = vi
             # the sum of v_i (b_i - 2) over the pairs that zip(v, b) makes
             if c != sum(map(mul, v, b)) - 2 * sum(v[:length]):
                 failed.append(("correction-sum", f"n * correction = {c} != sum of n * a_i (b_i - 2)"))
@@ -151,15 +174,18 @@ def _prime_divisors(k: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _axis_multiple_below(g: LatticeSubgroup, n_prime: int, n_prime_in: bool) -> bool:
+def _axis_multiple_below(
+    g: LatticeSubgroup, n_prime: int, n_prime_in: bool, primes: tuple[int, ...]
+) -> bool:
     """Whether ``(t, 0)`` lies in ``g`` for some ``0 < t < n_prime``.
 
     ``n_prime_in`` says whether ``(n_prime, 0)`` lies in ``g``; when it does,
-    only ``(n_prime / p, 0)`` for the primes ``p | n_prime`` are tested (see
-    :func:`lattice_sweep`), otherwise every ``t``.
+    only ``(n_prime / p, 0)`` for the ``primes`` of ``n_prime``, those
+    :func:`_prime_divisors` gives, are tested (see :func:`lattice_sweep`),
+    otherwise every ``t``.
     """
     if n_prime_in:
-        return any(g.contains((n_prime // p, 0)) for p in _prime_divisors(n_prime))
+        return any(g.contains((n_prime // p, 0)) for p in primes)
     return any(g.contains((t, 0)) for t in range(1, n_prime))
 
 
@@ -187,81 +213,80 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     is vacuous for ``n' <= 1``.  When ``(n', 0)`` is not in the subgroup,
     ``canonical-membership`` has already failed and every ``t < n'`` is
     tested, so the failures are the same as a full scan's on any input.
+    The primes of each ``n'`` are found once per call and kept in a table
+    that lives as long as the call, since thousands of subgroups share an
+    ``n'``; each local type's fields are read once, into locals.
     """
     subgroups = enumerate_subgroups(max_index, cap=cap)
 
-    counts: dict[int, int] = {}
-    for g in subgroups:
-        counts[g.index] = counts.get(g.index, 0) + 1
+    counts = Counter(map(attrgetter("index"), subgroups))
     for k in range(1, max_index + 1):
         expected = _sigma(k)
-        if counts.get(k, 0) != expected:
+        if counts[k] != expected:
             failure = PropertyFailure(
                 "enumeration-count",
                 {"index": k},
-                f"enumerated {counts.get(k, 0)} subgroups of index {k}, expected sigma(k) = {expected}",
+                f"enumerated {counts[k]} subgroups of index {k}, expected sigma(k) = {expected}",
             )
             return SweepResult("lattice", 0, (failure,))
 
     checked = 0
+    prime_table: dict[int, tuple[int, ...]] = {}  # n' -> _prime_divisors(n'), for this call
     for g in subgroups:
         checked += 1
         lt = local_type(g)
+        n, q, m1, m2 = lt.n, lt.q, lt.m1, lt.m2
+        d_y = lt.d_y
         index = g.index
         failed = []  # (property, message), in check order
-        if lt.d_y != index or lt.d_y != lt.n * lt.m1 * lt.m2:
-            failed.append(("index-identity", f"d_y {lt.d_y} != |det| {index}"))
-        if lt.e1 != lt.n * lt.m1 or lt.e2 != lt.n * lt.m2:
+        if d_y != index or d_y != n * m1 * m2:
+            failed.append(("index-identity", f"d_y {d_y} != |det| {index}"))
+        if lt.e1 != n * m1 or lt.e2 != n * m2:
             failed.append(("ramification-split", "e1/e2 do not split as n*m1 / n*m2"))
-        if lt.m1 < 1 or lt.m2 < 1:
+        if m1 < 1 or m2 < 1:
             failed.append(("positivity", "m1 and m2 must be positive"))
-        if lt.n > 1 and math.gcd(lt.n, lt.q) != 1:
-            failed.append(("primitivity", f"gcd(n, q) = {math.gcd(lt.n, lt.q)} != 1"))
-        if not 0 <= lt.q < max(lt.n, 1):
-            failed.append(("q-range", f"q = {lt.q} outside [0, n)"))
+        if n > 1 and math.gcd(n, q) != 1:
+            failed.append(("primitivity", f"gcd(n, q) = {math.gcd(n, q)} != 1"))
+        if not 0 <= q < max(n, 1):
+            failed.append(("q-range", f"q = {q} outside [0, n)"))
 
         # The canonical basis must actually be a basis: both vectors lie in
         # the subgroup, their determinant has the right index, and no
         # shorter positive multiple of (1, 0) lies in the subgroup.
-        n_prime, q_prime = lt.n * lt.m1, lt.q * lt.m1
+        n_prime, q_prime = n * m1, q * m1
         first_in = g.contains((n_prime, 0))
-        if not (first_in and g.contains((q_prime, lt.m2))):
+        if not (first_in and g.contains((q_prime, m2))):
             failed.append(("canonical-membership", "canonical basis vectors not in subgroup"))
-        if n_prime * lt.m2 != index:
+        if n_prime * m2 != index:
             failed.append(("canonical-index", "canonical basis does not have full index"))
-        if _axis_multiple_below(g, n_prime, first_in):
+        primes = prime_table.get(n_prime)
+        if primes is None:
+            primes = prime_table[n_prime] = _prime_divisors(n_prime)
+        if _axis_multiple_below(g, n_prime, first_in, primes):
             failed.append(("first-generator-minimality", f"(t, 0) in subgroup for t < {n_prime}"))
 
         swapped = local_type(g.swapped())
-        if swapped.n != lt.n or swapped.m1 != lt.m2 or swapped.m2 != lt.m1:
-            failed.append(
-                ("axis-swap-shape", f"swap gave (n, m1, m2) = ({swapped.n}, {swapped.m1}, {swapped.m2})")
-            )
-        if lt.n > 1:
-            if (lt.q * swapped.q) % lt.n != 1:
+        s_n, s_q, s_m1, s_m2 = swapped.n, swapped.q, swapped.m1, swapped.m2
+        if s_n != n or s_m1 != m2 or s_m2 != m1:
+            failed.append(("axis-swap-shape", f"swap gave (n, m1, m2) = ({s_n}, {s_m1}, {s_m2})"))
+        if n > 1:
+            if (q * s_q) % n != 1:
                 failed.append(
-                    ("axis-swap-duality", f"q * q_swapped = {lt.q} * {swapped.q} is not 1 mod {lt.n}")
+                    ("axis-swap-duality", f"q * q_swapped = {q} * {s_q} is not 1 mod {n}")
                 )
-        elif swapped.q != 0:
+        elif s_q != 0:
             failed.append(("axis-swap-duality", "smooth type must swap to q = 0"))
 
         # An enumerated subgroup has g1 = (a, 0), a >= 1: it is the product
         # aZ x (index/a)Z exactly when it holds (0, index/a).
         is_product = g.contains((0, index // g.g1[0]))
-        if (lt.n == 1) != is_product:
+        if (n == 1) != is_product:
             failed.append(
                 ("smoothness", "n = 1 must coincide with the subgroup being a product lattice")
             )
 
         if failed:
-            witness = {
-                "g1": list(g.g1),
-                "g2": list(g.g2),
-                "n": lt.n,
-                "q": lt.q,
-                "m1": lt.m1,
-                "m2": lt.m2,
-            }
+            witness = {"g1": list(g.g1), "g2": list(g.g2), "n": n, "q": q, "m1": m1, "m2": m2}
             failures = tuple(PropertyFailure(prop, witness, msg) for prop, msg in failed)
             return SweepResult("lattice", checked, failures)
     return SweepResult("lattice", checked, ())

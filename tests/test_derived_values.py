@@ -1,15 +1,16 @@
 """Derived values skip their constructors' checks; values from outside do not.
 
-Two private builders remain, one per class whose constructor checks
+Three private builders remain, one per class whose constructor checks
 something: ``hj._hj_chain`` builds the chains that :func:`hj_expand` and
-``HJChain.reversed`` derive, and ``local_cover._lattice_subgroup`` the
+``HJChain.reversed`` derive, ``local_cover._lattice_subgroup`` the
 subgroups that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped``
-derive.  :class:`LocalCoverType` checks nothing, so :func:`local_type`
-calls its constructor.  The first three tests hold each derived value to
-the constructor.  The last three count ``__init__`` calls: the sweeps run
-no check, the lattice sweep builds its local types through the
-constructor, and a document, ``ramcov local`` and the public constructors
-run the checks as before.
+derive, and ``verify._swept_type`` the singularity types whose pairs
+``hj_sweep``'s loop builds and tests.  :class:`LocalCoverType` checks
+nothing, so :func:`local_type` calls its constructor.  The first four tests
+hold each derived value to the constructor.  The last three count
+``__init__`` calls: the sweeps run no check, the lattice sweep builds its
+local types through the constructor, and a document, ``ramcov local`` and
+the public constructors run the checks as before.
 """
 
 import functools
@@ -31,7 +32,7 @@ from ramcov.local_cover import (
     enumerate_subgroups,
     local_type,
 )
-from ramcov.verify import hj_sweep, lattice_sweep
+from ramcov.verify import _swept_type, hj_sweep, lattice_sweep
 from rebuild import replace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -50,6 +51,15 @@ def test_expanded_and_reversed_chains_pass_the_checked_constructor():
             for c in (chain, chain.reversed()):
                 assert type(c.b) is tuple and all(type(bi) is int for bi in c.b), (n, q)
                 assert HJChain(c.b) == c, (n, q)
+
+
+def test_swept_types_equal_the_checked_constructor():
+    for n in range(2, 301):
+        for q in range(1, n):
+            if math.gcd(n, q) == 1:
+                sing = _swept_type(n, q)
+                assert type(sing) is SingularityType, (n, q)
+                assert sing == SingularityType(n, q) and hash(sing) == hash(SingularityType(n, q))
 
 
 def test_enumerated_and_swapped_subgroups_pass_the_checked_constructor():
@@ -77,7 +87,7 @@ def test_local_type_equals_the_keyword_construction():
 def checked_inits(monkeypatch):
     """Counts ``__init__`` calls per class, by wrapping the class attribute."""
     calls = Counter()
-    for cls in (HJChain, LatticeSubgroup, LocalCoverType):
+    for cls in (HJChain, LatticeSubgroup, LocalCoverType, SingularityType):
         @functools.wraps(cls.__init__)  # keeps the signature that rebuild.replace reads
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls[_name] += 1
@@ -89,6 +99,7 @@ def checked_inits(monkeypatch):
 def test_the_sweeps_run_no_constructor_check(checked_inits):
     assert hj_sweep(40).ok and lattice_sweep(30).ok
     assert checked_inits["HJChain"] == checked_inits["LatticeSubgroup"] == 0
+    assert checked_inits["SingularityType"] == 0
 
 
 def test_the_lattice_sweep_builds_two_local_types_per_subgroup(checked_inits):
@@ -120,4 +131,4 @@ def test_values_from_outside_are_checked(checked_inits, capsys):
         replace(chain, b=(1,))
     with pytest.raises(InvalidInputError, match="linearly independent"):
         replace(enumerate_subgroups(1)[0], g2=(4, 0))
-    assert checked_inits == Counter({"HJChain": 3, "LatticeSubgroup": 1})
+    assert checked_inits == Counter({"HJChain": 3, "LatticeSubgroup": 1, "SingularityType": 1})

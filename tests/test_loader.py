@@ -1,5 +1,6 @@
 """Strict JSON loading, canonicalization, and the shipped document files."""
 
+import gc
 import json
 import pathlib
 import tracemalloc
@@ -320,6 +321,22 @@ def test_malformed_fixtures():
     load_cover_path(str(COVERS / "malformed" / "bad_v3.json"))
     with pytest.raises(InputFormatError):
         load_cover_path(str(COVERS / "malformed" / "bad_parse.json"))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "name,loads", [("bidouble.json", True), ("malformed/bad_parse.json", False)],
+    ids=["loaded", "refused"],
+)
+def test_a_load_leaves_the_collector_as_it_found_it(enabled, name, loads):
+    # The load pauses the cyclic collector and restores its state on entry.
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert _loads(COVERS / name) is loads
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 JSON_VALUES = st.recursive(

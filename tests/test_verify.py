@@ -112,6 +112,32 @@ def test_hj_sweep_detects_a_discrepancy_off_by_one(monkeypatch):
     assert all(len(f.witness["chain"]) == 3 for f in res.failures)
 
 
+def _shift_entry(k, as_list):
+    """A ``discrepancies`` that lowers entry ``k`` (negative from the end) of chains of length 5."""
+
+    def shifted(chain):
+        v, c = discrepancies(chain)
+        if len(v) == 5:
+            v = list(v)
+            v[k] -= 1
+            v = v if as_list else tuple(v)
+        return v, c
+
+    return shifted
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
+@pytest.mark.parametrize("k,index", [(0, 1), (2, 2), (-1, 4)], ids=["first", "middle", "last"])
+def test_hj_sweep_names_the_first_index_with_a_nonzero_residual(monkeypatch, k, index, as_list):
+    # A shifted v_j breaks the recursion at j - 1, j and j + 1 where those
+    # exist, so the first index named is j - 1, or 1 when j = 1.
+    monkeypatch.setattr(verify, "discrepancies", _shift_entry(k, as_list))
+    res = verify.hj_sweep(30)
+    residual = [f for f in res.failures if f.prop == "recursion-residual"]
+    assert len(residual) == 1 and len(residual[0].witness["chain"]) == 5
+    assert residual[0].message == f"nonzero residual at index {index}"
+
+
 def test_hj_sweep_reports_a_short_discrepancy_vector(monkeypatch):
     def bad_discrepancies(chain):
         v, c = discrepancies(chain)
@@ -295,9 +321,10 @@ def _rebased(g, a, b, c, d):
 
 
 def test_prime_divisor_minimality_matches_the_scan():
-    # The scan over every t < n' is the oracle of the shortcut, on the
-    # Hermite generators, their axis swap, and non-Hermite generators of the
-    # same subgroups; at 2n' the first generator is never minimal.
+    # The scan over every t < n' is the oracle of the shortcut, given the
+    # primes of t, on the Hermite generators, their axis swap, and
+    # non-Hermite generators of the same subgroups; at 2n' the first
+    # generator is never minimal.
     bases = [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (0, 1, -1, 3), (-3, 2, 5, -3)]
     for h in enumerate_subgroups(80):
         for g in (h, h.swapped()):
@@ -307,7 +334,8 @@ def test_prime_divisor_minimality_matches_the_scan():
                 for t in (n_prime, 2 * n_prime):
                     assert r.contains((t, 0))
                     expected = any(r.contains((s, 0)) for s in range(1, t))
-                    assert verify._axis_multiple_below(r, t, True) == expected, (r, t)
+                    primes = verify._prime_divisors(t)
+                    assert verify._axis_multiple_below(r, t, True, primes) == expected, (r, t)
 
 
 def test_prime_divisors():
@@ -316,6 +344,23 @@ def test_prime_divisors():
     ]
     for k in range(1, 500):
         assert verify._prime_divisors(k) == tuple(sympy.primefactors(k))
+
+
+def test_lattice_sweep_factors_each_first_generator_once(monkeypatch):
+    # The prime table lives for one call: a second sweep factors again.
+    calls = []
+    prime_divisors = verify._prime_divisors
+
+    def counting(k):
+        calls.append(k)
+        return prime_divisors(k)
+
+    monkeypatch.setattr(verify, "_prime_divisors", counting)
+    distinct = {canonical_basis(g)[0] for g in enumerate_subgroups(45)}
+    for _ in range(2):
+        calls.clear()
+        assert verify.lattice_sweep(45).ok
+        assert sorted(calls) == sorted(distinct)
 
 
 def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
