@@ -185,7 +185,11 @@ def _axis_multiple_below(
     otherwise every ``t``.
     """
     if n_prime_in:
-        return any(g.contains((n_prime // p, 0)) for p in primes)
+        # once per swept subgroup: a loop, where a generator would be built per call
+        for p in primes:
+            if g.contains((n_prime // p, 0)):
+                return True
+        return False
     return any(g.contains((t, 0)) for t in range(1, n_prime))
 
 
