@@ -24,13 +24,7 @@ and the correction numerator, and :func:`resolution_numbers` gives those two
 in O(log n) steps, from the continued fraction of ``n/q`` and a Dedekind sum,
 without building the chain.
 
-Where values are checked (the rule is in :mod:`ramcov.value`):
-:class:`HJChain` checks its entries in ``__init__``, and the chains this
-module derives (:func:`hj_expand`, :meth:`HJChain.reversed`) go through the
-private builder ``_hj_chain``, which sets the entries with the base's
-``_set_fields`` and runs no check; each call site names the invariant that
-makes its chain valid, and ``verify.hj_sweep`` checks the entries of every
-chain it expands.
+Where values are checked: see the construction rule in :mod:`ramcov.value`.
 
 Orientation convention: the chain is listed starting from the curve meeting
 the first local branch.  Reversing the chain yields the expansion of
@@ -98,7 +92,7 @@ class HJChain(Value):
     constructor checks both, and that the entries are a tuple, for entries
     from a caller, each entry by :func:`~ramcov.errors.check_int`; the
     chains this module derives (:func:`hj_expand`, :meth:`reversed`) are
-    built by ``_hj_chain`` without the check.
+    built by ``HJChain._derived`` without the check.
     """
 
     __slots__ = ("b",)
@@ -119,18 +113,7 @@ class HJChain(Value):
 
     def reversed(self) -> "HJChain":
         # The reverse of a checked chain has the same entries.
-        return _hj_chain(tuple(reversed(self.b)))
-
-
-def _hj_chain(b: tuple[int, ...]) -> HJChain:
-    """An :class:`HJChain` on ``b``, built without ``__init__``'s check.
-
-    For derived chains only: the caller guarantees that ``b`` is a non-empty
-    tuple of ints, each at least 2.
-    """
-    chain = object.__new__(HJChain)
-    chain._set_fields(b)
-    return chain
+        return HJChain._derived(tuple(reversed(self.b)))
 
 
 class ResolutionData(Value):
@@ -188,7 +171,7 @@ def hj_expand(sing: SingularityType) -> HJChain:
         prev, cur = cur, bi * cur - prev
     # prev > cur >= 1 at every step makes each entry an int >= 2, and q >= 1
     # makes the chain non-empty.
-    return _hj_chain(tuple(entries))
+    return HJChain._derived(tuple(entries))
 
 
 def chain_length(sing: SingularityType) -> int:

@@ -63,7 +63,6 @@ from __future__ import annotations
 import decimal
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -105,29 +104,31 @@ class InvariantReport(Value):
         deg_det = (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F)),
 
     whose last summand is ``fibration_term``; ``KYprime_sq``, ``euler_Yprime``,
-    ``chi`` and ``deg_det`` are derived.  Integrality of the last two is
-    surfaced as flags because non-integrality signals geometrically
-    inconsistent input, not an arithmetic error.
+    ``chi`` and ``deg_det`` are properties, worked out from the fields on
+    each read, so the report keeps no cache and no instance dict.
+    Integrality of the last two is surfaced as flags because
+    non-integrality signals geometrically inconsistent input, not an
+    arithmetic error.
     """
 
     __slots__ = (
         "B_mult", "KX_dot_B", "B_dot_F", "RR", "KY_sq", "correction_total", "euler_Y",
-        "exceptional_s", "fibration_term", "__dict__",
+        "exceptional_s", "fibration_term",
     )
 
-    @cached_property
+    @property
     def KYprime_sq(self) -> Fraction:
         return self.KY_sq + self.correction_total
 
-    @cached_property
+    @property
     def euler_Yprime(self) -> int:
         return self.euler_Y + self.exceptional_s
 
-    @cached_property
+    @property
     def chi(self) -> Fraction:
         return Fraction(self.KYprime_sq + self.euler_Yprime, 12)
 
-    @cached_property
+    @property
     def deg_det(self) -> Fraction:
         return self.chi + self.fibration_term
 

@@ -15,13 +15,7 @@ over that branch and ``m2`` is the degree of the upstairs curve over it.
 Swapping the two coordinates fixes ``n``, exchanges ``m1`` and ``m2``, and
 replaces ``q`` by its inverse mod ``n``.
 
-Where values are checked (the rule is in :mod:`ramcov.value`):
-:class:`LatticeSubgroup` checks its generators in ``__init__``, and the
-subgroups this module derives (:func:`enumerate_subgroups`,
-:meth:`LatticeSubgroup.swapped`) go through the private builder
-``_lattice_subgroup``, which sets the generators with the base's
-``_set_fields`` and runs no check; each call site names the invariant that
-makes its subgroup valid, and ``verify.lattice_sweep`` checks every one.
+Where values are checked: see the construction rule in :mod:`ramcov.value`.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ class LatticeSubgroup(Value):
     each coordinate by :func:`~ramcov.errors.check_int`, with nonzero
     determinant; the subgroups this module derives
     (:func:`enumerate_subgroups`, :meth:`swapped`) are built by
-    ``_lattice_subgroup`` without the check.
+    ``LatticeSubgroup._derived`` without the check.
     """
 
     __slots__ = ("g1", "g2")
@@ -95,7 +89,7 @@ class LatticeSubgroup(Value):
         """The subgroup with the two coordinate axes exchanged."""
         # Swapping the coordinates of a checked subgroup negates det only.
         (a, b), (c, d) = self.g1, self.g2
-        return _lattice_subgroup((b, a), (d, c))
+        return LatticeSubgroup._derived((b, a), (d, c))
 
     def contains(self, v: tuple[int, int]) -> bool:
         """Membership test by Cramer's rule over the integers.
@@ -107,17 +101,6 @@ class LatticeSubgroup(Value):
         x, y = v
         det = a * d - b * c
         return (x * d - y * c) % det == 0 and (a * y - b * x) % det == 0
-
-
-def _lattice_subgroup(g1: tuple[int, int], g2: tuple[int, int]) -> LatticeSubgroup:
-    """A :class:`LatticeSubgroup` on ``g1, g2``, built without ``__init__``'s check.
-
-    For derived subgroups only: the caller guarantees that both generators
-    are tuples of two ints and that their determinant is nonzero.
-    """
-    gamma = object.__new__(LatticeSubgroup)
-    gamma._set_fields(g1, g2)
-    return gamma
 
 
 class LocalCoverType(Value):
@@ -233,5 +216,5 @@ def enumerate_subgroups(
             m = k // a
             for c in range(a):
                 # a, m >= 1 are ints, so det = a * m >= 1.
-                out.append(_lattice_subgroup((a, 0), (c, m)))
+                out.append(LatticeSubgroup._derived((a, 0), (c, m)))
     return out

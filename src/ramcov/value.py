@@ -2,10 +2,8 @@
 
 A subclass names its fields once, in its ``__slots__``, in constructor
 order.  Every other slot is private: a name with a leading underscore holds
-an index the constructor builds from the fields, and ``"__dict__"`` gives
-an instance dict to the one class whose ``cached_property`` needs one,
-:class:`~ramcov.invariants.InvariantReport`.  Neither takes part in ``==``,
-the hash or the repr.
+an index the constructor builds from the fields, and takes no part in
+``==``, the hash or the repr.  No value has an instance dict.
 
 From the field names alone the base gives each subclass:
 
@@ -14,31 +12,40 @@ From the field names alone the base gives each subclass:
   writes no ``__init__`` has it as its ``__init__``; a class with checks
   writes an ``__init__`` that runs them and ends with one
   ``self._set_fields(...)`` call;
+* ``_derived(f1, ..., fk)``, a staticmethod that builds a value on those
+  fields without calling ``__init__``, so it checks nothing either;
 * ``==`` over the tuple of its fields, with ``NotImplemented`` for an
   object of any other class;
 * the hash of that tuple;
 * a repr that names each field, ``LatticeSubgroup(g1=(2, 0), g2=(1, 1))``;
 * ``__setattr__`` and ``__delattr__`` that raise :class:`AttributeError`;
+* ``__reduce__``, which rebuilds a copy or a pickle by calling the class on
+  its fields;
 * ``__match_args__``, the field names in constructor order.
 
 It gives no ordering: ``<`` between two values raises :class:`TypeError`,
-and code that sorts values names its key.  ``_set_fields`` is compiled once
-per class from a short source template, as ``collections.namedtuple``
-builds its ``__new__``, and calls each field's slot descriptor directly.
-A ``*args`` closure would need no compiling but is slower on the hot paths:
-on a 2-vCPU Xeon under CPython 3.11 it built a ``LocalCoverType`` (two per
-subgroup in a ``verify`` sweep) in about 700 ns against 380-570 ns, a
-``Crossing`` (one per crossing of a document) in about 830 against 500 ns,
-and a derived ``LatticeSubgroup`` in about 590 against 300 ns.  Compiling
-costs about 55 us per class, 1 ms for the package's 19.  The other methods
-are closures over one ``operator.attrgetter`` of the fields.
+and code that sorts values names its key.  ``_set_fields`` and
+``_derived`` are compiled once per class from one short source template,
+as ``collections.namedtuple`` builds its ``__new__``, and call each
+field's slot descriptor directly.  A ``*args`` closure would need no
+compiling but is slower on the hot paths: on a 2-vCPU Xeon under CPython
+3.11 it built a ``LocalCoverType`` (two per subgroup in a ``verify``
+sweep) in about 700 ns against 380-570 ns, a ``Crossing`` (one per
+crossing of a document) in about 830 against 500 ns, and a derived
+``LatticeSubgroup`` in about 590 against 300 ns; a ``_derived`` classmethod
+that passed ``*fields`` to ``_set_fields`` left the five ``verify``
+workload sizes' sweeps about 5 % slower (50.6 against 48.4 ms, medians of
+ten runs).  Compiling the two costs about 180 us per class, 3.5 ms for the
+package's 19.  The other methods are closures over one
+``operator.attrgetter`` of the fields.
 
-The construction rule: a value is built by its constructor.  A module may
-keep a private builder that calls ``_set_fields`` on ``object.__new__(cls)``
-only for a class whose constructor checks something, and uses it only on
-values it derives from already-checked ones, which a ``verify`` sweep
-re-checks.  A sweep may likewise build the values its own loop derives and
-has just judged, such as the coprime pairs ``(n, q)`` of ``hj_sweep``.
+The construction rule: a value is built by its constructor, and so is
+every copy and every unpickled value.  Code may call ``_derived`` only
+for a class whose constructor checks something, and only on fields it
+derives from already-checked values, or that its own loop has just judged,
+such as ``hj_sweep``'s coprime pairs ``(n, q)``; a ``verify`` sweep
+re-checks what it derives.  Each call site names the invariant that makes
+its value valid.
 """
 
 from operator import attrgetter
@@ -54,15 +61,18 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _field_setter(cls, fields):
-    """``_set_fields(self, f1, ..., fk)`` for ``cls``, compiled from source."""
-    setters = {f"_{name}_slot": vars(cls)[name].__set__ for name in fields}
+def _field_builders(cls, fields):
+    """``cls``'s ``_set_fields(self, f1, ..., fk)`` and ``_derived(f1, ..., fk)``, from source."""
+    namespace = {f"_{name}_slot": vars(cls)[name].__set__ for name in fields}
+    namespace.update(_new=object.__new__, _cls=cls)
+    params = ", ".join(fields)
     body = "".join(f"\n    _{name}_slot(self, {name})" for name in fields)
-    exec(f"def _set_fields(self, {', '.join(fields)}):{body}", setters)
-    set_fields = setters["_set_fields"]
-    set_fields.__module__ = cls.__module__
-    set_fields.__qualname__ = f"{cls.__qualname__}._set_fields"
-    return set_fields
+    exec(f"def _set_fields(self, {params}):{body}\n"
+         f"def _derived({params}):\n    self = _new(_cls){body}\n    return self", namespace)
+    for name in ("_set_fields", "_derived"):
+        namespace[name].__module__ = cls.__module__
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return namespace["_set_fields"], namespace["_derived"]
 
 
 class Value:
@@ -93,12 +103,17 @@ class Value:
         def __repr__(self):
             return template % values(self)
 
-        cls._set_fields = _field_setter(cls, fields)
+        def __reduce__(self):
+            return cls, values(self)
+
+        cls._set_fields, derived = _field_builders(cls, fields)
+        cls._derived = staticmethod(derived)
         if "__init__" not in vars(cls):
             cls.__init__ = cls._set_fields
         cls.__match_args__ = fields
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__
         cls.__repr__ = __repr__
+        cls.__reduce__ = __reduce__
         cls.__setattr__ = _frozen_setattr
         cls.__delattr__ = _frozen_delattr

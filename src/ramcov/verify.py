@@ -52,17 +52,6 @@ class SweepResult(Value):
         return not self.failures
 
 
-def _swept_type(n: int, q: int) -> SingularityType:
-    """A :class:`SingularityType` on ``n, q``, built without ``__init__``'s check.
-
-    For :func:`hj_sweep`'s own pairs only: its loop gives ints with
-    ``2 <= n``, ``1 <= q < n`` and ``gcd(n, q) = 1``.
-    """
-    sing = object.__new__(SingularityType)
-    sing._set_fields(n, q)
-    return sing
-
-
 def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
@@ -79,10 +68,11 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     Each chain statistic is one C-level reduction (``min``, ``max``,
     ``sum``, ``count``, ``any``) and the recursion is one pass over the
     chain, with no padded copy of the discrepancies, so a pair costs little
-    more than its chain and discrepancies.  The loop has built and tested
-    each pair, so its type is built by ``_swept_type`` without the
-    constructor's check.  The index of a nonzero residual, and the witness
-    with its copy of the chain, are found only for a pair that fails.
+    more than its chain and discrepancies.  The loop gives ints with
+    ``2 <= n``, ``1 <= q < n`` and ``gcd(n, q) = 1``, so each type is built
+    by ``SingularityType._derived`` without the constructor's check.  The
+    index of a nonzero residual, and the witness with its copy of the
+    chain, are found only for a pair that fails.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
     exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
@@ -96,7 +86,7 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
             if math.gcd(n, q) != 1:
                 continue
             checked += 1
-            chain = hj_expand(_swept_type(n, q))
+            chain = hj_expand(SingularityType._derived(n, q))
             b = chain.b
             length = len(b)
             failed = []  # (property, message), in check order

@@ -1,10 +1,11 @@
 """Derived values skip their constructors' checks; values from outside do not.
 
-Three private builders remain, one per class whose constructor checks
-something: ``hj._hj_chain`` builds the chains that :func:`hj_expand` and
-``HJChain.reversed`` derive, ``local_cover._lattice_subgroup`` the
-subgroups that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped``
-derive, and ``verify._swept_type`` the singularity types whose pairs
+Each value type has one unchecked builder, ``_derived``, and three classes
+whose constructor checks something are built through it:
+``HJChain._derived`` builds the chains that :func:`hj_expand` and
+``HJChain.reversed`` derive, ``LatticeSubgroup._derived`` the subgroups
+that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped`` derive,
+and ``SingularityType._derived`` the singularity types whose pairs
 ``hj_sweep``'s loop builds and tests.  :class:`LocalCoverType` checks
 nothing, so :func:`local_type` calls its constructor.  The first four tests
 hold each derived value to the constructor.  The last three count
@@ -32,7 +33,7 @@ from ramcov.local_cover import (
     enumerate_subgroups,
     local_type,
 )
-from ramcov.verify import _swept_type, hj_sweep, lattice_sweep
+from ramcov.verify import hj_sweep, lattice_sweep
 from rebuild import replace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -57,7 +58,7 @@ def test_swept_types_equal_the_checked_constructor():
     for n in range(2, 301):
         for q in range(1, n):
             if math.gcd(n, q) == 1:
-                sing = _swept_type(n, q)
+                sing = SingularityType._derived(n, q)
                 assert type(sing) is SingularityType, (n, q)
                 assert sing == SingularityType(n, q) and hash(sing) == hash(SingularityType(n, q))
 
