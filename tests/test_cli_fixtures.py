@@ -61,6 +61,11 @@ has e = 4 > 2: its receipts fail over D1 and over crossings 0 and 1, so its
 reports read ``VIOLATED``, ``"ok": false`` and ``satisfied: no``, beside a
 V1 finding.  Crossing 0 holds two points of orders 2 and 5, so its cross
 term is 3 + 6/5 = 21/5.
+``bidouble_blown_up.json`` is the bidouble cover with its base blown up at
+crossing 0 (``blow_up`` in ``test_metamorphic.py``): ``D1``, ``D3`` and
+the new ``E0`` have self-intersection -1, the only nonzero ones among the
+shipped documents, so its reports are the frozen bytes of the diagonal
+term of (R,R), which falls from 4 to 2 while chi stays 1 and deg_det 0.
 """
 
 import json
@@ -97,7 +102,7 @@ _RUNS = [
     for folder, stems in (
         (COVERS, ("identity", "bidouble", "kummer_2_1", "cyclic_5_1_4_2_3",
                   "elliptic_5_1_4_1_1_3")),
-        (DOCUMENTS, ("shuffled", "both_orientations")),
+        (DOCUMENTS, ("shuffled", "both_orientations", "bidouble_blown_up")),
     )
     for stem in stems
     for strict in (False, True)

@@ -27,12 +27,16 @@
   stays clean and the certificate satisfied, three blow-ups in a row.  A
   document with raw local types is blown up with each type given as the
   lattice of its canonical basis, which leaves its certificate equal.
+  The shipped ``bidouble_blown_up.json`` is the bidouble cover blown up at
+  crossing 0, so ``D1``, ``D3`` and ``E0`` have self-intersection -1 and
+  (R,R) falls from 4 to 2, while ``chi`` stays 1 and ``deg_det`` 0.
 
 Hypothesis picks the covers, the crossings to reverse, the pairs to join,
 the renamings, the base changes and the crossings to blow up.
 """
 
 import itertools
+import json
 import math
 import pathlib
 
@@ -41,7 +45,12 @@ from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, power_map_cover, ruled_cyclic_cover
-from ramcov.invariants import FibrationInputs, degree_linear_certificate, examine
+from ramcov.invariants import (
+    FibrationInputs,
+    degree_linear_certificate,
+    examine,
+    invariant_report,
+)
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import (
@@ -53,6 +62,7 @@ from ramcov.model import (
     RamSheet,
     validate,
 )
+from ramcov.report import canonical_document
 from rebuild import replace
 from ruled_documents import ruled_cover, ruled_weights, unit_weights
 
@@ -487,3 +497,17 @@ def test_blowing_up_crossings_keeps_chi_deg_det_and_a_clean_certificate(document
         assert (found, error) == ([], None)
         assert after.satisfied
         assert (after.report.chi, after.deg_det) == (before.report.chi, before.deg_det)
+
+
+def test_the_shipped_blown_up_bidouble_keeps_chi_and_deg_det():
+    path = DOCUMENTS / "bidouble_blown_up.json"
+    document = blow_up(*double_cover(), 0)
+    assert json.loads(path.read_text()) == canonical_document(*document)
+    base, cover = load_cover_path(str(path))
+    assert {c.id: c.self_int for c in base.components if c.self_int} == {
+        "D1": -1, "D3": -1, "E0": -1,
+    }
+    found, certificate, error = examine(base, cover, strict=True)
+    assert (found, error) == ([], None) and certificate.satisfied
+    assert (certificate.report.RR, certificate.report.chi, certificate.deg_det) == (2, 1, 0)
+    assert invariant_report(*double_cover()).RR == 4
