@@ -58,9 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hj = sub.add_parser("hj", help="resolve a cyclic quotient singularity A_{n,q}")
     p_hj.add_argument("n", type=int)
     p_hj.add_argument("q", type=int)
+    p_hj.set_defaults(run=cmd_hj)
 
     p_local = sub.add_parser("local", help="classify a finite-index subgroup of Z^2")
     p_local.add_argument("coords", type=int, nargs=4, metavar="COORD")
+    p_local.set_defaults(run=cmd_local)
 
     p_inv = sub.add_parser("invariants", help="validate a cover document and compute invariants")
     p_inv.add_argument("file")
@@ -75,15 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "(supplying them asserts the bound's hypotheses)",
     )
     p_inv.add_argument("--json", action="store_true", help="emit the machine-readable report")
+    p_inv.set_defaults(run=cmd_invariants)
 
     p_verify = sub.add_parser("verify", help="run the exhaustive property sweeps")
     p_verify.add_argument("--max-n", type=int, default=100, help="sweep quotient types up to this order")
     p_verify.add_argument("--max-index", type=int, default=30, help="sweep subgroups up to this index")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_bs = sub.add_parser("bs-bound", help="plane-model height bound, natural log scale")
     p_bs.add_argument("d", type=int, help="cover degree (>= 2)")
     p_bs.add_argument("nB", type=int, help="number of branch points (>= 1)")
     p_bs.add_argument("h", nargs="?", default="0", help="affine log height, as p/q (default 0)")
+    p_bs.set_defaults(run=cmd_bs_bound)
 
     return parser
 
@@ -157,17 +162,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_enumeration_bound("max_n", args.max_n, 2, cap)
     check_enumeration_bound("max_index", args.max_index, 1, cap)
 
+    # Each sweep beside its scope; both finish before the first line is printed.
     results = [
-        hj_sweep(args.max_n, cap=cap),
-        lattice_sweep(args.max_index, cap=cap),
+        (hj_sweep(args.max_n, cap=cap), f"types up to n = {args.max_n}"),
+        (lattice_sweep(args.max_index, cap=cap), f"subgroups up to index {args.max_index}"),
     ]
     status = 0
-    for result in results:
-        scope = (
-            f"types up to n = {args.max_n}"
-            if result.suite == "hj"
-            else f"subgroups up to index {args.max_index}"
-        )
+    for result, scope in results:
         verdict = "ok" if result.ok else f"{len(result.failures)} failure(s)"
         print(f"{result.suite} sweep: checked {result.checked} {scope}: {verdict}")
         for failure in result.failures:
@@ -197,16 +198,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-
-    handlers = {
-        "hj": cmd_hj,
-        "local": cmd_local,
-        "invariants": cmd_invariants,
-        "verify": cmd_verify,
-        "bs-bound": cmd_bs_bound,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (InvalidInputError, InputFormatError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,18 +21,20 @@ A crossing's numbers depend only on its two sheet lists and its points,
 so the walk computes them, with their verdicts, once per distinct
 ``(id(first sheets), id(second sheets), id(points))`` with no finding and
 no ``error`` (see :func:`_crossing_shape`); the loader gives byte-equal
-lists one tuple.  Each such crossing then gets only its index and shape
-number in the receipts.  A crossing whose shape has a finding or an
-``error`` is examined on its own, and its findings are written, with its
-label ``crossing {index}``, where they are found.  The memo keys on
-identity, never on list contents, and lives for one walk, so a model whose
-crossings share nothing pays once per crossing and keeps one entry per
-shape, beside the rows the receipts keep anyway.
+lists one tuple.  Each crossing then adds only its shape number to the
+receipts, which name the crossings in the base's index order: a
+certificate exists only when every crossing was summed.  A crossing whose
+shape has a finding or an ``error`` is examined on its own, and its
+findings are written, with its label ``crossing {index}``, where they are
+found.  The memo keys on identity, never on list contents, and lives for
+one walk, so a model whose crossings share nothing pays once per crossing
+and keeps one entry per shape, beside the rows the receipts keep anyway.
 
 The receipts' values, with ``d_i = sum_j f_ij`` and the point counts, are
 the only terms of the totals: each crossing shape adds its rows' cross
-term, correction and ``s`` times the number of crossings summed with it,
-and each crossing summed adds its point count.  The totals make up the chain
+term, correction and ``s`` times the number of its crossings, and the
+points are counted once over the cover's point lists, whose keys are all
+crossings.  The totals make up the chain
 
     branch divisor B  ->  (R,R)  ->  K_Y^2  ->  K_{Y'}^2
     Euler data        ->  e_c(Y) ->  e_c(Y')
@@ -235,11 +237,13 @@ def _within(value, bound) -> bool:
 class Receipts:
     """A certificate's receipts, stored by crossing shape and named when read.
 
-    The rows are ``head``, the component rows; per crossing ``indices[k]``
-    the three rows ``shape_rows[shapes[k]]``, named by :meth:`crossing_row`
-    after ``KINDS`` and the index; and ``tail``, the ``deg_det`` rows: the
-    linear row, then the fibration row when there is one.  A certificate
-    built by hand passes its rows as ``Receipts(head, [], [], (), tail)``.
+    The rows are ``head``, the component rows; per crossing ``indices[k]``,
+    the base's crossing indices in order, the three rows
+    ``shape_rows[shapes[k]]`` of its shape number, named by
+    :meth:`crossing_row` after ``KINDS`` and the index; and ``tail``, the
+    ``deg_det`` rows: the linear row, then the fibration row when there is
+    one.  A certificate built by hand passes its rows as
+    ``Receipts(head, (), [], (), tail)``.
     Iteration is the one reader of the rows: it builds each row ``(name,
     value, bound, per_degree, ok)`` as it is read, and ``==``, ``hash`` and
     ``repr`` are those of the tuple of the rows it gives.  Every shape is
@@ -249,7 +253,7 @@ class Receipts:
     __slots__ = ("head", "indices", "shapes", "shape_rows", "tail")
     KINDS = ("rr_cross", "correction", "exceptional_s")
 
-    def __init__(self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple):
+    def __init__(self, head: tuple, indices: tuple, shapes: list, shape_rows: tuple, tail: tuple):
         self.head, self.indices, self.shapes = head, indices, shapes
         self.shape_rows, self.tail = shape_rows, tail
 
@@ -494,8 +498,10 @@ def examine(
     itself against ``linear_coefficient * d``.  When fibration inputs are
     supplied the comparison against the semistable bound is appended as a
     receipt as well.  The same values are summed into the carried report.
-    The receipts are stored by crossing shape (see :class:`Receipts`); a
-    crossing is named only in a finding, in ``error`` or when read.
+    The receipts are stored by crossing shape (see :class:`Receipts`): each
+    crossing adds only its shape number, and the receipts name the
+    crossings in the base's index order.  A crossing is named only in a
+    finding, in ``error`` or when read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, with no finding and no ``error`` is computed once per
@@ -521,8 +527,8 @@ def examine(
     walk for a key of the cover that names nothing in the base, at its
     point for a sheet index out of range.  The first point, in crossing
     index order, whose local type breaks a range or gcd constraint becomes
-    ``error``: from there on the walk sums nothing and returns no
-    certificate, but it still checks every point.
+    ``error``: the walk still checks every point, but it sums nothing and
+    returns no certificate.
     """
     if not (cover._sheets.keys() <= base._components.keys()
             and cover._points.keys() <= base._crossings.keys()):
@@ -573,9 +579,7 @@ def examine(
     # of a crossing shape with no finding and no error
     shapes: dict[tuple[int, int, int], int] = {}
     shape_rows = []  # per shape number, its crossings' three rows less their names
-    indices = []  # the index of each crossing summed
-    numbers = []  # and its shape number
-    n_points = 0  # the points over the crossings summed
+    numbers = []  # per crossing, in index order, its shape number
     for crossing in base.crossings:
         first_id, second_id = crossing.pair
         first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
@@ -594,16 +598,12 @@ def examine(
                     error = shape_error
             else:
                 shapes[key] = number
-        if error is not None:
-            continue
-        indices.append(crossing.index)
         numbers.append(number)
-        n_points += len(points)
     found.sort(key=attrgetter("code", "where", "message"))
     if error is not None:
         return found, None, error
 
-    # each shape's values, times the number of crossings summed with it
+    # each shape's values, times the number of its crossings
     s_total = 0
     correction_total = zero
     for number, count in Counter(numbers).items():
@@ -613,6 +613,8 @@ def examine(
         s_total += count * s
 
     euler = derived_euler_data(base)
+    # every key of points_above is a crossing, so these are all the points
+    n_points = sum(len(points) for _, points in cover.points_above)
     euler_y = d * euler.e_c_U + n_points + sum(
         d_i * e_c for d_i, (_, e_c) in zip(d_sums, euler.open_components)
     )
@@ -639,7 +641,7 @@ def examine(
         )
 
     certificate = BoundCertificate(
-        receipts=Receipts(tuple(head), indices, numbers, tuple(shape_rows), tuple(tail)),
+        receipts=Receipts(tuple(head), tuple(base._crossings), numbers, tuple(shape_rows), tuple(tail)),
         degree=d,
         report=report,
         derived_base=euler,

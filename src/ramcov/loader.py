@@ -225,7 +225,9 @@ def _shared_records(
 
     The ``memo`` keys a list by ``make`` and ``marshal.dumps`` of its decoded
     value, and by nothing else: lists equal but not byte for byte get two
-    equal tuples, and equal records in two lists are two objects.  On a miss
+    equal tuples, and equal records in two lists are two objects.  ``make``
+    is in the key because a point list can be byte for byte a sheet list
+    read before it, and must still be judged as points.  On a miss
     the list is checked by :func:`_records`, its path formatted only then; a
     list that fails a check raises before its key is stored.
     """

@@ -52,6 +52,12 @@ class SweepResult(Value):
         return not self.failures
 
 
+def _failed(suite: str, checked: int, witness: dict, failed: list) -> SweepResult:
+    """The result of a sweep that stops at ``witness``, which broke each
+    ``(property, message)`` of ``failed``, in that order."""
+    return SweepResult(suite, checked, tuple(PropertyFailure(p, witness, m) for p, m in failed))
+
+
 def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
@@ -139,9 +145,7 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
                 failed.append(("du-val-length", f"du Val chain length {length} != n - 1"))
 
             if failed:
-                witness = {"n": n, "q": q, "chain": list(b)}
-                failures = tuple(PropertyFailure(prop, witness, msg) for prop, msg in failed)
-                return SweepResult("hj", checked, failures)
+                return _failed("hj", checked, {"n": n, "q": q, "chain": list(b)}, failed)
     return SweepResult("hj", checked, ())
 
 
@@ -217,12 +221,8 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     for k in range(1, max_index + 1):
         expected = _sigma(k)
         if counts[k] != expected:
-            failure = PropertyFailure(
-                "enumeration-count",
-                {"index": k},
-                f"enumerated {counts[k]} subgroups of index {k}, expected sigma(k) = {expected}",
-            )
-            return SweepResult("lattice", 0, (failure,))
+            message = f"enumerated {counts[k]} subgroups of index {k}, expected sigma(k) = {expected}"
+            return _failed("lattice", 0, {"index": k}, [("enumeration-count", message)])
 
     checked = 0
     prime_table: dict[int, tuple[int, ...]] = {}  # n' -> _prime_divisors(n'), for this call
@@ -281,6 +281,5 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
 
         if failed:
             witness = {"g1": list(g.g1), "g2": list(g.g2), "n": n, "q": q, "m1": m1, "m2": m2}
-            failures = tuple(PropertyFailure(prop, witness, msg) for prop, msg in failed)
-            return SweepResult("lattice", checked, failures)
+            return _failed("lattice", checked, witness, failed)
     return SweepResult("lattice", checked, ())

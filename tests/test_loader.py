@@ -644,9 +644,13 @@ _POINT_MSG = "cover.points_above['0'][0]"
          "(transversal self-intersections are not modelled)"),
         (("cover", "points_above", "0", 0, "local"), [[2, 0], [4, 0]],
          f"{_POINT_MSG}.local: generators must be linearly independent (got (2, 0), (4, 0))"),
+        # byte for byte the sheet list of D1, read before it: the loader's
+        # memo must not hand back D1's sheets as points
+        (("cover", "points_above", "0"), [{"e": 2, "f": 1}],
+         f"{_POINT_MSG}: unknown keys ['e', 'f']"),
     ],
     ids=["sheet-e", "sheet-f", "point-j", "point-jp", "genus", "fiber_deg", "empty-id",
-         "crossing-index", "equal-pair", "degenerate-lattice"],
+         "crossing-index", "equal-pair", "degenerate-lattice", "points-as-sheets"],
 )
 def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, message):
     doc = json.loads((COVERS / "bidouble.json").read_text())
@@ -654,7 +658,7 @@ def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, messa
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(InvalidInputError) as info:
+    with pytest.raises((InvalidInputError, InputFormatError)) as info:
         parse_cover_json(json.dumps(doc))
     assert str(info.value) == message
     document = tmp_path / "edited.json"

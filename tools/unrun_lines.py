@@ -79,6 +79,9 @@ def main(argv: list[str]) -> int:
         settings.register_profile("unrun_lines", deadline=None)
         settings.load_profile("unrun_lines")
 
+    # Read before the tests run, so that a module edited during the run is
+    # judged as the tracer saw it.
+    body = {path: body_lines(path) for path in modules}
     ran: dict[str, set[int]] = {str(path): set() for path in modules}
 
     def global_trace(frame, event, arg):
@@ -117,7 +120,7 @@ def main(argv: list[str]) -> int:
         return 2
     unrun = 0
     for path in modules:
-        missed = sorted(body_lines(path) - ran[str(path)])
+        missed = sorted(body[path] - ran[str(path)])
         unrun += len(missed)
         if missed:
             print(f"{path.name}: {', '.join(map(str, missed))}")
