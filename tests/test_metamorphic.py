@@ -45,12 +45,7 @@ from hypothesis import strategies as st
 
 from ramcov.errors import InvalidInputError
 from ramcov.golden import double_cover, power_map_cover, ruled_cyclic_cover
-from ramcov.invariants import (
-    FibrationInputs,
-    degree_linear_certificate,
-    examine,
-    invariant_report,
-)
+from ramcov.invariants import FibrationInputs, degree_linear_certificate, examine
 from ramcov.loader import load_cover_path
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
 from ramcov.model import (
@@ -510,4 +505,4 @@ def test_the_shipped_blown_up_bidouble_keeps_chi_and_deg_det():
     found, certificate, error = examine(base, cover, strict=True)
     assert (found, error) == ([], None) and certificate.satisfied
     assert (certificate.report.RR, certificate.report.chi, certificate.deg_det) == (2, 1, 0)
-    assert invariant_report(*double_cover()).RR == 4
+    assert degree_linear_certificate(*double_cover()).report.RR == 4
