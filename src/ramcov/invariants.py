@@ -243,7 +243,7 @@ class Receipts:
     :meth:`crossing_row` after ``KINDS`` and the index; and ``tail``, the
     ``deg_det`` rows: the linear row, then the fibration row when there is
     one.  A certificate built by hand passes its rows as
-    ``Receipts(head, (), [], (), tail)``.
+    ``Receipts(head, [], [], (), tail)``.
     Iteration is the one reader of the rows: it builds each row ``(name,
     value, bound, per_degree, ok)`` as it is read, and ``==``, ``hash`` and
     ``repr`` are those of the tuple of the rows it gives.  Every shape is
@@ -253,7 +253,7 @@ class Receipts:
     __slots__ = ("head", "indices", "shapes", "shape_rows", "tail")
     KINDS = ("rr_cross", "correction", "exceptional_s")
 
-    def __init__(self, head: tuple, indices: tuple, shapes: list, shape_rows: tuple, tail: tuple):
+    def __init__(self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple):
         self.head, self.indices, self.shapes = head, indices, shapes
         self.shape_rows, self.tail = shape_rows, tail
 
@@ -641,7 +641,7 @@ def examine(
         )
 
     certificate = BoundCertificate(
-        receipts=Receipts(tuple(head), tuple(base._crossings), numbers, tuple(shape_rows), tuple(tail)),
+        receipts=Receipts(tuple(head), list(base._crossings), numbers, tuple(shape_rows), tuple(tail)),
         degree=d,
         report=report,
         derived_base=euler,

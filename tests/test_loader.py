@@ -621,38 +621,38 @@ _POINT_MSG = "cover.points_above['0'][0]"
 
 
 @pytest.mark.parametrize(
-    "path,value,message",
+    "path,value,error,message",
     [
-        (("cover", "ramification", "D3", 0, "e"), 0,
+        (("cover", "ramification", "D3", 0, "e"), 0, InvalidInputError,
          f"{_SHEET_MSG}: sheet e must be >= 1 (got 0)"),
-        (("cover", "ramification", "D3", 0, "f"), 0,
+        (("cover", "ramification", "D3", 0, "f"), 0, InvalidInputError,
          f"{_SHEET_MSG}: sheet f must be >= 1 (got 0)"),
-        (("cover", "points_above", "0", 0, "j"), -1,
+        (("cover", "points_above", "0", 0, "j"), -1, InvalidInputError,
          f"{_POINT_MSG}: point sheet index j must be >= 0 (got -1)"),
-        (("cover", "points_above", "0", 0, "jp"), -1,
+        (("cover", "points_above", "0", 0, "jp"), -1, InvalidInputError,
          f"{_POINT_MSG}: point sheet index jp must be >= 0 (got -1)"),
-        (("base", "components", 2, "genus"), -1,
+        (("base", "components", 2, "genus"), -1, InvalidInputError,
          "base.components[2]: component 'D3': genus must be >= 0 (got -1)"),
-        (("base", "components", 2, "fiber_deg"), -1,
+        (("base", "components", 2, "fiber_deg"), -1, InvalidInputError,
          "base.components[2]: component 'D3': fiber_deg must be >= 0 (got -1)"),
-        (("base", "components", 2, "id"), "",
+        (("base", "components", 2, "id"), "", InvalidInputError,
          "base.components[2]: component id must be a non-empty string (got '')"),
-        (("base", "crossings", 1, "index"), -1,
+        (("base", "crossings", 1, "index"), -1, InvalidInputError,
          "base.crossings[1]: crossing index must be >= 0 (got -1)"),
-        (("base", "crossings", 1, "pair"), ["D1", "D1"],
+        (("base", "crossings", 1, "pair"), ["D1", "D1"], InvalidInputError,
          "base.crossings[1]: crossing 1: components must be distinct "
          "(transversal self-intersections are not modelled)"),
-        (("cover", "points_above", "0", 0, "local"), [[2, 0], [4, 0]],
+        (("cover", "points_above", "0", 0, "local"), [[2, 0], [4, 0]], InvalidInputError,
          f"{_POINT_MSG}.local: generators must be linearly independent (got (2, 0), (4, 0))"),
         # byte for byte the sheet list of D1, read before it: the loader's
         # memo must not hand back D1's sheets as points
-        (("cover", "points_above", "0"), [{"e": 2, "f": 1}],
+        (("cover", "points_above", "0"), [{"e": 2, "f": 1}], InputFormatError,
          f"{_POINT_MSG}: unknown keys ['e', 'f']"),
     ],
     ids=["sheet-e", "sheet-f", "point-j", "point-jp", "genus", "fiber_deg", "empty-id",
          "crossing-index", "equal-pair", "degenerate-lattice", "points-as-sheets"],
 )
-def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, message):
+def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, error, message):
     doc = json.loads((COVERS / "bidouble.json").read_text())
     target = doc
     for key in path[:-1]:
@@ -660,6 +660,7 @@ def test_constructor_errors_name_their_path(capsys, tmp_path, path, value, messa
     target[path[-1]] = value
     with pytest.raises((InvalidInputError, InputFormatError)) as info:
         parse_cover_json(json.dumps(doc))
+    assert type(info.value) is error
     assert str(info.value) == message
     document = tmp_path / "edited.json"
     document.write_text(json.dumps(doc))

@@ -14,9 +14,12 @@ import, do not count, nor do decorator, signature and docstring lines.  It
 prints, per module, the function-body lines no test executed, then how many
 tests failed under the tracer, naming each: a tracer slows every traced
 call, so a test that times its code may fail, and the lines only it runs
-then count as unrun.  Hypothesis runs with no deadline.  It exits with 1
-when some line is unrun, else 0.  A simplification can cite an empty list,
-or a line on it, to show that a case it drops never occurs under the tests.
+then count as unrun.  Hypothesis runs with no deadline.  Each module is
+imported under the tracer, and its source read, before the tests run; a
+module whose file changes in between is refused with exit 2.  It exits with
+1 when some line is unrun, else 0.  A simplification can cite an empty
+list, or a line on it, to show that a case it drops never occurs under the
+tests.
 
 It needs CPython 3.11 or later, pytest and the test dependencies, and takes
 a few minutes: the suite runs several times slower under the tracer.
@@ -25,6 +28,7 @@ a few minutes: the suite runs several times slower under the tracer.
 from __future__ import annotations
 
 import dis
+import importlib
 import inspect
 import os
 import pathlib
@@ -79,9 +83,6 @@ def main(argv: list[str]) -> int:
         settings.register_profile("unrun_lines", deadline=None)
         settings.load_profile("unrun_lines")
 
-    # Read before the tests run, so that a module edited during the run is
-    # judged as the tracer saw it.
-    body = {path: body_lines(path) for path in modules}
     ran: dict[str, set[int]] = {str(path): set() for path in modules}
 
     def global_trace(frame, event, arg):
@@ -105,19 +106,31 @@ def main(argv: list[str]) -> int:
                 self.names.append(report.nodeid)
 
     failures = Failures()
+    stamps = {path: path.stat().st_mtime_ns for path in modules}
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
+        # Import every module under the tracer, then read its source, before
+        # the tests run: the lines judged are those of the code the tracer
+        # follows, and a module edited between its import and its read is
+        # refused.
+        import ramcov
+
+        if pathlib.Path(ramcov.__file__).resolve().parent != src / "ramcov":
+            print(f"error: ramcov imports from {ramcov.__file__}", file=sys.stderr)
+            return 2
+        for path in modules:
+            importlib.import_module(f"ramcov.{path.stem}")
+        body = {path: body_lines(path) for path in modules}
+        edited = [path.name for path in modules if path.stat().st_mtime_ns != stamps[path]]
+        if edited:
+            print(f"error: edited while read: {', '.join(edited)}; run again", file=sys.stderr)
+            return 2
         pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"], plugins=[failures])
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
-    import ramcov
-
-    if pathlib.Path(ramcov.__file__).resolve().parent != src / "ramcov":
-        print(f"error: the tests imported ramcov from {ramcov.__file__}", file=sys.stderr)
-        return 2
     unrun = 0
     for path in modules:
         missed = sorted(body[path] - ran[str(path)])
