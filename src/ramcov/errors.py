@@ -32,9 +32,10 @@ def check_int(value, what: str, minimum: "int | None" = None) -> int:
     """``value``, unless it is not an ``int`` (a bool is not) or is below ``minimum``.
 
     Either fault raises :class:`InvalidInputError` naming ``what``; the type
-    is checked first.
+    is checked first.  An exact ``int``, the common case, is decided by its
+    type alone.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise InvalidInputError(f"{what} must be an integer (got {value!r})")
     if minimum is not None and value < minimum:
         raise InvalidInputError(f"{what} must be >= {minimum} (got {value})")

@@ -547,8 +547,12 @@ def examine(
     # diagonal's verdict, d_i)
     sheet_lists: dict[int, tuple] = {}
     rr = zero
+    # What cover.sheets_for and cover.points_for answer, read from the
+    # cover's indexes through bound methods: the crossing loop runs once per
+    # crossing.
+    sheets_for = cover._sheets.get
     for comp in base.components:
-        sheets = cover.sheets_for(comp.id)
+        sheets = sheets_for(comp.id, ())
         known = sheet_lists.get(id(sheets))
         if known is None:
             b_mult = sum((s.e - 1) * s.f for s in sheets)
@@ -580,10 +584,11 @@ def examine(
     shapes: dict[tuple[int, int, int], int] = {}
     shape_rows = []  # per shape number, its crossings' three rows less their names
     numbers = []  # per crossing, in index order, its shape number
+    points_for = cover._points.get
     for crossing in base.crossings:
         first_id, second_id = crossing.pair
-        first, second = cover.sheets_for(first_id), cover.sheets_for(second_id)
-        points = cover.points_for(crossing.index)
+        first, second = sheets_for(first_id, ()), sheets_for(second_id, ())
+        points = points_for(crossing.index, ())
         key = (id(first), id(second), id(points))
         number = shapes.get(key)
         if number is None:
@@ -614,7 +619,7 @@ def examine(
 
     euler = derived_euler_data(base)
     # every key of points_above is a crossing, so these are all the points
-    n_points = sum(len(points) for _, points in cover.points_above)
+    n_points = sum(map(len, cover._points.values()))
     euler_y = d * euler.e_c_U + n_points + sum(
         d_i * e_c for d_i, (_, e_c) in zip(d_sums, euler.open_components)
     )

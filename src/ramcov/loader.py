@@ -46,26 +46,27 @@ at a crossing of ``D_i`` and ``D_j`` is the kernel of ``(s, t) -> s g_i +
 t g_j``, so every point over that crossing, and over every crossing of two
 components with the same sheets, carries the same local data, and a
 document repeats one sheet list and one point list many times.  Each parse
-keeps one memo, keyed by ``marshal.dumps`` of each decoded sheet or point
-list: a list met before gets the tuple built for it, with no record checked
-and no path formatted (see :func:`_shared_records`).  The key is not
-equality, because ``==`` and ``hash`` take ``true``, ``1.0`` and ``1`` for
-one value, which only the last of them passes.  ``marshal.loads`` gives
-back the list, type for type, so equal bytes mean equal verdicts.  It is
-``marshal`` and not ``repr``, exact too, because it costs about a third as
-much, and on a document that repeats few lists the key is pure cost.  It
-cannot meet the digit limit, since the decoder refused any longer integer
-literal, nor marshal's nesting limit of 2 000, about twice the depth the
-decoder accepts; a test runs every depth it accepts.  Only a list that
-passed every check is stored.  Nothing else is shared, which changes no
-number and no byte: equal records in two lists are two objects, and equal
-lists whose bytes differ (keys in another order, or a value that marshal's
-back-references, which follow reference counts, write another way) are two
-equal tuples, whose crossing shape the walk computes twice.  The memo lives
-for the one call, so two parses share no object.  The walk and the report
-writer key their per-crossing and per-point-list work on the tuples'
-identities.  Lattices are kept with their generators as given, so the two
-forms above still load to two objects.
+keeps one memo of sheet lists and one of point lists, keyed by
+``marshal.dumps(value, 2)`` of each decoded list: a list met before gets the
+tuple built for it, with no record checked and no path formatted (see
+:func:`_shared_records`).  The key is not equality, because ``==`` and
+``hash`` take ``true``, ``1.0`` and ``1`` for one value, which only the last
+of them passes.  ``marshal.loads`` gives back the list, type for type, so
+equal bytes mean equal verdicts.  Version 2 writes no back-references and
+no interned flag, so the bytes depend on the typed value alone, not on
+which objects the decoder shared.  It is ``marshal`` and not ``repr``,
+exact too, because it costs about a third as much, and on a document that
+repeats few lists the key is pure cost.  It cannot meet the digit limit,
+since the decoder refused any longer integer literal, nor marshal's nesting
+limit of 2 000, about twice the depth the decoder accepts; a test runs
+every depth it accepts.  Only a list that passed every check is stored.
+Nothing else is shared, which changes no number and no byte: equal records
+in two lists are two objects, and equal lists whose bytes differ (keys in
+another order) are two equal tuples, whose crossing shape the walk computes
+twice.  The memos live for the one call, so two parses share no object.
+The walk and the report writer key their per-crossing and per-point-list
+work on the tuples' identities.  Lattices are kept with their generators as
+given, so the two forms above still load to two objects.
 """
 
 from __future__ import annotations
@@ -223,15 +224,16 @@ def _shared_records(
 ) -> tuple:
     """The records of the list at ``prefix[key]``, one tuple per distinct list in a parse.
 
-    The ``memo`` keys a list by ``make`` and ``marshal.dumps`` of its decoded
-    value, and by nothing else: lists equal but not byte for byte get two
-    equal tuples, and equal records in two lists are two objects.  ``make``
-    is in the key because a point list can be byte for byte a sheet list
-    read before it, and must still be judged as points.  On a miss
-    the list is checked by :func:`_records`, its path formatted only then; a
-    list that fails a check raises before its key is stored.
+    The ``memo`` holds the lists of ``make``'s records alone, so a point list
+    that is byte for byte a sheet list read before it is still judged as
+    points.  It keys a list by ``marshal.dumps(value, 2)``, which is a
+    function of the decoded value, type for type, and of nothing else: lists
+    equal but not byte for byte, their keys in another order, get two equal
+    tuples, and equal records in two lists are two objects.  On a miss the
+    list is checked by :func:`_records`, its path formatted only then; a list
+    that fails a check raises before its key is stored.
     """
-    coded = (make, marshal.dumps(value))
+    coded = marshal.dumps(value, 2)
     records = memo.get(coded)
     if records is None:
         records = memo[coded] = _records(make, value, f"{prefix}[{key!r}]", table)
@@ -272,16 +274,20 @@ def _parse_base(obj: Any) -> BaseGeometry:
     )
 
 
-def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove, ...]]]:
-    """The cover, and the points over each crossing in document order."""
+def _parse_cover(obj: Any) -> tuple[CoverDescription, list[tuple[int, tuple[PointAbove, ...]]]]:
+    """The cover, and each crossing index with its points in document order."""
     obj = _as_obj(obj, "cover", _COVER_KEYS)
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
         raise InputFormatError("cover.ramification: expected an object keyed by component id")
-    # One memo for the parse: byte-equal sheet or point lists load to one tuple.
-    memo: dict = {}
+    # One memo per kind of record for the parse: byte-equal sheet lists load
+    # to one tuple, and so do byte-equal point lists.
+    sheet_lists: dict = {}
+    point_lists: dict = {}
     ram = [
-        (cid, _shared_records(RamSheet, ram_obj[cid], "cover.ramification", cid, _SHEET, memo))
+        (cid, _shared_records(
+            RamSheet, ram_obj[cid], "cover.ramification", cid, _SHEET, sheet_lists
+        ))
         for cid in sorted(ram_obj)
     ]
     pts = []
@@ -299,16 +305,16 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, dict[int, tuple[PointAbove
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        pts.append(
-            (idx, _shared_records(PointAbove, pts_obj[key], "cover.points_above", key, _POINT, memo))
-        )
+        pts.append((idx, _shared_records(
+            PointAbove, pts_obj[key], "cover.points_above", key, _POINT, point_lists
+        )))
 
     cover = CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),
         ramification=ram,
         points_above=pts,
     )
-    return cover, dict(pts)
+    return cover, pts
 
 
 def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
@@ -335,8 +341,12 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
     doc = _as_obj(doc, "document", {"base", "cover"})
     base = _parse_base(doc["base"])
     cover, points = _parse_cover(doc["cover"])
+    # A point's path is formatted only to name a fault, so only then are the
+    # points looked up by crossing.
     check_references(
-        base, cover, lambda idx, pt: f"cover.points_above[{str(idx)!r}][{points[idx].index(pt)}]"
+        base,
+        cover,
+        lambda idx, pt: f"cover.points_above[{str(idx)!r}][{dict(points)[idx].index(pt)}]",
     )
     return base, cover
 

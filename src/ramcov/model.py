@@ -285,19 +285,19 @@ class CoverDescription(Value):
         for idx, _ in points_above:
             check_int(idx, "points_above key")
         # id(points) -> those points in canonical order: a list shared by
-        # several crossings is sorted once and stays one tuple.
+        # several crossings is sorted once and stays one tuple.  A list of
+        # fewer than two points is in order as it is.
         ordered: dict[int, tuple] = {}
 
         def canonical(points):
-            if len(points) < 2:
-                return points
             got = ordered.get(id(points))
             if got is None:
                 got = ordered[id(points)] = tuple(sorted(points, key=_point_key))
             return got
 
         points_above = tuple(
-            (idx, canonical(points)) for idx, points in sorted(points_above, key=itemgetter(0))
+            (idx, canonical(points) if len(points) > 1 else points)
+            for idx, points in sorted(points_above, key=itemgetter(0))
         )
         object.__setattr__(self, "_points", dict(points_above))
         if len(self._points) != len(points_above):
@@ -356,13 +356,13 @@ def check_references(base: BaseGeometry, cover: CoverDescription, point_path=Non
     for cid, _ in cover.ramification:
         if cid not in base._components:
             raise InvalidInputError(f"ramification references unknown component {cid!r}")
-    sheets = cover._sheets
+    sheets, crossings = cover._sheets.get, base._crossings.get
     for idx, points in cover.points_above:
-        crossing = base._crossings.get(idx)
+        crossing = crossings(idx)
         if crossing is None:
             raise InvalidInputError(f"points_above references unknown crossing {idx}")
         first, second = crossing.pair
-        n_first, n_second = len(sheets.get(first, ())), len(sheets.get(second, ()))
+        n_first, n_second = len(sheets(first, ())), len(sheets(second, ()))
         for k, pt in enumerate(points):
             if pt.j < n_first and pt.jp < n_second:
                 continue

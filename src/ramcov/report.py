@@ -122,6 +122,12 @@ def _scalar(value) -> str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(value)
 
 
@@ -210,8 +216,7 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     def chunks():
         yield from records(receipts.head)
         for index, shape in zip(receipts.indices, receipts.shapes):
-            a, b, c, d = templates[shape]
-            yield f"{a}{index}{b}{index}{c}{index}{d}"
+            yield f"{index}".join(templates[shape])
         yield from records(receipts.tail)
 
     _write_list(chunks(), depth, out)
@@ -314,8 +319,10 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
             )
         return f'{{{key}"j": {point.j},{key}"jp": {point.jp},{key}"local": {local}{end}}}'
 
-    entries = sorted([(f"{idx}", points) for idx, points in points_above])
-    _write_shared_lists(((f'"{idx}"', points) for idx, points in entries), record, depth, out)
+    # Quoting keeps the order of the keys as strings: '"' sorts below every digit.
+    _write_shared_lists(
+        sorted([(f'"{idx}"', points) for idx, points in points_above]), record, depth, out
+    )
 
 
 def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
@@ -412,6 +419,8 @@ class ReportDocument(Value):
         cert = self.certificate
         if cert is not None:
             inv = cert.report
+            # The certificate's deg_det is its report's; each read works it out anew.
+            deg_det = str(inv.deg_det)
             doc["invariants"] = {
                 "B_mult": functools.partial(_write_by_id, inv.B_mult),
                 "KX_dot_B": inv.KX_dot_B,
@@ -424,7 +433,7 @@ class ReportDocument(Value):
                 "exceptional_s": inv.exceptional_s,
                 "euler_Yprime": inv.euler_Yprime,
                 "chi": str(inv.chi),
-                "deg_det": str(inv.deg_det),
+                "deg_det": deg_det,
             }
             doc["consistency"] = {
                 "chi_integral": inv.chi_is_integral,
@@ -434,7 +443,7 @@ class ReportDocument(Value):
                 "terms": functools.partial(_write_terms, cert.receipts),
                 "linear_coefficient": str(cert.linear_coefficient),
                 "degree": cert.degree,
-                "deg_det": str(cert.deg_det),
+                "deg_det": deg_det,
                 "deg_det_within_linear": cert.deg_det_within_linear,
                 "satisfied": cert.satisfied,
                 "fibration": None,

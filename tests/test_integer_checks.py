@@ -9,6 +9,7 @@ generator pair on the hot path, may test ``isinstance(..., bool)`` itself.
 """
 
 import ast
+import enum
 import pathlib
 
 import pytest
@@ -83,6 +84,47 @@ def test_every_integer_argument_is_refused_with_its_name(call, what, low, low_me
         with pytest.raises(InvalidInputError) as info:
             call(value)
         assert str(info.value) == message
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+    FIVE = 5
+
+
+def _isinstance_judge(value, what, minimum=None):
+    """``check_int``'s verdict from its ``isinstance`` tests alone, for every value."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be an integer (got {value!r})")
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{what} must be >= {minimum} (got {value})")
+    return value
+
+
+@pytest.mark.parametrize(
+    "value,verdict",
+    [
+        (5, 5),
+        (True, "k must be an integer (got True)"),
+        (_Level.FIVE, _Level.FIVE),
+        (_Level.TWO, "k must be >= 3 (got 2)"),
+        (2, "k must be >= 3 (got 2)"),
+        ("5", "k must be an integer (got '5')"),
+    ],
+    ids=["int", "bool", "int-subclass", "int-subclass-below", "below", "str"],
+)
+def test_check_int_decides_an_exact_int_as_its_isinstance_tests_do(value, verdict):
+    # An exact int is decided by its type first; every value gets the verdict
+    # and message of the isinstance tests, and an accepted value is returned
+    # as the same object.
+    def judged(judge):
+        try:
+            return judge(value, "k", 3)
+        except InvalidInputError as exc:
+            return str(exc)
+
+    assert judged(check_int) == judged(_isinstance_judge) == verdict
+    if not isinstance(verdict, str):
+        assert check_int(value, "k", 3) is value
 
 
 def _double_cover_with_local(local):

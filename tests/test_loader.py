@@ -2,6 +2,7 @@
 
 import gc
 import json
+import marshal
 import pathlib
 import tracemalloc
 
@@ -1009,7 +1010,7 @@ def test_a_repeated_local_does_not_excuse_its_record(edit, message):
     assert str(info.value) == message
 
 
-# The loader keys a sheet or point list first on its marshal bytes
+# The loader keys a sheet or point list on its marshal bytes
 # (loader._shared_records).  grid(6) repeats one sheet list and one point list;
 # a copy of either, retyped in one value, must be judged as a list of its own,
 # whether it comes before or after the shared list is stored.
@@ -1035,6 +1036,31 @@ def test_a_retyped_copy_of_a_shared_sheet_list_is_refused_by_its_path(cid):
     with pytest.raises(InputFormatError) as info:
         parse_cover_json(json.dumps(doc))
     assert str(info.value) == f"cover.ramification[{cid!r}][0].f: expected an integer (got True)"
+
+
+def test_the_list_key_is_a_function_of_the_typed_value():
+    # One int object held twice, and two distinct equal ones: marshal's
+    # default version writes the first with a back-reference, version 2 as
+    # the second, so both lists get one tuple.
+    one = int("1001")
+    shared, distinct = [{"e": one, "f": one}], [{"e": int("1001"), "f": int("1001")}]
+    assert marshal.dumps(shared) != marshal.dumps(distinct)
+    memo: dict = {}
+
+    def records(value):
+        return loader._shared_records(
+            RamSheet, value, "cover.ramification", "D1", loader._SHEET, memo
+        )
+
+    assert records(distinct) is records(shared) == (RamSheet(1001, 1001),)
+    # true and 1.0 are equal to 1, but their keys differ from its key, so
+    # each is judged and refused.
+    assert records([{"e": 1, "f": 1}]) == (RamSheet(1, 1),)
+    for value, got in ((True, "True"), (1.0, "1.0")):
+        with pytest.raises(InputFormatError) as info:
+            records([{"e": 1, "f": value}])
+        assert str(info.value) == f"cover.ramification['D1'][0].f: expected an integer (got {got})"
+    assert len(memo) == 2
 
 
 def test_a_point_list_with_its_keys_in_another_order_gives_the_same_bytes():

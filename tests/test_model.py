@@ -614,6 +614,14 @@ def _bad_sheet_index_before_dangling_key():
             _bad_sheet_index_before_dangling_key,
             "crossing 3, point 0: sheet index j=1 out of range for component 'D2' (1 sheets)",
         ),
+        # Given in reverse index order, two crossings with unknown ids: the
+        # lower index is named.
+        (
+            lambda: _two_components(
+                crossings=(Crossing(index=5, pair=("A", "Y")), Crossing(index=2, pair=("Z", "B")))
+            ),
+            "crossing 2 references unknown component 'Z'",
+        ),
     ],
     ids=[
         "crossing_pair_member",
@@ -627,6 +635,7 @@ def _bad_sheet_index_before_dangling_key():
         "component_duplicate_before_unknown_component",
         "crossing_duplicate_before_unknown_component",
         "sheet_index_before_later_dangling_key",
+        "unknown_components_lower_index_first",
     ],
 )
 def test_constructor_rejection_messages(build, message):
@@ -708,6 +717,28 @@ def test_check_references_errors():
     )
     with pytest.raises(InvalidInputError, match="jp=3 out of range"):
         validate(base, CoverDescription(degree=1, ramification=cover.ramification, points_above=pts))
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_each_point_list_is_kept_in_canonical_order(size):
+    # A list of fewer than two points is kept as given; a longer one is
+    # sorted by (j, jp, repr(local)).  Either way a list that two crossings
+    # share stays one tuple.
+    lattices = [LatticeSubgroup((1, 0), (0, 1)), LatticeSubgroup((2, 0), (1, 1))]
+    given = tuple(
+        PointAbove(j=j, jp=0, local=local)
+        for j, local in [(1, lattices[0]), (0, lattices[1]), (0, lattices[0])][:size]
+    )
+    cover = CoverDescription(degree=1, ramification=(), points_above=((7, given), (2, given)))
+    ordered = cover.points_for(2)
+    assert ordered == tuple(sorted(given, key=lambda p: (p.j, p.jp, repr(p.local))))
+    assert cover.points_for(7) is ordered
+    if size < 2:
+        assert ordered is given
+    else:
+        assert [(p.j, p.local) for p in ordered] == [
+            (0, lattices[0]), (0, lattices[1]), (1, lattices[0])
+        ]
 
 
 def test_component_lookup():

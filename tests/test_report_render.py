@@ -26,9 +26,10 @@ from ramcov.golden import double_cover
 from ramcov.invariants import examine
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
-from ramcov.model import CoverDescription
+from ramcov.model import CoverDescription, Crossing
 from ramcov.report import ReportDocument, dumps_document, render_json
 from ramcov.value import Value
+from rebuild import replace
 from report_reference import reference_document, reference_report
 from ruled_documents import grid_document
 
@@ -95,6 +96,26 @@ def test_render_json_lists_of_flat_objects_at_any_depth(members, wrappers):
 def test_render_json_empty_and_nested_edges():
     for obj in ({}, [], (), {"a": {}, "b": []}, [[], [{}]], {"k": [[1, 2], [3, {"x": None}]]}):
         assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [None, True, False, -12, "Dé3☃"], ids=repr)
+def test_a_scalar_is_written_as_json_dumps_writes_it(value):
+    assert ramcov.report._scalar(value) == json.dumps(value)
+
+
+def test_points_above_keys_are_written_in_string_order():
+    # Sorted as strings, "1" < "10" < "100" < "9"; the writer sorts the quoted
+    # keys, and '"' sorts below every digit, so the order is the same.
+    base, cover = double_cover()
+    index = dict(zip(sorted(base._crossings), (9, 10, 100, 1)))
+    base = replace(base, crossings=tuple(Crossing(index[x.index], x.pair) for x in base.crossings))
+    cover = replace(cover, points_above=tuple(
+        (index[idx], points) for idx, points in cover.points_above
+    ))
+    written = dumps_document(base, cover)
+    assert written == json.dumps(reference_document(base, cover), indent=2, sort_keys=True) + "\n"
+    keys = list(json.loads(written)["cover"]["points_above"])
+    assert keys == ["1", "10", "100", "9"]
 
 
 def _write_json(value, depth, out):
