@@ -547,9 +547,8 @@ def examine(
     # diagonal's verdict, d_i)
     sheet_lists: dict[int, tuple] = {}
     rr = zero
-    # What cover.sheets_for and cover.points_for answer, read from the
-    # cover's indexes through bound methods: the crossing loop runs once per
-    # crossing.
+    # cover.sheets_for and cover.points_for, read straight from the cover's
+    # indexes: the crossing loop below runs once per crossing.
     sheets_for = cover._sheets.get
     for comp in base.components:
         sheets = sheets_for(comp.id, ())

@@ -11,7 +11,8 @@ The JSON form has one writer, :func:`_render`.  It walks a tree of dicts,
 lists, tuples and scalars, sorts keys and indents as ``json.dumps(indent=2,
 sort_keys=True)`` does, and appends each piece of text to one output list,
 writing strings through ``encode_basestring_ascii``, exact ints through
-``int.__repr__`` and any other scalar through ``json.dumps``.  A callable
+``int.__repr__``, ``None``, ``True`` and ``False`` as ``null``, ``true``
+and ``false``, and any other scalar through ``json.dumps``.  A callable
 member of the tree writes itself: the writer calls it as ``member(depth,
 out)``, with the depth at which the member opens, and the member appends its
 text to the same list.  :func:`render_json` joins the list;
