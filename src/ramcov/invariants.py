@@ -72,7 +72,7 @@ from .errors import InvalidInputError, check_int
 # resolve is not called here; it stays bound because perfbench/tracer.py
 # wraps it under this module's name.
 from .hj import SingularityType, resolution_numbers, resolve
-from .model import BaseGeometry, CoverDescription, Crossing, EulerData, Violation
+from .model import BaseGeometry, CoverDescription, Crossing, Violation
 from .model import check_references, derived_euler_data
 from .value import Value
 
@@ -298,16 +298,15 @@ class BoundCertificate(Value):
     ``fibration_inputs`` are set the row after it compares ``deg_det`` with
     their semistable bound.  Nothing else stores a row's number:
     ``linear_coefficient``, c, is the linear row's per-degree value,
-    assembled from the base configuration alone (its Euler data is
-    ``derived_base``), so one coefficient serves every cover of the same
-    base; ``fibration_bound`` is the fibration row's bound.
+    assembled from the base configuration alone, so one coefficient serves
+    every cover of the same base; ``fibration_bound`` is the fibration row's bound.
     ``deg_det_within_linear`` and ``deg_det_within_fibration`` are those
     rows' verdicts, and the text report's ``c*d`` is the linear row's bound.
     ``report`` is summed in the walk that emits the receipts; its
     ``deg_det`` is the certificate's.
     """
 
-    __slots__ = ("receipts", "degree", "report", "derived_base", "fibration_inputs")
+    __slots__ = ("receipts", "degree", "report", "fibration_inputs")
 
     @property
     def deg_det(self) -> Fraction:
@@ -344,15 +343,13 @@ def linear_coefficient(base: BaseGeometry) -> Fraction:
 
     Aggregates the worst case of every term in the invariant chain using
     only base data: canonical intersection numbers, component
-    self-intersections, crossing counts, and the Euler stratification.
+    self-intersections, crossing counts, and the Euler stratification, which
+    the base derived as it was built (:func:`~ramcov.model.derived_euler_data`).
     Conservative by construction; the certificate's per-term receipts show
-    where the slack lives.
+    where the slack lives.  This is the one statement of c: :func:`examine`
+    calls it for the linear row.
     """
-    return _linear_coefficient(base, derived_euler_data(base))
-
-
-def _linear_coefficient(base: BaseGeometry, euler: EulerData) -> Fraction:
-    """:func:`linear_coefficient` of ``base``, whose Euler data is ``euler``."""
+    euler = derived_euler_data(base)
     n_cross = len(base.crossings)
     twelfth = (
         abs(base.KX_sq)
@@ -498,7 +495,8 @@ def examine(
     itself against ``linear_coefficient * d``.  When fibration inputs are
     supplied the comparison against the semistable bound is appended as a
     receipt as well.  The same values are summed into the carried report.
-    The receipts are stored by crossing shape (see :class:`Receipts`): each
+    Its e_c(Y) reads the Euler data that the base derived as it was built,
+    and c is :func:`linear_coefficient`'s.  The receipts are stored by crossing shape (see :class:`Receipts`): each
     crossing adds only its shape number, and the receipts name the
     crossings in the base's index order.  A crossing is named only in a
     finding, in ``error`` or when read.
@@ -635,7 +633,7 @@ def examine(
     )
 
     dd = report.deg_det
-    coeff = _linear_coefficient(base, euler)
+    coeff = linear_coefficient(base)
     tail = [("deg_det_vs_linear", dd, coeff * d, coeff, _within(dd, coeff * d))]
     if fibration is not None:
         fi = fibration
@@ -648,7 +646,6 @@ def examine(
         receipts=Receipts(tuple(head), list(base._crossings), numbers, tuple(shape_rows), tuple(tail)),
         degree=d,
         report=report,
-        derived_base=euler,
         fibration_inputs=fibration,
     )
     return found, certificate, None

@@ -23,7 +23,9 @@ the loader gives equal lists, is sorted once per construction and stays one
 tuple: the memo keys on the list's identity and lives for the constructor
 call.  After the sort each constructor indexes each list in one
 dict, by id or index: its size is the duplicate check, and the reference
-checks and every lookup read it.
+checks and every lookup read it.  The base also derives its Euler data
+there, once, from one count of its crossings' ids that also judges their
+references; :func:`derived_euler_data` and every reader read that value.
 
 Structural problems (dangling references, malformed values) raise
 :class:`~ramcov.errors.InvalidInputError`; semantic incoherence on
@@ -139,12 +141,15 @@ class BaseGeometry(Value):
     class of the fibration ``h: X -> C``; per-component fibre degrees live
     on the components themselves.  ``pair_counts`` optionally declares the
     number of crossings expected on an unordered pair of components and is
-    cross-checked at construction time.
+    cross-checked at construction time.  The constructor also derives the
+    base's :class:`EulerData`, after every check, and keeps it for
+    :func:`derived_euler_data`; a copy or a pickle is built by the
+    constructor, so it derives its own.
     """
 
     __slots__ = (
         "genus_C", "KX_sq", "euler_X", "KX_dot_F", "components", "crossings", "pair_counts",
-        "_components", "_crossings",
+        "_components", "_crossings", "_euler",
     )
 
     def __init__(
@@ -174,12 +179,12 @@ class BaseGeometry(Value):
         ids = _index(components, by_id, "component ids")
         object.__setattr__(self, "_components", ids)
         object.__setattr__(self, "_crossings", _index(crossings, by_index, "crossing indices"))
-        for x in crossings:
-            for cid in x.pair:
-                if cid not in ids:
-                    raise InvalidInputError(
-                        f"crossing {x.index} references unknown component {cid!r}"
-                    )
+        # One count of the crossings' ids: its keys judge the references, and
+        # its values give each component's crossings for the Euler data.
+        on = Counter(chain.from_iterable(map(attrgetter("pair"), crossings)))
+        if not on.keys() <= ids.keys():
+            x, cid = next((x, cid) for x in crossings for cid in x.pair if cid not in ids)
+            raise InvalidInputError(f"crossing {x.index} references unknown component {cid!r}")
         # Declared pairwise intersection numbers, when present, must agree
         # with the actual crossing count on that pair (SNC transversality
         # makes the two notions coincide).
@@ -194,6 +199,10 @@ class BaseGeometry(Value):
                     f"declared intersection count for pair {key} is {count} "
                     f"but the crossing list has {got}"
                 )
+        opens = tuple((c.id, 2 - 2 * c.genus - on[c.id]) for c in components)
+        n_cross = len(crossings)
+        e_c_U = euler_X - (sum(v for _, v in opens) + n_cross)
+        object.__setattr__(self, "_euler", EulerData(e_c_U, opens, n_cross))
         self._set_fields(genus_C, KX_sq, euler_X, KX_dot_F, components, crossings, pair_counts)
 
     def component(self, cid: str) -> BranchComponent:
@@ -400,14 +409,7 @@ def derived_euler_data(base: BaseGeometry) -> EulerData:
     Each component punctured at its crossings has compactly supported Euler
     characteristic ``2 - 2*genus - #crossings on it``; the divisor total
     adds the crossing points back once, and the complement gets whatever
-    remains of ``e_c(X)``.
+    remains of ``e_c(X)``.  The base derives them once, as it is built, and
+    this returns that one value.
     """
-    on = Counter(chain.from_iterable(map(attrgetter("pair"), base.crossings)))
-    opens = [(comp.id, 2 - 2 * comp.genus - on[comp.id]) for comp in base.components]
-    n_cross = len(base.crossings)
-    e_c_D = sum(v for _, v in opens) + n_cross
-    return EulerData(
-        e_c_U=base.euler_X - e_c_D,
-        open_components=tuple(opens),
-        n_crossings=n_cross,
-    )
+    return base._euler

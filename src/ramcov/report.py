@@ -58,6 +58,9 @@ member, is written as its number, not its repr.
 A record that the report writes whole, a validation finding, the fibration
 inputs, and the derived base data but for its ``open_components``, is
 written from its type's fields, ``__match_args__``, each field name a key.
+Both writers take the derived base data from
+:func:`~ramcov.model.derived_euler_data`, the value the base derived as it
+was built, so a report with a certificate and one without read one source.
 The certificate's numbers, a row's value, bound and per-degree factor in
 ``certificate.terms`` and on the text report's lines, are written with
 ``format`` too: a bound equal to the cover degree is the model's int, and
@@ -75,7 +78,7 @@ from . import __version__
 from .errors import InvalidInputError
 from .invariants import Receipts
 from .local_cover import LatticeSubgroup
-from .model import BaseGeometry, CoverDescription, EulerData, derived_euler_data
+from .model import BaseGeometry, CoverDescription, derived_euler_data
 from .value import Value
 
 __all__ = [
@@ -392,14 +395,9 @@ class ReportDocument(Value):
     def valid(self) -> bool:
         return not self.violations
 
-    @property
-    def derived_base(self) -> EulerData:
-        cert = self.certificate
-        return derived_euler_data(self.base) if cert is None else cert.derived_base
-
     def to_json(self) -> list[str]:
         """The JSON report as chunks of text, the last ``"\\n"``: joined, they are its bytes."""
-        eb = self.derived_base
+        eb = derived_euler_data(self.base)
         doc: dict = {
             "tool": {"name": "ramcov", "version": __version__},
             "strict": self.strict,
@@ -469,7 +467,7 @@ class ReportDocument(Value):
         for v in self.violations:
             lines.append(f"  {v.code} at {', '.join(v.where)}: {v.message}")
 
-        eb = self.derived_base
+        eb = derived_euler_data(self.base)
         lines.append("derived base data:")
         lines.append(f"  e_c(complement of D) = {eb.e_c_U}")
         for cid, val in eb.open_components:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from ramcov import __version__
 from ramcov.hj import SingularityType, resolve
 from ramcov.local_cover import LatticeSubgroup, local_type
+from ramcov.model import derived_euler_data
 from ramcov.report import FIBRATION_HYPOTHESES
 
 
@@ -107,7 +108,7 @@ def reference_document(base, cover) -> dict:
 
 def reference_report(report) -> dict:
     """The JSON report of the ``ReportDocument`` ``report``."""
-    eb = report.derived_base
+    eb = derived_euler_data(report.base)
     doc = {
         "tool": {"name": "ramcov", "version": __version__},
         "strict": report.strict,

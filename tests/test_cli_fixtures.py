@@ -75,11 +75,9 @@ from fractions import Fraction
 
 import pytest
 
-import ramcov.cli
 import ramcov.invariants
 import ramcov.loader
 import ramcov.model
-import ramcov.report
 import ramcov.verify
 from ramcov.cli import main
 from ramcov.hj import HJChain, discrepancies, hj_expand
@@ -418,18 +416,16 @@ def _not_coprime(tmp_path) -> pathlib.Path:
 def test_an_invariants_run_derives_the_euler_data_once(
     capsys, monkeypatch, tmp_path, json_flag, document, code
 ):
-    # The walk derives it for the linear coefficient and e_c(Y), and the
-    # report shows the certificate's; a report without a certificate
-    # derives its own.
+    # The base derives it as it is built; the walk's linear coefficient and
+    # e_c(Y) and the report, with or without a certificate, read that value.
     calls = []
-    derive = ramcov.model.derived_euler_data
+    build = ramcov.model.EulerData
 
-    def counting(base):
-        calls.append(base)
-        return derive(base)
+    def counting(*fields):
+        calls.append(fields)
+        return build(*fields)
 
-    for module in (ramcov.cli, ramcov.invariants, ramcov.report):
-        monkeypatch.setattr(module, "derived_euler_data", counting)
+    monkeypatch.setattr(ramcov.model, "EulerData", counting)
     assert main(["invariants", str(document(tmp_path)), "--strict", *json_flag]) == code
     out = capsys.readouterr().out
     assert ("not computed" in out or '"certificate": null' in out) == (document is _not_coprime)

@@ -658,7 +658,6 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     fields = dict(
         degree=1,
         report=invariant_report(base, cover),
-        derived_base=derived_euler_data(base),
     )
     one = Fraction(1)
     head = (("x", 1, 2, one, True),)
@@ -687,14 +686,16 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
     )
     assert cert.deg_det_within_linear and not cert.satisfied
     # the certificate's deg_det is its report's, and its coefficient and
-    # fibration bound are its rows', so none of them can disagree
+    # fibration bound are its rows', so none of them can disagree; it keeps
+    # no copy of the base's Euler data, which derived_euler_data reads
     assert cert.deg_det == fields["report"].deg_det
     for name, value in (("deg_det", cert.deg_det + 1), ("linear_coefficient", one),
-                        ("fibration_bound", Fraction(9))):
+                        ("fibration_bound", Fraction(9)),
+                        ("derived_base", derived_euler_data(base))):
         with pytest.raises(TypeError, match=name):
             BoundCertificate(receipts=receipts, fibration_inputs=None, **fields, **{name: value})
     assert list(inspect.signature(BoundCertificate).parameters) == [
-        "receipts", "degree", "report", "derived_base", "fibration_inputs"
+        "receipts", "degree", "report", "fibration_inputs"
     ]
 
 
@@ -763,7 +764,7 @@ def test_every_verdict_is_its_value_within_its_bound(load, fibration):
 def _twelve_c_summed(base, cert) -> Fraction:
     """12 c, summed from the per-degree factor ``p`` of each of ``cert``'s own rows."""
     p = {name: per_degree for name, _, _, per_degree, _ in cert.receipts}
-    euler = cert.derived_base
+    euler = derived_euler_data(base)
     fib = Fraction(abs(1 - base.genus_C), 2) * (
         abs(base.KX_dot_F) + sum(c.fiber_deg * p[f"branch_mult[{c.id}]"] for c in base.components)
     )

@@ -622,6 +622,18 @@ def _bad_sheet_index_before_dangling_key():
             ),
             "crossing 2 references unknown component 'Z'",
         ),
+        # Both ids unknown: the first of the pair, as given, is named.
+        (
+            lambda: _two_components(crossings=(Crossing(index=1, pair=("Y", "X")),)),
+            "crossing 1 references unknown component 'Y'",
+        ),
+        # Crossing references are judged before declared counts.
+        (
+            lambda: _two_components(
+                crossings=(Crossing(index=0, pair=("A", "Z")),), pair_counts=((("A", "B"), 3),)
+            ),
+            "crossing 0 references unknown component 'Z'",
+        ),
     ],
     ids=[
         "crossing_pair_member",
@@ -636,6 +648,8 @@ def _bad_sheet_index_before_dangling_key():
         "crossing_duplicate_before_unknown_component",
         "sheet_index_before_later_dangling_key",
         "unknown_components_lower_index_first",
+        "unknown_components_first_of_pair",
+        "unknown_component_before_declared_count",
     ],
 )
 def test_constructor_rejection_messages(build, message):

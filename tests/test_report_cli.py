@@ -74,7 +74,6 @@ def test_report_error_path_rendering():
         strict=False, base=base, cover=cover, violations=(), certificate=None, error="boom"
     )
     assert doc.valid
-    assert doc.derived_base == derived_euler_data(base)
     text = doc.to_text()
     assert text.startswith(f"ramcov invariants report (version {__version__})\n")
     assert "invariants: not computed (boom)" in text
@@ -85,6 +84,12 @@ def test_report_error_path_rendering():
     payload = json.loads(out)
     assert payload["tool"] == {"name": "ramcov", "version": __version__}
     assert payload["input"] == reference_document(base, cover)
+    euler = derived_euler_data(base)
+    assert payload["derived_base"] == {
+        "e_c_U": euler.e_c_U,
+        "n_crossings": euler.n_crossings,
+        "open_components": dict(euler.open_components),
+    }
     assert payload["invariants"] is None
     assert payload["certificate"] is None
     assert payload["error"] == "boom"

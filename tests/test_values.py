@@ -50,6 +50,7 @@ from ramcov.model import (
     PointAbove,
     RamSheet,
     Violation,
+    derived_euler_data,
 )
 from ramcov.report import ReportDocument
 from ramcov.value import Value
@@ -73,7 +74,7 @@ def _samples() -> dict:
         cover.points_above[0][1][0],
         cover,
         Violation("V1", ("component D1",), "sheet degrees sum to 1, not 2"),
-        cert.derived_base,
+        derived_euler_data(base),
         resolution.sing,
         resolution.chain,
         resolution,
@@ -259,6 +260,12 @@ def test_a_pickled_or_deep_copied_document_keeps_its_shared_lists():
         points = dict(model.points_above)
         assert points[0] is points[3] and points[1] is points[2] and points[0] != points[1]
         assert model.sheets_for("D1") is model.ramification[0][1]
+    # a copy or a pickle is built by the constructor, so its base derives
+    # its own Euler data, equal to the original's; each base derives it once
+    (base, _), (pickled_base, _), (deep_base, _) = loaded, pickled, deep
+    euler = derived_euler_data(base)
+    assert derived_euler_data(pickled_base) == derived_euler_data(deep_base) == euler
+    assert euler is derived_euler_data(base)
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
