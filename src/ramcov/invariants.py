@@ -299,10 +299,10 @@ class BoundCertificate(Value):
     their semistable bound.  Nothing else stores a row's number:
     ``linear_coefficient``, c, is the linear row's per-degree value,
     assembled from the base configuration alone, so one coefficient serves
-    every cover of the same base; ``fibration_bound`` is the fibration row's bound.
-    ``deg_det_within_linear`` and ``deg_det_within_fibration`` are those
-    rows' verdicts, and the text report's ``c*d`` is the linear row's bound.
-    ``report`` is summed in the walk that emits the receipts; its
+    every cover of the same base; ``fibration_bound`` is the fibration
+    row's bound.  ``deg_det_within_linear`` and ``deg_det_within_fibration``
+    are those rows' verdicts, and the text report's ``c*d`` is the linear
+    row's bound.  ``report`` is summed in the walk that emits the receipts; its
     ``deg_det`` is the certificate's.
     """
 
@@ -496,10 +496,11 @@ def examine(
     supplied the comparison against the semistable bound is appended as a
     receipt as well.  The same values are summed into the carried report.
     Its e_c(Y) reads the Euler data that the base derived as it was built,
-    and c is :func:`linear_coefficient`'s.  The receipts are stored by crossing shape (see :class:`Receipts`): each
-    crossing adds only its shape number, and the receipts name the
-    crossings in the base's index order.  A crossing is named only in a
-    finding, in ``error`` or when read.
+    and c is :func:`linear_coefficient`'s.  The receipts are stored by
+    crossing shape (see :class:`Receipts`): each crossing adds only its
+    shape number, and the receipts name the crossings in the base's index
+    order.  A crossing is named only in a finding, in ``error`` or when
+    read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, with no finding and no ``error`` is computed once per
