@@ -425,14 +425,12 @@ def _crossing_shape(
         e1, e2 = first[pt.j].e, second[pt.jp].e
         if lt.e1 != e1 or lt.e2 != e2 or problems:
             where = f"point {k}"
-            if lt.e1 != e1:
-                found.append(Violation("V3", (at, where), (
-                    f"{at}, {where}: local e1={lt.e1} but sheet {pt.j} of {first_id!r} has e={e1}"
-                )))
-            if lt.e2 != e2:
-                found.append(Violation("V3", (at, where), (
-                    f"{at}, {where}: local e2={lt.e2} but sheet {pt.jp} of {second_id!r} has e={e2}"
-                )))
+            sides = ((1, lt.e1, pt.j, first_id, e1), (2, lt.e2, pt.jp, second_id, e2))
+            for side, local, j, cid, e in sides:
+                if local != e:
+                    found.append(Violation("V3", (at, where), (
+                        f"{at}, {where}: local e{side}={local} but sheet {j} of {cid!r} has e={e}"
+                    )))
             found += [Violation("V5", (at, where), f"{at}, {where}: {p}") for p in problems]
             if problems and problem is None:
                 problem = problems[0]
@@ -495,8 +493,10 @@ def examine(
     itself against ``linear_coefficient * d``.  When fibration inputs are
     supplied the comparison against the semistable bound is appended as a
     receipt as well.  The same values are summed into the carried report.
-    Its e_c(Y) reads the Euler data that the base derived as it was built,
-    and c is :func:`linear_coefficient`'s.  The receipts are stored by
+    Its e_c(Y) reads the Euler data that the base derived as it was built:
+    each component adds its ``d_i`` times its open part's e_c as its sheets
+    are read, in the one pass over the components.  c is
+    :func:`linear_coefficient`'s.  The receipts are stored by
     crossing shape (see :class:`Receipts`): each crossing adds only its
     shape number, and the receipts name the crossings in the base's index
     order.  A crossing is named only in a finding, in ``error`` or when
@@ -540,8 +540,11 @@ def examine(
     head = []  # the component rows, (name, value, bound, per_degree, ok) each
     diagonals = []
     b_mults = []
-    d_sums = []  # d_i = sum_j f_ij, in component order
     kx_dot_b = b_dot_f = 0
+    # e_c(Y) over the open components: the sum of d_i * e_c(D_i less its
+    # crossings), with d_i = sum_j f_ij, added as each component is read
+    euler = derived_euler_data(base)
+    e_c_branch = 0
     # id(sheets) -> (diagonal, sum of e*f, b_mult and its verdict, the
     # diagonal's verdict, d_i)
     sheet_lists: dict[int, tuple] = {}
@@ -549,7 +552,7 @@ def examine(
     # cover.sheets_for and cover.points_for, read straight from the cover's
     # indexes: the crossing loop below runs once per crossing.
     sheets_for = cover._sheets.get
-    for comp in base.components:
+    for comp, (_, e_c) in zip(base.components, euler.open_components):
         sheets = sheets_for(comp.id, ())
         known = sheet_lists.get(id(sheets))
         if known is None:
@@ -569,7 +572,7 @@ def examine(
         b_mults.append((comp.id, b_mult))
         kx_dot_b += b_mult * comp.KX_dot
         b_dot_f += b_mult * comp.fiber_deg
-        d_sums.append(d_i)
+        e_c_branch += d_i * e_c
         head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, b_ok))
         diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, diagonal_ok))
     head += diagonals
@@ -615,12 +618,8 @@ def examine(
         correction_total += count * correction
         s_total += count * s
 
-    euler = derived_euler_data(base)
     # every key of points_above is a crossing, so these are all the points
     n_points = sum(map(len, cover._points.values()))
-    euler_y = d * euler.e_c_U + n_points + sum(
-        d_i * e_c for d_i, (_, e_c) in zip(d_sums, euler.open_components)
-    )
     report = InvariantReport(
         B_mult=tuple(b_mults),
         KX_dot_B=kx_dot_b,
@@ -628,7 +627,7 @@ def examine(
         RR=rr,
         KY_sq=d * base.KX_sq + 2 * kx_dot_b + rr,
         correction_total=correction_total,
-        euler_Y=euler_y,
+        euler_Y=d * euler.e_c_U + n_points + e_c_branch,
         exceptional_s=s_total,
         fibration_term=Fraction(1 - base.genus_C, 2) * (d * base.KX_dot_F + b_dot_f),
     )

@@ -22,8 +22,9 @@ in that order.  A point list that several crossings share as one tuple, as
 the loader gives equal lists, is sorted once per construction and stays one
 tuple: the memo keys on the list's identity and lives for the constructor
 call.  After the sort each constructor indexes each list in one
-dict, by id or index: its size is the duplicate check, and the reference
-checks and every lookup read it.  The base also derives its Euler data
+dict, by id or index, through ``_index``, the one duplicate judge of all
+four tables: a repeated key raises, naming every repeated one, and the
+reference checks and every lookup read the dict.  The base also derives its Euler data
 there, once, from one count of its crossings' ids that also judges their
 references; :func:`derived_euler_data` and every reader read that value.
 
@@ -67,11 +68,11 @@ __all__ = [
 ]
 
 
-def _index(items: tuple, key, what: str) -> dict:
-    """``items`` by ``key``; a repeated key raises, naming every repeated one, sorted."""
-    index = {key(item): item for item in items}
-    if len(index) != len(items):
-        repeats = sorted(k for k, count in Counter(map(key, items)).items() if count > 1)
+def _index(pairs, what: str) -> dict:
+    """A sequence of ``(key, value)`` pairs as a dict; a repeated key raises, naming each, sorted."""
+    index = dict(pairs)
+    if len(index) != len(pairs):
+        repeats = sorted(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
         raise InvalidInputError(f"duplicate {what}: {repeats}")
     return index
 
@@ -172,13 +173,13 @@ class BaseGeometry(Value):
             ):
                 raise InvalidInputError(f"declared pair {pair!r} must be two component ids")
             check_int(count, f"declared count for pair {pair}")
-        by_id, by_index = attrgetter("id"), attrgetter("index")
-        components = tuple(sorted(components, key=by_id))
-        crossings = tuple(sorted(crossings, key=by_index))
+        components = tuple(sorted(components, key=attrgetter("id")))
+        crossings = tuple(sorted(crossings, key=attrgetter("index")))
         pair_counts = tuple(sorted(pair_counts, key=_pair_key))
-        ids = _index(components, by_id, "component ids")
+        ids = _index([(c.id, c) for c in components], "component ids")
         object.__setattr__(self, "_components", ids)
-        object.__setattr__(self, "_crossings", _index(crossings, by_index, "crossing indices"))
+        indices = _index([(x.index, x) for x in crossings], "crossing indices")
+        object.__setattr__(self, "_crossings", indices)
         # One count of the crossings' ids: its keys judge the references, and
         # its values give each component's crossings for the Euler data.
         on = Counter(chain.from_iterable(map(attrgetter("pair"), crossings)))
@@ -288,9 +289,8 @@ class CoverDescription(Value):
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
         ramification = tuple(sorted(ramification, key=itemgetter(0)))
-        object.__setattr__(self, "_sheets", dict(ramification))
-        if len(self._sheets) != len(ramification):
-            raise InvalidInputError("duplicate component id in ramification table")
+        sheets = _index(ramification, "component ids in the ramification table")
+        object.__setattr__(self, "_sheets", sheets)
         for idx, _ in points_above:
             check_int(idx, "points_above key")
         # id(points) -> those points in canonical order: a list shared by
@@ -308,9 +308,8 @@ class CoverDescription(Value):
             (idx, canonical(points) if len(points) > 1 else points)
             for idx, points in sorted(points_above, key=itemgetter(0))
         )
-        object.__setattr__(self, "_points", dict(points_above))
-        if len(self._points) != len(points_above):
-            raise InvalidInputError("duplicate crossing index in points_above table")
+        point_lists = _index(points_above, "crossing indices in the points_above table")
+        object.__setattr__(self, "_points", point_lists)
         self._set_fields(degree, ramification, points_above)
 
     def sheets_for(self, cid: str) -> tuple[RamSheet, ...]:

@@ -332,30 +332,27 @@ def _write_points_above(points_above, depth: int, out: list) -> None:
 def _echo(base: BaseGeometry, cover: CoverDescription) -> dict:
     """The document of ``base`` and ``cover``, its lists in the model's canonical order.
 
-    Its components, crossings, sheet lists and the points over each crossing
-    are members that write themselves; each distinct sheet or point tuple is
-    written once.
+    Its members are the fields of ``base`` and ``cover``, named by their
+    types' ``__match_args__`` as the loader reads them, but for
+    ``pair_counts``, written as ``pair_intersections`` and only when it is
+    not empty.  Its components, crossings, sheet lists and the points over
+    each crossing are members that write themselves; each distinct sheet or
+    point tuple is written once.
     """
-    doc: dict = {
-        "base": {
-            "genus_C": base.genus_C,
-            "KX_sq": base.KX_sq,
-            "euler_X": base.euler_X,
-            "KX_dot_F": base.KX_dot_F,
-            "components": functools.partial(_write_components, base.components),
-            "crossings": functools.partial(_write_crossings, base.crossings),
-        },
-        "cover": {
-            "degree": cover.degree,
-            "ramification": functools.partial(_write_ramification, cover.ramification),
-            "points_above": functools.partial(_write_points_above, cover.points_above),
-        },
-    }
-    if base.pair_counts:
-        doc["base"]["pair_intersections"] = [
+    echo = {"base": _fields(base), "cover": _fields(cover)}
+    if echo["base"].pop("pair_counts"):
+        echo["base"]["pair_intersections"] = [
             {"pair": list(pair), "count": count} for pair, count in base.pair_counts
         ]
-    return doc
+    echo["base"].update(
+        components=functools.partial(_write_components, base.components),
+        crossings=functools.partial(_write_crossings, base.crossings),
+    )
+    echo["cover"].update(
+        ramification=functools.partial(_write_ramification, cover.ramification),
+        points_above=functools.partial(_write_points_above, cover.points_above),
+    )
+    return echo
 
 
 def dumps_document(base: BaseGeometry, cover: CoverDescription) -> str:

@@ -1,5 +1,6 @@
-"""The demo scripts must keep running clean (they assert their own claims)."""
+"""The demo scripts keep running clean (they assert their own claims); README's quick start holds."""
 
+import doctest
 import pathlib
 import subprocess
 import sys
@@ -47,3 +48,11 @@ def test_make_kummer_reproduces_shipped_file():
     ]:
         proc = _make_kummer(*args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_readme_quick_start_holds():
+    # README's Python quick start is a doctest: each value in it is checked.
+    # Its golden-regeneration block is plain code, which doctest skips.
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False, report=False)
+    assert results.failed == 0
+    assert results.attempted >= 22  # the quick start's examples, none dropped

@@ -22,7 +22,7 @@ import json
 import math
 import pathlib
 import random
-import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -268,26 +268,46 @@ def test_int_subclass_local_data_gives_the_plain_int_certificate():
     assert plain[1].receipts == degree_linear_certificate(base, cover).receipts
 
 
+class _CountedSheets(tuple):
+    """A sheet list that counts the passes made over it."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 def test_examine_without_strict_does_no_work_per_sheet_and_crossing():
-    # 4 000 crossings on a component with 10^6 unramified sheets, one point
-    # each.  Without strict the walk is linear in the input; a list sized by
-    # the sheet count at every crossing would fill 4 * 10^9 entries.
+    # 40 and 4 000 crossings on a component with 10^6 unramified sheets, one
+    # point each.  Without strict the walk is linear in the input: it passes
+    # over the sheet list as often at 4 000 crossings as at 40, and allocates
+    # less than one pointer per sheet, so neither a pass over the sheets nor a
+    # list sized by the sheet count at any crossing fits.
     sheets = 10**6
     comps = tuple(BranchComponent(id=c, genus=0, self_int=0, KX_dot=-2, fiber_deg=0)
                   for c in ("D1", "D2"))
-    base = BaseGeometry(genus_C=0, KX_sq=8, euler_X=4, KX_dot_F=-2, components=comps,
-                        crossings=tuple(Crossing(index=i, pair=("D1", "D2")) for i in range(4000)))
     point = (PointAbove(j=0, jp=0, local=LocalCoverType(n=1, q=0, m1=1, m2=1)),)
-    cover = CoverDescription(
-        degree=sheets,
-        ramification=(("D1", (RamSheet(e=1, f=1),) * sheets), ("D2", (RamSheet(e=1, f=sheets),))),
-        points_above=tuple((i, point) for i in range(4000)),
-    )
-    start = time.perf_counter()
-    violations, certificate, error = examine(base, cover)
-    assert time.perf_counter() - start < 1
-    assert error is None and certificate.report.B_mult == (("D1", 0), ("D2", 0))
-    assert {v.code for v in violations} == {"V2"} and len(violations) == 4000
+    passes = []
+    for n in (40, 4000):
+        base = BaseGeometry(genus_C=0, KX_sq=8, euler_X=4, KX_dot_F=-2, components=comps,
+                            crossings=tuple(Crossing(index=i, pair=("D1", "D2")) for i in range(n)))
+        d1 = _CountedSheets((RamSheet(e=1, f=1),) * sheets)
+        cover = CoverDescription(
+            degree=sheets,
+            ramification=(("D1", d1), ("D2", (RamSheet(e=1, f=sheets),))),
+            points_above=tuple((i, point) for i in range(n)),
+        )
+        d1.passes = 0
+        tracemalloc.start()
+        try:
+            violations, certificate, error = examine(base, cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        passes.append(d1.passes)
+        assert peak < 8 * sheets
+        assert error is None and certificate.report.B_mult == (("D1", 0), ("D2", 0))
+        assert {v.code for v in violations} == {"V2"} and len(violations) == n
+    assert passes[0] == passes[1] < 40
 
 
 def _double_cover_with(points_over: dict):

@@ -586,7 +586,7 @@ def _bad_sheet_index_before_dangling_key():
         ),
         (
             lambda: CoverDescription(degree=1, ramification=(), points_above=((4, ()), (4, ()))),
-            "duplicate crossing index in points_above table",
+            "duplicate crossing indices in the points_above table: [4]",
         ),
         # Two faults each: the checks fire in a fixed order, so the message
         # names the same one whichever way the model is indexed.
@@ -594,7 +594,7 @@ def _bad_sheet_index_before_dangling_key():
             lambda: CoverDescription(
                 degree=1, ramification=(("A", ()), ("A", ())), points_above=(("0", ()),)
             ),
-            "duplicate component id in ramification table",
+            "duplicate component ids in the ramification table: ['A']",
         ),
         (
             lambda: BaseGeometry(
