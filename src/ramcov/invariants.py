@@ -105,9 +105,11 @@ class InvariantReport(Value):
 
         deg_det = (1/12)(K_{Y'}^2 + e_c(Y')) + (1/2)(1 - g_C)(d*(K_X.F) + (B.F)),
 
-    whose last summand is ``fibration_term``; ``KYprime_sq``, ``euler_Yprime``,
-    ``chi`` and ``deg_det`` are properties, worked out from the fields on
-    each read, so the report keeps no cache and no instance dict.
+    whose last summand is ``fibration_term``.  The constructor works out
+    ``KYprime_sq``, ``euler_Yprime``, ``chi`` and ``deg_det`` once, from the
+    fields, and keeps them in private slots, as :class:`BaseGeometry` keeps
+    its Euler data; they take no part in ``==``, the hash or the repr, and a
+    copy or a pickle is built by the constructor, so it derives its own.
     Integrality of the last two is surfaced as flags because
     non-integrality signals geometrically inconsistent input, not an
     arithmetic error.
@@ -116,31 +118,56 @@ class InvariantReport(Value):
     __slots__ = (
         "B_mult", "KX_dot_B", "B_dot_F", "RR", "KY_sq", "correction_total", "euler_Y",
         "exceptional_s", "fibration_term",
+        "_KYprime_sq", "_euler_Yprime", "_chi", "_deg_det",
     )
+
+    def __init__(
+        self,
+        B_mult: tuple,
+        KX_dot_B: int,
+        B_dot_F: int,
+        RR: Fraction,
+        KY_sq: Fraction,
+        correction_total: Fraction,
+        euler_Y: int,
+        exceptional_s: int,
+        fibration_term: Fraction,
+    ) -> None:
+        KYprime_sq = KY_sq + correction_total
+        euler_Yprime = euler_Y + exceptional_s
+        chi = Fraction(KYprime_sq + euler_Yprime, 12)
+        object.__setattr__(self, "_KYprime_sq", KYprime_sq)
+        object.__setattr__(self, "_euler_Yprime", euler_Yprime)
+        object.__setattr__(self, "_chi", chi)
+        object.__setattr__(self, "_deg_det", chi + fibration_term)
+        self._set_fields(
+            B_mult, KX_dot_B, B_dot_F, RR, KY_sq, correction_total, euler_Y, exceptional_s,
+            fibration_term,
+        )
 
     @property
     def KYprime_sq(self) -> Fraction:
-        return self.KY_sq + self.correction_total
+        return self._KYprime_sq
 
     @property
     def euler_Yprime(self) -> int:
-        return self.euler_Y + self.exceptional_s
+        return self._euler_Yprime
 
     @property
     def chi(self) -> Fraction:
-        return Fraction(self.KYprime_sq + self.euler_Yprime, 12)
+        return self._chi
 
     @property
     def deg_det(self) -> Fraction:
-        return self.chi + self.fibration_term
+        return self._deg_det
 
     @property
     def chi_is_integral(self) -> bool:
-        return self.chi.denominator == 1
+        return self._chi.denominator == 1
 
     @property
     def deg_det_is_integral(self) -> bool:
-        return self.deg_det.denominator == 1
+        return self._deg_det.denominator == 1
 
 
 def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:

@@ -14,6 +14,12 @@ generators are kept as given, not reduced: ``[[2,0],[1,1]]`` and
 ``[[2,0],[3,1]]`` generate the same subgroup but load to different models.
 The document is written back, in canonical order, by :mod:`ramcov.report`.
 
+Duplicate keys are found by counting members, not by a Python call per
+object (see :func:`_decode`).  Every message about the JSON text, and which
+of them wins, comes from the decode with :func:`_no_duplicate_keys` on
+every object, the one judge of the text, so a duplicate key before a syntax
+error is still named as the duplicate.
+
 Local data at a point is given either as a lattice subgroup
 ``[[g1x, g1y], [g2x, g2y]]`` (first coordinate = winding around the first
 component of the crossing's pair) or directly as an object
@@ -106,6 +112,36 @@ def _no_duplicate_keys(pairs: list) -> dict:
                 raise InputFormatError(f"duplicate object key {key!r}")
             seen.add(key)
     return obj
+
+
+def _decode(text: str) -> Any:
+    """The JSON value of ``text``, its objects' keys checked for duplicates.
+
+    The fast decode builds each object as a dict and only adds up their
+    sizes.  Outside strings each colon of valid JSON separates one member,
+    so the colons of ``text`` number at least the members, which number at
+    least the keys kept; the two counts are equal only when no key repeats
+    and no string holds a colon, and then the tree is the one the hooked
+    decode would give.  Otherwise, or on any error of the fast decode, the
+    text is decoded again with :func:`_no_duplicate_keys` on every object,
+    and that decode alone judges it: it returns the tree or raises every
+    error the caller names.
+    """
+    total = 0
+
+    def count(obj: dict) -> dict:
+        nonlocal total
+        total += len(obj)
+        return obj
+
+    try:
+        doc = json.loads(text, object_hook=count)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if text.count(":") == total:
+            return doc
+    return json.loads(text, object_pairs_hook=_no_duplicate_keys)
 
 
 def _as_int(value: Any, path: str, suffix: str = "") -> int:
@@ -326,7 +362,7 @@ def parse_cover_json(text: str) -> tuple[BaseGeometry, CoverDescription]:
     preconditions or references dangle.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+        doc = _decode(text)
     except InputFormatError:
         # The duplicate-key hook's error is a ValueError too; without this
         # clause the digit-limit clause below would take it.

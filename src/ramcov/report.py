@@ -17,10 +17,11 @@ member of the tree writes itself: the writer calls it as ``member(depth,
 out)``, with the depth at which the member opens, and the member appends its
 text to the same list.  :func:`render_json` joins the list;
 :meth:`ReportDocument.to_json` returns it, ending in ``"\\n"``, and the CLI
-hands it to ``writelines``, so neither a list that grows with the document
-nor the report as a whole is joined into one string.  Rendering ends before
-the first write, so a number past the interpreter's digit limit leaves
-stdout empty.
+writes it in bounded batches, one write per run of at most
+``ramcov.cli.REPORT_BATCH`` (256) chunks joined, so neither a list that
+grows with the document nor the report as a whole is joined into one
+string.  Rendering ends before the first write, so a number past the
+interpreter's digit limit leaves stdout empty.
 
 The members that grow with the document write themselves, chunk by
 chunk: ``certificate.terms`` (three receipts per crossing) and the echoed
@@ -415,7 +416,7 @@ class ReportDocument(Value):
         cert = self.certificate
         if cert is not None:
             inv = cert.report
-            # The certificate's deg_det is its report's; each read works it out anew.
+            # The certificate's deg_det is its report's, formatted once for both members.
             deg_det = str(inv.deg_det)
             doc["invariants"] = {
                 "B_mult": functools.partial(_write_by_id, inv.B_mult),

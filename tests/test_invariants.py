@@ -16,11 +16,13 @@ Frozen oracles used here, all independent of the code under test:
   closed forms evaluated here with mpmath at high precision.
 """
 
+import copy
 import inspect
 import itertools
 import json
 import math
 import pathlib
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -234,6 +236,29 @@ def test_invariant_report_internal_identities_enforced():
     for name in ("KYprime_sq", "euler_Yprime", "chi", "deg_det"):
         with pytest.raises(TypeError, match=name):
             InvariantReport(**fields, **{name: getattr(report, name) + 1})
+
+
+def test_invariant_report_derives_its_four_values_once_and_only_its_fields_count():
+    # The constructor works the four values out and keeps them, so each read
+    # returns the one stored object; ==, the hash, the repr, copies and
+    # pickles read the nine fields alone, and a copy derives its own.
+    report = invariant_report(*load_cover_path(CYCLIC_5))
+    derived = ("KYprime_sq", "euler_Yprime", "chi", "deg_det")
+    values = [getattr(report, name) for name in derived]
+    assert all(getattr(report, name) is value for name, value in zip(derived, values))
+    assert (report.chi_is_integral, report.deg_det_is_integral) == (
+        report.chi.denominator == 1, report.deg_det.denominator == 1
+    )
+    names = InvariantReport.__match_args__
+    fields = tuple(getattr(report, name) for name in names)
+    assert len(fields) == 9 and hash(report) == hash(fields)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
+    assert repr(report) == f"InvariantReport({shown})"
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert twin == report and hash(twin) == hash(report) and repr(twin) == repr(report)
+        assert [getattr(twin, name) for name in derived] == values
+    other = InvariantReport(**{**dict(zip(names, fields)), "KY_sq": report.KY_sq + 12})
+    assert other != report and (other.chi, other.deg_det) == (report.chi + 1, report.deg_det + 1)
 
 
 def test_invariants_raise_on_bad_local_type():

@@ -601,6 +601,147 @@ def test_loader_text_diagnostic_is_exact(text, message):
     assert str(info.value) == message
 
 
+# ------------------------------------------------ the counted decode
+# parse_cover_json keeps the tree of a decode that only adds up object sizes
+# when that total equals the colons in the text; any other text is decoded
+# again with loader._no_duplicate_keys on every object, which judges it.
+
+
+def _hooked(text: str):
+    """The reference: the decode with the duplicate-key hook on every object."""
+    return json.loads(text, object_pairs_hook=loader._no_duplicate_keys)
+
+
+def _outcome(decode, text: str):
+    """What ``decode(text)`` returns, or the type and message of what it raises."""
+    try:
+        return decode(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _grid_2_with_raw_type() -> dict:
+    """grid(2) with the local data of the point over crossing 3 as a raw local type."""
+    doc = grid_document(2)
+    doc["cover"]["points_above"]["3"][0]["local"] = {"n": 2, "q": 1, "m1": 1, "m2": 1}
+    return doc
+
+
+def _with_duplicate(doc: dict, route: tuple) -> str:
+    """``doc``'s text with the object at ``route`` repeating its first member as its last.
+
+    The repeated member has its first value, so a decode that keeps the last
+    value of a key gives the tree of ``doc`` itself.
+    """
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in route:
+        node = node[step]
+    key, value = next(iter(node.items()))
+    node["@repeat@"] = 0
+    return json.dumps(doc).replace('"@repeat@": 0', f"{json.dumps(key)}: {json.dumps(value)}", 1)
+
+
+def _colon_ids(doc: dict) -> dict:
+    """``doc`` with each component id ``X`` renamed ``X:1`` wherever it is written."""
+    text = json.dumps(doc)
+    for component in doc["base"]["components"]:
+        text = text.replace(json.dumps(component["id"]), json.dumps(component["id"] + ":1"))
+    return json.loads(text)
+
+
+def _objects(node) -> int:
+    """The number of JSON objects in the decoded ``node``."""
+    if type(node) is dict:
+        return 1 + sum(map(_objects, node.values()))
+    return sum(map(_objects, node)) if type(node) is list else 0
+
+
+_OBJECT_ROUTES = {
+    "top-level": (),
+    "base": ("base",),
+    "component": ("base", "components", 1),
+    "crossing": ("base", "crossings", 2),
+    "ramification": ("cover", "ramification"),
+    "sheet": ("cover", "ramification", "S1", 0),
+    "points_above": ("cover", "points_above"),
+    "point": ("cover", "points_above", "1", 0),
+    "raw-local-type": ("cover", "points_above", "3", 0, "local"),
+}
+
+
+@pytest.mark.parametrize("route", _OBJECT_ROUTES.values(), ids=_OBJECT_ROUTES)
+def test_a_duplicate_key_in_any_object_is_refused_as_the_hooked_decode_refuses_it(route):
+    doc = _grid_2_with_raw_type()
+    parse_cover_json(json.dumps(doc))  # it loads without the duplicate
+    text = _with_duplicate(doc, route)
+    node = doc
+    for step in route:
+        node = node[step]
+    message = f"duplicate object key {next(iter(node))!r}"
+    assert _outcome(_hooked, text) == (InputFormatError, message)
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(text)
+    assert str(info.value) == message
+    # Trailing garbage after it: the plain decode would name the extra data,
+    # but the duplicate comes first in the text and is named.
+    assert "Extra data" in _outcome(json.loads, text + " x")[1]
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(text + " x")
+    assert str(info.value) == message
+
+
+def test_component_ids_holding_a_colon_load_and_a_duplicate_beside_them_is_refused():
+    doc = _colon_ids(grid_document(2))
+    assert {c["id"] for c in doc["base"]["components"]} == {"F0:1", "F1:1", "S0:1", "S1:1"}
+    base, cover = parse_cover_json(json.dumps(doc))
+    assert canonical_document(base, cover) == doc
+    assert base.component("S1:1").fiber_deg == 1 and cover.sheets_for("F0:1")
+    text = _with_duplicate(doc, ("base", "crossings", 0))
+    with pytest.raises(InputFormatError) as info:
+        parse_cover_json(text)
+    assert str(info.value) == "duplicate object key 'index'" == _outcome(_hooked, text)[1]
+
+
+def test_the_hooked_decode_runs_only_on_a_text_the_count_does_not_clear(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return hooked(pairs)
+
+    hooked = loader._no_duplicate_keys
+    monkeypatch.setattr(loader, "_no_duplicate_keys", counted)
+    clean = grid_document(6)
+    assert canonical_document(*parse_cover_json(json.dumps(clean))) == clean
+    assert calls == []
+    # Colons in its strings: the counts differ, and the hooked decode runs
+    # once, one call per object.
+    colons = _colon_ids(clean)
+    assert canonical_document(*parse_cover_json(json.dumps(colons))) == colons
+    assert len(calls) == _objects(colons)
+
+
+# Texts of a few objects whose keys may repeat or hold a colon, with strings
+# that may hold one, sometimes cut short or followed by more text.
+_KEYS = st.sampled_from(["a", "b", "a:b", ":", "\\u0061"])
+_JSON_TEXTS = st.recursive(
+    st.sampled_from(["1", "-2.5", "true", "null", '"x"', '"x:y"', "1e400", "[]"]),
+    lambda children: st.lists(children, max_size=3).map(lambda items: f"[{', '.join(items)}]")
+    | st.lists(st.tuples(_KEYS, children), max_size=4).map(
+        lambda members: "{" + ", ".join(f'"{key}": {value}' for key, value in members) + "}"
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TEXTS, st.sampled_from(["", " ", " x", "]", ": 1"]), st.integers(0, 3))
+def test_the_counted_decode_gives_the_hooked_decode_s_tree_or_error(text, tail, cut):
+    text = (text + tail)[: len(text + tail) - cut]
+    assert _outcome(loader._decode, text) == _outcome(_hooked, text)
+
+
 @pytest.mark.parametrize(
     "local,message",
     [

@@ -11,8 +11,11 @@ builds, and every report it renders validates against
 
 import enum
 import functools
+import io
 import json
+import math
 import pathlib
+import sys
 import tracemalloc
 
 import jsonschema
@@ -301,6 +304,36 @@ def test_report_chunks_peak_below_twice_the_output():
     assert chunks[-1] == "\n" and size > 10**6
     assert peak < 2 * size
     assert max(map(len, chunks)) < 1024
+
+
+class _RecordedWrites(io.StringIO):
+    """A text stdout that keeps each string written to it, one entry per write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_the_cli_writes_the_report_in_bounded_batches(tmp_path, monkeypatch):
+    # invariants --json joins at most 256 chunks per write: grid(40)'s 1.6 MB
+    # report, 26 272 chunks, takes 103 writes, not one per chunk, and no
+    # write holds the whole report.
+    document = grid_document(40)
+    path = tmp_path / "grid_40.json"
+    path.write_text(json.dumps(document))
+    base, cover = parse_cover_json(json.dumps(document))
+    violations, certificate, error = examine(base, cover, None, strict=True)
+    chunks = ReportDocument(True, base, cover, tuple(violations), certificate, error).to_json()
+    out = _RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["invariants", str(path), "--strict", "--json"]) == 0
+    assert "".join(out.writes) == out.getvalue() == "".join(chunks)
+    assert len(chunks) > 10 * 256 and len(out.writes) <= math.ceil(len(chunks) / 256)
+    assert max(len(text.encode()) for text in out.writes) < 256 * 1024
 
 
 def _rebuilt(value, number):

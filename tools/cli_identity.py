@@ -29,6 +29,13 @@ lives in:
   (``perfbench/workloads.py``, seed 1) with its one point list's lattice
   replaced by one of e1 = 1, which breaks V3, or by the raw local type
   n = 4, q = 2, which is invalid;
+* 5 documents that test the loader's duplicate-key check, each ``grid(6)``
+  (``perfbench/workloads.py``, seed 1) with one edit: a crossing record
+  that repeats a key; the point record the loader reads last, in a point
+  list that every crossing repeats, repeating a key; a component record
+  that repeats a key, with the text's last brace dropped, so that a syntax
+  error follows the duplicate; every component id ``X`` renamed ``X:1``;
+  and those ids with a sheet record that repeats a key;
 * 100 faulty documents, drawn with a fixed seed: each is a shipped one
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
@@ -56,9 +63,9 @@ Last, each ``demos/0*.py`` and ``demos/covers/make_kummer.py 3 2`` runs as
 a script in a fresh interpreter with ``PYTHONPATH`` set to the tree: the
 scripts are those of the checkout that holds the tree (``demos/`` beside
 it), or this checkout's when there is none.  With the shipped documents
-and demos of this checkout that is 1 535 ``ramcov`` runs over 190
-documents, 32 of them on the retyped documents and 16 on the shared faulty
-shapes, and 5 demo runs: 1 540 runs.
+and demos of this checkout that is 1 575 ``ramcov`` runs over 195
+documents, 32 of them on the retyped documents, 16 on the shared faulty
+shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 580 runs.
 
 The script names every run whose exit code, stdout or stderr differ between
 the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
@@ -229,6 +236,47 @@ def shared_fault_documents(folder: pathlib.Path) -> list[pathlib.Path]:
             points[0]["local"] = local
         path = folder / f"shared_fault_{i}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def _repeat_first_member(doc: dict, route: tuple) -> str:
+    """``doc``'s compact text with the object at ``route`` repeating its first member last."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in route:
+        node = node[step]
+    key, value = next(iter(node.items()))
+    node["@repeat@"] = 0
+    text = json.dumps(doc, separators=(",", ":"))
+    return text.replace('"@repeat@":0', f"{json.dumps(key)}:{json.dumps(value)}", 1)
+
+
+def _colon_ids(doc: dict) -> dict:
+    """``doc`` with every component id ``X`` renamed ``X:1`` wherever it is written."""
+    text = json.dumps(doc)
+    for component in doc["base"]["components"]:
+        text = text.replace(json.dumps(component["id"]), json.dumps(component["id"] + ":1"))
+    return json.loads(text)
+
+
+def decode_edge_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write the five duplicate-key and colon ``grid`` documents into ``folder``."""
+    doc = json.loads(_workloads().grid_document(SMALL_GRID_K, random.Random(SEED)))
+    colons = _colon_ids(doc)
+    last_point = list(doc["cover"]["points_above"])[-1]
+    last_sheets = max(colons["cover"]["ramification"])
+    texts = [
+        _repeat_first_member(doc, ("base", "crossings", 0)),
+        _repeat_first_member(doc, ("cover", "points_above", last_point, 0)),
+        _repeat_first_member(doc, ("base", "components", 0))[:-1],
+        json.dumps(colons, separators=(",", ":")),
+        _repeat_first_member(colons, ("cover", "ramification", last_sheets, 0)),
+    ]
+    paths = []
+    for i, text in enumerate(texts):
+        path = folder / f"decode_edge_{i}.json"
+        path.write_text(text, encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -433,6 +481,7 @@ def main(argv: list[str]) -> int:
         documents += many_shapes_documents(pathlib.Path(tmp))
         documents += retyped_documents(pathlib.Path(tmp))
         documents += shared_fault_documents(pathlib.Path(tmp))
+        documents += decode_edge_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
