@@ -8,12 +8,13 @@ an index the constructor builds from the fields, and takes no part in
 From the field names alone the base gives each subclass:
 
 * ``_set_fields(self, f1, ..., fk)``, which takes the fields by position or
-  keyword, in slot order, sets each one and checks nothing.  A class that
-  writes no ``__init__`` has it as its ``__init__``; a class with checks
-  writes an ``__init__`` that runs them and ends with one
+  keyword, in slot order, sets each one and checks nothing.  A class with
+  checks writes an ``__init__`` that runs them and ends with one
   ``self._set_fields(...)`` call;
-* ``_derived(f1, ..., fk)``, a staticmethod that builds a value on those
-  fields without calling ``__init__``, so it checks nothing either;
+* for a class with no private slot, ``_derived(f1, ..., fk)``, a
+  staticmethod that builds a value on those fields without calling
+  ``__init__``, so it checks nothing either; and, if the class writes no
+  ``__init__``, a ``__new__`` with the same body, which is its constructor;
 * ``==`` over the tuple of its fields, with ``NotImplemented`` for an
   object of any other class;
 * the hash of that tuple;
@@ -24,23 +25,26 @@ From the field names alone the base gives each subclass:
 * ``__match_args__``, the field names in constructor order.
 
 It gives no ordering: ``<`` between two values raises :class:`TypeError`,
-and code that sorts values names its key.  ``_set_fields`` and
-``_derived`` are compiled once per class from one short source template,
-as ``collections.namedtuple`` builds its ``__new__``, and call each
-field's slot descriptor directly.  A ``*args`` closure would need no
-compiling but is slower on the hot paths: on a 2-vCPU Xeon under CPython
-3.11 it built a ``LocalCoverType`` (two per subgroup in a ``verify``
-sweep) in about 700 ns against 380-570 ns, a ``Crossing`` (one per
-crossing of a document) in about 830 against 500 ns, and a derived
-``LatticeSubgroup`` in about 590 against 300 ns; a ``_derived`` classmethod
-that passed ``*fields`` to ``_set_fields`` left the five ``verify``
-workload sizes' sweeps about 5 % slower (50.6 against 48.4 ms, medians of
-ten runs).  Compiling the two costs about 180 us per class, 3.5 ms for the
-package's 19.  The other methods are closures over one
-``operator.attrgetter`` of the fields.
+and code that sorts values names its key.  The three methods that build
+are compiled once per class from short source templates, as
+``collections.namedtuple`` builds its ``__new__``.  ``_set_fields`` runs on
+a frozen value, so it calls each field's slot descriptor directly.
+``_derived`` and ``__new__`` allocate an instance of the class's private
+twin, a subclass with no slot of its own and ``object``'s ``__setattr__``
+and ``__delattr__``; they store each field with a plain attribute store
+and then set ``__class__`` to the class, so no twin escapes.  On a 2-vCPU
+Xeon under CPython 3.11, pinned to one CPU (medians of six alternating
+runs, each the best of nine), that builds a ``LocalCoverType`` (two per
+subgroup in a ``verify`` sweep) through its constructor in about 355
+against 460 ns through the setter, a derived one in about 275 ns, and a
+derived ``LatticeSubgroup`` or ``SingularityType`` in about 260 against
+310 ns.  The twin and the two methods add about 45 us to the 120 us that
+a four-field class costs to define.  The other methods are closures over
+one ``operator.attrgetter`` of the fields.
 
 The construction rule: a value is built by its constructor, and so is
-every copy and every unpickled value.  Code may call ``_derived`` only
+every copy and every unpickled value; a class that checks nothing has the
+base's ``__new__`` as its constructor.  Code may call ``_derived`` only
 for a class whose constructor checks something, and only on fields it
 derives from already-checked values, or that its own loop has just judged,
 such as ``hj_sweep``'s coprime pairs ``(n, q)``; a ``verify`` sweep
@@ -62,17 +66,37 @@ def _frozen_delattr(self, name):
 
 
 def _field_builders(cls, fields):
-    """``cls``'s ``_set_fields(self, f1, ..., fk)`` and ``_derived(f1, ..., fk)``, from source."""
+    """``cls``'s ``_set_fields``, ``__new__`` and ``_derived``, compiled from source.
+
+    ``_set_fields(self, f1, ..., fk)`` calls each field's slot descriptor.
+    ``__new__(_cls, f1, ..., fk)`` and ``_derived(f1, ..., fk)`` share one
+    body and exist only for a class with no private slot, which they would
+    leave unset.  It stores the fields on an instance of an unfrozen twin,
+    a subclass that adds no slot and whose ``__setattr__`` and
+    ``__delattr__`` are ``object``'s, and then makes it a ``cls``.
+    Overriding both puts the generic setter back in the one type slot they
+    share, so each store is a plain slot store; a twin that overrode only
+    ``__setattr__`` built a ``LocalCoverType`` in about 780 against 270 ns.
+    """
     namespace = {f"_{name}_slot": vars(cls)[name].__set__ for name in fields}
-    namespace.update(_new=object.__new__, _cls=cls)
     params = ", ".join(fields)
     body = "".join(f"\n    _{name}_slot(self, {name})" for name in fields)
-    exec(f"def _set_fields(self, {params}):{body}\n"
-         f"def _derived({params}):\n    self = _new(_cls){body}\n    return self", namespace)
-    for name in ("_set_fields", "_derived"):
+    source = f"def _set_fields(self, {params}):{body}\n"
+    names = ["_set_fields"]
+    if len(fields) == len(cls.__slots__):
+        twin = type(cls.__name__, (cls,), {
+            "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+        })
+        namespace.update(_new=object.__new__, _twin=twin, _cls=cls)
+        stores = "".join(f"\n    self.{name} = {name}" for name in fields)
+        build = f"\n    self = _new(_twin){stores}\n    self.__class__ = _cls\n    return self"
+        source += f"def __new__(_cls, {params}):{build}\ndef _derived({params}):{build}"
+        names += ["__new__", "_derived"]
+    exec(source, namespace)
+    for name in names:
         namespace[name].__module__ = cls.__module__
         namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    return namespace["_set_fields"], namespace["_derived"]
+    return {name: namespace[name] for name in names}
 
 
 class Value:
@@ -82,6 +106,8 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        if vars(cls).get("__setattr__") is object.__setattr__:
+            return  # a twin that _field_builders makes: it takes its class's methods
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if len(fields) == 1:
             get = attrgetter(fields[0])
@@ -106,10 +132,12 @@ class Value:
         def __reduce__(self):
             return cls, values(self)
 
-        cls._set_fields, derived = _field_builders(cls, fields)
-        cls._derived = staticmethod(derived)
-        if "__init__" not in vars(cls):
-            cls.__init__ = cls._set_fields
+        built = _field_builders(cls, fields)
+        cls._set_fields = built["_set_fields"]
+        if "_derived" in built:
+            cls._derived = staticmethod(built["_derived"])
+            if "__init__" not in vars(cls):
+                cls.__new__ = staticmethod(built["__new__"])
         cls.__match_args__ = fields
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__

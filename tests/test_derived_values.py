@@ -1,17 +1,20 @@
 """Derived values skip their constructors' checks; values from outside do not.
 
-Each value type has one unchecked builder, ``_derived``, and three classes
-whose constructor checks something are built through it:
+Each value type with no private slot has one unchecked builder,
+``_derived``, and three classes whose constructor checks something are
+built through it:
 ``HJChain._derived`` builds the chains that :func:`hj_expand` and
 ``HJChain.reversed`` derive, ``LatticeSubgroup._derived`` the subgroups
 that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped`` derive,
 and ``SingularityType._derived`` the singularity types whose pairs
 ``hj_sweep``'s loop builds and tests.  :class:`LocalCoverType` checks
-nothing, so :func:`local_type` calls its constructor.  The first four tests
-hold each derived value to the constructor.  The last three count
-``__init__`` calls: the sweeps run no check, the lattice sweep builds its
-local types through the constructor, and a document, ``ramcov local`` and
-the public constructors run the checks as before.
+nothing, so :func:`local_type` calls its constructor, the base's
+``__new__``.  The first four tests hold each derived value to the
+constructor.  The last three count constructor calls, ``__init__`` for the
+checked classes and ``__new__`` for ``LocalCoverType``: the sweeps run no
+check, the lattice sweep builds its local types through the constructor,
+and a document, ``ramcov local`` and the public constructors run the checks
+as before.
 """
 
 import functools
@@ -86,14 +89,18 @@ def test_local_type_equals_the_keyword_construction():
 
 @pytest.fixture
 def checked_inits(monkeypatch):
-    """Counts ``__init__`` calls per class, by wrapping the class attribute."""
+    """Counts constructor calls per class, by wrapping its own ``__init__`` or ``__new__``."""
     calls = Counter()
     for cls in (HJChain, LatticeSubgroup, LocalCoverType, SingularityType):
-        @functools.wraps(cls.__init__)  # keeps the signature that rebuild.replace reads
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+        name = "__new__" if "__new__" in vars(cls) else "__init__"
+        method = getattr(cls, name)
+
+        @functools.wraps(method)  # keeps the signature that rebuild.replace reads
+        def counted(*args, _method=method, _name=cls.__name__, **kwargs):
             calls[_name] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+            return _method(*args, **kwargs)
+        # a plain function as __new__ is called with the class first, as a staticmethod is
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 

@@ -1,19 +1,22 @@
 """The package's value types: the protocol :class:`ramcov.value.Value` gives them, and a light start.
 
-Each of the 19 value types takes its field setter, its unchecked builder
-``_derived``, ``==``, the hash, the repr, immutability and its copy and
-pickle support from its field names, its public ``__slots__``.  Eleven
-write an ``__init__`` that runs their checks and then the setter; the
-other eight check nothing, and the setter is the ``__init__`` of seven of
-them, while ``InvariantReport``'s derives four values and then calls it.  The
-tests hold every type to that protocol: the constructor, the setter and
-``_derived`` take the fields in slot order, the setter and ``_derived``
-check nothing, the repr names each field, the hash is that of the field
-tuple, ``==`` is false across types, ``<`` raises, assigning or deleting an
-attribute raises, a copy rebuilt by keyword through the constructor is
-equal, and ``copy``, ``deepcopy`` and ``pickle`` give equal values.  No
-value type is ordered, so the one place that sorts values, ``examine``'s
-findings, is held to its key here too.
+Each of the 19 value types takes its field setter, ``==``, the hash, the
+repr, immutability and its copy and pickle support from its field names,
+its public ``__slots__``; the 16 with no private slot also take the
+unchecked builder ``_derived``.  Eleven write an ``__init__`` that runs
+their checks and then the setter; the other eight check nothing: seven of
+them are built by the base's ``__new__``, which shares ``_derived``'s body,
+while ``InvariantReport``'s ``__init__`` derives four values and then calls
+the setter.  The tests hold every type to that protocol: the constructor,
+the setter and ``_derived`` take the fields in slot order, the setter and
+``_derived`` check nothing, the repr names each field, the hash is that of
+the field tuple, ``==`` is false across types, ``<`` raises, assigning or
+deleting an attribute raises, a copy rebuilt by keyword through the
+constructor is equal, and ``copy``, ``deepcopy`` and ``pickle`` give equal
+values.  Every way of building a value gives exactly its type, frozen: the
+unfrozen twin the builders store on never escapes.  No value type is
+ordered, so the one place that sorts values, ``examine``'s findings, is
+held to its key here too.
 The last test runs a fresh interpreter: importing ``ramcov.cli`` and
 building its parser loads neither ``dataclasses`` nor ``inspect``.
 """
@@ -95,11 +98,14 @@ SAMPLES = _samples()
 
 
 #: The types whose constructor checks nothing: but for ``InvariantReport``, which
-#: derives four values into private slots first, their ``__init__`` is the base's field setter.
+#: derives four values into private slots first, the base's ``__new__`` builds them.
 UNCHECKED = (
     InvariantReport, BoundCertificate, LocalCoverType, Violation, EulerData, ReportDocument,
     PropertyFailure, SweepResult,
 )
+
+#: The types with private slots, which a builder on the fields alone would leave unset.
+PRIVATE = (BaseGeometry, CoverDescription, InvariantReport)
 
 
 def _fields(cls) -> tuple:
@@ -112,10 +118,21 @@ def test_there_are_nineteen_value_types_each_on_the_one_base():
     for cls in SAMPLES:
         setter = tuple(inspect.signature(cls._set_fields).parameters)
         assert cls.__match_args__ == _fields(cls) == setter[1:], cls.__name__
-        assert tuple(inspect.signature(cls._derived).parameters) == _fields(cls), cls.__name__
-        assert setter[0] == "self" and "__init__" in vars(cls), cls.__name__
-    setters = {cls for cls in SAMPLES if cls.__init__ is cls._set_fields}
-    assert setters == set(UNCHECKED) - {InvariantReport}
+        assert setter[0] == "self", cls.__name__
+        if cls in PRIVATE:
+            assert not hasattr(cls, "_derived"), cls.__name__
+        else:
+            assert tuple(inspect.signature(cls._derived).parameters) == _fields(cls), cls.__name__
+    assert {cls for cls in SAMPLES if len(cls.__slots__) > len(_fields(cls))} == set(PRIVATE)
+    built = {cls for cls in SAMPLES if "__new__" in vars(cls)}
+    assert built == set(UNCHECKED) - {InvariantReport}
+    for cls in SAMPLES:
+        assert ("__init__" in vars(cls)) is (cls not in built), cls.__name__
+    for cls in built:  # the base's __new__, compiled beside _derived
+        new = cls.__new__
+        assert new.__qualname__ == f"{cls.__qualname__}.__new__", cls.__name__
+        assert new.__globals__ is cls._derived.__globals__, cls.__name__
+        assert tuple(inspect.signature(new).parameters) == ("_cls", *_fields(cls)), cls.__name__
 
 
 @pytest.mark.parametrize("cls", UNCHECKED, ids=lambda cls: cls.__name__)
@@ -152,6 +169,9 @@ def test_the_field_setter_runs_no_check():
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 def test_derived_builds_the_value_on_its_fields_without_init(cls, monkeypatch):
+    if cls in PRIVATE:  # a value built on its fields alone would lack its private slots
+        assert not hasattr(cls, "_derived")
+        return
     value = SAMPLES[cls]
     fields = [getattr(value, name) for name in _fields(cls)]
 
@@ -248,6 +268,31 @@ def test_copy_deepcopy_and_pickle_give_an_equal_value(cls):
     value = SAMPLES[cls]
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_every_way_of_building_gives_exactly_the_type_frozen(cls):
+    names = cls.__match_args__
+    fields = [getattr(SAMPLES[cls], name) for name in names]
+    value = cls(*fields)
+    built = [
+        cls(**dict(zip(names, fields))),
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ]
+    if cls not in PRIVATE:
+        built.append(cls._derived(*fields))
+    for other in (value, *built):
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+        if cls is not PropertyFailure:  # its witness is a dict
+            assert hash(other) == hash(value)
+        for name in (*names, "__class__"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(other, name, cls)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(other, name)
+        assert type(other) is cls and other == value
 
 
 def test_a_pickled_or_deep_copied_document_keeps_its_shared_lists():
