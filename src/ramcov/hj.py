@@ -58,7 +58,7 @@ class SingularityType(Value):
 
     __slots__ = ("n", "q")
 
-    def __init__(self, n: int, q: int) -> None:
+    def __new__(cls, n: int, q: int):
         check_int(n, "n")
         check_int(q, "q")
         if n < 2:
@@ -72,7 +72,7 @@ class SingularityType(Value):
             raise InvalidInputError(
                 f"n and q must be coprime (got gcd({n}, {q}) = {g})"
             )
-        self._set_fields(n, q)
+        return cls._derived(n, q)
 
     @property
     def label(self) -> str:
@@ -91,29 +91,25 @@ class HJChain(Value):
     curves, so every entry is at least 2 and the chain is non-empty.  The
     constructor checks both, and that the entries are a tuple, for entries
     from a caller, each entry by :func:`~ramcov.errors.check_int`; the
-    chains this module derives (:func:`hj_expand`, :meth:`reversed`) are
-    built by ``HJChain._derived`` without the check.
+    chains :func:`hj_expand` derives are built by ``HJChain._derived``,
+    which skips the constructor and so the check.
     """
 
     __slots__ = ("b",)
 
-    def __init__(self, b: tuple[int, ...]) -> None:
+    def __new__(cls, b: tuple[int, ...]):
         if not isinstance(b, tuple):
             raise InvalidInputError(f"chain entries must be a tuple (got {b!r})")
         if not b:
             raise InvalidInputError("chain must be non-empty")
         for i, bi in enumerate(b, 1):
             check_int(bi, f"chain entry b_{i}", 2)
-        self._set_fields(b)
+        return cls._derived(b)
 
     @property
     def length(self) -> int:
         """Number of exceptional curves in the chain."""
         return len(self.b)
-
-    def reversed(self) -> "HJChain":
-        # The reverse of a checked chain has the same entries.
-        return HJChain._derived(tuple(reversed(self.b)))
 
 
 class ResolutionData(Value):
@@ -129,9 +125,9 @@ class ResolutionData(Value):
 
     __slots__ = ("sing", "chain", "v", "correction_num")
 
-    def __init__(
-        self, sing: SingularityType, chain: HJChain, v: tuple[int, ...], correction_num: int
-    ) -> None:
+    def __new__(
+        cls, sing: SingularityType, chain: HJChain, v: tuple[int, ...], correction_num: int
+    ):
         if len(v) != chain.length:
             raise InvalidInputError(
                 "discrepancy vector length must match the chain length "
@@ -143,7 +139,7 @@ class ResolutionData(Value):
                 raise InvalidInputError(
                     f"discrepancies must lie in (-1, 0] (got a_{i + 1} = {Fraction(vi, n)})"
                 )
-        self._set_fields(sing, chain, v, correction_num)
+        return cls._derived(sing, chain, v, correction_num)
 
     @property
     def a(self) -> tuple[Fraction, ...]:
@@ -155,7 +151,7 @@ class ResolutionData(Value):
         return Fraction(self.correction_num, self.sing.n)
 
 
-def hj_expand(sing: SingularityType) -> HJChain:
+def hj_expand(sing: SingularityType):
     """Expand ``n/q`` into its Hirzebruch-Jung continued fraction.
 
     Runs the remainder recursion ``c_{i+1} = b_{i+1} c_i - c_{i-1}`` with
@@ -285,7 +281,7 @@ def discrepancies(chain: HJChain) -> tuple[tuple[int, ...], int]:
     return tuple(v), c
 
 
-def resolve(sing: SingularityType) -> ResolutionData:
+def resolve(sing: SingularityType):
     """Full minimal-resolution data for ``A_{n,q}``: chain, discrepancies, correction.
 
     The correction lies in ``(-n, 2]`` and vanishes exactly in the du Val

@@ -121,8 +121,8 @@ class InvariantReport(Value):
         "_KYprime_sq", "_euler_Yprime", "_chi", "_deg_det",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         B_mult: tuple,
         KX_dot_B: int,
         B_dot_F: int,
@@ -132,17 +132,13 @@ class InvariantReport(Value):
         euler_Y: int,
         exceptional_s: int,
         fibration_term: Fraction,
-    ) -> None:
+    ):
         KYprime_sq = KY_sq + correction_total
         euler_Yprime = euler_Y + exceptional_s
         chi = Fraction(KYprime_sq + euler_Yprime, 12)
-        object.__setattr__(self, "_KYprime_sq", KYprime_sq)
-        object.__setattr__(self, "_euler_Yprime", euler_Yprime)
-        object.__setattr__(self, "_chi", chi)
-        object.__setattr__(self, "_deg_det", chi + fibration_term)
-        self._set_fields(
+        return cls._derived(
             B_mult, KX_dot_B, B_dot_F, RR, KY_sq, correction_total, euler_Y, exceptional_s,
-            fibration_term,
+            fibration_term, KYprime_sq, euler_Yprime, chi, chi + fibration_term,
         )
 
     @property
@@ -170,7 +166,7 @@ class InvariantReport(Value):
         return self._deg_det.denominator == 1
 
 
-def invariant_report(base: BaseGeometry, cover: CoverDescription) -> InvariantReport:
+def invariant_report(base: BaseGeometry, cover: CoverDescription):
     """The report of :func:`degree_linear_certificate`'s walk.
 
     It runs the whole walk and returns only its report; a caller that needs
@@ -191,10 +187,10 @@ class FibrationInputs(Value):
 
     __slots__ = ("gF", "Dhor_dot_F", "gC", "nDC", "nS")
 
-    def __init__(self, gF: int, Dhor_dot_F: int, gC: int, nDC: int, nS: int) -> None:
-        for name, value in zip(self.__slots__, (gF, Dhor_dot_F, gC, nDC, nS)):
+    def __new__(cls, gF: int, Dhor_dot_F: int, gC: int, nDC: int, nS: int):
+        for name, value in zip(cls.__slots__, (gF, Dhor_dot_F, gC, nDC, nS)):
             check_int(value, name, 0)
-        self._set_fields(gF, Dhor_dot_F, gC, nDC, nS)
+        return cls._derived(gF, Dhor_dot_F, gC, nDC, nS)
 
 
 def arakelov_degree_bound(
@@ -632,7 +628,7 @@ def examine(
             else:
                 shapes[key] = number
         numbers.append(number)
-    found.sort(key=attrgetter("code", "where", "message"))
+    found.sort(key=attrgetter(*Violation.__match_args__))
     if error is not None:
         return found, None, error
 

@@ -65,12 +65,13 @@ class LatticeSubgroup(Value):
     each coordinate by :func:`~ramcov.errors.check_int`, with nonzero
     determinant; the subgroups this module derives
     (:func:`enumerate_subgroups`, :meth:`swapped`) are built by
-    ``LatticeSubgroup._derived`` without the check.
+    ``LatticeSubgroup._derived``, which skips the constructor and so the
+    check.
     """
 
     __slots__ = ("g1", "g2")
 
-    def __init__(self, g1: tuple[int, int], g2: tuple[int, int]) -> None:
+    def __new__(cls, g1: tuple[int, int], g2: tuple[int, int]):
         for g in (g1, g2):
             if not isinstance(g, tuple) or len(g) != 2:
                 raise InvalidInputError(f"generators must be integer pairs (got {g!r})")
@@ -78,7 +79,7 @@ class LatticeSubgroup(Value):
                 check_int(c, "generator coordinate")
         if g1[0] * g2[1] - g1[1] * g2[0] == 0:
             raise InvalidInputError(f"generators must be linearly independent (got {g1}, {g2})")
-        self._set_fields(g1, g2)
+        return cls._derived(g1, g2)
 
     @property
     def index(self) -> int:

@@ -101,7 +101,7 @@ class BranchComponent(Value):
 
     __slots__ = ("id", "genus", "self_int", "KX_dot", "fiber_deg")
 
-    def __init__(self, id: str, genus: int, self_int: int, KX_dot: int, fiber_deg: int) -> None:
+    def __new__(cls, id: str, genus: int, self_int: int, KX_dot: int, fiber_deg: int):
         if not isinstance(id, str) or not id:
             raise InvalidInputError(f"component id must be a non-empty string (got {id!r})")
         if not id.isprintable():
@@ -110,7 +110,7 @@ class BranchComponent(Value):
         check_int(self_int, f"component {id!r}: self_int")
         check_int(KX_dot, f"component {id!r}: KX_dot")
         check_int(fiber_deg, f"component {id!r}: fiber_deg", minimum=0)
-        self._set_fields(id, genus, self_int, KX_dot, fiber_deg)
+        return cls._derived(id, genus, self_int, KX_dot, fiber_deg)
 
 
 class Crossing(Value):
@@ -118,7 +118,7 @@ class Crossing(Value):
 
     __slots__ = ("index", "pair")
 
-    def __init__(self, index: int, pair: tuple[str, str]) -> None:
+    def __new__(cls, index: int, pair: tuple[str, str]):
         check_int(index, "crossing index", minimum=0)
         if (
             not isinstance(pair, tuple)
@@ -132,7 +132,7 @@ class Crossing(Value):
                 f"crossing {index}: components must be distinct "
                 f"(transversal self-intersections are not modelled)"
             )
-        self._set_fields(index, pair)
+        return cls._derived(index, pair)
 
 
 class BaseGeometry(Value):
@@ -153,8 +153,8 @@ class BaseGeometry(Value):
         "_components", "_crossings", "_euler",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         genus_C: int,
         KX_sq: int,
         euler_X: int,
@@ -162,7 +162,7 @@ class BaseGeometry(Value):
         components: tuple[BranchComponent, ...],
         crossings: tuple[Crossing, ...],
         pair_counts: tuple[tuple[tuple[str, str], int], ...] = (),
-    ) -> None:
+    ):
         check_int(genus_C, "genus_C", minimum=0)
         check_int(KX_sq, "KX_sq")
         check_int(euler_X, "euler_X")
@@ -177,9 +177,7 @@ class BaseGeometry(Value):
         crossings = tuple(sorted(crossings, key=attrgetter("index")))
         pair_counts = tuple(sorted(pair_counts, key=_pair_key))
         ids = _index([(c.id, c) for c in components], "component ids")
-        object.__setattr__(self, "_components", ids)
         indices = _index([(x.index, x) for x in crossings], "crossing indices")
-        object.__setattr__(self, "_crossings", indices)
         # One count of the crossings' ids: its keys judge the references, and
         # its values give each component's crossings for the Euler data.
         on = Counter(chain.from_iterable(map(attrgetter("pair"), crossings)))
@@ -203,10 +201,12 @@ class BaseGeometry(Value):
         opens = tuple((c.id, 2 - 2 * c.genus - on[c.id]) for c in components)
         n_cross = len(crossings)
         e_c_U = euler_X - (sum(v for _, v in opens) + n_cross)
-        object.__setattr__(self, "_euler", EulerData(e_c_U, opens, n_cross))
-        self._set_fields(genus_C, KX_sq, euler_X, KX_dot_F, components, crossings, pair_counts)
+        return cls._derived(
+            genus_C, KX_sq, euler_X, KX_dot_F, components, crossings, pair_counts,
+            ids, indices, EulerData(e_c_U, opens, n_cross),
+        )
 
-    def component(self, cid: str) -> BranchComponent:
+    def component(self, cid: str):
         try:
             return self._components[cid]
         except KeyError:
@@ -226,10 +226,10 @@ class RamSheet(Value):
 
     __slots__ = ("e", "f")
 
-    def __init__(self, e: int, f: int) -> None:
+    def __new__(cls, e: int, f: int):
         check_int(e, "sheet e", minimum=1)
         check_int(f, "sheet f", minimum=1)
-        self._set_fields(e, f)
+        return cls._derived(e, f)
 
 
 class PointAbove(Value):
@@ -245,7 +245,7 @@ class PointAbove(Value):
 
     __slots__ = ("j", "jp", "local")
 
-    def __init__(self, j: int, jp: int, local: Union[LatticeSubgroup, LocalCoverType]) -> None:
+    def __new__(cls, j: int, jp: int, local: Union[LatticeSubgroup, LocalCoverType]):
         check_int(j, "point sheet index j", minimum=0)
         check_int(jp, "point sheet index jp", minimum=0)
         if isinstance(local, LocalCoverType):
@@ -256,7 +256,7 @@ class PointAbove(Value):
             raise InvalidInputError(
                 f"point local data must be a lattice subgroup or a local type (got {local!r})"
             )
-        self._set_fields(j, jp, local)
+        return cls._derived(j, jp, local)
 
     def local_cover_type(self) -> LocalCoverType:
         """The local type: ``local`` itself, or its lattice classified anew."""
@@ -278,19 +278,18 @@ class CoverDescription(Value):
 
     __slots__ = ("degree", "ramification", "points_above", "_sheets", "_points")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         degree: int,
         ramification: tuple[tuple[str, tuple[RamSheet, ...]], ...],
         points_above: tuple[tuple[int, tuple[PointAbove, ...]], ...],
-    ) -> None:
+    ):
         check_int(degree, "cover degree", minimum=1)
         for cid, _ in ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
         ramification = tuple(sorted(ramification, key=itemgetter(0)))
         sheets = _index(ramification, "component ids in the ramification table")
-        object.__setattr__(self, "_sheets", sheets)
         for idx, _ in points_above:
             check_int(idx, "points_above key")
         # id(points) -> those points in canonical order: a list shared by
@@ -309,8 +308,7 @@ class CoverDescription(Value):
             for idx, points in sorted(points_above, key=itemgetter(0))
         )
         point_lists = _index(points_above, "crossing indices in the points_above table")
-        object.__setattr__(self, "_points", point_lists)
-        self._set_fields(degree, ramification, points_above)
+        return cls._derived(degree, ramification, points_above, sheets, point_lists)
 
     def sheets_for(self, cid: str) -> tuple[RamSheet, ...]:
         return self._sheets.get(cid, ())

@@ -1,20 +1,20 @@
-"""The one base of the package's value types: setter, ``==``, hash, repr and immutability from field names.
+"""The one base of the package's value types: builder, ``==``, hash, repr and immutability from slot names.
 
 A subclass names its fields once, in its ``__slots__``, in constructor
-order.  Every other slot is private: a name with a leading underscore holds
-an index the constructor builds from the fields, and takes no part in
-``==``, the hash or the repr.  No value has an instance dict.
+order.  Every slot after them is private: a name with a leading underscore
+holds an index or a derived value the constructor works out from the
+fields, and takes no part in ``==``, the hash or the repr.  No value has an
+instance dict.
 
-From the field names alone the base gives each subclass:
+From the slot names alone the base gives each subclass:
 
-* ``_set_fields(self, f1, ..., fk)``, which takes the fields by position or
-  keyword, in slot order, sets each one and checks nothing.  A class with
-  checks writes an ``__init__`` that runs them and ends with one
-  ``self._set_fields(...)`` call;
-* for a class with no private slot, ``_derived(f1, ..., fk)``, a
-  staticmethod that builds a value on those fields without calling
-  ``__init__``, so it checks nothing either; and, if the class writes no
-  ``__init__``, a ``__new__`` with the same body, which is its constructor;
+* ``_derived(f1, ..., fk, p1, ..., pm)``, a staticmethod that takes every
+  slot by position or keyword, the fields first and then the private
+  slots, stores each one and checks nothing; and, if the class writes no
+  ``__new__``, a ``__new__`` with the same body, which is its constructor.
+  A class with checks, or with private slots to derive, writes a
+  ``__new__(cls, f1, ..., fk)`` that runs them and ends with one
+  ``return cls._derived(...)``;
 * ``==`` over the tuple of its fields, with ``NotImplemented`` for an
   object of any other class;
 * the hash of that tuple;
@@ -25,31 +25,33 @@ From the field names alone the base gives each subclass:
 * ``__match_args__``, the field names in constructor order.
 
 It gives no ordering: ``<`` between two values raises :class:`TypeError`,
-and code that sorts values names its key.  The three methods that build
-are compiled once per class from short source templates, as
-``collections.namedtuple`` builds its ``__new__``.  ``_set_fields`` runs on
-a frozen value, so it calls each field's slot descriptor directly.
-``_derived`` and ``__new__`` allocate an instance of the class's private
-twin, a subclass with no slot of its own and ``object``'s ``__setattr__``
-and ``__delattr__``; they store each field with a plain attribute store
-and then set ``__class__`` to the class, so no twin escapes.  On a 2-vCPU
-Xeon under CPython 3.11, pinned to one CPU (medians of six alternating
-runs, each the best of nine), that builds a ``LocalCoverType`` (two per
-subgroup in a ``verify`` sweep) through its constructor in about 355
-against 460 ns through the setter, a derived one in about 275 ns, and a
-derived ``LatticeSubgroup`` or ``SingularityType`` in about 260 against
-310 ns.  The twin and the two methods add about 45 us to the 120 us that
-a four-field class costs to define.  The other methods are closures over
-one ``operator.attrgetter`` of the fields.
+and code that sorts values names its key.  ``_derived`` and the base's
+``__new__`` are compiled once per class from one short source template, as
+``collections.namedtuple`` builds its ``__new__``.  They allocate an
+instance of the class's private twin, a subclass with no slot of its own
+and the generic ``__setattr__`` and ``__delattr__``; they store each slot
+with a plain attribute store and then set ``__class__`` to the class, so no
+twin escapes.  On a 2-vCPU Xeon under CPython 3.11, pinned to one CPU
+(medians of three alternating runs, each the best of nine), a checked
+constructor that ends in ``_derived`` built a ``BranchComponent`` (five
+fields) in about 1 200 ns, against 1 440 ns when an ``__init__`` set each
+field through its slot descriptor, and a ``Crossing`` (two fields) in about
+600 against 540 ns.  The other methods are closures over one
+``operator.attrgetter`` of the fields.
 
 The construction rule: a value is built by its constructor, and so is
-every copy and every unpickled value; a class that checks nothing has the
-base's ``__new__`` as its constructor.  Code may call ``_derived`` only
-for a class whose constructor checks something, and only on fields it
-derives from already-checked values, or that its own loop has just judged,
-such as ``hj_sweep``'s coprime pairs ``(n, q)``; a ``verify`` sweep
-re-checks what it derives.  Each call site names the invariant that makes
-its value valid.
+every copy and every unpickled value; a class that checks nothing and has
+no private slot has the base's ``__new__`` as its constructor.  Only a
+type's own ``__new__`` may pass private slots to ``_derived``: the three
+types that have them, ``BaseGeometry``, ``CoverDescription`` and
+``InvariantReport``, derive them from the fields they have just checked, so
+their ``_derived`` called on the fields alone raises :class:`TypeError`
+instead of leaving a value half built.  Other code may call ``_derived``
+only for a class whose constructor checks something, and only on fields
+it derives from already-checked values, or that its own loop has just
+judged, such as ``hj_sweep``'s coprime pairs ``(n, q)``; a ``verify``
+sweep re-checks what it derives.  Each call site names the invariant that
+makes its value valid.
 """
 
 from operator import attrgetter
@@ -65,38 +67,29 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _field_builders(cls, fields):
-    """``cls``'s ``_set_fields``, ``__new__`` and ``_derived``, compiled from source.
+def _builders(cls):
+    """``cls``'s ``__new__(_cls, *slots)`` and ``_derived(*slots)``, compiled from one body.
 
-    ``_set_fields(self, f1, ..., fk)`` calls each field's slot descriptor.
-    ``__new__(_cls, f1, ..., fk)`` and ``_derived(f1, ..., fk)`` share one
-    body and exist only for a class with no private slot, which they would
-    leave unset.  It stores the fields on an instance of an unfrozen twin,
-    a subclass that adds no slot and whose ``__setattr__`` and
-    ``__delattr__`` are ``object``'s, and then makes it a ``cls``.
-    Overriding both puts the generic setter back in the one type slot they
-    share, so each store is a plain slot store; a twin that overrode only
-    ``__setattr__`` built a ``LocalCoverType`` in about 780 against 270 ns.
+    The body stores every slot, in ``__slots__`` order, on an instance of an
+    unfrozen twin, a subclass that adds no slot and whose ``__setattr__``
+    and ``__delattr__`` are ``Value``'s own, the generic ones ``object``
+    gives, and then makes it a ``cls``.  Overriding both puts the generic
+    setter back in the one type slot they share, so each store is a plain
+    slot store; a twin that overrode only ``__setattr__`` built a
+    ``LocalCoverType`` in about 780 against 270 ns.
     """
-    namespace = {f"_{name}_slot": vars(cls)[name].__set__ for name in fields}
-    params = ", ".join(fields)
-    body = "".join(f"\n    _{name}_slot(self, {name})" for name in fields)
-    source = f"def _set_fields(self, {params}):{body}\n"
-    names = ["_set_fields"]
-    if len(fields) == len(cls.__slots__):
-        twin = type(cls.__name__, (cls,), {
-            "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
-        })
-        namespace.update(_new=object.__new__, _twin=twin, _cls=cls)
-        stores = "".join(f"\n    self.{name} = {name}" for name in fields)
-        build = f"\n    self = _new(_twin){stores}\n    self.__class__ = _cls\n    return self"
-        source += f"def __new__(_cls, {params}):{build}\ndef _derived({params}):{build}"
-        names += ["__new__", "_derived"]
-    exec(source, namespace)
-    for name in names:
+    twin = type(cls.__name__, (cls,), {
+        "__slots__": (), "__setattr__": Value.__setattr__, "__delattr__": Value.__delattr__,
+    })
+    namespace = {"_new": object.__new__, "_twin": twin, "_cls": cls}
+    params = ", ".join(cls.__slots__)
+    stores = "".join(f"\n    self.{name} = {name}" for name in cls.__slots__)
+    build = f"\n    self = _new(_twin){stores}\n    self.__class__ = _cls\n    return self"
+    exec(f"def __new__(_cls, {params}):{build}\ndef _derived({params}):{build}", namespace)
+    for name in ("__new__", "_derived"):
         namespace[name].__module__ = cls.__module__
         namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    return {name: namespace[name] for name in names}
+    return namespace["__new__"], namespace["_derived"]
 
 
 class Value:
@@ -106,8 +99,8 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if vars(cls).get("__setattr__") is object.__setattr__:
-            return  # a twin that _field_builders makes: it takes its class's methods
+        if vars(cls).get("__setattr__") is Value.__setattr__:
+            return  # a twin that _builders makes: it takes its class's methods
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if len(fields) == 1:
             get = attrgetter(fields[0])
@@ -132,12 +125,9 @@ class Value:
         def __reduce__(self):
             return cls, values(self)
 
-        built = _field_builders(cls, fields)
-        cls._set_fields = built["_set_fields"]
-        if "_derived" in built:
-            cls._derived = staticmethod(built["_derived"])
-            if "__init__" not in vars(cls):
-                cls.__new__ = staticmethod(built["__new__"])
+        new, cls._derived = map(staticmethod, _builders(cls))
+        if "__new__" not in vars(cls):
+            cls.__new__ = new
         cls.__match_args__ = fields
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__

@@ -153,38 +153,16 @@ def _sigma(k: int) -> int:
     return sum(a for a in range(1, k + 1) if k % a == 0)
 
 
-def _prime_divisors(k: int) -> tuple[int, ...]:
-    """The distinct primes dividing ``k``, by trial division; none for ``k <= 1``."""
-    primes = []
-    rest, p = k, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    return tuple(primes)
+def _least_axis_multiple(g: LatticeSubgroup) -> int:
+    """The least ``t > 0`` with ``(t, 0)`` in ``g``, in closed form.
 
-
-def _axis_multiple_below(
-    g: LatticeSubgroup, n_prime: int, n_prime_in: bool, primes: tuple[int, ...]
-) -> bool:
-    """Whether ``(t, 0)`` lies in ``g`` for some ``0 < t < n_prime``.
-
-    ``n_prime_in`` says whether ``(n_prime, 0)`` lies in ``g``; when it does,
-    only ``(n_prime / p, 0)`` for the ``primes`` of ``n_prime``, those
-    :func:`_prime_divisors` gives, are tested (see :func:`lattice_sweep`),
-    otherwise every ``t``.
+    On generators ``(a, b)``, ``(c, d)``, Cramer's rule, which
+    :meth:`LatticeSubgroup.contains` tests, admits ``(t, 0)`` exactly when
+    ``index`` divides ``t d`` and ``t b``; the least such ``t`` is
+    ``lcm(index / gcd(index, d), index / gcd(index, b))``.
     """
-    if n_prime_in:
-        # once per swept subgroup: a loop, where a generator would be built per call
-        for p in primes:
-            if g.contains((n_prime // p, 0)):
-                return True
-        return False
-    return any(g.contains((t, 0)) for t in range(1, n_prime))
+    index = g.index
+    return math.lcm(index // math.gcd(index, g.g2[1]), index // math.gcd(index, g.g1[1]))
 
 
 def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
@@ -201,19 +179,11 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     a property, with every property that subgroup failed; the witness is
     built only for that subgroup.
 
-    Minimality of the first generator ``n'`` needs no scan of ``t < n'``.
-    The ``t`` with ``(t, 0)`` in the subgroup form a subgroup ``t0 Z`` of
-    ``Z``, cut out by the two congruences of Cramer's rule that
-    :meth:`LatticeSubgroup.contains` tests.  Once ``(n', 0)`` is in the
-    subgroup, ``t0`` divides ``n'``, and ``t0 < n'`` exactly when ``t0``
-    divides ``n'/p`` for a prime ``p | n'``; so ``(n'/p, 0)`` is tested for
-    the primes of ``n'`` (trial division, ``n' <= index``), and the property
-    is vacuous for ``n' <= 1``.  When ``(n', 0)`` is not in the subgroup,
-    ``canonical-membership`` has already failed and every ``t < n'`` is
-    tested, so the failures are the same as a full scan's on any input.
-    The primes of each ``n'`` are found once per call and kept in a table
-    that lives as long as the call, since thousands of subgroups share an
-    ``n'``; each local type's fields are read once, into locals.
+    Minimality of the first generator ``n'`` needs no scan of ``t < n'``:
+    it fails exactly when :func:`_least_axis_multiple`, the least ``t > 0``
+    with ``(t, 0)`` in the subgroup, is below ``n'``, so the failures are
+    the same as a full scan's on any input.  Each local type's fields are
+    read once, into locals.
     """
     subgroups = enumerate_subgroups(max_index, cap=cap)
 
@@ -225,7 +195,6 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
             return _failed("lattice", 0, {"index": k}, [("enumeration-count", message)])
 
     checked = 0
-    prime_table: dict[int, tuple[int, ...]] = {}  # n' -> _prime_divisors(n'), for this call
     for g in subgroups:
         checked += 1
         lt = local_type(g)
@@ -248,15 +217,11 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
         # the subgroup, their determinant has the right index, and no
         # shorter positive multiple of (1, 0) lies in the subgroup.
         n_prime, q_prime = n * m1, q * m1
-        first_in = g.contains((n_prime, 0))
-        if not (first_in and g.contains((q_prime, m2))):
+        if not (g.contains((n_prime, 0)) and g.contains((q_prime, m2))):
             failed.append(("canonical-membership", "canonical basis vectors not in subgroup"))
         if n_prime * m2 != index:
             failed.append(("canonical-index", "canonical basis does not have full index"))
-        primes = prime_table.get(n_prime)
-        if primes is None:
-            primes = prime_table[n_prime] = _prime_divisors(n_prime)
-        if _axis_multiple_below(g, n_prime, first_in, primes):
+        if _least_axis_multiple(g) < n_prime:
             failed.append(("first-generator-minimality", f"(t, 0) in subgroup for t < {n_prime}"))
 
         swapped = local_type(g.swapped())

@@ -1,20 +1,19 @@
 """Derived values skip their constructors' checks; values from outside do not.
 
-Each value type with no private slot has one unchecked builder,
-``_derived``, and three classes whose constructor checks something are
-built through it:
-``HJChain._derived`` builds the chains that :func:`hj_expand` and
-``HJChain.reversed`` derive, ``LatticeSubgroup._derived`` the subgroups
-that :func:`enumerate_subgroups` and ``LatticeSubgroup.swapped`` derive,
-and ``SingularityType._derived`` the singularity types whose pairs
+Each value type has one unchecked builder, ``_derived``, in which every
+constructor ends, and three classes whose constructor checks something
+are built through it directly:
+``HJChain._derived`` builds the chains that :func:`hj_expand` derives,
+``LatticeSubgroup._derived`` the subgroups that
+:func:`enumerate_subgroups` and ``LatticeSubgroup.swapped`` derive, and
+``SingularityType._derived`` the singularity types whose pairs
 ``hj_sweep``'s loop builds and tests.  :class:`LocalCoverType` checks
 nothing, so :func:`local_type` calls its constructor, the base's
 ``__new__``.  The first four tests hold each derived value to the
-constructor.  The last three count constructor calls, ``__init__`` for the
-checked classes and ``__new__`` for ``LocalCoverType``: the sweeps run no
-check, the lattice sweep builds its local types through the constructor,
-and a document, ``ramcov local`` and the public constructors run the checks
-as before.
+constructor.  The last three count constructor calls, each class's
+``__new__``: the sweeps run no check, the lattice sweep builds its local
+types through the constructor, and a document, ``ramcov local`` and the
+public constructors run the checks as before.
 """
 
 import functools
@@ -52,9 +51,11 @@ def test_expanded_and_reversed_chains_pass_the_checked_constructor():
             if math.gcd(n, q) != 1:
                 continue
             chain = hj_expand(SingularityType(n, q))
-            for c in (chain, chain.reversed()):
-                assert type(c.b) is tuple and all(type(bi) is int for bi in c.b), (n, q)
-                assert HJChain(c.b) == c, (n, q)
+            assert type(chain.b) is tuple and all(type(bi) is int for bi in chain.b), (n, q)
+            assert HJChain(chain.b) == chain, (n, q)
+            # the reverse is the derived chain of q's inverse
+            reverse = hj_expand(SingularityType(n, pow(q, -1, n)))
+            assert HJChain(tuple(reversed(chain.b))) == reverse, (n, q)
 
 
 def test_swept_types_equal_the_checked_constructor():
@@ -89,18 +90,17 @@ def test_local_type_equals_the_keyword_construction():
 
 @pytest.fixture
 def checked_inits(monkeypatch):
-    """Counts constructor calls per class, by wrapping its own ``__init__`` or ``__new__``."""
+    """Counts constructor calls per class, by wrapping its own ``__new__``."""
     calls = Counter()
     for cls in (HJChain, LatticeSubgroup, LocalCoverType, SingularityType):
-        name = "__new__" if "__new__" in vars(cls) else "__init__"
-        method = getattr(cls, name)
+        method = cls.__new__
 
         @functools.wraps(method)  # keeps the signature that rebuild.replace reads
         def counted(*args, _method=method, _name=cls.__name__, **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
         # a plain function as __new__ is called with the class first, as a staticmethod is
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(cls, "__new__", counted)
     return calls
 
 

@@ -162,10 +162,8 @@ def test_reversal_swaps_q_for_its_inverse():
         for q in range(1, n):
             if math.gcd(n, q) != 1:
                 continue
-            q_inv = pow(q, -1, n)
-            assert hj_expand(SingularityType(n, q)).reversed() == hj_expand(
-                SingularityType(n, q_inv)
-            )
+            reverse = tuple(reversed(hj_expand(SingularityType(n, q)).b))
+            assert reverse == hj_expand(SingularityType(n, pow(q, -1, n))).b, (n, q)
 
 
 # --- discrepancies --------------------------------------------------------
@@ -208,7 +206,7 @@ def test_reversed_chain_has_reversed_discrepancies():
                 continue
             chain = hj_expand(SingularityType(n, q))
             v, c = discrepancies(chain)
-            assert discrepancies(chain.reversed()) == (v[::-1], c), (n, q)
+            assert discrepancies(HJChain(tuple(reversed(chain.b)))) == (v[::-1], c), (n, q)
 
 
 def test_resolution_data_invariants():

@@ -4,7 +4,7 @@ The table pins the exact message each entry point gives for a bool, a
 float, a string and a value below its minimum.  A point's local type has
 no minimum for its fields: a value out of range builds, and the walk
 reports it as a V5 finding.  The ``ast`` scan keeps the judge single:
-outside ``errors.py`` only ``LatticeSubgroup.__init__``, which checks a
+outside ``errors.py`` only ``LatticeSubgroup.__new__``, which checks a
 generator pair on the hot path, may test ``isinstance(..., bool)`` itself.
 """
 
@@ -184,6 +184,6 @@ def test_only_check_int_and_the_lattice_pair_check_test_for_bool():
     others = [
         f"{module}: {name}"
         for module, name in found
-        if module != "errors" and (module, name) != ("local_cover", "LatticeSubgroup.__init__")
+        if module != "errors" and (module, name) != ("local_cover", "LatticeSubgroup.__new__")
     ]
     assert others == []

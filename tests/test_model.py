@@ -537,7 +537,7 @@ class _ComponentId(str):
 
 
 def test_a_crossing_of_str_subclass_ids_is_accepted():
-    # Crossing.__init__ judges each id with isinstance, so a str
+    # Crossing.__new__ judges each id with isinstance, so a str
     # subclass passes.
     pair = (_ComponentId("A"), _ComponentId("B"))
     assert Crossing(index=0, pair=pair).pair == ("A", "B")

@@ -1,22 +1,22 @@
 """The package's value types: the protocol :class:`ramcov.value.Value` gives them, and a light start.
 
-Each of the 19 value types takes its field setter, ``==``, the hash, the
-repr, immutability and its copy and pickle support from its field names,
-its public ``__slots__``; the 16 with no private slot also take the
-unchecked builder ``_derived``.  Eleven write an ``__init__`` that runs
-their checks and then the setter; the other eight check nothing: seven of
-them are built by the base's ``__new__``, which shares ``_derived``'s body,
-while ``InvariantReport``'s ``__init__`` derives four values and then calls
-the setter.  The tests hold every type to that protocol: the constructor,
-the setter and ``_derived`` take the fields in slot order, the setter and
-``_derived`` check nothing, the repr names each field, the hash is that of
-the field tuple, ``==`` is false across types, ``<`` raises, assigning or
-deleting an attribute raises, a copy rebuilt by keyword through the
-constructor is equal, and ``copy``, ``deepcopy`` and ``pickle`` give equal
-values.  Every way of building a value gives exactly its type, frozen: the
-unfrozen twin the builders store on never escapes.  No value type is
-ordered, so the one place that sorts values, ``examine``'s findings, is
-held to its key here too.
+Each of the 19 value types takes its one builder ``_derived``, ``==``, the
+hash, the repr, immutability and its copy and pickle support from its slot
+names: its public ``__slots__`` are its fields, and the three types with
+private slots pass those after the fields.  Twelve write a ``__new__`` that
+runs their checks, or for ``InvariantReport`` derives four values, and ends
+in ``return cls._derived(...)``; the other seven check nothing and have the
+base's ``__new__``, which shares ``_derived``'s body.  No type writes an
+``__init__``.  The tests hold every type to that protocol: the constructor
+takes the fields in slot order and ``_derived`` every slot, ``_derived``
+checks nothing and refuses a private-slot type's fields alone, the repr
+names each field, the hash is that of the field tuple, ``==`` is false
+across types, ``<`` raises, assigning or deleting an attribute raises, a
+copy rebuilt by keyword through the constructor is equal, and ``copy``,
+``deepcopy`` and ``pickle`` give equal values.  Every way of building a
+value gives exactly its type, frozen: the unfrozen twin the builder stores
+on never escapes.  No value type is ordered, so the one place that sorts
+values, ``examine``'s findings, is held to its key here too.
 The last test runs a fresh interpreter: importing ``ramcov.cli`` and
 building its parser loads neither ``dataclasses`` nor ``inspect``.
 """
@@ -112,27 +112,45 @@ def _fields(cls) -> tuple:
     return tuple(inspect.signature(cls).parameters)
 
 
+def _slots(value) -> list:
+    """Every slot of ``value`` in ``__slots__`` order: its fields, then its private slots."""
+    return [getattr(value, name) for name in type(value).__slots__]
+
+
 def test_there_are_nineteen_value_types_each_on_the_one_base():
     assert len(SAMPLES) == 19
     assert all(issubclass(cls, Value) for cls in SAMPLES)
     for cls in SAMPLES:
-        setter = tuple(inspect.signature(cls._set_fields).parameters)
-        assert cls.__match_args__ == _fields(cls) == setter[1:], cls.__name__
-        assert setter[0] == "self", cls.__name__
-        if cls in PRIVATE:
-            assert not hasattr(cls, "_derived"), cls.__name__
-        else:
-            assert tuple(inspect.signature(cls._derived).parameters) == _fields(cls), cls.__name__
+        assert cls.__match_args__ == _fields(cls), cls.__name__
+        assert tuple(inspect.signature(cls._derived).parameters) == cls.__slots__, cls.__name__
+        assert cls.__slots__[: len(_fields(cls))] == _fields(cls), cls.__name__
+        assert "__new__" in vars(cls) and "__init__" not in vars(cls), cls.__name__
     assert {cls for cls in SAMPLES if len(cls.__slots__) > len(_fields(cls))} == set(PRIVATE)
-    built = {cls for cls in SAMPLES if "__new__" in vars(cls)}
+    # the base's __new__ is compiled beside _derived, so it shares its globals
+    built = {cls for cls in SAMPLES if cls.__new__.__globals__ is cls._derived.__globals__}
     assert built == set(UNCHECKED) - {InvariantReport}
-    for cls in SAMPLES:
-        assert ("__init__" in vars(cls)) is (cls not in built), cls.__name__
-    for cls in built:  # the base's __new__, compiled beside _derived
+    for cls in built:
         new = cls.__new__
         assert new.__qualname__ == f"{cls.__qualname__}.__new__", cls.__name__
-        assert new.__globals__ is cls._derived.__globals__, cls.__name__
         assert tuple(inspect.signature(new).parameters) == ("_cls", *_fields(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_every_written_constructor_ends_in_the_one_builder(cls, monkeypatch):
+    value = SAMPLES[cls]
+    derived = cls._derived
+    calls = []
+
+    def counted(*slots):
+        calls.append(slots)
+        return derived(*slots)
+
+    monkeypatch.setattr(cls, "_derived", staticmethod(counted))
+    assert cls(*(getattr(value, name) for name in cls.__match_args__)) == value
+    if cls.__new__.__globals__ is derived.__globals__:  # the base's __new__ is the builder
+        assert calls == []
+    else:
+        assert len(calls) == 1 and len(calls[0]) == len(cls.__slots__)
 
 
 @pytest.mark.parametrize("cls", UNCHECKED, ids=lambda cls: cls.__name__)
@@ -157,29 +175,39 @@ def test_a_type_without_checks_takes_its_fields_by_position_or_keyword(cls):
             cls(*bad_args, **bad_kwargs)
 
 
-def test_the_field_setter_runs_no_check():
+def test_derived_runs_no_check():
     with pytest.raises(InvalidInputError, match="linearly independent"):
         LatticeSubgroup((0, 0), (0, 0))
-    gamma = object.__new__(LatticeSubgroup)
-    assert LatticeSubgroup._set_fields(gamma, (0, 0), (0, 0)) is None
+    gamma = LatticeSubgroup._derived((0, 0), (0, 0))
     assert repr(gamma) == "LatticeSubgroup(g1=(0, 0), g2=(0, 0))"
     with pytest.raises(AttributeError, match="cannot assign to field 'g1'"):
         gamma.g1 = (1, 0)
 
 
+@pytest.mark.parametrize("cls", PRIVATE, ids=lambda cls: cls.__name__)
+def test_derived_of_a_type_with_private_slots_takes_every_slot(cls):
+    value = SAMPLES[cls]
+    fields = [getattr(value, name) for name in cls.__match_args__]
+    with pytest.raises(TypeError, match=r"_derived\(\) missing \d+ required positional argument"):
+        cls._derived(*fields)
+    built = cls._derived(*_slots(value))
+    assert type(built) is cls and built == value and built is not value
+    assert all(a is b for a, b in zip(_slots(built), _slots(value), strict=True))
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(built, name, None)
+
+
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 def test_derived_builds_the_value_on_its_fields_without_init(cls, monkeypatch):
-    if cls in PRIVATE:  # a value built on its fields alone would lack its private slots
-        assert not hasattr(cls, "_derived")
-        return
     value = SAMPLES[cls]
-    fields = [getattr(value, name) for name in _fields(cls)]
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{cls.__name__}.__init__ ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{cls.__name__}'s constructor ran")
 
+    monkeypatch.setattr(cls, "__new__", refuse)
     monkeypatch.setattr(cls, "__init__", refuse)
-    built = cls._derived(*fields)
+    built = cls._derived(*_slots(value))
     assert type(built) is cls and built == value and built is not value
     assert repr(built) == repr(value)
     if cls is not PropertyFailure:  # its witness is a dict
@@ -280,9 +308,8 @@ def test_every_way_of_building_gives_exactly_the_type_frozen(cls):
         copy.copy(value),
         copy.deepcopy(value),
         pickle.loads(pickle.dumps(value)),
+        cls._derived(*_slots(value)),
     ]
-    if cls not in PRIVATE:
-        built.append(cls._derived(*fields))
     for other in (value, *built):
         assert type(other) is cls and other == value and repr(other) == repr(value)
         if cls is not PropertyFailure:  # its witness is a dict

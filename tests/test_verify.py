@@ -18,7 +18,6 @@ from ramcov.local_cover import (
     DEFAULT_ENUMERATION_CAP,
     LatticeSubgroup,
     LocalCoverType,
-    canonical_basis,
     enumerate_subgroups,
     local_type,
 )
@@ -320,47 +319,31 @@ def _rebased(g, a, b, c, d):
     return LatticeSubgroup((a * x1 + b * x2, a * y1 + b * y2), (c * x1 + d * x2, c * y1 + d * y2))
 
 
-def test_prime_divisor_minimality_matches_the_scan():
-    # The scan over every t < n' is the oracle of the shortcut, given the
-    # primes of t, on the Hermite generators, their axis swap, and
-    # non-Hermite generators of the same subgroups; at 2n' the first
-    # generator is never minimal.
+def test_least_axis_multiple_matches_the_scan():
+    # The scan over t = 1, 2, ... is the oracle of the closed form, on the
+    # Hermite generators, their axis swap, and non-Hermite generators of
+    # the same subgroups, where both congruences of Cramer's rule bind;
+    # (index, 0) lies in every subgroup, so the scan ends there.
     bases = [(1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (0, 1, -1, 3), (-3, 2, 5, -3)]
     for h in enumerate_subgroups(80):
         for g in (h, h.swapped()):
-            n_prime = canonical_basis(g)[0]
             for basis in bases:
                 r = _rebased(g, *basis)
-                for t in (n_prime, 2 * n_prime):
-                    assert r.contains((t, 0))
-                    expected = any(r.contains((s, 0)) for s in range(1, t))
-                    primes = verify._prime_divisors(t)
-                    assert verify._axis_multiple_below(r, t, True, primes) == expected, (r, t)
+                scan = next(t for t in range(1, r.index + 1) if r.contains((t, 0)))
+                assert verify._least_axis_multiple(r) == scan, r
 
 
-def test_prime_divisors():
-    assert [verify._prime_divisors(k) for k in (-6, 0, 1, 2, 12, 97, 360, 961)] == [
-        (), (), (), (2,), (2, 3), (97,), (2, 3, 5), (31,)
+def test_least_axis_multiple_of_literal_subgroups():
+    cases = [
+        (((1, 0), (0, 1)), 1),
+        (((2, 0), (1, 1)), 2),
+        (((1, 0), (0, 2)), 1),
+        (((1, 1), (0, 2)), 2),  # (1, 0) is not in it, (2, 0) = 2(1, 1) - (0, 2) is
+        (((0, 3), (2, 1)), 6),  # det -6: (t, 0) = x(0, 3) + y(2, 1) needs t = -6x
+        (((0, 2), (1, 0)), 1),
     ]
-    for k in range(1, 500):
-        assert verify._prime_divisors(k) == tuple(sympy.primefactors(k))
-
-
-def test_lattice_sweep_factors_each_first_generator_once(monkeypatch):
-    # The prime table lives for one call: a second sweep factors again.
-    calls = []
-    prime_divisors = verify._prime_divisors
-
-    def counting(k):
-        calls.append(k)
-        return prime_divisors(k)
-
-    monkeypatch.setattr(verify, "_prime_divisors", counting)
-    distinct = {canonical_basis(g)[0] for g in enumerate_subgroups(45)}
-    for _ in range(2):
-        calls.clear()
-        assert verify.lattice_sweep(45).ok
-        assert sorted(calls) == sorted(distinct)
+    for (g1, g2), least in cases:
+        assert verify._least_axis_multiple(LatticeSubgroup(g1, g2)) == least, (g1, g2)
 
 
 def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
@@ -384,10 +367,12 @@ def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
     assert "for t < 6" in res.failures[props.index("first-generator-minimality")].message
 
 
-@pytest.mark.parametrize("max_index,bound", [(45, 8000), (120, 6 * 11973)], ids=["45", "120"])
-def test_lattice_sweep_membership_tests_per_subgroup(monkeypatch, max_index, bound):
-    # A few membership tests per subgroup, whatever the index: a scan over
-    # t < n' would make 41 108 at index 45 and 61 per subgroup at 120.
+@pytest.mark.parametrize("max_index", [45, 120], ids=["45", "120"])
+def test_lattice_sweep_membership_tests_per_subgroup(monkeypatch, max_index):
+    # Three membership tests per subgroup, whatever the index: the two
+    # canonical basis vectors and the product test.  Minimality takes none,
+    # where a scan over t < n' would make 41 108 at index 45 and 61 per
+    # subgroup at 120.
     calls = 0
     contains = LatticeSubgroup.contains
 
@@ -398,6 +383,4 @@ def test_lattice_sweep_membership_tests_per_subgroup(monkeypatch, max_index, bou
 
     monkeypatch.setattr(LatticeSubgroup, "contains", counting)
     res = verify.lattice_sweep(max_index)
-    assert res.ok
-    assert calls <= bound
-    assert calls <= 6 * res.checked
+    assert res.ok and calls == 3 * res.checked
