@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Optional
 
 from . import __version__
-from .errors import EnumerationLimitError, InputFormatError, InvalidInputError, check_int
+from .errors import EnumerationLimitError, InputFormatError, InvalidInputError
 from .hj import SingularityType, chain_length, resolve
 # canonical_document, degree_linear_certificate, derived_euler_data,
 # invariant_report and validate are not called here; they stay imported
@@ -155,25 +154,15 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = None
-    env_cap = os.environ.get("RAMCOV_MAX_ENUM")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap, 10)
-        except ValueError:
-            raise InvalidInputError(
-                f"RAMCOV_MAX_ENUM must be an integer (got {env_cap!r})"
-            ) from None
-        check_int(cap, "RAMCOV_MAX_ENUM", 1)
     # Both bounds are checked before either sweep starts, in the order the
     # sweeps would check them.
-    check_enumeration_bound("max_n", args.max_n, 2, cap)
-    check_enumeration_bound("max_index", args.max_index, 1, cap)
+    check_enumeration_bound("max_n", args.max_n, 2)
+    check_enumeration_bound("max_index", args.max_index, 1)
 
     # Each sweep beside its scope; both finish before the first line is printed.
     results = [
-        (hj_sweep(args.max_n, cap=cap), f"types up to n = {args.max_n}"),
-        (lattice_sweep(args.max_index, cap=cap), f"subgroups up to index {args.max_index}"),
+        (hj_sweep(args.max_n), f"types up to n = {args.max_n}"),
+        (lattice_sweep(args.max_index), f"subgroups up to index {args.max_index}"),
     ]
     status = 0
     for result, scope in results:

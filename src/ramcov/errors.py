@@ -25,7 +25,7 @@ class InputFormatError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """A requested enumeration exceeds the configured size cap."""
+    """A requested enumeration exceeds its size cap."""
 
 
 def check_int(value, what: str, minimum: "int | None" = None) -> int:

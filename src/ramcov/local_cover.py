@@ -28,7 +28,7 @@ from .hj import SingularityType
 from .value import Value
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
     "LatticeSubgroup",
     "LocalCoverType",
     "canonical_basis",
@@ -38,24 +38,21 @@ __all__ = [
 ]
 
 #: Largest ``max_index`` accepted by :func:`enumerate_subgroups`, and largest
-#: ``max_n`` accepted by :func:`ramcov.verify.hj_sweep`, unless the caller
-#: supplies an explicit cap (the CLI reads ``RAMCOV_MAX_ENUM``).
-DEFAULT_ENUMERATION_CAP = 1000
+#: ``max_n`` accepted by :func:`ramcov.verify.hj_sweep`.
+ENUMERATION_CAP = 1000
 
 
-def check_enumeration_bound(
-    name: str, value: int, minimum: int, cap: Optional[int] = None
-) -> None:
-    """Raise unless the sweep bound ``name`` is an int with ``minimum <= value <= cap``.
+def check_enumeration_bound(name: str, value: int, minimum: int) -> None:
+    """Raise unless the sweep bound ``name`` is an int with
+    ``minimum <= value <= ENUMERATION_CAP``.
 
-    The cap is ``DEFAULT_ENUMERATION_CAP`` unless given.  A non-int (a bool
-    too) or a value below the minimum raises :class:`InvalidInputError`, one
-    above the cap :class:`EnumerationLimitError`; type, then range, is checked.
+    A non-int (a bool too) or a value below the minimum raises
+    :class:`InvalidInputError`, one above the cap
+    :class:`EnumerationLimitError`; type, then range, is checked.
     """
     check_int(value, name, minimum)
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if value > limit:
-        raise EnumerationLimitError(f"{name} {value} exceeds the enumeration cap {limit}")
+    if value > ENUMERATION_CAP:
+        raise EnumerationLimitError(f"{name} {value} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 class LatticeSubgroup(Value):
@@ -194,9 +191,7 @@ def local_type(gamma: LatticeSubgroup) -> LocalCoverType:
     return LocalCoverType(n_prime // m1, q_prime // m1, m1, m2)
 
 
-def enumerate_subgroups(
-    max_index: int, *, cap: Optional[int] = None
-) -> list[LatticeSubgroup]:
+def enumerate_subgroups(max_index: int) -> list[LatticeSubgroup]:
     """All subgroups of Z^2 of index at most ``max_index``, one per subgroup.
 
     Each subgroup is produced exactly once, as its Hermite-form
@@ -205,10 +200,10 @@ def enumerate_subgroups(
     (sum of divisors) subgroups.  Output order is deterministic: by index,
     then ``a`` ascending, then ``c`` ascending.
 
-    Raises :class:`EnumerationLimitError` when ``max_index`` exceeds the cap
-    (``DEFAULT_ENUMERATION_CAP`` unless overridden).
+    Raises :class:`EnumerationLimitError` when ``max_index`` exceeds
+    ``ENUMERATION_CAP``.
     """
-    check_enumeration_bound("max_index", max_index, 1, cap)
+    check_enumeration_bound("max_index", max_index, 1)
     out = []
     for k in range(1, max_index + 1):
         for a in range(1, k + 1):

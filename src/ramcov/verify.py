@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import attrgetter, mul
-from typing import Optional
 
 from .hj import SingularityType, discrepancies, hj_evaluate, hj_expand
 from .local_cover import (
@@ -58,7 +57,7 @@ def _failed(suite: str, checked: int, witness: dict, failed: list) -> SweepResul
     return SweepResult(suite, checked, tuple(PropertyFailure(p, witness, m) for p, m in failed))
 
 
-def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
+def hj_sweep(max_n: int) -> SweepResult:
     """Check every cyclic quotient type with 2 <= n <= max_n exhaustively.
 
     Per coprime pair (n, q): the expansion evaluates back to n/q exactly;
@@ -81,10 +80,10 @@ def hj_sweep(max_n: int, *, cap: Optional[int] = None) -> SweepResult:
     chain, are found only for a pair that fails.
 
     Raises :class:`EnumerationLimitError`, before any check, when ``max_n``
-    exceeds the cap (``DEFAULT_ENUMERATION_CAP`` unless overridden), the
-    same cap that bounds :func:`lattice_sweep`.
+    exceeds ``ENUMERATION_CAP``, the same cap that bounds
+    :func:`lattice_sweep`.
     """
-    check_enumeration_bound("max_n", max_n, 2, cap)
+    check_enumeration_bound("max_n", max_n, 2)
     checked = 0
     for n in range(2, max_n + 1):
         two_n = 2 * n
@@ -165,7 +164,7 @@ def _least_axis_multiple(g: LatticeSubgroup) -> int:
     return math.lcm(index // math.gcd(index, g.g2[1]), index // math.gcd(index, g.g1[1]))
 
 
-def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
+def lattice_sweep(max_index: int) -> SweepResult:
     """Check every subgroup of Z^2 of index <= max_index exhaustively.
 
     Per subgroup: the classified local type satisfies the index identity
@@ -185,7 +184,7 @@ def lattice_sweep(max_index: int, *, cap: Optional[int] = None) -> SweepResult:
     the same as a full scan's on any input.  Each local type's fields are
     read once, into locals.
     """
-    subgroups = enumerate_subgroups(max_index, cap=cap)
+    subgroups = enumerate_subgroups(max_index)
 
     counts = Counter(map(attrgetter("index"), subgroups))
     for k in range(1, max_index + 1):

@@ -160,7 +160,6 @@ STREAM_CASES = [
     "path,argv,code", STREAM_CASES, ids=[f"{c[0].parent.name}/{c[0].name}" for c in STREAM_CASES]
 )
 def test_hj_and_verify_match_frozen_streams(capsys, monkeypatch, path, argv, code):
-    monkeypatch.delenv("RAMCOV_MAX_ENUM", raising=False)
     assert main(argv) == code
     captured = capsys.readouterr()
     frozen = path.read_text(encoding="utf-8")
@@ -233,7 +232,6 @@ MUTATED_CASES = [
 def test_verify_over_a_corrupted_core_matches_frozen_transcript(
     capsys, monkeypatch, path, name, replacement, flags
 ):
-    monkeypatch.delenv("RAMCOV_MAX_ENUM", raising=False)
     monkeypatch.setattr(ramcov.verify, name, replacement)
     assert main(["verify", *flags]) == 1
     captured = capsys.readouterr()

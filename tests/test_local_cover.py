@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from ramcov.errors import EnumerationLimitError, InvalidInputError
 from ramcov.hj import SingularityType
 from ramcov.local_cover import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     LatticeSubgroup,
     LocalCoverType,
     canonical_basis,
+    check_enumeration_bound,
     enumerate_subgroups,
     local_type,
 )
@@ -145,11 +146,11 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_subgroups(DEFAULT_ENUMERATION_CAP + 1)
-    with pytest.raises(EnumerationLimitError):
-        enumerate_subgroups(20, cap=10)
-    assert enumerate_subgroups(10, cap=10)
+    with pytest.raises(EnumerationLimitError, match="max_index 1001 exceeds the enumeration cap 1000"):
+        enumerate_subgroups(ENUMERATION_CAP + 1)
+    # The cap itself passes the check; enumerating to it would take seconds.
+    assert ENUMERATION_CAP == 1000
+    assert check_enumeration_bound("max_index", ENUMERATION_CAP, 1) is None
     with pytest.raises(InvalidInputError):
         enumerate_subgroups(0)
 

@@ -5,6 +5,7 @@ Exit code contract exercised throughout: 0 success, 1 semantic findings
 errors.  Reports must be byte-deterministic and free of floating point.
 """
 
+import inspect
 import json
 import os
 import pathlib
@@ -26,7 +27,7 @@ import ramcov.report
 from ramcov import __version__
 from ramcov.golden import power_map_cover, ruled_cyclic_cover
 from ramcov.loader import load_cover_path
-from ramcov.local_cover import LocalCoverType, local_type
+from ramcov.local_cover import LocalCoverType, check_enumeration_bound, enumerate_subgroups, local_type
 from ramcov.model import derived_euler_data
 from ramcov.report import (
     FIBRATION_HYPOTHESES,
@@ -521,23 +522,21 @@ def test_cli_verify_clean(capsys):
     assert "all properties hold" in out
 
 
-def test_cli_verify_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RAMCOV_MAX_ENUM", "10")
-    code, _, err = run(capsys, "verify", "--max-n", "5", "--max-index", "20")
-    assert code == 2 and "error:" in err
-
-    monkeypatch.setenv("RAMCOV_MAX_ENUM", "25")
-    code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-index", "20")
-    assert code == 0 and "all properties hold" in out
-
-    monkeypatch.setenv("RAMCOV_MAX_ENUM", "plenty")
-    code, _, err = run(capsys, "verify", "--max-n", "5", "--max-index", "20")
-    assert code == 2 and "RAMCOV_MAX_ENUM" in err
-
-    for value in ("0", "-5"):
-        monkeypatch.setenv("RAMCOV_MAX_ENUM", value)
-        code, out, err = run(capsys, "verify")
-        assert (code, out, err) == (2, "", f"error: RAMCOV_MAX_ENUM must be >= 1 (got {value})\n")
+@pytest.mark.parametrize("value", ["5000", "plenty"])
+def test_cli_verify_ignores_ramcov_max_enum(capsys, monkeypatch, value):
+    # The cap is one constant: no parameter lifts it and the environment
+    # variable that once did is not read.
+    functions = (
+        ramcov.verify.hj_sweep, ramcov.verify.lattice_sweep, enumerate_subgroups, check_enumeration_bound,
+    )
+    for function in functions:
+        assert "cap" not in inspect.signature(function).parameters, function.__name__
+    monkeypatch.setenv("RAMCOV_MAX_ENUM", value)
+    assert run(capsys, "verify", "--max-n", "1001") == (
+        2, "", "error: max_n 1001 exceeds the enumeration cap 1000\n"
+    )
+    code, out, err = run(capsys, "verify", "--max-n", "5", "--max-index", "5")
+    assert (code, err) == (0, "") and out.endswith("all properties hold\n")
 
 
 def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
@@ -549,28 +548,25 @@ def test_cli_verify_max_n_is_capped_before_any_sweep(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: max_n 100000 exceeds the enumeration cap 1000\n"
 
-    monkeypatch.setenv("RAMCOV_MAX_ENUM", "10")
-    code, out, err = run(capsys, "verify", "--max-n", "11", "--max-index", "3")
+    code, out, err = run(capsys, "verify", "--max-n", "1001", "--max-index", "3")
     assert (code, out) == (2, "")
-    assert err == "error: max_n 11 exceeds the enumeration cap 10\n"
+    assert err == "error: max_n 1001 exceeds the enumeration cap 1000\n"
 
 
 @pytest.mark.parametrize(
-    "env,argv,message",
+    "argv,message",
     [
-        ("300", ("--max-n", "300", "--max-index", "301"), "max_index 301 exceeds the enumeration cap 300"),
-        (None, ("--max-n", "1000", "--max-index", "1001"), "max_index 1001 exceeds the enumeration cap 1000"),
-        (None, ("--max-n", "50", "--max-index", "0"), "max_index must be >= 1 (got 0)"),
-        ("1", ("--max-n", "1", "--max-index", "5"), "max_n must be >= 2 (got 1)"),
+        (("--max-n", "2", "--max-index", "1001"), "max_index 1001 exceeds the enumeration cap 1000"),
+        (("--max-n", "1000", "--max-index", "1001"), "max_index 1001 exceeds the enumeration cap 1000"),
+        (("--max-n", "50", "--max-index", "0"), "max_index must be >= 1 (got 0)"),
+        (("--max-n", "1", "--max-index", "5"), "max_n must be >= 2 (got 1)"),
     ],
 )
-def test_cli_verify_max_index_is_checked_before_any_sweep(capsys, monkeypatch, env, argv, message):
+def test_cli_verify_max_index_is_checked_before_any_sweep(capsys, monkeypatch, argv, message):
     def no_hj_sweep(*args, **kwargs):
         raise AssertionError("the hj sweep started")
 
     monkeypatch.setattr(ramcov.cli, "hj_sweep", no_hj_sweep)
-    if env is not None:
-        monkeypatch.setenv("RAMCOV_MAX_ENUM", env)
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -616,9 +612,21 @@ def test_cli_parser_is_built_once_per_process():
     assert ramcov.cli._build_parser() is ramcov.cli._build_parser()
 
 
-def test_cli_usage_errors(capsys):
-    code, _, err = run(capsys, "frobnicate")
-    assert code == 2 and "invalid choice" in err
+def test_cli_usage_errors(capsys, monkeypatch):
+    # A usage error is argparse's: the usage line, then the error line, with
+    # exit 2.  It is the one message of two lines (README, exit status).
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    assert run(capsys, "frobnicate") == (2, "", (
+        "usage: ramcov [-h] [--version] {hj,local,invariants,verify,bs-bound} ...\n"
+        "ramcov: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'hj', 'local', 'invariants', 'verify', 'bs-bound')\n"
+    ))
+    # int() refuses a string past the interpreter's digit limit.
+    digits = "1" * 5001
+    assert run(capsys, "hj", digits, "2") == (2, "", (
+        "usage: ramcov hj [-h] n q\n"
+        f"ramcov hj: error: argument n: invalid int value: '{digits}'\n"
+    ))
     code, _, _ = run(capsys)
     assert code == 2
     code, out, _ = run(capsys, "--version")

@@ -15,9 +15,10 @@ import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError, InvalidInputError
 from ramcov.hj import HJChain, discrepancies, hj_evaluate, hj_expand
 from ramcov.local_cover import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     LatticeSubgroup,
     LocalCoverType,
+    check_enumeration_bound,
     enumerate_subgroups,
     local_type,
 )
@@ -40,16 +41,20 @@ def test_lattice_sweep_clean():
 
 
 def test_lattice_sweep_cap_propagates():
-    with pytest.raises(EnumerationLimitError):
-        verify.lattice_sweep(40, cap=20)
+    with pytest.raises(EnumerationLimitError, match="max_index 1001 exceeds the enumeration cap 1000"):
+        verify.lattice_sweep(ENUMERATION_CAP + 1)
 
 
-def test_hj_sweep_cap():
-    with pytest.raises(EnumerationLimitError, match="max_n 21 exceeds the enumeration cap 20"):
-        verify.hj_sweep(21, cap=20)
-    assert verify.hj_sweep(20, cap=20).ok
-    with pytest.raises(EnumerationLimitError, match="cap 1000"):
-        verify.hj_sweep(DEFAULT_ENUMERATION_CAP + 1)
+def test_hj_sweep_cap(monkeypatch):
+    def no_sweep_work(sing):
+        raise AssertionError("the hj sweep started")
+
+    monkeypatch.setattr(verify, "hj_expand", no_sweep_work)
+    with pytest.raises(EnumerationLimitError, match="max_n 1001 exceeds the enumeration cap 1000"):
+        verify.hj_sweep(ENUMERATION_CAP + 1)
+    # The cap itself passes the check; sweeping to it would take seconds.
+    assert ENUMERATION_CAP == 1000
+    assert check_enumeration_bound("max_n", ENUMERATION_CAP, 2) is None
 
 
 @pytest.mark.parametrize(
@@ -231,8 +236,8 @@ def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
 def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
     real = verify.enumerate_subgroups
 
-    def bad_enum(max_index, *, cap=None):
-        return real(max_index, cap=cap)[:-1]
+    def bad_enum(max_index):
+        return real(max_index)[:-1]
 
     monkeypatch.setattr(verify, "enumerate_subgroups", bad_enum)
     res = verify.lattice_sweep(6)

@@ -56,16 +56,20 @@ lives in:
 Each document runs through ``invariants`` as text and ``--json``, each with
 and without ``--strict`` and with and without ``--ev 1 2 0 2 3``: eight
 runs.  The other subcommands run on fixed arguments: ``verify`` at the five
-sizes of the ``verify`` workload and with ``--max-n 1``; ``hj`` on a du Val,
+sizes of the ``verify`` workload, with ``--max-n 1``, and with ``--max-n``
+or ``--max-index`` one past the enumeration cap; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
 Last, each ``demos/0*.py`` and ``demos/covers/make_kummer.py 3 2`` runs as
 a script in a fresh interpreter with ``PYTHONPATH`` set to the tree: the
 scripts are those of the checkout that holds the tree (``demos/`` beside
 it), or this checkout's when there is none.  With the shipped documents
-and demos of this checkout that is 1 575 ``ramcov`` runs over 195
+and demos of this checkout that is 1 577 ``ramcov`` runs over 195
 documents, 32 of them on the retyped documents, 16 on the shared faulty
-shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 580 runs.
+shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 582 runs.
+
+The trees run with ``RAMCOV_MAX_ENUM`` dropped from the environment, so a
+caller's shell cannot give an older tree, which reads it, another cap.
 
 The script names every run whose exit code, stdout or stderr differ between
 the trees, shows both sides of the first, and exits 1; otherwise it exits 0.
@@ -100,6 +104,8 @@ FLAG_SETS = [
 ]
 FIXED_RUNS = [
     ["verify", "--max-n", "1"],
+    ["verify", "--max-n", "1001"],  # past the enumeration cap
+    ["verify", "--max-n", "2", "--max-index", "1001"],  # past the enumeration cap
     ["hj", "5", "4"],  # du Val
     ["hj", "12", "5"],  # not du Val
     ["hj", "4", "2"],  # n and q not coprime
@@ -439,8 +445,10 @@ def faulty_documents(shipped: list[pathlib.Path], folder: pathlib.Path) -> list[
 
 def run_tree(src: str, runs: list[list[str]]) -> list:
     """The [exit code, stdout, stderr] of every run, with ``ramcov`` imported from ``src``."""
+    env = {name: value for name, value in os.environ.items() if name != "RAMCOV_MAX_ENUM"}
     done = subprocess.run(
         [sys.executable, "-B", "-c", _CHILD, src],
+        env=env,
         input=json.dumps(runs),
         capture_output=True,
         text=True,
