@@ -80,6 +80,7 @@ from __future__ import annotations
 import gc
 import json
 import marshal
+import re
 from typing import AbstractSet, Any, Callable
 
 from .errors import InputFormatError, InvalidInputError
@@ -114,18 +115,25 @@ def _no_duplicate_keys(pairs: list) -> dict:
     return obj
 
 
+# A JSON string, escapes included; in a text that decodes, every '"' outside
+# a string opens one.
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
 def _decode(text: str) -> Any:
     """The JSON value of ``text``, its objects' keys checked for duplicates.
 
     The fast decode builds each object as a dict and only adds up their
     sizes.  Outside strings each colon of valid JSON separates one member,
     so the colons of ``text`` number at least the members, which number at
-    least the keys kept; the two counts are equal only when no key repeats
-    and no string holds a colon, and then the tree is the one the hooked
-    decode would give.  Otherwise, or on any error of the fast decode, the
-    text is decoded again with :func:`_no_duplicate_keys` on every object,
-    and that decode alone judges it: it returns the tree or raises every
-    error the caller names.
+    least the keys kept; the two counts are equal when no key repeats and
+    no string holds a colon, and then the tree is the one the hooked decode
+    would give.  When they differ, the colons left once every string is cut
+    out of the text, one per member, are counted against the keys kept.
+    Otherwise, or on any error of the fast decode, the text is decoded
+    again with :func:`_no_duplicate_keys` on every object, and that decode
+    alone judges it: it returns the tree or raises every error the caller
+    names.
     """
     total = 0
 
@@ -139,7 +147,7 @@ def _decode(text: str) -> Any:
     except (ValueError, RecursionError):
         pass
     else:
-        if text.count(":") == total:
+        if text.count(":") == total or _STRING.sub("", text).count(":") == total:
             return doc
     return json.loads(text, object_pairs_hook=_no_duplicate_keys)
 

@@ -715,11 +715,18 @@ def test_the_hooked_decode_runs_only_on_a_text_the_count_does_not_clear(monkeypa
     clean = grid_document(6)
     assert canonical_document(*parse_cover_json(json.dumps(clean))) == clean
     assert calls == []
-    # Colons in its strings: the counts differ, and the hooked decode runs
-    # once, one call per object.
+    # Colons in its strings: the counts differ, but the colons outside its
+    # strings match the members, and the hooked decode does not run.
     colons = _colon_ids(clean)
     assert canonical_document(*parse_cover_json(json.dumps(colons))) == colons
-    assert len(calls) == _objects(colons)
+    assert calls == []
+    # The top-level object repeating "base" last: neither count clears it,
+    # and the hooked decode runs once, one call per object of the text,
+    # the top-level one, which raises, last.
+    text = _with_duplicate(colons, ())
+    with pytest.raises(InputFormatError, match="duplicate object key 'base'"):
+        parse_cover_json(text)
+    assert len(calls) == _objects(colons) + _objects(colons["base"])
 
 
 # Texts of a few objects whose keys may repeat or hold a colon, with strings

@@ -7,13 +7,14 @@ nothing would look identical to a sweep that checks everything.
 
 import math
 import types
+from fractions import Fraction
 
 import pytest
 import sympy
 
 import ramcov.verify as verify
 from ramcov.errors import EnumerationLimitError, InvalidInputError
-from ramcov.hj import HJChain, discrepancies, hj_evaluate, hj_expand
+from ramcov.hj import HJChain, SingularityType, discrepancies, hj_evaluate, hj_expand
 from ramcov.local_cover import (
     ENUMERATION_CAP,
     LatticeSubgroup,
@@ -220,6 +221,86 @@ def test_hj_sweep_names_the_property_at_the_first_failing_type(
     assert prop in {f.prop for f in res.failures}
 
 
+def _hj_at(monkeypatch, target, **given):
+    """Patch ``hj_expand``, ``hj_evaluate`` and ``discrepancies`` to give the type ``target``.
+
+    ``given`` may name its chain ``b``, its ``value``, its discrepancies
+    ``v`` and its correction ``c``; what it does not name is computed as
+    usual, and every other type is left alone.
+    """
+    at = [False]
+
+    def expand(sing):
+        at[0] = (sing.n, sing.q) == target
+        return HJChain._derived(given["b"]) if at[0] and "b" in given else hj_expand(sing)
+
+    def evaluate(chain):
+        return given["value"] if at[0] and "value" in given else hj_evaluate(chain)
+
+    def solve(chain):
+        v, c = discrepancies(chain)
+        return (given.get("v", v), given.get("c", c)) if at[0] else (v, c)
+
+    monkeypatch.setattr(verify, "hj_expand", expand)
+    monkeypatch.setattr(verify, "hj_evaluate", evaluate)
+    monkeypatch.setattr(verify, "discrepancies", solve)
+
+
+# (the properties the type fails, the type, what the mutant gives it), one
+# row per property and one for the residual at the last index.  Eight fail
+# alone.  Five cannot:
+# * discrepancy-range: over entries >= 2 the recursion has one solution,
+#   and it lies in (-n, 0], so a discrepancy out of range breaks the
+#   recursion, an entry or the vector's length;
+# * correction-range: the terms v_i (b_i - 2) of the correction sum lie in
+#   (-n (b_i - 2), 0], so given the entry excess only a correction that is
+#   not that sum leaves (-n^2, 2n];
+# * du-val-entries, du-val-discrepancies, du-val-correction: given the
+#   recursion, all entries are 2 exactly when every v_i is 0, and given the
+#   correction sum exactly when c is 0.
+_HJ_ISOLATED = [
+    (["reconstruction"], (2, 1), {"value": Fraction(3)}),
+    # five entries for A_{4,1}, on which the recursion has integer solutions
+    (["length"], (4, 1), {"b": (2, 2, 4, 2, 2), "v": (-1, -2, -3, -2, -1), "c": -6,
+                          "value": Fraction(4)}),
+    # A_{8,3}'s chain (3, 3) blown up at its node: same n/q, one entry 1
+    (["entry-range"], (8, 3), {"b": (4, 1, 4), "v": (-4, 0, -4), "c": -16}),
+    (["entry-excess"], (5, 1), {"b": (3, 5, 2), "v": (-3, -4, -2), "c": -15,
+                                "value": Fraction(5)}),
+    (["discrepancy-length"], (2, 1), {"v": ()}),
+    (["discrepancy-range", "recursion-residual"], (3, 1), {"v": (-3,), "c": -3}),
+    # v_2 one lower on A_{9,7}: residuals -1, 2, -1 at 1, 2, 3, none at 4
+    (["recursion-residual"], (9, 7), {"v": (-1, -3, -3, -4)}),
+    (["correction-sum"], (3, 1), {"c": -2}),
+    (["correction-sum", "correction-range"], (3, 1), {"c": -9}),
+    (["du-val-entries", "du-val-discrepancies", "du-val-correction"], (3, 1),
+     {"b": (2, 2), "v": (0, 0), "c": 0, "value": Fraction(3)}),
+    (["recursion-residual", "du-val-discrepancies"], (2, 1), {"v": (-1,)}),
+    (["correction-sum", "du-val-correction"], (2, 1), {"c": -1}),
+    (["du-val-length"], (2, 1), {"b": (2, 2), "v": (0, 0), "value": Fraction(2)}),
+    # a residual at the last index only, with the correction that the
+    # recursion's sum would give
+    (["recursion-residual", "correction-sum"], (3, 1), {"v": (-2,), "c": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "props,target,given", _HJ_ISOLATED, ids=["+".join(row[0]) for row in _HJ_ISOLATED]
+)
+def test_hj_sweep_fails_each_property_at_the_first_type_that_breaks_it(
+    monkeypatch, props, target, given
+):
+    # A property the one-pass test forgot would pass its type.
+    _hj_at(monkeypatch, target, **given)
+    res = verify.hj_sweep(10)
+    coprime = [(n, q) for n in range(2, 11) for q in range(1, n) if math.gcd(n, q) == 1]
+    assert res.checked == coprime.index(target) + 1
+    chain = list(given.get("b", hj_expand(SingularityType(*target)).b))
+    witness = {"n": target[0], "q": target[1], "chain": chain}
+    assert [f.witness for f in res.failures] == [witness] * len(props)
+    assert [f.prop for f in res.failures] == props
+
+
 def test_lattice_sweep_detects_corrupted_classification(monkeypatch):
     def bad_type(gamma):
         lt = local_type(gamma)
@@ -268,8 +349,8 @@ def test_lattice_sweep_detects_a_wrong_axis_swap(monkeypatch):
     assert [(f.witness["g1"], f.witness["g2"]) for f in res.failures] == [([1, 0], [0, 2])]
 
 
-def _type_at(target, **changes):
-    """A ``local_type`` that changes these attributes of the type of the subgroup ``target``.
+def _types_at(changes):
+    """A ``local_type`` that changes the attributes ``changes`` maps each subgroup ``(g1, g2)`` to.
 
     The type is a namespace of the seven attributes the sweep reads, so a
     derived one (``e1``, ``d_y``) can change alone.
@@ -277,12 +358,17 @@ def _type_at(target, **changes):
 
     def classify(gamma):
         lt = local_type(gamma)
-        if (gamma.g1, gamma.g2) != target:
+        if (gamma.g1, gamma.g2) not in changes:
             return lt
         fields = {name: getattr(lt, name) for name in ("n", "q", "m1", "m2", "d_y", "e1", "e2")}
-        return types.SimpleNamespace(**{**fields, **changes})
+        return types.SimpleNamespace(**{**fields, **changes[gamma.g1, gamma.g2]})
 
     return classify
+
+
+def _type_at(target, **changes):
+    """A ``local_type`` that changes these attributes of the type of the subgroup ``target``."""
+    return _types_at({target: changes})
 
 
 # (test id, property, mutant, the first subgroup that fails)
@@ -315,6 +401,104 @@ def test_lattice_sweep_names_the_property_at_the_first_failing_subgroup(
     assert res.checked == subgroups.index(first) + 1
     assert {(tuple(f.witness["g1"]), tuple(f.witness["g2"])) for f in res.failures} == {first}
     assert prop in {f.prop for f in res.failures}
+
+
+_real_contains = LatticeSubgroup.contains
+_real_least_axis_multiple = verify._least_axis_multiple
+
+
+# (the properties the subgroup fails, the names patched in verify or on
+# LatticeSubgroup with their mutants, the subgroup), one row per property,
+# and one per term where the one conjunction tests a property with more
+# than one.  Nine fail alone.  Two cannot: a q with q * q_swapped = 1 mod n
+# is prime to n, so primitivity fails only beside axis-swap-duality; and
+# n' m2 = n m1 m2, so canonical-index fails only beside index-identity.
+_SMOOTH = ((1, 0), (0, 1))  # Z^2, swapped to ((0, 1), (1, 0))
+_LATTICE_ISOLATED = [
+    (["index-identity"], {"local_type": _type_at(_SMOOTH, d_y=2)}, _SMOOTH),
+    (["ramification-split"], {"local_type": _type_at(_SMOOTH, e1=2)}, _SMOOTH),
+    (["ramification-split"], {"local_type": _type_at(_SMOOTH, e2=2)}, _SMOOTH),
+    # Z x 2Z typed, with its swap, as if both m were negative
+    (["positivity"], {"local_type": _types_at({
+        ((1, 0), (0, 2)): {"m1": -1, "m2": -2, "e1": -1, "e2": -2},
+        ((0, 1), (2, 0)): {"m1": -2, "m2": -1},
+    })}, ((1, 0), (0, 2))),
+    # One m below 1 and the other not needs n < 0, so q = 0, and a product
+    # canonical basis, which an honest membership test would make the
+    # product the subgroup is not: here (2, 0) and (-2, 0) are answered as
+    # members of ((4, 0), (2, 1)).
+    (["positivity"], {
+        "local_type": _types_at({
+            ((4, 0), (2, 1)): {"n": -2, "q": 0, "m1": -1, "m2": 2, "e1": 2, "e2": -4},
+            ((0, 4), (1, 2)): {"n": -2, "q": 0, "m1": 2, "m2": -1},
+        }),
+        "contains": lambda self, v: v == (2, 0) or _real_contains(self, v),
+    }, ((4, 0), (2, 1))),
+    (["positivity"], {
+        "local_type": _types_at({
+            ((4, 0), (2, 1)): {"n": -2, "q": 0, "m1": 1, "m2": -2, "e1": -2, "e2": 4},
+            ((0, 4), (1, 2)): {"n": -2, "q": 0, "m1": -2, "m2": 1},
+        }),
+        "contains": lambda self, v: v == (-2, 0) or _real_contains(self, v),
+    }, ((4, 0), (2, 1))),
+    # n' = 4, q' = 2 not split by their gcd 2: n = 4, q = 2, m1 = 1
+    (["primitivity", "axis-swap-duality"], {"local_type": _types_at({
+        ((4, 0), (2, 1)): {"n": 4, "q": 2, "m1": 1, "e2": 4},
+        ((0, 4), (1, 2)): {"n": 4, "m1": 1, "m2": 1},
+    })}, ((4, 0), (2, 1))),
+    (["q-range"], {"local_type": _type_at(_SMOOTH, q=1)}, _SMOOTH),
+    # q = 1 -/+ 4 on A_{4,1}: the same q' mod n' and inverse mod 4
+    (["q-range"], {"local_type": _type_at(((4, 0), (1, 1)), q=-3)}, ((4, 0), (1, 1))),
+    (["q-range"], {"local_type": _type_at(((4, 0), (1, 1)), q=5)}, ((4, 0), (1, 1))),
+    # q = 2 on A_{3,1}, whose swap 2 still inverts mod 3, but (2, 1) is not in it
+    (["canonical-membership"], {"local_type": _types_at({
+        ((3, 0), (1, 1)): {"q": 2}, ((0, 3), (1, 1)): {"q": 2},
+    })}, ((3, 0), (1, 1))),
+    (["index-identity", "canonical-index"], {"local_type": _types_at({
+        _SMOOTH: {"m2": 2, "e2": 2}, ((0, 1), (1, 0)): {"m1": 2},
+    })}, _SMOOTH),
+    # as if Z^2 held (0, 0) as its least point (t, 0), t > 0
+    (["first-generator-minimality"],
+     {"_least_axis_multiple": lambda g: _real_least_axis_multiple(g) - 1}, _SMOOTH),
+    (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), n=2)}, _SMOOTH),
+    (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), m1=2)}, _SMOOTH),
+    (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), m2=2)}, _SMOOTH),
+    (["axis-swap-duality"], {"local_type": _type_at(((0, 1), (1, 0)), q=1)}, _SMOOTH),
+    # every (0, y), y >= 1, a member: ((2, 0), (1, 1)) is the first subgroup
+    # that holds no (0, 1) yet is not smooth
+    (["smoothness"],
+     {"contains": lambda self, v: v[0] == 0 < v[1] or _real_contains(self, v)}, ((2, 0), (1, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "props,mutants,target", _LATTICE_ISOLATED, ids=["+".join(row[0]) for row in _LATTICE_ISOLATED]
+)
+def test_lattice_sweep_fails_each_property_at_the_first_subgroup_that_breaks_it(
+    monkeypatch, props, mutants, target
+):
+    # A property the one conjunction forgot would pass its subgroup.
+    for name, mutant in mutants.items():
+        monkeypatch.setattr(LatticeSubgroup if name == "contains" else verify, name, mutant)
+    res = verify.lattice_sweep(8)
+    subgroups = [(g.g1, g.g2) for g in enumerate_subgroups(8)]
+    assert res.checked == subgroups.index(target) + 1
+    lt = verify.local_type(LatticeSubgroup(*target))
+    witness = {"g1": list(target[0]), "g2": list(target[1]), "n": lt.n, "q": lt.q, "m1": lt.m1,
+               "m2": lt.m2}
+    assert [f.witness for f in res.failures] == [witness] * len(props)
+    assert [f.prop for f in res.failures] == props
+
+
+def test_clean_sweeps_itemize_nothing(monkeypatch):
+    # Every item of a clean sweep is cleared by the one test, with no call
+    # to the itemized lists.
+    def itemized(*args):
+        raise AssertionError("a clean item was itemized")
+
+    monkeypatch.setattr(verify, "_hj_failures", itemized)
+    monkeypatch.setattr(verify, "_lattice_failures", itemized)
+    assert verify.hj_sweep(100).ok and verify.lattice_sweep(45).ok
 
 
 def _rebased(g, a, b, c, d):

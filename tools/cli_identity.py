@@ -56,7 +56,8 @@ lives in:
 Each document runs through ``invariants`` as text and ``--json``, each with
 and without ``--strict`` and with and without ``--ev 1 2 0 2 3``: eight
 runs.  The other subcommands run on fixed arguments: ``verify`` at the five
-sizes of the ``verify`` workload, with ``--max-n 1``, and with ``--max-n``
+sizes of the ``verify`` workload, at ``--max-n 400 --max-index 150``,
+whose chains reach 399 entries, with ``--max-n 1``, and with ``--max-n``
 or ``--max-index`` one past the enumeration cap; ``hj`` on a du Val,
 a non-du-Val, an invalid and an over-cap type; ``local`` on a product, a
 singular and a degenerate lattice; ``bs-bound`` with and without ``h``.
@@ -64,9 +65,9 @@ Last, each ``demos/0*.py`` and ``demos/covers/make_kummer.py 3 2`` runs as
 a script in a fresh interpreter with ``PYTHONPATH`` set to the tree: the
 scripts are those of the checkout that holds the tree (``demos/`` beside
 it), or this checkout's when there is none.  With the shipped documents
-and demos of this checkout that is 1 577 ``ramcov`` runs over 195
+and demos of this checkout that is 1 578 ``ramcov`` runs over 195
 documents, 32 of them on the retyped documents, 16 on the shared faulty
-shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 582 runs.
+shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 583 runs.
 
 The trees run with ``RAMCOV_MAX_ENUM`` dropped from the environment, so a
 caller's shell cannot give an older tree, which reads it, another cap.
@@ -103,6 +104,7 @@ FLAG_SETS = [
     for ev in ([], ["--ev", "1", "2", "0", "2", "3"])
 ]
 FIXED_RUNS = [
+    ["verify", "--max-n", "400", "--max-index", "150"],  # chains of up to 399 entries
     ["verify", "--max-n", "1"],
     ["verify", "--max-n", "1001"],  # past the enumeration cap
     ["verify", "--max-n", "2", "--max-index", "1001"],  # past the enumeration cap
