@@ -85,6 +85,17 @@ def _point_key(p: "PointAbove") -> tuple:
     return (p.j, p.jp, repr(p.local))
 
 
+def _judge(items, record: type, what: str) -> None:
+    """Raise unless ``items``, the list ``what`` names, is a tuple of ``record`` values."""
+    if not isinstance(items, tuple):
+        raise InvalidInputError(
+            f"{what} must be a tuple of {record.__name__} (got {type(items).__name__})"
+        )
+    for item in items:
+        if not isinstance(item, record):
+            raise InvalidInputError(f"{what} holds {item!r}, not a {record.__name__}")
+
+
 class BranchComponent(Value):
     """Numerical data of one smooth component of the branch divisor.
 
@@ -272,8 +283,10 @@ class CoverDescription(Value):
     ``points_above`` maps crossing indices to the points over that
     crossing; both are stored as tuples of pairs to stay hashable, in
     canonical order, and looked up through the one dict the constructor
-    builds from each.  Absent entries mean "unspecified" and are flagged by
-    the validator rather than silently defaulted.
+    builds from each.  Each sheet list must be a tuple of :class:`RamSheet`
+    and each point list a tuple of :class:`PointAbove`, else
+    :class:`InvalidInputError`.  Absent entries mean "unspecified" and are
+    flagged by the validator rather than silently defaulted.
     """
 
     __slots__ = ("degree", "ramification", "points_above", "_sheets", "_points")
@@ -285,28 +298,33 @@ class CoverDescription(Value):
         points_above: tuple[tuple[int, tuple[PointAbove, ...]], ...],
     ):
         check_int(degree, "cover degree", minimum=1)
-        for cid, _ in ramification:
+        # Each list is judged once by id, so a list shared by several keys
+        # costs one lookup per key; each record type has its own memo, so a
+        # list given as both kinds is judged as each.
+        sheet_lists: set[int] = set()
+        for cid, sheets in ramification:
             if not isinstance(cid, str):
                 raise InvalidInputError(f"ramification key must be a component id (got {cid!r})")
+            if id(sheets) not in sheet_lists:
+                _judge(sheets, RamSheet, f"ramification of {cid!r}")
+                sheet_lists.add(id(sheets))
         ramification = tuple(sorted(ramification, key=itemgetter(0)))
         sheets = _index(ramification, "component ids in the ramification table")
-        for idx, _ in points_above:
-            check_int(idx, "points_above key")
-        # id(points) -> those points in canonical order: a list shared by
-        # several crossings is sorted once and stays one tuple.  A list of
-        # fewer than two points is in order as it is.
+        # id(points) -> those points judged and in canonical order, so a list
+        # shared by several crossings is sorted once and stays one tuple.  A
+        # list of fewer than two points is in order as it is.
         ordered: dict[int, tuple] = {}
-
-        def canonical(points):
+        pairs = []
+        for idx, points in points_above:
+            check_int(idx, "points_above key")
             got = ordered.get(id(points))
             if got is None:
-                got = ordered[id(points)] = tuple(sorted(points, key=_point_key))
-            return got
-
-        points_above = tuple(
-            (idx, canonical(points) if len(points) > 1 else points)
-            for idx, points in sorted(points_above, key=itemgetter(0))
-        )
+                _judge(points, PointAbove, f"points above crossing {idx}")
+                got = ordered[id(points)] = (
+                    tuple(sorted(points, key=_point_key)) if len(points) > 1 else points
+                )
+            pairs.append((idx, got))
+        points_above = tuple(sorted(pairs, key=itemgetter(0)))
         point_lists = _index(points_above, "crossing indices in the points_above table")
         return cls._derived(degree, ramification, points_above, sheets, point_lists)
 

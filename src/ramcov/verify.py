@@ -7,6 +7,14 @@ ranges in exact arithmetic.  The sweeps here do exactly that and return
 counterexample witnesses instead of raising, so the command line can print
 them; an empty failure list over the default ranges is the strongest
 correctness statement the package can make about itself.
+
+Each sweep clears an item with one test on integers it already holds,
+which holds exactly when every property does: the continuants of a chain
+stand in for evaluating it, and the Hermite generators of a subgroup for
+testing membership in it.  The instruments that judge a property directly,
+:func:`hj_evaluate`, :meth:`LatticeSubgroup.contains` and
+:func:`_least_axis_multiple`, run only to itemize an item the test does
+not clear, so a clean sweep calls none of them.
 """
 
 from __future__ import annotations
@@ -70,25 +78,44 @@ def hj_sweep(max_n: int) -> SweepResult:
     all as integer numerators over n.  The sweep stops after the first pair
     that fails a property, with every property that pair failed.
 
-    Each pair is cleared by one test that holds exactly when every property
-    does; only a pair it does not clear is itemized, by :func:`_hj_failures`,
-    on the values already computed.  The test is one pass over the chain
-    that checks ``b_i >= 2``, each discrepancy's range and the recursion,
-    which it runs forward from ``v_0 = 0`` and ``v_1`` with no padded copy
-    of the discrepancies, then a few comparisons of scalars, with
-    ``excess`` the sum of the ``b_i - 2``; given the pass, the rest is
-    arithmetic:
+    Each pair is cleared by one test on integers that holds exactly when
+    every property does; only a pair it does not clear is itemized, by
+    :func:`_hj_failures`, on the values already computed, with
+    :func:`hj_evaluate` called for it there.  The test is one pass over the
+    chain that checks ``b_i >= 2`` and the recursion, which it runs forward
+    from ``v_0 = 0`` and ``v_1`` with no padded copy of the discrepancies,
+    and runs the continuants ``beta_0 = 0``, ``beta_1 = 1``,
+    ``beta_(i+1) = b_i beta_i - beta_(i-1)`` alongside; then a few comparisons of scalars, with ``excess`` the sum
+    of the ``b_i - 2``.  Given the pass, the rest is arithmetic:
 
-    * ``b_i - 2 <= excess <= n - q - 1`` bounds every entry by ``n``;
+    * reconstruction: with every ``b_i >= 2`` the chain's value is
+      ``beta_(lambda+1) / q_c`` in lowest terms, and the reversed chain's is
+      ``beta_(lambda+1) / beta_lambda``, so ``q_c beta_lambda = 1`` mod
+      ``beta_(lambda+1)`` (Hirzebruch's reversal duality); hence the value
+      is n/q exactly when ``beta_(lambda+1) = n`` and
+      ``q beta_lambda = 1 mod n``, as ``1 <= q, q_c < n``;
+    * a chain that evaluates to n/q is its expansion, which is unique over
+      entries >= 2, so the chain facts are theorems on it: the continuants
+      grow, so ``length <= n - 1``; the excess of ``b_1, ..., b_lambda`` is
+      ``b_1 - 2`` plus that of the tail's ``q/r``, ``r = b_1 q - n``, which
+      gives ``excess <= n - q - 1`` by induction and so bounds every entry
+      by ``n``; and the chain of length lambda with every entry 2 evaluates
+      to ``(lambda + 1)/lambda``, so all entries are 2 exactly when
+      q = n - 1, and then ``length = n - 1``;
+    * discrepancy range: with ``u_i = v_i + n`` the recursion reads
+      ``b_i u_i = u_(i-1) + u_(i+1)`` with ``u_0 = u_(lambda+1) = n``,
+      whose one solution on the expansion of n/q is ``u_i`` the sum of the
+      continuants of the entries before and after i, each >= 1, so
+      ``v_i > -n``; and ``b_i >= 2`` makes ``u_i`` convex in i, so
+      ``u_i <= n`` and ``v_i <= 0``;
     * summing the recursion over i gives
       ``sum v_i (b_i - 2) = -v_1 - v_lambda - n excess``;
     * each ``v_i (b_i - 2)`` lies in ``(-n (b_i - 2), 0]``, so the
       correction lies in ``(-n (n - 2), 0]``;
-    * for q = n - 1 the excess bound makes every entry 2, and then the
-      recursion makes every ``v_i``, and so ``c``, zero; for q < n - 1 some
-      ``b_j > 2``, and ``v_j = 0``, or ``c = 0`` which forces it, would
-      leave the recursion at j a positive residual;
-    * an empty chain fails ``du-val-entries`` or ``du-val-length``.
+    * all entries 2 makes every ``v_i``, and so ``c``, zero through the
+      recursion; some ``b_j > 2`` with ``v_j = 0``, or ``c = 0`` which
+      forces it, would leave the recursion at j a positive residual;
+    * an empty chain is not cleared.
 
     The loop gives ints with ``2 <= n``, ``1 <= q < n`` and
     ``gcd(n, q) = 1``, so each type is built by ``SingularityType._derived``
@@ -102,37 +129,34 @@ def hj_sweep(max_n: int) -> SweepResult:
     checked = 0
     for n in range(2, max_n + 1):
         two_n = 2 * n
-        minus_n = -n
         for q in range(1, n):
             if math.gcd(n, q) != 1:
                 continue
             checked += 1
             chain = hj_expand(SingularityType._derived(n, q))
             b = chain.b
-            value = hj_evaluate(chain)
             v, c = discrepancies(chain)  # n * a_i and n * correction
             length = len(b)
             if b and len(v) == length:
                 # b_i v_i - v_(i-1) - v_(i+1) = (2 - b_i) n, with v_0 = v_(λ+1) = 0,
                 # holds at every i exactly when each v_(i+1) is the expected
                 # b_i (v_i + n) - 2n - v_(i-1), v_(λ+1) included.
-                left = total = 0
+                left = total = below = 0
+                beta = 1
                 expect = v[0]
                 for bi, vi in zip(b, v):
-                    if not (vi == expect and bi >= 2 and minus_n < vi <= 0):
+                    if not (vi == expect and bi >= 2):
                         break
                     total += bi
+                    below, beta = beta, bi * beta - below
                     left, expect = vi, bi * (vi + n) - two_n - left
                 else:
-                    excess = total - 2 * length
                     if (
-                        expect == 0 and value.as_integer_ratio() == (n, q)
-                        and length <= n and excess <= n - q - 1
-                        and c == -v[0] - v[-1] - n * excess
-                        and (length == n - 1 if q == n - 1 else excess > 0)
+                        expect == 0 and beta == n and below * q % n == 1
+                        and c == -v[0] - v[-1] - n * (total - 2 * length)
                     ):
                         continue
-            failed = _hj_failures(n, q, b, value, v, c)
+            failed = _hj_failures(n, q, b, hj_evaluate(chain), v, c)
             if failed:
                 return _failed("hj", checked, {"n": n, "q": q, "chain": list(b)}, failed)
     return SweepResult("hj", checked, ())
@@ -210,17 +234,27 @@ def lattice_sweep(max_index: int) -> SweepResult:
     a property, with every property that subgroup failed; the witness is
     built only for that subgroup.
 
-    Each subgroup is cleared by one conjunction over the values the loop
-    reads, which holds exactly when every property does; only a subgroup it
-    does not clear is itemized, by :func:`_lattice_failures`, on those
-    values.  Two properties need no term of their own: ``q * q_swapped = 1
-    mod n`` makes ``n`` and ``q`` coprime, and ``n' m2 = n m1 m2`` is the
-    index identity's product.  Minimality of the first generator ``n'``
-    needs no scan of ``t < n'``: it fails exactly when
-    :func:`_least_axis_multiple`, the least ``t > 0`` with ``(t, 0)`` in the
-    subgroup, is below ``n'``, so the failures are the same as a full
-    scan's on any input.  Each local type's fields are read once, into
-    locals.
+    Each subgroup is cleared by one conjunction over its generators and the
+    fields of its two local types, which holds exactly when every property
+    does; only a subgroup it does not clear is itemized, by
+    :func:`_lattice_failures`, which alone calls
+    :meth:`LatticeSubgroup.contains` and :func:`_least_axis_multiple`.  The
+    conjunction first asks for Hermite form, generators ``(a, 0), (c, m)``
+    with ``0 <= c < a`` and ``m >= 1``, the form the enumeration gives; a
+    subgroup given otherwise is itemized, so the verdict is the same on any
+    enumeration.  On Hermite generators ``(x, y)`` is a member exactly when
+    ``m | y`` and ``x = (y/m) c`` mod ``a``, by the uniqueness of Hermite
+    form, so the least ``t > 0`` with ``(t, 0)`` a member is ``a``, and the
+    subgroup is a product exactly when ``c = 0``.  Then, with the canonical
+    basis ``(n', 0), (q', m2)`` read as ``n' = n m1 = a``, ``q' = q m1 = c``,
+    ``m2 = m`` and ``m1 >= 1``, the index identity is ``d_y = a m`` and the
+    split ``e1 = a``, ``e2 = n m``, and no property needs a membership
+    test: the basis is the generators, so both lie in the subgroup and no
+    shorter ``(t, 0)`` does; ``0 <= q' < n'`` is ``0 <= q < n``, and
+    ``q = 0`` when n = 1; ``c = 0`` is ``q = 0``, which the duality term
+    allows only for n = 1; ``q * q_swapped = 1 mod n`` makes ``n`` and
+    ``q`` coprime; and ``n' m2 = n m1 m2`` is the index identity's product.
+    Each local type's fields are read once, into locals.
     """
     subgroups = enumerate_subgroups(max_index)
 
@@ -234,45 +268,46 @@ def lattice_sweep(max_index: int) -> SweepResult:
     checked = 0
     for g in subgroups:
         checked += 1
+        (a, b), (c, m) = g.g1, g.g2
         lt = local_type(g)
         n, q, m1, m2 = lt.n, lt.q, lt.m1, lt.m2
         d_y, e1, e2 = lt.d_y, lt.e1, lt.e2
-        index = g.index
-        # The canonical basis must actually be a basis: both vectors lie in
-        # the subgroup, their determinant has the right index, and no
-        # shorter positive multiple of (1, 0) lies in the subgroup.
-        n_prime, q_prime = n * m1, q * m1
-        in_basis = g.contains((n_prime, 0)) and g.contains((q_prime, m2))
-        least = _least_axis_multiple(g)
         swapped = local_type(g.swapped())
         s_n, s_q, s_m1, s_m2 = swapped.n, swapped.q, swapped.m1, swapped.m2
-        # An enumerated subgroup has g1 = (a, 0), a >= 1: it is the product
-        # aZ x (index/a)Z exactly when it holds (0, index/a).
-        is_product = g.contains((0, index // g.g1[0]))
         if (
-            d_y == index == n_prime * m2 and e1 == n_prime and e2 == n * m2
-            and m1 >= 1 and m2 >= 1 and in_basis and least >= n_prime
-            and s_n == n and s_m1 == m2 and s_m2 == m1 and (n == 1) == is_product
-            and (0 <= q < n and q * s_q % n == 1 if n > 1 else q == s_q == 0)
+            b == 0 and 0 <= c < a and m >= 1
+            and n * m1 == a and q * m1 == c and m2 == m and m1 >= 1
+            and d_y == a * m and e1 == a and e2 == n * m
+            and s_n == n and s_m1 == m2 and s_m2 == m1
+            and (q * s_q % n == 1 if n > 1 else s_q == 0)
         ):
             continue
-        failed = _lattice_failures(
-            g, (n, q, m1, m2, d_y, e1, e2), in_basis, least, (s_n, s_q, s_m1, s_m2), is_product
-        )
+        failed = _lattice_failures(g, (n, q, m1, m2, d_y, e1, e2), (s_n, s_q, s_m1, s_m2))
         if failed:
             witness = {"g1": list(g.g1), "g2": list(g.g2), "n": n, "q": q, "m1": m1, "m2": m2}
             return _failed("lattice", checked, witness, failed)
     return SweepResult("lattice", checked, ())
 
 
-def _lattice_failures(
-    g: LatticeSubgroup, fields: tuple, in_basis: bool, least: int, swap: tuple, is_product: bool
-) -> list:
-    """Each ``(property, message)`` that the subgroup ``g`` fails, in check order."""
+def _lattice_failures(g: LatticeSubgroup, fields: tuple, swap: tuple) -> list:
+    """Each ``(property, message)`` that the subgroup ``g`` fails, in check order.
+
+    It judges membership, minimality and the product test with
+    :meth:`LatticeSubgroup.contains` and :func:`_least_axis_multiple` on
+    whatever generators ``g`` has.
+    """
     n, q, m1, m2, d_y, e1, e2 = fields
     s_n, s_q, s_m1, s_m2 = swap
     index = g.index
     n_prime = n * m1
+    # The canonical basis must actually be a basis: both vectors lie in
+    # the subgroup, their determinant has the right index, and no
+    # shorter positive multiple of (1, 0) lies in the subgroup.
+    in_basis = g.contains((n_prime, 0)) and g.contains((q * m1, m2))
+    least = _least_axis_multiple(g)
+    # An enumerated subgroup has g1 = (a, 0), a >= 1: it is the product
+    # aZ x (index/a)Z exactly when it holds (0, index/a).
+    is_product = g.contains((0, index // g.g1[0]))
     failed = []
     if d_y != index or d_y != n * m1 * m2:
         failed.append(("index-identity", f"d_y {d_y} != |det| {index}"))

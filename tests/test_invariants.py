@@ -296,6 +296,8 @@ def test_int_subclass_local_data_gives_the_plain_int_certificate():
 class _CountedSheets(tuple):
     """A sheet list that counts the passes made over it."""
 
+    passes = 0
+
     def __iter__(self):
         self.passes += 1
         return super().__iter__()

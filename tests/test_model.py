@@ -755,6 +755,40 @@ def test_each_point_list_is_kept_in_canonical_order(size):
         ]
 
 
+def _first_list_replaced(table, given):
+    """``table`` with the list of its first key replaced by ``given``."""
+    return ((table[0][0], given),) + table[1:]
+
+
+@pytest.mark.parametrize(
+    "table,replacement,message",
+    [
+        ("ramification", lambda sheets, points: (1, 2), "ramification of 'D1' holds 1, not a RamSheet"),
+        ("points_above", lambda sheets, points: ("x",),
+         "points above crossing 0 holds 'x', not a PointAbove"),
+        ("ramification", lambda sheets, points: list(sheets),
+         "ramification of 'D1' must be a tuple of RamSheet (got list)"),
+        ("points_above", lambda sheets, points: list(points),
+         "points above crossing 0 must be a tuple of PointAbove (got list)"),
+        # a list judged as sheets is judged again as points
+        ("points_above", lambda sheets, points: sheets,
+         "points above crossing 0 holds RamSheet(e=2, f=1), not a PointAbove"),
+    ],
+    ids=["sheet-member", "point-member", "sheet-list", "point-list", "sheets-as-points"],
+)
+def test_each_sheet_and_point_list_is_a_tuple_of_its_records(table, replacement, message):
+    # Each of these built a cover that failed later: examine raised
+    # AttributeError on a member that is not a record, and hashing the cover
+    # raised TypeError on a list.
+    base, cover = double_cover()
+    given = replacement(cover.ramification[0][1], cover.points_above[0][1])
+    fields = {"ramification": cover.ramification, "points_above": cover.points_above}
+    fields[table] = _first_list_replaced(fields[table], given)
+    with pytest.raises(InvalidInputError) as info:
+        CoverDescription(degree=cover.degree, **fields)
+    assert str(info.value) == message
+
+
 def test_component_lookup():
     base = square_base()
     assert base.component("D3").fiber_deg == 1

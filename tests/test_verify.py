@@ -5,6 +5,7 @@ assert that the sweeps notice.  Without these, a sweep that checks
 nothing would look identical to a sweep that checks everything.
 """
 
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -168,18 +169,15 @@ def test_hj_sweep_detects_a_correction_off_by_one(monkeypatch):
     ]
 
 
-def test_hj_sweep_detects_a_wrong_evaluation(monkeypatch):
-    # The expansion is right; only reading it back is wrong, on one chain.
-    def bad_evaluate(chain):
-        value = hj_evaluate(chain)
-        return value + 1 if chain.b == (2, 2, 3) else value
-
-    monkeypatch.setattr(verify, "hj_evaluate", bad_evaluate)
+def test_hj_sweep_detects_a_chain_of_another_type(monkeypatch):
+    # A_{5,2} given the chain (2, 3) of A_{5,3}: every chain fact holds, only
+    # its value 5/3 is not 5/2.
+    monkeypatch.setattr(verify, "hj_expand", _chain_at((5, 2), (2, 3)))
     res = verify.hj_sweep(10)
     assert [(f.prop, f.witness["n"], f.witness["q"]) for f in res.failures] == [
-        ("reconstruction", 7, 5)
+        ("reconstruction", 5, 2)
     ]
-    assert res.failures[0].message == "evaluates to 12/5, expected 7/5"
+    assert res.failures[0].message == "evaluates to 5/3, expected 5/2"
 
 
 def _chain_at(target, entries):
@@ -258,8 +256,14 @@ def _hj_at(monkeypatch, target, **given):
 # * du-val-entries, du-val-discrepancies, du-val-correction: given the
 #   recursion, all entries are 2 exactly when every v_i is 0, and given the
 #   correction sum exactly when c is 0.
+# The rows that give a ``value`` pass reconstruction in the itemized list
+# only: a chain that breaks length, entry-excess or the du Val line does not
+# evaluate to n/q, so with an honest evaluation these fail beside
+# reconstruction, and the sweep's clearing test, which reads the chain's
+# continuants and not ``hj_evaluate``, does not clear them.
 _HJ_ISOLATED = [
-    (["reconstruction"], (2, 1), {"value": Fraction(3)}),
+    # A_{5,2} given A_{5,3}'s chain (2, 3)
+    (["reconstruction"], (5, 2), {"b": (2, 3)}),
     # five entries for A_{4,1}, on which the recursion has integer solutions
     (["length"], (4, 1), {"b": (2, 2, 4, 2, 2), "v": (-1, -2, -3, -2, -1), "c": -6,
                           "value": Fraction(4)}),
@@ -326,9 +330,32 @@ def test_lattice_sweep_detects_corrupted_enumeration(monkeypatch):
     assert any(f.prop == "enumeration-count" for f in res.failures)
 
 
-def test_lattice_sweep_detects_a_wrong_membership_test(monkeypatch):
-    # Membership that refuses every vector off the first axis in the
-    # subgroups of index 6: their canonical (q', m2) has m2 > 0.
+def _enumeration_at(changes):
+    """An ``enumerate_subgroups`` that gives each subgroup ``(g1, g2)`` in ``changes`` on the
+    generators ``changes`` maps it to."""
+
+    def enumerate_(max_index):
+        return [
+            LatticeSubgroup(*changes[g.g1, g.g2]) if (g.g1, g.g2) in changes else g
+            for g in enumerate_subgroups(max_index)
+        ]
+
+    return enumerate_
+
+
+def _off_hermite(max_index):
+    """Each subgroup ``(a, 0), (c, m)`` of index <= max_index on the generators
+    ``(a, 0), (a + c, m)``, which are off Hermite form as ``a + c >= a``."""
+    return [LatticeSubgroup(g.g1, (g.g1[0] + g.g2[0], g.g2[1])) for g in enumerate_subgroups(max_index)]
+
+
+def test_lattice_sweep_judges_generators_off_hermite_form_with_the_instruments(monkeypatch):
+    # No subgroup off Hermite form is cleared: each is itemized, so with
+    # honest instruments the sweep is as clean as on Hermite generators ...
+    monkeypatch.setattr(verify, "enumerate_subgroups", _off_hermite)
+    assert verify.lattice_sweep(12) == verify.SweepResult("lattice", len(_off_hermite(12)), ())
+    # ... and membership that refuses every vector off the first axis in the
+    # subgroups of index 6 is caught there: their canonical (q', m2) has m2 > 0.
     contains = LatticeSubgroup.contains
 
     def bad_contains(self, v):
@@ -408,11 +435,18 @@ _real_least_axis_multiple = verify._least_axis_multiple
 
 
 # (the properties the subgroup fails, the names patched in verify or on
-# LatticeSubgroup with their mutants, the subgroup), one row per property,
-# and one per term where the one conjunction tests a property with more
-# than one.  Nine fail alone.  Two cannot: a q with q * q_swapped = 1 mod n
-# is prime to n, so primitivity fails only beside axis-swap-duality; and
-# n' m2 = n m1 m2, so canonical-index fails only beside index-identity.
+# LatticeSubgroup with their mutants, the subgroup as the sweep is given
+# it), one row per property, and one per term where the one conjunction
+# tests a property with more than one.  Nine fail alone.  Two cannot: a q
+# with q * q_swapped = 1 mod n is prime to n, so primitivity fails only
+# beside axis-swap-duality; and n' m2 = n m1 m2, so canonical-index fails
+# only beside index-identity.  First-generator-minimality and smoothness
+# fail alone only on generators off Hermite form: on the Hermite generators
+# (a, 0), (c, m) that the enumeration gives, the conjunction reads the least
+# (t, 0) as a and the product test as c = 0, and calls neither
+# _least_axis_multiple nor contains, so their rows give the subgroup on
+# (a, 0), (a + c, m), which the sweep itemizes, as it does the subgroups of
+# the rows for the Hermite-form terms.
 _SMOOTH = ((1, 0), (0, 1))  # Z^2, swapped to ((0, 1), (1, 0))
 _LATTICE_ISOLATED = [
     (["index-identity"], {"local_type": _type_at(_SMOOTH, d_y=2)}, _SMOOTH),
@@ -450,6 +484,12 @@ _LATTICE_ISOLATED = [
     # q = 1 -/+ 4 on A_{4,1}: the same q' mod n' and inverse mod 4
     (["q-range"], {"local_type": _type_at(((4, 0), (1, 1)), q=-3)}, ((4, 0), (1, 1))),
     (["q-range"], {"local_type": _type_at(((4, 0), (1, 1)), q=5)}, ((4, 0), (1, 1))),
+    # A_{3,1} on (3, 0), (-2, 1), typed q = -2, whose swap's q = 1 still
+    # inverts it mod 3: Hermite but for c < 0
+    (["q-range"], {
+        "enumerate_subgroups": _enumeration_at({((3, 0), (1, 1)): ((3, 0), (-2, 1))}),
+        "local_type": _type_at(((3, 0), (-2, 1)), q=-2),
+    }, ((3, 0), (-2, 1))),
     # q = 2 on A_{3,1}, whose swap 2 still inverts mod 3, but (2, 1) is not in it
     (["canonical-membership"], {"local_type": _types_at({
         ((3, 0), (1, 1)): {"q": 2}, ((0, 3), (1, 1)): {"q": 2},
@@ -457,17 +497,55 @@ _LATTICE_ISOLATED = [
     (["index-identity", "canonical-index"], {"local_type": _types_at({
         _SMOOTH: {"m2": 2, "e2": 2}, ((0, 1), (1, 0)): {"m1": 2},
     })}, _SMOOTH),
-    # as if Z^2 held (0, 0) as its least point (t, 0), t > 0
-    (["first-generator-minimality"],
-     {"_least_axis_multiple": lambda g: _real_least_axis_multiple(g) - 1}, _SMOOTH),
+    # as if Z^2, on (1, 0), (1, 1), held (0, 0) as its least point (t, 0), t > 0
+    (["first-generator-minimality"], {
+        "enumerate_subgroups": _enumeration_at({_SMOOTH: ((1, 0), (1, 1))}),
+        "_least_axis_multiple": lambda g: _real_least_axis_multiple(g) - 1,
+    }, ((1, 0), (1, 1))),
     (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), n=2)}, _SMOOTH),
     (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), m1=2)}, _SMOOTH),
     (["axis-swap-shape"], {"local_type": _type_at(((0, 1), (1, 0)), m2=2)}, _SMOOTH),
     (["axis-swap-duality"], {"local_type": _type_at(((0, 1), (1, 0)), q=1)}, _SMOOTH),
     # every (0, y), y >= 1, a member: ((2, 0), (1, 1)) is the first subgroup
-    # that holds no (0, 1) yet is not smooth
-    (["smoothness"],
-     {"contains": lambda self, v: v[0] == 0 < v[1] or _real_contains(self, v)}, ((2, 0), (1, 1))),
+    # that holds no (0, 1) yet is not smooth, here on (2, 0), (3, 1)
+    (["smoothness"], {
+        "enumerate_subgroups": _enumeration_at({((2, 0), (1, 1)): ((2, 0), (3, 1))}),
+        "contains": lambda self, v: v[0] == 0 < v[1] or _real_contains(self, v),
+    }, ((2, 0), (3, 1))),
+    # Z x 2Z on (1, 1), (0, 2), the subgroup of index 2 with n = 2, typed
+    # with its swap as Z x 2Z: (1, 0) is not in it
+    (["canonical-membership"], {
+        "enumerate_subgroups": _enumeration_at({((1, 0), (0, 2)): ((1, 1), (0, 2))}),
+        "local_type": _types_at({
+            ((1, 1), (0, 2)): {"n": 1, "q": 0, "m2": 2, "e1": 1, "e2": 2},
+            ((1, 1), (2, 0)): {"n": 1, "q": 0, "m1": 2, "m2": 1},
+        }),
+    }, ((1, 1), (0, 2))),
+    # Z^2 on (-1, 0), (0, 1), typed n = -1 with d_y = e1 = e2 = -1
+    (["index-identity", "canonical-index", "smoothness"], {
+        "enumerate_subgroups": _enumeration_at({_SMOOTH: ((-1, 0), (0, 1))}),
+        "local_type": _types_at({
+            ((-1, 0), (0, 1)): {"n": -1, "d_y": -1, "e1": -1, "e2": -1},
+            ((0, -1), (1, 0)): {"n": -1},
+        }),
+    }, ((-1, 0), (0, 1))),
+    # Z^2 on (1, 0), (0, -1), typed m2 = -1 with d_y = e2 = -1
+    (["index-identity", "positivity", "canonical-index"], {
+        "enumerate_subgroups": _enumeration_at({_SMOOTH: ((1, 0), (0, -1))}),
+        "local_type": _types_at({
+            ((1, 0), (0, -1)): {"m2": -1, "d_y": -1, "e2": -1},
+            ((0, 1), (-1, 0)): {"m1": -1},
+        }),
+    }, ((1, 0), (0, -1))),
+    # Z^2 typed m1 = 2, or m2 = 2, with its swap, leaving d_y, e1 and e2 at 1
+    (["index-identity", "ramification-split", "canonical-index", "first-generator-minimality"],
+     {"local_type": _types_at({_SMOOTH: {"m1": 2}, ((0, 1), (1, 0)): {"m2": 2}})}, _SMOOTH),
+    (["index-identity", "ramification-split", "canonical-index"],
+     {"local_type": _types_at({_SMOOTH: {"m2": 2}, ((0, 1), (1, 0)): {"m1": 2}})}, _SMOOTH),
+    # Z^2 typed n = m1 = -1, so n m1 = 1, with its swap
+    (["positivity", "smoothness"], {"local_type": _types_at({
+        _SMOOTH: {"n": -1, "m1": -1, "e2": -1}, ((0, 1), (1, 0)): {"n": -1, "m2": -1},
+    })}, _SMOOTH),
 ]
 
 
@@ -481,7 +559,7 @@ def test_lattice_sweep_fails_each_property_at_the_first_subgroup_that_breaks_it(
     for name, mutant in mutants.items():
         monkeypatch.setattr(LatticeSubgroup if name == "contains" else verify, name, mutant)
     res = verify.lattice_sweep(8)
-    subgroups = [(g.g1, g.g2) for g in enumerate_subgroups(8)]
+    subgroups = [(g.g1, g.g2) for g in verify.enumerate_subgroups(8)]
     assert res.checked == subgroups.index(target) + 1
     lt = verify.local_type(LatticeSubgroup(*target))
     witness = {"g1": list(target[0]), "g2": list(target[1]), "n": lt.n, "q": lt.q, "m1": lt.m1,
@@ -556,20 +634,37 @@ def test_lattice_sweep_detects_a_non_minimal_first_generator(monkeypatch):
     assert "for t < 6" in res.failures[props.index("first-generator-minimality")].message
 
 
-@pytest.mark.parametrize("max_index", [45, 120], ids=["45", "120"])
-def test_lattice_sweep_membership_tests_per_subgroup(monkeypatch, max_index):
-    # Three membership tests per subgroup, whatever the index: the two
-    # canonical basis vectors and the product test.  Minimality takes none,
-    # where a scan over t < n' would make 41 108 at index 45 and 61 per
-    # subgroup at 120.
-    calls = 0
-    contains = LatticeSubgroup.contains
+def test_clean_sweeps_call_no_instrument(monkeypatch):
+    # hj_evaluate, contains and _least_axis_multiple judge only an item the
+    # one test does not clear.
+    def instrument(*args):
+        raise AssertionError("a clean item called an instrument")
 
-    def counting(self, v):
-        nonlocal calls
-        calls += 1
-        return contains(self, v)
+    monkeypatch.setattr(verify, "hj_evaluate", instrument)
+    monkeypatch.setattr(verify, "_least_axis_multiple", instrument)
+    monkeypatch.setattr(LatticeSubgroup, "contains", instrument)
+    assert verify.hj_sweep(100).ok and verify.lattice_sweep(120).ok
 
-    monkeypatch.setattr(LatticeSubgroup, "contains", counting)
-    res = verify.lattice_sweep(max_index)
-    assert res.ok and calls == 3 * res.checked
+
+def test_the_clearing_tests_read_what_the_instruments_read():
+    # A clean sweep calls no instrument, so here they are held to what the
+    # clearing tests read in their place.  The chain b is n/q exactly when
+    # its continuants beta_(lambda+1) = n and q beta_lambda = 1 mod n ...
+    pairs = [(n, q) for n in range(2, 40) for q in range(1, n) if math.gcd(n, q) == 1]
+    values = [Fraction(n, q) for n, q in pairs]
+    for length in range(1, 5):
+        for b in itertools.product(range(2, 7), repeat=length):
+            below, beta = 0, 1
+            for bi in b:
+                below, beta = beta, bi * beta - below
+            value = hj_evaluate(HJChain(b))
+            for (n, q), fraction in zip(pairs, values):
+                assert (value == fraction) == (beta == n and below * q % n == 1), (b, n, q)
+    # ... and on Hermite generators (a, 0), (c, m), (x, y) is a member exactly
+    # when m | y and x = (y/m) c mod a, so the least (t, 0) is (a, 0).
+    for g in enumerate_subgroups(60):
+        (a, _), (c, m) = g.g1, g.g2
+        assert verify._least_axis_multiple(g) == a, g
+        for y in (0, 1, m - 1, m, 2 * m + 1, -m):
+            for x in range(-1, a + 2):
+                assert g.contains((x, y)) == (y % m == 0 and (x - y // m * c) % a == 0), (g, x, y)
