@@ -54,8 +54,8 @@ certificate, which carries the receipts so a failure localizes, is
 certificate's report alone.  Every receipt reads as one plain row
 ``(name, value, bound, per_degree, ok)``, decided once, where the walk
 emits it; the certificate holds them in one :class:`Receipts`, stored by
-crossing shape and named as they are read, and its verdicts and both
-reports read them there.  Beside them sit an Arakelov-type bound for
+sheet-list and crossing shape and named as they are read, and its
+verdicts and both reports read them there.  Beside them sit an Arakelov-type bound for
 semistable fibrations and a logarithmic height bound for plane models, the
 single place the package leaves exact arithmetic (flagged as such).
 """
@@ -258,11 +258,15 @@ def _within(value, bound) -> bool:
 
 
 class Receipts:
-    """A certificate's receipts, stored by crossing shape and named when read.
+    """A certificate's receipts, stored by shape and named when read.
 
-    The rows are ``head``, the component rows; per crossing ``indices[k]``,
-    the base's crossing indices in order, the three rows
-    ``shape_rows[shapes[k]]`` of its shape number, named by
+    The rows are ``head``, rows given whole, as a certificate built by hand
+    passes them; per component ``ids[k]``, the base's component ids in
+    order, the two rows ``list_rows[lists[k]]`` of its sheet-list shape
+    number, named by :meth:`component_row` after ``COMPONENT_KINDS`` and
+    the id, every ``branch_mult`` row before every ``rr_diagonal_factor``
+    row; per crossing ``indices[k]``, the base's crossing indices in order,
+    the three rows ``shape_rows[shapes[k]]`` of its shape number, named by
     :meth:`crossing_row` after ``KINDS`` and the index; and ``tail``, the
     ``deg_det`` rows: the linear row, then the fibration row when there is
     one.  A certificate built by hand passes its rows as
@@ -270,15 +274,26 @@ class Receipts:
     Iteration is the one reader of the rows: it builds each row ``(name,
     value, bound, per_degree, ok)`` as it is read, and ``==``, ``hash`` and
     ``repr`` are those of the tuple of the rows it gives.  Every shape is
-    some crossing's, so :attr:`satisfied` reads each once.
+    some component's or crossing's, so :attr:`satisfied` reads each once.
     """
 
-    __slots__ = ("head", "indices", "shapes", "shape_rows", "tail")
+    __slots__ = ("head", "indices", "shapes", "shape_rows", "tail", "ids", "lists", "list_rows")
     KINDS = ("rr_cross", "correction", "exceptional_s")
+    COMPONENT_KINDS = ("branch_mult", "rr_diagonal_factor")
 
-    def __init__(self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple):
+    def __init__(
+        self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple,
+        ids: list = (), lists: list = (), list_rows: tuple = (),
+    ):
         self.head, self.indices, self.shapes = head, indices, shapes
         self.shape_rows, self.tail = shape_rows, tail
+        self.ids, self.lists, self.list_rows = ids, lists, list_rows
+
+    @staticmethod
+    def component_row(kind: str, cid) -> str:
+        """The name of component ``cid``'s ``kind`` row: ``branch_mult[D1]`` or
+        ``rr_diagonal_factor[D1]``."""
+        return f"{kind}[{cid}]"
 
     @staticmethod
     def crossing_row(kind: str, index) -> str:
@@ -288,6 +303,9 @@ class Receipts:
 
     def __iter__(self):
         yield from self.head
+        for k, kind in enumerate(self.COMPONENT_KINDS):
+            for cid, shape in zip(self.ids, self.lists):
+                yield (self.component_row(kind, cid), *self.list_rows[shape][k])
         for index, shape in zip(self.indices, self.shapes):
             for kind, row in zip(self.KINDS, self.shape_rows[shape]):
                 yield (self.crossing_row(kind, index), *row)
@@ -306,7 +324,11 @@ class Receipts:
 
     @property
     def satisfied(self) -> bool:
-        return all(row[-1] for rows in (self.head, *self.shape_rows, self.tail) for row in rows)
+        return all(
+            row[-1]
+            for rows in (self.head, *self.list_rows, *self.shape_rows, self.tail)
+            for row in rows
+        )
 
 
 class BoundCertificate(Value):
@@ -520,10 +542,11 @@ def examine(
     each component adds its ``d_i`` times its open part's e_c as its sheets
     are read, in the one pass over the components.  c is
     :func:`linear_coefficient`'s.  The receipts are stored by
-    crossing shape (see :class:`Receipts`): each crossing adds only its
-    shape number, and the receipts name the crossings in the base's index
-    order.  A crossing is named only in a finding, in ``error`` or when
-    read.
+    shape (see :class:`Receipts`): each component adds only its sheet
+    list's shape number and each crossing its crossing shape's, and the
+    receipts name the components in id order and the crossings in the
+    base's index order.  A component or crossing is named in its rows only
+    when they are read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, with no finding and no ``error`` is computed once per
@@ -532,10 +555,11 @@ def examine(
     classified, its range and gcd constraints checked and, at a quotient
     point, its resolution numbers found, once.
     Likewise each distinct sheet list, ``id(sheets)``, gives its sum of
-    ``e*f``, ``B_mult``, diagonal factor, ``d_i`` and two verdicts once per
-    walk, as one immutable row; a component adds only its own products, its
-    V1 finding, its two named rows and, when its self-intersection is not
-    0, its list's diagonal factor times that self-intersection to (R,R).
+    ``e*f``, ``B_mult``, diagonal factor, ``d_i`` and its two rows, with
+    their verdicts, once per walk; a component adds only its own products,
+    its V1 finding, its list's shape number and, when its self-intersection
+    is not 0, its list's diagonal factor times that self-intersection to
+    (R,R).
     The shape and sheet-list memos key on identity, the local memo on value
     (a local is hashed only where a shape is computed), and all three live
     for the call.  The loader gives byte-equal lists one tuple, so a loaded
@@ -560,17 +584,17 @@ def examine(
     found: list[Violation] = []
     error: Optional[str] = None
 
-    head = []  # the component rows, (name, value, bound, per_degree, ok) each
-    diagonals = []
     b_mults = []
     kx_dot_b = b_dot_f = 0
     # e_c(Y) over the open components: the sum of d_i * e_c(D_i less its
     # crossings), with d_i = sum_j f_ij, added as each component is read
     euler = derived_euler_data(base)
     e_c_branch = 0
-    # id(sheets) -> (diagonal, sum of e*f, b_mult and its verdict, the
-    # diagonal's verdict, d_i)
+    # id(sheets) -> (diagonal, sum of e*f, b_mult, d_i, its sheet-list shape
+    # number)
     sheet_lists: dict[int, tuple] = {}
+    list_rows = []  # per sheet-list shape number, its two rows less their names
+    lists = []  # per component, in id order, its sheet-list shape number
     rr = zero
     # cover.sheets_for and cover.points_for, read straight from the cover's
     # indexes: the crossing loop below runs once per crossing.
@@ -582,10 +606,13 @@ def examine(
             b_mult = sum((s.e - 1) * s.f for s in sheets)
             diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
             known = sheet_lists[id(sheets)] = (
-                diagonal, sum(s.e * s.f for s in sheets), b_mult, _within(b_mult, d),
-                _within(diagonal, d), sum(s.f for s in sheets),
+                diagonal, sum(s.e * s.f for s in sheets), b_mult, sum(s.f for s in sheets),
+                len(list_rows),
             )
-        diagonal, total, b_mult, b_ok, diagonal_ok, d_i = known
+            list_rows.append(
+                ((b_mult, d, 1, _within(b_mult, d)), (diagonal, d, 1, _within(diagonal, d)))
+            )
+        diagonal, total, b_mult, d_i, number = known
         if comp.self_int:
             rr += diagonal * comp.self_int
         if total != d:
@@ -596,9 +623,7 @@ def examine(
         kx_dot_b += b_mult * comp.KX_dot
         b_dot_f += b_mult * comp.fiber_deg
         e_c_branch += d_i * e_c
-        head.append((f"branch_mult[{comp.id}]", b_mult, d, 1, b_ok))
-        diagonals.append((f"rr_diagonal_factor[{comp.id}]", diagonal, d, 1, diagonal_ok))
-    head += diagonals
+        lists.append(number)
 
     # a point's local data -> its local type, that type's problems and its
     # (chain length, correction) at a valid quotient point, else None
@@ -666,7 +691,10 @@ def examine(
         )
 
     certificate = BoundCertificate(
-        receipts=Receipts(tuple(head), list(base._crossings), numbers, tuple(shape_rows), tuple(tail)),
+        receipts=Receipts(
+            (), list(base._crossings), numbers, tuple(shape_rows), tuple(tail),
+            list(base._components), lists, tuple(list_rows),
+        ),
         degree=d,
         report=report,
         fibration_inputs=fibration,

@@ -45,7 +45,14 @@ document has a few fields per crossing, so a field's path is joined only
 when an error is raised: a field's check takes the path of its record and
 the suffix naming the field, and the common cases (an exact ``int``, an
 object with exactly the allowed keys, no duplicate key) are decided before
-any message is built.
+any message is built.  A component or crossing record with exactly its
+keys is built in one call, with no per-field call and no path: a component
+by :class:`BranchComponent`, whose checks accept exactly the values the
+field checks accept, and a crossing by ``Crossing._derived`` on fields the
+loop has just judged as :class:`Crossing` judges them.  Any record that
+call refuses, and any other, is judged field by field through its table,
+and its path is formatted only then, so every message, and which of two
+faults it names, is the table's.
 
 Byte-equal lists load to one tuple.  In an abelian cover the local lattice
 at a crossing of ``D_i`` and ``D_j`` is the kernel of ``(s, t) -> s g_i +
@@ -55,7 +62,8 @@ document repeats one sheet list and one point list many times.  Each parse
 keeps one memo of sheet lists and one of point lists, keyed by
 ``marshal.dumps(value, 2)`` of each decoded list: a list met before gets the
 tuple built for it, with no record checked and no path formatted (see
-:func:`_shared_records`).  The key is not equality, because ``==`` and
+:func:`_shared_records`); a point list met before costs its key and one
+lookup.  The key is not equality, because ``==`` and
 ``hash`` take ``true``, ``1.0`` and ``1`` for one value, which only the last
 of them passes.  ``marshal.loads`` gives back the list, type for type, so
 equal bytes mean equal verdicts.  Version 2 writes no back-references and
@@ -286,21 +294,38 @@ def _shared_records(
 
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
-    components = _records(BranchComponent, obj["components"], "base.components", _COMPONENT)
-    crossings = []
-    keys = _CROSSING.keys()
-    for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
-        # An exact record, the common case, is judged by Crossing alone, with
-        # no per-field call and no path; a refusal, or any other record, is
-        # judged again through _CROSSING for the message naming its field.
-        # The list check keeps a string or an object from passing as its pair.
-        if type(raw) is dict and raw.keys() == keys and type(pair := raw["pair"]) is list:
+    # An exact record, the common case, is judged with no per-field call and
+    # no path; a refusal, or any other record, is judged again through its
+    # table for the message naming its field.
+    components = []
+    keys = _COMPONENT.keys()
+    for k, raw in enumerate(_as_list(obj["components"], "base.components")):
+        # BranchComponent accepts exactly the JSON values that _as_str and
+        # _as_int accept, so a record it builds is the one _record builds.
+        if type(raw) is dict and raw.keys() == keys:
             try:
-                crossings.append(Crossing(raw["index"], tuple(pair)))
+                components.append(BranchComponent(**raw))
                 continue
             except InvalidInputError:
                 pass
-        crossings.append(_record(Crossing, raw, f"base.crossings[{k}]", _CROSSING))
+        components.append(_record(BranchComponent, raw, f"base.components[{k}]", _COMPONENT))
+    crossings = []
+    keys = _CROSSING.keys()
+    for k, raw in enumerate(_as_list(obj["crossings"], "base.crossings")):
+        # Judged here as Crossing judges it, which is then built from the
+        # judged fields: an index that is an exact int >= 0 and a pair of
+        # two distinct strings.  The list check keeps a string or an object
+        # from passing as its pair.
+        if (
+            type(raw) is dict and raw.keys() == keys
+            and type(index := raw["index"]) is int and index >= 0
+            and type(pair := raw["pair"]) is list and len(pair) == 2
+            and type(first := pair[0]) is str and type(second := pair[1]) is str
+            and first != second
+        ):
+            crossings.append(Crossing._derived(index, (first, second)))
+        else:
+            crossings.append(_record(Crossing, raw, f"base.crossings[{k}]", _CROSSING))
     pair_counts = _records(
         lambda pair, count: (pair, count),
         obj.get("pair_intersections", []),
@@ -349,9 +374,13 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, list[tuple[int, tuple[Poin
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        pts.append((idx, _shared_records(
-            PointAbove, pts_obj[key], "cover.points_above", key, _POINT, point_lists
-        )))
+        # A list met before costs its key and one lookup; a new one is
+        # keyed again by _shared_records, which checks and stores it.
+        raw = pts_obj[key]
+        points = point_lists.get(marshal.dumps(raw, 2))
+        if points is None:
+            points = _shared_records(PointAbove, raw, "cover.points_above", key, _POINT, point_lists)
+        pts.append((idx, points))
 
     cover = CoverDescription(
         degree=_as_int(obj["degree"], "cover.degree"),

@@ -375,12 +375,31 @@ def check_references(base: BaseGeometry, cover: CoverDescription, point_path=Non
     path in its document.  The ramification keys are checked first, then
     each crossing's key and its points in index order, so a fault is named
     at the first failing point of the lowest failing crossing; every check
-    reads the base's indexes and the cover's sheet table.
+    reads the base's indexes and the cover's sheet table.  When every key
+    is a crossing and every sheet index is below the fewest sheets any
+    component has, no point can be out of range, and the check returns
+    without a lookup per crossing: the condition reads each point list once
+    per run of crossings that share its tuple, as the loader's shared lists
+    do.  When it fails, the crossings are walked as above.
     """
     for cid, _ in cover.ramification:
         if cid not in base._components:
             raise InvalidInputError(f"ramification references unknown component {cid!r}")
     sheets, crossings = cover._sheets.get, base._crossings.get
+    if cover._points.keys() <= base._crossings.keys():
+        # The ramification keys are components, so the table lacks one
+        # exactly when it is shorter, and then some component has no sheet.
+        fewest = 0
+        if len(cover._sheets) == len(base._components):
+            fewest = min(map(len, cover._sheets.values()), default=0)
+        last = None
+        for points in cover._points.values():
+            if points is not last:
+                last = points
+                if any(pt.j >= fewest or pt.jp >= fewest for pt in points):
+                    break
+        else:
+            return
     for idx, points in cover.points_above:
         crossing = crossings(idx)
         if crossing is None:

@@ -24,18 +24,20 @@ string.  Rendering ends before the first write, so a number past the
 interpreter's digit limit leaves stdout empty.
 
 The members that grow with the document write themselves, chunk by
-chunk: ``certificate.terms`` (three receipts per crossing) and the echoed
-``base.crossings``, one chunk per crossing; ``base.components``,
-``derived_base.open_components`` and ``invariants.B_mult``, one chunk per
-component; and ``cover.points_above`` and ``cover.ramification``, a key
-and a shared list's text per crossing or component.  A dict per record,
-walked container by container, took longer than loading the document and
-computing its certificate together.  :func:`_render` is left with the
-fixed skeleton around them.  The terms are the certificate's receipts, rows
-of names, numbers and verdicts, which the walk stores by crossing shape and
-names when they are read or written.  Each line of the text report's
-certificate is one row as it is read.  Three writers format each shared
-part once per render:
+chunk: ``certificate.terms`` (two receipts per component and three per
+crossing) and the echoed ``base.crossings``, one record per crossing;
+``base.components``, ``derived_base.open_components`` and
+``invariants.B_mult``, one record per component; and ``cover.points_above``
+and ``cover.ramification``, a key and a shared list's text per crossing or
+component.  Each record and the separator before it are two chunks, so no
+record is copied to join them.  A dict per record, walked container by
+container, took longer than loading the document and computing its
+certificate together.  :func:`_render` is left with the fixed skeleton
+around them.  The terms are the certificate's receipts, rows of names,
+numbers and verdicts, which the walk stores by sheet-list and crossing
+shape and names when they are read or written.  Each line of the text
+report's certificate is one row as it is read.  Three writers format each
+shared part once per render:
 
 * ``cover.ramification`` and ``cover.points_above`` key each sheet or point
   list's text on the identity of its tuple, and the loader gives byte-equal
@@ -44,8 +46,12 @@ part once per render:
 * ``certificate.terms`` formats each crossing shape's three records once,
   as a template named by :meth:`~ramcov.invariants.Receipts.crossing_row`,
   and writes a crossing's three records as one string, its index spliced
-  into the three names.  It alone reads the receipts' parts; every other
-  reader of the rows iterates over them.
+  into the three names; likewise it formats each sheet-list shape's
+  ``branch_mult`` and ``rr_diagonal_factor`` records once, named by
+  :meth:`~ramcov.invariants.Receipts.component_row`, and writes each
+  component's as one string with its escaped id spliced into the name.
+  It alone reads the receipts' parts; every other reader of the rows
+  iterates over them.
 
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
@@ -178,11 +184,13 @@ def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
     """Append a list opened at ``depth`` whose members are the written ``records``.
 
     With ``brackets="{}"`` it is an object, each record a written ``key: value``.
+    Each separator and each record is a chunk of its own.
     """
     inner = _newline(depth + 1)
     sep = opening = brackets[0] + inner
     for record in records:
-        out.append(sep + record)
+        out.append(sep)
+        out.append(record)
         sep = "," + inner
     out.append(brackets if sep is opening else _newline(depth) + brackets[1])
 
@@ -190,11 +198,16 @@ def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
 def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     """``certificate.terms``, opened at ``depth``.
 
-    The receipts keep each crossing shape's three rows once, less their
-    names: each shape's rows are written once, as a template of the three
-    records named by :meth:`Receipts.crossing_row` with a ``chr(0)`` where
-    the index goes, and each crossing is one chunk, its index spliced into
-    the three names.  Every ``head`` and ``tail`` row is one chunk.
+    The receipts keep each sheet-list shape's two rows and each crossing
+    shape's three rows once, less their names: each shape's rows are written
+    once, as templates of the records named by
+    :meth:`Receipts.component_row` or :meth:`Receipts.crossing_row` with a
+    ``chr(0)`` where the id or index goes.  Each component row is one chunk,
+    its id spliced into the name as ``encode_basestring_ascii`` writes the
+    whole name, less the quotes: the rest of the name is ASCII with no
+    character to escape, so escaping is the same piece by piece.  Each
+    crossing is one chunk, its index spliced into the three names.  Every
+    ``head`` and ``tail`` row is one chunk.
     """
     end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
@@ -209,6 +222,14 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     def records(rows):
         return (record(encode_basestring_ascii(name), *numbers) for name, *numbers in rows)
 
+    # Per kind and sheet-list shape, the text of its record, split where an id goes.
+    component_templates = [
+        [
+            record(f'"{Receipts.component_row(kind, chr(0))}"', *rows[k]).split(chr(0))
+            for rows in receipts.list_rows
+        ]
+        for k, kind in enumerate(Receipts.COMPONENT_KINDS)
+    ]
     # Per shape, the text of its three records, split where an index goes.
     templates = [
         f",{end}".join(
@@ -220,6 +241,10 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
 
     def chunks():
         yield from records(receipts.head)
+        ids = [encode_basestring_ascii(cid)[1:-1] for cid in receipts.ids]
+        for kind_templates in component_templates:
+            for cid, shape in zip(ids, receipts.lists):
+                yield cid.join(kind_templates[shape])
         for index, shape in zip(receipts.indices, receipts.shapes):
             yield f"{index}".join(templates[shape])
         yield from records(receipts.tail)

@@ -49,8 +49,8 @@ their ``_derived`` called on the fields alone raises :class:`TypeError`
 instead of leaving a value half built.  Other code may call ``_derived``
 only for a class whose constructor checks something, and only on fields
 it derives from already-checked values, or that its own loop has just
-judged, such as ``hj_sweep``'s coprime pairs ``(n, q)``; a ``verify``
-sweep re-checks what it derives.  Each call site names the invariant that
+judged, such as ``hj_sweep``'s coprime pairs ``(n, q)`` or the loader's
+exact crossing records; a ``verify`` sweep re-checks what it derives.  Each call site names the invariant that
 makes its value valid.
 """
 

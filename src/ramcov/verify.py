@@ -81,7 +81,7 @@ def hj_sweep(max_n: int) -> SweepResult:
     Each pair is cleared by one test on integers that holds exactly when
     every property does; only a pair it does not clear is itemized, by
     :func:`_hj_failures`, on the values already computed, with
-    :func:`hj_evaluate` called for it there.  The test is one pass over the
+    :func:`hj_evaluate` called for it there on a chain that is not empty.  The test is one pass over the
     chain that checks ``b_i >= 2`` and the recursion, which it runs forward
     from ``v_0 = 0`` and ``v_1`` with no padded copy of the discrepancies,
     and runs the continuants ``beta_0 = 0``, ``beta_1 = 1``,
@@ -156,17 +156,24 @@ def hj_sweep(max_n: int) -> SweepResult:
                         and c == -v[0] - v[-1] - n * (total - 2 * length)
                     ):
                         continue
-            failed = _hj_failures(n, q, b, hj_evaluate(chain), v, c)
+            failed = _hj_failures(n, q, chain, v, c)
             if failed:
                 return _failed("hj", checked, {"n": n, "q": q, "chain": list(b)}, failed)
     return SweepResult("hj", checked, ())
 
 
-def _hj_failures(n: int, q: int, b: tuple, value, v, c) -> list:
-    """Each ``(property, message)`` that the pair ``(n, q)`` fails, in check order."""
+def _hj_failures(n: int, q: int, chain, v, c) -> list:
+    """Each ``(property, message)`` that the pair ``(n, q)`` fails, in check order.
+
+    An empty chain evaluates to nothing, so it fails reconstruction by
+    name, with no call to :func:`hj_evaluate`.
+    """
+    b = chain.b
     length = len(b)
     failed = []
-    if value.numerator != n or value.denominator != q:
+    if not b:
+        failed.append(("reconstruction", f"the chain is empty, expected {n}/{q}"))
+    elif (value := hj_evaluate(chain)).numerator != n or value.denominator != q:
         failed.append(("reconstruction", f"evaluates to {value}, expected {n}/{q}"))
     if length > n:
         failed.append(("length", f"chain length {length} exceeds n={n}"))

@@ -579,6 +579,50 @@ def test_a_malformed_crossing_record_is_refused_by_its_path(record, error, messa
     assert type(info.value) is error and str(info.value) == message
 
 
+_COMP = "base.components[1]"
+_D2 = {"KX_dot": -2, "fiber_deg": 0, "genus": 0, "id": "D2", "self_int": 0}
+
+
+@pytest.mark.parametrize(
+    "record,error,message",
+    [
+        ({**_D2, "id": 2}, InputFormatError, f"{_COMP}.id: expected a string (got 2)"),
+        ({**_D2, "id": ""}, InvalidInputError,
+         f"{_COMP}: component id must be a non-empty string (got '')"),
+        ({**_D2, "id": "D\x012"}, InvalidInputError,
+         f"{_COMP}: component id must be printable text (got 'D\\x012')"),
+        ({**_D2, "genus": True}, InputFormatError,
+         f"{_COMP}.genus: expected an integer (got True)"),
+        ({**_D2, "genus": 0.0}, InputFormatError, f"{_COMP}.genus: expected an integer (got 0.0)"),
+        ({**_D2, "genus": -1}, InvalidInputError,
+         f"{_COMP}: component 'D2': genus must be >= 0 (got -1)"),
+        ({**_D2, "fiber_deg": -1}, InvalidInputError,
+         f"{_COMP}: component 'D2': fiber_deg must be >= 0 (got -1)"),
+        ({**_D2, "self_int": "0"}, InputFormatError,
+         f"{_COMP}.self_int: expected an integer (got '0')"),
+        ({**_D2, "KX_dot": None}, InputFormatError,
+         f"{_COMP}.KX_dot: expected an integer (got None)"),
+        ({**_D2, "at": 0}, InputFormatError, f"{_COMP}: unknown keys ['at']"),
+        ({key: value for key, value in _D2.items() if key != "genus"}, InputFormatError,
+         f"{_COMP}: missing keys ['genus']"),
+        # A negative genus before a float: every field's type is judged
+        # before any range.
+        ({**_D2, "genus": -1, "fiber_deg": 1.0}, InputFormatError,
+         f"{_COMP}.fiber_deg: expected an integer (got 1.0)"),
+    ],
+    ids=["int-id", "empty-id", "unprintable-id", "bool", "float", "negative-genus",
+         "negative-fiber-deg", "string", "null", "extra-key", "missing-key",
+         "negative-and-float"],
+)
+def test_a_malformed_component_record_is_refused_by_its_path(record, error, message):
+    # Exact records are built by BranchComponent alone, with no per-field
+    # call; every other record is judged field by field, in the order and
+    # with the messages of the field checks.
+    with pytest.raises(error) as info:
+        parse_cover_json(_identity_with(("base", "components", 1), record))
+    assert type(info.value) is error and str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -884,6 +928,46 @@ def test_a_shared_point_list_out_of_range_is_named_at_its_lowest_crossing():
         check_references(base, two_sheets)
     assert str(info.value) == (
         "crossing 9, point 1: sheet index j=1 out of range for component 'F2' (1 sheets)"
+    )
+
+
+def test_a_sheet_index_past_the_fewest_sheets_but_in_range_loads():
+    # F1 has two sheets, every other component one, and the point over
+    # crossing 6 (F1, S2) is on F1's second sheet: no index reaches past the
+    # fewest sheets of either component of its crossing, so it loads, to
+    # the model built from the same lists.
+    doc = grid_document(4)
+    sheet, lattice = {"e": 2, "f": 1}, [[2, 0], [1, 1]]
+    doc["cover"]["ramification"]["F1"] = [sheet, sheet]
+    doc["cover"]["points_above"]["6"] = [{"j": 1, "jp": 0, "local": lattice}]
+    base, cover = parse_cover_json(json.dumps(doc))
+    expected_base, grid = _grid(4)
+    point = (PointAbove(1, 0, LatticeSubgroup((2, 0), (1, 1))),)
+    expected = replace(
+        grid,
+        ramification=tuple(
+            (cid, (RamSheet(2, 1),) * (2 if cid == "F1" else 1)) for cid, _ in grid.ramification
+        ),
+        points_above=tuple((idx, point if idx == 6 else pts) for idx, pts in grid.points_above),
+    )
+    assert (base, cover) == (expected_base, expected)
+    check_references(base, cover)
+
+
+def test_a_sheet_index_past_the_sheets_of_the_component_with_fewest_is_named():
+    # Every component has two sheets but S3, which has one; the point over
+    # crossing 3 (F0, S3) is on S3's second sheet, and the point over
+    # crossing 5 (F1, S1) on F1's, which exists.
+    doc = grid_document(4)
+    sheet, lattice = {"e": 2, "f": 1}, [[2, 0], [1, 1]]
+    for cid in doc["cover"]["ramification"]:
+        doc["cover"]["ramification"][cid] = [sheet] if cid == "S3" else [sheet, sheet]
+    doc["cover"]["points_above"]["3"] = [{"j": 0, "jp": 1, "local": lattice}]
+    doc["cover"]["points_above"]["5"] = [{"j": 1, "jp": 0, "local": lattice}]
+    with pytest.raises(InvalidInputError) as info:
+        parse_cover_json(json.dumps(doc))
+    assert str(info.value) == (
+        "cover.points_above['3'][0].jp: sheet index 1 out of range for component 'S3' (1 sheets)"
     )
 
 

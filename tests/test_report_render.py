@@ -193,6 +193,25 @@ def _bidouble_with_escaped_ids() -> dict:
     return rename(json.loads((COVERS / "bidouble.json").read_text()))
 
 
+def _bidouble_with_bracketed_ids() -> dict:
+    # Ids that JSON escapes or that hold the brackets of a row's name, and
+    # a fifth component whose sheet list differs from the others': two
+    # sheet-list shapes, each written once as a template.
+    names = {"D1": "\u00e9", "D2": 'a"b', "D3": "x[1]"}
+    doc = _bidouble_with_d5([{"e": 1, "f": 2}])
+    text = json.dumps(doc)
+    for old, new in names.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    return json.loads(text)
+
+
+def _row_values(payload: dict, kind: str) -> dict:
+    return {
+        term["name"]: term["value"]
+        for term in payload["certificate"]["terms"] if term["name"].startswith(kind)
+    }
+
+
 def _edited(name: str, edit) -> dict:
     doc = json.loads((COVERS / name).read_text())
     edit(doc)
@@ -229,6 +248,14 @@ _EDITED = [
     ("escaped_ids", _bidouble_with_escaped_ids(),
      lambda p: [c["id"] for c in p["input"]["base"]["components"]]
      == ['D"1', "D\\2", "D\u00e93", "D\U0001d49f4"]),
+    ("bracketed_ids", _bidouble_with_bracketed_ids(),
+     lambda p: _row_values(p, "branch_mult[") == {
+         "branch_mult[\u00e9]": "1", 'branch_mult[a"b]': "1", "branch_mult[x[1]]": "1",
+         "branch_mult[D4]": "1", "branch_mult[D5]": "0",
+     } and list(_row_values(p, "rr_diagonal_factor[")) == [
+         "rr_diagonal_factor[D4]", "rr_diagonal_factor[D5]", 'rr_diagonal_factor[a"b]',
+         "rr_diagonal_factor[x[1]]", "rr_diagonal_factor[\u00e9]",
+     ]),
     ("empty_point_list", _identity_with(lambda pts: pts.update({"0": []})),
      lambda p: p["input"]["cover"]["points_above"]["0"] == []),
     ("no_points", _identity_with(dict.clear), lambda p: p["input"]["cover"]["points_above"] == {}),
@@ -320,7 +347,7 @@ class _RecordedWrites(io.StringIO):
 
 def test_the_cli_writes_the_report_in_bounded_batches(tmp_path, monkeypatch):
     # invariants --json joins at most 256 chunks per write: grid(40)'s 1.6 MB
-    # report, 26 272 chunks, takes 103 writes, not one per chunk, and no
+    # report, 29 873 chunks, takes 117 writes, not one per chunk, and no
     # write holds the whole report.
     document = grid_document(40)
     path = tmp_path / "grid_40.json"

@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 import ramcov.verify as verify
+from ramcov.cli import main
 from ramcov.errors import EnumerationLimitError, InvalidInputError
 from ramcov.hj import HJChain, SingularityType, discrepancies, hj_evaluate, hj_expand
 from ramcov.local_cover import (
@@ -178,6 +179,25 @@ def test_hj_sweep_detects_a_chain_of_another_type(monkeypatch):
         ("reconstruction", 5, 2)
     ]
     assert res.failures[0].message == "evaluates to 5/3, expected 5/2"
+
+
+def test_hj_sweep_names_an_empty_chain(monkeypatch, capsys):
+    # An empty chain for A_{2,1} evaluates to nothing: the itemizer names it
+    # without evaluating it, beside the du Val length it breaks.
+    def expand(sing):
+        return HJChain._derived(()) if (sing.n, sing.q) == (2, 1) else hj_expand(sing)
+
+    monkeypatch.setattr(verify, "hj_expand", expand)
+    assert main(["verify", "--max-n", "10", "--max-index", "4"]) == 1
+    witness = "{'n': 2, 'q': 1, 'chain': []}"
+    assert capsys.readouterr() == (
+        "hj sweep: checked 1 types up to n = 10: 2 failure(s)\n"
+        f"  property reconstruction failed at {witness}: the chain is empty, expected 2/1\n"
+        f"  property du-val-length failed at {witness}: du Val chain length 0 != n - 1\n"
+        "lattice sweep: checked 15 subgroups up to index 4: ok\n"
+        "PROPERTY VIOLATIONS FOUND\n",
+        "",
+    )
 
 
 def _chain_at(target, entries):

@@ -36,6 +36,15 @@ lives in:
   that repeats a key, with the text's last brace dropped, so that a syntax
   error follows the duplicate; every component id ``X`` renamed ``X:1``;
   and those ids with a sheet record that repeats a key;
+* 16 documents that the loader's exact-record paths and the reference
+  check's quick return do not clear, each ``grid(6)``
+  (``perfbench/workloads.py``, seed 1) with one edit: its first component
+  record with each of ``COMPONENT_FAULTS`` (an id that is an int, empty or
+  not printable; a genus that is a bool, a float or negative; a negative
+  ``fiber_deg``; a field as a string or null; a key added or dropped; a
+  negative and a float in one record); its first crossing with a bool
+  index or an equal pair; and a point on the second sheet of its
+  component, once in range and once not;
 * 100 faulty documents, drawn with a fixed seed: each is a shipped one
   that loads (from the folders above, less ``bad_parse.json`` and the
   ``two_*`` documents) with one to three faults.  Every other document
@@ -65,9 +74,10 @@ Last, each ``demos/0*.py`` and ``demos/covers/make_kummer.py 3 2`` runs as
 a script in a fresh interpreter with ``PYTHONPATH`` set to the tree: the
 scripts are those of the checkout that holds the tree (``demos/`` beside
 it), or this checkout's when there is none.  With the shipped documents
-and demos of this checkout that is 1 578 ``ramcov`` runs over 195
+and demos of this checkout that is 1 706 ``ramcov`` runs over 211
 documents, 32 of them on the retyped documents, 16 on the shared faulty
-shapes and 40 on the duplicate-key documents, and 5 demo runs: 1 583 runs.
+shapes, 40 on the duplicate-key documents and 128 on the fallback
+documents, and 5 demo runs: 1 711 runs.
 
 The trees run with ``RAMCOV_MAX_ENUM`` dropped from the environment, so a
 caller's shell cannot give an older tree, which reads it, another cap.
@@ -143,6 +153,24 @@ RETYPED = (
 SHARED_FAULTS = (
     [[1, 0], [0, 2]],  # e1 = 1 under sheets with e = 2: V3
     {"n": 4, "q": 2, "m1": 1, "m2": 1},  # n and q not coprime: V5 and an error
+)
+
+# Edits to grid(SMALL_GRID_K)'s first component record, each refused by the
+# loader; DROP marks a key taken out.
+DROP = object()
+COMPONENT_FAULTS = (
+    {"id": 7},
+    {"id": ""},
+    {"id": "F\u00010"},
+    {"genus": True},
+    {"genus": 0.5},
+    {"genus": -1},
+    {"fiber_deg": -1},
+    {"self_int": "0"},
+    {"KX_dot": None},
+    {"extra": 0},
+    {"genus": DROP},
+    {"genus": -1, "fiber_deg": 1.0},  # a float and a negative: the float is named
 )
 
 # Runs every argv read from stdin through ramcov.cli.main in one process and
@@ -243,6 +271,46 @@ def shared_fault_documents(folder: pathlib.Path) -> list[pathlib.Path]:
         for points in doc["cover"]["points_above"].values():
             points[0]["local"] = local
         path = folder / f"shared_fault_{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def fallback_documents(folder: pathlib.Path) -> list[pathlib.Path]:
+    """Write the ``grid`` documents that the loader's exact-record paths do not clear.
+
+    Each is ``grid(SMALL_GRID_K)`` with one edit: its first component record
+    with each of ``COMPONENT_FAULTS``; its first crossing with a bool index,
+    or with its first id twice; and a point on the second sheet of a
+    component, on a crossing of the one component given two sheets and on
+    one of a component with one.
+    """
+    source = _workloads().grid_document(SMALL_GRID_K, random.Random(SEED))
+    docs = []
+    for edit in COMPONENT_FAULTS:
+        doc = json.loads(source)
+        record = {**doc["base"]["components"][0], **edit}
+        doc["base"]["components"][0] = {k: v for k, v in record.items() if v is not DROP}
+        docs.append(doc)
+    for field in ("index", "pair"):
+        doc = json.loads(source)
+        crossing = doc["base"]["crossings"][0]
+        if field == "index":
+            crossing["index"] = True
+        else:
+            crossing["pair"][1] = crossing["pair"][0]
+        docs.append(doc)
+    for on_two_sheets in (True, False):
+        doc = json.loads(source)
+        first = doc["base"]["crossings"][0]["pair"][0]
+        doc["cover"]["ramification"][first] *= 2
+        pair = next(x for x in doc["base"]["crossings"] if (x["pair"][0] == first) == on_two_sheets)
+        point = doc["cover"]["points_above"][str(pair["index"])][0]
+        doc["cover"]["points_above"][str(pair["index"])] = [{**point, "j": 1}]
+        docs.append(doc)
+    paths = []
+    for i, doc in enumerate(docs):
+        path = folder / f"fallback_{i}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(path)
     return paths
@@ -492,6 +560,7 @@ def main(argv: list[str]) -> int:
         documents += retyped_documents(pathlib.Path(tmp))
         documents += shared_fault_documents(pathlib.Path(tmp))
         documents += decode_edge_documents(pathlib.Path(tmp))
+        documents += fallback_documents(pathlib.Path(tmp))
         runs = [["invariants", str(doc), *flags] for doc in documents for flags in FLAG_SETS]
         runs += [
             ["verify", "--max-n", str(max_n), "--max-index", str(max_index)]
