@@ -54,10 +54,11 @@ certificate, which carries the receipts so a failure localizes, is
 certificate's report alone.  Every receipt reads as one plain row
 ``(name, value, bound, per_degree, ok)``, decided once, where the walk
 emits it; the certificate holds them in one :class:`Receipts`, stored by
-sheet-list and crossing shape and named as they are read, and its
-verdicts and both reports read them there.  Beside them sit an Arakelov-type bound for
-semistable fibrations and a logarithmic height bound for plane models, the
-single place the package leaves exact arithmetic (flagged as such).
+sheet-list and crossing shape in one table per group of rows and named by
+one rule as they are read, and its verdicts and both reports read them
+there.  Beside them sit an Arakelov-type bound for semistable fibrations
+and a logarithmic height bound for plane models, the single place the
+package leaves exact arithmetic (flagged as such).
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def invariant_report(base: BaseGeometry, cover: CoverDescription):
 
     It runs the whole walk and returns only its report; a caller that needs
     the receipts too should ask for the certificate.  The receipts it drops
-    are stored by crossing shape, at two list entries per crossing.
+    are stored by shape, at one shape number per component and per crossing.
     """
     return degree_linear_certificate(base, cover).report
 
@@ -260,55 +261,43 @@ def _within(value, bound) -> bool:
 class Receipts:
     """A certificate's receipts, stored by shape and named when read.
 
-    The rows are ``head``, rows given whole, as a certificate built by hand
-    passes them; per component ``ids[k]``, the base's component ids in
-    order, the two rows ``list_rows[lists[k]]`` of its sheet-list shape
-    number, named by :meth:`component_row` after ``COMPONENT_KINDS`` and
-    the id, every ``branch_mult`` row before every ``rr_diagonal_factor``
-    row; per crossing ``indices[k]``, the base's crossing indices in order,
-    the three rows ``shape_rows[shapes[k]]`` of its shape number, named by
-    :meth:`crossing_row` after ``KINDS`` and the index; and ``tail``, the
+    The rows are those of ``groups``, in order, then ``tail``, the
     ``deg_det`` rows: the linear row, then the fibration row when there is
-    one.  A certificate built by hand passes its rows as
-    ``Receipts(head, [], [], (), tail)``.
+    one.  A group ``(kinds, label, keys, numbers, shapes)`` holds per key
+    ``keys[k]`` the shape number ``numbers[k]``, and per shape number its
+    rows less their names, one per kind; a key's rows are those of its
+    shape, named by :meth:`row_name` after their kind, the label and the
+    key, every kind's row of one key before the next key's.
+    :func:`examine` gives three groups: ``("branch_mult",)`` and then
+    ``("rr_diagonal_factor",)``, both keyed by the base's component ids in
+    order with the numbers of their sheet-list shapes, so every
+    ``branch_mult`` row comes before every ``rr_diagonal_factor`` row; and
+    the three crossing kinds, keyed by the base's crossing indices in order
+    with the numbers of their crossing shapes, label ``"crossing "``.
     Iteration is the one reader of the rows: it builds each row ``(name,
     value, bound, per_degree, ok)`` as it is read, and ``==``, ``hash`` and
     ``repr`` are those of the tuple of the rows it gives.  Every shape is
-    some component's or crossing's, so :attr:`satisfied` reads each once.
+    some key's, so :attr:`satisfied` reads each once.
     """
 
-    __slots__ = ("head", "indices", "shapes", "shape_rows", "tail", "ids", "lists", "list_rows")
-    KINDS = ("rr_cross", "correction", "exceptional_s")
-    COMPONENT_KINDS = ("branch_mult", "rr_diagonal_factor")
+    __slots__ = ("groups", "tail")
 
-    def __init__(
-        self, head: tuple, indices: list, shapes: list, shape_rows: tuple, tail: tuple,
-        ids: list = (), lists: list = (), list_rows: tuple = (),
-    ):
-        self.head, self.indices, self.shapes = head, indices, shapes
-        self.shape_rows, self.tail = shape_rows, tail
-        self.ids, self.lists, self.list_rows = ids, lists, list_rows
+    def __init__(self, groups: tuple, tail: tuple):
+        self.groups, self.tail = groups, tail
 
     @staticmethod
-    def component_row(kind: str, cid) -> str:
-        """The name of component ``cid``'s ``kind`` row: ``branch_mult[D1]`` or
-        ``rr_diagonal_factor[D1]``."""
-        return f"{kind}[{cid}]"
-
-    @staticmethod
-    def crossing_row(kind: str, index) -> str:
-        """The name of crossing ``index``'s ``kind`` row: ``rr_cross[crossing 12]``,
-        ``correction[crossing 12]`` or ``exceptional_s[crossing 12]``."""
-        return f"{kind}[crossing {index}]"
+    def row_name(kind: str, label: str, key) -> str:
+        """The name of ``key``'s ``kind`` row in a group labelled ``label``:
+        ``branch_mult[D1]`` or ``rr_diagonal_factor[D1]`` for a component,
+        ``rr_cross[crossing 12]``, ``correction[crossing 12]`` or
+        ``exceptional_s[crossing 12]`` for a crossing."""
+        return f"{kind}[{label}{key}]"
 
     def __iter__(self):
-        yield from self.head
-        for k, kind in enumerate(self.COMPONENT_KINDS):
-            for cid, shape in zip(self.ids, self.lists):
-                yield (self.component_row(kind, cid), *self.list_rows[shape][k])
-        for index, shape in zip(self.indices, self.shapes):
-            for kind, row in zip(self.KINDS, self.shape_rows[shape]):
-                yield (self.crossing_row(kind, index), *row)
+        for kinds, label, keys, numbers, shapes in self.groups:
+            for key, number in zip(keys, numbers):
+                for kind, row in zip(kinds, shapes[number]):
+                    yield (self.row_name(kind, label, key), *row)
         yield from self.tail
 
     def __eq__(self, other) -> bool:
@@ -324,11 +313,8 @@ class Receipts:
 
     @property
     def satisfied(self) -> bool:
-        return all(
-            row[-1]
-            for rows in (self.head, *self.list_rows, *self.shape_rows, self.tail)
-            for row in rows
-        )
+        shaped = (rows for *_, shapes in self.groups for rows in shapes)
+        return all(row[-1] for rows in (*shaped, self.tail) for row in rows)
 
 
 class BoundCertificate(Value):
@@ -542,11 +528,12 @@ def examine(
     each component adds its ``d_i`` times its open part's e_c as its sheets
     are read, in the one pass over the components.  c is
     :func:`linear_coefficient`'s.  The receipts are stored by
-    shape (see :class:`Receipts`): each component adds only its sheet
-    list's shape number and each crossing its crossing shape's, and the
-    receipts name the components in id order and the crossings in the
-    base's index order.  A component or crossing is named in its rows only
-    when they are read.
+    shape in three groups (see :class:`Receipts`): the ``branch_mult`` and
+    the ``rr_diagonal_factor`` group share the component ids, in id order,
+    and each component's sheet-list shape number, and the crossing group
+    holds the crossing indices, in the base's index order, and each
+    crossing's shape number.  A component or crossing is named in its rows
+    only when they are read.
 
     Each distinct crossing shape, ``(id(first sheets), id(second sheets),
     id(points))``, with no finding and no ``error`` is computed once per
@@ -593,7 +580,9 @@ def examine(
     # id(sheets) -> (diagonal, sum of e*f, b_mult, d_i, its sheet-list shape
     # number)
     sheet_lists: dict[int, tuple] = {}
-    list_rows = []  # per sheet-list shape number, its two rows less their names
+    # per sheet-list shape number, its branch_mult and its rr_diagonal_factor
+    # row less their names
+    mult_rows, diagonal_rows = [], []
     lists = []  # per component, in id order, its sheet-list shape number
     rr = zero
     # cover.sheets_for and cover.points_for, read straight from the cover's
@@ -607,11 +596,10 @@ def examine(
             diagonal = sum((Fraction((s.e - 1) ** 2 * s.f, s.e) for s in sheets if s.e > 1), zero)
             known = sheet_lists[id(sheets)] = (
                 diagonal, sum(s.e * s.f for s in sheets), b_mult, sum(s.f for s in sheets),
-                len(list_rows),
+                len(mult_rows),
             )
-            list_rows.append(
-                ((b_mult, d, 1, _within(b_mult, d)), (diagonal, d, 1, _within(diagonal, d)))
-            )
+            mult_rows.append(((b_mult, d, 1, _within(b_mult, d)),))
+            diagonal_rows.append(((diagonal, d, 1, _within(diagonal, d)),))
         diagonal, total, b_mult, d_i, number = known
         if comp.self_int:
             rr += diagonal * comp.self_int
@@ -631,7 +619,7 @@ def examine(
     # (id(first sheets), id(second sheets), id(points)) -> the shape number
     # of a crossing shape with no finding and no error
     shapes: dict[tuple[int, int, int], int] = {}
-    shape_rows = []  # per shape number, its crossings' three rows less their names
+    crossing_rows = []  # per shape number, its crossings' three rows less their names
     numbers = []  # per crossing, in index order, its shape number
     points_for = cover._points.get
     for crossing in base.crossings:
@@ -644,8 +632,8 @@ def examine(
             violations, shape_error, rows = _crossing_shape(
                 base, cover, crossing, first, second, points, strict, classified
             )
-            number = len(shape_rows)
-            shape_rows.append(rows)
+            number = len(crossing_rows)
+            crossing_rows.append(rows)
             if violations or shape_error is not None:
                 found += violations
                 if error is None:
@@ -661,7 +649,7 @@ def examine(
     s_total = 0
     correction_total = zero
     for number, count in Counter(numbers).items():
-        (cross, *_), (correction, *_), (s, *_) = shape_rows[number]
+        (cross, *_), (correction, *_), (s, *_) = crossing_rows[number]
         rr += count * cross
         correction_total += count * correction
         s_total += count * s
@@ -690,11 +678,14 @@ def examine(
             ("deg_det_vs_fibration", dd, fib_bound, Fraction(fib_bound, d), _within(dd, fib_bound))
         )
 
+    ids, indices = list(base._components), list(base._crossings)
+    groups = (
+        (("branch_mult",), "", ids, lists, mult_rows),
+        (("rr_diagonal_factor",), "", ids, lists, diagonal_rows),
+        (("rr_cross", "correction", "exceptional_s"), "crossing ", indices, numbers, crossing_rows),
+    )
     certificate = BoundCertificate(
-        receipts=Receipts(
-            (), list(base._crossings), numbers, tuple(shape_rows), tuple(tail),
-            list(base._components), lists, tuple(list_rows),
-        ),
+        receipts=Receipts(groups, tuple(tail)),
         degree=d,
         report=report,
         fibration_inputs=fibration,

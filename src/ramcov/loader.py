@@ -61,14 +61,13 @@ components with the same sheets, carries the same local data, and a
 document repeats one sheet list and one point list many times.  Each parse
 keeps one memo of sheet lists and one of point lists, keyed by
 ``marshal.dumps(value, 2)`` of each decoded list: a list met before gets the
-tuple built for it, with no record checked and no path formatted (see
-:func:`_shared_records`); a point list met before costs its key and one
-lookup.  The key is not equality, because ``==`` and
-``hash`` take ``true``, ``1.0`` and ``1`` for one value, which only the last
-of them passes.  ``marshal.loads`` gives back the list, type for type, so
-equal bytes mean equal verdicts.  Version 2 writes no back-references and
-no interned flag, so the bytes depend on the typed value alone, not on
-which objects the decoder shared.  It is ``marshal`` and not ``repr``,
+tuple built for it, with no record checked and no path formatted, so each
+list costs one key and one lookup.  The key is not equality, because
+``==`` and ``hash`` take ``true``, ``1.0`` and ``1`` for one value, which
+only the last of them passes.  ``marshal.loads`` gives back the list,
+type for type, so equal bytes mean equal verdicts.  Version 2 writes no
+back-references and no interned flag, so the bytes depend on the typed
+value alone, not on which objects the decoder shared.  It is ``marshal`` and not ``repr``,
 exact too, because it costs about a third as much, and on a document that
 repeats few lists the key is pure cost.  It cannot meet the digit limit,
 since the decoder refused any longer integer literal, nor marshal's nesting
@@ -271,27 +270,6 @@ def _records(make: Callable, value: Any, path: str, table: dict) -> tuple:
     )
 
 
-def _shared_records(
-    make: Callable, value: Any, prefix: str, key: str, table: dict, memo: dict
-) -> tuple:
-    """The records of the list at ``prefix[key]``, one tuple per distinct list in a parse.
-
-    The ``memo`` holds the lists of ``make``'s records alone, so a point list
-    that is byte for byte a sheet list read before it is still judged as
-    points.  It keys a list by ``marshal.dumps(value, 2)``, which is a
-    function of the decoded value, type for type, and of nothing else: lists
-    equal but not byte for byte, their keys in another order, get two equal
-    tuples, and equal records in two lists are two objects.  On a miss the
-    list is checked by :func:`_records`, its path formatted only then; a list
-    that fails a check raises before its key is stored.
-    """
-    coded = marshal.dumps(value, 2)
-    records = memo.get(coded)
-    if records is None:
-        records = memo[coded] = _records(make, value, f"{prefix}[{key!r}]", table)
-    return records
-
-
 def _parse_base(obj: Any) -> BaseGeometry:
     obj = _as_obj(obj, "base", _BASE_KEYS, _BASE_REQUIRED)
     # An exact record, the common case, is judged with no per-field call and
@@ -349,16 +327,24 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, list[tuple[int, tuple[Poin
     ram_obj = obj["ramification"]
     if not isinstance(ram_obj, dict):
         raise InputFormatError("cover.ramification: expected an object keyed by component id")
-    # One memo per kind of record for the parse: byte-equal sheet lists load
-    # to one tuple, and so do byte-equal point lists.
+    # One memo per kind of record for the parse, keyed by a list's marshal
+    # bytes: byte-equal sheet lists load to one tuple, and so do byte-equal
+    # point lists, while a point list that is byte for byte a sheet list is
+    # still judged as points.  A list met before costs its key and one
+    # lookup; a new one is checked, its path formatted only then, and
+    # stored only when it passes.
     sheet_lists: dict = {}
     point_lists: dict = {}
-    ram = [
-        (cid, _shared_records(
-            RamSheet, ram_obj[cid], "cover.ramification", cid, _SHEET, sheet_lists
-        ))
-        for cid in sorted(ram_obj)
-    ]
+    ram = []
+    for cid in sorted(ram_obj):
+        raw = ram_obj[cid]
+        coded = marshal.dumps(raw, 2)
+        sheets = sheet_lists.get(coded)
+        if sheets is None:
+            sheets = sheet_lists[coded] = _records(
+                RamSheet, raw, f"cover.ramification[{cid!r}]", _SHEET
+            )
+        ram.append((cid, sheets))
     pts = []
     pts_obj = obj["points_above"]
     if not isinstance(pts_obj, dict):
@@ -374,12 +360,13 @@ def _parse_cover(obj: Any) -> tuple[CoverDescription, list[tuple[int, tuple[Poin
             raise InputFormatError(
                 f"cover.points_above: key {key!r} is not in canonical decimal form"
             )
-        # A list met before costs its key and one lookup; a new one is
-        # keyed again by _shared_records, which checks and stores it.
         raw = pts_obj[key]
-        points = point_lists.get(marshal.dumps(raw, 2))
+        coded = marshal.dumps(raw, 2)
+        points = point_lists.get(coded)
         if points is None:
-            points = _shared_records(PointAbove, raw, "cover.points_above", key, _POINT, point_lists)
+            points = point_lists[coded] = _records(
+                PointAbove, raw, f"cover.points_above[{key!r}]", _POINT
+            )
         pts.append((idx, points))
 
     cover = CoverDescription(

@@ -43,15 +43,12 @@ shared part once per render:
   list's text on the identity of its tuple, and the loader gives byte-equal
   lists one tuple, so a shared list is formatted once and its one string
   appended for every component or crossing with it;
-* ``certificate.terms`` formats each crossing shape's three records once,
-  as a template named by :meth:`~ramcov.invariants.Receipts.crossing_row`,
-  and writes a crossing's three records as one string, its index spliced
-  into the three names; likewise it formats each sheet-list shape's
-  ``branch_mult`` and ``rr_diagonal_factor`` records once, named by
-  :meth:`~ramcov.invariants.Receipts.component_row`, and writes each
-  component's as one string with its escaped id spliced into the name.
-  It alone reads the receipts' parts; every other reader of the rows
-  iterates over them.
+* ``certificate.terms`` formats the records of each shape of each of the
+  receipts' groups once, as one template named by
+  :meth:`~ramcov.invariants.Receipts.row_name`, and writes each key's
+  records as one string, the key spliced into their names: a component
+  id escaped, a crossing index as its number.  It alone reads the
+  receipts' groups; every other reader of the rows iterates over them.
 
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
@@ -198,16 +195,16 @@ def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
 def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     """``certificate.terms``, opened at ``depth``.
 
-    The receipts keep each sheet-list shape's two rows and each crossing
-    shape's three rows once, less their names: each shape's rows are written
-    once, as templates of the records named by
-    :meth:`Receipts.component_row` or :meth:`Receipts.crossing_row` with a
-    ``chr(0)`` where the id or index goes.  Each component row is one chunk,
-    its id spliced into the name as ``encode_basestring_ascii`` writes the
-    whole name, less the quotes: the rest of the name is ASCII with no
-    character to escape, so escaping is the same piece by piece.  Each
-    crossing is one chunk, its index spliced into the three names.  Every
-    ``head`` and ``tail`` row is one chunk.
+    The receipts keep each group's shapes once, their rows less their
+    names: each shape's rows are written once, as one template of the
+    records named by :meth:`Receipts.row_name` with a ``chr(0)`` where the
+    key goes.  Each key of a group is one chunk, the key spliced into its
+    shape's names.  ``encode_basestring_ascii`` escapes character by
+    character, so a name is written as the whole name would be when the
+    text on each side of the key is escaped on its own and a string key,
+    a component id, is escaped less its quotes; any other key, a crossing
+    index, is written as ``format`` writes it.  Every ``tail`` row is one
+    chunk.
     """
     end, key = _newline(depth + 1), _newline(depth + 2)
     verdict = ("false", "true")
@@ -219,35 +216,24 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
             f'{key}"per_degree": "{per_degree}",{key}"value": "{value}"{end}}}'
         )
 
-    def records(rows):
-        return (record(encode_basestring_ascii(name), *numbers) for name, *numbers in rows)
-
-    # Per kind and sheet-list shape, the text of its record, split where an id goes.
-    component_templates = [
-        [
-            record(f'"{Receipts.component_row(kind, chr(0))}"', *rows[k]).split(chr(0))
-            for rows in receipts.list_rows
-        ]
-        for k, kind in enumerate(Receipts.COMPONENT_KINDS)
-    ]
-    # Per shape, the text of its three records, split where an index goes.
-    templates = [
-        f",{end}".join(
-            record(f'"{Receipts.crossing_row(kind, chr(0))}"', *row)
-            for kind, row in zip(Receipts.KINDS, rows)
-        ).split(chr(0))
-        for rows in receipts.shape_rows
-    ]
-
     def chunks():
-        yield from records(receipts.head)
-        ids = [encode_basestring_ascii(cid)[1:-1] for cid in receipts.ids]
-        for kind_templates in component_templates:
-            for cid, shape in zip(ids, receipts.lists):
-                yield cid.join(kind_templates[shape])
-        for index, shape in zip(receipts.indices, receipts.shapes):
-            yield f"{index}".join(templates[shape])
-        yield from records(receipts.tail)
+        for kinds, label, keys, numbers, shapes in receipts.groups:
+            # Per kind, its records' name as JSON with a chr(0) where a key goes.
+            names = []
+            for kind in kinds:
+                before, _, after = Receipts.row_name(kind, label, chr(0)).rpartition(chr(0))
+                sides = encode_basestring_ascii(before)[:-1], encode_basestring_ascii(after)[1:]
+                names.append(chr(0).join(sides))
+            # Per shape, the text of its records, split where a key goes.
+            templates = [
+                f",{end}".join(record(name, *row) for name, row in zip(names, rows)).split(chr(0))
+                for rows in shapes
+            ]
+            for k, number in zip(keys, numbers):
+                spliced = encode_basestring_ascii(k)[1:-1] if isinstance(k, str) else f"{k}"
+                yield spliced.join(templates[number])
+        for name, *numbers in receipts.tail:
+            yield record(encode_basestring_ascii(name), *numbers)
 
     _write_list(chunks(), depth, out)
 

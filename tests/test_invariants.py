@@ -17,6 +17,8 @@ Frozen oracles used here, all independent of the code under test:
 """
 
 import copy
+import enum
+import functools
 import inspect
 import itertools
 import json
@@ -56,7 +58,7 @@ from ramcov.model import (
     BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
     check_references, derived_euler_data, validate,
 )
-from ramcov.report import ReportDocument, dumps_document
+from ramcov.report import ReportDocument, _write_terms, dumps_document, render_json
 from rebuild import replace
 from report_reference import reference_receipts, reference_report
 from ruled_documents import ruled_cover, ruled_weights
@@ -707,28 +709,30 @@ def test_a_hand_built_certificate_reads_its_verdicts_by_position():
         report=invariant_report(base, cover),
     )
     one = Fraction(1)
-    head = (("x", 1, 2, one, True),)
+    # one group of one kind, its one key 1 of shape 0: the row x[1]
+    groups = ((("x",), "", [1], [0], [((1, 2, one, True),)]),)
     linear = ("deg_det_vs_linear", 3, 2, one, False)
-    receipts = Receipts(head, [], [], (), (linear,))
+    receipts = Receipts(groups, (linear,))
     cert = BoundCertificate(receipts=receipts, fibration_inputs=None, **fields)
     assert cert.deg_det_within_linear is False and not cert.satisfied
     assert (cert.deg_det_within_fibration, cert.fibration_bound) == (None, None)
     assert cert.linear_row is linear and cert.linear_coefficient is one
-    assert tuple(cert.receipts) == (*head, linear)
+    assert tuple(cert.receipts) == (("x[1]", 1, 2, one, True), linear)
     fib = FibrationInputs(0, 2, 0, 2, 0)
     fibration = ("deg_det_vs_fibration", 3, 9, one, True)
     cert = BoundCertificate(
-        receipts=Receipts(head, [], [], (), (linear, fibration)), fibration_inputs=fib, **fields,
+        receipts=Receipts(groups, (linear, fibration)), fibration_inputs=fib, **fields,
     )
     assert (cert.deg_det_within_linear, cert.deg_det_within_fibration) == (False, True)
     assert cert.fibration_bound == 9
     assert cert.linear_row is linear
     text = ReportDocument(False, base, cover, (), cert, None).to_text()
     assert "|deg_det| <= c*d = 2: VIOLATED" in text
-    # a failing head row alone fails the certificate, however its tail reads
+    # a failing group row alone fails the certificate, however its tail reads
     passing = ("deg_det_vs_linear", 1, 2, one, True)
+    failing = ((("x",), "", [1], [0], [((3, 2, one, False),)]),)
     cert = BoundCertificate(
-        receipts=Receipts((("x", 3, 2, one, False),), [], [], (), (passing,)),
+        receipts=Receipts(failing, (passing,)),
         fibration_inputs=None, **fields,
     )
     assert cert.deg_det_within_linear and not cert.satisfied
@@ -937,6 +941,48 @@ def test_receipts_compare_only_with_tuples_and_receipts():
             return True
 
     assert receipts == Anything()
+
+
+class _Id(str):
+    """A component id of a ``str`` subclass, which the model accepts."""
+
+
+def test_hand_built_groups_read_name_and_write_their_rows():
+    # A one-kind group whose kind, label and ids JSON escapes, one id a str
+    # subclass, and a three-kind group keyed by ints and an IntEnum member,
+    # two of whose keys share a failing shape: each key's rows are its
+    # shape's, named by the one rule, in both readings and in the writer.
+    one, half = Fraction(1), Fraction(1, 2)
+    fine, big, bad = (1, 2, one, True), (2, 2, one, True), (3, 2, Fraction(3, 2), False)
+    Index = enum.IntEnum("Index", [("I7", 7)])
+    groups = [
+        (('x"',), "é ", ["é", 'a"b', "x[1]", _Id('q"é')], [0, 1, 0, 1], [(fine,), (big,)]),
+        (("a", "b", "c"), "crossing ", [12, Index.I7, 3], [1, 0, 1],
+         [(fine, fine, fine), (fine, bad, (half, 1, half, True))]),
+    ]
+    tail = (("deg_det_vs_linear", 1, 2, one, True),)
+    receipts = Receipts(tuple(groups), tail)
+    rows = (
+        ('x"[é é]', *fine), ('x"[é a"b]', *big), ('x"[é x[1]]', *fine), ('x"[é q"é]', *big),
+        ("a[crossing 12]", *fine), ("b[crossing 12]", *bad),
+        ("c[crossing 12]", half, 1, half, True),
+        ("a[crossing 7]", *fine), ("b[crossing 7]", *fine), ("c[crossing 7]", *fine),
+        ("a[crossing 3]", *fine), ("b[crossing 3]", *bad), ("c[crossing 3]", half, 1, half, True),
+        *tail,
+    )
+    assert tuple(receipts) == rows
+    assert receipts == rows and rows == receipts and hash(receipts) == hash(rows)
+    assert not receipts.satisfied
+    fields = ("name", "value", "bound", "per_degree")
+    records = [
+        {**{field: f"{v}" for field, v in zip(fields, row)}, "name": row[0], "ok": row[-1]}
+        for row in rows
+    ]
+    written = render_json({"terms": functools.partial(_write_terms, receipts)})
+    assert written == json.dumps({"terms": records}, indent=2, sort_keys=True)
+    # mending the one failing shape mends both its keys' rows
+    groups[1] = (*groups[1][:4], [(fine, fine, fine), (fine, fine, fine)])
+    assert Receipts(tuple(groups), tail).satisfied
 
 
 def test_a_failing_crossing_row_alone_fails_the_certificate():

@@ -1243,7 +1243,7 @@ def test_a_repeated_local_does_not_excuse_its_record(edit, message):
 
 
 # The loader keys a sheet or point list on its marshal bytes
-# (loader._shared_records).  grid(6) repeats one sheet list and one point list;
+# (loader._parse_cover).  grid(6) repeats one sheet list and one point list;
 # a copy of either, retyped in one value, must be judged as a list of its own,
 # whether it comes before or after the shared list is stored.
 
@@ -1270,29 +1270,28 @@ def test_a_retyped_copy_of_a_shared_sheet_list_is_refused_by_its_path(cid):
     assert str(info.value) == f"cover.ramification[{cid!r}][0].f: expected an integer (got True)"
 
 
-def test_the_list_key_is_a_function_of_the_typed_value():
+def test_the_list_key_is_a_function_of_the_typed_value(monkeypatch):
     # One int object held twice, and two distinct equal ones: marshal's
     # default version writes the first with a back-reference, version 2 as
-    # the second, so both lists get one tuple.
+    # the second, so both lists load to one tuple.  The decoder never gives
+    # one int object past the small ones twice, so the loader is handed the
+    # tree as decoded.
     one = int("1001")
     shared, distinct = [{"e": one, "f": one}], [{"e": int("1001"), "f": int("1001")}]
     assert marshal.dumps(shared) != marshal.dumps(distinct)
-    memo: dict = {}
-
-    def records(value):
-        return loader._shared_records(
-            RamSheet, value, "cover.ramification", "D1", loader._SHEET, memo
-        )
-
-    assert records(distinct) is records(shared) == (RamSheet(1001, 1001),)
+    doc = json.loads(dumps_document(*double_cover()))
+    doc["cover"]["ramification"].update(D1=distinct, D2=shared)
+    with monkeypatch.context() as patch:
+        patch.setattr(loader, "_decode", lambda text: doc)
+        cover = parse_cover_json("")[1]
+    assert cover.sheets_for("D1") is cover.sheets_for("D2") == (RamSheet(1001, 1001),)
     # true and 1.0 are equal to 1, but their keys differ from its key, so
-    # each is judged and refused.
-    assert records([{"e": 1, "f": 1}]) == (RamSheet(1, 1),)
+    # each copy read after a list of 1s is judged and refused.
     for value, got in ((True, "True"), (1.0, "1.0")):
+        doc["cover"]["ramification"].update(D1=[{"e": 1, "f": 1}], D2=[{"e": 1, "f": value}])
         with pytest.raises(InputFormatError) as info:
-            records([{"e": 1, "f": value}])
-        assert str(info.value) == f"cover.ramification['D1'][0].f: expected an integer (got {got})"
-    assert len(memo) == 2
+            parse_cover_json(json.dumps(doc))
+        assert str(info.value) == f"cover.ramification['D2'][0].f: expected an integer (got {got})"
 
 
 def test_a_point_list_with_its_keys_in_another_order_gives_the_same_bytes():
