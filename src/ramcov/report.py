@@ -50,14 +50,23 @@ shared part once per render:
   id escaped, a crossing index as its number.  It alone reads the
   receipts' groups; every other reader of the rows iterates over them.
 
+Each record these writers write per component, crossing, sheet, point or
+receipt row has its keys and layout stated once.  ``_RECORDS`` holds its
+JSON shape: its keys are the model type's fields, ``__match_args__``, but for
+the receipt row, which no type holds, and each value is a hole, a member
+that writes ``chr(0)``.  :func:`_layout` has :func:`_render` write that shape
+once per kind and depth and cuts the text at the holes, so the parts are the
+record's keys, in sorted order, and its line starts; a writer fills them with
+the record's values in that order, in one f-string.
+
 The report's ``input`` member echoes the document, read from the model:
 this module is the echo's one home.  :func:`dumps_document` gives it as the
 bytes of a document file and :func:`canonical_document` as those bytes
 parsed back into dicts and lists.  Components, crossings, sheets, points
-and raw local types are written with the model's fields as keys, in sorted
-order.  The chunk writers write an int with ``format``, so an ``int``
-subclass that the model's checks accept, such as an ``enum.IntEnum``
-member, is written as its number, not its repr.
+and raw local types are laid out by ``_RECORDS``.  The chunk writers
+write an int with ``format``, so an ``int`` subclass that the model's
+checks accept, such as an ``enum.IntEnum`` member, is written as its
+number, not its repr.
 
 A record that the report writes whole, a validation finding, the fibration
 inputs, and the derived base data but for its ``open_components``, is
@@ -81,8 +90,11 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .errors import InvalidInputError
 from .invariants import Receipts
-from .local_cover import LatticeSubgroup
-from .model import BaseGeometry, CoverDescription, derived_euler_data
+from .local_cover import LatticeSubgroup, LocalCoverType
+from .model import (
+    BaseGeometry, BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet,
+    derived_euler_data,
+)
 from .value import Value
 
 __all__ = [
@@ -177,6 +189,42 @@ def render_json(obj) -> str:
     return "".join(out)
 
 
+def _hole(depth: int, out: list) -> None:
+    """A value's place in a record's shape: :func:`_layout` cuts the text there."""
+    out.append("\0")
+
+
+def _shape(cls, *nested) -> dict:
+    """A ``cls`` record's shape: a hole per field, but the last fields hold ``nested``."""
+    fields = cls.__match_args__
+    return dict(zip(fields, (_hole,) * (len(fields) - len(nested)) + nested))
+
+
+#: The JSON shape of each record written per component, crossing, sheet,
+#: point or receipt row.  Its keys are the fields of the model type, but for
+#: a receipt row, which no type holds, and every value is a hole.
+_RECORDS = {
+    "component": _shape(BranchComponent),
+    "crossing": _shape(Crossing, [_hole, _hole]),
+    "sheet": _shape(RamSheet),
+    "lattice point": _shape(PointAbove, [[_hole, _hole], [_hole, _hole]]),
+    "typed point": _shape(PointAbove, _shape(LocalCoverType)),
+    "row": dict.fromkeys(("name", "value", "bound", "per_degree", "ok"), _hole),
+}
+
+
+@functools.cache
+def _layout(kind: str, depth: int) -> tuple[str, ...]:
+    """The text of a ``kind`` record opened at ``depth``, cut at its holes.
+
+    :func:`_render` writes the shape, so the parts are its keys, in sorted
+    order, and its layout; a writer fills them with the values in that order.
+    """
+    out: list = []
+    _render(_RECORDS[kind], depth, out)
+    return tuple("".join(out).split("\0"))
+
+
 def _write_list(records, depth: int, out: list, brackets: str = "[]") -> None:
     """Append a list opened at ``depth`` whose members are the written ``records``.
 
@@ -198,23 +246,21 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
     The receipts keep each group's shapes once, their rows less their
     names: each shape's rows are written once, as one template of the
     records named by :meth:`Receipts.row_name` with a ``chr(0)`` where the
-    key goes.  Each key of a group is one chunk, the key spliced into its
-    shape's names.  ``encode_basestring_ascii`` escapes character by
-    character, so a name is written as the whole name would be when the
-    text on each side of the key is escaped on its own and a string key,
-    a component id, is escaped less its quotes; any other key, a crossing
-    index, is written as ``format`` writes it.  Every ``tail`` row is one
-    chunk.
+    key goes, each record laid out as ``_layout("row", depth + 1)``.  Each
+    key of a group is one chunk, the key spliced into its shape's names.
+    ``encode_basestring_ascii`` escapes character by character, so a name
+    is written as the whole name would be when the text on each side of
+    the key is escaped on its own and a string key, a component id, is
+    escaped less its quotes; any other key, a crossing index, is written as
+    ``format`` writes it.  Every ``tail`` row is one chunk.
     """
-    end, key = _newline(depth + 1), _newline(depth + 2)
+    end = _newline(depth + 1)
     verdict = ("false", "true")
+    a, b, c, d, e, f = _layout("row", depth + 1)
 
     def record(name: str, value, bound, per_degree, ok) -> str:
         """The record of one row whose name, already written as JSON, is ``name``."""
-        return (
-            f'{{{key}"bound": "{bound}",{key}"name": {name},{key}"ok": {verdict[ok]},'
-            f'{key}"per_degree": "{per_degree}",{key}"value": "{value}"{end}}}'
-        )
+        return f'{a}"{bound}"{b}{name}{c}{verdict[ok]}{d}"{per_degree}"{e}"{value}"{f}'
 
     def chunks():
         for kinds, label, keys, numbers, shapes in receipts.groups:
@@ -239,33 +285,21 @@ def _write_terms(receipts: Receipts, depth: int, out: list) -> None:
 
 
 def _write_crossings(crossings, depth: int, out: list) -> None:
-    """``base.crossings``, opened at ``depth``: one chunk per crossing."""
+    """``base.crossings``, opened at ``depth``: one chunk per crossing, as its layout."""
     enc = encode_basestring_ascii
-    end, key, member = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
-    _write_list(
-        (
-            f'{{{key}"index": {x.index},'
-            f'{key}"pair": [{member}{enc(x.pair[0])},{member}{enc(x.pair[1])}{key}]{end}}}'
-            for x in crossings
-        ),
-        depth,
-        out,
-    )
+    a, b, c, d = _layout("crossing", depth + 1)
+    records = (f"{a}{x.index}{b}{enc(x.pair[0])}{c}{enc(x.pair[1])}{d}" for x in crossings)
+    _write_list(records, depth, out)
 
 
 def _write_components(components, depth: int, out: list) -> None:
-    """``base.components``, opened at ``depth``: one chunk per component."""
+    """``base.components``, opened at ``depth``: one chunk per component, as its layout."""
     enc = encode_basestring_ascii
-    end, key = _newline(depth + 1), _newline(depth + 2)
-    _write_list(
-        (
-            f'{{{key}"KX_dot": {c.KX_dot},{key}"fiber_deg": {c.fiber_deg},{key}"genus": '
-            f'{c.genus},{key}"id": {enc(c.id)},{key}"self_int": {c.self_int}{end}}}'
-            for c in components
-        ),
-        depth,
-        out,
+    a, b, c, d, e, f = _layout("component", depth + 1)
+    records = (
+        f"{a}{x.KX_dot}{b}{x.fiber_deg}{c}{x.genus}{d}{enc(x.id)}{e}{x.self_int}{f}" for x in components
     )
+    _write_list(records, depth, out)
 
 
 def _write_by_id(pairs, depth: int, out: list) -> None:
@@ -301,39 +335,29 @@ def _write_shared_lists(entries, record, depth: int, out: list) -> None:
 def _write_ramification(ramification, depth: int, out: list) -> None:
     """``cover.ramification``, opened at ``depth``: each distinct sheet list written once."""
     enc = encode_basestring_ascii
-    end, key = _newline(depth + 2), _newline(depth + 3)
+    a, b, c = _layout("sheet", depth + 2)
     _write_shared_lists(
-        ((enc(cid), sheets) for cid, sheets in ramification),
-        lambda s: f'{{{key}"e": {s.e},{key}"f": {s.f}{end}}}',
-        depth,
-        out,
+        ((enc(cid), x) for cid, x in ramification), lambda s: f"{a}{s.e}{b}{s.f}{c}", depth, out
     )
 
 
 def _write_points_above(points_above, depth: int, out: list) -> None:
     """``cover.points_above``, opened at ``depth``: each distinct point list written once.
 
-    The crossings come in :func:`_render`'s order, their keys sorted as
-    strings.
+    A point is laid out as a ``"lattice point"`` or a ``"typed point"`` by
+    its local data.  The crossings come in :func:`_render`'s order, their
+    keys sorted as strings.
     """
-    # Line starts of a point, of its keys, of its local data's members and,
-    # for a lattice, of its generators' coordinates.
-    end, key, member, coord = (_newline(depth + i) for i in range(2, 6))
+    lattice, typed = _layout("lattice point", depth + 2), _layout("typed point", depth + 2)
 
     def record(point) -> str:
         local = point.local
         if isinstance(local, LatticeSubgroup):
+            a, b, c, d, e, f, g = lattice
             (x1, y1), (x2, y2) = local.g1, local.g2
-            local = (
-                f"[{member}[{coord}{x1},{coord}{y1}{member}],"
-                f"{member}[{coord}{x2},{coord}{y2}{member}]{key}]"
-            )
-        else:
-            local = (
-                f'{{{member}"m1": {local.m1},{member}"m2": {local.m2},'
-                f'{member}"n": {local.n},{member}"q": {local.q}{key}}}'
-            )
-        return f'{{{key}"j": {point.j},{key}"jp": {point.jp},{key}"local": {local}{end}}}'
+            return f"{a}{point.j}{b}{point.jp}{c}{x1}{d}{y1}{e}{x2}{f}{y2}{g}"
+        a, b, c, d, e, f, g = typed
+        return f"{a}{point.j}{b}{point.jp}{c}{local.m1}{d}{local.m2}{e}{local.n}{f}{local.q}{g}"
 
     # Quoting keeps the order of the keys as strings: '"' sorts below every digit.
     _write_shared_lists(

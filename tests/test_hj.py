@@ -6,6 +6,7 @@ full tridiagonal system.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,37 @@ def test_resolution_numbers_match_the_chain():
                 sing = SingularityType(n, q)
                 data = resolve(sing)
                 assert resolution_numbers(sing) == (data.chain.length, data.correction_num), (n, q)
+
+
+def _closed_form_pairs():
+    """Every coprime ``(n, q)`` with ``n < 300``, then 2 000 drawn with ``n < 10**30``."""
+    for n in range(2, 300):
+        yield from ((n, q) for q in range(1, n) if math.gcd(n, q) == 1)
+    rnd = random.Random(5701)
+    for _ in range(2000):
+        n = rnd.randrange(2, 10**30)
+        q = rnd.randrange(1, n)
+        while math.gcd(n, q) != 1:
+            q = rnd.randrange(1, n)
+        yield n, q
+
+
+def test_resolution_numbers_satisfy_their_dualities():
+    # Reversing the chain (q -> q') keeps both numbers; the dual chain of
+    # A_{n,n-q} has length lambda + 1 + (T(q, n) - q - q')/n (Riemenschneider
+    # duality with the entry sum above), and T is odd in q, so the two
+    # corrections sum to 4n - 4 - n(lambda + mu).  The O(log n) forms alone,
+    # no chain built, so the orders reach 10**30.
+    for n, q in _closed_form_pairs():
+        q_inv = pow(q, -1, n)
+        t = _dedekind12(q, n)
+        lam, c = resolution_numbers(SingularityType(n, q))
+        mu, c_dual = resolution_numbers(SingularityType(n, n - q))
+        assert (t - q - q_inv) % n == 0, (n, q)
+        assert mu == lam + 1 + (t - q - q_inv) // n, (n, q)
+        assert resolution_numbers(SingularityType(n, q_inv)) == (lam, c), (n, q)
+        assert c + c_dual == 4 * n - 4 - n * (lam + mu), (n, q)
+        assert _dedekind12(n - q, n) == -t, (n, q)
 
 
 def test_dedekind_term_is_twelve_n_times_the_dedekind_sum():

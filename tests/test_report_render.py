@@ -29,7 +29,7 @@ from ramcov.golden import double_cover
 from ramcov.invariants import examine
 from ramcov.loader import load_cover_path, parse_cover_json
 from ramcov.local_cover import LatticeSubgroup, LocalCoverType
-from ramcov.model import CoverDescription, Crossing
+from ramcov.model import BranchComponent, CoverDescription, Crossing, PointAbove, RamSheet
 from ramcov.report import ReportDocument, dumps_document, render_json
 from ramcov.value import Value
 from rebuild import replace
@@ -119,6 +119,72 @@ def test_points_above_keys_are_written_in_string_order():
     assert written == json.dumps(reference_document(base, cover), indent=2, sort_keys=True) + "\n"
     keys = list(json.loads(written)["cover"]["points_above"])
     assert keys == ["1", "10", "100", "9"]
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+
+
+# A record of each kind the report lays out, in json.dumps' terms: an id
+# that JSON escapes, an IntEnum value and an int past 64 bits among them.
+_RECORD_SAMPLES = {
+    "component": {
+        "id": 'C"é\\1\n', "genus": _Level.LOW, "self_int": -(10**30), "KX_dot": 0, "fiber_deg": 2
+    },
+    "crossing": {"index": 7, "pair": ["a\tb", "☃"]},
+    "sheet": {"e": 3, "f": _Level.LOW},
+    "lattice point": {"j": 0, "jp": 1, "local": [[1, _Level.LOW], [0, 5]]},
+    "typed point": {"j": 1, "jp": 0, "local": {"n": 5, "q": 2, "m1": 1, "m2": _Level.LOW}},
+    "row": {
+        "name": 'branch_mult[a"b]', "value": "-3/2", "bound": "4", "per_degree": "2", "ok": True
+    },
+}
+
+
+def _leaves(obj):
+    """The scalars of ``obj`` in the order ``json.dumps(sort_keys=True)`` writes them."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key])
+    elif isinstance(obj, list):
+        for member in obj:
+            yield from _leaves(member)
+    else:
+        yield obj
+
+
+def _written(value) -> str:
+    """A scalar as the record writers write it: an int through ``format``, any other as JSON."""
+    return f"{value}" if isinstance(value, int) and not isinstance(value, bool) else json.dumps(value)
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("kind", sorted(_RECORD_SAMPLES))
+def test_each_record_layout_is_its_json_cut_at_the_values(kind, depth):
+    assert set(ramcov.report._RECORDS) == set(_RECORD_SAMPLES)
+    parts = ramcov.report._layout(kind, depth)
+    values = [_written(v) for v in _leaves(_RECORD_SAMPLES[kind])]
+    assert len(parts) == len(values) + 1
+    text = parts[0] + "".join(value + part for value, part in zip(values, parts[1:]))
+    indented = json.dumps(_RECORD_SAMPLES[kind], indent=2, sort_keys=True)
+    assert text == indented.replace("\n", "\n" + "  " * depth)
+
+
+@pytest.mark.parametrize(
+    "kind, cls",
+    [
+        ("component", BranchComponent),
+        ("crossing", Crossing),
+        ("sheet", RamSheet),
+        ("lattice point", PointAbove),
+        ("typed point", PointAbove),
+    ],
+)
+def test_each_model_record_has_its_types_fields_as_keys(kind, cls):
+    shape = ramcov.report._RECORDS[kind]
+    assert tuple(shape) == cls.__match_args__
+    if kind == "typed point":
+        assert tuple(shape["local"]) == LocalCoverType.__match_args__
 
 
 def _write_json(value, depth, out):
